@@ -49,7 +49,8 @@ def enumeration_budget() -> int:
 class FinAlgebra:
     """Unital associative algebra given by structure constants."""
 
-    __slots__ = ("field", "dim", "basis_names", "mul", "unit", "_pairs", "_left_mats", "_right_mats")
+    __slots__ = ("field", "dim", "basis_names", "mul", "unit", "_pairs", "_left_mats", "_right_mats",
+                 "_automorphisms")
 
     def __init__(self, field: Field, mul, unit, basis_names=None, check: bool = True):
         dim = len(mul)
@@ -73,14 +74,15 @@ class FinAlgebra:
         object.__setattr__(self, "basis_names", basis_names)
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "unit", unit)
-        zero = field.zero
         pairs = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(vec) if c != zero) for vec in row)
+            tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row)
             for row in mul
         )
         object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "_left_mats", {})
         object.__setattr__(self, "_right_mats", {})
+        # matrices of maps that sigmamaps.require_automorphism verified on this instance
+        object.__setattr__(self, "_automorphisms", set())
         if check:
             self._validate()
 
@@ -125,11 +127,11 @@ class FinAlgebra:
         acc = [zero] * self.dim
         pairs = self._pairs
         for i, xi in enumerate(x):
-            if xi == zero:
+            if not xi:
                 continue
             row = pairs[i]
             for j, yj in enumerate(y):
-                if yj == zero:
+                if not yj:
                     continue
                 f = mul(xi, yj)
                 for k, c in row[j]:

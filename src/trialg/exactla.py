@@ -8,6 +8,10 @@ format and for element-level use.  No floating point anywhere.
 Row reduction is fully deterministic (leftmost pivot, first row, exact
 arithmetic), so every reduced row-echelon form and every solution-space basis
 is canonical and reproducible bit for bit.
+
+Hot loops test raw scalars for zero by truthiness (``if v:``), which is exact
+because ``Fraction`` values are normalized and F_p residues are always
+reduced to [0, p) by ``PrimeField.coerce`` and every field operation.
 """
 
 from __future__ import annotations
@@ -252,7 +256,10 @@ def field_from_json(obj) -> Field:
     if obj["kind"] == "rational":
         return QQ
     if obj["kind"] == "prime":
-        return GF(int(obj["p"]))
+        p = obj.get("p")
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise InputError("prime field needs an integer 'p', got %r" % (p,))
+        return GF(p)
     raise InputError("unknown field kind %r" % (obj["kind"],))
 
 
@@ -411,11 +418,11 @@ class Mat:
         for r in self.rows:
             acc = [zero] * other.ncols
             for k, v in enumerate(r):
-                if v == zero:
+                if not v:
                     continue
                 rk = cols[k]
                 for j, w in enumerate(rk):
-                    if w != zero:
+                    if w:
                         acc[j] = add(acc[j], mul(v, w))
             out.append(acc)
         return Mat(self.field, out, other.ncols)
@@ -430,7 +437,7 @@ class Mat:
         for r in self.rows:
             acc = zero
             for v, w in zip(r, vec):
-                if v != zero and w != zero:
+                if v and w:
                     acc = add(acc, mul(v, w))
             out.append(acc)
         return tuple(out)
@@ -498,7 +505,7 @@ def _sparse_reduce(field: Field, rows, ncols: int) -> dict[int, dict]:
     sub, mul, inv = field.sub, field.mul, field.inv
     pivots: dict[int, dict] = {}
     for raw in rows:
-        row = {c: v for c, v in raw.items() if v != zero}
+        row = {c: v for c, v in raw.items() if v}
         while row:
             c = min(row)
             piv = pivots.get(c)
@@ -515,7 +522,7 @@ def _sparse_reduce(field: Field, rows, ncols: int) -> dict[int, dict]:
                 if k == c:
                     continue
                 nv = sub(row.get(k, zero), mul(factor, v))
-                if nv == zero:
+                if not nv:
                     row.pop(k, None)
                 else:
                     row[k] = nv
@@ -530,7 +537,7 @@ def _sparse_reduce(field: Field, rows, ncols: int) -> dict[int, dict]:
                 if k == c:
                     continue
                 nv = sub(row.get(k, zero), mul(factor, v))
-                if nv == zero:
+                if not nv:
                     row.pop(k, None)
                 else:
                     row[k] = nv
@@ -548,9 +555,9 @@ def _dense_rows(field: Field, pivots: dict[int, dict], ncols: int) -> list[tuple
     return out
 
 
-def _rows_to_sparse(rows, zero):
+def _rows_to_sparse(rows):
     for row in rows:
-        yield {c: v for c, v in enumerate(row) if v != zero}
+        yield {c: v for c, v in enumerate(row) if v}
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
@@ -559,7 +566,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     The output has the same shape as the input; zero rows are kept at the
     bottom.
     """
-    pivots = _sparse_reduce(m.field, _rows_to_sparse(m.rows, m.field.zero), m.ncols)
+    pivots = _sparse_reduce(m.field, _rows_to_sparse(m.rows), m.ncols)
     dense = _dense_rows(m.field, pivots, m.ncols)
     zero_row = tuple([m.field.zero] * m.ncols)
     while len(dense) < m.nrows:
@@ -586,7 +593,7 @@ def kernel_sparse(field: Field, rows, ncols: int) -> "Subspace":
 
 def kernel_basis(m: Mat) -> "Subspace":
     """Canonical basis of the right kernel {v : m v = 0}."""
-    return kernel_sparse(m.field, _rows_to_sparse(m.rows, m.field.zero), m.ncols)
+    return kernel_sparse(m.field, _rows_to_sparse(m.rows), m.ncols)
 
 
 def solve_linear(m: Mat, rhs: Sequence) -> tuple | None:
@@ -642,7 +649,7 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise AmbientMismatch("vector length %d in ambient %d" % (len(v), ambient_dim))
-        pivots = _sparse_reduce(field, _rows_to_sparse(vecs, field.zero), ambient_dim)
+        pivots = _sparse_reduce(field, _rows_to_sparse(vecs), ambient_dim)
         dense = _dense_rows(field, pivots, ambient_dim)
         return Subspace(field, ambient_dim, tuple(dense), tuple(sorted(pivots)))
 
@@ -690,15 +697,15 @@ class Subspace:
         if len(vec) != self.ambient_dim:
             raise AmbientMismatch("vector length %d in ambient %d" % (len(vec), self.ambient_dim))
         coeffs = tuple(vec[p] for p in self.pivots)
-        zero, sub, mul = field.zero, field.sub, field.mul
+        sub, mul = field.sub, field.mul
         residual = list(vec)
         for c, row in zip(coeffs, self.basis):
-            if c == zero:
+            if not c:
                 continue
             for k, v in enumerate(row):
-                if v != zero:
+                if v:
                     residual[k] = sub(residual[k], mul(c, v))
-        if any(v != zero for v in residual):
+        if any(residual):
             return None
         return coeffs
 
@@ -732,11 +739,11 @@ class Subspace:
             d = {}
             for i in range(ra):
                 v = self.basis[i][k]
-                if v != zero:
+                if v:
                     d[i] = v
             for j in range(rb):
                 v = other.basis[j][k]
-                if v != zero:
+                if v:
                     d[ra + j] = neg(v)
             rows.append(d)
         pair_kernel = kernel_sparse(field, rows, ra + rb)
@@ -746,10 +753,10 @@ class Subspace:
             v = [zero] * n
             for i in range(ra):
                 c = coeffs[i]
-                if c == zero:
+                if not c:
                     continue
                 for k, w in enumerate(self.basis[i]):
-                    if w != zero:
+                    if w:
                         v[k] = add(v[k], mul(c, w))
             vecs.append(v)
         return Subspace.from_vectors(field, n, vecs)

@@ -38,12 +38,25 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+def _is_count(value) -> bool:
+    """True for a valid JSON dimension or 0-based index: a non-negative integer, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _dim(obj, key: str) -> int:
+    if not _is_count(obj[key]):
+        raise InputError("%r must be a non-negative integer, got %r" % (key, obj[key]))
+    return obj[key]
+
+
 def _sparse_tensor(field: Field, entries, dims) -> list:
     out = [[[field.zero] * dims[2] for _ in range(dims[1])] for _ in range(dims[0])]
     for entry in entries:
-        if len(entry) != 4:
+        if not isinstance(entry, list) or len(entry) != 4:
             raise InputError("tensor entry %r is not [i, j, k, coeff]" % (entry,))
         i, j, k, c = entry
+        if not (_is_count(i) and _is_count(j) and _is_count(k)):
+            raise InputError("tensor index %r is not three non-negative integers" % (entry[:3],))
         try:
             out[i][j][k] = field.coerce(c)
         except IndexError as exc:
@@ -65,7 +78,7 @@ def algebra_from_json(obj) -> FinAlgebra:
         if key not in obj:
             raise InputError("algebra file misses %r" % key)
     field = field_from_json(obj["field"])
-    dim = int(obj["dim"])
+    dim = _dim(obj, "dim")
     mul = _sparse_tensor(field, obj["mul"], (dim, dim, dim))
     unit = [field.coerce(v) for v in obj["unit"]]
     names = obj.get("basis")
@@ -89,7 +102,7 @@ def bimodule_from_json(obj, field: Field) -> Bimodule:
             raise InputError("bimodule file misses %r" % key)
     if "field" in obj and field_from_json(obj["field"]) != field:
         raise InputError("bimodule field disagrees with the corner algebras")
-    da, dm, db = int(obj["dimA"]), int(obj["dimM"]), int(obj["dimB"])
+    da, dm, db = _dim(obj, "dimA"), _dim(obj, "dimM"), _dim(obj, "dimB")
     left = _sparse_tensor(field, obj["left"], (da, dm, dm))
     right = _sparse_tensor(field, obj["right"], (dm, db, dm))
     return Bimodule(field, da, dm, db, left, right, obj.get("basis"))
@@ -169,7 +182,7 @@ def linmap_to_json(m: LinMap) -> dict:
 def bilinmap_from_json(obj, field: Field) -> BilinMap:
     if "dim" not in obj or "tensor" not in obj:
         raise InputError("bilinear file needs 'dim' and 'tensor'")
-    dim = int(obj["dim"])
+    dim = _dim(obj, "dim")
     tensor = _sparse_tensor(field, obj["tensor"], (dim, dim, dim))
     return BilinMap(field, tensor)
 

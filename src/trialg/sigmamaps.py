@@ -196,15 +196,15 @@ class BilinMap:
         zero, add, mul = field.zero, field.add, field.mul
         acc = [zero] * self.dim
         for i, xi in enumerate(x):
-            if xi == zero:
+            if not xi:
                 continue
             row = self.tensor[i]
             for j, yj in enumerate(y):
-                if yj == zero:
+                if not yj:
                     continue
                 f = mul(xi, yj)
                 for k, c in enumerate(row[j]):
-                    if c != zero:
+                    if c:
                         acc[k] = add(acc[k], mul(f, c))
         return tuple(acc)
 
@@ -326,11 +326,20 @@ def is_automorphism(alg: FinAlgebra, f: LinMap) -> Verdict:
 
 
 def require_automorphism(alg: FinAlgebra, sigma: LinMap | None) -> LinMap:
+    """sigma itself once it is verified to be an automorphism of alg.
+
+    A passing verdict is remembered on the algebra instance, keyed by the
+    immutable matrix, so later checks of an equal sigma on the same object
+    return at once; failures are never remembered.
+    """
     if sigma is None:
         raise SigmaMissing("this predicate needs an automorphism")
+    if sigma.mat in alg._automorphisms:
+        return sigma
     v = is_automorphism(alg, sigma)
     if not v.holds:
         raise SigmaNotAutomorphism(str(v.witness.description if v.witness else "not an automorphism"))
+    alg._automorphisms.add(sigma.mat)
     return sigma
 
 

@@ -109,22 +109,22 @@ def _derivation_rows(alg: FinAlgebra, sigma: LinMap):
             for m in range(n):
                 row: dict[int, object] = {}
                 for l, c in enumerate(cij):
-                    if c != zero:
+                    if c:
                         row[m * n + l] = add(row.get(m * n + l, zero), c)
                 for t in range(n):
                     v = rj[m][t]
-                    if v != zero:
+                    if v:
                         key = t * n + i
                         nv = sub(row.get(key, zero), v)
-                        if nv == zero:
+                        if not nv:
                             row.pop(key, None)
                         else:
                             row[key] = nv
                     w = ls[m][t]
-                    if w != zero:
+                    if w:
                         key = t * n + j
                         nv = sub(row.get(key, zero), w)
-                        if nv == zero:
+                        if not nv:
                             row.pop(key, None)
                         else:
                             row[key] = nv
@@ -145,13 +145,13 @@ def _commuting_rows(alg: FinAlgebra, sigma: LinMap):
             row: dict[int, object] = {}
             for t in range(n):
                 coeff = field.sub(lsx[m][t], rx[m][t])
-                if coeff == zero:
+                if not coeff:
                     continue
                 for s, xs in enumerate(x):
-                    if xs != zero:
+                    if xs:
                         key = t * n + s
                         nv = add(row.get(key, zero), mul(coeff, xs))
-                        if nv == zero:
+                        if not nv:
                             row.pop(key, None)
                         else:
                             row[key] = nv
@@ -186,23 +186,23 @@ def _biderivation_rows(alg: FinAlgebra, sigma: LinMap):
                     # first slot: D(e_i e_j, e_k) - D(e_i, e_k) e_j - sigma(e_i) D(e_j, e_k)
                     row: dict[int, object] = {}
                     for l, c in enumerate(cij):
-                        if c != zero:
+                        if c:
                             key = idx(l, k, m)
                             row[key] = add(row.get(key, zero), c)
                     for t in range(n):
                         v = rj[m][t]
-                        if v != zero:
+                        if v:
                             key = idx(i, k, t)
                             nv = sub(row.get(key, zero), v)
-                            if nv == zero:
+                            if not nv:
                                 row.pop(key, None)
                             else:
                                 row[key] = nv
                         w = ls[m][t]
-                        if w != zero:
+                        if w:
                             key = idx(j, k, t)
                             nv = sub(row.get(key, zero), w)
-                            if nv == zero:
+                            if not nv:
                                 row.pop(key, None)
                             else:
                                 row[key] = nv
@@ -211,23 +211,23 @@ def _biderivation_rows(alg: FinAlgebra, sigma: LinMap):
                     # second slot: D(e_k, e_i e_j) - D(e_k, e_i) e_j - sigma(e_i) D(e_k, e_j)
                     row = {}
                     for l, c in enumerate(cij):
-                        if c != zero:
+                        if c:
                             key = idx(k, l, m)
                             row[key] = add(row.get(key, zero), c)
                     for t in range(n):
                         v = rj[m][t]
-                        if v != zero:
+                        if v:
                             key = idx(k, i, t)
                             nv = sub(row.get(key, zero), v)
-                            if nv == zero:
+                            if not nv:
                                 row.pop(key, None)
                             else:
                                 row[key] = nv
                         w = ls[m][t]
-                        if w != zero:
+                        if w:
                             key = idx(k, j, t)
                             nv = sub(row.get(key, zero), w)
-                            if nv == zero:
+                            if not nv:
                                 row.pop(key, None)
                             else:
                                 row[key] = nv

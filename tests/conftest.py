@@ -132,3 +132,19 @@ def assert_subspace_equal(a, b):
 
 QQ_FIELD = QQ
 F5 = GF(5)
+
+
+@pytest.fixture()
+def count_aut_checks(monkeypatch):
+    """Count full is_automorphism runs made through sigmamaps."""
+    import trialg.sigmamaps as sm
+
+    calls = []
+    orig = sm.is_automorphism
+
+    def counting(alg, f):
+        calls.append(alg)
+        return orig(alg, f)
+
+    monkeypatch.setattr(sm, "is_automorphism", counting)
+    return calls

@@ -145,6 +145,33 @@ class TestInputErrors:
         code, out, _ = run_cli(["validate", str(path)])
         assert code == 1
 
+    @pytest.mark.parametrize("patch", [
+        {"mul": [[-1, -1, -1, "1"]]},
+        {"mul": [[0.5, 0, 0, "1"]]},
+        {"mul": [[False, 0, 0, "1"]]},
+        {"field": {"kind": "prime", "p": "five"}},
+        {"field": {"kind": "prime", "p": 5.0}},
+        {"field": {"kind": "prime", "p": True}},
+        {"dim": -1, "unit": [], "mul": []},
+    ], ids=["negative_index", "float_index", "bool_index", "nonnumeric_p", "float_p",
+            "bool_p", "negative_dim"])
+    def test_malformed_algebra_is_one_json_error(self, tmp_path, patch):
+        bad = {"field": {"kind": "rational"}, "dim": 1, "unit": ["1"], "mul": [[0, 0, 0, "1"]]}
+        bad.update(patch)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        code, out, _ = run_cli(["validate", str(path)])
+        assert code == 1
+        assert list(json.loads(out)) == ["error", "version"]
+
+    def test_negative_bilinear_dim_is_one_json_error(self, f1_dir):
+        path = f1_dir / "bad_bid.json"
+        path.write_text(json.dumps({"dim": -1, "tensor": []}))
+        code, out, _ = run_cli(["split-biderivation", str(f1_dir / "T.json"),
+                                "--sigma", str(f1_dir / "sigma1.json"), "--bid", str(path)])
+        assert code == 1
+        assert list(json.loads(out)) == ["error", "version"]
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, f1_dir):

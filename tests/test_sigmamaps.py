@@ -25,6 +25,7 @@ from trialg.sigmamaps import (
     classify_bilinear,
     classify_linear,
     inner_automorphism,
+    require_automorphism,
     sigma_center,
     sigma_center_oracle,
     sigma_commutator_vec,
@@ -223,6 +224,34 @@ class TestBlockDecompose:
         bad = LinMap.zero(QQ, 3)
         with pytest.raises(SigmaNotAutomorphism):
             classify_linear("sigma_commuting", f1.total, f1_theta1, bad)
+
+
+class TestAutomorphismMemo:
+    """require_automorphism remembers passing sigmas per algebra instance only."""
+
+    def test_non_automorphism_rejected_after_another_sigma_passed(self):
+        t = fixture_f1().total
+        good = sigma1(fixture_f1())
+        assert require_automorphism(t, good) is good
+        bad = LinMap.zero(QQ, 3)
+        for _ in range(2):
+            with pytest.raises(SigmaNotAutomorphism):
+                require_automorphism(t, bad)
+            with pytest.raises(SigmaNotAutomorphism):
+                classify_linear("sigma_derivation", t, LinMap.zero(QQ, 3), bad)
+
+    def test_equal_algebra_loaded_separately_is_checked_again(self, count_aut_checks):
+        from trialg import io
+
+        obj = io.triangular_to_json(fixture_f1())
+        first, second = (io.triangular_from_json(obj).total for _ in range(2))
+        assert first == second and first is not second
+        sig = sigma1(fixture_f1())
+        require_automorphism(first, sig)
+        require_automorphism(first, sig)
+        assert len(count_aut_checks) == 1
+        require_automorphism(second, sig)
+        assert len(count_aut_checks) == 2 and count_aut_checks[1] is second
 
 
 class TestIdMinusSigmaFamily:

@@ -9,9 +9,10 @@ from trialg.errors import (
     InputError,
     NotSigmaCentral,
     PreconditionFails,
+    TheoremViolation,
 )
-from trialg.exactla import QQ
-from trialg.fixtures import fixture_f1, truncated_polynomial_algebra
+from trialg.exactla import QQ, Subspace, kernel_sparse
+from trialg.fixtures import fixture_f1, sigma1, truncated_polynomial_algebra
 from trialg.sigmamaps import (
     BilinMap,
     LinMap,
@@ -30,6 +31,8 @@ from trialg.spaces import (
     sigma_derivation_blocks,
     solve_space,
 )
+
+TWISTED_KINDS = ("sigma_derivation", "sigma_commuting", "sigma_biderivation")
 
 
 class TestSolveSpace:
@@ -72,6 +75,26 @@ class TestSolveSpace:
         plain = solve_space("derivation", f1)
         twisted = solve_space("sigma_derivation", f1, ident)
         assert plain.subspace == twisted.subspace
+
+    @pytest.mark.parametrize("kind", TWISTED_KINDS)
+    def test_verification_catches_a_non_solution(self, f1, f1_sigma1, kind, monkeypatch):
+        import trialg.spaces as sp
+
+        def kernel_plus_non_solution(field, rows, ncols):
+            sub = kernel_sparse(field, rows, ncols)
+            extra = next(v for v in Subspace.full(field, ncols).basis if not sub.contains_vector(v))
+            return sub.sum(Subspace.from_vectors(field, ncols, [extra]))
+
+        monkeypatch.setattr(sp, "kernel_sparse", kernel_plus_non_solution)
+        with pytest.raises(TheoremViolation):
+            solve_space(kind, f1, f1_sigma1)
+
+    @pytest.mark.parametrize("kind", TWISTED_KINDS)
+    def test_one_automorphism_check_per_solve(self, kind, count_aut_checks):
+        tri = fixture_f1()
+        space = solve_space(kind, tri, sigma1(tri))
+        assert space.dim > 0
+        assert count_aut_checks == [tri.total]
 
     def test_unknown_kind_rejected(self, f1):
         with pytest.raises(InputError):
