@@ -66,3 +66,116 @@ def test_solve_report_digest(name, kind):
     space = solve_space(kind, t, sigma, bilinear_dim_cap=9)
     digest = hashlib.sha256(io.canonical_json(space.to_json()).encode("utf-8")).hexdigest()
     assert digest == GOLDEN[(name, kind)]
+
+
+# ---------------------------------------------------------------------------
+# CLI reports of the center, twisted-center and theorem-checker commands
+# ---------------------------------------------------------------------------
+#
+# Each digest is taken over ``io.canonical_json(report["result"])`` of one CLI
+# run on an emitted fixture (F1, F3, F4) with its ``sigma1`` or ``identity``
+# twist.  The map inputs come from solved spaces: theta is the sum of the
+# basis maps of the sigma-commuting space, D the sum of the basis maps of the
+# sigma-biderivation space, and D0 the residual of D's extremal split (so
+# D0(p, p) = 0, as inner-witness requires).
+
+CLI_FIXTURES = ("F1", "F3", "F4")
+CLI_SIGMAS = ("sigma1", "identity")
+
+CLI_GOLDEN = {
+    ("center", "F1", None): "06f78c87c833cc636333114365163f5e49dd6fa325f35d5715c9c3593f9531e7",
+    ("center", "F3", None): "6e13ca0b7311572ef289514789056ff6a02eb5f7820b6fa19fba5ea2365c4333",
+    ("center", "F4", None): "6e13ca0b7311572ef289514789056ff6a02eb5f7820b6fa19fba5ea2365c4333",
+    ("sigma-center", "F1", "sigma1"): "b0f5762dc42c61a3e433c206d22ac1e8b5acc575304629da0cde9a522bab3df3",
+    ("sigma-center", "F1", "identity"): "a236b078c3403d79dd8224a2c5cdacdedc51fd73da8089b2ff11432ce22723cc",
+    ("sigma-center", "F3", "sigma1"): "248635e9aac9ebfbad3ee99fbe7a21754e5136c471a2ad529d461c7e41d19464",
+    ("sigma-center", "F3", "identity"): "5b0c294c46148a23486b86d25d485ccf51c5ddf76c172c72f109b07194f14277",
+    ("sigma-center", "F4", "sigma1"): "2741de28721ddc814712924149920fd3ef295d7b36eae2629bb67e6dd6fe954c",
+    ("sigma-center", "F4", "identity"): "5b0c294c46148a23486b86d25d485ccf51c5ddf76c172c72f109b07194f14277",
+    ("properness", "F1", "sigma1"): "d13002ff8c9224ce9d7919d1458243ee446c147b4339a790765f079d8758b762",
+    ("properness", "F1", "identity"): "5c4813139d02c6b0f8669d0228fd0fae076034e4734b2e6f77849255a95bfcf9",
+    ("properness", "F3", "sigma1"): "3a4f75d1f9ab8c60fdb668d663917f7ecdbf7f41e6cac4fe2b0185dc45acfa66",
+    ("properness", "F3", "identity"): "30d3b367b5c6a06302d4841a205437ef83025068506e4d003f58effcbc5ca306",
+    ("properness", "F4", "sigma1"): "32ec3f865d54b385d818a968c2ab422f563181921a67eb8c05a3907e84440e7f",
+    ("properness", "F4", "identity"): "30d3b367b5c6a06302d4841a205437ef83025068506e4d003f58effcbc5ca306",
+    ("commuting-blocks", "F1", "sigma1"): "2f4e66b2c920e843b81f84fc22f2bf544c7656c3df77ece1f735620b69b03ce0",
+    ("commuting-blocks", "F1", "identity"): "fe00bb40652b94d6646a79a95cd79f82c5fe3fd6a529b66be13cefcb735095ad",
+    ("commuting-blocks", "F3", "sigma1"): "a8ff00ae512d37de6b60d6153a4f6c91812f45581f97a8054e6f202d97573ead",
+    ("commuting-blocks", "F3", "identity"): "e641ae96769fa416b561f81eff12dbb65884622f90817c71dc38e5a5f51c4039",
+    ("commuting-blocks", "F4", "sigma1"): "322de2df21a7507feb55feb9504a3fd31294136f8c30f306f1c01fbed6263ee8",
+    ("commuting-blocks", "F4", "identity"): "e641ae96769fa416b561f81eff12dbb65884622f90817c71dc38e5a5f51c4039",
+    ("split-biderivation", "F1", "sigma1"): "1b2f6b658370a1512d7f1e2e208eb1c362641eca68f8ce930868b1fd3fbbf2a3",
+    ("split-biderivation", "F1", "identity"): "1b2f6b658370a1512d7f1e2e208eb1c362641eca68f8ce930868b1fd3fbbf2a3",
+    ("split-biderivation", "F3", "sigma1"): "5dc12fabfdabe9b32001e8429774797c9251155157b77926ec397ee18ba59ad1",
+    ("split-biderivation", "F3", "identity"): "5dc12fabfdabe9b32001e8429774797c9251155157b77926ec397ee18ba59ad1",
+    ("split-biderivation", "F4", "sigma1"): "54af8de86602dee4abec65c3466d500f1ed4c976f00fcfa30b893718176a31eb",
+    ("split-biderivation", "F4", "identity"): "54af8de86602dee4abec65c3466d500f1ed4c976f00fcfa30b893718176a31eb",
+    ("inner-witness", "F1", "sigma1"): "29f30c943d2f152b346c602257e58579f5147ff7f2fdc95c2e48d0434f12456d",
+    ("inner-witness", "F1", "identity"): "29f30c943d2f152b346c602257e58579f5147ff7f2fdc95c2e48d0434f12456d",
+    ("inner-witness", "F3", "sigma1"): "de7a1ac02c192c261ae7d889ba500080404807947088782b2cc70cee0f710567",
+    ("inner-witness", "F3", "identity"): "09507b0fed67c9d996659ee89202f1968d54004884a6e62af890d9079cc6b571",
+    ("inner-witness", "F4", "sigma1"): "49d47dfa23c97691be5cbad98117b6345448bd7430dfab41d7a83fef1308216f",
+    ("inner-witness", "F4", "identity"): "d66b74f9b7995dd1d04f5bcb6877300746baec060a783ca74666e3d8021f4866",
+}
+
+
+def _sum(maps):
+    total = maps[0]
+    for m in maps[1:]:
+        total = total + m
+    return total
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    from trialg.classify import extremal_split
+
+    root = tmp_path_factory.mktemp("cli-golden")
+    for name in CLI_FIXTURES:
+        d = root / name
+        io.emit_fixture(name, str(d))
+        tri = io.load_triangular(str(d / "T.json"))
+        for sig_name in CLI_SIGMAS:
+            sigma = io.load_linmap(str(d / (sig_name + ".json")), tri.field)
+            theta = _sum(solve_space("sigma_commuting", tri, sigma).basis_maps())
+            D = _sum(solve_space("sigma_biderivation", tri, sigma).basis_maps())
+            D0 = extremal_split(tri, D, sigma).residual
+            for stem, m in (("theta", theta), ("D", D), ("D0", D0)):
+                (d / ("%s_%s.json" % (stem, sig_name))).write_text(io.canonical_json(m.to_json()))
+    return root
+
+
+def _cli_args(command, name, sig_name, root):
+    d = root / name
+    t = str(d / "T.json")
+    if command == "center":
+        return [command, t]
+    args = [command, t, "--sigma", str(d / (sig_name + ".json"))]
+    if command in ("properness", "commuting-blocks"):
+        args += ["--map", str(d / ("theta_%s.json" % sig_name))]
+    elif command == "split-biderivation":
+        args += ["--bid", str(d / ("D_%s.json" % sig_name))]
+    elif command == "inner-witness":
+        args += ["--bid", str(d / ("D0_%s.json" % sig_name))]
+    return args
+
+
+def cli_result_digest(command, name, sig_name, root):
+    import contextlib
+    import io as stdio
+    import json
+
+    from trialg.cli import main
+
+    out = stdio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(stdio.StringIO()):
+        code = main(_cli_args(command, name, sig_name, root))
+    assert code == 0, out.getvalue()
+    result = json.loads(out.getvalue())["result"]
+    return hashlib.sha256(io.canonical_json(result).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("command,name,sig_name", sorted(CLI_GOLDEN, key=str))
+def test_cli_result_digest(cli_inputs, command, name, sig_name):
+    assert cli_result_digest(command, name, sig_name, cli_inputs) == \
+        CLI_GOLDEN[(command, name, sig_name)]

@@ -93,6 +93,29 @@ class TestCornerNegationCommutingExample:
         assert verdict.witness.indices == (1, 2)
         assert verdict.witness.element == f1.total.smul_vec(-2, f1.total.basis_vector(1))
 
+    @pytest.mark.parametrize("name", ["F1", "F3", "F4"])
+    @pytest.mark.parametrize("shape", ["identity", "e0_to_m0"])
+    def test_twisted_witness_is_sigma_commutator(self, name, shape):
+        # neither map is sigma1-commuting; the witness must be [x, Theta(x)]_sigma itself,
+        # at a pair sum for the identity and at the single e_0 for e_0 -> m_0
+        from trialg.fixtures import fixture_f4
+
+        tri = {"F1": fixture_f1, "F3": fixture_f3, "F4": fixture_f4}[name]()
+        t, sig = tri.total, sigma1(tri)
+        if shape == "identity":
+            theta = LinMap.identity(t.field, t.dim)
+        else:
+            images = [t.zero_vector()] * t.dim
+            images[0] = t.basis_vector(tri.range_m[0])
+            theta = LinMap.from_images(t.field, images, t.dim, t.dim)
+        verdict = classify_linear("sigma_commuting", t, theta, sig)
+        assert verdict.kind == "sigma_commuting" and not verdict.holds
+        i, j = verdict.witness.indices
+        x = t.basis_vector(i) if i == j else t.add_vec(t.basis_vector(i), t.basis_vector(j))
+        expected = sigma_commutator_vec(t, x, theta.apply(x), sig)
+        assert expected != t.zero_vector()
+        assert verdict.witness.element == expected
+
     def test_identity_twist_recovers_plain_kinds(self, f1, f1_theta1):
         ident = LinMap.identity(QQ, 3)
         a = classify_linear("sigma_commuting", f1.total, f1_theta1, ident)
