@@ -200,9 +200,6 @@ class FinAlgebra:
                     return False
         return True
 
-    def element(self, vec) -> "AlgebraElement":
-        return AlgebraElement(self, self.coerce_vector(vec))
-
     def format_vector(self, vec) -> str:
         field = self.field
         terms = []
@@ -236,60 +233,6 @@ class FinAlgebra:
 
     def __repr__(self):
         return "FinAlgebra(dim=%d, field=%r)" % (self.dim, self.field)
-
-
-class AlgebraElement:
-    """Element of a FinAlgebra with operator arithmetic (convenience wrapper)."""
-
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra: FinAlgebra, coeffs):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coeffs", algebra.coerce_vector(coeffs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("AlgebraElement is immutable")
-
-    def _peer(self, other) -> tuple:
-        if isinstance(other, AlgebraElement):
-            if other.algebra != self.algebra:
-                raise FieldMismatch("elements of different algebras")
-            return other.coeffs
-        return self.algebra.coerce_vector(other)
-
-    def __add__(self, other):
-        return AlgebraElement(self.algebra, self.algebra.add_vec(self.coeffs, self._peer(other)))
-
-    def __sub__(self, other):
-        return AlgebraElement(self.algebra, self.algebra.sub_vec(self.coeffs, self._peer(other)))
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement) or (isinstance(other, (tuple, list)) and len(other) == self.algebra.dim):
-            return AlgebraElement(self.algebra, self.algebra.mul_vec(self.coeffs, self._peer(other)))
-        return AlgebraElement(self.algebra, self.algebra.smul_vec(other, self.coeffs))
-
-    def __rmul__(self, other):
-        return AlgebraElement(self.algebra, self.algebra.smul_vec(other, self.coeffs))
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, self.algebra.smul_vec(self.algebra.field.neg(self.algebra.field.one), self.coeffs))
-
-    def __eq__(self, other):
-        if isinstance(other, AlgebraElement):
-            return self.algebra == other.algebra and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.algebra, self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(v == self.algebra.field.zero for v in self.coeffs)
-
-    def inverse(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, self.algebra.invert(self.coeffs))
-
-    def __repr__(self):
-        return self.algebra.format_vector(self.coeffs)
 
 
 def validate_algebra(field: Field, mul, unit, basis_names=None) -> FinAlgebra:
@@ -332,6 +275,13 @@ class Bimodule:
         return Bimodule(field, dim_a, 0, dim_b, [[] for _ in range(dim_a)], [])
 
 
+def unit_m(field: Field, dm: int, j: int) -> list:
+    """The j-th basis vector of a dm-dimensional bimodule, in M-coordinates."""
+    m = [field.zero] * dm
+    m[j] = field.one
+    return m
+
+
 class TriAlgebra:
     """Trian(A, M, B) with its total algebra, Peirce idempotents, and block maps."""
 
@@ -346,7 +296,6 @@ class TriAlgebra:
         object.__setattr__(self, "range_a", range(0, da))
         object.__setattr__(self, "range_m", range(da, da + dm))
         object.__setattr__(self, "range_b", range(da + dm, da + dm + db))
-        zero = total.field.zero
         p = list(total.zero_vector())
         for i, v in zip(self.range_a, A.unit):
             p[i] = v
@@ -356,7 +305,6 @@ class TriAlgebra:
         object.__setattr__(self, "p", tuple(p))
         object.__setattr__(self, "q", tuple(q))
         object.__setattr__(self, "_faithful", [None])
-        del zero
 
     def __setattr__(self, *a):
         raise AttributeError("TriAlgebra is immutable")
@@ -405,9 +353,6 @@ class TriAlgebra:
         for i, c in zip(self.range_b, b):
             v[i] = self.field.coerce(c)
         return tuple(v)
-
-    def element(self, vec) -> AlgebraElement:
-        return self.total.element(vec)
 
     def subspace_a(self) -> Subspace:
         return Subspace.from_vectors(self.field, self.dim, [self.total.basis_vector(i) for i in self.range_a])
@@ -516,77 +461,84 @@ def _check_peirce(tri: TriAlgebra):
 # ---------------------------------------------------------------------------
 
 
-def center_direct(alg: FinAlgebra) -> Subspace:
-    """Kernel of x -> ([e_i, x])_i: the commutant-style center computation."""
-    field = alg.field
-    zero = field.zero
-    rows = []
+def twisted_center_rows(alg: FinAlgebra, sigma_mat: Mat, offset: int = 0):
+    """Sparse rows of sigma(e_i) x - x e_i = 0 over all basis vectors e_i; the
+    unknown coordinates of x start at column offset."""
     for i in range(alg.dim):
-        diff = alg.basis_left_mat(i) - alg.basis_right_mat(i)
+        diff = alg.left_mul_mat(sigma_mat.col(i)) - alg.basis_right_mat(i)
         for r in diff.rows:
-            d = {c: v for c, v in enumerate(r) if v != zero}
+            d = {offset + c: v for c, v in enumerate(r) if v}
             if d:
-                rows.append(d)
-    return kernel_sparse(field, rows, alg.dim)
+                yield d
+
+
+def coupling_rows(tri: TriAlgebra, m, nu_m):
+    """Sparse rows of a m = nu(m) b over the pair unknowns (a, b), a first."""
+    field = tri.field
+    zero, add, mul = field.zero, field.add, field.mul
+    da = tri.A.dim
+    left, right = tri.M.left, tri.M.right
+    for mp in range(tri.M.dim_m):
+        d = {}
+        for i in range(da):
+            acc = zero
+            for j, c in enumerate(m):
+                if c:
+                    acc = add(acc, mul(c, left[i][j][mp]))
+            if acc:
+                d[i] = acc
+        for k in range(tri.B.dim):
+            acc = zero
+            for t, c in enumerate(nu_m):
+                if c:
+                    acc = add(acc, mul(c, right[t][k][mp]))
+            if acc:
+                d[da + k] = field.neg(acc)
+        if d:
+            yield d
+
+
+def diagonal_pairs(tri: TriAlgebra, rows) -> Subspace:
+    """Kernel of sparse rows over the pair unknowns (a, b), embedded as a + b
+    in the total algebra."""
+    field = tri.field
+    da = tri.A.dim
+    pairs = kernel_sparse(field, rows, da + tri.B.dim)
+    zm = [field.zero] * tri.M.dim_m
+    return Subspace.from_vectors(field, tri.dim, [tri.assemble(v[:da], zm, v[da:]) for v in pairs.basis])
 
 
 def sigma_center_direct(alg: FinAlgebra, sigma_mat: Mat) -> Subspace:
     """Kernel of x -> (sigma(e_i) x - x e_i)_i over all basis vectors."""
-    field = alg.field
-    zero = field.zero
-    rows = []
-    for i in range(alg.dim):
-        s_ei = sigma_mat.col(i)
-        diff = alg.left_mul_mat(s_ei) - alg.basis_right_mat(i)
-        for r in diff.rows:
-            d = {c: v for c, v in enumerate(r) if v != zero}
-            if d:
-                rows.append(d)
-    return kernel_sparse(field, rows, alg.dim)
+    return kernel_sparse(alg.field, twisted_center_rows(alg, sigma_mat), alg.dim)
+
+
+def center_direct(alg: FinAlgebra) -> Subspace:
+    """Kernel of x -> ([e_i, x])_i: the commutant-style center computation."""
+    return sigma_center_direct(alg, Mat.identity(alg.field, alg.dim))
+
+
+def twisted_center_T(tri: TriAlgebra, f_mat: Mat, g_mat: Mat, nu_mat: Mat) -> Subspace:
+    """Twisted center of Trian(A, M, B) for the blocks (f, g, nu) of an automorphism.
+
+    Diagonal pairs (a, b) with a in the f-twisted center of A, b in the
+    g-twisted center of B, and a m = nu(m) b on every basis m, embedded back
+    into the total algebra.
+    """
+    field, dm = tri.field, tri.M.dim_m
+    rows = itertools.chain(
+        twisted_center_rows(tri.A, f_mat),
+        twisted_center_rows(tri.B, g_mat, tri.A.dim),
+        *(coupling_rows(tri, unit_m(field, dm, j), nu_mat.col(j)) for j in range(dm)))
+    return diagonal_pairs(tri, rows)
 
 
 def center_T(tri: TriAlgebra) -> Subspace:
-    """Center of Trian(A, M, B) from its block description.
-
-    Diagonal pairs (a, b) with a central in A, b central in B, and am = mb on
-    every basis m, embedded back into the total algebra.
-    """
+    """Center of Trian(A, M, B) from its block description: the twisted center
+    for identity blocks (a central in A, b central in B, am = mb)."""
     field = tri.field
-    zero = field.zero
-    da, db = tri.A.dim, tri.B.dim
-    rows = []
-    # membership in Z(A) x Z(B): impose the commutant equations directly
-    for i in range(tri.A.dim):
-        diff = tri.A.basis_left_mat(i) - tri.A.basis_right_mat(i)
-        for r in diff.rows:
-            d = {c: v for c, v in enumerate(r) if v != zero}
-            if d:
-                rows.append(d)
-    for i in range(tri.B.dim):
-        diff = tri.B.basis_left_mat(i) - tri.B.basis_right_mat(i)
-        for r in diff.rows:
-            d = {da + c: v for c, v in enumerate(r) if v != zero}
-            if d:
-                rows.append(d)
-    dm = tri.M.dim_m
-    # am = mb on every basis m
-    for j in range(dm):
-        for mp in range(dm):
-            d = {}
-            for i in range(da):
-                v = tri.M.left[i][j][mp]
-                if v != zero:
-                    d[i] = v
-            for k in range(db):
-                v = tri.M.right[j][k][mp]
-                if v != zero:
-                    d[da + k] = field.sub(d.get(da + k, zero), v)
-            if d:
-                rows.append(d)
-    pair_space = kernel_sparse(field, rows, da + db)
-    zm = [zero] * dm
-    vecs = [tri.assemble(v[:da], zm, v[da:]) for v in pair_space.basis]
-    return Subspace.from_vectors(field, tri.dim, vecs)
+    return twisted_center_T(tri, Mat.identity(field, tri.A.dim), Mat.identity(field, tri.B.dim),
+                            Mat.identity(field, tri.M.dim_m))
 
 
 # ---------------------------------------------------------------------------
@@ -693,45 +645,48 @@ def project_subspace(sub: Subspace, indices, new_dim: int | None = None) -> Subs
     return Subspace.from_vectors(sub.field, new_dim, vecs)
 
 
-def tau_iso(tri: TriAlgebra) -> SubspaceMap:
-    """The isomorphism pi_A(Z) -> pi_B(Z) with am = m tau(a), faithful case only."""
-    if not tri.is_faithful():
-        raise NotFaithful("tau requires M faithful on both sides")
-    field = tri.field
-    Z = center_T(tri)
-    da = tri.A.dim
-    pa = project_subspace(Z, tri.range_a, da)
-    pb = project_subspace(Z, tri.range_b, tri.B.dim)
-    # basis z of Z: the a-part determines the b-part in the faithful case
+def eta_from_center(tri: TriAlgebra, z: Subspace, nu_mat: Mat) -> SubspaceMap:
+    """eta: pi_B(Z) -> pi_A(Z) with eta(b) m = nu(m) b, for Z the twisted center
+    of the blocks with corner block nu (faithful case).
+
+    Verified on all basis pairs and for bijectivity.
+    """
     from .exactla import solve_linear
 
-    a_cols = Mat(field, list(zip(*[tri.part_a(z) for z in Z.basis])) if Z.basis else [], Z.dim)
+    field = tri.field
+    da, dm = tri.A.dim, tri.M.dim_m
+    pa = project_subspace(z, tri.range_a, da)
+    pb = project_subspace(z, tri.range_b, tri.B.dim)
+    b_cols = Mat(field, list(zip(*[tri.part_b(v) for v in z.basis])) if z.basis else [], z.dim)
     cols = []
-    for u in pa.basis:
-        coeffs = solve_linear(a_cols, u)
+    for u in pb.basis:
+        coeffs = solve_linear(b_cols, u)
         if coeffs is None:
-            raise TheoremViolation("projection of the center is inconsistent")
-        b = [field.zero] * tri.B.dim
-        for c, z in zip(coeffs, Z.basis):
-            if c == field.zero:
+            raise TheoremViolation("projection of the twisted center is inconsistent")
+        a = [field.zero] * da
+        for c, v in zip(coeffs, z.basis):
+            if not c:
                 continue
-            for k, v in enumerate(tri.part_b(z)):
-                b[k] = field.add(b[k], field.mul(c, v))
-        cols.append(pb.coords(b))
-    matrix = Mat(field, list(zip(*cols)) if cols else [], len(pa.basis))
-    tau = SubspaceMap(pa, pb, matrix)
-    # verify am = m tau(a) on all basis pairs
-    for u in pa.basis:
-        tb = tau.apply_ambient(u)
-        for j in range(tri.M.dim_m):
-            m = tri.total.basis_vector(list(tri.range_m)[j])
-            left = tri.total.mul_vec(tri.embed_a(u), m)
-            right = tri.total.mul_vec(m, tri.embed_b(tb))
-            if left != right:
-                raise TheoremViolation("tau fails am = m tau(a) on a basis pair")
-    if not tau.is_bijective():
-        raise TheoremViolation("tau is not bijective")
-    return tau
+            for k, w in enumerate(tri.part_a(v)):
+                a[k] = field.add(a[k], field.mul(c, w))
+        cols.append(pa.coords(a))
+    eta = SubspaceMap(pb, pa, Mat(field, list(zip(*cols)) if cols else [], len(pb.basis)))
+    for u in pb.basis:
+        a = eta.apply_ambient(u)
+        for j in range(dm):
+            if tri.act_left(a, unit_m(field, dm, j)) != tri.act_right(nu_mat.col(j), u):
+                raise TheoremViolation("eta(b) m != nu(m) b on a basis pair")
+    if not eta.is_bijective():
+        raise TheoremViolation("eta is not bijective")
+    return eta
+
+
+def tau_iso(tri: TriAlgebra) -> SubspaceMap:
+    """The isomorphism pi_A(Z) -> pi_B(Z) with am = m tau(a), faithful case only:
+    eta for the identity blocks, inverted."""
+    if not tri.is_faithful():
+        raise NotFaithful("tau requires M faithful on both sides")
+    return eta_from_center(tri, center_T(tri), Mat.identity(tri.field, tri.M.dim_m)).inverse()
 
 
 def quotient_algebra(alg: FinAlgebra, ideal: Subspace) -> tuple[FinAlgebra, Mat]:
@@ -759,14 +714,12 @@ def quotient_algebra(alg: FinAlgebra, ideal: Subspace) -> tuple[FinAlgebra, Mat]
                     v[k] = field.sub(v[k], field.mul(c, w))
         return tuple(v[i] for i in keep)
 
-    dim_q = len(keep)
     mul = [[reduce_vec(alg.mul[i][j]) for j in keep] for i in keep]
     unit = reduce_vec(alg.unit)
     names = tuple(alg.basis_names[i] for i in keep)
     quotient = validate_algebra(field, mul, unit, names)
     proj_cols = [reduce_vec(alg.basis_vector(i)) for i in range(n)]
     proj = Mat(field, list(zip(*proj_cols)) if proj_cols else [], n)
-    del dim_q
     return quotient, proj
 
 
@@ -774,8 +727,8 @@ def faithful_quotient(tri: TriAlgebra) -> TriAlgebra:
     """Trian(A/L, M, B/R): the faithful model of the same triangular algebra."""
     ann = annihilators(tri)
     field = tri.field
-    Aq, pa = quotient_algebra(tri.A, ann.L)
-    Bq, pb = quotient_algebra(tri.B, ann.R)
+    Aq, _ = quotient_algebra(tri.A, ann.L)
+    Bq, _ = quotient_algebra(tri.B, ann.R)
     keep_a = [i for i in range(tri.A.dim) if i not in set(ann.L.pivots)]
     keep_b = [i for i in range(tri.B.dim) if i not in set(ann.R.pivots)]
     dm = tri.M.dim_m
@@ -786,7 +739,6 @@ def faithful_quotient(tri: TriAlgebra) -> TriAlgebra:
     out = build_triangular(Aq, Mq, Bq, allow_zero_m=(dm == 0))
     if dm > 0 and not out.is_faithful():
         raise TheoremViolation("faithful quotient is not faithful")
-    del pa, pb
     return out
 
 

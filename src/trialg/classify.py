@@ -17,12 +17,15 @@ from .algcore import (
     FinAlgebra,
     TriAlgebra,
     build_triangular,
+    coupling_rows,
+    diagonal_pairs,
     is_ideal,
     project_subspace,
     radical,
     sigma_center_direct,
     structure_checks,
     subspace_product,
+    unit_m,
     validate_algebra,
 )
 from .errors import (
@@ -43,10 +46,10 @@ from .sigmamaps import (
     AutBlocks,
     BilinMap,
     LinMap,
+    automorphism_verdict,
     block_decompose,
     classify_bilinear,
     classify_linear,
-    is_automorphism,
     is_endomorphism,
     sigma_center,
 )
@@ -325,9 +328,8 @@ def _intertwiner_space(tri: TriAlgebra, blocks: AutBlocks) -> Subspace:
             # target transform T = R_b L_f(a); constraint xi(w) = T xi(e_j) with w = a e_j b
             trans = (rights[k] @ fa_mat).rows
             for j in range(dm):
-                m = [zero] * dm
-                m[j] = field.one
-                w = tri.act_right(tri.act_left(tri.A.basis_vector(i), m), tri.B.basis_vector(k))
+                w = tri.act_right(tri.act_left(tri.A.basis_vector(i), unit_m(field, dm, j)),
+                                  tri.B.basis_vector(k))
                 for mp in range(dm):
                     row = {}
                     for t, wt in enumerate(w):
@@ -356,18 +358,12 @@ def _scalar_action_space(tri: TriAlgebra, blocks: AutBlocks,
     dm = tri.M.dim_m
     gens = []
     for lam0 in zfa.basis:
-        images = [tri.act_left(lam0, _unit_m(field, dm, j)) for j in range(dm)]
+        images = [tri.act_left(lam0, unit_m(field, dm, j)) for j in range(dm)]
         gens.append(LinMap.from_images(field, images, dm, dm).flatten())
     for mu0 in zgb.basis:
         images = [tri.act_right(blocks.nu.image_of_basis(j), mu0) for j in range(dm)]
         gens.append(LinMap.from_images(field, images, dm, dm).flatten())
     return Subspace.from_vectors(field, dm * dm, gens)
-
-
-def _unit_m(field, dm, j):
-    m = [field.zero] * dm
-    m[j] = field.one
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +436,7 @@ def _verify_commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks,
             raise TheoremViolation("Theta(B) has a nonzero M-part")
     for idx, j in enumerate(tri.range_m):
         got = tuple(tri.part_m(theta.image_of_basis(j)))
-        want = mblock(_unit_m(field, dm, idx))
+        want = mblock(unit_m(field, dm, idx))
         if got != want:
             raise TheoremViolation("M-block of Theta differs from its closed form")
     # value spaces
@@ -468,7 +464,7 @@ def _verify_commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks,
         d1a = cb.delta1.image_of_basis(i)
         mu1a = cb.mu1.image_of_basis(i)
         for j in range(dm):
-            m = _unit_m(field, dm, j)
+            m = unit_m(field, dm, j)
             lhs = tuple(field.sub(x, y) for x, y in
                         zip(tri.act_left(d1a, m), tri.act_right(blocks.nu.apply(m), mu1a)))
             rhs = tri.act_left(fa, mblock(m))
@@ -480,7 +476,7 @@ def _verify_commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks,
         d3b = cb.delta3.image_of_basis(k)
         mu3b = cb.mu3.image_of_basis(k)
         for j in range(dm):
-            m = _unit_m(field, dm, j)
+            m = unit_m(field, dm, j)
             nm = blocks.nu.apply(m)
             lhs = tuple(field.sub(x, y) for x, y in
                         zip(tri.act_right(nm, mu3b), tri.act_left(d3b, m)))
@@ -497,7 +493,7 @@ def _verify_commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks,
             raise TheoremViolation("condition (v) fails on the quadratic span")
 
     for j in range(dm):
-        check_v(_unit_m(field, dm, j))
+        check_v(unit_m(field, dm, j))
     for j in range(dm):
         for k in range(j + 1, dm):
             m = [field.zero] * dm
@@ -508,7 +504,7 @@ def _verify_commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks,
         report.notes.append("condition (v) verified on quadratic span only (char 2)")
     # (vi)
     for j in range(dm):
-        m = _unit_m(field, dm, j)
+        m = unit_m(field, dm, j)
         nm = blocks.nu.apply(m)
         lhs = mblock(m)
         rhs = tuple(field.sub(x, y) for x, y in
@@ -580,9 +576,9 @@ def properness(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks) -> PropernessR
             which.append("diag(delta2, mu2) leaves Z_sigma")
         return PropernessResult(False, None, "; ".join(which), verdicts)
     lam = tri.assemble(
-        tuple(field.sub(x, y) for x, y in zip(d1_one, eta.apply(mu1_one))),
+        tuple(field.sub(x, y) for x, y in zip(d1_one, eta.apply_ambient(mu1_one))),
         [field.zero] * dm,
-        tuple(field.sub(x, y) for x, y in zip(eta.apply_inverse(d1_one), mu1_one)),
+        tuple(field.sub(x, y) for x, y in zip(eta.inverse().apply_ambient(d1_one), mu1_one)),
     )
     if not z_sigma.contains_vector(lam):
         raise TheoremViolation("constructed lambda is not twisted-central")
@@ -679,7 +675,7 @@ def _commutator_span(alg: FinAlgebra) -> Subspace:
 def _search_recovering_element(tri: TriAlgebra, blocks: AutBlocks, z_sigma: Subspace):
     field = tri.field
     dm = tri.M.dim_m
-    candidates = [_unit_m(field, dm, j) for j in range(dm)]
+    candidates = [unit_m(field, dm, j) for j in range(dm)]
     for j in range(dm):
         for k in range(j + 1, dm):
             m = [field.zero] * dm
@@ -694,34 +690,7 @@ def _search_recovering_element(tri: TriAlgebra, blocks: AutBlocks, z_sigma: Subs
 
 def _condition_set(tri: TriAlgebra, blocks: AutBlocks, m0) -> Subspace:
     """Diagonal pairs with a m0 = nu(m0) b, as a subspace of the total algebra."""
-    from .exactla import kernel_sparse
-
-    field = tri.field
-    zero = field.zero
-    da, dm, db = tri.A.dim, tri.M.dim_m, tri.B.dim
-    nu_m0 = blocks.nu.apply(m0)
-    rows = []
-    for mp in range(dm):
-        d = {}
-        for i in range(da):
-            acc = zero
-            for j, c in enumerate(m0):
-                if c != zero:
-                    acc = field.add(acc, field.mul(c, tri.M.left[i][j][mp]))
-            if acc != zero:
-                d[i] = acc
-        for k in range(db):
-            acc = zero
-            for t, c in enumerate(nu_m0):
-                if c != zero:
-                    acc = field.add(acc, field.mul(c, tri.M.right[t][k][mp]))
-            if acc != zero:
-                d[da + k] = field.sub(d.get(da + k, zero), acc)
-        if d:
-            rows.append(d)
-    pairs = kernel_sparse(field, rows, da + db)
-    vecs = [tri.assemble(v[:da], [zero] * dm, v[da:]) for v in pairs.basis]
-    return Subspace.from_vectors(field, tri.dim, vecs)
+    return diagonal_pairs(tri, coupling_rows(tri, m0, blocks.nu.apply(m0)))
 
 
 # ---------------------------------------------------------------------------
@@ -980,8 +949,7 @@ class IdealSplit:
 def ideal_split(tri: TriAlgebra, phi: LinMap) -> IdealSplit:
     """Split T into invariant ideals I (triangular, restriction partible) and
     J (diagonal, restriction anti-partible) from the corner-block kernels."""
-    v = is_automorphism(tri.total, phi)
-    if not v.holds:
+    if not automorphism_verdict(tri.total, phi).holds:
         raise NotAutomorphism("ideal splitting needs an automorphism")
     eb, _ = endo_blocks(tri, phi)
     if eb.reassemble(tri).mat != phi.mat:
@@ -1082,9 +1050,9 @@ def _sub_triangular(tri: TriAlgebra, sub_a: Subspace, sub_b: Subspace, include_m
                              ["b%d" % i for i in range(sub_b.dim)]) if sub_b.dim else \
         validate_algebra(field, [], [], [])
     if include_m:
-        left = [[tri.act_left(sub_a.basis[i], _unit_m(field, dm, j)) for j in range(dm)]
+        left = [[tri.act_left(sub_a.basis[i], unit_m(field, dm, j)) for j in range(dm)]
                 for i in range(sub_a.dim)]
-        right = [[tri.act_right(_unit_m(field, dm, j), sub_b.basis[k]) for k in range(sub_b.dim)]
+        right = [[tri.act_right(unit_m(field, dm, j), sub_b.basis[k]) for k in range(sub_b.dim)]
                  for j in range(dm)]
         bm = Bimodule(field, sub_a.dim, dm, sub_b.dim, left, right)
     else:
@@ -1135,8 +1103,7 @@ def partible_witness(tri: TriAlgebra, sigma: LinMap) -> PartibleWitness | None:
     automorphism that preserves M.  A miss returns None (unknown), never a
     negative certificate.
     """
-    v = is_automorphism(tri.total, sigma)
-    if not v.holds:
+    if not automorphism_verdict(tri.total, sigma).holds:
         raise NotAutomorphism("partibility witnesses need an automorphism")
     t = tri.total
     field = tri.field
@@ -1236,8 +1203,7 @@ class CommutingAutoResult:
 def commuting_auto_check(tri: TriAlgebra, sigma: LinMap) -> CommutingAutoResult:
     """A commuting automorphism of a faithful triangular algebra must be the
     identity; otherwise the non-commuting witness pair is returned."""
-    v = is_automorphism(tri.total, sigma)
-    if not v.holds:
+    if not automorphism_verdict(tri.total, sigma).holds:
         raise NotAutomorphism("commuting check needs an automorphism")
     if not tri.is_faithful():
         raise NotFaithful("commuting-automorphism rigidity needs a faithful bimodule")

@@ -49,6 +49,14 @@ def _dim(obj, key: str) -> int:
     return obj[key]
 
 
+def _list(obj, key: str, optional: bool = False):
+    """obj[key] when it is a JSON list (or absent, when optional)."""
+    value = obj.get(key) if optional else obj[key]
+    if not (isinstance(value, list) or (optional and value is None)):
+        raise InputError("%r must be a list, got %r" % (key, value))
+    return value
+
+
 def _sparse_tensor(field: Field, entries, dims) -> list:
     out = [[[field.zero] * dims[2] for _ in range(dims[1])] for _ in range(dims[0])]
     for entry in entries:
@@ -79,10 +87,9 @@ def algebra_from_json(obj) -> FinAlgebra:
             raise InputError("algebra file misses %r" % key)
     field = field_from_json(obj["field"])
     dim = _dim(obj, "dim")
-    mul = _sparse_tensor(field, obj["mul"], (dim, dim, dim))
-    unit = [field.coerce(v) for v in obj["unit"]]
-    names = obj.get("basis")
-    return validate_algebra(field, mul, unit, names)
+    mul = _sparse_tensor(field, _list(obj, "mul"), (dim, dim, dim))
+    unit = [field.coerce(v) for v in _list(obj, "unit")]
+    return validate_algebra(field, mul, unit, _list(obj, "basis", optional=True))
 
 
 def algebra_to_json(alg: FinAlgebra) -> dict:
@@ -103,9 +110,9 @@ def bimodule_from_json(obj, field: Field) -> Bimodule:
     if "field" in obj and field_from_json(obj["field"]) != field:
         raise InputError("bimodule field disagrees with the corner algebras")
     da, dm, db = _dim(obj, "dimA"), _dim(obj, "dimM"), _dim(obj, "dimB")
-    left = _sparse_tensor(field, obj["left"], (da, dm, dm))
-    right = _sparse_tensor(field, obj["right"], (dm, db, dm))
-    return Bimodule(field, da, dm, db, left, right, obj.get("basis"))
+    left = _sparse_tensor(field, _list(obj, "left"), (da, dm, dm))
+    right = _sparse_tensor(field, _list(obj, "right"), (dm, db, dm))
+    return Bimodule(field, da, dm, db, left, right, _list(obj, "basis", optional=True))
 
 
 def bimodule_to_json(m: Bimodule) -> dict:
@@ -175,24 +182,16 @@ def load_linmap(path: str, field: Field) -> LinMap:
     return linmap_from_json(_load_json(path), field)
 
 
-def linmap_to_json(m: LinMap) -> dict:
-    return m.to_json()
-
-
 def bilinmap_from_json(obj, field: Field) -> BilinMap:
     if "dim" not in obj or "tensor" not in obj:
         raise InputError("bilinear file needs 'dim' and 'tensor'")
     dim = _dim(obj, "dim")
-    tensor = _sparse_tensor(field, obj["tensor"], (dim, dim, dim))
+    tensor = _sparse_tensor(field, _list(obj, "tensor"), (dim, dim, dim))
     return BilinMap(field, tensor)
 
 
 def load_bilinmap(path: str, field: Field) -> BilinMap:
     return bilinmap_from_json(_load_json(path), field)
-
-
-def bilinmap_to_json(D: BilinMap) -> dict:
-    return D.to_json()
 
 
 def emit_fixture(name: str, out_dir: str) -> list[str]:
@@ -210,7 +209,7 @@ def emit_fixture(name: str, out_dir: str) -> list[str]:
     if name == "F2":
         alg, sig = fx.fixture_f2()
         put("A.json", algebra_to_json(alg))
-        put("sigma2.json", linmap_to_json(sig))
+        put("sigma2.json", sig.to_json())
         return written
     if name == "F1":
         tri = fx.fixture_f1()
@@ -221,8 +220,8 @@ def emit_fixture(name: str, out_dir: str) -> list[str]:
     else:
         raise InputError("unknown fixture %r (expected F1, F2, F3, F4)" % (name,))
     put("T.json", triangular_to_json(tri))
-    put("sigma1.json", linmap_to_json(fx.sigma1(tri)))
-    put("identity.json", linmap_to_json(LinMap.identity(tri.field, tri.dim)))
+    put("sigma1.json", fx.sigma1(tri).to_json())
+    put("identity.json", LinMap.identity(tri.field, tri.dim).to_json())
     if name == "F1":
-        put("theta1.json", linmap_to_json(fx.theta1(tri)))
+        put("theta1.json", fx.theta1(tri).to_json())
     return written

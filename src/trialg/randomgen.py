@@ -42,16 +42,16 @@ def left_scalar_bimodule(scalars: FinAlgebra, alg: FinAlgebra) -> Bimodule:
     return Bimodule(field, 1, n, n, left, right)
 
 
-def right_scalar_bimodule(alg: FinAlgebra, scalars: FinAlgebra) -> Bimodule:
+def right_scalar_bimodule(alg: FinAlgebra) -> Bimodule:
+    """alg as an (alg, k)-bimodule: alg acts regularly, the scalars by scaling."""
     field = alg.field
     n = alg.dim
     left = [[alg.mul[i][j] for j in range(n)] for i in range(n)]
     right = [[[field.one if j == mp else field.zero for mp in range(n)]] for j in range(n)]
-    del scalars
     return Bimodule(field, n, n, 1, left, right)
 
 
-def row_module_over_ut2(field: Field, ut2: FinAlgebra) -> Bimodule:
+def row_module_over_ut2(field: Field) -> Bimodule:
     """k^2 as row vectors: scalars on the left, UT2 on the right."""
     zero, one = field.zero, field.one
     left = [[[one if j == mp else zero for mp in range(2)] for j in range(2)]]
@@ -60,16 +60,14 @@ def row_module_over_ut2(field: Field, ut2: FinAlgebra) -> Bimodule:
         [[one, zero], [zero, one], [zero, zero]],
         [[zero, zero], [zero, zero], [zero, one]],
     ]
-    del ut2
     return Bimodule(field, 1, 2, 3, left, right)
 
 
-def dead_factor_bimodule(field: Field, product2: FinAlgebra) -> Bimodule:
+def dead_factor_bimodule(field: Field) -> Bimodule:
     """k as a (k x k, k)-bimodule where only the second factor acts."""
     zero, one = field.zero, field.one
     left = [[[zero]], [[one]]]
     right = [[[one]]]
-    del product2
     return Bimodule(field, 2, 1, 1, left, right)
 
 
@@ -94,7 +92,7 @@ def instance_catalog(field: Field) -> list:
     def tri_right_scalar(algf):
         def make():
             a = algf()
-            return build_triangular(a, right_scalar_bimodule(a, k()), k())
+            return build_triangular(a, right_scalar_bimodule(a), k())
         return make
 
     def tri_f3_shape():
@@ -103,11 +101,10 @@ def instance_catalog(field: Field) -> list:
         return fixture_f3(field)
 
     def tri_row_ut2():
-        return build_triangular(k(), row_module_over_ut2(field, upper_triangular_algebra(field, 2)),
-                                upper_triangular_algebra(field, 2))
+        return build_triangular(k(), row_module_over_ut2(field), upper_triangular_algebra(field, 2))
 
     def tri_dead_factor():
-        return build_triangular(kk(), dead_factor_bimodule(field, kk()), k())
+        return build_triangular(kk(), dead_factor_bimodule(field), k())
 
     return [
         ("scalar_corner", tri_regular(k)),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algcore import FinAlgebra, TriAlgebra
+from .algcore import FinAlgebra, TriAlgebra, unit_m
 from .errors import (
     CentralElement,
     CommutativeAlgebra,
@@ -30,6 +30,7 @@ from .sigmamaps import (
     block_decompose,
     classify_bilinear,
     classify_linear,
+    is_alpha_beta_derivation,
     require_automorphism,
     sigma_commutator_vec,
 )
@@ -427,30 +428,26 @@ def sigma_derivation_blocks(tri: TriAlgebra, d: LinMap, blocks: AutBlocks) -> De
 
 def _verify_derivation_blocks(hw: DerivationBlocks, d: LinMap):
     tri = hw.tri
-    from .sigmamaps import is_sigma_derivation
-
-    if not is_sigma_derivation(tri.A, hw.d_a, hw.blocks.f).holds:
+    field = tri.field
+    if not is_alpha_beta_derivation(tri.A, hw.d_a, LinMap.identity(field, tri.A.dim), hw.blocks.f).holds:
         raise TheoremViolation("corner block d_A is not an f-twisted derivation")
-    if not is_sigma_derivation(tri.B, hw.d_b, hw.blocks.g).holds:
+    if not is_alpha_beta_derivation(tri.B, hw.d_b, LinMap.identity(field, tri.B.dim), hw.blocks.g).holds:
         raise TheoremViolation("corner block d_B is not a g-twisted derivation")
     # xi(a m) = d_A(a) m + f(a) xi(m) and xi(m b) = xi(m) b + nu(m) d_B(b)
-    field = tri.field
     dm = tri.M.dim_m
     for i in range(tri.A.dim):
         a = tri.A.basis_vector(i)
         fa = hw.blocks.f.image_of_basis(i)
         da = hw.d_a.image_of_basis(i)
         for j in range(dm):
-            m = [field.zero] * dm
-            m[j] = field.one
+            m = unit_m(field, dm, j)
             lhs = hw.xi.apply(tri.act_left(a, m))
             rhs = tuple(field.add(x, y) for x, y in
                         zip(tri.act_left(da, m), tri.act_left(fa, hw.xi.image_of_basis(j))))
             if lhs != rhs:
                 raise TheoremViolation("xi fails its left action identity")
     for j in range(dm):
-        m = [field.zero] * dm
-        m[j] = field.one
+        m = unit_m(field, dm, j)
         nm = hw.blocks.nu.image_of_basis(j)
         for k in range(tri.B.dim):
             b = tri.B.basis_vector(k)

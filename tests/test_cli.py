@@ -153,8 +153,11 @@ class TestInputErrors:
         {"field": {"kind": "prime", "p": 5.0}},
         {"field": {"kind": "prime", "p": True}},
         {"dim": -1, "unit": [], "mul": []},
+        {"mul": 5},
+        {"unit": 5},
+        {"basis": 5},
     ], ids=["negative_index", "float_index", "bool_index", "nonnumeric_p", "float_p",
-            "bool_p", "negative_dim"])
+            "bool_p", "negative_dim", "nonlist_mul", "nonlist_unit", "nonlist_basis"])
     def test_malformed_algebra_is_one_json_error(self, tmp_path, patch):
         bad = {"field": {"kind": "rational"}, "dim": 1, "unit": ["1"], "mul": [[0, 0, 0, "1"]]}
         bad.update(patch)
@@ -169,6 +172,20 @@ class TestInputErrors:
         path.write_text(json.dumps({"dim": -1, "tensor": []}))
         code, out, _ = run_cli(["split-biderivation", str(f1_dir / "T.json"),
                                 "--sigma", str(f1_dir / "sigma1.json"), "--bid", str(path)])
+        assert code == 1
+        assert list(json.loads(out)) == ["error", "version"]
+
+    @pytest.mark.parametrize("key", ["M.left", "M.right", "M.basis", "bid.tensor"])
+    def test_nonlist_field_is_one_json_error(self, f1_dir, key):
+        part, field = key.split(".")
+        tri = json.loads((f1_dir / "T.json").read_text())
+        bid = {"dim": 3, "tensor": []}
+        (tri["M"] if part == "M" else bid)[field] = 5
+        (f1_dir / "bad_T.json").write_text(json.dumps(tri))
+        (f1_dir / "bad_bid.json").write_text(json.dumps(bid))
+        code, out, _ = run_cli(["split-biderivation", str(f1_dir / "bad_T.json"),
+                                "--sigma", str(f1_dir / "sigma1.json"),
+                                "--bid", str(f1_dir / "bad_bid.json")])
         assert code == 1
         assert list(json.loads(out)) == ["error", "version"]
 
@@ -254,13 +271,13 @@ class TestTriangularBuild:
     def test_split_biderivation_roundtrip(self, f1_dir, tmp_path):
         # write the extremal map attached to the corner generator, split it back
         from trialg.fixtures import fixture_f1, sigma1
-        from trialg.io import bilinmap_to_json, canonical_json
+        from trialg.io import canonical_json
         from trialg.spaces import extremal_sigma_biderivation
 
         f1 = fixture_f1()
         psi = extremal_sigma_biderivation(f1, f1.total.basis_vector(1), sigma1(f1))
         bid_path = tmp_path / "psi.json"
-        bid_path.write_text(canonical_json(bilinmap_to_json(psi)))
+        bid_path.write_text(canonical_json(psi.to_json()))
         code, out, _ = run_cli(["split-biderivation", str(f1_dir / "T.json"),
                                 "--sigma", str(f1_dir / "sigma1.json"),
                                 "--bid", str(bid_path)])
@@ -271,13 +288,13 @@ class TestTriangularBuild:
 
     def test_inner_witness_command(self, f1_dir, tmp_path):
         from trialg.fixtures import fixture_f1, lambda1, sigma1
-        from trialg.io import bilinmap_to_json, canonical_json
+        from trialg.io import canonical_json
         from trialg.spaces import inner_sigma_biderivation
 
         f1 = fixture_f1()
         D = inner_sigma_biderivation(f1, lambda1(f1), sigma1(f1))
         bid_path = tmp_path / "delta.json"
-        bid_path.write_text(canonical_json(bilinmap_to_json(D)))
+        bid_path.write_text(canonical_json(D.to_json()))
         code, out, _ = run_cli(["inner-witness", str(f1_dir / "T.json"),
                                 "--sigma", str(f1_dir / "sigma1.json"),
                                 "--bid", str(bid_path)])

@@ -276,6 +276,46 @@ class TestAutomorphismMemo:
         require_automorphism(second, sig)
         assert len(count_aut_checks) == 2 and count_aut_checks[1] is second
 
+    @pytest.mark.parametrize("command", ["commuting-blocks", "properness"])
+    def test_block_commands_check_total_and_corners_once(self, tmp_path, command,
+                                                          count_aut_checks):
+        # block_decompose, AutBlocks.verify and the later sigma-predicates share one memo:
+        # one full check each on the total algebra, A and B
+        import contextlib
+        import io as stdio
+
+        from trialg.cli import main
+
+        with contextlib.redirect_stdout(stdio.StringIO()), \
+                contextlib.redirect_stderr(stdio.StringIO()):
+            assert main(["fixtures", "emit", "F1", str(tmp_path)]) == 0
+            assert main([command, str(tmp_path / "T.json"), "--sigma", str(tmp_path / "sigma1.json"),
+                         "--map", str(tmp_path / "theta1.json")]) == 0
+        dims = sorted(alg.dim for alg in count_aut_checks)
+        assert dims == [1, 1, 3] and len({id(alg) for alg in count_aut_checks}) == 3
+
+    def test_memo_keeps_each_callers_error(self):
+        from trialg.errors import NotAutomorphism, TheoremViolation
+        from trialg.sigmamaps import AutBlocks
+
+        tri = fixture_f1()
+        bad = LinMap.zero(QQ, 3)
+        with pytest.raises(NotAutomorphism):
+            block_decompose(tri, bad)
+        with pytest.raises(SigmaNotAutomorphism):
+            require_automorphism(tri.total, bad)
+        ident1 = LinMap.identity(QQ, 1)
+        zero1 = LinMap.zero(QQ, 1)
+        with pytest.raises(TheoremViolation, match="A-block"):
+            AutBlocks(tri, zero1, ident1, ident1, bad).verify()
+        with pytest.raises(TheoremViolation, match="B-block"):
+            AutBlocks(tri, ident1, zero1, ident1, bad).verify()
+        # the predicate itself never consults the memo
+        good = sigma1(tri)
+        block_decompose(tri, good)
+        assert classify_linear("automorphism", tri.total, good).holds
+        assert not classify_linear("automorphism", tri.total, bad).holds
+
 
 class TestIdMinusSigmaFamily:
     """The difference of the identity and any automorphism obeys the twisted
