@@ -49,6 +49,15 @@ def _dim(obj, key: str) -> int:
     return obj[key]
 
 
+def _require(obj, keys, what: str):
+    """Reject anything but a JSON object carrying every listed key."""
+    if not isinstance(obj, dict):
+        raise InputError("%s must be a JSON object, got %r" % (what, obj))
+    for key in keys:
+        if key not in obj:
+            raise InputError("%s misses %r" % (what, key))
+
+
 def _list(obj, key: str, optional: bool = False):
     """obj[key] when it is a JSON list (or absent, when optional)."""
     value = obj.get(key) if optional else obj[key]
@@ -82,9 +91,7 @@ def _tensor_entries(field: Field, tensor) -> list:
 
 
 def algebra_from_json(obj) -> FinAlgebra:
-    for key in ("field", "dim", "unit", "mul"):
-        if key not in obj:
-            raise InputError("algebra file misses %r" % key)
+    _require(obj, ("field", "dim", "unit", "mul"), "algebra file")
     field = field_from_json(obj["field"])
     dim = _dim(obj, "dim")
     mul = _sparse_tensor(field, _list(obj, "mul"), (dim, dim, dim))
@@ -104,9 +111,7 @@ def algebra_to_json(alg: FinAlgebra) -> dict:
 
 
 def bimodule_from_json(obj, field: Field) -> Bimodule:
-    for key in ("dimA", "dimM", "dimB", "left", "right"):
-        if key not in obj:
-            raise InputError("bimodule file misses %r" % key)
+    _require(obj, ("dimA", "dimM", "dimB", "left", "right"), "bimodule file")
     if "field" in obj and field_from_json(obj["field"]) != field:
         raise InputError("bimodule field disagrees with the corner algebras")
     da, dm, db = _dim(obj, "dimA"), _dim(obj, "dimM"), _dim(obj, "dimB")
@@ -135,9 +140,7 @@ def _resolve(part, base_dir: str):
 
 
 def triangular_from_json(obj, base_dir: str = ".", allow_zero_m: bool = False) -> TriAlgebra:
-    for key in ("A", "M", "B"):
-        if key not in obj:
-            raise InputError("triangular file misses %r" % key)
+    _require(obj, ("A", "M", "B"), "triangular file")
     a_obj = _resolve(obj["A"], base_dir)
     m_obj = _resolve(obj["M"], base_dir)
     b_obj = _resolve(obj["B"], base_dir)
@@ -168,12 +171,14 @@ def load_triangular(path: str, allow_zero_m: bool = False) -> TriAlgebra:
 
 
 def linmap_from_json(obj, field: Field) -> LinMap:
-    if "matrix" not in obj:
-        raise InputError("map file misses 'matrix'")
+    _require(obj, ("matrix",), "map file")
     conv = obj.get("convention", "image-in-columns")
     if conv != "image-in-columns":
         raise InputError("unsupported matrix convention %r" % (conv,))
-    rows = [[field.coerce(v) for v in row] for row in obj["matrix"]]
+    rows = _list(obj, "matrix")
+    if not all(isinstance(row, list) for row in rows):
+        raise InputError("'matrix' must be a list of rows, got %r" % (rows,))
+    rows = [[field.coerce(v) for v in row] for row in rows]
     ncols = len(rows[0]) if rows else 0
     return LinMap(field, Mat(field, rows, ncols))
 
@@ -183,8 +188,7 @@ def load_linmap(path: str, field: Field) -> LinMap:
 
 
 def bilinmap_from_json(obj, field: Field) -> BilinMap:
-    if "dim" not in obj or "tensor" not in obj:
-        raise InputError("bilinear file needs 'dim' and 'tensor'")
+    _require(obj, ("dim", "tensor"), "bilinear file")
     dim = _dim(obj, "dim")
     tensor = _sparse_tensor(field, _list(obj, "tensor"), (dim, dim, dim))
     return BilinMap(field, tensor)

@@ -175,16 +175,27 @@ class TestInputErrors:
         assert code == 1
         assert list(json.loads(out)) == ["error", "version"]
 
-    @pytest.mark.parametrize("key", ["M.left", "M.right", "M.basis", "bid.tensor"])
-    def test_nonlist_field_is_one_json_error(self, f1_dir, key):
-        part, field = key.split(".")
-        tri = json.loads((f1_dir / "T.json").read_text())
-        bid = {"dim": 3, "tensor": []}
-        (tri["M"] if part == "M" else bid)[field] = 5
-        (f1_dir / "bad_T.json").write_text(json.dumps(tri))
-        (f1_dir / "bad_bid.json").write_text(json.dumps(bid))
+    @pytest.mark.parametrize("target,value", [
+        ("M.left", 5), ("M.right", 5), ("M.basis", 5), ("bid.tensor", 5), ("sigma.matrix", 5),
+        ("sigma.matrix", [5, 5, 5]), ("T", 5), ("T.A", 5), ("sigma", 5), ("bid", 5),
+    ], ids=["nonlist_left", "nonlist_right", "nonlist_M_basis", "nonlist_tensor",
+            "nonlist_matrix", "nonlist_rows", "number_triangular", "number_algebra", "number_map",
+            "number_bilinear"])
+    def test_malformed_file_is_one_json_error(self, f1_dir, target, value):
+        files = {"T": json.loads((f1_dir / "T.json").read_text()),
+                 "sigma": json.loads((f1_dir / "sigma1.json").read_text()),
+                 "bid": {"dim": 3, "tensor": []}}
+        part, _, key = target.partition(".")
+        if part == "M":
+            files["T"]["M"][key] = value
+        elif key:
+            files[part][key] = value
+        else:
+            files[part] = value
+        for name, obj in files.items():
+            (f1_dir / ("bad_%s.json" % name)).write_text(json.dumps(obj))
         code, out, _ = run_cli(["split-biderivation", str(f1_dir / "bad_T.json"),
-                                "--sigma", str(f1_dir / "sigma1.json"),
+                                "--sigma", str(f1_dir / "bad_sigma.json"),
                                 "--bid", str(f1_dir / "bad_bid.json")])
         assert code == 1
         assert list(json.loads(out)) == ["error", "version"]
