@@ -12,7 +12,14 @@ from trialg.errors import (
     TheoremViolation,
 )
 from trialg.exactla import QQ, Subspace, kernel_sparse
-from trialg.fixtures import fixture_f1, sigma1, truncated_polynomial_algebra
+from trialg.fixtures import (
+    fixture_f1,
+    fixture_f2,
+    fixture_f3,
+    fixture_f4,
+    sigma1,
+    truncated_polynomial_algebra,
+)
 from trialg.sigmamaps import (
     BilinMap,
     LinMap,
@@ -22,6 +29,9 @@ from trialg.sigmamaps import (
     sigma_commutator_vec,
 )
 from trialg.spaces import (
+    _biderivation_rows,
+    _commuting_rows,
+    _derivation_rows,
     extremal_sigma_biderivation,
     inner_derivation_witness,
     inner_sigma_biderivation,
@@ -103,6 +113,108 @@ class TestSolveSpace:
     def test_bilinear_cap(self, f1):
         with pytest.raises(InputError):
             solve_space("biderivation", f1, bilinear_dim_cap=2)
+
+
+def _row_instances(name):
+    """(total algebra, twist) pairs: the fixture's own twist and the identity."""
+    if name == "F2":
+        alg, sigma = fixture_f2()
+    else:
+        tri = {"F1": fixture_f1, "F3": fixture_f3, "F4": fixture_f4}[name]()
+        alg, sigma = tri.total, sigma1(tri)
+    return [(alg, sigma), (alg, LinMap.identity(alg.field, alg.dim))]
+
+
+def _oracle_rows(alg, nunk, unflatten, residuals):
+    """Nonzero rows of the system whose residual list is residuals(X), read off
+    column by column: column `key` is the residual list of the unit map at `key`."""
+    field = alg.field
+    cols = []
+    for key in range(nunk):
+        flat = [field.zero] * nunk
+        flat[key] = field.one
+        cols.append(residuals(unflatten(field, flat)))
+    rows = [{key: col[r] for key, col in enumerate(cols) if col[r]} for r in range(len(cols[0]))]
+    return [row for row in rows if row]
+
+
+def _minus(alg, x, *ys):
+    """x - sum(ys); zero terms are skipped, which keeps the unit-map sweeps fast."""
+    for y in ys:
+        if any(y):
+            x = alg.sub_vec(x, y)
+    return x
+
+
+def _derivation_residuals(alg, sigma):
+    """d(e_i e_j) - d(e_i) e_j - sigma(e_i) d(e_j), over i, j, then coordinates."""
+    n, mul = alg.dim, alg.mul_vec
+    e = [alg.basis_vector(i) for i in range(n)]
+
+    def residuals(d):
+        return [v for i in range(n) for j in range(n)
+                for v in _minus(alg, d.apply(mul(e[i], e[j])), mul(d.apply(e[i]), e[j]),
+                                mul(sigma.apply(e[i]), d.apply(e[j])))]
+    return residuals
+
+
+def _commuting_residuals(alg, sigma):
+    """sigma(x) Theta(x) - Theta(x) x over x = e_i, then x = e_i + e_j (i < j)."""
+    n, mul = alg.dim, alg.mul_vec
+    e = [alg.basis_vector(i) for i in range(n)]
+    xs = e + [alg.add_vec(e[i], e[j]) for i in range(n) for j in range(i + 1, n)]
+
+    def residuals(theta):
+        return [v for x in xs
+                for v in _minus(alg, mul(sigma.apply(x), theta.apply(x)), mul(theta.apply(x), x))]
+    return residuals
+
+
+def _biderivation_residuals(alg, sigma):
+    """Both slot identities at (e_i, e_j, e_k), alternating slots per coordinate:
+    D(e_i e_j, e_k) - D(e_i, e_k) e_j - sigma(e_i) D(e_j, e_k) and
+    D(e_k, e_i e_j) - D(e_k, e_i) e_j - sigma(e_i) D(e_k, e_j)."""
+    n, mul = alg.dim, alg.mul_vec
+    e = [alg.basis_vector(i) for i in range(n)]
+    prod = [[mul(x, y) for y in e] for x in e]
+    sig = [sigma.apply(x) for x in e]
+
+    def residuals(D):
+        out = []
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    first = _minus(alg, D.apply(prod[i][j], e[k]), mul(D.value(i, k), e[j]),
+                                   mul(sig[i], D.value(j, k)))
+                    second = _minus(alg, D.apply(e[k], prod[i][j]), mul(D.value(k, i), e[j]),
+                                    mul(sig[i], D.value(k, j)))
+                    for pair in zip(first, second):
+                        out.extend(pair)
+        return out
+    return residuals
+
+
+class TestRowSequence:
+    """Each row generator yields exactly the nonzero rows of its defining
+    identity, evaluated on every unit map, in the order the identity is stated."""
+
+    @pytest.mark.parametrize("name", ["F1", "F2", "F3", "F4"])
+    def test_linear_rows_match_definition(self, name):
+        for alg, sigma in _row_instances(name):
+            n = alg.dim
+            unflat = lambda f, v: LinMap.unflatten(f, v, n, n)
+            assert list(_derivation_rows(alg, sigma)) == _oracle_rows(
+                alg, n * n, unflat, _derivation_residuals(alg, sigma))
+            assert list(_commuting_rows(alg, sigma)) == _oracle_rows(
+                alg, n * n, unflat, _commuting_residuals(alg, sigma))
+
+    @pytest.mark.parametrize("name", ["F1", "F2", "F3", "F4"])
+    def test_biderivation_rows_match_definition(self, name):
+        for alg, sigma in _row_instances(name):
+            n = alg.dim
+            assert list(_biderivation_rows(alg, sigma)) == _oracle_rows(
+                alg, n ** 3, lambda f, v: BilinMap.unflatten(f, v, n),
+                _biderivation_residuals(alg, sigma))
 
 
 class TestInnerTwistedDerivation:
