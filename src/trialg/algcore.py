@@ -30,7 +30,7 @@ from .errors import (
     UnitLawViolation,
     ZeroModule,
 )
-from .exactla import Field, Mat, Subspace, kernel_sparse
+from .exactla import Field, Mat, Subspace, kernel_basis, kernel_sparse
 
 DEFAULT_BUDGET = 10**6
 
@@ -282,6 +282,18 @@ def unit_m(field: Field, dm: int, j: int) -> list:
     return m
 
 
+def basis_and_pair_sums(field: Field, n: int) -> list[tuple]:
+    """e_0, ..., e_{n-1}, then e_i + e_j for i < j in lexicographic order: the
+    singles-and-pairs family that the commuting-map rows and checks range over."""
+    vecs = [tuple(unit_m(field, n, i)) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = unit_m(field, n, i)
+            v[j] = field.one
+            vecs.append(tuple(v))
+    return vecs
+
+
 class TriAlgebra:
     """Trian(A, M, B) with its total algebra, Peirce idempotents, and block maps."""
 
@@ -395,6 +407,13 @@ class TriAlgebra:
         return "TriAlgebra(dims=%d+%d+%d, field=%r)" % (self.A.dim, self.M.dim_m, self.B.dim, self.field)
 
 
+def check_corner_dims(A: FinAlgebra, dim_a: int, dim_b: int, B: FinAlgebra):
+    """Reject a bimodule sized for corners of dimensions (dim_a, dim_b) other than A, B."""
+    if dim_a != A.dim or dim_b != B.dim:
+        raise DimMismatch("bimodule tensors sized for (%d, %d), algebras are (%d, %d)"
+                          % (dim_a, dim_b, A.dim, B.dim))
+
+
 def build_triangular(A: FinAlgebra, M: Bimodule, B: FinAlgebra, allow_zero_m: bool = False,
                      basis_names=None) -> TriAlgebra:
     """Assemble Trian(A, M, B) and validate the total algebra.
@@ -404,9 +423,7 @@ def build_triangular(A: FinAlgebra, M: Bimodule, B: FinAlgebra, allow_zero_m: bo
     """
     if A.field != M.field or B.field != M.field:
         raise FieldMismatch("A, M, B must share one field")
-    if M.dim_a != A.dim or M.dim_b != B.dim:
-        raise DimMismatch("bimodule tensors sized for (%d, %d), algebras are (%d, %d)"
-                          % (M.dim_a, M.dim_b, A.dim, B.dim))
+    check_corner_dims(A, M.dim_a, M.dim_b, B)
     if M.dim_m == 0 and not allow_zero_m:
         raise ZeroModule("M = 0 requires allow_zero_m=True")
     field = A.field
@@ -560,39 +577,17 @@ class AnnihilatorReport:
 
 def annihilators(tri: TriAlgebra) -> AnnihilatorReport:
     field = tri.field
-    zero = field.zero
     da, dm, db = tri.A.dim, tri.M.dim_m, tri.B.dim
-    # L = {a : a.m_j = 0 for all j}
-    rows = []
-    for j in range(dm):
-        for mp in range(dm):
-            d = {i: tri.M.left[i][j][mp] for i in range(da) if tri.M.left[i][j][mp] != zero}
-            if d:
-                rows.append(d)
-    L = kernel_sparse(field, rows, da)
-    rows = []
-    for j in range(dm):
-        for mp in range(dm):
-            d = {k: tri.M.right[j][k][mp] for k in range(db) if tri.M.right[j][k][mp] != zero}
-            if d:
-                rows.append(d)
-    R = kernel_sparse(field, rows, db)
-    # annihilators of M inside the total algebra
+    left, right = tri.M.left, tri.M.right
+    # L = {a : a.m_j = 0 for all j}, R = {b : m_j.b = 0 for all j}
+    L = kernel_basis(Mat(field, [[left[i][j][mp] for i in range(da)]
+                                 for j in range(dm) for mp in range(dm)], da))
+    R = kernel_basis(Mat(field, [[right[j][k][mp] for k in range(db)]
+                                 for j in range(dm) for mp in range(dm)], db))
+    # annihilators of M inside the total algebra: x m_j = 0, resp. m_j x = 0
     t = tri.total
-    lrows, rrows = [], []
-    for j in tri.range_m:
-        rm = t.basis_right_mat(j)  # x -> x * m_j
-        for r in rm.rows:
-            d = {c: v for c, v in enumerate(r) if v != zero}
-            if d:
-                lrows.append(d)
-        lm = t.basis_left_mat(j)  # x -> m_j * x
-        for r in lm.rows:
-            d = {c: v for c, v in enumerate(r) if v != zero}
-            if d:
-                rrows.append(d)
-    lann = kernel_sparse(field, lrows, t.dim)
-    rann = kernel_sparse(field, rrows, t.dim)
+    lann = kernel_basis(Mat(field, [r for j in tri.range_m for r in t.basis_right_mat(j).rows], t.dim))
+    rann = kernel_basis(Mat(field, [r for j in tri.range_m for r in t.basis_left_mat(j).rows], t.dim))
     report = AnnihilatorReport(L, R, lann, rann, L.is_zero(), R.is_zero())
     if report.left_faithful and report.right_faithful and dm > 0:
         mb = Subspace.from_vectors(field, t.dim, [t.basis_vector(i) for i in list(tri.range_m) + list(tri.range_b)])

@@ -16,6 +16,7 @@ from .algcore import (
     Bimodule,
     FinAlgebra,
     TriAlgebra,
+    basis_and_pair_sums,
     build_triangular,
     coupling_rows,
     diagonal_pairs,
@@ -41,7 +42,7 @@ from .errors import (
     PreconditionFails,
     TheoremViolation,
 )
-from .exactla import Mat, Subspace, solve_linear
+from .exactla import Mat, Subspace, kernel_sparse, solve_linear
 from .sigmamaps import (
     AutBlocks,
     BilinMap,
@@ -53,7 +54,7 @@ from .sigmamaps import (
     is_endomorphism,
     sigma_center,
 )
-from .spaces import extremal_sigma_biderivation, inner_sigma_biderivation
+from .spaces import extremal_sigma_biderivation, identity_row, inner_sigma_biderivation
 
 # ---------------------------------------------------------------------------
 # reports
@@ -291,63 +292,24 @@ def _annihilation_hypothesis(tri: TriAlgebra, z_sigma: Subspace, budget: int) ->
                       "rational twisted center of dim > 1")
 
 
-def _m_action_mats(tri: TriAlgebra):
-    """Left action of each A basis vector and right action of each B basis
-    vector as dm x dm matrices."""
-    field = tri.field
-    dm = tri.M.dim_m
-    lefts = []
-    for i in range(tri.A.dim):
-        cols = [tri.M.left[i][j] for j in range(dm)]
-        lefts.append(Mat(field, list(zip(*cols)) if cols else [], dm))
-    rights = []
-    for k in range(tri.B.dim):
-        cols = [tri.M.right[j][k] for j in range(dm)]
-        rights.append(Mat(field, list(zip(*cols)) if cols else [], dm))
-    return lefts, rights
-
-
 def _intertwiner_space(tri: TriAlgebra, blocks: AutBlocks) -> Subspace:
     """Maps xi on M with xi(a m b) = f(a) xi(m) b, as a flattened subspace."""
     field = tri.field
     dm = tri.M.dim_m
-    zero = field.zero
-    lefts, rights = _m_action_mats(tri)
-
-    def left_of(avec) -> Mat:
-        acc = Mat.zeros(field, dm, dm)
-        for i, c in enumerate(avec):
-            if c != zero:
-                acc = acc + lefts[i].scale(c)
-        return acc
-
+    units = [unit_m(field, dm, j) for j in range(dm)]
     rows = []
     for i in range(tri.A.dim):
-        fa_mat = left_of(blocks.f.image_of_basis(i))
+        a, fa = tri.A.basis_vector(i), blocks.f.image_of_basis(i)
         for k in range(tri.B.dim):
+            b = tri.B.basis_vector(k)
             # target transform T = R_b L_f(a); constraint xi(w) = T xi(e_j) with w = a e_j b
-            trans = (rights[k] @ fa_mat).rows
-            for j in range(dm):
-                w = tri.act_right(tri.act_left(tri.A.basis_vector(i), unit_m(field, dm, j)),
-                                  tri.B.basis_vector(k))
+            trans = list(zip(*[tri.act_right(tri.act_left(fa, u), b) for u in units]))
+            for j, u in enumerate(units):
+                w = tri.act_right(tri.act_left(a, u), b)
                 for mp in range(dm):
-                    row = {}
-                    for t, wt in enumerate(w):
-                        if wt != zero:
-                            row[mp * dm + t] = field.add(row.get(mp * dm + t, zero), wt)
-                    for t in range(dm):
-                        v = trans[mp][t]
-                        if v != zero:
-                            key = t * dm + j
-                            nv = field.sub(row.get(key, zero), v)
-                            if nv == zero:
-                                row.pop(key, None)
-                            else:
-                                row[key] = nv
+                    row = identity_row(field, dm, mp, w, ((j, trans),))
                     if row:
                         rows.append(row)
-    from .exactla import kernel_sparse
-
     return kernel_sparse(field, rows, dm * dm)
 
 
@@ -486,20 +448,11 @@ def _verify_commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks,
             if lhs != rhs:
                 raise TheoremViolation("condition (iv) fails on a basis pair")
     # (v) on the quadratic span of M
-    def check_v(mvec):
+    for mvec in basis_and_pair_sums(field, dm):
         lhs = tri.act_left(cb.delta2.apply(mvec), mvec)
         rhs = tri.act_right(blocks.nu.apply(mvec), cb.mu2.apply(mvec))
         if lhs != rhs:
             raise TheoremViolation("condition (v) fails on the quadratic span")
-
-    for j in range(dm):
-        check_v(unit_m(field, dm, j))
-    for j in range(dm):
-        for k in range(j + 1, dm):
-            m = [field.zero] * dm
-            m[j] = field.one
-            m[k] = field.one
-            check_v(tuple(m))
     if field.characteristic == 2:
         report.notes.append("condition (v) verified on quadratic span only (char 2)")
     # (vi)
@@ -673,18 +626,9 @@ def _commutator_span(alg: FinAlgebra) -> Subspace:
 
 
 def _search_recovering_element(tri: TriAlgebra, blocks: AutBlocks, z_sigma: Subspace):
-    field = tri.field
-    dm = tri.M.dim_m
-    candidates = [unit_m(field, dm, j) for j in range(dm)]
-    for j in range(dm):
-        for k in range(j + 1, dm):
-            m = [field.zero] * dm
-            m[j] = field.one
-            m[k] = field.one
-            candidates.append(m)
-    for m0 in candidates:
+    for m0 in basis_and_pair_sums(tri.field, tri.M.dim_m):
         if _condition_set(tri, blocks, m0) == z_sigma:
-            return tuple(m0)
+            return m0
     return None
 
 

@@ -12,8 +12,15 @@ from __future__ import annotations
 import json
 import os
 
-from .algcore import Bimodule, FinAlgebra, TriAlgebra, build_triangular, validate_algebra
-from .errors import InputError
+from .algcore import (
+    Bimodule,
+    FinAlgebra,
+    TriAlgebra,
+    build_triangular,
+    check_corner_dims,
+    validate_algebra,
+)
+from .errors import DimMismatch, InputError
 from .exactla import Field, Mat, field_from_json
 from .sigmamaps import BilinMap, LinMap
 
@@ -94,8 +101,10 @@ def algebra_from_json(obj) -> FinAlgebra:
     _require(obj, ("field", "dim", "unit", "mul"), "algebra file")
     field = field_from_json(obj["field"])
     dim = _dim(obj, "dim")
-    mul = _sparse_tensor(field, _list(obj, "mul"), (dim, dim, dim))
     unit = [field.coerce(v) for v in _list(obj, "unit")]
+    if len(unit) != dim:  # the unit witnesses dim before dim^3 entries are allocated
+        raise DimMismatch("unit vector length %d for dim %d" % (len(unit), dim))
+    mul = _sparse_tensor(field, _list(obj, "mul"), (dim, dim, dim))
     return validate_algebra(field, mul, unit, _list(obj, "basis", optional=True))
 
 
@@ -148,6 +157,8 @@ def triangular_from_json(obj, base_dir: str = ".", allow_zero_m: bool = False) -
     B = algebra_from_json(b_obj)
     if A.field != B.field:
         raise InputError("corner algebras live over different fields")
+    _require(m_obj, ("dimA", "dimB"), "bimodule file")
+    check_corner_dims(A, _dim(m_obj, "dimA"), _dim(m_obj, "dimB"), B)  # before M's tensors
     M = bimodule_from_json(m_obj, A.field)
     allow = allow_zero_m or bool(obj.get("allow_zero_M", False))
     return build_triangular(A, M, B, allow_zero_m=allow)

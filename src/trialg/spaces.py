@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algcore import FinAlgebra, TriAlgebra, unit_m
+from .algcore import FinAlgebra, TriAlgebra, basis_and_pair_sums, unit_m
 from .errors import (
     CentralElement,
     CommutativeAlgebra,
@@ -95,145 +95,74 @@ def _dedup_rows(rows):
         yield r
 
 
-def _derivation_rows(alg: FinAlgebra, sigma: LinMap):
-    """d(e_i e_j) = d(e_i) e_j + sigma(e_i) d(e_j), flattened unknowns d[k][j]."""
+def identity_row(field, n: int, m: int, lhs, terms) -> dict:
+    """Row m of X(lhs) - sum_s A_s X(e_s) = 0 over the flattened unknowns X[k][j]
+    at k*n + j; terms pairs each s with the rows of A_s."""
+    zero, sub = field.zero, field.sub
+    row = {m * n + l: c for l, c in enumerate(lhs) if c}
+    for t in range(n):
+        for s, a in terms:
+            v = a[m][t]
+            if v:
+                key = t * n + s
+                nv = sub(row.get(key, zero), v)
+                if nv:
+                    row[key] = nv
+                else:
+                    row.pop(key, None)
+    return row
+
+
+def _derivation_row_blocks(alg: FinAlgebra, sigma: LinMap):
+    """Per basis pair (i, j), the nonzero rows of
+    d(e_i e_j) - d(e_i) e_j - sigma(e_i) d(e_j) = 0, flattened unknowns d[k][j]."""
     n = alg.dim
     field = alg.field
-    zero, sub, add = field.zero, field.sub, field.add
-    left_sigma = [alg.left_mul_mat(sigma.image_of_basis(i)) for i in range(n)]
-    right = [alg.basis_right_mat(j) for j in range(n)]
+    left_sigma = [alg.left_mul_mat(sigma.image_of_basis(i)).rows for i in range(n)]
+    right = [alg.basis_right_mat(j).rows for j in range(n)]
     for i in range(n):
-        ls = left_sigma[i].rows
         for j in range(n):
-            cij = alg.mul[i][j]
-            rj = right[j].rows
-            for m in range(n):
-                row: dict[int, object] = {}
-                for l, c in enumerate(cij):
-                    if c:
-                        row[m * n + l] = add(row.get(m * n + l, zero), c)
-                for t in range(n):
-                    v = rj[m][t]
-                    if v:
-                        key = t * n + i
-                        nv = sub(row.get(key, zero), v)
-                        if not nv:
-                            row.pop(key, None)
-                        else:
-                            row[key] = nv
-                    w = ls[m][t]
-                    if w:
-                        key = t * n + j
-                        nv = sub(row.get(key, zero), w)
-                        if not nv:
-                            row.pop(key, None)
-                        else:
-                            row[key] = nv
-                if row:
-                    yield row
+            terms = ((i, right[j]), (j, left_sigma[i]))
+            rows = (identity_row(field, n, m, alg.mul[i][j], terms) for m in range(n))
+            yield [row for row in rows if row]
+
+
+def _derivation_rows(alg: FinAlgebra, sigma: LinMap):
+    """d(e_i e_j) = d(e_i) e_j + sigma(e_i) d(e_j), flattened unknowns d[k][j]."""
+    for block in _derivation_row_blocks(alg, sigma):
+        yield from block
 
 
 def _commuting_rows(alg: FinAlgebra, sigma: LinMap):
     """sigma(x) Theta(x) - Theta(x) x = 0 for x over basis vectors and pairwise sums."""
     n = alg.dim
     field = alg.field
-    zero, add, mul = field.zero, field.add, field.mul
-
-    def rows_for(x):
-        lsx = alg.left_mul_mat(sigma.apply(x)).rows
-        rx = alg.right_mul_mat(x).rows
+    for x in basis_and_pair_sums(field, n):
+        # x has 0/1 coordinates, so Theta(x) is the sum of Theta(e_s) over its support
+        a = (alg.right_mul_mat(x) - alg.left_mul_mat(sigma.apply(x))).rows
+        terms = [(s, a) for s, xs in enumerate(x) if xs]
         for m in range(n):
-            row: dict[int, object] = {}
-            for t in range(n):
-                coeff = field.sub(lsx[m][t], rx[m][t])
-                if not coeff:
-                    continue
-                for s, xs in enumerate(x):
-                    if xs:
-                        key = t * n + s
-                        nv = add(row.get(key, zero), mul(coeff, xs))
-                        if not nv:
-                            row.pop(key, None)
-                        else:
-                            row[key] = nv
+            row = identity_row(field, n, m, (), terms)
             if row:
                 yield row
 
-    for i in range(n):
-        yield from rows_for(alg.basis_vector(i))
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield from rows_for(alg.add_vec(alg.basis_vector(i), alg.basis_vector(j)))
-
 
 def _biderivation_rows(alg: FinAlgebra, sigma: LinMap):
-    """Both slot conditions over all basis triples, unknowns t[i][j][k]."""
+    """Both slot conditions over all basis triples, unknowns t[i][j][k].
+
+    A biderivation is a derivation in each slot: for each basis pair (i, j)
+    and each k, the derivation rows of D(., e_k) and of D(e_k, .), relabelled
+    from d[o][l] onto t[l][k][o] and t[k][l][o], alternating per row.
+    """
     n = alg.dim
-    field = alg.field
-    zero, sub, add = field.zero, field.sub, field.add
-    left_sigma = [alg.left_mul_mat(sigma.image_of_basis(i)).rows for i in range(n)]
-    right = [alg.basis_right_mat(j).rows for j in range(n)]
-
-    def idx(a, b, c):
-        return (a * n + b) * n + c
-
-    for i in range(n):
-        ls = left_sigma[i]
-        for j in range(n):
-            cij = alg.mul[i][j]
-            rj = right[j]
-            for k in range(n):
-                for m in range(n):
-                    # first slot: D(e_i e_j, e_k) - D(e_i, e_k) e_j - sigma(e_i) D(e_j, e_k)
-                    row: dict[int, object] = {}
-                    for l, c in enumerate(cij):
-                        if c:
-                            key = idx(l, k, m)
-                            row[key] = add(row.get(key, zero), c)
-                    for t in range(n):
-                        v = rj[m][t]
-                        if v:
-                            key = idx(i, k, t)
-                            nv = sub(row.get(key, zero), v)
-                            if not nv:
-                                row.pop(key, None)
-                            else:
-                                row[key] = nv
-                        w = ls[m][t]
-                        if w:
-                            key = idx(j, k, t)
-                            nv = sub(row.get(key, zero), w)
-                            if not nv:
-                                row.pop(key, None)
-                            else:
-                                row[key] = nv
-                    if row:
-                        yield row
-                    # second slot: D(e_k, e_i e_j) - D(e_k, e_i) e_j - sigma(e_i) D(e_k, e_j)
-                    row = {}
-                    for l, c in enumerate(cij):
-                        if c:
-                            key = idx(k, l, m)
-                            row[key] = add(row.get(key, zero), c)
-                    for t in range(n):
-                        v = rj[m][t]
-                        if v:
-                            key = idx(k, i, t)
-                            nv = sub(row.get(key, zero), v)
-                            if not nv:
-                                row.pop(key, None)
-                            else:
-                                row[key] = nv
-                        w = ls[m][t]
-                        if w:
-                            key = idx(k, j, t)
-                            nv = sub(row.get(key, zero), w)
-                            if not nv:
-                                row.pop(key, None)
-                            else:
-                                row[key] = nv
-                    if row:
-                        yield row
+    first = [[(l * n + k) * n + o for o in range(n) for l in range(n)] for k in range(n)]
+    second = [[(k * n + l) * n + o for o in range(n) for l in range(n)] for k in range(n)]
+    for block in _derivation_row_blocks(alg, sigma):
+        for k in range(n):
+            fk, sk = first[k], second[k]
+            for row in block:
+                yield {fk[key]: v for key, v in row.items()}
+                yield {sk[key]: v for key, v in row.items()}
 
 
 def solve_space(kind: str, t, sigma: LinMap | None = None,

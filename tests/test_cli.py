@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, deterministic JSON reports, parity with the API."""
 
+import contextlib
 import json
 import subprocess
 import sys
@@ -18,6 +19,21 @@ def run_cli(args, tmp_path=None):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(args)
     return code, out.getvalue(), err.getvalue()
+
+
+@contextlib.contextmanager
+def address_space_cap(nbytes):
+    """Lower this process's address-space limit for the block, so that an
+    allocation the code must never make raises MemoryError instead of
+    exhausting the machine's memory."""
+    resource = pytest.importorskip("resource")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = nbytes if hard == resource.RLIM_INFINITY else min(nbytes, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 @pytest.fixture()
@@ -199,6 +215,23 @@ class TestInputErrors:
                                 "--bid", str(f1_dir / "bad_bid.json")])
         assert code == 1
         assert list(json.loads(out)) == ["error", "version"]
+
+
+    @pytest.mark.parametrize("part,key", [("A", "dim"), ("M", "dimA"), ("M", "dimB")])
+    def test_declared_dim_checked_before_allocation(self, f1_dir, part, key):
+        """A declared dimension the file contradicts (F1's corners and M are
+        1-dimensional) is an input error raised before dim-sized tensors exist."""
+        tri = json.loads((f1_dir / "T.json").read_text())
+        tri[part][key] = 10 ** 8
+        (f1_dir / "bad_T.json").write_text(json.dumps(tri))
+        (f1_dir / "bad_A.json").write_text(json.dumps(tri["A"]))
+        cmd = ["validate", str(f1_dir / "bad_A.json")] if part == "A" else \
+            ["center", str(f1_dir / "bad_T.json")]
+        with address_space_cap(1 << 30):
+            code, out, _ = run_cli(cmd)
+        assert code == 1
+        assert list(json.loads(out)) == ["error", "version"]
+        assert json.loads(out)["error"]["type"] == "DimMismatch"
 
 
 class TestDeterminism:
