@@ -46,6 +46,13 @@ def enumeration_budget() -> int:
         raise InputError("TRIALG_BUDGET must be an integer, got %r" % (raw,)) from exc
 
 
+def _sparse_table(tensor) -> tuple:
+    """Entry [i][j] lists the nonzero (k, c) of the product of basis vectors
+    i and j, for a product given as an order-3 tensor of structure constants."""
+    return tuple(tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row)
+                 for row in tensor)
+
+
 class FinAlgebra:
     """Unital associative algebra given by structure constants."""
 
@@ -74,11 +81,7 @@ class FinAlgebra:
         object.__setattr__(self, "basis_names", basis_names)
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "unit", unit)
-        pairs = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row)
-            for row in mul
-        )
-        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_pairs", _sparse_table(mul))
         object.__setattr__(self, "_left_mats", {})
         object.__setattr__(self, "_right_mats", {})
         # matrices of maps that sigmamaps.require_automorphism verified on this instance
@@ -153,12 +156,6 @@ class FinAlgebra:
 
     def commutator(self, x, y) -> tuple:
         return self.sub_vec(self.mul_vec(x, y), self.mul_vec(y, x))
-
-    def power(self, x, k: int) -> tuple:
-        acc = self.unit
-        for _ in range(k):
-            acc = self.mul_vec(acc, x)
-        return acc
 
     def left_mul_mat(self, x) -> Mat:
         """Matrix of y -> x*y (columns are images of basis vectors)."""
@@ -248,7 +245,8 @@ def validate_algebra(field: Field, mul, unit, basis_names=None) -> FinAlgebra:
 class Bimodule:
     """(A, B)-bimodule data: left tensor l[a][m][m'] and right tensor r[m][b][m']."""
 
-    __slots__ = ("field", "dim_a", "dim_m", "dim_b", "left", "right", "basis_names")
+    __slots__ = ("field", "dim_a", "dim_m", "dim_b", "left", "right", "basis_names",
+                 "_left_pairs", "_right_pairs")
 
     def __init__(self, field: Field, dim_a: int, dim_m: int, dim_b: int, left, right, basis_names=None):
         left = tuple(tuple(tuple(field.coerce(c) for c in vec) for vec in row) for row in left)
@@ -266,6 +264,8 @@ class Bimodule:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "basis_names", tuple(basis_names))
+        object.__setattr__(self, "_left_pairs", _sparse_table(left))
+        object.__setattr__(self, "_right_pairs", _sparse_table(right))
 
     def __setattr__(self, *a):
         raise AttributeError("Bimodule is immutable")

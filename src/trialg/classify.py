@@ -52,6 +52,7 @@ from .sigmamaps import (
     classify_bilinear,
     classify_linear,
     is_endomorphism,
+    product_rule_failure,
     sigma_center,
 )
 from .spaces import extremal_sigma_biderivation, identity_row, inner_sigma_biderivation
@@ -729,19 +730,10 @@ def _thm0_conditions(tri: TriAlgebra, eb: EndoBlocks, report: TheoremReport, ass
             raise TheoremViolation(msg)
         report.violations.append(msg)
 
-    for name, alg, f in (("chi1", A, eb.chi1), ("gamma3", B, eb.gamma3),
-                         ("chi3", A, eb.chi3), ("gamma1", B, eb.gamma1)):
-        target = A if name in ("chi1", "gamma3") else B
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                lhs = f.apply(alg.mul[i][j])
-                rhs = target.mul_vec(f.image_of_basis(i), f.image_of_basis(j))
-                if lhs != rhs:
-                    fail("%s is not multiplicative" % name)
-                    break
-            else:
-                continue
-            break
+    for name, src, dst, f in (("chi1", A, A, eb.chi1), ("gamma3", B, A, eb.gamma3),
+                              ("chi3", A, B, eb.chi3), ("gamma1", B, B, eb.gamma1)):
+        if product_rule_failure(src._pairs, f, ((f, f, dst._pairs),)):
+            fail("%s is not multiplicative" % name)
     im_chi1, im_gamma3 = eb.chi1.image(), eb.gamma3.image()
     im_chi3, im_gamma1 = eb.chi3.image(), eb.gamma1.image()
     if not subspace_product(A, im_chi1, im_gamma3).is_zero() or \
@@ -778,28 +770,23 @@ def _thm1_conditions(tri: TriAlgebra, eb: EndoBlocks, report: TheoremReport):
         fail("kernel of chi1 leaves the left annihilator of M")
     if not ann.R.contains(eb.gamma1.kernel()):
         fail("kernel of gamma1 leaves the right annihilator of M")
-    chi2_one = eb.chi2.apply(A.unit)
-    for i in range(A.dim):
-        got = eb.chi2.image_of_basis(i)
-        want = tri.act_left(eb.chi1.image_of_basis(i), chi2_one)
-        if got != want:
-            fail("chi2 is not chi1-scaled from its unit value")
-        for j in range(A.dim):
-            lhs = eb.chi2.apply(A.mul[i][j])
-            rhs = tri.act_left(eb.chi1.image_of_basis(i), eb.chi2.image_of_basis(j))
-            if lhs != rhs:
-                fail("chi2 fails its product rule")
-    gamma2_one = eb.gamma2.apply(B.unit)
-    for i in range(B.dim):
-        got = eb.gamma2.image_of_basis(i)
-        want = tri.act_right(gamma2_one, eb.gamma1.image_of_basis(i))
-        if got != want:
-            fail("gamma2 is not gamma1-scaled from its unit value")
-        for j in range(B.dim):
-            lhs = eb.gamma2.apply(B.mul[i][j])
-            rhs = tri.act_right(eb.gamma2.image_of_basis(i), eb.gamma1.image_of_basis(j))
-            if lhs != rhs:
-                fail("gamma2 fails its product rule")
+    left, right = tri.M._left_pairs, tri.M._right_pairs
+    chi2_one, gamma2_one = eb.chi2.apply(A.unit), eb.gamma2.apply(B.unit)
+    # chi2(a a') = chi1(a) chi2(a') with chi2(a) = chi1(a) chi2(1), and
+    # gamma2(b b') = gamma2(b) gamma1(b') with gamma2(b) = gamma2(1) gamma1(b)
+    for name, scale, alg, term, scaled in (
+            ("chi2", "chi1", A, (eb.chi1, eb.chi2, left),
+             lambda i: tri.act_left(eb.chi1.image_of_basis(i), chi2_one)),
+            ("gamma2", "gamma1", B, (eb.gamma2, eb.gamma1, right),
+             lambda i: tri.act_right(gamma2_one, eb.gamma1.image_of_basis(i)))):
+        block = getattr(eb, name)
+        bad = product_rule_failure(alg._pairs, block, (term,))
+        # row i's unit scaling is checked before row i's products
+        rows = range(bad[0][0] + 1) if bad else range(alg.dim)
+        if any(block.image_of_basis(i) != scaled(i) for i in rows):
+            fail("%s is not %s-scaled from its unit value" % (name, scale))
+        if bad:
+            fail("%s fails its product rule" % name)
     if not eb.chi2.kernel().contains(eb.chi1.kernel()):
         fail("kernel of chi1 is not inside kernel of chi2")
     if not eb.gamma2.kernel().contains(eb.gamma1.kernel()):

@@ -131,7 +131,7 @@ def _cmd_solve(args) -> int:
 def _cmd_split_biderivation(args) -> int:
     tri = tio.load_triangular(args.triangular)
     sigma, _ = _load_sigma_blocks(tri, args.sigma)
-    D = tio.load_bilinmap(args.bid, tri.field)
+    D = tio.load_bilinmap_on(args.bid, tri.total)
     from .classify import extremal_split
 
     split = extremal_split(tri, D, sigma)
@@ -147,7 +147,7 @@ def _cmd_split_biderivation(args) -> int:
 def _cmd_inner_witness(args) -> int:
     tri = tio.load_triangular(args.triangular)
     sigma, blocks = _load_sigma_blocks(tri, args.sigma)
-    D = tio.load_bilinmap(args.bid, tri.field)
+    D = tio.load_bilinmap_on(args.bid, tri.total)
     from .classify import inner_biderivation_witness, innerness_hypotheses
 
     hyp = innerness_hypotheses(tri, blocks)

@@ -431,13 +431,14 @@ class Mat:
         """Matrix-vector product."""
         if len(vec) != self.ncols:
             raise ShapeMismatch("apply %dx%d to vector of length %d" % (self.nrows, self.ncols, len(vec)))
-        add, mul, zero = self.field.add, self.field.mul, self.field.zero
-        vec = [self.field.coerce(v) for v in vec]
+        add, mul, zero, coerce = self.field.add, self.field.mul, self.field.zero, self.field.coerce
+        nonzero = [(j, w) for j, w in enumerate(map(coerce, vec)) if w]
         out = []
         for r in self.rows:
             acc = zero
-            for v, w in zip(r, vec):
-                if v and w:
+            for j, w in nonzero:
+                v = r[j]
+                if v:
                     acc = add(acc, mul(v, w))
             out.append(acc)
         return tuple(out)

@@ -209,6 +209,15 @@ def load_bilinmap(path: str, field: Field) -> BilinMap:
     return bilinmap_from_json(_load_json(path), field)
 
 
+def load_bilinmap_on(path: str, alg: FinAlgebra) -> BilinMap:
+    """A bilinear map on alg, its declared dim checked before dim^3 entries exist."""
+    obj = _load_json(path)
+    _require(obj, ("dim",), "bilinear file")
+    if _dim(obj, "dim") != alg.dim:
+        raise DimMismatch("bilinear map of dim %d on algebra of dim %d" % (obj["dim"], alg.dim))
+    return bilinmap_from_json(obj, alg.field)
+
+
 def emit_fixture(name: str, out_dir: str) -> list[str]:
     """Write the canonical fixture files; returns the paths written."""
     from . import fixtures as fx

@@ -5,6 +5,10 @@ Matrix convention everywhere: entry [k][j] of a map matrix is the coefficient
 of e_k in the image of e_j (images live in the columns).  Bilinear maps are
 order-3 tensors t[i][j][k]: the coefficient of e_k in D(e_i, e_j).
 
+Every product rule X(x y) = sum_t P_t(x) Q_t(y) (multiplicativity, the twisted
+derivation rule in each slot, the block identities on triangular algebras) is
+checked on basis pairs by one evaluator, product_rule_failure.
+
 Commuting-style conditions are quadratic in the argument; they are checked on
 basis vectors and on all sums of two basis vectors, which is equivalent to the
 full condition away from characteristic 2 and is reported as a quadratic-span
@@ -22,7 +26,6 @@ from .algcore import (
     eta_from_center,
     sigma_center_direct,
     twisted_center_T,
-    unit_m,
 )
 from .errors import (
     DimMismatch,
@@ -108,9 +111,6 @@ class LinMap:
 
     def __sub__(self, other: "LinMap") -> "LinMap":
         return LinMap(self.field, self.mat - other.mat, self.src_dim, self.dst_dim)
-
-    def scale(self, c) -> "LinMap":
-        return LinMap(self.field, self.mat.scale(c), self.src_dim, self.dst_dim)
 
     def __neg__(self) -> "LinMap":
         return LinMap(self.field, -self.mat, self.src_dim, self.dst_dim)
@@ -309,20 +309,53 @@ def _check_square(alg: FinAlgebra, f: LinMap):
         raise FieldMismatch("map and algebra over different fields")
 
 
+def _sparse_columns(f: LinMap) -> list:
+    """Nonzero (k, c) entries of each basis image f(e_j)."""
+    return [tuple((k, c) for k, c in enumerate(f.image_of_basis(j)) if c) for j in range(f.src_dim)]
+
+
+def product_rule_failure(table, X: LinMap, terms) -> tuple | None:
+    """First basis pair (i, j), row-major, where X(e_i * e_j) - sum_t P_t(e_i) *_t Q_t(e_j)
+    is nonzero, with that residual; None when the identity holds on every pair.
+
+    Products are sparse tables, entry [i][j] the nonzero (k, c) of e_i * e_j
+    (FinAlgebra._pairs, Bimodule._left_pairs / _right_pairs); each term is a
+    triple (P_t, Q_t, table_t).  All terms go into one sparse accumulator.
+    """
+    field = X.field
+    zero, add, sub, mul = field.zero, field.add, field.sub, field.mul
+    xc = _sparse_columns(X)
+    sparse_terms = [(_sparse_columns(p), _sparse_columns(q), tab) for p, q, tab in terms]
+    for i, row in enumerate(table):
+        for j, prod in enumerate(row):
+            acc = {}
+            for k, c in prod:
+                for l, v in xc[k]:
+                    acc[l] = add(acc.get(l, zero), mul(c, v))
+            for pc, qc, tab in sparse_terms:
+                for a, u in pc[i]:
+                    trow = tab[a]
+                    for b, w in qc[j]:
+                        uw = mul(u, w)
+                        for l, c in trow[b]:
+                            acc[l] = sub(acc.get(l, zero), mul(uw, c))
+            if any(acc.values()):
+                residual = [zero] * X.dst_dim
+                for l, v in acc.items():
+                    residual[l] = v
+                return (i, j), tuple(residual)
+    return None
+
+
 def is_endomorphism(alg: FinAlgebra, f: LinMap) -> Verdict:
     """Unital and multiplicative on all basis pairs."""
     _check_square(alg, f)
     if f.apply(alg.unit) != alg.unit:
         diff = alg.sub_vec(f.apply(alg.unit), alg.unit)
         return Verdict("endomorphism", False, Witness((-1,), diff, "f(1) - 1"))
-    for i in range(alg.dim):
-        fi = f.image_of_basis(i)
-        for j in range(alg.dim):
-            lhs = f.apply(alg.mul[i][j])
-            rhs = alg.mul_vec(fi, f.image_of_basis(j))
-            if lhs != rhs:
-                return Verdict("endomorphism", False,
-                               Witness((i, j), alg.sub_vec(lhs, rhs), "f(e_i e_j) - f(e_i) f(e_j)"))
+    bad = product_rule_failure(alg._pairs, f, ((f, f, alg._pairs),))
+    if bad:
+        return Verdict("endomorphism", False, Witness(*bad, "f(e_i e_j) - f(e_i) f(e_j)"))
     return Verdict("endomorphism", True)
 
 
@@ -426,29 +459,17 @@ class AutBlocks:
 
     def verify(self):
         tri = self.tri
-        dm = tri.M.dim_m
+        left, right = tri.M._left_pairs, tri.M._right_pairs
         if not automorphism_verdict(tri.A, self.f).holds:
             raise TheoremViolation("A-block of a block-preserving automorphism must be an automorphism")
         if not automorphism_verdict(tri.B, self.g).holds:
             raise TheoremViolation("B-block must be an automorphism")
         if not self.nu.is_bijective():
             raise TheoremViolation("M-block must be bijective")
-        for i in range(tri.A.dim):
-            a = tri.A.basis_vector(i)
-            fa = self.f.image_of_basis(i)
-            for j in range(dm):
-                lhs = self.nu.apply(tri.act_left(a, unit_m(tri.field, dm, j)))
-                rhs = tri.act_left(fa, self.nu.image_of_basis(j))
-                if lhs != rhs:
-                    raise TheoremViolation("nu(am) != f(a) nu(m) on a basis pair")
-        for j in range(dm):
-            nm = self.nu.image_of_basis(j)
-            for k in range(tri.B.dim):
-                b = tri.B.basis_vector(k)
-                lhs = self.nu.apply(tri.act_right(unit_m(tri.field, dm, j), b))
-                rhs = tri.act_right(nm, self.g.image_of_basis(k))
-                if lhs != rhs:
-                    raise TheoremViolation("nu(mb) != nu(m) g(b) on a basis pair")
+        if product_rule_failure(left, self.nu, ((self.f, self.nu, left),)):
+            raise TheoremViolation("nu(am) != f(a) nu(m) on a basis pair")
+        if product_rule_failure(right, self.nu, ((self.nu, self.g, right),)):
+            raise TheoremViolation("nu(mb) != nu(m) g(b) on a basis pair")
 
 
 def block_decompose(tri: TriAlgebra, sigma: LinMap) -> AutBlocks:
@@ -499,18 +520,14 @@ def sigma_center(tri: TriAlgebra, blocks: AutBlocks, want_eta: bool = True
     bimodule is faithful on both sides, also returns the isomorphism eta from
     pi_B(Z_sigma) to pi_A(Z_sigma) with eta(b) m = nu(m) b.
     """
-    tri_check(tri, blocks)
+    if blocks.tri is not tri and blocks.tri != tri:
+        raise FieldMismatch("blocks belong to a different triangular algebra")
     z_sigma = twisted_center_T(tri, blocks.f.mat, blocks.g.mat, blocks.nu.mat)
     if not want_eta:
         return z_sigma, None
     if not tri.is_faithful():
         raise NotFaithful("eta needs the bimodule faithful on both sides")
     return z_sigma, eta_from_center(tri, z_sigma, blocks.nu.mat)
-
-
-def tri_check(tri: TriAlgebra, blocks: AutBlocks):
-    if blocks.tri is not tri and blocks.tri != tri:
-        raise FieldMismatch("blocks belong to a different triangular algebra")
 
 
 def sigma_center_oracle(tri: TriAlgebra, sigma: LinMap) -> Subspace:
@@ -528,6 +545,12 @@ def _columns(f: LinMap) -> list:
     return [f.image_of_basis(j) for j in range(f.src_dim)]
 
 
+def _derivation_failure(alg: FinAlgebra, d: LinMap, alpha: LinMap, beta: LinMap) -> tuple | None:
+    """product_rule_failure of d(xy) = beta(x) d(y) + d(x) alpha(y)."""
+    pairs = alg._pairs
+    return product_rule_failure(pairs, d, ((beta, d, pairs), (d, alpha, pairs)))
+
+
 def is_alpha_beta_derivation(alg: FinAlgebra, d: LinMap, alpha: LinMap, beta: LinMap) -> Verdict:
     """d(xy) = beta(x) d(y) + d(x) alpha(y) on all basis pairs.
 
@@ -535,46 +558,36 @@ def is_alpha_beta_derivation(alg: FinAlgebra, d: LinMap, alpha: LinMap, beta: Li
     sigma = beta.
     """
     _check_square(alg, d)
-    dc, ac, bc = _columns(d), _columns(alpha), _columns(beta)
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            lhs = d.apply(alg.mul[i][j])
-            rhs = alg.add_vec(alg.mul_vec(bc[i], dc[j]), alg.mul_vec(dc[i], ac[j]))
-            if lhs != rhs:
-                return Verdict("alpha_beta_derivation", False,
-                               Witness((i, j), alg.sub_vec(lhs, rhs),
-                                       "d(e_i e_j) - beta(e_i) d(e_j) - d(e_i) alpha(e_j)"))
+    bad = _derivation_failure(alg, d, alpha, beta)
+    if bad:
+        return Verdict("alpha_beta_derivation", False,
+                       Witness(*bad, "d(e_i e_j) - beta(e_i) d(e_j) - d(e_i) alpha(e_j)"))
     return Verdict("alpha_beta_derivation", True)
 
 
 def is_alpha_beta_biderivation(alg: FinAlgebra, D: BilinMap, alpha: LinMap, beta: LinMap) -> Verdict:
-    """D is an (alpha, beta)-derivation in each slot on all basis triples."""
+    """D is an (alpha, beta)-derivation in each slot on all basis triples.
+
+    The slot maps D(., e_k) and D(e_k, .) each go through the derivation
+    check; the witness is the failure first in the order (i, j, k, first slot
+    before second) of the pair e_i e_j and the fixed argument e_k.
+    """
     n = alg.dim
-    ac, bc = _columns(alpha), _columns(beta)
-    basis = [alg.basis_vector(k) for k in range(n)]
-    for i in range(n):
-        bi = bc[i]
-        for j in range(n):
-            eij = alg.mul[i][j]
-            aj = ac[j]
-            for k in range(n):
-                # first slot: D(e_i e_j, e_k) = beta(e_i) D(e_j, e_k) + D(e_i, e_k) alpha(e_j)
-                lhs = D.apply(eij, basis[k])
-                rhs = alg.add_vec(alg.mul_vec(bi, D.value(j, k)),
-                                  alg.mul_vec(D.value(i, k), aj))
-                if lhs != rhs:
-                    return Verdict("alpha_beta_biderivation", False,
-                                   Witness((i, j, k), alg.sub_vec(lhs, rhs),
-                                           "first-slot failure at (e_i e_j, e_k)"))
-                # second slot: D(e_k, e_i e_j) = beta(e_i) D(e_k, e_j) + D(e_k, e_i) alpha(e_j)
-                lhs = D.apply(basis[k], eij)
-                rhs = alg.add_vec(alg.mul_vec(bi, D.value(k, j)),
-                                  alg.mul_vec(D.value(k, i), aj))
-                if lhs != rhs:
-                    return Verdict("alpha_beta_biderivation", False,
-                                   Witness((k, i, j), alg.sub_vec(lhs, rhs),
-                                           "second-slot failure at (e_k, e_i e_j)"))
-    return Verdict("alpha_beta_biderivation", True)
+    failures = []
+    for k in range(n):
+        slots = ([D.value(l, k) for l in range(n)], D.tensor[k])
+        for slot, images in enumerate(slots):
+            bad = _derivation_failure(alg, LinMap.from_images(alg.field, images, n, n), alpha, beta)
+            if bad:
+                failures.append((bad[0] + (k, slot), bad[1]))
+    if not failures:
+        return Verdict("alpha_beta_biderivation", True)
+    (i, j, k, slot), element = min(failures)
+    if slot == 0:
+        return Verdict("alpha_beta_biderivation", False,
+                       Witness((i, j, k), element, "first-slot failure at (e_i e_j, e_k)"))
+    return Verdict("alpha_beta_biderivation", False,
+                   Witness((k, i, j), element, "second-slot failure at (e_k, e_i e_j)"))
 
 
 def is_alpha_beta_commuting(alg: FinAlgebra, theta: LinMap, alpha: LinMap, beta: LinMap) -> Verdict:

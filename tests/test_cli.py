@@ -217,16 +217,23 @@ class TestInputErrors:
         assert list(json.loads(out)) == ["error", "version"]
 
 
-    @pytest.mark.parametrize("part,key", [("A", "dim"), ("M", "dimA"), ("M", "dimB")])
+    @pytest.mark.parametrize("part,key", [("A", "dim"), ("M", "dimA"), ("M", "dimB"),
+                                          ("bid", "split-biderivation"), ("bid", "inner-witness")])
     def test_declared_dim_checked_before_allocation(self, f1_dir, part, key):
         """A declared dimension the file contradicts (F1's corners and M are
-        1-dimensional) is an input error raised before dim-sized tensors exist."""
-        tri = json.loads((f1_dir / "T.json").read_text())
-        tri[part][key] = 10 ** 8
-        (f1_dir / "bad_T.json").write_text(json.dumps(tri))
-        (f1_dir / "bad_A.json").write_text(json.dumps(tri["A"]))
-        cmd = ["validate", str(f1_dir / "bad_A.json")] if part == "A" else \
-            ["center", str(f1_dir / "bad_T.json")]
+        1-dimensional, its total algebra 3-dimensional) is an input error
+        raised before dim-sized tensors exist."""
+        if part == "bid":
+            (f1_dir / "bad_bid.json").write_text(json.dumps({"dim": 10 ** 6, "tensor": []}))
+            cmd = [key, str(f1_dir / "T.json"), "--sigma", str(f1_dir / "sigma1.json"),
+                   "--bid", str(f1_dir / "bad_bid.json")]
+        else:
+            tri = json.loads((f1_dir / "T.json").read_text())
+            tri[part][key] = 10 ** 8
+            (f1_dir / "bad_T.json").write_text(json.dumps(tri))
+            (f1_dir / "bad_A.json").write_text(json.dumps(tri["A"]))
+            cmd = ["validate", str(f1_dir / "bad_A.json")] if part == "A" else \
+                ["center", str(f1_dir / "bad_T.json")]
         with address_space_cap(1 << 30):
             code, out, _ = run_cli(cmd)
         assert code == 1
