@@ -1,20 +1,29 @@
 """Pinned results of the product-rule identity checks on perturbed inputs.
 
 Each case feeds one check an input that fails it and pins the exact outcome:
-the Verdict (kind, holds, witness indices, element, description) of a
-predicate, or the exception type and message of a block check.  The
-biderivation cases are chosen so that the witness depends on the order in
-which the two slots and the basis triples are visited.
+the Verdict (kind, holds, witness indices, element, description, and notes
+for the commuting predicate) of a predicate, or the exception type and
+message of a block check.  The biderivation and associativity cases are
+chosen so that the witness depends on the order in which the two slots and
+the basis triples are visited; the commuting cases fail at a single basis
+vector, at a pair sum only, with alpha != id, and in characteristic 2.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from trialg.algcore import build_triangular
-from trialg.classify import TheoremReport, _thm0_conditions, _thm1_conditions, endo_blocks
-from trialg.errors import TheoremViolation
-from trialg.exactla import QQ
+from trialg.algcore import build_triangular, validate_algebra
+from trialg.classify import (
+    TheoremReport,
+    _thm0_conditions,
+    _thm1_conditions,
+    _verify_commuting_blocks,
+    commuting_blocks,
+    endo_blocks,
+)
+from trialg.errors import NonAssociative, TheoremViolation
+from trialg.exactla import GF, QQ
 from trialg.fixtures import fixture_f1, fixture_f3, phi_one_plus_m, sigma1, upper_triangular_algebra
 from trialg.randomgen import regular_bimodule
 from trialg.sigmamaps import (
@@ -22,8 +31,10 @@ from trialg.sigmamaps import (
     BilinMap,
     LinMap,
     block_decompose,
+    classify_linear,
     inner_automorphism,
     is_alpha_beta_biderivation,
+    is_alpha_beta_commuting,
     is_alpha_beta_derivation,
     is_endomorphism,
 )
@@ -44,13 +55,13 @@ def _bump_tensor(D: BilinMap, i: int, j: int, k: int) -> BilinMap:
     return BilinMap.unflatten(D.field, flat, D.dim)
 
 
-def _verdict(v):
+def _verdict(v, field=QQ):
     w = v.witness
-    return (v.kind, v.holds, w.indices, tuple(QQ.format(c) for c in w.element), w.description)
+    return (v.kind, v.holds, w.indices, tuple(field.format(c) for c in w.element), w.description)
 
 
-def _raised(fn):
-    with pytest.raises(TheoremViolation) as exc:
+def _raised(fn, error=TheoremViolation):
+    with pytest.raises(error) as exc:
         fn()
     return (type(exc.value).__name__, str(exc.value))
 
@@ -93,6 +104,47 @@ def _biderivation(fixture, slot_entry, twisted_alpha: bool = False):
     D = solve_space("sigma_biderivation", tri, s1).basis_maps()[0]
     alpha = phi_one_plus_m(tri) if twisted_alpha else LinMap.identity(QQ, tri.dim)
     return _verdict(is_alpha_beta_biderivation(tri.total, _bump_tensor(D, *slot_entry), alpha, s1))
+
+
+def _commuting(field, bumps, twisted_alpha: bool = False):
+    """A solved sigma1-commuting basis map of F3 over field, with the listed
+    (basis map, k, j, c) entries bumped; with twisted_alpha the map is moved
+    to the (phi, phi sigma1)-commuting one phi Theta for phi the inner
+    automorphism by 1 + m."""
+    f3 = fixture_f3(field)
+    s1 = sigma1(f3)
+    maps = solve_space("sigma_commuting", f3, s1).basis_maps()
+    theta = maps[bumps[0][0]]
+    if twisted_alpha:
+        phi = phi_one_plus_m(f3)
+        theta = phi.compose(theta)
+    for _, k, j, c in bumps:
+        theta = _bump(theta, k, j, c)
+    if twisted_alpha:
+        v = is_alpha_beta_commuting(f3.total, theta, phi, phi.compose(s1))
+    else:
+        v = classify_linear("sigma_commuting", f3.total, theta, s1)
+    return _verdict(v, field) + (v.notes,)
+
+
+def _non_associative():
+    """k[x]/(x^3) with x^2 x^2 = -x: the triple (1, 1, 2) fails first in (i, j, k)
+    order, (2, 1, 1) first in (k, i, j) order."""
+    mul = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+           [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+           [[0, 0, 1], [0, 0, 0], [0, -1, 0]]]
+    return _raised(lambda: validate_algebra(QQ, mul, [1, 0, 0]), NonAssociative)
+
+
+def _condition_v():
+    """delta2 moved by m -> m (into the center of A = Q) breaks delta2(m) m = nu(m) mu2(m)."""
+    f1 = fixture_f1()
+    s1 = sigma1(f1)
+    theta = solve_space("sigma_commuting", f1, s1).basis_maps()[0]
+    blocks = block_decompose(f1, s1)
+    cb, _ = commuting_blocks(f1, theta, blocks)
+    bad = replace(cb, delta2=cb.delta2 + LinMap.identity(QQ, 1))
+    return _raised(lambda: _verify_commuting_blocks(f1, theta, blocks, bad, TheoremReport("t")))
 
 
 def _aut_blocks(side: int):
@@ -142,6 +194,9 @@ def _thm1(name: str, k: int, j: int):
 DER = "d(e_i e_j) - beta(e_i) d(e_j) - d(e_i) alpha(e_j)"
 FIRST = "first-slot failure at (e_i e_j, e_k)"
 SECOND = "second-slot failure at (e_k, e_i e_j)"
+COMM = "beta(x) Theta(x) - Theta(x) alpha(x) at x = e_i"
+COMM_PAIR = COMM + " + e_j"
+CHAR2 = ("verified on quadratic span only (char 2)",)
 TV = "TheoremViolation"
 
 CASES = {
@@ -167,6 +222,18 @@ CASES = {
                                     ("0", "-1", "0", "0", "0", "0"), FIRST)),
     "biderivation_twisted_alpha": (lambda: _biderivation(fixture_f1, (0, 1, 2), True),
                                    ("alpha_beta_biderivation", False, (0, 0, 1), ("0", "0", "1"), FIRST)),
+    "commuting_single": (lambda: _commuting(QQ, ((0, 1, 2, 1), (0, 4, 2, 3))),
+                         ("sigma_commuting", False, (2, 2), ("0", "-1", "0", "0", "3", "0"), COMM, ())),
+    "commuting_pair_only": (lambda: _commuting(QQ, ((0, 5, 2, 1), (0, 3, 1, 2))),
+                            ("sigma_commuting", False, (0, 1), ("0", "0", "0", "2", "0", "0"), COMM_PAIR, ())),
+    "commuting_twisted_alpha": (lambda: _commuting(QQ, ((2, 0, 4, 2),), True),
+                                ("alpha_beta_commuting", False, (0, 4), ("0", "0", "0", "-2", "0", "0"),
+                                 COMM_PAIR, ())),
+    "commuting_char2": (lambda: _commuting(GF(2), ((0, 3, 4, 1),)),
+                        ("sigma_commuting", False, (0, 4), ("0", "0", "0", "1", "0", "0"), COMM_PAIR, CHAR2)),
+    "non_associative": (_non_associative,
+                        ("NonAssociative", "associativity fails on basis triple (1, 1, 2)")),
+    "condition_v": (_condition_v, (TV, "condition (v) fails on the quadratic span")),
     "aut_blocks_left": (lambda: _aut_blocks(0), (TV, "nu(am) != f(a) nu(m) on a basis pair")),
     "aut_blocks_right": (lambda: _aut_blocks(1), (TV, "nu(mb) != nu(m) g(b) on a basis pair")),
     "xi_left": (lambda: _xi_blocks(0), (TV, "xi fails its left action identity")),

@@ -389,3 +389,50 @@ class TestInnerAutomorphism:
         u = f4.assemble((2, 1, 3), (0, 0), (4,))
         phi = inner_automorphism(t, u)
         block_decompose(f4, phi)  # must not raise
+
+
+def _commutes_everywhere(alg, theta, sigma) -> bool:
+    """sigma(x) Theta(x) = Theta(x) x at every element x of an algebra over F_p."""
+    import itertools
+
+    field = alg.field
+    zero = alg.zero_vector()
+    for x in itertools.product(range(field.characteristic), repeat=alg.dim):
+        x = alg.coerce_vector(x)
+        tx = theta.apply(x)
+        if alg.sub_vec(alg.mul_vec(sigma.apply(x), tx), alg.mul_vec(tx, x)) != zero:
+            return False
+    return True
+
+
+class TestCommutingOracle:
+    """The singles-and-pairs commuting verdict against every element, over
+    GF(2) and GF(3): on F1, F3 and every catalog instance (dim <= 6), for the
+    solved sigma-commuting basis maps and one seeded perturbation of each."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_verdict_matches_every_element(self, p):
+        import random
+
+        from trialg.randomgen import instance_catalog, random_block_preserving_sigma
+        from trialg.spaces import solve_space
+
+        field = GF(p)
+        instances = [("F1", lambda: fixture_f1(field)), ("F3", lambda: fixture_f3(field))]
+        rng = random.Random(7000 + p)
+        outcomes = set()
+        for name, make in instances + instance_catalog(field):
+            tri = make()
+            alg = tri.total
+            sigma = random_block_preserving_sigma(tri, rng)
+            maps = []
+            for theta in solve_space("sigma_commuting", tri, sigma).basis_maps():
+                rows = [list(r) for r in theta.mat.rows]
+                k, j = rng.randrange(alg.dim), rng.randrange(alg.dim)
+                rows[k][j] = field.add(rows[k][j], field.one)
+                maps += [theta, LinMap(field, rows, alg.dim, alg.dim)]
+            for theta in maps:
+                holds = classify_linear("sigma_commuting", alg, theta, sigma).holds
+                assert holds == _commutes_everywhere(alg, theta, sigma), (name, theta.mat.rows)
+                outcomes.add(holds)
+        assert outcomes == {True, False}
