@@ -6,7 +6,8 @@ associativity and the unit laws are checked at construction.  A triangular
 algebra Trian(A, M, B) is assembled from two algebras and an (A, B)-bimodule
 into one total algebra carrying the Peirce idempotents p and q.
 
-Also here: centers and twisted centers, annihilators and faithfulness, the
+Also here: the sparse product-rule evaluator behind every basis-pair identity
+check, centers and twisted centers, annihilators and faithfulness, the
 faithful quotient, nilpotency, the Koethe/Jacobson radical via the trace form,
 and exhaustive idempotent-based structure checks over small prime fields.
 """
@@ -53,6 +54,71 @@ def _sparse_table(tensor) -> tuple:
                  for row in tensor)
 
 
+def _sparse_columns(f) -> list:
+    """Nonzero (k, c) entries of each basis image f(e_j), for f a Mat or a map
+    holding one as f.mat (images in columns)."""
+    mat = f if isinstance(f, Mat) else f.mat
+    cols = zip(*mat.rows) if mat.nrows else [()] * mat.ncols
+    return [tuple((k, c) for k, c in enumerate(col) if c) for col in cols]
+
+
+def product_rule_failure(table, X, terms, order=None) -> tuple | None:
+    """First basis pair (i, j) where X(e_i * e_j) - sum_t P_t(e_i) *_t Q_t(e_j)
+    is nonzero, with that residual; None when the identity holds on every pair.
+
+    The pairs are visited in the given order, row-major over table by default.
+    Products are sparse tables, entry [i][j] the nonzero (k, c) of e_i * e_j
+    (FinAlgebra._pairs, Bimodule._left_pairs / _right_pairs, or a transpose);
+    each term is a triple (P_t, Q_t, table_t) of maps and a table.  An identity
+    with no X term passes X = None; its residual lies where the first Q_t maps.
+    All terms go into one sparse accumulator.
+    """
+    out = X if X is not None else terms[0][1]
+    out = out if isinstance(out, Mat) else out.mat
+    field = out.field
+    zero, add, sub, mul = field.zero, field.add, field.sub, field.mul
+    xc = _sparse_columns(X) if X is not None else None
+    sparse_terms = [(_sparse_columns(p), _sparse_columns(q), tab) for p, q, tab in terms]
+    if order is None:
+        order = ((i, j) for i, row in enumerate(table) for j in range(len(row)))
+    for i, j in order:
+        acc = {}
+        if xc is not None:
+            for k, c in table[i][j]:
+                for l, v in xc[k]:
+                    acc[l] = add(acc.get(l, zero), mul(c, v))
+        for pc, qc, tab in sparse_terms:
+            for a, u in pc[i]:
+                trow = tab[a]
+                for b, w in qc[j]:
+                    uw = mul(u, w)
+                    for l, c in trow[b]:
+                        acc[l] = sub(acc.get(l, zero), mul(uw, c))
+        if any(acc.values()):
+            residual = [zero] * out.nrows
+            for l, v in acc.items():
+                residual[l] = v
+            return (i, j), tuple(residual)
+    return None
+
+
+def quadratic_failure(terms, n: int) -> tuple | None:
+    """First x among e_0, ..., e_{n-1}, then e_i + e_j for i < j in
+    lexicographic order, where the quadratic identity sum_t P_t(x) *_t Q_t(x) = 0
+    fails, as product_rule_failure reports it: ((i, i), residual) at a single
+    basis vector, ((i, j), residual) at a pair sum.
+
+    Once the singles vanish, the residual at e_i + e_j is the polarization
+    P_t(e_i) Q_t(e_j) + P_t(e_j) Q_t(e_i), whose swapped products read the
+    transposed tables.
+    """
+    bad = product_rule_failure(None, None, terms, [(i, i) for i in range(n)])
+    if bad:
+        return bad
+    swapped = tuple((q, p, tuple(zip(*tab))) for p, q, tab in terms)
+    return product_rule_failure(None, None, terms + swapped, itertools.combinations(range(n), 2))
+
+
 class FinAlgebra:
     """Unital associative algebra given by structure constants."""
 
@@ -95,19 +161,21 @@ class FinAlgebra:
     # -- construction checks ------------------------------------------------
 
     def _validate(self):
-        dim = self.dim
+        dim, field, pairs = self.dim, self.field, self._pairs
         for i in range(dim):
             ei = self.basis_vector(i)
             if self.mul_vec(self.unit, ei) != ei or self.mul_vec(ei, self.unit) != ei:
                 raise UnitLawViolation(i)
-        for i in range(dim):
-            for j in range(dim):
-                ij = self.mul[i][j]
-                for k in range(dim):
-                    left = self.mul_vec(ij, self.basis_vector(k))
-                    right = self.mul_vec(self.basis_vector(i), self.mul[j][k])
-                    if left != right:
-                        raise NonAssociative(i, j, k)
+        # associativity is the product rule R_k(e_i e_j) = e_i R_k(e_j) for each k
+        ident = Mat.identity(field, dim)
+        failures = []
+        for k in range(dim):
+            right_k = Mat(field, list(zip(*[self.mul[m][k] for m in range(dim)])), dim)
+            bad = product_rule_failure(pairs, right_k, ((ident, right_k, pairs),))
+            if bad:
+                failures.append(bad[0] + (k,))
+        if failures:
+            raise NonAssociative(*min(failures))
 
     # -- vector arithmetic ----------------------------------------------------
 
@@ -190,12 +258,8 @@ class FinAlgebra:
         return y
 
     def is_commutative(self) -> bool:
-        zero = self.zero_vector()
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if self.commutator(self.basis_vector(i), self.basis_vector(j)) != zero:
-                    return False
-        return True
+        """e_i e_j = e_j e_i on every basis pair: the structure tensor is symmetric."""
+        return self.mul == tuple(zip(*self.mul))
 
     def format_vector(self, vec) -> str:
         field = self.field
@@ -284,7 +348,7 @@ def unit_m(field: Field, dm: int, j: int) -> list:
 
 def basis_and_pair_sums(field: Field, n: int) -> list[tuple]:
     """e_0, ..., e_{n-1}, then e_i + e_j for i < j in lexicographic order: the
-    singles-and-pairs family that the commuting-map rows and checks range over."""
+    singles-and-pairs family that the commuting-map rows range over."""
     vecs = [tuple(unit_m(field, n, i)) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):

@@ -21,7 +21,9 @@ from .algcore import (
     coupling_rows,
     diagonal_pairs,
     is_ideal,
+    product_rule_failure,
     project_subspace,
+    quadratic_failure,
     radical,
     sigma_center_direct,
     structure_checks,
@@ -52,7 +54,6 @@ from .sigmamaps import (
     classify_bilinear,
     classify_linear,
     is_endomorphism,
-    product_rule_failure,
     sigma_center,
 )
 from .spaces import extremal_sigma_biderivation, identity_row, inner_sigma_biderivation
@@ -380,15 +381,19 @@ def _verify_commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks,
     field = tri.field
     zero_m = tuple([field.zero] * tri.M.dim_m)
     da, dm, db = tri.A.dim, tri.M.dim_m, tri.B.dim
-    d1_one = cb.delta1.apply(tri.A.unit)
-    mu1_one = cb.mu1.apply(tri.A.unit)
-    d3_one = cb.delta3.apply(tri.B.unit)
-    mu3_one = cb.mu3.apply(tri.B.unit)
-
-    def mblock(mvec) -> tuple:
-        left = tri.act_left(d1_one, mvec)
-        right = tri.act_right(blocks.nu.apply(mvec), mu1_one)
-        return tuple(field.sub(x, y) for x, y in zip(left, right))
+    sub, nu = tri.total.sub_vec, blocks.nu
+    left, right = tri.M._left_pairs, tri.M._right_pairs
+    right_t = tuple(zip(*right))
+    ident_m, ident_b = LinMap.identity(field, dm), LinMap.identity(field, db)
+    d1_one, mu1_one = cb.delta1.apply(tri.A.unit), cb.mu1.apply(tri.A.unit)
+    d3_one, mu3_one = cb.delta3.apply(tri.B.unit), cb.mu3.apply(tri.B.unit)
+    units = [(unit_m(field, dm, j), nu.image_of_basis(j)) for j in range(dm)]
+    # the closed form m -> delta1(1) m - nu(m) mu1(1) of the M-block, and
+    # m -> nu(m) mu3(1) - delta3(1) m of condition (vi)
+    mblock = LinMap.from_images(field, [sub(tri.act_left(d1_one, m), tri.act_right(nm, mu1_one))
+                                        for m, nm in units], dm, dm)
+    vi_form = LinMap.from_images(field, [sub(tri.act_right(nm, mu3_one), tri.act_left(d3_one, m))
+                                         for m, nm in units], dm, dm)
 
     # M-block: zero on the corners, the closed form on M
     for j in tri.range_a:
@@ -398,9 +403,7 @@ def _verify_commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks,
         if tuple(tri.part_m(theta.image_of_basis(j))) != zero_m:
             raise TheoremViolation("Theta(B) has a nonzero M-part")
     for idx, j in enumerate(tri.range_m):
-        got = tuple(tri.part_m(theta.image_of_basis(j)))
-        want = mblock(unit_m(field, dm, idx))
-        if got != want:
+        if tuple(tri.part_m(theta.image_of_basis(j))) != mblock.image_of_basis(idx):
             raise TheoremViolation("M-block of Theta differs from its closed form")
     # value spaces
     zfa = sigma_center_direct(tri.A, blocks.f.mat)
@@ -421,50 +424,22 @@ def _verify_commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks,
         raise TheoremViolation("delta1 is not twisted-commuting on A")
     if not classify_linear("sigma_commuting", tri.B, cb.mu3, blocks.g).holds:
         raise TheoremViolation("mu3 is not twisted-commuting on B")
-    # (iii)
-    for i in range(da):
-        fa = blocks.f.image_of_basis(i)
-        d1a = cb.delta1.image_of_basis(i)
-        mu1a = cb.mu1.image_of_basis(i)
-        for j in range(dm):
-            m = unit_m(field, dm, j)
-            lhs = tuple(field.sub(x, y) for x, y in
-                        zip(tri.act_left(d1a, m), tri.act_right(blocks.nu.apply(m), mu1a)))
-            rhs = tri.act_left(fa, mblock(m))
-            if lhs != rhs:
-                raise TheoremViolation("condition (iii) fails on a basis pair")
-    # (iv)
-    for k in range(db):
-        b = tri.B.basis_vector(k)
-        d3b = cb.delta3.image_of_basis(k)
-        mu3b = cb.mu3.image_of_basis(k)
-        for j in range(dm):
-            m = unit_m(field, dm, j)
-            nm = blocks.nu.apply(m)
-            lhs = tuple(field.sub(x, y) for x, y in
-                        zip(tri.act_right(nm, mu3b), tri.act_left(d3b, m)))
-            base = tuple(field.sub(x, y) for x, y in
-                         zip(tri.act_right(nm, mu3_one), tri.act_left(d3_one, m)))
-            rhs = tri.act_right(base, b)
-            if lhs != rhs:
-                raise TheoremViolation("condition (iv) fails on a basis pair")
-    # (v) on the quadratic span of M
-    for mvec in basis_and_pair_sums(field, dm):
-        lhs = tri.act_left(cb.delta2.apply(mvec), mvec)
-        rhs = tri.act_right(blocks.nu.apply(mvec), cb.mu2.apply(mvec))
-        if lhs != rhs:
-            raise TheoremViolation("condition (v) fails on the quadratic span")
+    # (iii) delta1(a) m - nu(m) mu1(a) = f(a) mblock(m) on the basis pairs (a, m)
+    if product_rule_failure(left, None, ((cb.delta1, ident_m, left), (cb.mu1, -nu, right_t),
+                                         (-blocks.f, mblock, left))):
+        raise TheoremViolation("condition (iii) fails on a basis pair")
+    # (iv) nu(m) mu3(b) - delta3(b) m = vi_form(m) b on the basis pairs (b, m)
+    if product_rule_failure(right_t, None, ((cb.mu3, nu, right_t), (-cb.delta3, ident_m, left),
+                                            (ident_b, -vi_form, right_t))):
+        raise TheoremViolation("condition (iv) fails on a basis pair")
+    # (v) on the quadratic span of M: delta2(m) m = nu(m) mu2(m)
+    if quadratic_failure(((cb.delta2, ident_m, left), (-nu, cb.mu2, right)), dm):
+        raise TheoremViolation("condition (v) fails on the quadratic span")
     if field.characteristic == 2:
         report.notes.append("condition (v) verified on quadratic span only (char 2)")
     # (vi)
-    for j in range(dm):
-        m = unit_m(field, dm, j)
-        nm = blocks.nu.apply(m)
-        lhs = mblock(m)
-        rhs = tuple(field.sub(x, y) for x, y in
-                    zip(tri.act_right(nm, mu3_one), tri.act_left(d3_one, m)))
-        if lhs != rhs:
-            raise TheoremViolation("condition (vi) fails on a basis vector")
+    if mblock != vi_form:
+        raise TheoremViolation("condition (vi) fails on a basis vector")
 
 
 @dataclass(frozen=True)

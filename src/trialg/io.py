@@ -124,8 +124,12 @@ def bimodule_from_json(obj, field: Field) -> Bimodule:
     if "field" in obj and field_from_json(obj["field"]) != field:
         raise InputError("bimodule field disagrees with the corner algebras")
     da, dm, db = _dim(obj, "dimA"), _dim(obj, "dimM"), _dim(obj, "dimB")
-    left = _sparse_tensor(field, _list(obj, "left"), (da, dm, dm))
-    right = _sparse_tensor(field, _list(obj, "right"), (dm, db, dm))
+    left, right = _list(obj, "left"), _list(obj, "right")
+    if min(len(left), len(right)) < dm:  # the units act as the identity: >= dimM entries each
+        raise DimMismatch("bimodule lists %d left and %d right entries for dimM = %d"
+                          % (len(left), len(right), dm))
+    left = _sparse_tensor(field, left, (da, dm, dm))
+    right = _sparse_tensor(field, right, (dm, db, dm))
     return Bimodule(field, da, dm, db, left, right, _list(obj, "basis", optional=True))
 
 

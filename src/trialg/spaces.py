@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algcore import FinAlgebra, TriAlgebra, basis_and_pair_sums
+from .algcore import FinAlgebra, TriAlgebra, basis_and_pair_sums, product_rule_failure
 from .errors import (
     CentralElement,
     CommutativeAlgebra,
@@ -31,7 +31,6 @@ from .sigmamaps import (
     classify_bilinear,
     classify_linear,
     is_alpha_beta_derivation,
-    product_rule_failure,
     require_automorphism,
     sigma_commutator_vec,
 )

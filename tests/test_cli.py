@@ -217,7 +217,7 @@ class TestInputErrors:
         assert list(json.loads(out)) == ["error", "version"]
 
 
-    @pytest.mark.parametrize("part,key", [("A", "dim"), ("M", "dimA"), ("M", "dimB"),
+    @pytest.mark.parametrize("part,key", [("A", "dim"), ("M", "dimA"), ("M", "dimB"), ("M", "dimM"),
                                           ("bid", "split-biderivation"), ("bid", "inner-witness")])
     def test_declared_dim_checked_before_allocation(self, f1_dir, part, key):
         """A declared dimension the file contradicts (F1's corners and M are

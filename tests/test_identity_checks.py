@@ -6,7 +6,8 @@ for the commuting predicate) of a predicate, or the exception type and
 message of a block check.  The biderivation and associativity cases are
 chosen so that the witness depends on the order in which the two slots and
 the basis triples are visited; the commuting cases fail at a single basis
-vector, at a pair sum only, with alpha != id, and in characteristic 2.
+vector, at a pair sum only, with alpha != id, and in characteristic 2; and
+each block condition (iii)-(vi) of a twisted commuting map fails once.
 """
 
 from dataclasses import replace
@@ -24,7 +25,14 @@ from trialg.classify import (
 )
 from trialg.errors import NonAssociative, TheoremViolation
 from trialg.exactla import GF, QQ
-from trialg.fixtures import fixture_f1, fixture_f3, phi_one_plus_m, sigma1, upper_triangular_algebra
+from trialg.fixtures import (
+    fixture_f1,
+    fixture_f3,
+    phi_one_plus_m,
+    product_field_algebra,
+    sigma1,
+    upper_triangular_algebra,
+)
 from trialg.randomgen import regular_bimodule
 from trialg.sigmamaps import (
     AutBlocks,
@@ -106,19 +114,18 @@ def _biderivation(fixture, slot_entry, twisted_alpha: bool = False):
     return _verdict(is_alpha_beta_biderivation(tri.total, _bump_tensor(D, *slot_entry), alpha, s1))
 
 
-def _commuting(field, bumps, twisted_alpha: bool = False):
-    """A solved sigma1-commuting basis map of F3 over field, with the listed
-    (basis map, k, j, c) entries bumped; with twisted_alpha the map is moved
-    to the (phi, phi sigma1)-commuting one phi Theta for phi the inner
+def _commuting(field, index: int, bumps, twisted_alpha: bool = False):
+    """Solved sigma1-commuting basis map `index` of F3 over field, with c added
+    to each listed entry (k, j, c); with twisted_alpha the map is first moved
+    to the (phi, phi sigma1)-commuting map phi Theta, for phi the inner
     automorphism by 1 + m."""
     f3 = fixture_f3(field)
     s1 = sigma1(f3)
-    maps = solve_space("sigma_commuting", f3, s1).basis_maps()
-    theta = maps[bumps[0][0]]
+    theta = solve_space("sigma_commuting", f3, s1).basis_maps()[index]
+    phi = phi_one_plus_m(f3)
     if twisted_alpha:
-        phi = phi_one_plus_m(f3)
         theta = phi.compose(theta)
-    for _, k, j, c in bumps:
+    for k, j, c in bumps:
         theta = _bump(theta, k, j, c)
     if twisted_alpha:
         v = is_alpha_beta_commuting(f3.total, theta, phi, phi.compose(s1))
@@ -136,15 +143,21 @@ def _non_associative():
     return _raised(lambda: validate_algebra(QQ, mul, [1, 0, 0]), NonAssociative)
 
 
-def _condition_v():
-    """delta2 moved by m -> m (into the center of A = Q) breaks delta2(m) m = nu(m) mu2(m)."""
-    f1 = fixture_f1()
-    s1 = sigma1(f1)
-    theta = solve_space("sigma_commuting", f1, s1).basis_maps()[0]
-    blocks = block_decompose(f1, s1)
-    cb, _ = commuting_blocks(f1, theta, blocks)
-    bad = replace(cb, delta2=cb.delta2 + LinMap.identity(QQ, 1))
-    return _raised(lambda: _verify_commuting_blocks(f1, theta, blocks, bad, TheoremReport("t")))
+def _commuting_blocks(tri, name: str, k: int, j: int):
+    """The block conditions of tri's first solved sigma1-commuting basis map,
+    with entry [k][j] of its block `name` bumped by one."""
+    s1 = sigma1(tri)
+    theta = solve_space("sigma_commuting", tri, s1).basis_maps()[0]
+    blocks = block_decompose(tri, s1)
+    cb, _ = commuting_blocks(tri, theta, blocks)
+    bad = replace(cb, **{name: _bump(getattr(cb, name), k, j)})
+    return _raised(lambda: _verify_commuting_blocks(tri, theta, blocks, bad, TheoremReport("t")))
+
+
+def _product_regular():
+    """Trian(k x k, k x k, k x k) with the regular bimodule."""
+    kk = product_field_algebra(QQ, 2)
+    return build_triangular(kk, regular_bimodule(kk), product_field_algebra(QQ, 2))
 
 
 def _aut_blocks(side: int):
@@ -222,18 +235,26 @@ CASES = {
                                     ("0", "-1", "0", "0", "0", "0"), FIRST)),
     "biderivation_twisted_alpha": (lambda: _biderivation(fixture_f1, (0, 1, 2), True),
                                    ("alpha_beta_biderivation", False, (0, 0, 1), ("0", "0", "1"), FIRST)),
-    "commuting_single": (lambda: _commuting(QQ, ((0, 1, 2, 1), (0, 4, 2, 3))),
+    "commuting_single": (lambda: _commuting(QQ, 0, ((1, 2, 1), (4, 2, 3))),
                          ("sigma_commuting", False, (2, 2), ("0", "-1", "0", "0", "3", "0"), COMM, ())),
-    "commuting_pair_only": (lambda: _commuting(QQ, ((0, 5, 2, 1), (0, 3, 1, 2))),
+    "commuting_pair_only": (lambda: _commuting(QQ, 0, ((5, 2, 1), (3, 1, 2))),
                             ("sigma_commuting", False, (0, 1), ("0", "0", "0", "2", "0", "0"), COMM_PAIR, ())),
-    "commuting_twisted_alpha": (lambda: _commuting(QQ, ((2, 0, 4, 2),), True),
+    "commuting_twisted_alpha": (lambda: _commuting(QQ, 2, ((0, 4, 2),), True),
                                 ("alpha_beta_commuting", False, (0, 4), ("0", "0", "0", "-2", "0", "0"),
                                  COMM_PAIR, ())),
-    "commuting_char2": (lambda: _commuting(GF(2), ((0, 3, 4, 1),)),
+    "commuting_char2": (lambda: _commuting(GF(2), 0, ((3, 4, 1),)),
                         ("sigma_commuting", False, (0, 4), ("0", "0", "0", "1", "0", "0"), COMM_PAIR, CHAR2)),
     "non_associative": (_non_associative,
                         ("NonAssociative", "associativity fails on basis triple (1, 1, 2)")),
-    "condition_v": (_condition_v, (TV, "condition (v) fails on the quadratic span")),
+    "condition_iii": (lambda: _commuting_blocks(fixture_f3(), "mu1", 0, 1),
+                      (TV, "condition (iii) fails on a basis pair")),
+    "condition_iv": (lambda: _commuting_blocks(_product_regular(), "delta3", 0, 1),
+                     (TV, "condition (iv) fails on a basis pair")),
+    # delta2 moved by m -> m, into the center of A = Q
+    "condition_v": (lambda: _commuting_blocks(fixture_f1(), "delta2", 0, 0),
+                    (TV, "condition (v) fails on the quadratic span")),
+    "condition_vi": (lambda: _commuting_blocks(fixture_f1(), "delta3", 0, 0),
+                     (TV, "condition (vi) fails on a basis vector")),
     "aut_blocks_left": (lambda: _aut_blocks(0), (TV, "nu(am) != f(a) nu(m) on a basis pair")),
     "aut_blocks_right": (lambda: _aut_blocks(1), (TV, "nu(mb) != nu(m) g(b) on a basis pair")),
     "xi_left": (lambda: _xi_blocks(0), (TV, "xi fails its left action identity")),
