@@ -119,11 +119,59 @@ def quadratic_failure(terms, n: int) -> tuple | None:
     return product_rule_failure(None, None, terms + swapped, itertools.combinations(range(n), 2))
 
 
+def product_rule_rows(table, lhs: bool, terms, n: int, order=None):
+    """Constraint rows of a product rule in an unknown square map X on n
+    coordinates, the residual of product_rule_failure with X left open.
+
+    X[k][l], the coefficient of e_k in X(e_l), is unknown k*n + l.  Each term
+    (P_t, Q_t, table_t) is as in product_rule_failure with None standing for X
+    in exactly one slot; lhs says whether the residual starts with X(e_i * e_j).
+    Each entry of order is a tuple of basis pairs whose residuals add up to one
+    block; by default each pair of table is its own block, row-major.  Yields
+    per block the nonzero rows {unknown: coefficient}, keyed by ascending
+    output coordinate.
+    """
+    field = next(f for term in terms for f in term[:2] if f is not None).field
+    zero, add, sub, mul = field.zero, field.add, field.sub, field.mul
+    # a term X(x) *_t Q(y) is Q(y) *_t' X(x) over the transposed table t'; per
+    # term keep the known map's columns, whether it is P, and per basis vector
+    # of its side the nonzero products with each basis vector of X's side
+    sparse_terms = []
+    for p, q, tab in terms:
+        known, tab = (p, tab) if q is None else (q, zip(*tab))
+        sparse_terms.append((_sparse_columns(known), q is None,
+                             [[(v, prods) for v, prods in enumerate(row) if prods] for row in tab]))
+    if order is None:
+        order = (((i, j),) for i, row in enumerate(table) for j in range(len(row)))
+    for pairs in order:
+        acc = {}
+        for i, j in pairs:
+            if lhs:
+                for k, c in table[i][j]:
+                    for o in range(n):
+                        row = acc.setdefault(o, {})
+                        key = o * n + k
+                        row[key] = add(row.get(key, zero), c)
+            for cols, p_known, nonzero in sparse_terms:
+                fixed, free = (i, j) if p_known else (j, i)
+                for s, u in cols[fixed]:
+                    for v, prods in nonzero[s]:
+                        key = v * n + free
+                        for o, c in prods:
+                            row = acc.setdefault(o, {})
+                            row[key] = sub(row.get(key, zero), mul(u, c))
+        block = {}
+        for o in sorted(acc):
+            row = {key: c for key, c in acc[o].items() if c}
+            if row:
+                block[o] = row
+        yield block
+
+
 class FinAlgebra:
     """Unital associative algebra given by structure constants."""
 
-    __slots__ = ("field", "dim", "basis_names", "mul", "unit", "_pairs", "_left_mats", "_right_mats",
-                 "_automorphisms")
+    __slots__ = ("field", "dim", "basis_names", "mul", "unit", "_pairs", "_automorphisms")
 
     def __init__(self, field: Field, mul, unit, basis_names=None, check: bool = True):
         dim = len(mul)
@@ -148,8 +196,6 @@ class FinAlgebra:
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "_pairs", _sparse_table(mul))
-        object.__setattr__(self, "_left_mats", {})
-        object.__setattr__(self, "_right_mats", {})
         # matrices of maps that sigmamaps.require_automorphism verified on this instance
         object.__setattr__(self, "_automorphisms", set())
         if check:
@@ -233,20 +279,6 @@ class FinAlgebra:
     def right_mul_mat(self, x) -> Mat:
         cols = [self.mul_vec(self.basis_vector(j), x) for j in range(self.dim)]
         return Mat(self.field, list(zip(*cols)) if cols else [], self.dim)
-
-    def basis_left_mat(self, i: int) -> Mat:
-        m = self._left_mats.get(i)
-        if m is None:
-            m = self.left_mul_mat(self.basis_vector(i))
-            self._left_mats[i] = m
-        return m
-
-    def basis_right_mat(self, i: int) -> Mat:
-        m = self._right_mats.get(i)
-        if m is None:
-            m = self.right_mul_mat(self.basis_vector(i))
-            self._right_mats[i] = m
-        return m
 
     def invert(self, x) -> tuple:
         """Two-sided inverse of x, or NotInvertible."""
@@ -347,8 +379,7 @@ def unit_m(field: Field, dm: int, j: int) -> list:
 
 
 def basis_and_pair_sums(field: Field, n: int) -> list[tuple]:
-    """e_0, ..., e_{n-1}, then e_i + e_j for i < j in lexicographic order: the
-    singles-and-pairs family that the commuting-map rows range over."""
+    """e_0, ..., e_{n-1}, then e_i + e_j for i < j in lexicographic order."""
     vecs = [tuple(unit_m(field, n, i)) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -430,14 +461,8 @@ class TriAlgebra:
             v[i] = self.field.coerce(c)
         return tuple(v)
 
-    def subspace_a(self) -> Subspace:
-        return Subspace.from_vectors(self.field, self.dim, [self.total.basis_vector(i) for i in self.range_a])
-
     def subspace_m(self) -> Subspace:
         return Subspace.from_vectors(self.field, self.dim, [self.total.basis_vector(i) for i in self.range_m])
-
-    def subspace_b(self) -> Subspace:
-        return Subspace.from_vectors(self.field, self.dim, [self.total.basis_vector(i) for i in self.range_b])
 
     # -- bimodule actions inside the blocks ----------------------------------
 
@@ -546,7 +571,7 @@ def twisted_center_rows(alg: FinAlgebra, sigma_mat: Mat, offset: int = 0):
     """Sparse rows of sigma(e_i) x - x e_i = 0 over all basis vectors e_i; the
     unknown coordinates of x start at column offset."""
     for i in range(alg.dim):
-        diff = alg.left_mul_mat(sigma_mat.col(i)) - alg.basis_right_mat(i)
+        diff = alg.left_mul_mat(sigma_mat.col(i)) - alg.right_mul_mat(alg.basis_vector(i))
         for r in diff.rows:
             d = {offset + c: v for c, v in enumerate(r) if v}
             if d:
@@ -650,8 +675,9 @@ def annihilators(tri: TriAlgebra) -> AnnihilatorReport:
                                  for j in range(dm) for mp in range(dm)], db))
     # annihilators of M inside the total algebra: x m_j = 0, resp. m_j x = 0
     t = tri.total
-    lann = kernel_basis(Mat(field, [r for j in tri.range_m for r in t.basis_right_mat(j).rows], t.dim))
-    rann = kernel_basis(Mat(field, [r for j in tri.range_m for r in t.basis_left_mat(j).rows], t.dim))
+    ms = [t.basis_vector(j) for j in tri.range_m]
+    lann = kernel_basis(Mat(field, [r for m in ms for r in t.right_mul_mat(m).rows], t.dim))
+    rann = kernel_basis(Mat(field, [r for m in ms for r in t.left_mul_mat(m).rows], t.dim))
     report = AnnihilatorReport(L, R, lann, rann, L.is_zero(), R.is_zero())
     if report.left_faithful and report.right_faithful and dm > 0:
         mb = Subspace.from_vectors(field, t.dim, [t.basis_vector(i) for i in list(tri.range_m) + list(tri.range_b)])
@@ -875,7 +901,7 @@ def radical(alg: FinAlgebra) -> Subspace:
     if p != 0 and p <= alg.dim:
         raise CharTooSmall(p, alg.dim)
     field = alg.field
-    lmats = [alg.basis_left_mat(i) for i in range(alg.dim)]
+    lmats = [alg.left_mul_mat(alg.basis_vector(i)) for i in range(alg.dim)]
     gram = Mat(field, [[(lmats[i] @ lmats[j]).trace() for j in range(alg.dim)] for i in range(alg.dim)],
                alg.dim)
     from .exactla import kernel_basis

@@ -22,6 +22,7 @@ from .algcore import (
     diagonal_pairs,
     is_ideal,
     product_rule_failure,
+    product_rule_rows,
     project_subspace,
     quadratic_failure,
     radical,
@@ -56,7 +57,7 @@ from .sigmamaps import (
     is_endomorphism,
     sigma_center,
 )
-from .spaces import extremal_sigma_biderivation, identity_row, inner_sigma_biderivation
+from .spaces import extremal_sigma_biderivation, inner_sigma_biderivation
 
 # ---------------------------------------------------------------------------
 # reports
@@ -295,24 +296,17 @@ def _annihilation_hypothesis(tri: TriAlgebra, z_sigma: Subspace, budget: int) ->
 
 
 def _intertwiner_space(tri: TriAlgebra, blocks: AutBlocks) -> Subspace:
-    """Maps xi on M with xi(a m b) = f(a) xi(m) b, as a flattened subspace."""
-    field = tri.field
+    """Maps xi on M with xi(a m b) = f(a) xi(m) b, as a flattened subspace.
+
+    M is unital, so this is xi(a m) = f(a) xi(m) together with xi(m b) = xi(m) b.
+    """
+    left, right = tri.M._left_pairs, tri.M._right_pairs
     dm = tri.M.dim_m
-    units = [unit_m(field, dm, j) for j in range(dm)]
-    rows = []
-    for i in range(tri.A.dim):
-        a, fa = tri.A.basis_vector(i), blocks.f.image_of_basis(i)
-        for k in range(tri.B.dim):
-            b = tri.B.basis_vector(k)
-            # target transform T = R_b L_f(a); constraint xi(w) = T xi(e_j) with w = a e_j b
-            trans = list(zip(*[tri.act_right(tri.act_left(fa, u), b) for u in units]))
-            for j, u in enumerate(units):
-                w = tri.act_right(tri.act_left(a, u), b)
-                for mp in range(dm):
-                    row = identity_row(field, dm, mp, w, ((j, trans),))
-                    if row:
-                        rows.append(row)
-    return kernel_sparse(field, rows, dm * dm)
+    sides = ((left, ((blocks.f, None, left),)),
+             (right, ((None, LinMap.identity(tri.field, tri.B.dim), right),)))
+    rows = [row for table, terms in sides
+            for block in product_rule_rows(table, True, terms, dm) for row in block.values()]
+    return kernel_sparse(tri.field, rows, dm * dm)
 
 
 def _scalar_action_space(tri: TriAlgebra, blocks: AutBlocks,
@@ -371,13 +365,13 @@ def commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks
                                tri.B.dim, tri.B.dim),
     )
     report = TheoremReport("block description of twisted commuting maps")
-    _verify_commuting_blocks(tri, theta, blocks, cb, report)
+    _verify_commuting_blocks(tri, theta, blocks, cb)
     report.verdict = "all conditions verified"
     return cb, report
 
 
 def _verify_commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks,
-                             cb: CommutingBlocks, report: TheoremReport):
+                             cb: CommutingBlocks):
     field = tri.field
     zero_m = tuple([field.zero] * tri.M.dim_m)
     da, dm, db = tri.A.dim, tri.M.dim_m, tri.B.dim
@@ -432,11 +426,9 @@ def _verify_commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks,
     if product_rule_failure(right_t, None, ((cb.mu3, nu, right_t), (-cb.delta3, ident_m, left),
                                             (ident_b, -vi_form, right_t))):
         raise TheoremViolation("condition (iv) fails on a basis pair")
-    # (v) on the quadratic span of M: delta2(m) m = nu(m) mu2(m)
+    # (v) delta2(m) m = nu(m) mu2(m) on singles and pairs of M, hence on all of M
     if quadratic_failure(((cb.delta2, ident_m, left), (-nu, cb.mu2, right)), dm):
         raise TheoremViolation("condition (v) fails on the quadratic span")
-    if field.characteristic == 2:
-        report.notes.append("condition (v) verified on quadratic span only (char 2)")
     # (vi)
     if mblock != vi_form:
         raise TheoremViolation("condition (vi) fails on a basis vector")

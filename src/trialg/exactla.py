@@ -148,7 +148,7 @@ class RationalField(Field):
             if x.field is not self:
                 raise FieldMismatch("scalar from %r used over Q" % (x.field,))
             return x.value
-        if isinstance(x, int):
+        if isinstance(x, int) and not isinstance(x, bool):
             return Fraction(x)
         if isinstance(x, str):
             try:
@@ -215,7 +215,7 @@ class PrimeField(Field):
             if x.field != self:
                 raise FieldMismatch("scalar from %r used over F_%d" % (x.field, self.p))
             return x.value
-        if isinstance(x, int):
+        if isinstance(x, int) and not isinstance(x, bool):
             return x % self.p
         if isinstance(x, str):
             s = x.strip()

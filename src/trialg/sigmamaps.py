@@ -14,8 +14,9 @@ singles + polarized pairs by the same evaluator (algcore.quadratic_failure):
 first at every basis vector e_i, then at every pair e_i + e_j, where the
 residual is a sum of four basis products once the singles vanish.  As
 q(sum_i x_i e_i) = sum_i x_i^2 q(e_i) + sum_{i<j} x_i x_j q(e_i, e_j) for the
-polarization q(e_i, e_j), this decides the condition at every element; the
-verdicts in characteristic 2 still carry a quadratic-span note.
+polarization q(e_i, e_j), this decides the condition at every element, in
+every characteristic.  The derivation and commuting terms are shared with the
+solve rows of spaces, which algcore.product_rule_rows builds from them.
 """
 
 from __future__ import annotations
@@ -507,10 +508,21 @@ def sigma_center_oracle(tri: TriAlgebra, sigma: LinMap) -> Subspace:
 # ---------------------------------------------------------------------------
 
 
-def _derivation_failure(alg: FinAlgebra, d: LinMap, alpha: LinMap, beta: LinMap) -> tuple | None:
-    """product_rule_failure of d(xy) = beta(x) d(y) + d(x) alpha(y)."""
+def derivation_terms(alg: FinAlgebra, d: LinMap | None, alpha: LinMap, beta: LinMap) -> tuple:
+    """Terms of d(xy) = beta(x) d(y) + d(x) alpha(y); d = None for the unknown map."""
     pairs = alg._pairs
-    return product_rule_failure(pairs, d, ((beta, d, pairs), (d, alpha, pairs)))
+    return ((beta, d, pairs), (d, alpha, pairs))
+
+
+def commuting_terms(alg: FinAlgebra, theta: LinMap | None, alpha: LinMap, beta: LinMap) -> tuple:
+    """Terms of the quadratic residual beta(x) Theta(x) - Theta(x) alpha(x);
+    theta = None for the unknown map."""
+    pairs = alg._pairs
+    return ((-beta, theta, pairs), (theta, alpha, pairs))
+
+
+def _derivation_failure(alg: FinAlgebra, d: LinMap, alpha: LinMap, beta: LinMap) -> tuple | None:
+    return product_rule_failure(alg._pairs, d, derivation_terms(alg, d, alpha, beta))
 
 
 def is_alpha_beta_derivation(alg: FinAlgebra, d: LinMap, alpha: LinMap, beta: LinMap) -> Verdict:
@@ -558,20 +570,15 @@ def is_alpha_beta_commuting(alg: FinAlgebra, theta: LinMap, alpha: LinMap, beta:
     The residual beta(x) Theta(x) - Theta(x) alpha(x) is [x, Theta(x)]_sigma
     for alpha the identity and beta = sigma.  The singles are checked first,
     so the residual at e_i + e_j is its polarization, four basis products.
-    In char 2 the verdict is noted as covering the quadratic span only.
     """
     _check_square(alg, theta)
-    notes = ()
-    if alg.field.characteristic == 2:
-        notes = ("verified on quadratic span only (char 2)",)
-    pairs = alg._pairs
-    bad = quadratic_failure(((-beta, theta, pairs), (theta, alpha, pairs)), alg.dim)
+    bad = quadratic_failure(commuting_terms(alg, theta, alpha, beta), alg.dim)
     if bad:
         (i, j), val = bad
         at = "e_i" if i == j else "e_i + e_j"
         return Verdict("alpha_beta_commuting", False,
-                       Witness((i, j), val, "beta(x) Theta(x) - Theta(x) alpha(x) at x = " + at), notes)
-    return Verdict("alpha_beta_commuting", True, None, notes)
+                       Witness((i, j), val, "beta(x) Theta(x) - Theta(x) alpha(x) at x = " + at))
+    return Verdict("alpha_beta_commuting", True)
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,19 @@ constructors and the block form of twisted derivations.
 Each defining identity is bilinear (or trilinear) in its arguments, so imposing
 it on basis tuples yields an exact linear system in the flattened map
 coordinates; the solution space is its kernel, returned with a canonical RREF
-basis.  Flattening is row-major: a linear map matrix entry [k][j] sits at
-k*dim + j, a bilinear tensor entry [i][j][k] at (i*dim + j)*dim + k.
+basis.  The rows are algcore.product_rule_rows of the terms the predicates
+check (sigmamaps.derivation_terms, commuting_terms); biderivation rows are the
+derivation rows relabelled per slot.  Flattening is row-major: a linear map
+matrix entry [k][j] at k*dim + j, a bilinear tensor entry [i][j][k] at
+(i*dim + j)*dim + k.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .algcore import FinAlgebra, TriAlgebra, basis_and_pair_sums, product_rule_failure
+from .algcore import FinAlgebra, TriAlgebra, product_rule_failure, product_rule_rows
 from .errors import (
     CentralElement,
     CommutativeAlgebra,
@@ -30,6 +34,8 @@ from .sigmamaps import (
     block_decompose,
     classify_bilinear,
     classify_linear,
+    commuting_terms,
+    derivation_terms,
     is_alpha_beta_derivation,
     require_automorphism,
     sigma_commutator_vec,
@@ -95,59 +101,28 @@ def _dedup_rows(rows):
         yield r
 
 
-def identity_row(field, n: int, m: int, lhs, terms) -> dict:
-    """Row m of X(lhs) - sum_s A_s X(e_s) = 0 over the flattened unknowns X[k][j]
-    at k*n + j; terms pairs each s with the rows of A_s."""
-    zero, sub = field.zero, field.sub
-    row = {m * n + l: c for l, c in enumerate(lhs) if c}
-    for t in range(n):
-        for s, a in terms:
-            v = a[m][t]
-            if v:
-                key = t * n + s
-                nv = sub(row.get(key, zero), v)
-                if nv:
-                    row[key] = nv
-                else:
-                    row.pop(key, None)
-    return row
-
-
 def _derivation_row_blocks(alg: FinAlgebra, sigma: LinMap):
-    """Per basis pair (i, j), the nonzero rows of
-    d(e_i e_j) - d(e_i) e_j - sigma(e_i) d(e_j) = 0, flattened unknowns d[k][j]."""
-    n = alg.dim
-    field = alg.field
-    left_sigma = [alg.left_mul_mat(sigma.image_of_basis(i)).rows for i in range(n)]
-    right = [alg.basis_right_mat(j).rows for j in range(n)]
-    for i in range(n):
-        for j in range(n):
-            terms = ((i, right[j]), (j, left_sigma[i]))
-            rows = (identity_row(field, n, m, alg.mul[i][j], terms) for m in range(n))
-            yield [row for row in rows if row]
+    """Per basis pair (i, j), the nonzero rows of d(e_i e_j) - d(e_i) e_j -
+    sigma(e_i) d(e_j) = 0 by output coordinate, flattened unknowns d[k][j]."""
+    terms = derivation_terms(alg, None, LinMap.identity(alg.field, alg.dim), sigma)
+    return product_rule_rows(alg._pairs, True, terms, alg.dim)
 
 
 def _derivation_rows(alg: FinAlgebra, sigma: LinMap):
     """d(e_i e_j) = d(e_i) e_j + sigma(e_i) d(e_j), flattened unknowns d[k][j]."""
     for block in _derivation_row_blocks(alg, sigma):
-        yield from block
+        yield from block.values()
 
 
 def _commuting_rows(alg: FinAlgebra, sigma: LinMap):
-    """sigma(x) Theta(x) - Theta(x) x = 0 for x over basis vectors and pairwise sums."""
+    """sigma(x) Theta(x) - Theta(x) x = 0 for x over basis vectors and pairwise
+    sums; the residual at e_i + e_j adds up the four basis pairs of its support."""
     n = alg.dim
-    field = alg.field
-    # R_x - L_sigma(x) is linear in x: build it per basis vector, add it up per pair sum
-    single = [alg.basis_right_mat(i) - alg.left_mul_mat(sigma.image_of_basis(i)) for i in range(n)]
-    for x in basis_and_pair_sums(field, n):
-        # x has 0/1 coordinates, so Theta(x) is the sum of Theta(e_s) over its support
-        supp = [s for s, xs in enumerate(x) if xs]
-        a = (single[supp[0]] if len(supp) == 1 else single[supp[0]] + single[supp[1]]).rows
-        terms = [(s, a) for s in supp]
-        for m in range(n):
-            row = identity_row(field, n, m, (), terms)
-            if row:
-                yield row
+    order = [((i, i),) for i in range(n)]
+    order += [((i, i), (j, j), (i, j), (j, i)) for i, j in itertools.combinations(range(n), 2)]
+    terms = commuting_terms(alg, None, LinMap.identity(alg.field, n), sigma)
+    for block in product_rule_rows(alg._pairs, False, terms, n, order):
+        yield from block.values()
 
 
 def _biderivation_rows(alg: FinAlgebra, sigma: LinMap):
@@ -163,7 +138,7 @@ def _biderivation_rows(alg: FinAlgebra, sigma: LinMap):
     for block in _derivation_row_blocks(alg, sigma):
         for k in range(n):
             fk, sk = first[k], second[k]
-            for row in block:
+            for row in block.values():
                 yield {fk[key]: v for key, v in row.items()}
                 yield {sk[key]: v for key, v in row.items()}
 
@@ -286,7 +261,7 @@ def inner_derivation_witness(t, d: LinMap, sigma: LinMap) -> tuple | None:
     rows = []
     rhs = []
     for j in range(alg.dim):
-        mj = alg.left_mul_mat(sigma.image_of_basis(j)) - alg.basis_right_mat(j)
+        mj = alg.left_mul_mat(sigma.image_of_basis(j)) - alg.right_mul_mat(alg.basis_vector(j))
         rows.extend(mj.rows)
         rhs.extend(d.image_of_basis(j))
     x0 = solve_linear(Mat(alg.field, rows, alg.dim), rhs)

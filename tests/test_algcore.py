@@ -1,6 +1,9 @@
 """Algebras, bimodules, the triangular construction, centers, annihilators,
 radicals, and idempotent structure checks."""
 
+import itertools
+import random
+
 import pytest
 
 from trialg.algcore import (
@@ -13,6 +16,7 @@ from trialg.algcore import (
     nil_radical_T,
     nilpotency,
     nilpotency_T,
+    quadratic_failure,
     radical,
     structure_checks,
     subspace_product,
@@ -27,7 +31,7 @@ from trialg.errors import (
     UnitLawViolation,
     ZeroModule,
 )
-from trialg.exactla import GF, QQ, Subspace
+from trialg.exactla import GF, QQ, Mat, Subspace
 from trialg.fixtures import (
     fixture_f1,
     fixture_f3,
@@ -318,3 +322,68 @@ class TestStructureChecks:
         assert rep.verdict == "holds"
         assert rep.implications == {"commutative": True, "central_idempotents": True,
                                     "condition_I": True}
+
+
+def _random_table(field, n, rng):
+    """Sparse n x n product table into n coordinates, about a third of the
+    structure constants nonzero."""
+    return tuple(tuple(tuple((k, field.coerce(rng.randrange(1, field.characteristic)))
+                             for k in range(n) if rng.random() < 0.3)
+                       for _ in range(n)) for _ in range(n))
+
+
+def _random_mat(field, n, rng):
+    return Mat(field, [[field.coerce(rng.randrange(field.characteristic)) if rng.random() < 0.5
+                        else field.zero for _ in range(n)] for _ in range(n)], n)
+
+
+def _random_quadratic_terms(field, n, rng):
+    """One or two random terms (P, Q, table); half the time each is followed by
+    its cancelling partner (-Q, P, transposed table), one entry of which is
+    then bumped half the time, so that the identity holds, fails at a single
+    basis vector and fails at a pair sum only, each with fair frequency."""
+    terms = []
+    for _ in range(rng.randint(1, 2)):
+        p, q, tab = _random_mat(field, n, rng), _random_mat(field, n, rng), _random_table(field, n, rng)
+        terms.append((p, q, tab))
+        if rng.random() < 0.5:
+            neg_q = [[field.neg(v) for v in row] for row in q.rows]
+            if rng.random() < 0.5:
+                k, j = rng.randrange(n), rng.randrange(n)
+                neg_q[k][j] = field.add(neg_q[k][j], field.one)
+            terms.append((Mat(field, neg_q, n), p, tuple(zip(*tab))))
+    return tuple(terms)
+
+
+def _quadratic_value(field, terms, x):
+    """sum_t P_t(x) *_t Q_t(x), evaluated densely at one element x."""
+    out = [field.zero] * len(x)
+    for p, q, tab in terms:
+        px, qx = p.apply(x), q.apply(x)
+        for a, u in enumerate(px):
+            for b, w in enumerate(qx):
+                for k, c in tab[a][b]:
+                    out[k] = field.add(out[k], field.mul(field.mul(u, w), c))
+    return out
+
+
+class TestQuadraticFailureOracle:
+    """The singles-and-pairs test of a quadratic identity against every element:
+    on random term tuples over GF(2) and GF(3), quadratic_failure is None
+    exactly when the identity holds at every x in F_p^n.  Both the commuting
+    predicate and commuting condition (v) decide through it."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_none_iff_identity_holds_everywhere(self, p):
+        field = GF(p)
+        rng = random.Random(9100 + p)
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            terms = _random_quadratic_terms(field, n, rng)
+            holds = all(not any(_quadratic_value(field, terms, tuple(map(field.coerce, x))))
+                        for x in itertools.product(range(p), repeat=n))
+            bad = quadratic_failure(terms, n)
+            assert (bad is None) == holds, terms
+            outcomes.add("holds" if bad is None else "single" if bad[0][0] == bad[0][1] else "pair")
+        assert outcomes == {"holds", "single", "pair"}

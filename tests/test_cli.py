@@ -172,8 +172,11 @@ class TestInputErrors:
         {"mul": 5},
         {"unit": 5},
         {"basis": 5},
+        {"unit": [True]},
+        {"mul": [[0, 0, 0, True]]},
     ], ids=["negative_index", "float_index", "bool_index", "nonnumeric_p", "float_p",
-            "bool_p", "negative_dim", "nonlist_mul", "nonlist_unit", "nonlist_basis"])
+            "bool_p", "negative_dim", "nonlist_mul", "nonlist_unit", "nonlist_basis",
+            "bool_unit", "bool_coefficient"])
     def test_malformed_algebra_is_one_json_error(self, tmp_path, patch):
         bad = {"field": {"kind": "rational"}, "dim": 1, "unit": ["1"], "mul": [[0, 0, 0, "1"]]}
         bad.update(patch)

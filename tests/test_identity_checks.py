@@ -151,7 +151,7 @@ def _commuting_blocks(tri, name: str, k: int, j: int):
     blocks = block_decompose(tri, s1)
     cb, _ = commuting_blocks(tri, theta, blocks)
     bad = replace(cb, **{name: _bump(getattr(cb, name), k, j)})
-    return _raised(lambda: _verify_commuting_blocks(tri, theta, blocks, bad, TheoremReport("t")))
+    return _raised(lambda: _verify_commuting_blocks(tri, theta, blocks, bad))
 
 
 def _product_regular():
@@ -209,7 +209,6 @@ FIRST = "first-slot failure at (e_i e_j, e_k)"
 SECOND = "second-slot failure at (e_k, e_i e_j)"
 COMM = "beta(x) Theta(x) - Theta(x) alpha(x) at x = e_i"
 COMM_PAIR = COMM + " + e_j"
-CHAR2 = ("verified on quadratic span only (char 2)",)
 TV = "TheoremViolation"
 
 CASES = {
@@ -243,7 +242,7 @@ CASES = {
                                 ("alpha_beta_commuting", False, (0, 4), ("0", "0", "0", "-2", "0", "0"),
                                  COMM_PAIR, ())),
     "commuting_char2": (lambda: _commuting(GF(2), 0, ((3, 4, 1),)),
-                        ("sigma_commuting", False, (0, 4), ("0", "0", "0", "1", "0", "0"), COMM_PAIR, CHAR2)),
+                        ("sigma_commuting", False, (0, 4), ("0", "0", "0", "1", "0", "0"), COMM_PAIR, ())),
     "non_associative": (_non_associative,
                         ("NonAssociative", "associativity fails on basis triple (1, 1, 2)")),
     "condition_iii": (lambda: _commuting_blocks(fixture_f3(), "mu1", 0, 1),

@@ -1,8 +1,12 @@
 """Solution spaces, the inner/extremal constructors, twisted-derivation block
 form, and the twisted Posner intersection."""
 
+import random
+
 import pytest
 
+from trialg.algcore import product_rule_failure, product_rule_rows, unit_m
+from trialg.classify import _intertwiner_space
 from trialg.errors import (
     CentralElement,
     CommutativeAlgebra,
@@ -11,7 +15,7 @@ from trialg.errors import (
     PreconditionFails,
     TheoremViolation,
 )
-from trialg.exactla import QQ, Subspace, kernel_sparse
+from trialg.exactla import GF, QQ, Subspace, kernel_sparse
 from trialg.fixtures import (
     fixture_f1,
     fixture_f2,
@@ -20,17 +24,20 @@ from trialg.fixtures import (
     sigma1,
     truncated_polynomial_algebra,
 )
+from trialg.randomgen import random_faithful_instances, random_instances
 from trialg.sigmamaps import (
     BilinMap,
     LinMap,
     block_decompose,
     classify_bilinear,
     classify_linear,
+    derivation_terms,
     sigma_commutator_vec,
 )
 from trialg.spaces import (
     _biderivation_rows,
     _commuting_rows,
+    _derivation_row_blocks,
     _derivation_rows,
     extremal_sigma_biderivation,
     inner_derivation_witness,
@@ -215,6 +222,100 @@ class TestRowSequence:
             assert list(_biderivation_rows(alg, sigma)) == _oracle_rows(
                 alg, n ** 3, lambda f, v: BilinMap.unflatten(f, v, n),
                 _biderivation_residuals(alg, sigma))
+
+
+def _random_map(field, n, rng):
+    return LinMap(field, [[field.coerce(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)], n, n)
+
+
+def _assert_blocks_give_residuals(table, blocks, X, failure_at):
+    """Block b of a row builder, applied to X flattened, is the residual that
+    failure_at reports at the b-th pair of table (row-major), or zero."""
+    field, n = X.field, X.dst_dim
+    flat = X.flatten()
+    pairs = [(i, j) for i, row in enumerate(table) for j in range(len(row))]
+    blocks = list(blocks)
+    assert len(blocks) == len(pairs)
+    for pair, block in zip(pairs, blocks):
+        applied = [field.zero] * n
+        for o, row in block.items():
+            for key, c in row.items():
+                applied[o] = field.add(applied[o], field.mul(c, flat[key]))
+        bad = failure_at(pair)
+        assert tuple(applied) == (bad[1] if bad else (field.zero,) * n), pair
+
+
+def _builder_instances():
+    """(triangular algebra or None, total algebra, twist): F1-F4 with their own
+    twist and the identity, then seeded random instances over Q and F_5."""
+    out = [(None, alg, sigma) for name in ("F1", "F2", "F3", "F4") for alg, sigma in _row_instances(name)]
+    for field in (QQ, GF(5)):
+        out += [(tri, tri.total, sigma) for _, tri, sigma in random_instances(field, 5, 8100)]
+    return out
+
+
+def _triple_intertwiner_space(tri, blocks):
+    """Kernel of xi(a m b) - f(a) xi(m) b over every basis triple (a, m, b),
+    read off the unit maps: the system before it was split at the unit of M."""
+    field, dm = tri.field, tri.M.dim_m
+    units = [unit_m(field, dm, j) for j in range(dm)]
+
+    def residuals(xi):
+        out = []
+        for i in range(tri.A.dim):
+            a, fa = tri.A.basis_vector(i), blocks.f.image_of_basis(i)
+            for k in range(tri.B.dim):
+                b = tri.B.basis_vector(k)
+                for j, u in enumerate(units):
+                    lhs = xi.apply(tri.act_right(tri.act_left(a, u), b))
+                    rhs = tri.act_right(tri.act_left(fa, xi.image_of_basis(j)), b)
+                    out.extend(field.sub(x, y) for x, y in zip(lhs, rhs))
+        return out
+    rows = _oracle_rows(tri.total, dm * dm, lambda f, v: LinMap.unflatten(f, v, dm, dm), residuals)
+    return kernel_sparse(field, rows, dm * dm)
+
+
+class TestProductRuleRows:
+    """The rows of algcore.product_rule_rows, applied to a map, give the
+    residual product_rule_failure reports for that map, pair by pair."""
+
+    def test_derivation_blocks_give_residuals(self):
+        rng = random.Random(8101)
+        for _, alg, sigma in _builder_instances():
+            n = alg.dim
+            ident = LinMap.identity(alg.field, n)
+            d = _random_map(alg.field, n, rng)
+            _assert_blocks_give_residuals(
+                alg._pairs, _derivation_row_blocks(alg, sigma), d,
+                lambda pair: product_rule_failure(alg._pairs, d, derivation_terms(alg, d, ident, sigma), [pair]))
+
+    def test_intertwiner_sides_give_residuals(self):
+        rng = random.Random(8102)
+        cases = [(tri, sigma1(tri)) for tri in (fixture_f1(), fixture_f3(), fixture_f4())]
+        cases += [(tri, sigma) for tri, _, sigma in _builder_instances() if tri is not None]
+        for tri, sigma in cases:
+            blocks = block_decompose(tri, sigma)
+            field, dm = tri.field, tri.M.dim_m
+            left, right = tri.M._left_pairs, tri.M._right_pairs
+            xi = _random_map(field, dm, rng)
+            id_b = LinMap.identity(field, tri.B.dim)
+            for table, terms_of in ((left, lambda x: ((blocks.f, x, left),)),
+                                    (right, lambda x: ((x, id_b, right),))):
+                _assert_blocks_give_residuals(
+                    table, product_rule_rows(table, True, terms_of(None), dm), xi,
+                    lambda pair: product_rule_failure(table, xi, terms_of(xi), [pair]))
+
+    def test_intertwiner_space_equals_triple_system(self):
+        cases = [(tri, sigma1(tri)) for tri in (fixture_f1(), fixture_f3(), fixture_f4())]
+        for field in (QQ, GF(5)):
+            cases += [(tri, sigma) for _, tri, sigma in random_faithful_instances(field, 6, 8200)]
+        dims = set()
+        for tri, sigma in cases:
+            blocks = block_decompose(tri, sigma)
+            space = _intertwiner_space(tri, blocks)
+            assert space == _triple_intertwiner_space(tri, blocks)
+            dims.add((space.dim, space.ambient_dim))
+        assert any(0 < d < amb for d, amb in dims)
 
 
 class TestInnerTwistedDerivation:
