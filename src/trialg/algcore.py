@@ -119,17 +119,17 @@ def quadratic_failure(terms, n: int) -> tuple | None:
     return product_rule_failure(None, None, terms + swapped, itertools.combinations(range(n), 2))
 
 
-def product_rule_rows(table, lhs: bool, terms, n: int, order=None):
+def product_rule_rows(table, terms, n: int, order=None):
     """Constraint rows of a product rule in an unknown square map X on n
     coordinates, the residual of product_rule_failure with X left open.
 
     X[k][l], the coefficient of e_k in X(e_l), is unknown k*n + l.  Each term
     (P_t, Q_t, table_t) is as in product_rule_failure with None standing for X
-    in exactly one slot; lhs says whether the residual starts with X(e_i * e_j).
-    Each entry of order is a tuple of basis pairs whose residuals add up to one
-    block; by default each pair of table is its own block, row-major.  Yields
-    per block the nonzero rows {unknown: coefficient}, keyed by ascending
-    output coordinate.
+    in exactly one slot.  The residual starts with X(e_i * e_j) over table; an
+    identity with no such term passes table = None and an explicit order.  Each
+    entry of order is a tuple of basis pairs whose residuals add up to one block
+    (default: each pair of table, row-major).  Yields per block the nonzero
+    rows {unknown: coefficient}, keyed by ascending output coordinate.
     """
     field = next(f for term in terms for f in term[:2] if f is not None).field
     zero, add, sub, mul = field.zero, field.add, field.sub, field.mul
@@ -146,7 +146,7 @@ def product_rule_rows(table, lhs: bool, terms, n: int, order=None):
     for pairs in order:
         acc = {}
         for i, j in pairs:
-            if lhs:
+            if table is not None:
                 for k, c in table[i][j]:
                     for o in range(n):
                         row = acc.setdefault(o, {})

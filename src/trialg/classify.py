@@ -305,7 +305,7 @@ def _intertwiner_space(tri: TriAlgebra, blocks: AutBlocks) -> Subspace:
     sides = ((left, ((blocks.f, None, left),)),
              (right, ((None, LinMap.identity(tri.field, tri.B.dim), right),)))
     rows = [row for table, terms in sides
-            for block in product_rule_rows(table, True, terms, dm) for row in block.values()]
+            for block in product_rule_rows(table, terms, dm) for row in block.values()]
     return kernel_sparse(tri.field, rows, dm * dm)
 
 

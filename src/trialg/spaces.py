@@ -105,7 +105,7 @@ def _derivation_row_blocks(alg: FinAlgebra, sigma: LinMap):
     """Per basis pair (i, j), the nonzero rows of d(e_i e_j) - d(e_i) e_j -
     sigma(e_i) d(e_j) = 0 by output coordinate, flattened unknowns d[k][j]."""
     terms = derivation_terms(alg, None, LinMap.identity(alg.field, alg.dim), sigma)
-    return product_rule_rows(alg._pairs, True, terms, alg.dim)
+    return product_rule_rows(alg._pairs, terms, alg.dim)
 
 
 def _derivation_rows(alg: FinAlgebra, sigma: LinMap):
@@ -121,7 +121,7 @@ def _commuting_rows(alg: FinAlgebra, sigma: LinMap):
     order = [((i, i),) for i in range(n)]
     order += [((i, i), (j, j), (i, j), (j, i)) for i, j in itertools.combinations(range(n), 2)]
     terms = commuting_terms(alg, None, LinMap.identity(alg.field, n), sigma)
-    for block in product_rule_rows(alg._pairs, False, terms, n, order):
+    for block in product_rule_rows(None, terms, n, order):
         yield from block.values()
 
 

@@ -302,7 +302,7 @@ class TestProductRuleRows:
             for table, terms_of in ((left, lambda x: ((blocks.f, x, left),)),
                                     (right, lambda x: ((x, id_b, right),))):
                 _assert_blocks_give_residuals(
-                    table, product_rule_rows(table, True, terms_of(None), dm), xi,
+                    table, product_rule_rows(table, terms_of(None), dm), xi,
                     lambda pair: product_rule_failure(table, xi, terms_of(xi), [pair]))
 
     def test_intertwiner_space_equals_triple_system(self):
