@@ -91,9 +91,11 @@ def product_rule_failure(table, X, terms, order=None) -> tuple | None:
             for a, u in pc[i]:
                 trow = tab[a]
                 for b, w in qc[j]:
-                    uw = mul(u, w)
-                    for l, c in trow[b]:
-                        acc[l] = sub(acc.get(l, zero), mul(uw, c))
+                    prods = trow[b]
+                    if prods:
+                        uw = mul(u, w)
+                        for l, c in prods:
+                            acc[l] = sub(acc.get(l, zero), mul(uw, c))
         if any(acc.values()):
             residual = [zero] * out.nrows
             for l, v in acc.items():
@@ -567,15 +569,33 @@ def _check_peirce(tri: TriAlgebra):
 # ---------------------------------------------------------------------------
 
 
+def twisted_commutator_blocks(alg: FinAlgebra, sigma_mat: Mat):
+    """Per basis vector e_i, the dim rows of sigma(e_i) x - x e_i in the
+    unknown coordinates of x, one per output coordinate, zero rows included as
+    empty dicts; read off the sparse products and sigma's columns."""
+    field, n, pairs = alg.field, alg.dim, alg._pairs
+    zero, add, sub, mul = field.zero, field.add, field.sub, field.mul
+    for i, col in enumerate(_sparse_columns(sigma_mat)):
+        block = [{} for _ in range(n)]
+        for a, u in col:
+            for j, prods in enumerate(pairs[a]):
+                for o, c in prods:
+                    row = block[o]
+                    row[j] = add(row.get(j, zero), mul(u, c))
+        for j in range(n):
+            for o, c in pairs[j][i]:
+                row = block[o]
+                row[j] = sub(row.get(j, zero), c)
+        yield [{j: row[j] for j in sorted(row) if row[j]} for row in block]
+
+
 def twisted_center_rows(alg: FinAlgebra, sigma_mat: Mat, offset: int = 0):
     """Sparse rows of sigma(e_i) x - x e_i = 0 over all basis vectors e_i; the
     unknown coordinates of x start at column offset."""
-    for i in range(alg.dim):
-        diff = alg.left_mul_mat(sigma_mat.col(i)) - alg.right_mul_mat(alg.basis_vector(i))
-        for r in diff.rows:
-            d = {offset + c: v for c, v in enumerate(r) if v}
-            if d:
-                yield d
+    for block in twisted_commutator_blocks(alg, sigma_mat):
+        for row in block:
+            if row:
+                yield {offset + j: v for j, v in row.items()}
 
 
 def coupling_rows(tri: TriAlgebra, m, nu_m):

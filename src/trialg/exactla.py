@@ -575,9 +575,9 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     return Mat(m.field, dense, m.ncols), tuple(sorted(pivots))
 
 
-def kernel_sparse(field: Field, rows, ncols: int) -> "Subspace":
-    """Kernel of a linear system given as sparse constraint rows."""
-    pivots = _sparse_reduce(field, rows, ncols)
+def kernel_from_pivots(field: Field, pivots: dict[int, dict], ncols: int) -> list[list]:
+    """Kernel basis of a system already reduced by _sparse_reduce: one vector
+    per free column f, with 1 at f and minus column f of the pivot rows."""
     zero, one, neg = field.zero, field.one, field.neg
     free = [c for c in range(ncols) if c not in pivots]
     vecs = []
@@ -589,7 +589,13 @@ def kernel_sparse(field: Field, rows, ncols: int) -> "Subspace":
             if w is not None:
                 v[c] = neg(w)
         vecs.append(v)
-    return Subspace.from_vectors(field, ncols, vecs)
+    return vecs
+
+
+def kernel_sparse(field: Field, rows, ncols: int) -> "Subspace":
+    """Kernel of a linear system given as sparse constraint rows."""
+    pivots = _sparse_reduce(field, rows, ncols)
+    return Subspace.from_vectors(field, ncols, kernel_from_pivots(field, pivots, ncols))
 
 
 def kernel_basis(m: Mat) -> "Subspace":
@@ -597,32 +603,36 @@ def kernel_basis(m: Mat) -> "Subspace":
     return kernel_sparse(m.field, _rows_to_sparse(m.rows), m.ncols)
 
 
+def solve_sparse(field: Field, rows: Sequence[dict], rhs: Sequence, ncols: int) -> tuple | None:
+    """Particular solution of sparse rows against rhs, one value per row, with
+    zeros in all free coordinates.
+
+    Returns None when the system is inconsistent.
+    """
+    if len(rhs) != len(rows):
+        raise ShapeMismatch("rhs length %d for %d equations" % (len(rhs), len(rows)))
+    zero = field.zero
+
+    def aug_rows():
+        for row, b in zip(rows, rhs):
+            b = field.coerce(b)
+            yield {**row, ncols: b} if b else row
+
+    pivots = _sparse_reduce(field, aug_rows(), ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [zero] * ncols
+    for c, row in pivots.items():
+        x[c] = row.get(ncols, zero)
+    return tuple(x)
+
+
 def solve_linear(m: Mat, rhs: Sequence) -> tuple | None:
     """Particular solution of m x = rhs with zeros in all free coordinates.
 
     Returns None when the system is inconsistent.
     """
-    if len(rhs) != m.nrows:
-        raise ShapeMismatch("rhs length %d for %d equations" % (len(rhs), m.nrows))
-    field = m.field
-    zero = field.zero
-    rhs = [field.coerce(v) for v in rhs]
-    n = m.ncols
-
-    def aug_rows():
-        for row, b in zip(m.rows, rhs):
-            d = {c: v for c, v in enumerate(row) if v != zero}
-            if b != zero:
-                d[n] = b
-            yield d
-
-    pivots = _sparse_reduce(field, aug_rows(), n + 1)
-    if n in pivots:
-        return None
-    x = [zero] * n
-    for c, row in pivots.items():
-        x[c] = row.get(n, zero)
-    return tuple(x)
+    return solve_sparse(m.field, list(_rows_to_sparse(m.rows)), rhs, m.ncols)
 
 
 # ---------------------------------------------------------------------------

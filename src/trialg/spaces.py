@@ -5,10 +5,12 @@ Each defining identity is bilinear (or trilinear) in its arguments, so imposing
 it on basis tuples yields an exact linear system in the flattened map
 coordinates; the solution space is its kernel, returned with a canonical RREF
 basis.  The rows are algcore.product_rule_rows of the terms the predicates
-check (sigmamaps.derivation_terms, commuting_terms); biderivation rows are the
-derivation rows relabelled per slot.  Flattening is row-major: a linear map
-matrix entry [k][j] at k*dim + j, a bilinear tensor entry [i][j][k] at
-(i*dim + j)*dim + k.
+check (sigmamaps.derivation_terms, commuting_terms).  A biderivation is a
+derivation in each slot, so it is solved as a linear map k -> D(., e_k) into
+Der_sigma, with the reduced derivation rows imposed on the second slot: n*r
+unknowns for r = dim Der_sigma instead of n^3.  Flattening is row-major: a
+linear map matrix entry [k][j] at k*dim + j, a bilinear tensor entry
+[i][j][k] at (i*dim + j)*dim + k.
 """
 
 from __future__ import annotations
@@ -16,7 +18,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algcore import FinAlgebra, TriAlgebra, product_rule_failure, product_rule_rows
+from .algcore import (
+    FinAlgebra,
+    TriAlgebra,
+    product_rule_failure,
+    product_rule_rows,
+    twisted_commutator_blocks,
+)
 from .errors import (
     CentralElement,
     CommutativeAlgebra,
@@ -26,7 +34,7 @@ from .errors import (
     PreconditionFails,
     TheoremViolation,
 )
-from .exactla import Mat, Subspace, kernel_sparse, solve_linear
+from .exactla import Subspace, _sparse_reduce, kernel_from_pivots, kernel_sparse, solve_sparse
 from .sigmamaps import (
     AutBlocks,
     BilinMap,
@@ -126,11 +134,13 @@ def _commuting_rows(alg: FinAlgebra, sigma: LinMap):
 
 
 def _biderivation_rows(alg: FinAlgebra, sigma: LinMap):
-    """Both slot conditions over all basis triples, unknowns t[i][j][k].
+    """Both slot conditions over all basis triples, unknowns t[i][j][k]: the
+    direct n^3 system.  solve_space goes through Der_sigma instead
+    (_biderivation_space); these rows are the oracle it is tested against.
 
-    A biderivation is a derivation in each slot: for each basis pair (i, j)
-    and each k, the derivation rows of D(., e_k) and of D(e_k, .), relabelled
-    from d[o][l] onto t[l][k][o] and t[k][l][o], alternating per row.
+    For each basis pair (i, j) and each k, the derivation rows of D(., e_k) and
+    of D(e_k, .), relabelled from d[o][l] onto t[l][k][o] and t[k][l][o],
+    alternating per row.
     """
     n = alg.dim
     first = [[(l * n + k) * n + o for o in range(n) for l in range(n)] for k in range(n)]
@@ -143,11 +153,58 @@ def _biderivation_rows(alg: FinAlgebra, sigma: LinMap):
                 yield {sk[key]: v for key, v in row.items()}
 
 
+def _biderivation_space(alg: FinAlgebra, sigma: LinMap) -> Subspace:
+    """Bider_sigma as the linear maps k -> D(., e_k) into Der_sigma whose
+    second slot is a sigma-derivation too.
+
+    The derivation system is reduced once; its kernel gives delta_1 ...
+    delta_r and its pivot rows P the second-slot conditions.  D(., e_k) =
+    sum_s c[k][s] delta_s, unknowns c[k][s] at k*r + s, is a derivation in its
+    first slot by construction.  For each l, every P must vanish on
+    y -> D(e_l, y), whose entry [o][k] is sum_s c[k][s] delta_s[o][l].  Each
+    kernel vector c lifts to t[l][k][o] = sum_s c[k][s] delta_s[o][l].
+    """
+    field, n = alg.field, alg.dim
+    zero, add, mul = field.zero, field.add, field.mul
+    pivots = _sparse_reduce(field, _dedup_rows(_derivation_rows(alg, sigma)), n * n)
+    deltas = [[(key, v) for key, v in enumerate(delta) if v]
+              for delta in kernel_from_pivots(field, pivots, n * n)]
+    r = len(deltas)
+    at = [[] for _ in range(n * n)]  # at[o*n + l]: the nonzero (s, delta_s[o][l])
+    for s, delta in enumerate(deltas):
+        for key, v in delta:
+            at[key].append((s, v))
+    rows = []
+    for l in range(n):
+        for prow in pivots.values():
+            row = {}
+            for key, p in prow.items():
+                o, k = divmod(key, n)
+                for s, v in at[o * n + l]:
+                    col = k * r + s
+                    row[col] = add(row.get(col, zero), mul(p, v))
+            rows.append({col: v for col, v in row.items() if v})
+    coeffs = kernel_sparse(field, _dedup_rows(rows), n * r)
+    vecs = []
+    for c in coeffs.basis:
+        t = [zero] * n ** 3
+        for ks, cks in enumerate(c):
+            if not cks:
+                continue
+            k, s = divmod(ks, r)
+            for key, v in deltas[s]:
+                o, l = divmod(key, n)
+                idx = (l * n + k) * n + o
+                t[idx] = add(t[idx], mul(cks, v))
+        vecs.append(t)
+    return Subspace.from_vectors(field, n ** 3, vecs)
+
+
 def solve_space(kind: str, t, sigma: LinMap | None = None,
                 bilinear_dim_cap: int = DEFAULT_BILINEAR_DIM_CAP,
                 verify: bool = True) -> MapSpace:
-    """Kernel of the stacked defining identity; every basis map re-passes its
-    own predicate before the space is returned."""
+    """Kernel of the defining identity; every basis map re-passes its own
+    predicate before the space is returned."""
     alg = _algebra_of(t)
     field = alg.field
     n = alg.dim
@@ -163,15 +220,10 @@ def solve_space(kind: str, t, sigma: LinMap | None = None,
     if kind in ("biderivation", "sigma_biderivation"):
         if n > bilinear_dim_cap:
             raise InputError("bilinear solve capped at dim %d (got %d)" % (bilinear_dim_cap, n))
-        rows = _biderivation_rows(alg, sigma)
-        ncols = n ** 3
-    elif kind in ("derivation", "sigma_derivation"):
-        rows = _derivation_rows(alg, sigma)
-        ncols = n ** 2
+        sub = _biderivation_space(alg, sigma)
     else:
-        rows = _commuting_rows(alg, sigma)
-        ncols = n ** 2
-    sub = kernel_sparse(field, _dedup_rows(rows), ncols)
+        rows = (_derivation_rows if kind.endswith("derivation") else _commuting_rows)(alg, sigma)
+        sub = kernel_sparse(field, _dedup_rows(rows), n * n)
     space = MapSpace(kind, alg, sigma if twisted else None, sub)
     if verify:
         check_sigma = sigma if twisted else None
@@ -260,11 +312,10 @@ def inner_derivation_witness(t, d: LinMap, sigma: LinMap) -> tuple | None:
     alg = _algebra_of(t)
     rows = []
     rhs = []
-    for j in range(alg.dim):
-        mj = alg.left_mul_mat(sigma.image_of_basis(j)) - alg.right_mul_mat(alg.basis_vector(j))
-        rows.extend(mj.rows)
+    for j, block in enumerate(twisted_commutator_blocks(alg, sigma.mat)):
+        rows.extend(block)
         rhs.extend(d.image_of_basis(j))
-    x0 = solve_linear(Mat(alg.field, rows, alg.dim), rhs)
+    x0 = solve_sparse(alg.field, rows, rhs, alg.dim)
     if x0 is None:
         return None
     if inner_sigma_derivation(alg, x0, sigma).mat != d.mat:

@@ -21,6 +21,7 @@ from trialg.algcore import (
     structure_checks,
     subspace_product,
     tau_iso,
+    twisted_commutator_blocks,
     validate_algebra,
 )
 from trialg.errors import (
@@ -148,6 +149,21 @@ class TestCenter:
     def test_center_oracle_on_mixed_random_instances(self, random_f5_mixed):
         for _, tri, _ in random_f5_mixed:
             assert center_T(tri) == center_direct(tri.total)
+
+    def test_twisted_commutator_blocks_match_dense_products(self, random_f5_mixed):
+        """Block i holds the rows of L_{sigma(e_i)} - R_{e_i}, zero rows included."""
+        from trialg.fixtures import sigma1
+        from trialg.randomgen import random_instances
+
+        cases = [(tri, sigma1(tri)) for tri in (fixture_f1(), fixture_f3())]
+        cases += [(tri, sigma) for _, tri, sigma in random_instances(QQ, 6, 9200) + random_f5_mixed]
+        for tri, sigma in cases:
+            alg = tri.total
+            blocks = list(twisted_commutator_blocks(alg, sigma.mat))
+            assert len(blocks) == alg.dim
+            for i, block in enumerate(blocks):
+                dense = alg.left_mul_mat(sigma.mat.col(i)) - alg.right_mul_mat(alg.basis_vector(i))
+                assert block == [{j: v for j, v in enumerate(row) if v} for row in dense.rows]
 
 
 class TestAnnihilators:

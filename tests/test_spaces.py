@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from trialg.algcore import product_rule_failure, product_rule_rows, unit_m
+from trialg.algcore import build_triangular, product_rule_failure, product_rule_rows, unit_m
 from trialg.classify import _intertwiner_space
 from trialg.errors import (
     CentralElement,
@@ -15,16 +15,25 @@ from trialg.errors import (
     PreconditionFails,
     TheoremViolation,
 )
-from trialg.exactla import GF, QQ, Subspace, kernel_sparse
+from trialg.exactla import GF, QQ, Subspace, kernel_from_pivots, kernel_sparse
 from trialg.fixtures import (
     fixture_f1,
     fixture_f2,
     fixture_f3,
     fixture_f4,
+    product_field_algebra,
+    scalar_algebra,
     sigma1,
     truncated_polynomial_algebra,
+    upper_triangular_algebra,
 )
-from trialg.randomgen import random_faithful_instances, random_instances
+from trialg.randomgen import (
+    instance_catalog,
+    random_block_preserving_sigma,
+    random_faithful_instances,
+    random_instances,
+    regular_bimodule,
+)
 from trialg.sigmamaps import (
     BilinMap,
     LinMap,
@@ -38,6 +47,7 @@ from trialg.spaces import (
     _biderivation_rows,
     _commuting_rows,
     _derivation_row_blocks,
+    _dedup_rows,
     _derivation_rows,
     extremal_sigma_biderivation,
     inner_derivation_witness,
@@ -105,6 +115,53 @@ class TestSolveSpace:
         monkeypatch.setattr(sp, "kernel_sparse", kernel_plus_non_solution)
         with pytest.raises(TheoremViolation):
             solve_space(kind, f1, f1_sigma1)
+
+    @pytest.mark.parametrize("site", ["derivation_kernel", "coefficient_kernel"])
+    @pytest.mark.parametrize("kind", ["biderivation", "sigma_biderivation"])
+    def test_verification_catches_a_biderivation_non_solution(self, f1, f1_sigma1, kind, site,
+                                                              monkeypatch):
+        """A non-solution injected into either kernel the biderivation solve
+        takes, the derivation kernel delta_1 ... delta_r or the coefficient
+        kernel, ends in a basis tensor that verification rejects.
+
+        The injected delta is d = (E11 -> E12), no (sigma-)derivation of F1.  It
+        reaches the space: D(x, y) = x_E11 [y, E12]_sigma has d in its first
+        slot and an inner derivation in its second, so the second-slot rows
+        keep it.  Any coefficient vector outside the kernel lifts to a tensor
+        whose second slot fails.
+        """
+        import trialg.spaces as sp
+
+        sigma = f1_sigma1 if kind.startswith("sigma_") else None
+
+        def deltas_plus_non_solution(field, pivots, ncols):
+            d = [field.zero] * ncols
+            d[1 * 3 + 0] = field.one
+            assert not classify_linear("sigma_derivation", f1.total, LinMap.unflatten(field, d, 3, 3),
+                                       sigma or LinMap.identity(field, 3)).holds
+            return kernel_from_pivots(field, pivots, ncols) + [d]
+
+        def coefficients_plus_non_solution(field, rows, ncols):
+            sub = kernel_sparse(field, rows, ncols)
+            extra = next(v for v in Subspace.full(field, ncols).basis if not sub.contains_vector(v))
+            return sub.sum(Subspace.from_vectors(field, ncols, [extra]))
+
+        if site == "derivation_kernel":
+            monkeypatch.setattr(sp, "kernel_from_pivots", deltas_plus_non_solution)
+        else:
+            monkeypatch.setattr(sp, "kernel_sparse", coefficients_plus_non_solution)
+        with pytest.raises(TheoremViolation, match="non-solution"):
+            solve_space(kind, f1, sigma)
+
+    @pytest.mark.parametrize("kind", ["biderivation", "sigma_biderivation"])
+    @pytest.mark.parametrize("alg", [scalar_algebra(QQ), product_field_algebra(QQ)],
+                             ids=["scalar", "product_field"])
+    def test_no_derivations_gives_zero_biderivation_space(self, alg, kind):
+        """Der_sigma = 0 leaves a coefficient system with no unknowns."""
+        ident = LinMap.identity(QQ, alg.dim) if kind.startswith("sigma_") else None
+        assert solve_space("derivation", alg).dim == 0
+        space = solve_space(kind, alg, ident)
+        assert (space.dim, space.subspace.ambient_dim) == (0, alg.dim ** 3)
 
     @pytest.mark.parametrize("kind", TWISTED_KINDS)
     def test_one_automorphism_check_per_solve(self, kind, count_aut_checks):
@@ -222,6 +279,42 @@ class TestRowSequence:
             assert list(_biderivation_rows(alg, sigma)) == _oracle_rows(
                 alg, n ** 3, lambda f, v: BilinMap.unflatten(f, v, n),
                 _biderivation_residuals(alg, sigma))
+
+
+def _biderivation_oracle_instances():
+    """(total algebra, twist): F1-F4 with their own twist and the identity, the
+    regular Trian(UT_2, UT_2, UT_2) over Q and F_5, and every catalog shape over
+    F_5, F_3 and F_2 with the identity and a seeded block-preserving twist."""
+    out = [case for name in ("F1", "F2", "F3", "F4") for case in _row_instances(name)]
+    for field in (QQ, GF(5)):
+        ut2 = upper_triangular_algebra(field, 2)
+        tri = build_triangular(ut2, regular_bimodule(ut2), upper_triangular_algebra(field, 2))
+        out.append((tri.total, sigma1(tri)))
+    for field in (GF(5), GF(3), GF(2)):
+        rng = random.Random(9100 + field.p)
+        for _, make in instance_catalog(field):
+            tri = make()
+            out += [(tri.total, LinMap.identity(field, tri.dim)),
+                    (tri.total, random_block_preserving_sigma(tri, rng))]
+    return out
+
+
+class TestBiderivationOracle:
+    """The biderivation solve through Der_sigma returns the canonical basis of
+    the direct n^3 system that imposes both slot conditions."""
+
+    def test_equals_direct_system(self):
+        dims = set()
+        for alg, sigma in _biderivation_oracle_instances():
+            n = alg.dim
+            direct = kernel_sparse(alg.field, _dedup_rows(_biderivation_rows(alg, sigma)), n ** 3)
+            space = solve_space("sigma_biderivation", alg, sigma, bilinear_dim_cap=9, verify=False)
+            assert space.subspace == direct
+            if sigma == LinMap.identity(alg.field, n):
+                assert solve_space("biderivation", alg, bilinear_dim_cap=9,
+                                   verify=False).subspace == direct
+            dims.add(space.dim)
+        assert max(dims) > 2
 
 
 def _random_map(field, n, rng):
