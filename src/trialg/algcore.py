@@ -17,6 +17,8 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from math import lcm
 
 from .errors import (
     BudgetExceeded,
@@ -47,19 +49,64 @@ def enumeration_budget() -> int:
         raise InputError("TRIALG_BUDGET must be an integer, got %r" % (raw,)) from exc
 
 
-def _sparse_table(tensor) -> tuple:
-    """Entry [i][j] lists the nonzero (k, c) of the product of basis vectors
-    i and j, for a product given as an order-3 tensor of structure constants."""
-    return tuple(tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row)
-                 for row in tensor)
+class SparseTable(tuple):
+    """Sparse product table: entry [i][j] lists the nonzero (k, c) of the
+    product of basis vectors i and j.
+
+    Built once per algebra or bimodule, it keeps two derived tables, each made
+    on first use: its transpose (entry [j][i] = entry [i][j]) and, for
+    constants over Q, the table over the integers (lifted()).
+    """
+
+    def __new__(cls, entries):
+        self = super().__new__(cls, entries)
+        self._lifted = None
+        self._transposed = None
+        return self
+
+    def lifted(self) -> tuple:
+        """(den, ints): the least common denominator of the constants, and
+        the table with each constant c replaced by the integer c * den."""
+        if self._lifted is None:
+            den = lcm(*[c.denominator for row in self for vec in row for _, c in vec])
+            self._lifted = den, tuple(
+                tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in vec) for vec in row)
+                for row in self)
+        return self._lifted
+
+    def transpose(self) -> "SparseTable":
+        if self._transposed is None:
+            self._transposed = SparseTable(zip(*self))
+        return self._transposed
+
+
+def _sparse_table(tensor) -> SparseTable:
+    """The SparseTable of a product given as an order-3 tensor of structure constants."""
+    return SparseTable(tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row)
+                       for row in tensor)
+
+
+def _map_mat(f) -> Mat:
+    return f if isinstance(f, Mat) else f.mat
 
 
 def _sparse_columns(f) -> list:
     """Nonzero (k, c) entries of each basis image f(e_j), for f a Mat or a map
     holding one as f.mat (images in columns)."""
-    mat = f if isinstance(f, Mat) else f.mat
+    mat = _map_mat(f)
     cols = zip(*mat.rows) if mat.nrows else [()] * mat.ncols
     return [tuple((k, c) for k, c in enumerate(col) if c) for col in cols]
+
+
+def _integer_columns(f, p: int) -> tuple:
+    """(den, columns): the least common denominator of the entries of a map
+    (1 over F_p, whose residues are integers already) and the _sparse_columns
+    of den * f as integers."""
+    cols = _sparse_columns(f)
+    if p:
+        return 1, cols
+    den = lcm(*[c.denominator for col in cols for _, c in col])
+    return den, [tuple((k, c.numerator * (den // c.denominator)) for k, c in col) for col in cols]
 
 
 def product_rule_failure(table, X, terms, order=None) -> tuple | None:
@@ -67,39 +114,68 @@ def product_rule_failure(table, X, terms, order=None) -> tuple | None:
     is nonzero, with that residual; None when the identity holds on every pair.
 
     The pairs are visited in the given order, row-major over table by default.
-    Products are sparse tables, entry [i][j] the nonzero (k, c) of e_i * e_j
+    Products are SparseTables, entry [i][j] the nonzero (k, c) of e_i * e_j
     (FinAlgebra._pairs, Bimodule._left_pairs / _right_pairs, or a transpose);
     each term is a triple (P_t, Q_t, table_t) of maps and a table.  An identity
     with no X term passes X = None; its residual lies where the first Q_t maps.
-    All terms go into one sparse accumulator.
+
+    The residual is accumulated in integers.  Over F_p the residues are
+    integers already, and the accumulator is reduced mod p once per residual.
+    Over Q, X, every P_t and Q_t and every table are brought to one common
+    denominator L, the least common multiple of all their denominators: a map
+    f becomes the integer matrix L * f, a table its lifted form den * table,
+    and the factor L / den that takes a table to L * table is folded into the
+    map read with it (P_t, or X).  Every product P_t(e_i) *_t Q_t(e_j) then
+    carries L^3; X(e_i * e_j) carries only L^2 and is scaled by one more L, so
+    that one integer accumulator holds L^3 times the residual, and a failing
+    pair reports acc / L^3.
     """
-    out = X if X is not None else terms[0][1]
-    out = out if isinstance(out, Mat) else out.mat
+    out = _map_mat(X if X is not None else terms[0][1])
     field = out.field
-    zero, add, sub, mul = field.zero, field.add, field.sub, field.mul
-    xc = _sparse_columns(X) if X is not None else None
-    sparse_terms = [(_sparse_columns(p), _sparse_columns(q), tab) for p, q, tab in terms]
+    p = field.characteristic
+    cols = {}
+    for f in (X, *[f for P, Q, _ in terms for f in (P, Q)]):
+        if f is not None and id(f) not in cols:
+            cols[id(f)] = _integer_columns(f, p)
+    tables = [tab for _, _, tab in terms] + ([table] if X is not None else [])
+    lifted = {id(tab): (1, tab) if p else tab.lifted() for tab in tables}
+    den = lcm(*[d for d, _ in cols.values()], *[d for d, _ in lifted.values()])
+
+    def ints(f, s):  # the columns of s * f as integers, s a multiple of f's den
+        d, fc = cols[id(f)]
+        m = s // d
+        return fc if m == 1 else [tuple((k, c * m) for k, c in col) for col in fc]
+
+    xc = xtab = None
+    if X is not None:
+        tden, xtab = lifted[id(table)]
+        xc = ints(X, den * den * (den // tden))
+    sparse_terms = []
+    for P, Q, tab in terms:
+        tden, tints = lifted[id(tab)]
+        sparse_terms.append((ints(P, den * (den // tden)), ints(Q, den), tints))
     if order is None:
         order = ((i, j) for i, row in enumerate(table) for j in range(len(row)))
     for i, j in order:
         acc = {}
         if xc is not None:
-            for k, c in table[i][j]:
+            for k, c in xtab[i][j]:
                 for l, v in xc[k]:
-                    acc[l] = add(acc.get(l, zero), mul(c, v))
+                    acc[l] = acc.get(l, 0) + c * v
         for pc, qc, tab in sparse_terms:
             for a, u in pc[i]:
                 trow = tab[a]
                 for b, w in qc[j]:
                     prods = trow[b]
                     if prods:
-                        uw = mul(u, w)
+                        uw = u * w
                         for l, c in prods:
-                            acc[l] = sub(acc.get(l, zero), mul(uw, c))
-        if any(acc.values()):
-            residual = [zero] * out.nrows
+                            acc[l] = acc.get(l, 0) - uw * c
+        # nonzero as an integer, and over F_p also mod p (p.__rmod__(v) = v % p)
+        if any(acc.values()) and (not p or any(map(p.__rmod__, acc.values()))):
+            residual = [field.zero] * out.nrows
             for l, v in acc.items():
-                residual[l] = v
+                residual[l] = v % p if p else Fraction(v, den ** 3)
             return (i, j), tuple(residual)
     return None
 
@@ -117,7 +193,7 @@ def quadratic_failure(terms, n: int) -> tuple | None:
     bad = product_rule_failure(None, None, terms, [(i, i) for i in range(n)])
     if bad:
         return bad
-    swapped = tuple((q, p, tuple(zip(*tab))) for p, q, tab in terms)
+    swapped = tuple((q, p, tab.transpose()) for p, q, tab in terms)
     return product_rule_failure(None, None, terms + swapped, itertools.combinations(range(n), 2))
 
 
@@ -299,7 +375,7 @@ class FinAlgebra:
         field = self.field
         terms = []
         for name, v in zip(self.basis_names, vec):
-            if v == field.zero:
+            if not v:
                 continue
             s = field.format(v)
             if s == "1":
@@ -724,10 +800,10 @@ class SubspaceMap:
         field = self.matrix.field
         out = [field.zero] * self.codomain.ambient_dim
         for c, row in zip(img, self.codomain.basis):
-            if c == field.zero:
+            if not c:
                 continue
             for k, v in enumerate(row):
-                if v != field.zero:
+                if v:
                     out[k] = field.add(out[k], field.mul(c, v))
         return tuple(out)
 
@@ -812,10 +888,10 @@ def quotient_algebra(alg: FinAlgebra, ideal: Subspace) -> tuple[FinAlgebra, Mat]
         v = list(vec)
         for p, row in zip(ideal.pivots, ideal.basis):
             c = v[p]
-            if c == field.zero:
+            if not c:
                 continue
             for k, w in enumerate(row):
-                if w != field.zero:
+                if w:
                     v[k] = field.sub(v[k], field.mul(c, w))
         return tuple(v[i] for i in keep)
 

@@ -188,12 +188,12 @@ def inner_biderivation_witness(tri: TriAlgebra, D0: BilinMap, sigma: LinMap,
         return None
     lam = [field.zero] * n
     for c, z in zip(coeffs, z_sigma.basis):
-        if c == field.zero:
+        if not c:
             continue
         for k, w in enumerate(z):
             lam[k] = field.add(lam[k], field.mul(c, w))
     lam = tuple(lam)
-    delta = inner_sigma_biderivation(alg, lam, sigma) if any(v_ != field.zero for v_ in lam) \
+    delta = inner_sigma_biderivation(alg, lam, sigma) if any(lam) \
         else BilinMap.zero(field, n)
     if delta != D0:
         raise TheoremViolation("inner witness solve returned a non-witness")
@@ -377,7 +377,7 @@ def _verify_commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks,
     da, dm, db = tri.A.dim, tri.M.dim_m, tri.B.dim
     sub, nu = tri.total.sub_vec, blocks.nu
     left, right = tri.M._left_pairs, tri.M._right_pairs
-    right_t = tuple(zip(*right))
+    right_t = right.transpose()
     ident_m, ident_b = LinMap.identity(field, dm), LinMap.identity(field, db)
     d1_one, mu1_one = cb.delta1.apply(tri.A.unit), cb.mu1.apply(tri.A.unit)
     d3_one, mu3_one = cb.delta3.apply(tri.B.unit), cb.mu3.apply(tri.B.unit)
@@ -667,8 +667,8 @@ def endo_blocks(tri: TriAlgebra, phi: LinMap) -> tuple[EndoBlocks, TheoremReport
     )
     report = TheoremReport("block structure of corner-preserving endomorphisms")
     m_into = all(
-        all(c == field.zero for c in tri.part_a(phi.image_of_basis(j)))
-        and all(c == field.zero for c in tri.part_b(phi.image_of_basis(j)))
+        not any(tri.part_a(phi.image_of_basis(j)))
+        and not any(tri.part_b(phi.image_of_basis(j)))
         for j in tri.range_m
     )
     m_onto = m_into and eb.h.rank() == tri.M.dim_m
@@ -1013,7 +1013,7 @@ def partible_witness(tri: TriAlgebra, sigma: LinMap) -> PartibleWitness | None:
     e = sigma.apply(tri.p)
     if tuple(tri.part_a(e)) != tuple(tri.A.unit):
         return None
-    if any(c != field.zero for c in tri.part_b(e)):
+    if any(tri.part_b(e)):
         return None
     z = t.add_vec(t.unit, tri.embed_m(tri.part_m(e)))
     z_inv = t.invert(z)

@@ -9,6 +9,20 @@ Row reduction is fully deterministic (leftmost pivot, first row, exact
 arithmetic), so every reduced row-echelon form and every solution-space basis
 is canonical and reproducible bit for bit.
 
+Row reduction runs on Python ints, fraction-free in the manner of Bareiss.
+Over Q each incoming row is scaled to its primitive integer form: denominators
+cleared, the gcd of the entries divided out, the lead (the entry at the least
+column) made positive.  A row is reduced by a pivot row of lead b by
+cross-multiplication, row = b' * row - a' * pivot for the row's entry a and
+a' = a / g, b' = b / g with g = gcd(a, b), so no fraction is ever formed.
+The gcd of the row is taken only after a step with b' != 1, which scales the
+row (lazy content); pivot rows of lead 1, the common case, cost nothing extra.
+Each pivot row becomes field values once, at the end, as Fraction(v, lead).
+Over F_p the same loops run on residues, with monic pivots and one ``% p``
+per updated entry instead of field-method calls.  Rows that are scalar
+multiples of each other share one integer form, and only the first of them
+is eliminated.
+
 Hot loops test raw scalars for zero by truthiness (``if v:``), which is exact
 because ``Fraction`` values are normalized and F_p residues are always
 reduced to [0, p) by ``PrimeField.coerce`` and every field operation.
@@ -17,6 +31,7 @@ reduced to [0, p) by ``PrimeField.coerce`` and every field operation.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -320,7 +335,7 @@ class FieldScalar:
         return hash((self.field, self.value))
 
     def is_zero(self) -> bool:
-        return self.value == self.field.zero
+        return not self.value
 
     def __str__(self):
         return self.field.format(self.value)
@@ -450,8 +465,7 @@ class Mat:
         return Mat(self.field, self.rows + other.rows, self.ncols)
 
     def is_zero(self) -> bool:
-        zero = self.field.zero
-        return all(v == zero for row in self.rows for v in row)
+        return not any(v for row in self.rows for v in row)
 
     def rank(self) -> int:
         return len(rref(self)[1])
@@ -498,51 +512,113 @@ class Mat:
 #
 # Rows are sparse {column: value} dicts; the accumulated pivot rows form an
 # online echelon basis, fully back-substituted at the end.  Output is the
-# unique RREF of the row space, independent of input order.
+# unique RREF of the row space, independent of input order.  The work is done
+# on integer rows (see the module docstring) and turned into field values once,
+# when the pivot rows are returned.
+
+
+def _integer_row(p: int, raw) -> dict:
+    """Canonical integer form of a sparse row's nonzero entries, the same for
+    every nonzero scalar multiple of the row: over Q (p = 0) the primitive
+    integer row whose lead (entry at the least column) is positive, over F_p
+    the monic row of residues.  Empty for a zero row."""
+    if p:
+        row = {c: v for c, v in raw.items() if v}
+        s = pow(row[min(row)], p - 2, p) if row else 1
+        return row if s == 1 else {c: v * s % p for c, v in row.items()}
+    den = lcm(*[v.denominator for v in raw.values()])
+    if den == 1:
+        row = {c: v.numerator for c, v in raw.items() if v}
+    else:
+        row = {c: v.numerator * (den // v.denominator) for c, v in raw.items() if v}
+    if not row:
+        return row
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    if g != 1:
+        row = {c: v // g for c, v in row.items()}
+    return row
+
+
+def _eliminate(row: dict, c: int, piv: dict, p: int):
+    """Clear column c of an integer row with the pivot row piv, in place.
+
+    Over F_p the pivot is monic and row -= a * piv, each entry reduced mod p.
+    Over Q the pivot lead b is positive and row = b' * row - a' * piv, where
+    a' = a / g, b' = b / g for g = gcd(a, b).  A step with b' != 1 scales the
+    row by b', a factor the result often still shares, so only after such a
+    step is the row's gcd taken and divided out (lazy content).
+    """
+    a = row.pop(c)
+    if p:
+        for k, v in piv.items():
+            if k != c:
+                nv = (row.get(k, 0) - a * v) % p
+                if nv:
+                    row[k] = nv
+                else:
+                    row.pop(k, None)
+        return
+    b = piv[c]
+    if b != 1:
+        g = gcd(a, b)
+        a //= g
+        b //= g
+    if b != 1:
+        for k in row:
+            row[k] *= b
+    for k, v in piv.items():
+        if k != c:
+            nv = row.get(k, 0) - a * v
+            if nv:
+                row[k] = nv
+            else:
+                row.pop(k, None)
+    if b != 1 and row:
+        g = gcd(*row.values())
+        if g != 1:
+            for k in row:
+                row[k] //= g
 
 
 def _sparse_reduce(field: Field, rows, ncols: int) -> dict[int, dict]:
-    zero, one = field.zero, field.one
-    sub, mul, inv = field.sub, field.mul, field.inv
+    """Fully reduced pivot rows {pivot column: {column: field value}} of the
+    sparse rows, each with 1 at its pivot column.  Rows are eliminated in
+    their integer form (_integer_row), a row whose form was already seen is
+    skipped, and the result is converted to field values at the end."""
+    p = field.characteristic
     pivots: dict[int, dict] = {}
+    seen = set()
     for raw in rows:
-        row = {c: v for c, v in raw.items() if v}
+        row = _integer_row(p, raw)
+        key = frozenset(row.items())
+        if not row or key in seen:
+            continue
+        seen.add(key)
         while row:
             c = min(row)
             piv = pivots.get(c)
             if piv is None:
-                lead = row.pop(c)
-                if lead != one:
-                    s = inv(lead)
-                    row = {k: mul(s, v) for k, v in row.items()}
-                row[c] = one
-                pivots[c] = row
+                pivots[c] = _integer_row(p, row)
                 break
-            factor = row.pop(c)
-            for k, v in piv.items():
-                if k == c:
-                    continue
-                nv = sub(row.get(k, zero), mul(factor, v))
-                if not nv:
-                    row.pop(k, None)
-                else:
-                    row[k] = nv
-    # full back-substitution: clear every pivot column from the other rows
+            _eliminate(row, c, piv, p)
+    # full back-substitution, last pivot row first: each row's entries in
+    # later pivot columns are cleared by rows that are already fully reduced,
+    # which hold no pivot column but their own
     for c in sorted(pivots, reverse=True):
-        piv = pivots[c]
-        for c2, row in pivots.items():
-            if c2 == c or c not in row:
-                continue
-            factor = row.pop(c)
-            for k, v in piv.items():
-                if k == c:
-                    continue
-                nv = sub(row.get(k, zero), mul(factor, v))
-                if not nv:
-                    row.pop(k, None)
-                else:
-                    row[k] = nv
-    return pivots
+        row = pivots[c]
+        for k in [k for k in row if k != c and k in pivots]:
+            _eliminate(row, k, pivots[k], p)
+    if p:
+        return pivots
+    one = field.one
+    out = {}
+    for c, row in pivots.items():
+        lead = row.pop(c)
+        out[c] = {k: Fraction(v, lead) for k, v in row.items()}
+        out[c][c] = one
+    return out
 
 
 def _dense_rows(field: Field, pivots: dict[int, dict], ncols: int) -> list[tuple]:

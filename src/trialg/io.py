@@ -89,12 +89,11 @@ def _sparse_tensor(field: Field, entries, dims) -> list:
 
 
 def _tensor_entries(field: Field, tensor) -> list:
-    zero = field.zero
     fmt = field.format
     return [[i, j, k, fmt(c)]
             for i, row in enumerate(tensor)
             for j, vec in enumerate(row)
-            for k, c in enumerate(vec) if c != zero]
+            for k, c in enumerate(vec) if c]
 
 
 def algebra_from_json(obj) -> FinAlgebra:

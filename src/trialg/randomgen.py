@@ -147,7 +147,7 @@ def random_block_preserving_sigma(tri: TriAlgebra, rng: random.Random) -> LinMap
     u = tri.assemble(a0, [field.zero] * tri.M.dim_m, b0)
     conj = inner_automorphism(tri.total, u)
     c = field.coerce(rng.randrange(1, span))
-    if c == field.zero:
+    if not c:
         c = field.one
     from .sigmamaps import scaling_automorphism
 

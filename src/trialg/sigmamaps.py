@@ -237,8 +237,7 @@ class BilinMap:
                                      for r1, r2 in zip(self.tensor, other.tensor)])
 
     def is_zero(self) -> bool:
-        zero = self.field.zero
-        return all(c == zero for row in self.tensor for vec in row for c in vec)
+        return not any(c for row in self.tensor for vec in row for c in vec)
 
     def is_symmetric(self) -> bool:
         n = self.dim
@@ -261,11 +260,10 @@ class BilinMap:
 
     def to_json(self):
         fmt = self.field.format
-        zero = self.field.zero
         entries = [[i, j, k, fmt(c)]
                    for i, row in enumerate(self.tensor)
                    for j, vec in enumerate(row)
-                   for k, c in enumerate(vec) if c != zero]
+                   for k, c in enumerate(vec) if c]
         return {"dim": self.dim, "tensor": entries}
 
     def __repr__(self):
@@ -445,13 +443,12 @@ def block_decompose(tri: TriAlgebra, sigma: LinMap) -> AutBlocks:
     if not automorphism_verdict(tri.total, sigma).holds:
         raise NotAutomorphism("block decomposition needs an automorphism")
     field = tri.field
-    zero = field.zero
     blocks = (("A", tri.range_a), ("M", tri.range_m), ("B", tri.range_b))
     for name, rng in blocks:
         outside = [i for i in range(tri.dim) if i not in rng]
         for j in rng:
             img = sigma.image_of_basis(j)
-            if any(img[i] != zero for i in outside):
+            if any(img[i] for i in outside):
                 raise NotBlockPreserving((name, j, img))
     f = LinMap.from_images(field, [tri.part_a(sigma.image_of_basis(j)) for j in tri.range_a],
                            tri.A.dim, tri.A.dim)
@@ -637,7 +634,7 @@ def scaling_automorphism(tri: TriAlgebra, c) -> LinMap:
     """a + m + b -> a + c m + b for a unit scalar c."""
     field = tri.field
     c = field.coerce(c)
-    if c == field.zero:
+    if not c:
         raise NotInvertible("scaling by zero")
     images = []
     for j in range(tri.dim):

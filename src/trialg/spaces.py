@@ -34,7 +34,14 @@ from .errors import (
     PreconditionFails,
     TheoremViolation,
 )
-from .exactla import Subspace, _sparse_reduce, kernel_from_pivots, kernel_sparse, solve_sparse
+from .exactla import (
+    Subspace,
+    _integer_row,
+    _sparse_reduce,
+    kernel_from_pivots,
+    kernel_sparse,
+    solve_sparse,
+)
 from .sigmamaps import (
     AutBlocks,
     BilinMap,
@@ -98,15 +105,21 @@ def _algebra_of(t) -> FinAlgebra:
 
 
 def _dedup_rows(rows):
+    """The nonzero rows, each once up to a nonzero scalar factor, as given.
+
+    solve_space leaves this to _sparse_reduce, which skips a row whose integer
+    form it has already seen; this generator picks out the same rows apart,
+    keyed by the primitive integer form with positive lead
+    (exactla._integer_row over Q).  Over F_p, whose p the residues do not
+    carry, that key catches only multiples by an integer ratio, and the
+    reduce's monic key the rest.
+    """
     seen = set()
     for r in rows:
-        if not r:
-            continue
-        key = tuple(sorted(r.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        yield r
+        key = frozenset(_integer_row(0, r).items())
+        if key and key not in seen:
+            seen.add(key)
+            yield r
 
 
 def _derivation_row_blocks(alg: FinAlgebra, sigma: LinMap):
@@ -166,7 +179,7 @@ def _biderivation_space(alg: FinAlgebra, sigma: LinMap) -> Subspace:
     """
     field, n = alg.field, alg.dim
     zero, add, mul = field.zero, field.add, field.mul
-    pivots = _sparse_reduce(field, _dedup_rows(_derivation_rows(alg, sigma)), n * n)
+    pivots = _sparse_reduce(field, _derivation_rows(alg, sigma), n * n)
     deltas = [[(key, v) for key, v in enumerate(delta) if v]
               for delta in kernel_from_pivots(field, pivots, n * n)]
     r = len(deltas)
@@ -183,8 +196,10 @@ def _biderivation_space(alg: FinAlgebra, sigma: LinMap) -> Subspace:
                 for s, v in at[o * n + l]:
                     col = k * r + s
                     row[col] = add(row.get(col, zero), mul(p, v))
-            rows.append({col: v for col, v in row.items() if v})
-    coeffs = kernel_sparse(field, _dedup_rows(rows), n * r)
+            row = {col: v for col, v in row.items() if v}
+            if row:
+                rows.append(row)
+    coeffs = kernel_sparse(field, rows, n * r)
     vecs = []
     for c in coeffs.basis:
         t = [zero] * n ** 3
@@ -223,7 +238,7 @@ def solve_space(kind: str, t, sigma: LinMap | None = None,
         sub = _biderivation_space(alg, sigma)
     else:
         rows = (_derivation_rows if kind.endswith("derivation") else _commuting_rows)(alg, sigma)
-        sub = kernel_sparse(field, _dedup_rows(rows), n * n)
+        sub = kernel_sparse(field, rows, n * n)
     space = MapSpace(kind, alg, sigma if twisted else None, sub)
     if verify:
         check_sigma = sigma if twisted else None

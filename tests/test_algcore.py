@@ -3,11 +3,13 @@ radicals, and idempotent structure checks."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from trialg.algcore import (
     Bimodule,
+    SparseTable,
     annihilators,
     build_triangular,
     center_T,
@@ -16,6 +18,7 @@ from trialg.algcore import (
     nil_radical_T,
     nilpotency,
     nilpotency_T,
+    product_rule_failure,
     quadratic_failure,
     radical,
     structure_checks,
@@ -33,6 +36,8 @@ from trialg.errors import (
     ZeroModule,
 )
 from trialg.exactla import GF, QQ, Mat, Subspace
+from trialg.sigmamaps import LinMap, derivation_terms, inner_automorphism
+from trialg.spaces import inner_sigma_derivation
 from trialg.fixtures import (
     fixture_f1,
     fixture_f3,
@@ -340,17 +345,27 @@ class TestStructureChecks:
                                     "condition_I": True}
 
 
-def _random_table(field, n, rng):
-    """Sparse n x n product table into n coordinates, about a third of the
-    structure constants nonzero."""
-    return tuple(tuple(tuple((k, field.coerce(rng.randrange(1, field.characteristic)))
-                             for k in range(n) if rng.random() < 0.3)
-                       for _ in range(n)) for _ in range(n))
+def _draw(field, rng, nonzero):
+    """A random scalar: a residue over F_p, over Q a rational of either sign
+    with denominator up to 7."""
+    if field.characteristic:
+        return field.coerce(rng.randrange(1 if nonzero else 0, field.characteristic))
+    num = rng.randint(1, 9) * rng.choice((-1, 1)) if nonzero else rng.randint(-9, 9)
+    return Fraction(num, rng.randint(1, 7))
 
 
-def _random_mat(field, n, rng):
-    return Mat(field, [[field.coerce(rng.randrange(field.characteristic)) if rng.random() < 0.5
-                        else field.zero for _ in range(n)] for _ in range(n)], n)
+def _random_table(field, n, rng, m=None, out=None):
+    """Sparse n x m product table into out coordinates (n each by default),
+    about a third of the structure constants nonzero."""
+    m, out = m or n, out or n
+    return SparseTable(tuple(tuple((k, _draw(field, rng, True)) for k in range(out) if rng.random() < 0.3)
+                             for _ in range(m)) for _ in range(n))
+
+
+def _random_mat(field, n, rng, ncols=None):
+    ncols = ncols or n
+    return Mat(field, [[_draw(field, rng, False) if rng.random() < 0.5 else field.zero
+                        for _ in range(ncols)] for _ in range(n)], ncols)
 
 
 def _random_quadratic_terms(field, n, rng):
@@ -367,7 +382,7 @@ def _random_quadratic_terms(field, n, rng):
             if rng.random() < 0.5:
                 k, j = rng.randrange(n), rng.randrange(n)
                 neg_q[k][j] = field.add(neg_q[k][j], field.one)
-            terms.append((Mat(field, neg_q, n), p, tuple(zip(*tab))))
+            terms.append((Mat(field, neg_q, n), p, tab.transpose()))
     return tuple(terms)
 
 
@@ -403,3 +418,112 @@ class TestQuadraticFailureOracle:
             assert (bad is None) == holds, terms
             outcomes.add("holds" if bad is None else "single" if bad[0][0] == bad[0][1] else "pair")
         assert outcomes == {"holds", "single", "pair"}
+
+
+def _dense_residual(table, X, terms, i, j, nout):
+    """X(e_i * e_j) - sum_t P_t(e_i) *_t Q_t(e_j), evaluated densely in plain
+    Fraction arithmetic."""
+    out = [Fraction(0)] * nout
+    if X is not None:
+        for k, c in table[i][j]:
+            for l in range(nout):
+                out[l] += c * X.rows[l][k]
+    for p, q, tab in terms:
+        for a in range(p.nrows):
+            for b in range(q.nrows):
+                for k, c in tab[a][b]:
+                    out[k] -= p.rows[a][i] * q.rows[b][j] * c
+    return tuple(out)
+
+
+def _first_failure(pairs, residual):
+    for pair in pairs:
+        r = residual(*pair)
+        if any(r):
+            return pair, r
+    return None
+
+
+def _rebased(alg, P):
+    """alg in the basis of P's columns: e_i e_j = sum_k c_ijk e_k with
+    c_ij = P^-1 (P e_i)(P e_j)."""
+    Pinv = P.inverse()
+    n = alg.dim
+    mul = [[Pinv.apply(alg.mul_vec(P.col(i), P.col(j))) for j in range(n)] for i in range(n)]
+    return validate_algebra(QQ, mul, Pinv.apply(alg.unit))
+
+
+class TestRationalEvaluatorOracle:
+    """product_rule_failure and quadratic_failure accumulate integers over a
+    common denominator L and report acc / L^3; with maps and tables whose
+    entries have denominators up to 7 their residuals must equal a plain
+    Fraction evaluation, pair by pair."""
+
+    def test_product_rule_residuals(self):
+        rng = random.Random(9300)
+        held = 0
+        for _ in range(200):
+            n, m, nout = (rng.randint(1, 3) for _ in range(3))
+            table = _random_table(QQ, n, rng, m, nout)
+            X = _random_mat(QQ, nout, rng)
+            terms = []
+            for _ in range(rng.randint(1, 2)):
+                na, nb = rng.randint(1, 3), rng.randint(1, 3)
+                terms.append((_random_mat(QQ, na, rng, n), _random_mat(QQ, nb, rng, m),
+                              _random_table(QQ, na, rng, nb, nout)))
+            pairs = list(itertools.product(range(n), range(m)))
+            for i, j in pairs:
+                r = _dense_residual(table, X, terms, i, j, nout)
+                got = product_rule_failure(table, X, terms, [(i, j)])
+                assert got == (((i, j), r) if any(r) else None)
+                held += not any(r)
+            assert product_rule_failure(table, X, terms) == _first_failure(
+                pairs, lambda i, j: _dense_residual(table, X, terms, i, j, nout))
+        assert held
+
+    def test_quadratic_residuals(self):
+        rng = random.Random(9400)
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            terms = _random_quadratic_terms(QQ, n, rng)
+
+            def residual(i, j):  # reported, like every residual, as 0 - sum_t
+                x = [QQ.zero] * n
+                x[i] = x[j] = QQ.one
+                return tuple(-v for v in _quadratic_value(QQ, terms, x))
+
+            pairs = [(i, i) for i in range(n)] + list(itertools.combinations(range(n), 2))
+            bad = quadratic_failure(terms, n)
+            assert bad == _first_failure(pairs, residual)
+            outcomes.add("holds" if bad is None else "single" if bad[0][0] == bad[0][1] else "pair")
+        assert outcomes == {"holds", "single", "pair"}
+
+    def test_algebra_and_twist_with_halves(self):
+        """UT_2 and F1 rewritten in a basis with entries 1/2, twisted by an
+        inner automorphism with entries 1/2: validation and the derivation
+        identity hold through the evaluator, and a perturbed map fails with the
+        dense residual at every pair."""
+        half = Fraction(1, 2)
+        for base in (upper_triangular_algebra(QQ, 2), fixture_f1().total):
+            n = base.dim
+            P = Mat(QQ, [[1 if i == j else half if j == i + 1 else 0 for j in range(n)]
+                         for i in range(n)])
+            alg = _rebased(base, P)
+            assert alg._pairs.lifted()[0] > 1
+            u = [QQ.one] + [half] * (n - 1)
+            u = tuple(alg.mul_vec(alg.unit, u))
+            sigma = inner_automorphism(alg, u)
+            assert any(v.denominator > 1 for row in sigma.mat.rows for v in row)
+            d = inner_sigma_derivation(alg, [half] * n, sigma)
+            ident = LinMap.identity(QQ, n)
+            assert product_rule_failure(alg._pairs, d, derivation_terms(alg, d, ident, sigma)) is None
+            rows = [list(r) for r in d.mat.rows]
+            rows[n - 1][0] += Fraction(1, 3)
+            bumped = LinMap(QQ, Mat(QQ, rows, n))
+            terms = derivation_terms(alg, bumped, ident, sigma)
+            dense = [(p.mat, q.mat, tab) for p, q, tab in terms]
+            for i, j in itertools.product(range(n), repeat=2):
+                r = _dense_residual(alg._pairs, bumped.mat, dense, i, j, n)
+                got = product_rule_failure(alg._pairs, bumped, terms, [(i, j)])
+                assert got == (((i, j), r) if any(r) else None)

@@ -1,5 +1,6 @@
 """Exact linear algebra: scalars, RREF, kernels, solving, subspace lattice."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,11 +14,15 @@ from trialg.exactla import (
     FieldScalar,
     Mat,
     Subspace,
+    _integer_row,
+    _sparse_reduce,
     kernel_basis,
     rref,
     solve_linear,
+    solve_sparse,
     subspace_ops,
 )
+from trialg.spaces import _dedup_rows
 
 F5 = GF(5)
 F2 = GF(2)
@@ -218,3 +223,141 @@ class TestMat:
         assert m.nrows == 0 and m.ncols == 3
         k = kernel_basis(m)
         assert k.dim == 3
+
+
+# ---------------------------------------------------------------------------
+# the integer elimination against a plain dense Gauss-Jordan
+# ---------------------------------------------------------------------------
+
+
+def _gauss_jordan(field, rows, ncols):
+    """Nonzero rows of the RREF and their pivot columns, by textbook dense
+    Gauss-Jordan in the field's own arithmetic."""
+    m = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        s = field.inv(m[r][c])
+        m[r] = [field.mul(s, v) for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in m[:r]], pivots
+
+
+@st.composite
+def _systems(draw, field, max_rows=6, max_cols=6):
+    """A dense system with zero rows and repeated or rescaled copies (negative
+    and fractional factors over Q) mixed in.  Over Q entries have denominators
+    up to 7 and either sign, so leads are often negative."""
+    ncols = draw(st.integers(1, max_cols))
+    if field is QQ:
+        scalar = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    else:
+        scalar = st.integers(0, field.characteristic - 1)
+    entry = st.one_of(st.just(field.zero), scalar.map(field.coerce))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=max_rows))
+    extra = []
+    for row in rows:
+        k = draw(st.sampled_from(["none", "zero", "copy", "scaled"]))
+        if k == "zero":
+            extra.append([field.zero] * ncols)
+        elif k == "copy":
+            extra.append(list(row))
+        elif k == "scaled":
+            c = field.coerce(draw(scalar.filter(bool)))
+            extra.append([field.mul(c, v) for v in row])
+    order = draw(st.permutations(rows + extra))
+    return [tuple(r) for r in order], ncols
+
+
+_FIELDS = [QQ, GF(2), GF(5)]
+
+
+def _is_raw(field, v):
+    if field is QQ:
+        return type(v) is Fraction
+    return type(v) is int and 0 <= v < field.characteristic
+
+
+class TestIntegerEliminationOracle:
+    """_sparse_reduce, rref and solve_sparse run on integer (Q) or residue
+    (F_p) rows; they must return exactly the field values of the dense
+    Gauss-Jordan RREF."""
+
+    @pytest.mark.parametrize("field", _FIELDS, ids=str)
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_sparse_reduce_and_rref(self, field, data):
+        rows, ncols = data.draw(_systems(field))
+        expect, expect_pivots = _gauss_jordan(field, rows, ncols)
+        pivots = _sparse_reduce(field, [{c: v for c, v in enumerate(r) if v} for r in rows], ncols)
+        assert sorted(pivots) == expect_pivots
+        for c, row in zip(expect_pivots, expect):
+            assert pivots[c] == {k: v for k, v in enumerate(row) if v}
+            assert all(_is_raw(field, v) for v in pivots[c].values())
+        red, red_pivots = rref(Mat(field, rows, ncols))
+        assert red_pivots == tuple(expect_pivots)
+        assert red.rows == tuple(expect) + ((field.zero,) * ncols,) * (len(rows) - len(expect))
+
+    @pytest.mark.parametrize("field", _FIELDS, ids=str)
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_solve_sparse(self, field, data):
+        rows, ncols = data.draw(_systems(field))
+        scalar = (st.fractions(min_value=-5, max_value=5, max_denominator=7) if field is QQ
+                  else st.integers(0, field.characteristic - 1))
+        rhs = [field.coerce(data.draw(scalar)) for _ in rows]
+        aug, pivots = _gauss_jordan(field, [r + (b,) for r, b in zip(rows, rhs)], ncols + 1)
+        got = solve_sparse(field, [{c: v for c, v in enumerate(r) if v} for r in rows], rhs, ncols)
+        if ncols in pivots:
+            assert got is None
+            return
+        expect = [field.zero] * ncols
+        for c, row in zip(pivots, aug):
+            expect[c] = row[ncols]
+        assert got == tuple(expect)
+        assert all(_is_raw(field, v) for v in got)
+
+
+class TestRowKeys:
+    """Every nonzero multiple of a row has one integer form: primitive with a
+    positive lead over Q, monic over F_p.  _dedup_rows keeps one row per
+    class over Q, the original one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.integers(0, 8), st.fractions(min_value=-9, max_value=9, max_denominator=7)
+                           .filter(bool), min_size=1, max_size=5),
+           st.fractions(min_value=-6, max_value=6, max_denominator=7).filter(bool))
+    def test_rational_form_is_scale_invariant(self, row, c):
+        form = _integer_row(0, row)
+        assert form == _integer_row(0, {k: c * v for k, v in row.items()})
+        assert all(type(v) is int for v in form.values())
+        assert form[min(form)] > 0
+        assert math.gcd(*form.values()) == 1
+        ratio = Fraction(form[min(row)]) / row[min(row)]
+        assert form == {k: ratio * v for k, v in row.items()}
+
+    @pytest.mark.parametrize("p", [2, 5])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_residue_form_is_monic(self, p, data):
+        residue = st.integers(1, p - 1)
+        row = data.draw(st.dictionaries(st.integers(0, 8), residue, min_size=1, max_size=5))
+        c = data.draw(residue)
+        form = _integer_row(p, row)
+        assert form == _integer_row(p, {k: c * v % p for k, v in row.items()})
+        assert form[min(form)] == 1 and form.keys() == row.keys()
+
+    def test_dedup_keeps_first_of_each_class(self):
+        q = Fraction
+        rows = [{0: q(2), 3: q(-4)}, {}, {0: q(-1, 3), 3: q(2, 3)}, {3: q(5)},
+                {0: q(1), 3: q(-2)}, {3: q(-1, 7)}, {0: q(1), 3: q(2)}]
+        assert list(_dedup_rows(rows)) == [rows[0], rows[3], rows[6]]
