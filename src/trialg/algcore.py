@@ -98,15 +98,33 @@ def _sparse_columns(f) -> list:
     return [tuple((k, c) for k, c in enumerate(col) if c) for col in cols]
 
 
-def _integer_columns(f, p: int) -> tuple:
-    """(den, columns): the least common denominator of the entries of a map
-    (1 over F_p, whose residues are integers already) and the _sparse_columns
-    of den * f as integers."""
-    cols = _sparse_columns(f)
-    if p:
-        return 1, cols
-    den = lcm(*[c.denominator for col in cols for _, c in col])
-    return den, [tuple((k, c.numerator * (den // c.denominator)) for k, c in col) for col in cols]
+def _integer_terms(table, X, terms) -> tuple:
+    """The data of product_rule_failure over Q as integers: (L, X's columns,
+    table, terms) with every map and table scaled as described there."""
+    cols = {}
+    for f in (X, *[f for P, Q, _ in terms for f in (P, Q)]):
+        if f is not None and id(f) not in cols:
+            fc = _sparse_columns(f)
+            d = lcm(*[c.denominator for col in fc for _, c in col])
+            cols[id(f)] = d, [tuple((k, c.numerator * (d // c.denominator)) for k, c in col)
+                              for col in fc]
+    tables = [tab for _, _, tab in terms] + ([table] if X is not None else [])
+    den = lcm(*[d for d, _ in cols.values()], *[tab.lifted()[0] for tab in tables])
+
+    def ints(f, s):  # the columns of s * f as integers, s a multiple of f's den
+        d, fc = cols[id(f)]
+        m = s // d
+        return fc if m == 1 else [tuple((k, c * m) for k, c in col) for col in fc]
+
+    xc = xtab = None
+    if X is not None:
+        tden, xtab = table.lifted()
+        xc = ints(X, den * den * (den // tden))
+    sparse_terms = []
+    for P, Q, tab in terms:
+        tden, tints = tab.lifted()
+        sparse_terms.append((ints(P, den * (den // tden)), ints(Q, den), tints))
+    return den, xc, xtab, sparse_terms
 
 
 def product_rule_failure(table, X, terms, order=None) -> tuple | None:
@@ -133,27 +151,12 @@ def product_rule_failure(table, X, terms, order=None) -> tuple | None:
     out = _map_mat(X if X is not None else terms[0][1])
     field = out.field
     p = field.characteristic
-    cols = {}
-    for f in (X, *[f for P, Q, _ in terms for f in (P, Q)]):
-        if f is not None and id(f) not in cols:
-            cols[id(f)] = _integer_columns(f, p)
-    tables = [tab for _, _, tab in terms] + ([table] if X is not None else [])
-    lifted = {id(tab): (1, tab) if p else tab.lifted() for tab in tables}
-    den = lcm(*[d for d, _ in cols.values()], *[d for d, _ in lifted.values()])
-
-    def ints(f, s):  # the columns of s * f as integers, s a multiple of f's den
-        d, fc = cols[id(f)]
-        m = s // d
-        return fc if m == 1 else [tuple((k, c * m) for k, c in col) for col in fc]
-
-    xc = xtab = None
-    if X is not None:
-        tden, xtab = lifted[id(table)]
-        xc = ints(X, den * den * (den // tden))
-    sparse_terms = []
-    for P, Q, tab in terms:
-        tden, tints = lifted[id(tab)]
-        sparse_terms.append((ints(P, den * (den // tden)), ints(Q, den), tints))
+    if p:  # the residues are integers already
+        den, xtab = 1, table
+        xc = _sparse_columns(X) if X is not None else None
+        sparse_terms = [(_sparse_columns(P), _sparse_columns(Q), tab) for P, Q, tab in terms]
+    else:
+        den, xc, xtab, sparse_terms = _integer_terms(table, X, terms)
     if order is None:
         order = ((i, j) for i, row in enumerate(table) for j in range(len(row)))
     for i, j in order:
