@@ -563,11 +563,10 @@ def _eliminate(row: dict, c: int, piv: dict, p: int):
     b = piv[c]
     if b != 1:
         g = gcd(a, b)
-        a //= g
-        b //= g
-    if b != 1:
-        for k in row:
-            row[k] *= b
+        a, b = a // g, b // g
+        if b != 1:
+            for k in row:
+                row[k] *= b
     for k, v in piv.items():
         if k != c:
             nv = row.get(k, 0) - a * v

@@ -36,8 +36,6 @@ from trialg.errors import (
     ZeroModule,
 )
 from trialg.exactla import GF, QQ, Mat, Subspace
-from trialg.sigmamaps import LinMap, derivation_terms, inner_automorphism
-from trialg.spaces import inner_sigma_derivation
 from trialg.fixtures import (
     fixture_f1,
     fixture_f3,
@@ -46,6 +44,8 @@ from trialg.fixtures import (
     truncated_polynomial_algebra,
     upper_triangular_algebra,
 )
+from trialg.sigmamaps import LinMap, derivation_terms, inner_automorphism
+from trialg.spaces import inner_sigma_derivation
 
 F2 = GF(2)
 F5 = GF(5)
