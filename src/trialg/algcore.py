@@ -33,7 +33,7 @@ from .errors import (
     UnitLawViolation,
     ZeroModule,
 )
-from .exactla import Field, Mat, Subspace, kernel_basis, kernel_sparse
+from .exactla import Field, Mat, SparseColumns, Subspace, kernel_basis, kernel_sparse
 
 DEFAULT_BUDGET = 10**6
 
@@ -53,15 +53,17 @@ class SparseTable(tuple):
     """Sparse product table: entry [i][j] lists the nonzero (k, c) of the
     product of basis vectors i and j.
 
-    Built once per algebra or bimodule, it keeps two derived tables, each made
-    on first use: its transpose (entry [j][i] = entry [i][j]) and, for
-    constants over Q, the table over the integers (lifted()).
+    Built once per algebra or bimodule, it keeps three derived tables, each
+    made on first use: its transpose (entry [j][i] = entry [i][j]), its
+    negation (negated(), the table of minus the product) and, for constants
+    over Q, the table over the integers (lifted()).
     """
 
     def __new__(cls, entries):
         self = super().__new__(cls, entries)
         self._lifted = None
         self._transposed = None
+        self._negated = None
         return self
 
     def lifted(self) -> tuple:
@@ -79,6 +81,14 @@ class SparseTable(tuple):
             self._transposed = SparseTable(zip(*self))
         return self._transposed
 
+    def negated(self, field: Field) -> "SparseTable":
+        """The table of minus the product, its constants negated in field."""
+        if self._negated is None:
+            neg = field.neg
+            self._negated = SparseTable(tuple(tuple((k, neg(c)) for k, c in vec) for vec in row)
+                                        for row in self)
+        return self._negated
+
 
 def _sparse_table(tensor) -> SparseTable:
     """The SparseTable of a product given as an order-3 tensor of structure constants."""
@@ -86,45 +96,32 @@ def _sparse_table(tensor) -> SparseTable:
                        for row in tensor)
 
 
-def _map_mat(f) -> Mat:
-    return f if isinstance(f, Mat) else f.mat
+def _sparse_columns(f) -> SparseColumns:
+    """The SparseColumns of f: f itself, or those of a Mat or of a map
+    holding one as f.mat (images in columns), made once per matrix."""
+    if isinstance(f, SparseColumns):
+        return f
+    return (f if isinstance(f, Mat) else f.mat).sparse_columns()
 
 
-def _sparse_columns(f) -> list:
-    """Nonzero (k, c) entries of each basis image f(e_j), for f a Mat or a map
-    holding one as f.mat (images in columns)."""
-    mat = _map_mat(f)
-    cols = zip(*mat.rows) if mat.nrows else [()] * mat.ncols
-    return [tuple((k, c) for k, c in enumerate(col) if c) for col in cols]
-
-
-def _integer_terms(table, X, terms) -> tuple:
-    """The data of product_rule_failure over Q as integers: (L, X's columns,
-    table, terms) with every map and table scaled as described there."""
-    cols = {}
-    for f in (X, *[f for P, Q, _ in terms for f in (P, Q)]):
-        if f is not None and id(f) not in cols:
-            fc = _sparse_columns(f)
-            d = lcm(*[c.denominator for col in fc for _, c in col])
-            cols[id(f)] = d, [tuple((k, c.numerator * (d // c.denominator)) for k, c in col)
-                              for col in fc]
-    tables = [tab for _, _, tab in terms] + ([table] if X is not None else [])
-    den = lcm(*[d for d, _ in cols.values()], *[tab.lifted()[0] for tab in tables])
-
-    def ints(f, s):  # the columns of s * f as integers, s a multiple of f's den
-        d, fc = cols[id(f)]
-        m = s // d
-        return fc if m == 1 else [tuple((k, c * m) for k, c in col) for col in fc]
-
-    xc = xtab = None
-    if X is not None:
-        tden, xtab = table.lifted()
-        xc = ints(X, den * den * (den // tden))
-    sparse_terms = []
+def _integer_terms(table, xc, terms) -> tuple:
+    """The data of product_rule_failure over Q as integers: (S, m_X, X's
+    columns, table, terms as (P, Q, table_t, m_t)), read off the lifted
+    columns and tables as described there."""
+    lifted = []
     for P, Q, tab in terms:
-        tden, tints = tab.lifted()
-        sparse_terms.append((ints(P, den * (den // tden)), ints(Q, den), tints))
-    return den, xc, xtab, sparse_terms
+        dp, pc = _sparse_columns(P).lifted()
+        dq, qc = _sparse_columns(Q).lifted()
+        dt, tints = tab.lifted()
+        lifted.append((pc, qc, tints, dp * dq * dt))
+    xden = xints = xtab = None
+    if xc is not None:
+        dx, xints = xc.lifted()
+        dt, xtab = table.lifted()
+        xden = dx * dt
+    den = lcm(*[d for *_, d in lifted], *([xden] if xden else []))
+    return (den, den // xden if xden else 0, xints, xtab,
+            [(pc, qc, tints, den // d) for pc, qc, tints, d in lifted])
 
 
 def product_rule_failure(table, X, terms, order=None) -> tuple | None:
@@ -133,52 +130,57 @@ def product_rule_failure(table, X, terms, order=None) -> tuple | None:
 
     The pairs are visited in the given order, row-major over table by default.
     Products are SparseTables, entry [i][j] the nonzero (k, c) of e_i * e_j
-    (FinAlgebra._pairs, Bimodule._left_pairs / _right_pairs, or a transpose);
-    each term is a triple (P_t, Q_t, table_t) of maps and a table.  An identity
-    with no X term passes X = None; its residual lies where the first Q_t maps.
+    (FinAlgebra._pairs, Bimodule._left_pairs / _right_pairs, or a transpose
+    or negation of one); each term is a triple (P_t, Q_t, table_t) of maps and
+    a table.  A map is a Mat, a map holding one as .mat, or a SparseColumns,
+    and is read through its cached sparse columns.  An identity with no X
+    term passes X = None; its residual lies where the first Q_t maps.
 
     The residual is accumulated in integers.  Over F_p the residues are
     integers already, and the accumulator is reduced mod p once per residual.
-    Over Q, X, every P_t and Q_t and every table are brought to one common
-    denominator L, the least common multiple of all their denominators: a map
-    f becomes the integer matrix L * f, a table its lifted form den * table,
-    and the factor L / den that takes a table to L * table is folded into the
-    map read with it (P_t, or X).  Every product P_t(e_i) *_t Q_t(e_j) then
-    carries L^3; X(e_i * e_j) carries only L^2 and is scaled by one more L, so
-    that one integer accumulator holds L^3 times the residual, and a failing
-    pair reports acc / L^3.
+    Over Q every map and table is read in its cached lifted form, f = f' / d_f
+    and table_t = table_t' / d_t with f', table_t' integral.  Term t then
+    contributes P_t' Q_t' table_t' / (d_P d_Q d_t) and X contributes
+    X' table' / (d_X d_table); one integer accumulator holds S times the
+    residual, for S the least common multiple of these denominators, each
+    contribution multiplied by S over its own denominator (m_t, m_X), and a
+    failing pair reports acc / S.
     """
-    out = _map_mat(X if X is not None else terms[0][1])
+    xc = None if X is None else _sparse_columns(X)
+    out = xc if xc is not None else _sparse_columns(terms[0][1])
     field = out.field
     p = field.characteristic
     if p:  # the residues are integers already
-        den, xtab = 1, table
-        xc = _sparse_columns(X) if X is not None else None
-        sparse_terms = [(_sparse_columns(P), _sparse_columns(Q), tab) for P, Q, tab in terms]
+        den, xm, xtab = 1, 1, table
+        sparse_terms = [(_sparse_columns(P), _sparse_columns(Q), tab, 1) for P, Q, tab in terms]
     else:
-        den, xc, xtab, sparse_terms = _integer_terms(table, X, terms)
+        den, xm, xc, xtab, sparse_terms = _integer_terms(table, xc, terms)
     if order is None:
-        order = ((i, j) for i, row in enumerate(table) for j in range(len(row)))
+        order = itertools.product(range(len(table)), range(len(table[0]) if table else 0))
     for i, j in order:
         acc = {}
         if xc is not None:
             for k, c in xtab[i][j]:
+                c *= xm
                 for l, v in xc[k]:
                     acc[l] = acc.get(l, 0) + c * v
-        for pc, qc, tab in sparse_terms:
-            for a, u in pc[i]:
-                trow = tab[a]
-                for b, w in qc[j]:
-                    prods = trow[b]
-                    if prods:
-                        uw = u * w
-                        for l, c in prods:
-                            acc[l] = acc.get(l, 0) - uw * c
+        for pc, qc, tab, m in sparse_terms:
+            qcj = qc[j]
+            if qcj:
+                for a, u in pc[i]:
+                    trow = tab[a]
+                    u *= m
+                    for b, w in qcj:
+                        prods = trow[b]
+                        if prods:
+                            uw = u * w
+                            for l, c in prods:
+                                acc[l] = acc.get(l, 0) - uw * c
         # nonzero as an integer, and over F_p also mod p (p.__rmod__(v) = v % p)
-        if any(acc.values()) and (not p or any(map(p.__rmod__, acc.values()))):
+        if acc and any(acc.values()) and (not p or any(map(p.__rmod__, acc.values()))):
             residual = [field.zero] * out.nrows
             for l, v in acc.items():
-                residual[l] = v % p if p else Fraction(v, den ** 3)
+                residual[l] = v % p if p else Fraction(v, den)
             return (i, j), tuple(residual)
     return None
 
@@ -200,59 +202,88 @@ def quadratic_failure(terms, n: int) -> tuple | None:
     return product_rule_failure(None, None, terms + swapped, itertools.combinations(range(n), 2))
 
 
-def product_rule_rows(table, terms, n: int, order=None):
+def product_rule_rows(table, terms, n: int, order=None) -> tuple:
     """Constraint rows of a product rule in an unknown square map X on n
-    coordinates, the residual of product_rule_failure with X left open.
+    coordinates, the residual of product_rule_failure with X left open, as
+    (scale, blocks) with every coefficient a Python int.
 
     X[k][l], the coefficient of e_k in X(e_l), is unknown k*n + l.  Each term
     (P_t, Q_t, table_t) is as in product_rule_failure with None standing for X
     in exactly one slot.  The residual starts with X(e_i * e_j) over table; an
     identity with no such term passes table = None and an explicit order.  Each
     entry of order is a tuple of basis pairs whose residuals add up to one block
-    (default: each pair of table, row-major).  Yields per block the nonzero
-    rows {unknown: coefficient}, keyed by ascending output coordinate.
+    (default: each pair of table, row-major).  blocks yields per block the
+    nonzero rows {unknown: coefficient}, keyed by ascending output coordinate.
+
+    Over F_p the coefficients are the residues themselves and scale is 1.
+    Over Q the rows are read off the lifted columns of the known maps and the
+    lifted tables, and each row is scale times the row of the residual: scale
+    is the least common multiple of the denominators d_table of X's table and
+    d_K d_t of each term (K its known map, t its table), the one positive
+    factor that makes every coefficient an integer in this scheme.
     """
-    field = next(f for term in terms for f in term[:2] if f is not None).field
-    zero, add, sub, mul = field.zero, field.add, field.sub, field.mul
+    p = next(f for term in terms for f in term[:2] if f is not None).field.characteristic
     # a term X(x) *_t Q(y) is Q(y) *_t' X(x) over the transposed table t'; per
-    # term keep the known map's columns, whether it is P, and per basis vector
-    # of its side the nonzero products with each basis vector of X's side
-    sparse_terms = []
-    for p, q, tab in terms:
-        known, tab = (p, tab) if q is None else (q, zip(*tab))
-        sparse_terms.append((_sparse_columns(known), q is None,
-                             [[(v, prods) for v, prods in enumerate(row) if prods] for row in tab]))
+    # term keep the known map's columns, its factor S / (d_K d_t), whether it
+    # is P, and per basis vector of its side the nonzero products with each
+    # basis vector of X's side
+    lifted = []
+    for P, Q, tab in terms:
+        known, tab = (_sparse_columns(P), tab) if Q is None else (_sparse_columns(Q), tab.transpose())
+        if p:
+            lifted.append((known, 1, tab, Q is None))
+        else:
+            (dk, known), (dt, tab) = known.lifted(), tab.lifted()
+            lifted.append((known, dk * dt, tab, Q is None))
+    xm, xtab = 1, table
+    scale = 1
+    if not p:
+        xden, xtab = table.lifted() if table is not None else (None, None)
+        scale = lcm(*[d for _, d, _, _ in lifted], *([xden] if xden else []))
+        xm = scale // xden if xden else 0
+    sparse_terms = [(known, scale // d, p_known,
+                     [[(v, prods) for v, prods in enumerate(row) if prods] for row in tab])
+                    for known, d, tab, p_known in lifted]
     if order is None:
         order = (((i, j),) for i, row in enumerate(table) for j in range(len(row)))
-    for pairs in order:
-        acc = {}
-        for i, j in pairs:
-            if table is not None:
-                for k, c in table[i][j]:
-                    for o in range(n):
-                        row = acc.setdefault(o, {})
-                        key = o * n + k
-                        row[key] = add(row.get(key, zero), c)
-            for cols, p_known, nonzero in sparse_terms:
-                fixed, free = (i, j) if p_known else (j, i)
-                for s, u in cols[fixed]:
-                    for v, prods in nonzero[s]:
-                        key = v * n + free
-                        for o, c in prods:
+
+    def blocks():
+        for pairs in order:
+            acc = {}
+            for i, j in pairs:
+                if xtab is not None:
+                    for k, c in xtab[i][j]:
+                        c *= xm
+                        for o in range(n):
                             row = acc.setdefault(o, {})
-                            row[key] = sub(row.get(key, zero), mul(u, c))
-        block = {}
-        for o in sorted(acc):
-            row = {key: c for key, c in acc[o].items() if c}
-            if row:
-                block[o] = row
-        yield block
+                            key = o * n + k
+                            row[key] = row.get(key, 0) + c
+                for cols, m, p_known, nonzero in sparse_terms:
+                    fixed, free = (i, j) if p_known else (j, i)
+                    for s, u in cols[fixed]:
+                        u *= m
+                        for v, prods in nonzero[s]:
+                            key = v * n + free
+                            for o, c in prods:
+                                row = acc.setdefault(o, {})
+                                row[key] = row.get(key, 0) - u * c
+            block = {}
+            for o in sorted(acc):
+                if p:
+                    row = {key: c % p for key, c in acc[o].items() if c % p}
+                else:
+                    row = {key: c for key, c in acc[o].items() if c}
+                if row:
+                    block[o] = row
+            yield block
+
+    return scale, blocks()
 
 
 class FinAlgebra:
     """Unital associative algebra given by structure constants."""
 
-    __slots__ = ("field", "dim", "basis_names", "mul", "unit", "_pairs", "_automorphisms")
+    __slots__ = ("field", "dim", "basis_names", "mul", "unit", "_pairs", "_automorphisms", "_identity")
 
     def __init__(self, field: Field, mul, unit, basis_names=None, check: bool = True):
         dim = len(mul)
@@ -279,6 +310,7 @@ class FinAlgebra:
         object.__setattr__(self, "_pairs", _sparse_table(mul))
         # matrices of maps that sigmamaps.require_automorphism verified on this instance
         object.__setattr__(self, "_automorphisms", set())
+        object.__setattr__(self, "_identity", None)
         if check:
             self._validate()
 
@@ -288,21 +320,20 @@ class FinAlgebra:
     # -- construction checks ------------------------------------------------
 
     def _validate(self):
-        dim, field, pairs = self.dim, self.field, self._pairs
-        for i in range(dim):
-            ei = self.basis_vector(i)
-            if self.mul_vec(self.unit, ei) != ei or self.mul_vec(ei, self.unit) != ei:
-                raise UnitLawViolation(i)
-        # associativity is the product rule R_k(e_i e_j) = e_i R_k(e_j) for each k
-        ident = Mat.identity(field, dim)
-        failures = []
-        for k in range(dim):
-            right_k = Mat(field, list(zip(*[self.mul[m][k] for m in range(dim)])), dim)
-            bad = product_rule_failure(pairs, right_k, ((ident, right_k, pairs),))
-            if bad:
-                failures.append(bad[0] + (k,))
-        if failures:
-            raise NonAssociative(*min(failures))
+        p = self.field.characteristic
+        bad = _unit_law_failure(self._pairs, self.unit, p)
+        if bad is not None:
+            raise UnitLawViolation(bad)
+        bad = _associativity_failure(self._pairs, p)
+        if bad:
+            raise NonAssociative(*bad)
+
+    def identity_mat(self) -> Mat:
+        """The identity matrix on this algebra, made once per instance, so
+        that its sparse columns are made once too."""
+        if self._identity is None:
+            object.__setattr__(self, "_identity", Mat.identity(self.field, self.dim))
+        return self._identity
 
     # -- vector arithmetic ----------------------------------------------------
 
@@ -355,11 +386,11 @@ class FinAlgebra:
     def left_mul_mat(self, x) -> Mat:
         """Matrix of y -> x*y (columns are images of basis vectors)."""
         cols = [self.mul_vec(x, self.basis_vector(j)) for j in range(self.dim)]
-        return Mat(self.field, list(zip(*cols)) if cols else [], self.dim)
+        return Mat._trusted(self.field, zip(*cols) if cols else [], self.dim)
 
     def right_mul_mat(self, x) -> Mat:
         cols = [self.mul_vec(self.basis_vector(j), x) for j in range(self.dim)]
-        return Mat(self.field, list(zip(*cols)) if cols else [], self.dim)
+        return Mat._trusted(self.field, zip(*cols) if cols else [], self.dim)
 
     def invert(self, x) -> tuple:
         """Two-sided inverse of x, or NotInvertible."""
@@ -407,6 +438,60 @@ class FinAlgebra:
 
     def __repr__(self):
         return "FinAlgebra(dim=%d, field=%r)" % (self.dim, self.field)
+
+
+def _unit_law_failure(pairs: SparseTable, unit: tuple, p: int) -> int | None:
+    """The least i with 1 e_i != e_i or e_i 1 != e_i, or None, read on the
+    table in integers like _associativity_failure: over Q on the lifted
+    table and the unit scaled by its denominator, where 1 e_i should be
+    e_i times both denominators."""
+    if p:
+        tab, one, ints = pairs, 1, [(a, u) for a, u in enumerate(unit) if u]
+    else:
+        den, tab = pairs.lifted()
+        du = lcm(*[u.denominator for u in unit])
+        ints = [(a, u.numerator * (du // u.denominator)) for a, u in enumerate(unit) if u]
+        one = den * du
+    for i in range(len(tab)):
+        left = [(tab[a][i], u) for a, u in ints]  # the products of 1 e_i
+        right = [(tab[i][a], u) for a, u in ints]  # and of e_i 1
+        for side in (left, right):
+            acc = {i: -one}
+            for prods, u in side:
+                for k, c in prods:
+                    acc[k] = acc.get(k, 0) + u * c
+            if any(acc.values()) and (not p or any(map(p.__rmod__, acc.values()))):
+                return i
+    return None
+
+
+def _associativity_failure(pairs: SparseTable, p: int) -> tuple | None:
+    """The least basis triple (i, j, k), lexicographically, with
+    (e_i e_j) e_k != e_i (e_j e_k), or None when the table is associative.
+
+    Both sides are accumulated in integers: over F_p on the residues, reduced
+    mod p once per triple, and over Q on the lifted table, where both sides
+    carry the square of its denominator.
+    """
+    tab = pairs if p else pairs.lifted()[1]
+    n = len(tab)
+    for i, row in enumerate(tab):
+        for j, ij in enumerate(row):
+            jrow = tab[j]
+            for k in range(n):
+                jk = jrow[k]
+                if not (ij or jk):
+                    continue
+                acc = {}
+                for a, c in ij:
+                    for b, d in tab[a][k]:
+                        acc[b] = acc.get(b, 0) + c * d
+                for a, c in jk:
+                    for b, d in row[a]:
+                        acc[b] = acc.get(b, 0) - c * d
+                if any(acc.values()) and (not p or any(map(p.__rmod__, acc.values()))):
+                    return i, j, k
+    return None
 
 
 def validate_algebra(field: Field, mul, unit, basis_names=None) -> FinAlgebra:
@@ -768,15 +853,15 @@ def annihilators(tri: TriAlgebra) -> AnnihilatorReport:
     da, dm, db = tri.A.dim, tri.M.dim_m, tri.B.dim
     left, right = tri.M.left, tri.M.right
     # L = {a : a.m_j = 0 for all j}, R = {b : m_j.b = 0 for all j}
-    L = kernel_basis(Mat(field, [[left[i][j][mp] for i in range(da)]
-                                 for j in range(dm) for mp in range(dm)], da))
-    R = kernel_basis(Mat(field, [[right[j][k][mp] for k in range(db)]
-                                 for j in range(dm) for mp in range(dm)], db))
+    L = kernel_basis(Mat._trusted(field, [[left[i][j][mp] for i in range(da)]
+                                          for j in range(dm) for mp in range(dm)], da))
+    R = kernel_basis(Mat._trusted(field, [[right[j][k][mp] for k in range(db)]
+                                          for j in range(dm) for mp in range(dm)], db))
     # annihilators of M inside the total algebra: x m_j = 0, resp. m_j x = 0
     t = tri.total
     ms = [t.basis_vector(j) for j in tri.range_m]
-    lann = kernel_basis(Mat(field, [r for m in ms for r in t.right_mul_mat(m).rows], t.dim))
-    rann = kernel_basis(Mat(field, [r for m in ms for r in t.left_mul_mat(m).rows], t.dim))
+    lann = kernel_basis(Mat._trusted(field, [r for m in ms for r in t.right_mul_mat(m).rows], t.dim))
+    rann = kernel_basis(Mat._trusted(field, [r for m in ms for r in t.left_mul_mat(m).rows], t.dim))
     report = AnnihilatorReport(L, R, lann, rann, L.is_zero(), R.is_zero())
     if report.left_faithful and report.right_faithful and dm > 0:
         mb = Subspace.from_vectors(field, t.dim, [t.basis_vector(i) for i in list(tri.range_m) + list(tri.range_b)])

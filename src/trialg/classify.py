@@ -45,7 +45,7 @@ from .errors import (
     PreconditionFails,
     TheoremViolation,
 )
-from .exactla import Mat, Subspace, kernel_sparse, solve_linear
+from .exactla import IntegerRows, Mat, Subspace, kernel_sparse, solve_linear
 from .sigmamaps import (
     AutBlocks,
     BilinMap,
@@ -54,6 +54,7 @@ from .sigmamaps import (
     block_decompose,
     classify_bilinear,
     classify_linear,
+    identity_map,
     is_endomorphism,
     sigma_center,
 )
@@ -303,10 +304,10 @@ def _intertwiner_space(tri: TriAlgebra, blocks: AutBlocks) -> Subspace:
     left, right = tri.M._left_pairs, tri.M._right_pairs
     dm = tri.M.dim_m
     sides = ((left, ((blocks.f, None, left),)),
-             (right, ((None, LinMap.identity(tri.field, tri.B.dim), right),)))
+             (right, ((None, identity_map(tri.B), right),)))
     rows = [row for table, terms in sides
-            for block in product_rule_rows(table, terms, dm) for row in block.values()]
-    return kernel_sparse(tri.field, rows, dm * dm)
+            for block in product_rule_rows(table, terms, dm)[1] for row in block.values()]
+    return kernel_sparse(tri.field, IntegerRows(rows), dm * dm)
 
 
 def _scalar_action_space(tri: TriAlgebra, blocks: AutBlocks,
@@ -378,7 +379,7 @@ def _verify_commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks,
     sub, nu = tri.total.sub_vec, blocks.nu
     left, right = tri.M._left_pairs, tri.M._right_pairs
     right_t = right.transpose()
-    ident_m, ident_b = LinMap.identity(field, dm), LinMap.identity(field, db)
+    ident_m, ident_b = LinMap.identity(field, dm), identity_map(tri.B)
     d1_one, mu1_one = cb.delta1.apply(tri.A.unit), cb.mu1.apply(tri.A.unit)
     d3_one, mu3_one = cb.delta3.apply(tri.B.unit), cb.mu3.apply(tri.B.unit)
     units = [(unit_m(field, dm, j), nu.image_of_basis(j)) for j in range(dm)]
@@ -418,16 +419,18 @@ def _verify_commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks,
         raise TheoremViolation("delta1 is not twisted-commuting on A")
     if not classify_linear("sigma_commuting", tri.B, cb.mu3, blocks.g).holds:
         raise TheoremViolation("mu3 is not twisted-commuting on B")
+    # the minus signs of the conditions are carried by negated tables
+    neg_left, neg_right, neg_right_t = (t.negated(field) for t in (left, right, right_t))
     # (iii) delta1(a) m - nu(m) mu1(a) = f(a) mblock(m) on the basis pairs (a, m)
-    if product_rule_failure(left, None, ((cb.delta1, ident_m, left), (cb.mu1, -nu, right_t),
-                                         (-blocks.f, mblock, left))):
+    if product_rule_failure(left, None, ((cb.delta1, ident_m, left), (cb.mu1, nu, neg_right_t),
+                                         (blocks.f, mblock, neg_left))):
         raise TheoremViolation("condition (iii) fails on a basis pair")
     # (iv) nu(m) mu3(b) - delta3(b) m = vi_form(m) b on the basis pairs (b, m)
-    if product_rule_failure(right_t, None, ((cb.mu3, nu, right_t), (-cb.delta3, ident_m, left),
-                                            (ident_b, -vi_form, right_t))):
+    if product_rule_failure(right_t, None, ((cb.mu3, nu, right_t), (cb.delta3, ident_m, neg_left),
+                                            (ident_b, vi_form, neg_right_t))):
         raise TheoremViolation("condition (iv) fails on a basis pair")
     # (v) delta2(m) m = nu(m) mu2(m) on singles and pairs of M, hence on all of M
-    if quadratic_failure(((cb.delta2, ident_m, left), (-nu, cb.mu2, right)), dm):
+    if quadratic_failure(((cb.delta2, ident_m, left), (nu, cb.mu2, neg_right)), dm):
         raise TheoremViolation("condition (v) fails on the quadratic span")
     # (vi)
     if mblock != vi_form:

@@ -18,10 +18,11 @@ a' = a / g, b' = b / g with g = gcd(a, b), so no fraction is ever formed.
 The gcd of the row is taken only after a step with b' != 1, which scales the
 row (lazy content); pivot rows of lead 1, the common case, cost nothing extra.
 Each pivot row becomes field values once, at the end, as Fraction(v, lead).
-Over F_p the same loops run on residues, with monic pivots and one ``% p``
-per updated entry instead of field-method calls.  Rows that are scalar
-multiples of each other share one integer form, and only the first of them
-is eliminated.
+Rows built in integers already (IntegerRows, as the constraint-row builders
+make them) skip the clearing of denominators.  Over F_p the same loops run on
+residues, with monic pivots and one ``% p`` per updated entry instead of
+field-method calls.  Rows that are scalar multiples of each other share one
+integer form, and only the first of them is eliminated.
 
 Hot loops test raw scalars for zero by truthiness (``if v:``), which is exact
 because ``Fraction`` values are normalized and F_p residues are always
@@ -349,10 +350,45 @@ class FieldScalar:
 # ---------------------------------------------------------------------------
 
 
-class Mat:
-    """Dense immutable matrix of raw field values."""
+class SparseColumns(tuple):
+    """The columns of a matrix over field as sparse lists: entry j holds the
+    nonzero (k, c) of column j, the image of e_j for a map matrix.
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    It keeps, made on first use, its lifted form over Q (lifted()).
+    """
+
+    def __new__(cls, field: Field, nrows: int, cols):
+        self = super().__new__(cls, cols)
+        self.field = field
+        self.nrows = nrows
+        self._lifted = None
+        return self
+
+    def lifted(self) -> tuple:
+        """(den, ints): the least common denominator of the entries, and the
+        columns with each entry c replaced by the integer c * den (over Q)."""
+        if self._lifted is None:
+            den = lcm(*[c.denominator for col in self for _, c in col])
+            self._lifted = den, tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in col)
+                                      for col in self)
+        return self._lifted
+
+
+class Mat:
+    """Dense immutable matrix of raw field values.
+
+    The public constructor coerces every entry through field.coerce and
+    checks the shape, so it takes input values (int, str, Fraction,
+    FieldScalar).  Mat._trusted skips both; it is for rows of raw values of
+    this field made by trialg itself (identities, products, solved bases,
+    images already coerced), never for values read from input.
+
+    A matrix keeps two derived values, each made on first use: its sparse
+    columns (sparse_columns(), which in turn keep their lifted form over Q)
+    and its hash.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "rows", "_columns", "_hash")
 
     def __init__(self, field: Field, rows: Iterable[Sequence], ncols: int | None = None):
         rows = tuple(tuple(field.coerce(v) for v in row) for row in rows)
@@ -363,10 +399,23 @@ class Mat:
                     raise ShapeMismatch("ragged rows")
         elif ncols is None:
             ncols = 0
+        self._set(field, rows, ncols)
+
+    def _set(self, field: Field, rows: tuple, ncols: int):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_columns", None)
+        object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _trusted(cls, field: Field, rows: Iterable[Sequence], ncols: int) -> "Mat":
+        """A matrix of rows of raw values of field, of equal length ncols,
+        taken as they are: no coercion and no shape check."""
+        self = object.__new__(cls)
+        self._set(field, tuple(map(tuple, rows)), ncols)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("Mat is immutable")
@@ -374,12 +423,19 @@ class Mat:
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
         one, zero = field.one, field.zero
-        return Mat(field, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
+        return Mat._trusted(field, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
 
     @staticmethod
     def zeros(field: Field, nrows: int, ncols: int) -> "Mat":
-        zero = field.zero
-        return Mat(field, [[zero] * ncols for _ in range(nrows)], ncols)
+        return Mat._trusted(field, [(field.zero,) * ncols] * nrows, ncols)
+
+    def sparse_columns(self) -> SparseColumns:
+        """The nonzero (k, c) of each column, made once per matrix."""
+        if self._columns is None:
+            cols = zip(*self.rows) if self.nrows else [()] * self.ncols
+            object.__setattr__(self, "_columns", SparseColumns(
+                self.field, self.nrows, [tuple((k, c) for k, c in enumerate(col) if c) for col in cols]))
+        return self._columns
 
     def _check(self, other: "Mat"):
         if self.field != other.field:
@@ -398,30 +454,32 @@ class Mat:
         return tuple(r[j] for r in self.rows)
 
     def transpose(self) -> "Mat":
-        return Mat(self.field, list(zip(*self.rows)) if self.rows else [], self.nrows)
+        return Mat._trusted(self.field, zip(*self.rows) if self.rows else [], self.nrows)
 
     def __add__(self, other: "Mat") -> "Mat":
         self._check(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ShapeMismatch("add %dx%d and %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols))
         add = self.field.add
-        return Mat(self.field, [[add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)], self.ncols)
+        return Mat._trusted(self.field, [[add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+                            self.ncols)
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._check(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ShapeMismatch("sub %dx%d and %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols))
         sub = self.field.sub
-        return Mat(self.field, [[sub(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)], self.ncols)
+        return Mat._trusted(self.field, [[sub(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+                            self.ncols)
 
     def scale(self, c) -> "Mat":
         c = self.field.coerce(c)
         mul = self.field.mul
-        return Mat(self.field, [[mul(c, v) for v in row] for row in self.rows], self.ncols)
+        return Mat._trusted(self.field, [[mul(c, v) for v in row] for row in self.rows], self.ncols)
 
     def __neg__(self) -> "Mat":
         neg = self.field.neg
-        return Mat(self.field, [[neg(v) for v in row] for row in self.rows], self.ncols)
+        return Mat._trusted(self.field, [[neg(v) for v in row] for row in self.rows], self.ncols)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check(other)
@@ -440,7 +498,7 @@ class Mat:
                     if w:
                         acc[j] = add(acc[j], mul(v, w))
             out.append(acc)
-        return Mat(self.field, out, other.ncols)
+        return Mat._trusted(self.field, out, other.ncols)
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product."""
@@ -462,13 +520,15 @@ class Mat:
         self._check(other)
         if self.ncols != other.ncols:
             raise ShapeMismatch("stack widths %d and %d" % (self.ncols, other.ncols))
-        return Mat(self.field, self.rows + other.rows, self.ncols)
+        return Mat._trusted(self.field, self.rows + other.rows, self.ncols)
 
     def is_zero(self) -> bool:
         return not any(v for row in self.rows for v in row)
 
     def rank(self) -> int:
-        return len(rref(self)[1])
+        """The rank, as the number of pivots of the column space, read off
+        the cached sparse columns."""
+        return len(_sparse_reduce(self.field, map(dict, self.sparse_columns()), self.nrows))
 
     def trace(self):
         if self.nrows != self.ncols:
@@ -483,11 +543,11 @@ class Mat:
         n = self.nrows
         if n != self.ncols:
             raise ShapeMismatch("inverse of non-square matrix")
-        aug = Mat(self.field, [list(r) + list(e) for r, e in zip(self.rows, Mat.identity(self.field, n).rows)], 2 * n)
+        aug = Mat._trusted(self.field, [r + e for r, e in zip(self.rows, Mat.identity(self.field, n).rows)], 2 * n)
         red, pivots = rref(aug)
         if list(pivots) != list(range(n)):
             return None
-        return Mat(self.field, [row[n:] for row in red.rows[:n]], n)
+        return Mat._trusted(self.field, [row[n:] for row in red.rows[:n]], n)
 
     def __eq__(self, other):
         return (
@@ -498,7 +558,9 @@ class Mat:
         )
 
     def __hash__(self):
-        return hash((self.field, self.ncols, self.rows))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.field, self.ncols, self.rows)))
+        return self._hash
 
     def __repr__(self):
         fmt = self.field.format
@@ -517,6 +579,33 @@ class Mat:
 # when the pivot rows are returned.
 
 
+class IntegerRows:
+    """Sparse rows whose entries are Python ints: over Q each one a nonzero
+    integer multiple of the row of field values it stands for, over F_p
+    residues in [0, p).  algcore.product_rule_rows builds such rows, and
+    _sparse_reduce takes their canonical form straight from the integers,
+    without the denominator pass of _integer_row."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __iter__(self):
+        return iter(self.rows)
+
+
+def _primitive(row: dict) -> dict:
+    """A row of nonzero ints divided by the gcd of its entries, signed so
+    that its lead (the entry at the least column) is positive."""
+    if not row:
+        return row
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
 def _integer_row(p: int, raw) -> dict:
     """Canonical integer form of a sparse row's nonzero entries, the same for
     every nonzero scalar multiple of the row: over Q (p = 0) the primitive
@@ -528,17 +617,8 @@ def _integer_row(p: int, raw) -> dict:
         return row if s == 1 else {c: v * s % p for c, v in row.items()}
     den = lcm(*[v.denominator for v in raw.values()])
     if den == 1:
-        row = {c: v.numerator for c, v in raw.items() if v}
-    else:
-        row = {c: v.numerator * (den // v.denominator) for c, v in raw.items() if v}
-    if not row:
-        return row
-    g = gcd(*row.values())
-    if row[min(row)] < 0:
-        g = -g
-    if g != 1:
-        row = {c: v // g for c, v in row.items()}
-    return row
+        return _primitive({c: v.numerator for c, v in raw.items() if v})
+    return _primitive({c: v.numerator * (den // v.denominator) for c, v in raw.items() if v})
 
 
 def _eliminate(row: dict, c: int, piv: dict, p: int):
@@ -584,13 +664,15 @@ def _eliminate(row: dict, c: int, piv: dict, p: int):
 def _sparse_reduce(field: Field, rows, ncols: int) -> dict[int, dict]:
     """Fully reduced pivot rows {pivot column: {column: field value}} of the
     sparse rows, each with 1 at its pivot column.  Rows are eliminated in
-    their integer form (_integer_row), a row whose form was already seen is
-    skipped, and the result is converted to field values at the end."""
+    their integer form (_integer_row, or _primitive for IntegerRows over Q),
+    a row whose form was already seen is skipped, and the result is converted
+    to field values at the end."""
     p = field.characteristic
+    integer = not p and isinstance(rows, IntegerRows)
     pivots: dict[int, dict] = {}
     seen = set()
     for raw in rows:
-        row = _integer_row(p, raw)
+        row = _primitive({c: v for c, v in raw.items() if v}) if integer else _integer_row(p, raw)
         key = frozenset(row.items())
         if not row or key in seen:
             continue
@@ -599,7 +681,7 @@ def _sparse_reduce(field: Field, rows, ncols: int) -> dict[int, dict]:
             c = min(row)
             piv = pivots.get(c)
             if piv is None:
-                pivots[c] = _integer_row(p, row)
+                pivots[c] = _integer_row(p, row) if p else _primitive(row)
                 break
             _eliminate(row, c, piv, p)
     # full back-substitution, last pivot row first: each row's entries in
@@ -647,7 +729,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     zero_row = tuple([m.field.zero] * m.ncols)
     while len(dense) < m.nrows:
         dense.append(zero_row)
-    return Mat(m.field, dense, m.ncols), tuple(sorted(pivots))
+    return Mat._trusted(m.field, dense, m.ncols), tuple(sorted(pivots))
 
 
 def kernel_from_pivots(field: Field, pivots: dict[int, dict], ncols: int) -> list[list]:
@@ -670,7 +752,7 @@ def kernel_from_pivots(field: Field, pivots: dict[int, dict], ncols: int) -> lis
 def kernel_sparse(field: Field, rows, ncols: int) -> "Subspace":
     """Kernel of a linear system given as sparse constraint rows."""
     pivots = _sparse_reduce(field, rows, ncols)
-    return Subspace.from_vectors(field, ncols, kernel_from_pivots(field, pivots, ncols))
+    return Subspace._from_rows(field, ncols, _rows_to_sparse(kernel_from_pivots(field, pivots, ncols)))
 
 
 def kernel_basis(m: Mat) -> "Subspace":
@@ -735,9 +817,15 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise AmbientMismatch("vector length %d in ambient %d" % (len(v), ambient_dim))
-        pivots = _sparse_reduce(field, _rows_to_sparse(vecs), ambient_dim)
-        dense = _dense_rows(field, pivots, ambient_dim)
-        return Subspace(field, ambient_dim, tuple(dense), tuple(sorted(pivots)))
+        return Subspace._from_rows(field, ambient_dim, _rows_to_sparse(vecs))
+
+    @staticmethod
+    def _from_rows(field: Field, ambient_dim: int, rows) -> "Subspace":
+        """The span of sparse rows {column: raw value of field} below
+        ambient_dim, taken as they are (no coercion, no length check)."""
+        pivots = _sparse_reduce(field, rows, ambient_dim)
+        return Subspace(field, ambient_dim, tuple(_dense_rows(field, pivots, ambient_dim)),
+                        tuple(sorted(pivots)))
 
     @staticmethod
     def zero(field: Field, ambient_dim: int) -> "Subspace":
@@ -756,7 +844,7 @@ class Subspace:
         return not self.basis
 
     def matrix(self) -> Mat:
-        return Mat(self.field, self.basis, self.ambient_dim)
+        return Mat._trusted(self.field, self.basis, self.ambient_dim)
 
     def _check(self, other: "Subspace"):
         if self.field != other.field:

@@ -17,6 +17,11 @@ q(sum_i x_i e_i) = sum_i x_i^2 q(e_i) + sum_{i<j} x_i x_j q(e_i, e_j) for the
 polarization q(e_i, e_j), this decides the condition at every element, in
 every characteristic.  The derivation and commuting terms are shared with the
 solve rows of spaces, which algcore.product_rule_rows builds from them.
+
+The evaluator reads every map through its cached sparse columns (Mat), so the
+twist sigma and the identity of an algebra (FinAlgebra.identity_mat) are
+extracted, and lifted over Q, once however many maps are checked against
+them; the minus sign of a commuting term lives in the negated product table.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .errors import (
     SigmaNotAutomorphism,
     TheoremViolation,
 )
-from .exactla import Field, Mat, Subspace
+from .exactla import Field, Mat, SparseColumns, Subspace
 
 LINEAR_KINDS = (
     "endomorphism",
@@ -97,7 +102,7 @@ class LinMap:
         if dst_dim is None:
             dst_dim = len(images[0]) if images else 0
         rows = [[field.coerce(img[k]) for img in images] for k in range(dst_dim)]
-        return LinMap(field, Mat(field, rows, src_dim), src_dim, dst_dim)
+        return LinMap(field, Mat._trusted(field, rows, src_dim), src_dim, dst_dim)
 
     def apply(self, vec) -> tuple:
         return self.mat.apply(vec)
@@ -154,10 +159,11 @@ class LinMap:
 
     @staticmethod
     def unflatten(field: Field, flat, src_dim: int, dst_dim: int | None = None) -> "LinMap":
+        """Inverse of flatten; flat holds raw values of field, taken as they are."""
         if dst_dim is None:
             dst_dim = len(flat) // src_dim
         rows = [flat[k * src_dim:(k + 1) * src_dim] for k in range(dst_dim)]
-        return LinMap(field, Mat(field, rows, src_dim), src_dim, dst_dim)
+        return LinMap(field, Mat._trusted(field, rows, src_dim), src_dim, dst_dim)
 
     def __eq__(self, other):
         return isinstance(other, LinMap) and self.mat == other.mat
@@ -185,9 +191,20 @@ class BilinMap:
         for row in tensor:
             if len(row) != dim or any(len(v) != dim for v in row):
                 raise DimMismatch("bilinear tensor is not dim^3")
+        self._set(field, tensor)
+
+    def _set(self, field: Field, tensor: tuple):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "dim", len(tensor))
         object.__setattr__(self, "tensor", tensor)
+
+    @classmethod
+    def _trusted(cls, field: Field, tensor: tuple) -> "BilinMap":
+        """A map of a dim^3 tensor of raw values of field, nested tuples made
+        by trialg itself, taken as it is (as Mat._trusted)."""
+        self = object.__new__(cls)
+        self._set(field, tensor)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("BilinMap is immutable")
@@ -249,8 +266,9 @@ class BilinMap:
 
     @staticmethod
     def unflatten(field: Field, flat, dim: int) -> "BilinMap":
-        t = [[[flat[(i * dim + j) * dim + k] for k in range(dim)] for j in range(dim)] for i in range(dim)]
-        return BilinMap(field, t)
+        """Inverse of flatten; flat holds raw values of field, taken as they are."""
+        return BilinMap._trusted(field, tuple(tuple(tuple(flat[(i * dim + j) * dim:(i * dim + j + 1) * dim])
+                                                    for j in range(dim)) for i in range(dim)))
 
     def __eq__(self, other):
         return isinstance(other, BilinMap) and self.field == other.field and self.tensor == other.tensor
@@ -304,6 +322,11 @@ class Verdict:
         if self.witness is not None:
             out["witness"] = self.witness.to_json(field)
         return out
+
+
+def identity_map(alg: FinAlgebra) -> LinMap:
+    """The identity of alg over its cached identity matrix."""
+    return LinMap(alg.field, alg.identity_mat())
 
 
 def _check_square(alg: FinAlgebra, f: LinMap):
@@ -375,7 +398,7 @@ def classify_linear(kind: str, alg: FinAlgebra, f: LinMap, sigma: LinMap | None 
         return is_endomorphism(alg, f)
     if kind == "automorphism":
         return is_automorphism(alg, f)
-    ident = LinMap.identity(alg.field, alg.dim)
+    ident = identity_map(alg)
     if kind in ("derivation", "commuting"):
         beta = ident
     elif kind in ("sigma_derivation", "sigma_commuting"):
@@ -390,7 +413,7 @@ def classify_bilinear(kind: str, alg: FinAlgebra, D: BilinMap, sigma: LinMap | N
     """Exact verdict for biderivation-style predicates, witness is a basis triple."""
     if D.dim != alg.dim:
         raise DimMismatch("bilinear map of dim %d on algebra of dim %d" % (D.dim, alg.dim))
-    ident = LinMap.identity(alg.field, alg.dim)
+    ident = identity_map(alg)
     if kind == "biderivation":
         beta = ident
     elif kind == "sigma_biderivation":
@@ -513,12 +536,13 @@ def derivation_terms(alg: FinAlgebra, d: LinMap | None, alpha: LinMap, beta: Lin
 
 def commuting_terms(alg: FinAlgebra, theta: LinMap | None, alpha: LinMap, beta: LinMap) -> tuple:
     """Terms of the quadratic residual beta(x) Theta(x) - Theta(x) alpha(x);
-    theta = None for the unknown map."""
+    theta = None for the unknown map.  The sign of the first term is carried
+    by the negated product table, so beta is used as it is."""
     pairs = alg._pairs
-    return ((-beta, theta, pairs), (theta, alpha, pairs))
+    return ((beta, theta, pairs.negated(alg.field)), (theta, alpha, pairs))
 
 
-def _derivation_failure(alg: FinAlgebra, d: LinMap, alpha: LinMap, beta: LinMap) -> tuple | None:
+def _derivation_failure(alg: FinAlgebra, d, alpha: LinMap, beta: LinMap) -> tuple | None:
     return product_rule_failure(alg._pairs, d, derivation_terms(alg, d, alpha, beta))
 
 
@@ -540,15 +564,17 @@ def is_alpha_beta_biderivation(alg: FinAlgebra, D: BilinMap, alpha: LinMap, beta
     """D is an (alpha, beta)-derivation in each slot on all basis triples.
 
     The slot maps D(., e_k) and D(e_k, .) each go through the derivation
-    check; the witness is the failure first in the order (i, j, k, first slot
-    before second) of the pair e_i e_j and the fixed argument e_k.
+    check, their sparse columns read straight off the tensor; the witness is
+    the failure first in the order (i, j, k, first slot before second) of the
+    pair e_i e_j and the fixed argument e_k.
     """
-    n = alg.dim
+    n, field, tensor = alg.dim, alg.field, D.tensor
+    nonzero = [[tuple((o, c) for o, c in enumerate(vec) if c) for vec in row] for row in tensor]
     failures = []
     for k in range(n):
-        slots = ([D.value(l, k) for l in range(n)], D.tensor[k])
-        for slot, images in enumerate(slots):
-            bad = _derivation_failure(alg, LinMap.from_images(alg.field, images, n, n), alpha, beta)
+        slots = ([nonzero[l][k] for l in range(n)], nonzero[k])
+        for slot, cols in enumerate(slots):
+            bad = _derivation_failure(alg, SparseColumns(field, n, cols), alpha, beta)
             if bad:
                 failures.append((bad[0] + (k, slot), bad[1]))
     if not failures:

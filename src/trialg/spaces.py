@@ -11,6 +11,13 @@ Der_sigma, with the reduced derivation rows imposed on the second slot: n*r
 unknowns for r = dim Der_sigma instead of n^3.  Flattening is row-major: a
 linear map matrix entry [k][j] at k*dim + j, a bilinear tensor entry
 [i][j][k] at (i*dim + j)*dim + k.
+
+Every system is built in Python ints and handed to the reduce as
+exactla.IntegerRows: over Q each row is a positive integer multiple of the
+row of its identity (product_rule_rows reports the factor), which leaves the
+kernel unchanged.  Twist and identity are read through their cached sparse
+columns, so verifying the r basis maps of a space extracts and lifts sigma
+and the identity once, not r times.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .errors import (
     TheoremViolation,
 )
 from .exactla import (
+    IntegerRows,
     Subspace,
     _integer_row,
     _sparse_reduce,
@@ -51,6 +59,7 @@ from .sigmamaps import (
     classify_linear,
     commuting_terms,
     derivation_terms,
+    identity_map,
     is_alpha_beta_derivation,
     require_automorphism,
     sigma_commutator_vec,
@@ -122,28 +131,27 @@ def _dedup_rows(rows):
             yield r
 
 
-def _derivation_row_blocks(alg: FinAlgebra, sigma: LinMap):
-    """Per basis pair (i, j), the nonzero rows of d(e_i e_j) - d(e_i) e_j -
-    sigma(e_i) d(e_j) = 0 by output coordinate, flattened unknowns d[k][j]."""
-    terms = derivation_terms(alg, None, LinMap.identity(alg.field, alg.dim), sigma)
-    return product_rule_rows(alg._pairs, terms, alg.dim)
+def _derivation_row_blocks(alg: FinAlgebra, sigma: LinMap) -> tuple:
+    """(scale, blocks): per basis pair (i, j), the nonzero integer rows of
+    d(e_i e_j) - d(e_i) e_j - sigma(e_i) d(e_j) = 0 by output coordinate,
+    flattened unknowns d[k][j], as product_rule_rows scales them."""
+    return product_rule_rows(alg._pairs, derivation_terms(alg, None, identity_map(alg), sigma), alg.dim)
 
 
-def _derivation_rows(alg: FinAlgebra, sigma: LinMap):
+def _derivation_rows(alg: FinAlgebra, sigma: LinMap) -> IntegerRows:
     """d(e_i e_j) = d(e_i) e_j + sigma(e_i) d(e_j), flattened unknowns d[k][j]."""
-    for block in _derivation_row_blocks(alg, sigma):
-        yield from block.values()
+    _, blocks = _derivation_row_blocks(alg, sigma)
+    return IntegerRows(row for block in blocks for row in block.values())
 
 
-def _commuting_rows(alg: FinAlgebra, sigma: LinMap):
+def _commuting_rows(alg: FinAlgebra, sigma: LinMap) -> IntegerRows:
     """sigma(x) Theta(x) - Theta(x) x = 0 for x over basis vectors and pairwise
     sums; the residual at e_i + e_j adds up the four basis pairs of its support."""
     n = alg.dim
     order = [((i, i),) for i in range(n)]
     order += [((i, i), (j, j), (i, j), (j, i)) for i, j in itertools.combinations(range(n), 2)]
-    terms = commuting_terms(alg, None, LinMap.identity(alg.field, n), sigma)
-    for block in product_rule_rows(None, terms, n, order):
-        yield from block.values()
+    _, blocks = product_rule_rows(None, commuting_terms(alg, None, identity_map(alg), sigma), n, order)
+    return IntegerRows(row for block in blocks for row in block.values())
 
 
 def _biderivation_rows(alg: FinAlgebra, sigma: LinMap):
@@ -158,7 +166,7 @@ def _biderivation_rows(alg: FinAlgebra, sigma: LinMap):
     n = alg.dim
     first = [[(l * n + k) * n + o for o in range(n) for l in range(n)] for k in range(n)]
     second = [[(k * n + l) * n + o for o in range(n) for l in range(n)] for k in range(n)]
-    for block in _derivation_row_blocks(alg, sigma):
+    for block in _derivation_row_blocks(alg, sigma)[1]:
         for k in range(n):
             fk, sk = first[k], second[k]
             for row in block.values():
@@ -176,43 +184,56 @@ def _biderivation_space(alg: FinAlgebra, sigma: LinMap) -> Subspace:
     first slot by construction.  For each l, every P must vanish on
     y -> D(e_l, y), whose entry [o][k] is sum_s c[k][s] delta_s[o][l].  Each
     kernel vector c lifts to t[l][k][o] = sum_s c[k][s] delta_s[o][l].
+
+    The coefficient rows are built in integers: over Q each P and each
+    delta_s is taken in its integer form (exactla._integer_row), a nonzero
+    multiple.  Scaling P scales its rows; scaling delta_s by lambda_s
+    rescales the unknowns c[k][s], and the lift uses the same scaled deltas,
+    so the lifted tensors span the same space.
     """
     field, n = alg.field, alg.dim
-    zero, add, mul = field.zero, field.add, field.mul
+    zero, add, mul, p = field.zero, field.add, field.mul, field.characteristic
     pivots = _sparse_reduce(field, _derivation_rows(alg, sigma), n * n)
-    deltas = [[(key, v) for key, v in enumerate(delta) if v]
+    deltas = [{key: v for key, v in enumerate(delta) if v}
               for delta in kernel_from_pivots(field, pivots, n * n)]
+    prows = list(pivots.values())
+    if not p:
+        deltas = [_integer_row(0, delta) for delta in deltas]
+        prows = [_integer_row(0, prow) for prow in prows]
     r = len(deltas)
     at = [[] for _ in range(n * n)]  # at[o*n + l]: the nonzero (s, delta_s[o][l])
     for s, delta in enumerate(deltas):
-        for key, v in delta:
+        for key, v in delta.items():
             at[key].append((s, v))
+    # each pivot row P as its entries (o, k*r, P[o][k])
+    prows = [[(key // n, key % n * r, c) for key, c in prow.items()] for prow in prows]
     rows = []
     for l in range(n):
-        for prow in pivots.values():
+        at_l = at[l::n]  # at_l[o]: the nonzero (s, delta_s[o][l])
+        for prow in prows:
             row = {}
-            for key, p in prow.items():
-                o, k = divmod(key, n)
-                for s, v in at[o * n + l]:
-                    col = k * r + s
-                    row[col] = add(row.get(col, zero), mul(p, v))
-            row = {col: v for col, v in row.items() if v}
+            for o, kr, c in prow:
+                for s, v in at_l[o]:
+                    row[kr + s] = row.get(kr + s, 0) + c * v
             if row:
-                rows.append(row)
-    coeffs = kernel_sparse(field, rows, n * r)
-    vecs = []
+                row = {col: v % p for col, v in row.items() if v % p} if p else \
+                    {col: v for col, v in row.items() if v}
+                if row:
+                    rows.append(row)
+    coeffs = kernel_sparse(field, IntegerRows(rows), n * r)
+    tensors = []
     for c in coeffs.basis:
-        t = [zero] * n ** 3
+        t = {}
         for ks, cks in enumerate(c):
             if not cks:
                 continue
             k, s = divmod(ks, r)
-            for key, v in deltas[s]:
+            for key, v in deltas[s].items():
                 o, l = divmod(key, n)
                 idx = (l * n + k) * n + o
-                t[idx] = add(t[idx], mul(cks, v))
-        vecs.append(t)
-    return Subspace.from_vectors(field, n ** 3, vecs)
+                t[idx] = add(t.get(idx, zero), mul(cks, v))
+        tensors.append(t)
+    return Subspace._from_rows(field, n ** 3, tensors)
 
 
 def solve_space(kind: str, t, sigma: LinMap | None = None,
@@ -231,7 +252,7 @@ def solve_space(kind: str, t, sigma: LinMap | None = None,
     else:
         if sigma is not None:
             raise InputError("kind %r takes no twist map" % (kind,))
-        sigma = LinMap.identity(field, n)
+        sigma = identity_map(alg)
     if kind in ("biderivation", "sigma_biderivation"):
         if n > bilinear_dim_cap:
             raise InputError("bilinear solve capped at dim %d (got %d)" % (bilinear_dim_cap, n))
@@ -399,13 +420,13 @@ def sigma_derivation_blocks(tri: TriAlgebra, d: LinMap, blocks: AutBlocks) -> De
 def _verify_derivation_blocks(hw: DerivationBlocks, d: LinMap):
     tri = hw.tri
     field = tri.field
-    if not is_alpha_beta_derivation(tri.A, hw.d_a, LinMap.identity(field, tri.A.dim), hw.blocks.f).holds:
+    if not is_alpha_beta_derivation(tri.A, hw.d_a, identity_map(tri.A), hw.blocks.f).holds:
         raise TheoremViolation("corner block d_A is not an f-twisted derivation")
-    if not is_alpha_beta_derivation(tri.B, hw.d_b, LinMap.identity(field, tri.B.dim), hw.blocks.g).holds:
+    if not is_alpha_beta_derivation(tri.B, hw.d_b, identity_map(tri.B), hw.blocks.g).holds:
         raise TheoremViolation("corner block d_B is not a g-twisted derivation")
     # xi(a m) = d_A(a) m + f(a) xi(m) and xi(m b) = xi(m) b + nu(m) d_B(b)
     left, right = tri.M._left_pairs, tri.M._right_pairs
-    id_m, id_b = LinMap.identity(field, tri.M.dim_m), LinMap.identity(field, tri.B.dim)
+    id_m, id_b = LinMap.identity(field, tri.M.dim_m), identity_map(tri.B)
     if product_rule_failure(left, hw.xi, ((hw.d_a, id_m, left), (hw.blocks.f, hw.xi, left))):
         raise TheoremViolation("xi fails its left action identity")
     if product_rule_failure(right, hw.xi, ((hw.xi, id_b, right), (hw.blocks.nu, hw.d_b, right))):

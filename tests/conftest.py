@@ -148,3 +148,32 @@ def count_aut_checks(monkeypatch):
 
     monkeypatch.setattr(sm, "is_automorphism", counting)
     return calls
+
+
+@pytest.fixture()
+def count_column_builds(monkeypatch):
+    """Record each build of derived map data: the rows of a Mat each time
+    sparse_columns() returns columns it did not hold before the call, and the
+    columns of a SparseColumns each time lifted() returns a new lifted form."""
+    import trialg.exactla as ex
+
+    built = {"columns": [], "lifted": []}
+    columns, lifted = ex.Mat.sparse_columns, ex.SparseColumns.lifted
+
+    def counting_columns(self):
+        before = self._columns
+        out = columns(self)
+        if out is not before:
+            built["columns"].append(self.rows)
+        return out
+
+    def counting_lifted(self):
+        before = self._lifted
+        out = lifted(self)
+        if out is not before:
+            built["lifted"].append(tuple(self))
+        return out
+
+    monkeypatch.setattr(ex.Mat, "sparse_columns", counting_columns)
+    monkeypatch.setattr(ex.SparseColumns, "lifted", counting_lifted)
+    return built

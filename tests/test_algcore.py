@@ -89,6 +89,66 @@ class TestValidateAlgebra:
         assert err.value.triple == (1, 1, 1)
 
 
+def _dense_validation_failure(field, mul, unit):
+    """What validate_algebra must report, by plain dense evaluation: ("unit",
+    the least i with 1 e_i != e_i or e_i 1 != e_i), else ("assoc", the least
+    (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k)), else None."""
+    n = len(mul)
+
+    def prod(x, y):
+        out = [field.zero] * n
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                for k in range(n):
+                    out[k] = field.add(out[k], field.mul(field.mul(xi, yj), mul[i][j][k]))
+        return tuple(out)
+
+    e = [tuple(field.one if k == i else field.zero for k in range(n)) for i in range(n)]
+    for i in range(n):
+        if prod(unit, e[i]) != e[i] or prod(e[i], unit) != e[i]:
+            return "unit", i
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if prod(prod(e[i], e[j]), e[k]) != prod(e[i], prod(e[j], e[k])):
+            return "assoc", (i, j, k)
+    return None
+
+
+class TestValidationOracle:
+    """The unit laws and associativity, checked on the integer table, report
+    the failure a dense evaluation finds first, on perturbed tables and units
+    with rational entries over Q and residues over F_5 and F_2."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(5), GF(2)], ids=["Q", "F5", "F2"])
+    def test_matches_dense_evaluation(self, field):
+        rng = random.Random(7300 + field.characteristic)
+        values = ([Fraction(v) for v in (0, 1, -1, 2)] + [Fraction(1, 2), Fraction(-2, 3)]
+                  if field is QQ else list(range(field.characteristic)))
+        bases = [upper_triangular_algebra(field, 2), fixture_f1(field).total,
+                 truncated_polynomial_algebra(field, 3), product_field_algebra(field)]
+        seen = set()
+        for _ in range(60):
+            alg = rng.choice(bases)
+            mul = [[list(vec) for vec in row] for row in alg.mul]
+            unit = list(alg.unit)
+            for _ in range(rng.randint(1, 2)):
+                if rng.random() < 0.2:
+                    unit[rng.randrange(alg.dim)] = rng.choice(values)
+                else:
+                    i, j, k = (rng.randrange(alg.dim) for _ in range(3))
+                    mul[i][j][k] = rng.choice(values)
+            expected = _dense_validation_failure(field, mul, unit)
+            try:
+                validate_algebra(field, mul, unit)
+                got = None
+            except UnitLawViolation as exc:
+                got = "unit", exc.index
+            except NonAssociative as exc:
+                got = "assoc", exc.triple
+            assert got == expected
+            seen.add(got and got[0])
+        assert seen == {None, "unit", "assoc"}
+
+
 class TestBuildTriangular:
     def test_f1_is_upper_triangular_2x2(self, f1):
         t = f1.total

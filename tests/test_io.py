@@ -1,0 +1,108 @@
+"""The input boundary: every io loader coerces and checks each scalar it
+reads, so values from input never reach the trusted constructors
+(Mat._trusted, BilinMap._trusted) that take raw field values as they are."""
+
+import copy
+import json
+from fractions import Fraction
+
+import pytest
+
+from trialg import io
+from trialg.errors import InputError
+from trialg.exactla import GF, QQ, Mat
+from trialg.fixtures import fixture_f1, sigma1
+from trialg.sigmamaps import BilinMap
+
+FIELDS = {"Q": QQ, "F5": GF(5)}
+# a boolean scalar, then unparsable literals: rationals over Q, residues over F_5
+BAD = {"Q": [True, "1/x", "1/0"], "F5": [True, "two", "1/2"]}
+
+
+def _documents(field):
+    tri = fixture_f1(field)
+    alg = tri.total
+    product = BilinMap.from_function(alg, alg.mul_vec)
+    return {"triangular": io.triangular_to_json(tri), "algebra": io.algebra_to_json(alg),
+            "bimodule": io.bimodule_to_json(tri.M), "linmap": sigma1(tri).to_json(),
+            "bilinmap": product.to_json()}
+
+
+# (document, path to a scalar inside it); a tensor entry's scalar is its last item
+SITES = [
+    ("algebra", ("unit", 0)), ("algebra", ("mul", 0, 3)),
+    ("bimodule", ("left", 0, 3)), ("bimodule", ("right", 0, 3)),
+    ("triangular", ("A", "unit", 0)), ("triangular", ("M", "left", 0, 3)),
+    ("triangular", ("B", "mul", 0, 3)),
+    ("linmap", ("matrix", 0, 0)), ("bilinmap", ("tensor", 0, 3)),
+]
+
+
+def _loaders(doc_name, field, tmp_path):
+    """Every loader that reads this document: from the object, and from a file."""
+    def from_file(load, *args):
+        def run(obj):
+            path = tmp_path / (doc_name + ".json")
+            path.write_text(json.dumps(obj))
+            return load(str(path), *args)
+        return run
+
+    return {
+        "algebra": [io.algebra_from_json, from_file(io.load_algebra)],
+        "bimodule": [lambda obj: io.bimodule_from_json(obj, field)],
+        "triangular": [io.triangular_from_json, from_file(io.load_triangular)],
+        "linmap": [lambda obj: io.linmap_from_json(obj, field),
+                   from_file(io.load_linmap, field)],
+        "bilinmap": [lambda obj: io.bilinmap_from_json(obj, field),
+                     from_file(io.load_bilinmap, field),
+                     from_file(io.load_bilinmap_on, fixture_f1(field).total)],
+    }[doc_name]
+
+
+def _with(doc, site, value):
+    out = copy.deepcopy(doc)
+    target = out
+    for key in site[:-1]:
+        target = target[key]
+    target[site[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+@pytest.mark.parametrize("doc_name,site", SITES)
+def test_every_loader_rejects_bad_scalars(fname, doc_name, site, tmp_path):
+    field = FIELDS[fname]
+    doc = _documents(field)[doc_name]
+    for load in _loaders(doc_name, field, tmp_path):
+        load(doc)  # the untouched document loads
+        for bad in BAD[fname]:
+            with pytest.raises(InputError):
+                load(_with(doc, site, bad))
+
+
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+def test_loaders_never_reach_the_trusted_constructors(fname, tmp_path, monkeypatch):
+    field = FIELDS[fname]
+    docs = _documents(field)
+    expected = {name: [load(doc) for load in _loaders(name, field, tmp_path)]
+                for name, doc in docs.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("trusted constructor reached while loading input")
+
+    monkeypatch.setattr(Mat, "_trusted", refuse)
+    monkeypatch.setattr(BilinMap, "_trusted", refuse)
+    for name, doc in docs.items():
+        loaded = [load(doc) for load in _loaders(name, field, tmp_path)]
+        if name in ("linmap", "bilinmap"):
+            assert loaded == expected[name]
+
+
+def test_public_mat_coerces_input_values():
+    m = Mat(QQ, [[1, "-1/2"], [0, " 3 "]])
+    assert m.rows == ((Fraction(1), Fraction(-1, 2)), (Fraction(0), Fraction(3)))
+    assert all(type(v) is Fraction for row in m.rows for v in row)
+    assert Mat(GF(5), [[7, "-1"], ["10", 3]]).rows == ((2, 4), (0, 3))
+    for field, bad in ((QQ, True), (QQ, "1/x"), (GF(5), False), (GF(5), "two")):
+        with pytest.raises(InputError):
+            Mat(field, [[bad]])

@@ -15,7 +15,7 @@ from trialg.errors import (
     PreconditionFails,
     TheoremViolation,
 )
-from trialg.exactla import GF, QQ, Subspace, kernel_from_pivots, kernel_sparse
+from trialg.exactla import GF, QQ, Mat, Subspace, kernel_from_pivots, kernel_sparse
 from trialg.fixtures import (
     fixture_f1,
     fixture_f2,
@@ -170,6 +170,24 @@ class TestSolveSpace:
         assert space.dim > 0
         assert len(count_aut_checks) == 1 and count_aut_checks[0] is tri.total
 
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+    @pytest.mark.parametrize("kind", TWISTED_KINDS)
+    def test_twist_and_identity_columns_built_once_per_solve(self, kind, field,
+                                                             count_column_builds):
+        """Row generation, the automorphism check and the re-verification of
+        every basis map share one build of the sparse columns of sigma and of
+        the identity, and over Q one build of their lifted form (over F_p the
+        evaluator reads the residues and lifts nothing).  Matrices are matched
+        by their entries, so a second identity built elsewhere would count."""
+        tri = fixture_f3(field)
+        sigma = sigma1(tri)
+        space = solve_space(kind, tri, sigma)
+        assert space.dim > 1
+        for m in (sigma.mat, Mat.identity(field, tri.dim)):
+            cols = tuple(tuple((k, c) for k, c in enumerate(col) if c) for col in zip(*m.rows))
+            assert count_column_builds["columns"].count(m.rows) == 1
+            assert count_column_builds["lifted"].count(cols) == (0 if field.characteristic else 1)
+
     def test_unknown_kind_rejected(self, f1):
         with pytest.raises(InputError):
             solve_space("automorphism", f1)
@@ -321,10 +339,15 @@ def _random_map(field, n, rng):
     return LinMap(field, [[field.coerce(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)], n, n)
 
 
-def _assert_blocks_give_residuals(table, blocks, X, failure_at):
-    """Block b of a row builder, applied to X flattened, is the residual that
+def _assert_blocks_give_residuals(table, rows, X, failure_at):
+    """rows = (scale, blocks) of a row builder.  Every coefficient is a Python
+    int, a residue over F_p; over F_p scale is 1, over Q a positive integer.
+    Block b, applied to X flattened, is exactly scale times the residual that
     failure_at reports at the b-th pair of table (row-major), or zero."""
     field, n = X.field, X.dst_dim
+    p = field.characteristic
+    scale, blocks = rows
+    assert type(scale) is int and (scale == 1 if p else scale > 0)
     flat = X.flatten()
     pairs = [(i, j) for i, row in enumerate(table) for j in range(len(row))]
     blocks = list(blocks)
@@ -333,9 +356,11 @@ def _assert_blocks_give_residuals(table, blocks, X, failure_at):
         applied = [field.zero] * n
         for o, row in block.items():
             for key, c in row.items():
+                assert type(c) is int and c and (0 < c < p if p else True)
                 applied[o] = field.add(applied[o], field.mul(c, flat[key]))
         bad = failure_at(pair)
-        assert tuple(applied) == (bad[1] if bad else (field.zero,) * n), pair
+        residual = bad[1] if bad else (field.zero,) * n
+        assert tuple(applied) == tuple(field.mul(scale, v) for v in residual), pair
 
 
 def _builder_instances():
@@ -374,13 +399,17 @@ class TestProductRuleRows:
 
     def test_derivation_blocks_give_residuals(self):
         rng = random.Random(8101)
+        scales = set()
         for _, alg, sigma in _builder_instances():
             n = alg.dim
             ident = LinMap.identity(alg.field, n)
             d = _random_map(alg.field, n, rng)
+            rows = _derivation_row_blocks(alg, sigma)
+            scales.add(rows[0])
             _assert_blocks_give_residuals(
-                alg._pairs, _derivation_row_blocks(alg, sigma), d,
+                alg._pairs, rows, d,
                 lambda pair: product_rule_failure(alg._pairs, d, derivation_terms(alg, d, ident, sigma), [pair]))
+        assert max(scales) > 1  # the instances include rational constants
 
     def test_intertwiner_sides_give_residuals(self):
         rng = random.Random(8102)

@@ -1,0 +1,139 @@
+"""North-star ladder: unverified and verified solve times of the three twisted
+kinds, one JSON object on stdout.
+
+    python tools/ladder.py                  # every rung
+    python tools/ladder.py --max-dim 18 --repeats 1 --min-seconds 0
+
+The rungs are F1, F2, F3 over Q, F1, F2, F4 over F_5 (F4 is F3 over F_5), and
+the regular Trian(UT_k, UT_k, UT_k) for k = 2..5 (dims 9, 18, 30, 45) over Q
+and over F_5, each with its fixture twist (sigma2 on F2, the corner negation
+sigma1 on the triangular algebras).  For every rung and kind the script times
+solve_space(kind, T, sigma, verify=False) and verify=True, each on a fresh
+instance (so no cached automorphism verdict or map data carries over), and
+reports the best time.  Each mode runs at least --repeats solves and goes on
+until its solves add up to --min-seconds (at most 200 solves), so that the
+sub-millisecond rungs are sampled as well as the large ones.  Both modes must
+return the same basis; a mismatch exits with status 1.  It imports trialg
+from src/ beside this directory and uses only the standard library.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import os
+import platform
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from trialg.algcore import build_triangular  # noqa: E402
+from trialg.exactla import GF, QQ  # noqa: E402
+from trialg.fixtures import (  # noqa: E402
+    fixture_f1,
+    fixture_f2,
+    fixture_f3,
+    fixture_f4,
+    sigma1,
+    upper_triangular_algebra,
+)
+from trialg.randomgen import regular_bimodule  # noqa: E402
+from trialg.spaces import solve_space  # noqa: E402
+
+KINDS = ("sigma_derivation", "sigma_commuting", "sigma_biderivation")
+NO_CAP = 10 ** 6  # solve_space caps bilinear solves at dim 8 unless told otherwise
+MAX_SOLVES = 200
+
+
+def _triangular(make):
+    def build():
+        tri = make()
+        return tri, sigma1(tri)
+    return build
+
+
+def _regular(field, k):
+    def make():
+        ut = upper_triangular_algebra(field, k)
+        return build_triangular(ut, regular_bimodule(ut), upper_triangular_algebra(field, k))
+    return _triangular(make)
+
+
+def rungs(max_dim: int):
+    """(name, field name, dim, build) per rung; build() makes a fresh (T, sigma)."""
+    out = []
+    for fname, field in (("Q", QQ), ("F_5", GF(5))):
+        fixtures = [("F1", _triangular(lambda f=field: fixture_f1(f))),
+                    ("F2", lambda f=field: fixture_f2(f))]
+        if field is QQ:
+            fixtures.append(("F3", _triangular(fixture_f3)))
+        else:
+            fixtures.append(("F4", _triangular(fixture_f4)))
+        for name, build in fixtures:
+            t, _ = build()
+            out.append((name, fname, t.dim, build))
+        for k in range(2, 6):
+            dim = 3 * k * (k + 1) // 2
+            out.append(("UT_%d" % k, fname, dim, _regular(field, k)))
+    return [r for r in out if r[2] <= max_dim]
+
+
+def _timed_solve(kind, build, verify):
+    t, sigma = build()
+    gc.collect()
+    start = time.perf_counter()
+    space = solve_space(kind, t, sigma, bilinear_dim_cap=NO_CAP, verify=verify)
+    return time.perf_counter() - start, space.subspace
+
+
+def measure(kind, build, repeats, min_seconds):
+    best = {False: float("inf"), True: float("inf")}
+    spent = {False: 0.0, True: 0.0}
+    bases = {}
+    r = 0
+    while r < repeats or (min(spent.values()) < min_seconds and r < MAX_SOLVES):
+        for verify in ((False, True) if r % 2 == 0 else (True, False)):
+            sec, sub = _timed_solve(kind, build, verify)
+            best[verify] = min(best[verify], sec)
+            spent[verify] += sec
+            bases[verify] = sub
+        r += 1
+    return best[False], best[True], bases[False] == bases[True], bases[True].dim, r
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--max-dim", type=int, default=45, help="skip rungs above this dim")
+    ap.add_argument("--repeats", type=int, default=3, help="least number of timed solves per rung and mode")
+    ap.add_argument("--min-seconds", type=float, default=0.2,
+                    help="least total solve time per rung and mode")
+    args = ap.parse_args(argv)
+    rows = []
+    ok = True
+    for name, fname, dim, build in rungs(args.max_dim):
+        for kind in KINDS:
+            unverified, verified, same, space_dim, solves = measure(kind, build, args.repeats,
+                                                                    args.min_seconds)
+            ok = ok and same
+            rows.append({"rung": name, "field": fname, "dim": dim, "kind": kind,
+                         "space_dim": space_dim, "same_basis": same, "solves": solves,
+                         "unverified_ms": round(unverified * 1e3, 2),
+                         "verified_ms": round(verified * 1e3, 2),
+                         "ratio": round(verified / unverified, 2)})
+            sys.stderr.write("%-5s %-3s dim %2d %-18s %9.2f %9.2f ms  x%.2f%s\n"
+                             % (name, fname, dim, kind, unverified * 1e3, verified * 1e3,
+                                verified / unverified, "" if same else "  BASES DIFFER"))
+    json.dump({"python": platform.python_version(), "machine": platform.machine(),
+               "protocol": "best of at least %d solves per rung and mode, continued until "
+                           "they add up to %g s (at most %d), fresh instance per solve, "
+                           "gc.collect() before each" % (args.repeats, args.min_seconds, MAX_SOLVES),
+               "all_bases_identical": ok, "rungs": rows}, sys.stdout, indent=1)
+    sys.stdout.write("\n")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
