@@ -53,10 +53,11 @@ class SparseTable(tuple):
     """Sparse product table: entry [i][j] lists the nonzero (k, c) of the
     product of basis vectors i and j.
 
-    Built once per algebra or bimodule, it keeps three derived tables, each
+    Built once per algebra or bimodule, it keeps these derived tables, each
     made on first use: its transpose (entry [j][i] = entry [i][j]), its
-    negation (negated(), the table of minus the product) and, for constants
-    over Q, the table over the integers (lifted()).
+    negation (negated(), the table of minus the product), the actions of an
+    algebra on n copies of itself (copies()) and, for constants over Q, the
+    table over the integers (lifted()).
     """
 
     def __new__(cls, entries):
@@ -64,6 +65,7 @@ class SparseTable(tuple):
         self._lifted = None
         self._transposed = None
         self._negated = None
+        self._copies = None
         return self
 
     def lifted(self) -> tuple:
@@ -81,6 +83,20 @@ class SparseTable(tuple):
             self._transposed = SparseTable(zip(*self))
         return self._transposed
 
+    def copies(self) -> tuple:
+        """(left, right) for the product table of an algebra of dim n: the
+        left and right actions on the bimodule of n copies of the algebra,
+        coordinate k*n + o for e_o in copy k.  Entry [a][k*n + o] of left lists
+        the (k*n + l, c) of e_a e_o, entry [k*n + o][b] of right those of e_o e_b.
+        When this table is already lifted, the copies are lifted with it."""
+        if self._copies is None:
+            left, right = _copy_tables(self)
+            if self._lifted is not None:
+                den, ints = self._lifted
+                left._lifted, right._lifted = ((den, t) for t in _copy_tables(ints))
+            self._copies = left, right
+        return self._copies
+
     def negated(self, field: Field) -> "SparseTable":
         """The table of minus the product, its constants negated in field."""
         if self._negated is None:
@@ -88,6 +104,27 @@ class SparseTable(tuple):
             self._negated = SparseTable(tuple(tuple((k, neg(c)) for k, c in vec) for vec in row)
                                         for row in self)
         return self._negated
+
+
+def _copy_tables(table) -> tuple:
+    """The tables of SparseTable.copies, built from the nonzero products only:
+    row x of table moved to copy k (every product index l to k*n + l) is
+    shared by both."""
+    n = len(table)
+    nonzero = [[(b, prods) for b, prods in enumerate(row) if prods] for row in table]
+    moved = [tuple(table)]
+    for k in range(1, n):
+        rows = []
+        for x, row in enumerate(table):
+            new = [()] * len(row)
+            for b, prods in nonzero[x]:
+                new[b] = tuple((k * n + l, c) for l, c in prods)
+            rows.append(tuple(new))
+        moved.append(rows)
+    left = SparseTable(tuple(itertools.chain.from_iterable(moved[k][a] for k in range(n)))
+                       for a in range(n))
+    right = SparseTable(moved[k][o] for k in range(n) for o in range(n))
+    return left, right
 
 
 def _sparse_table(tensor) -> SparseTable:

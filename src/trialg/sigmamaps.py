@@ -181,9 +181,13 @@ class LinMap:
 
 
 class BilinMap:
-    """Total bilinear map A x A -> A as an order-3 tensor t[i][j][k]."""
+    """Total bilinear map A x A -> A as an order-3 tensor t[i][j][k].
 
-    __slots__ = ("field", "dim", "tensor")
+    It keeps, made on first use, its two slot maps as sparse columns
+    (slot_columns()).
+    """
+
+    __slots__ = ("field", "dim", "tensor", "_slot_columns")
 
     def __init__(self, field: Field, tensor):
         dim = len(tensor)
@@ -197,6 +201,7 @@ class BilinMap:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", len(tensor))
         object.__setattr__(self, "tensor", tensor)
+        object.__setattr__(self, "_slot_columns", None)
 
     @classmethod
     def _trusted(cls, field: Field, tensor: tuple) -> "BilinMap":
@@ -223,6 +228,24 @@ class BilinMap:
 
     def value(self, i: int, j: int) -> tuple:
         return self.tensor[i][j]
+
+    def slot_columns(self) -> tuple:
+        """(first, second): the slot maps for all fixed arguments at once, as
+        SparseColumns of maps into n copies of the space (coordinate k*n + o
+        for e_o in copy k): first e_l -> (D(e_l, e_k))_k, second
+        e_l -> (D(e_k, e_l))_k.  Made in one pass over the tensor."""
+        if self._slot_columns is None:
+            n = self.dim
+            first, second = [[] for _ in range(n)], [[] for _ in range(n)]
+            for l, row in enumerate(self.tensor):
+                for k, vec in enumerate(row):
+                    for o, c in enumerate(vec):
+                        if c:
+                            first[l].append((k * n + o, c))
+                            second[k].append((l * n + o, c))
+            object.__setattr__(self, "_slot_columns", tuple(
+                SparseColumns(self.field, n * n, map(tuple, cols)) for cols in (first, second)))
+        return self._slot_columns
 
     def apply(self, x, y) -> tuple:
         field = self.field
@@ -422,12 +445,19 @@ def classify_bilinear(kind: str, alg: FinAlgebra, D: BilinMap, sigma: LinMap | N
         raise InputError("unknown classification kind %r" % (kind,))
     v = replace(is_alpha_beta_biderivation(alg, D, ident, beta), kind=kind)
     if v.holds and kind == "sigma_biderivation":
-        # sanity: a twisted biderivation kills the unit in each slot
-        zero = alg.zero_vector()
-        for i in range(alg.dim):
-            if D.apply(alg.basis_vector(i), alg.unit) != zero or \
-                    D.apply(alg.unit, alg.basis_vector(i)) != zero:
-                raise TheoremViolation("sigma-biderivation does not vanish on the unit")
+        # sanity: a twisted biderivation kills the unit in each slot.  Column l
+        # of the first (second) slot map holds D(e_l, e_k) (D(e_k, e_l)) in
+        # copy k, so the unit's combination of the copies is D(e_l, 1) (D(1, e_l)).
+        n, unit, field = alg.dim, alg.unit, alg.field
+        for cols in D.slot_columns():
+            for col in cols:
+                acc = {}
+                for key, c in col:
+                    k, o = divmod(key, n)
+                    if unit[k]:
+                        acc[o] = field.add(acc.get(o, field.zero), field.mul(unit[k], c))
+                if any(acc.values()):
+                    raise TheoremViolation("sigma-biderivation does not vanish on the unit")
     return v
 
 
@@ -542,7 +572,7 @@ def commuting_terms(alg: FinAlgebra, theta: LinMap | None, alpha: LinMap, beta: 
     return ((beta, theta, pairs.negated(alg.field)), (theta, alpha, pairs))
 
 
-def _derivation_failure(alg: FinAlgebra, d, alpha: LinMap, beta: LinMap) -> tuple | None:
+def _derivation_failure(alg: FinAlgebra, d: LinMap, alpha: LinMap, beta: LinMap) -> tuple | None:
     return product_rule_failure(alg._pairs, d, derivation_terms(alg, d, alpha, beta))
 
 
@@ -563,20 +593,24 @@ def is_alpha_beta_derivation(alg: FinAlgebra, d: LinMap, alpha: LinMap, beta: Li
 def is_alpha_beta_biderivation(alg: FinAlgebra, D: BilinMap, alpha: LinMap, beta: LinMap) -> Verdict:
     """D is an (alpha, beta)-derivation in each slot on all basis triples.
 
-    The slot maps D(., e_k) and D(e_k, .) each go through the derivation
-    check, their sparse columns read straight off the tensor; the witness is
-    the failure first in the order (i, j, k, first slot before second) of the
-    pair e_i e_j and the fixed argument e_k.
+    For all k at once, the slot maps D(., e_k) are one map Y from alg into
+    the bimodule of n copies of alg, e_l -> (D(e_l, e_k))_k, and the slot
+    identities are the derivation identity Y(xy) = beta(x) Y(y) + Y(x) alpha(y)
+    over the copies' actions (SparseTable.copies); likewise D(e_k, .).  Both
+    maps are read off the tensor (BilinMap.slot_columns).  The witness is the
+    failure first in the order (i, j, k, first slot before second) of the pair
+    e_i e_j and the fixed argument e_k: the first failing pair of a slot, at
+    the least copy k where its residual is nonzero.
     """
-    n, field, tensor = alg.dim, alg.field, D.tensor
-    nonzero = [[tuple((o, c) for o, c in enumerate(vec) if c) for vec in row] for row in tensor]
+    n = alg.dim
+    left, right = alg._pairs.copies()
     failures = []
-    for k in range(n):
-        slots = ([nonzero[l][k] for l in range(n)], nonzero[k])
-        for slot, cols in enumerate(slots):
-            bad = _derivation_failure(alg, SparseColumns(field, n, cols), alpha, beta)
-            if bad:
-                failures.append((bad[0] + (k, slot), bad[1]))
+    for slot, Y in enumerate(D.slot_columns()):
+        bad = product_rule_failure(alg._pairs, Y, ((beta, Y, left), (Y, alpha, right)))
+        if bad:
+            (i, j), residual = bad
+            k = next(k for k in range(n) if any(residual[k * n:(k + 1) * n]))
+            failures.append(((i, j, k, slot), residual[k * n:(k + 1) * n]))
     if not failures:
         return Verdict("alpha_beta_biderivation", True)
     (i, j, k, slot), element = min(failures)

@@ -1,22 +1,30 @@
 """Map predicates, the twisted commutator calculus, twisted centers, block
 decomposition, and the two-twist reduction."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
+from trialg.algcore import build_triangular, product_rule_failure
 from trialg.errors import (
     NotBlockPreserving,
     SigmaMissing,
     SigmaNotAutomorphism,
+    TheoremViolation,
 )
 from trialg.exactla import GF, QQ
 from trialg.fixtures import (
     fixture_f1,
     fixture_f2,
     fixture_f3,
+    fixture_f4,
     phi_one_plus_m,
     sigma1,
     sigma2,
+    upper_triangular_algebra,
 )
+from trialg.randomgen import regular_bimodule
 from trialg.sigmamaps import (
     BilinMap,
     LinMap,
@@ -24,11 +32,14 @@ from trialg.sigmamaps import (
     block_decompose,
     classify_bilinear,
     classify_linear,
+    derivation_terms,
     inner_automorphism,
+    is_alpha_beta_biderivation,
     require_automorphism,
     sigma_center,
     sigma_center_oracle,
     sigma_commutator_vec,
+    Verdict,
 )
 
 
@@ -435,4 +446,103 @@ class TestCommutingOracle:
                 holds = classify_linear("sigma_commuting", alg, theta, sigma).holds
                 assert holds == _commutes_everywhere(alg, theta, sigma), (name, theta.mat.rows)
                 outcomes.add(holds)
+        assert outcomes == {True, False}
+
+
+def _per_slot_failure(alg, D, alpha, beta):
+    """The least ((i, j, k, slot), residual) over the 2n slot maps D(., e_k)
+    and D(e_k, .), each checked as a separate map, or None."""
+    n = alg.dim
+    failures = []
+    for k in range(n):
+        for slot, images in enumerate(([D.value(l, k) for l in range(n)], D.tensor[k])):
+            d = LinMap.from_images(alg.field, images, n, n)
+            bad = product_rule_failure(alg._pairs, d, derivation_terms(alg, d, alpha, beta))
+            if bad:
+                failures.append((bad[0] + (k, slot), bad[1]))
+    return min(failures) if failures else None
+
+
+class TestBiderivationWitnessOracle:
+    """Checking all slot maps of a biderivation at once, as maps into n copies
+    of the algebra, gives the verdict and first witness that checking each
+    slot map on its own gives, on solved and perturbed tensors."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(5), GF(2)], ids=["Q", "F5", "F2"])
+    def test_matches_per_slot_checks(self, field):
+        from trialg.spaces import solve_space
+
+        rng = random.Random(7400 + field.characteristic)
+        values = ([Fraction(v) for v in (1, -1, 2)] + [Fraction(1, 2), Fraction(-2, 3)]
+                  if field is QQ else list(range(1, field.characteristic)))
+        cases = [fixture_f2(field)]
+        for make in (fixture_f1, fixture_f3) if field is QQ else (fixture_f1,):
+            tri = make(field)
+            cases.append((tri.total, sigma1(tri)))
+        if field == GF(5):
+            tri = fixture_f4()
+            cases.append((tri.total, sigma1(tri)))
+        ut2 = upper_triangular_algebra(field, 2)
+        tri = build_triangular(ut2, regular_bimodule(ut2), upper_triangular_algebra(field, 2))
+        cases.append((tri.total, sigma1(tri)))
+        outcomes = set()
+        for alg, sigma in cases:
+            n = alg.dim
+            ident = LinMap.identity(field, n)
+            space = solve_space("sigma_biderivation", alg, sigma, bilinear_dim_cap=9, verify=False)
+            for D in space.basis_maps()[:2]:
+                for _ in range(6):
+                    flat = list(D.flatten())
+                    for _ in range(rng.randint(0, 2)):
+                        flat[rng.randrange(n ** 3)] = rng.choice(values)
+                    E = BilinMap.unflatten(field, flat, n)
+                    for alpha in (ident, sigma):
+                        v = is_alpha_beta_biderivation(alg, E, alpha, sigma)
+                        ref = _per_slot_failure(alg, E, alpha, sigma)
+                        assert v.holds == (ref is None)
+                        if ref is not None:
+                            (i, j, k, slot), element = ref
+                            assert v.witness.indices == ((i, j, k) if slot == 0 else (k, i, j))
+                            assert v.witness.element == element
+                            assert v.witness.description.startswith(("first", "second")[slot])
+                            outcomes.add(slot)
+                        else:
+                            outcomes.add(None)
+        assert outcomes == {None, 0, 1}
+
+
+class TestUnitSanityCheck:
+    """classify_bilinear's sanity check, that a sigma-biderivation vanishes on
+    the unit in each slot, fires exactly when D(e_i, 1) or D(1, e_i) is
+    nonzero for some i.  The predicate is forced to hold so that random
+    tensors reach the check."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+    def test_fires_exactly_off_the_unit_kernel(self, field, monkeypatch):
+        import trialg.sigmamaps as sm
+
+        monkeypatch.setattr(sm, "is_alpha_beta_biderivation",
+                            lambda *args: Verdict("alpha_beta_biderivation", True))
+        rng = random.Random(7500 + field.characteristic)
+        values = [1, -1, 2, Fraction(1, 2)] if field is QQ else [1, 2, 3, 4]
+        ut2 = upper_triangular_algebra(field, 2)
+        cases = [(tri.total, sigma1(tri)) for tri in
+                 (fixture_f1(field), build_triangular(ut2, regular_bimodule(ut2),
+                                                      upper_triangular_algebra(field, 2)))]
+        outcomes = set()
+        for alg, sigma in cases:
+            n, zero = alg.dim, alg.zero_vector()
+            for _ in range(30):
+                flat = [field.zero] * n ** 3
+                for _ in range(rng.randint(1, 2)):
+                    flat[rng.randrange(n ** 3)] = field.coerce(rng.choice(values))
+                D = BilinMap.unflatten(field, flat, n)
+                kills = all(D.apply(alg.basis_vector(i), alg.unit) == zero and
+                            D.apply(alg.unit, alg.basis_vector(i)) == zero for i in range(n))
+                if kills:
+                    assert classify_bilinear("sigma_biderivation", alg, D, sigma).holds
+                else:
+                    with pytest.raises(TheoremViolation, match="unit"):
+                        classify_bilinear("sigma_biderivation", alg, D, sigma)
+                outcomes.add(kills)
         assert outcomes == {True, False}
