@@ -318,19 +318,34 @@ def product_rule_rows(table, terms, n: int, order=None) -> tuple:
 
 
 class FinAlgebra:
-    """Unital associative algebra given by structure constants."""
+    """Unital associative algebra given by structure constants.
+
+    The public constructor coerces every structure constant and unit entry
+    through field.coerce; FinAlgebra._trusted takes raw values of the field as
+    they are.  Both check the shapes, the unit laws and associativity.
+    """
 
     __slots__ = ("field", "dim", "basis_names", "mul", "unit", "_pairs", "_automorphisms", "_identity")
 
-    def __init__(self, field: Field, mul, unit, basis_names=None, check: bool = True):
+    def __init__(self, field: Field, mul, unit, basis_names=None):
+        coerce = field.coerce
+        self._set(field, tuple(tuple(tuple(map(coerce, vec)) for vec in row) for row in mul),
+                  tuple(map(coerce, unit)), basis_names)
+
+    @classmethod
+    def _trusted(cls, field: Field, mul, unit, basis_names=None) -> "FinAlgebra":
+        """An algebra of structure constants and unit that are raw values of
+        field already (made by trialg, or coerced once by an io loader), taken
+        without coercion; the shape checks and _validate still run."""
+        self = object.__new__(cls)
+        self._set(field, tuple(tuple(map(tuple, row)) for row in mul), tuple(unit), basis_names)
+        return self
+
+    def _set(self, field: Field, mul: tuple, unit: tuple, basis_names):
         dim = len(mul)
-        mul = tuple(
-            tuple(tuple(field.coerce(c) for c in vec) for vec in row) for row in mul
-        )
         for row in mul:
             if len(row) != dim or any(len(vec) != dim for vec in row):
                 raise DimMismatch("structure tensor is not dim^3")
-        unit = tuple(field.coerce(c) for c in unit)
         if len(unit) != dim:
             raise DimMismatch("unit vector length %d for dim %d" % (len(unit), dim))
         if basis_names is None:
@@ -348,8 +363,7 @@ class FinAlgebra:
         # matrices of maps that sigmamaps.require_automorphism verified on this instance
         object.__setattr__(self, "_automorphisms", set())
         object.__setattr__(self, "_identity", None)
-        if check:
-            self._validate()
+        self._validate()
 
     def __setattr__(self, *a):
         raise AttributeError("FinAlgebra is immutable")
@@ -533,7 +547,7 @@ def _associativity_failure(pairs: SparseTable, p: int) -> tuple | None:
 
 def validate_algebra(field: Field, mul, unit, basis_names=None) -> FinAlgebra:
     """Build a FinAlgebra, reporting the first failing axiom triple."""
-    return FinAlgebra(field, mul, unit, basis_names, check=True)
+    return FinAlgebra(field, mul, unit, basis_names)
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +562,23 @@ class Bimodule:
                  "_left_pairs", "_right_pairs")
 
     def __init__(self, field: Field, dim_a: int, dim_m: int, dim_b: int, left, right, basis_names=None):
-        left = tuple(tuple(tuple(field.coerce(c) for c in vec) for vec in row) for row in left)
-        right = tuple(tuple(tuple(field.coerce(c) for c in vec) for vec in row) for row in right)
+        coerce = field.coerce
+        left = tuple(tuple(tuple(map(coerce, vec)) for vec in row) for row in left)
+        right = tuple(tuple(tuple(map(coerce, vec)) for vec in row) for row in right)
+        self._set(field, dim_a, dim_m, dim_b, left, right, basis_names)
+
+    @classmethod
+    def _trusted(cls, field: Field, dim_a: int, dim_m: int, dim_b: int, left, right,
+                 basis_names=None) -> "Bimodule":
+        """A bimodule of action tensors of raw values of field already, taken
+        without coercion (as FinAlgebra._trusted); the shape checks still run."""
+        self = object.__new__(cls)
+        self._set(field, dim_a, dim_m, dim_b, tuple(tuple(map(tuple, row)) for row in left),
+                  tuple(tuple(map(tuple, row)) for row in right), basis_names)
+        return self
+
+    def _set(self, field: Field, dim_a: int, dim_m: int, dim_b: int, left: tuple, right: tuple,
+             basis_names):
         if len(left) != dim_a or any(len(row) != dim_m or any(len(v) != dim_m for v in row) for row in left):
             raise DimMismatch("left action tensor must be dimA x dimM x dimM")
         if len(right) != dim_m or any(len(row) != dim_b or any(len(v) != dim_m for v in row) for row in right):
@@ -747,7 +776,7 @@ def build_triangular(A: FinAlgebra, M: Bimodule, B: FinAlgebra, allow_zero_m: bo
         unit[da + dm + i] = v
     if basis_names is None:
         basis_names = tuple(A.basis_names) + tuple(M.basis_names) + tuple(B.basis_names)
-    total = validate_algebra(field, mul, unit, basis_names)
+    total = FinAlgebra._trusted(field, mul, unit, basis_names)
     tri = TriAlgebra(A, M, B, total)
     _check_peirce(tri)
     return tri
@@ -1023,9 +1052,9 @@ def quotient_algebra(alg: FinAlgebra, ideal: Subspace) -> tuple[FinAlgebra, Mat]
     mul = [[reduce_vec(alg.mul[i][j]) for j in keep] for i in keep]
     unit = reduce_vec(alg.unit)
     names = tuple(alg.basis_names[i] for i in keep)
-    quotient = validate_algebra(field, mul, unit, names)
+    quotient = FinAlgebra._trusted(field, mul, unit, names)
     proj_cols = [reduce_vec(alg.basis_vector(i)) for i in range(n)]
-    proj = Mat(field, list(zip(*proj_cols)) if proj_cols else [], n)
+    proj = Mat._trusted(field, zip(*proj_cols), n)
     return quotient, proj
 
 
@@ -1041,7 +1070,7 @@ def faithful_quotient(tri: TriAlgebra) -> TriAlgebra:
     # induced actions: act by any representative (L M = M R = 0 makes this well defined)
     left = [[tri.M.left[i][j] for j in range(dm)] for i in keep_a]
     right = [[tri.M.right[j][k] for k in keep_b] for j in range(dm)]
-    Mq = Bimodule(field, Aq.dim, dm, Bq.dim, left, right, tri.M.basis_names)
+    Mq = Bimodule._trusted(field, Aq.dim, dm, Bq.dim, left, right, tri.M.basis_names)
     out = build_triangular(Aq, Mq, Bq, allow_zero_m=(dm == 0))
     if dm > 0 and not out.is_faithful():
         raise TheoremViolation("faithful quotient is not faithful")

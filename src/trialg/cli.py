@@ -1,20 +1,22 @@
 """Command line interface: file ingestion, dispatch, machine-readable reports.
 
 Every command prints one canonical JSON report (sorted keys) on stdout.
-Exit codes: 0 success, 1 input or validation error, 2 mathematical finding
-(a verified-hypothesis identity failed).  Timing goes to stderr so stdout
-stays byte-deterministic across runs.
+Exit codes: 0 success, 1 input or validation error (a usage error in the
+arguments included), 2 mathematical finding (a verified-hypothesis identity
+failed).  Timing goes to stderr so stdout stays byte-deterministic across
+runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
 
 from . import __version__, io as tio
-from .errors import TheoremViolation, TrialgError
+from .errors import InputError, TheoremViolation, TrialgError
 from .sigmamaps import block_decompose
 from .spaces import solve_space
 
@@ -243,8 +245,20 @@ def _cmd_fixtures_emit(args) -> int:
     return _emit(report)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise InputError, so that main
+    reports them like any other bad input; its subparsers share the class."""
+
+    def error(self, message):
+        raise InputError("%s: %s" % (self.prog, message))
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command line parser, built once per process and shared by every
+    main call: parse_args fills a fresh namespace on each call, so no state
+    carries between calls.  Callers must not modify it."""
+    parser = _Parser(
         prog="trialg",
         description="Exact computer algebra for triangular algebras Trian(A, M, B).")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -329,9 +343,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_error(exc: TrialgError) -> int:
+    sys.stdout.write(tio.canonical_json(
+        {"error": {"type": type(exc).__name__, "message": str(exc)},
+         "version": __version__}))
+    sys.stdout.write("\n")
+    sys.stderr.write("error: %s\n" % exc)
+    return EXIT_INPUT
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except InputError as exc:  # a usage error; -h and --help still print and exit 0
+        return _input_error(exc)
     start = time.monotonic()
     try:
         code = args.func(args)
@@ -341,12 +366,7 @@ def main(argv=None) -> int:
         sys.stderr.write("finding: %s\n" % exc)
         return EXIT_FINDING
     except TrialgError as exc:
-        sys.stdout.write(tio.canonical_json(
-            {"error": {"type": type(exc).__name__, "message": str(exc)},
-             "version": __version__}))
-        sys.stdout.write("\n")
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_INPUT
+        return _input_error(exc)
     finally:
         sys.stderr.write("elapsed_ms: %d\n" % int((time.monotonic() - start) * 1000))
     return code

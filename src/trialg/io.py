@@ -18,7 +18,6 @@ from .algcore import (
     TriAlgebra,
     build_triangular,
     check_corner_dims,
-    validate_algebra,
 )
 from .errors import DimMismatch, InputError
 from .exactla import Field, Mat, field_from_json
@@ -104,7 +103,7 @@ def algebra_from_json(obj) -> FinAlgebra:
     if len(unit) != dim:  # the unit witnesses dim before dim^3 entries are allocated
         raise DimMismatch("unit vector length %d for dim %d" % (len(unit), dim))
     mul = _sparse_tensor(field, _list(obj, "mul"), (dim, dim, dim))
-    return validate_algebra(field, mul, unit, _list(obj, "basis", optional=True))
+    return FinAlgebra._trusted(field, mul, unit, _list(obj, "basis", optional=True))
 
 
 def algebra_to_json(alg: FinAlgebra) -> dict:
@@ -129,7 +128,7 @@ def bimodule_from_json(obj, field: Field) -> Bimodule:
                           % (len(left), len(right), dm))
     left = _sparse_tensor(field, left, (da, dm, dm))
     right = _sparse_tensor(field, right, (dm, db, dm))
-    return Bimodule(field, da, dm, db, left, right, _list(obj, "basis", optional=True))
+    return Bimodule._trusted(field, da, dm, db, left, right, _list(obj, "basis", optional=True))
 
 
 def bimodule_to_json(m: Bimodule) -> dict:
@@ -192,9 +191,7 @@ def linmap_from_json(obj, field: Field) -> LinMap:
     rows = _list(obj, "matrix")
     if not all(isinstance(row, list) for row in rows):
         raise InputError("'matrix' must be a list of rows, got %r" % (rows,))
-    rows = [[field.coerce(v) for v in row] for row in rows]
-    ncols = len(rows[0]) if rows else 0
-    return LinMap(field, Mat(field, rows, ncols))
+    return LinMap(field, Mat(field, rows, 0))
 
 
 def load_linmap(path: str, field: Field) -> LinMap:

@@ -67,7 +67,6 @@ from .sigmamaps import (
 
 SOLVE_KINDS = ("derivation", "sigma_derivation", "biderivation",
                "sigma_biderivation", "sigma_commuting", "commuting")
-DEFAULT_BILINEAR_DIM_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -237,10 +236,11 @@ def _biderivation_space(alg: FinAlgebra, sigma: LinMap) -> Subspace:
 
 
 def solve_space(kind: str, t, sigma: LinMap | None = None,
-                bilinear_dim_cap: int = DEFAULT_BILINEAR_DIM_CAP,
+                bilinear_dim_cap: int | None = None,
                 verify: bool = True) -> MapSpace:
     """Kernel of the defining identity; every basis map re-passes its own
-    predicate before the space is returned."""
+    predicate before the space is returned.  A bilinear solve of an algebra
+    above bilinear_dim_cap, when one is given, is refused."""
     alg = _algebra_of(t)
     field = alg.field
     n = alg.dim
@@ -254,7 +254,7 @@ def solve_space(kind: str, t, sigma: LinMap | None = None,
             raise InputError("kind %r takes no twist map" % (kind,))
         sigma = identity_map(alg)
     if kind in ("biderivation", "sigma_biderivation"):
-        if n > bilinear_dim_cap:
+        if bilinear_dim_cap is not None and n > bilinear_dim_cap:
             raise InputError("bilinear solve capped at dim %d (got %d)" % (bilinear_dim_cap, n))
         sub = _biderivation_space(alg, sigma)
     else:

@@ -177,3 +177,18 @@ def count_column_builds(monkeypatch):
     monkeypatch.setattr(ex.Mat, "sparse_columns", counting_columns)
     monkeypatch.setattr(ex.SparseColumns, "lifted", counting_lifted)
     return built
+
+
+@pytest.fixture()
+def count_coerce(monkeypatch):
+    """Record the value of each field.coerce call, over Q and over F_p."""
+    import trialg.exactla as ex
+
+    calls = []
+    for cls in (ex.RationalField, ex.PrimeField):
+        def counting(self, x, _orig=cls.coerce):
+            calls.append(x)
+            return _orig(self, x)
+
+        monkeypatch.setattr(cls, "coerce", counting)
+    return calls

@@ -2,12 +2,14 @@
 
 import contextlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from trialg.cli import main
+import trialg
+from trialg.cli import build_parser, main
 
 
 def run_cli(args, tmp_path=None):
@@ -19,6 +21,16 @@ def run_cli(args, tmp_path=None):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(args)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_fresh(args):
+    """Run the CLI as `python -m trialg.cli` in a new process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trialg.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "trialg.cli"] + args,
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout
 
 
 @contextlib.contextmanager
@@ -68,8 +80,11 @@ class TestFixturesAndCenter:
         assert rad["dim"] == 3
 
     def test_unknown_fixture(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run_cli(["fixtures", "emit", "F9", str(tmp_path)])
+        code, out, _ = run_cli(["fixtures", "emit", "F9", str(tmp_path)])
+        assert code == 1
+        payload = json.loads(out)  # exactly one JSON object
+        assert payload["error"]["type"] == "InputError"
+        assert "invalid choice: 'F9'" in payload["error"]["message"]
 
 
 class TestSolveAndReports:
@@ -128,6 +143,52 @@ class TestSolveAndReports:
         code, out, _ = run_cli(["partible", str(f1_dir / "T.json")])
         assert code == 0
         assert json.loads(out)["result"]["report"]["verdict"] == "partible"
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("args", [
+        [], ["frobnicate"], ["solve", "automorphism", "T.json"], ["solve", "derivation"],
+        ["center", "T.json", "--sigma", "s.json"], ["sigma-center", "T.json"],
+        ["triangular"], ["endo", "classify", "T.json"],
+    ], ids=["no_command", "unknown_command", "invalid_choice", "missing_argument",
+            "unknown_option", "missing_option", "missing_subcommand", "missing_nested_option"])
+    def test_usage_error_is_one_json_error(self, args):
+        code, out, err = run_cli(args)
+        assert code == 1
+        payload = json.loads(out)  # exactly one JSON object
+        assert list(payload) == ["error", "version"]
+        assert payload["error"]["type"] == "InputError"
+        assert payload["error"]["message"].startswith("trialg")
+        assert "usage:" not in err
+
+    @pytest.mark.parametrize("args", [["-h"], ["solve", "--help"], ["fixtures", "emit", "-h"]])
+    def test_help_still_exits_zero(self, args):
+        import io
+        from contextlib import redirect_stdout
+
+        out = io.StringIO()
+        with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 0
+        assert out.getvalue().startswith("usage: trialg")
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_no_state_between_calls(self, f1_dir):
+        """Each stdout of a sequence of calls in one process equals that of the
+        same argv in a fresh process."""
+        T, s = str(f1_dir / "T.json"), str(f1_dir / "sigma1.json")
+        twisted = ["solve", "sigma_commuting", T, "--sigma", s]
+        sequence = [twisted, ["solve", "derivation", T], ["solve", "derivation"], twisted]
+        seen = [run_cli(args)[:2] for args in sequence]
+        assert [code for code, _ in seen] == [0, 0, 1, 0]
+        assert seen[0] == seen[3]
+        assert [i["path"] for i in json.loads(seen[1][1])["inputs"]] == [T]  # no --sigma left over
+        for args, got in zip(sequence, seen):
+            assert got == run_fresh(args)
 
 
 class TestInputErrors:
@@ -253,12 +314,9 @@ class TestDeterminism:
         assert out1 == out2
 
     def test_subprocess_matches_in_process(self, f1_dir):
-        _, expected, _ = run_cli(["center", str(f1_dir / "T.json")])
-        proc = subprocess.run(
-            [sys.executable, "-m", "trialg.cli", "center", str(f1_dir / "T.json")],
-            capture_output=True, text=True)
-        assert proc.returncode == 0
-        assert proc.stdout == expected
+        code, expected, _ = run_cli(["center", str(f1_dir / "T.json")])
+        assert code == 0
+        assert run_fresh(["center", str(f1_dir / "T.json")]) == (0, expected)
 
     def test_api_cli_parity(self, f3_dir):
         from trialg.algcore import center_T
@@ -269,6 +327,31 @@ class TestDeterminism:
         z = center_T(fixture_f3())
         assert via_cli["dim"] == z.dim
         assert via_cli["basis"] == [[z.field.format(v) for v in row] for row in z.basis]
+
+
+class TestBilinearSolves:
+    def test_sigma_biderivation_at_dim_9(self, tmp_path):
+        """No default dim cap: the regular Trian(UT_2, UT_2, UT_2) solves through
+        the CLI to the same basis as solve_space."""
+        from trialg.algcore import build_triangular
+        from trialg.exactla import QQ
+        from trialg.fixtures import sigma1, upper_triangular_algebra
+        from trialg.io import canonical_json, triangular_to_json
+        from trialg.randomgen import regular_bimodule
+        from trialg.spaces import solve_space
+
+        ut = upper_triangular_algebra(QQ, 2)
+        tri = build_triangular(ut, regular_bimodule(ut), ut)
+        sigma = sigma1(tri)
+        (tmp_path / "T.json").write_text(canonical_json(triangular_to_json(tri)))
+        (tmp_path / "sigma.json").write_text(canonical_json(sigma.to_json()))
+        code, out, _ = run_cli(["solve", "sigma_biderivation", str(tmp_path / "T.json"),
+                                "--sigma", str(tmp_path / "sigma.json")])
+        assert code == 0
+        space = json.loads(out)["result"]["space"]
+        expected = solve_space("sigma_biderivation", tri, sigma).to_json()
+        assert space["ambient_dim"] == 9 ** 3
+        assert space["basis"] == expected["basis"]
 
 
 class TestFindingExitCode:

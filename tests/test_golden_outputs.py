@@ -63,7 +63,7 @@ def _instance(name):
 @pytest.mark.parametrize("name,kind", sorted(GOLDEN))
 def test_solve_report_digest(name, kind):
     t, sigma = _instance(name)
-    space = solve_space(kind, t, sigma, bilinear_dim_cap=9)
+    space = solve_space(kind, t, sigma)
     digest = hashlib.sha256(io.canonical_json(space.to_json()).encode("utf-8")).hexdigest()
     assert digest == GOLDEN[(name, kind)]
 

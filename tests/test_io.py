@@ -1,6 +1,9 @@
 """The input boundary: every io loader coerces and checks each scalar it
-reads, so values from input never reach the trusted constructors
-(Mat._trusted, BilinMap._trusted) that take raw field values as they are."""
+reads, so values from input never reach Mat._trusted or BilinMap._trusted,
+which take raw field values as they are.  The algebra and bimodule loaders
+coerce each structure constant exactly once and hand the coerced tensors to
+FinAlgebra._trusted and Bimodule._trusted, which still check shapes and
+validate."""
 
 import copy
 import json
@@ -96,6 +99,22 @@ def test_loaders_never_reach_the_trusted_constructors(fname, tmp_path, monkeypat
         loaded = [load(doc) for load in _loaders(name, field, tmp_path)]
         if name in ("linmap", "bilinmap"):
             assert loaded == expected[name]
+
+
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+def test_load_triangular_coerces_each_constant_once(fname, tmp_path, count_coerce):
+    """One load of F1 coerces each JSON constant once, unit entries included,
+    and nothing of the total algebra it assembles from them."""
+    doc = io.triangular_to_json(fixture_f1(FIELDS[fname]))
+    path = tmp_path / "T.json"
+    path.write_text(json.dumps(doc))
+    constants = doc["A"]["unit"] + doc["B"]["unit"]
+    for part, key in (("A", "mul"), ("M", "left"), ("M", "right"), ("B", "mul")):
+        constants += [entry[3] for entry in doc[part][key]]
+    count_coerce.clear()  # building the document coerced too
+    tri = io.load_triangular(str(path))
+    assert sorted(count_coerce) == sorted(constants)
+    assert io.triangular_to_json(tri) == doc
 
 
 def test_public_mat_coerces_input_values():

@@ -489,7 +489,7 @@ class TestBiderivationWitnessOracle:
         for alg, sigma in cases:
             n = alg.dim
             ident = LinMap.identity(field, n)
-            space = solve_space("sigma_biderivation", alg, sigma, bilinear_dim_cap=9, verify=False)
+            space = solve_space("sigma_biderivation", alg, sigma, verify=False)
             for D in space.basis_maps()[:2]:
                 for _ in range(6):
                     flat = list(D.flatten())

@@ -326,11 +326,10 @@ class TestBiderivationOracle:
         for alg, sigma in _biderivation_oracle_instances():
             n = alg.dim
             direct = kernel_sparse(alg.field, _dedup_rows(_biderivation_rows(alg, sigma)), n ** 3)
-            space = solve_space("sigma_biderivation", alg, sigma, bilinear_dim_cap=9, verify=False)
+            space = solve_space("sigma_biderivation", alg, sigma, verify=False)
             assert space.subspace == direct
             if sigma == LinMap.identity(alg.field, n):
-                assert solve_space("biderivation", alg, bilinear_dim_cap=9,
-                                   verify=False).subspace == direct
+                assert solve_space("biderivation", alg, verify=False).subspace == direct
             dims.add(space.dim)
         assert max(dims) > 2
 

@@ -44,7 +44,6 @@ from trialg.randomgen import regular_bimodule  # noqa: E402
 from trialg.spaces import solve_space  # noqa: E402
 
 KINDS = ("sigma_derivation", "sigma_commuting", "sigma_biderivation")
-NO_CAP = 10 ** 6  # solve_space caps bilinear solves at dim 8 unless told otherwise
 MAX_SOLVES = 200
 
 
@@ -85,7 +84,7 @@ def _timed_solve(kind, build, verify):
     t, sigma = build()
     gc.collect()
     start = time.perf_counter()
-    space = solve_space(kind, t, sigma, bilinear_dim_cap=NO_CAP, verify=verify)
+    space = solve_space(kind, t, sigma, verify=verify)
     return time.perf_counter() - start, space.subspace
 
 
