@@ -19,6 +19,7 @@ from trialg.fixtures import (
     fixture_f2,
     fixture_f3,
     fixture_f4,
+    phi_one_plus_m,
     sigma1,
     upper_triangular_algebra,
 )
@@ -77,10 +78,13 @@ def test_solve_report_digest(name, kind):
 # twist.  The map inputs come from solved spaces: theta is the sum of the
 # basis maps of the sigma-commuting space, D the sum of the basis maps of the
 # sigma-biderivation space, and D0 the residual of D's extremal split (so
-# D0(p, p) = 0, as inner-witness requires).
+# D0(p, p) = 0, as inner-witness requires).  The endo-classify and partible
+# runs take their map from ``sigma1``, ``identity`` or ``phi_one_plus_m`` (the
+# inner automorphism by 1 + m, which is not block-preserving).
 
 CLI_FIXTURES = ("F1", "F3", "F4")
 CLI_SIGMAS = ("sigma1", "identity")
+CLI_MAPS = CLI_SIGMAS + ("phi_one_plus_m",)
 
 CLI_GOLDEN = {
     ("center", "F1", None): "06f78c87c833cc636333114365163f5e49dd6fa325f35d5715c9c3593f9531e7",
@@ -116,6 +120,24 @@ CLI_GOLDEN = {
     ("inner-witness", "F3", "identity"): "09507b0fed67c9d996659ee89202f1968d54004884a6e62af890d9079cc6b571",
     ("inner-witness", "F4", "sigma1"): "49d47dfa23c97691be5cbad98117b6345448bd7430dfab41d7a83fef1308216f",
     ("inner-witness", "F4", "identity"): "d66b74f9b7995dd1d04f5bcb6877300746baec060a783ca74666e3d8021f4866",
+    ("endo-classify", "F1", "sigma1"): "3bcf323de4b7bdbc513ba71e858fff4f2b4c59b8cac1788e53d9ac0501b38941",
+    ("endo-classify", "F1", "identity"): "e824f98e2b9c008f415b4eecce0606f8011f142edc9883e3eff701c2f6e73249",
+    ("endo-classify", "F1", "phi_one_plus_m"): "2f8b5569154b57474ed3cb86f056e08c76243f8072d3c2b507a8ee39d0d80fe3",
+    ("endo-classify", "F3", "sigma1"): "92b86f3be6ada546eb779e7f00a0e478ae666d1f22b190b809d3a5a83521efaa",
+    ("endo-classify", "F3", "identity"): "35208bb6a7b9c5d2607cad5a33534e6f06d73f6279a1118328ccd7d0f89fabe6",
+    ("endo-classify", "F3", "phi_one_plus_m"): "7f9b4d4846e43b51f1fec57f51bbe9a643f2ce2e179991a44c3d300c42f36959",
+    ("endo-classify", "F4", "sigma1"): "ef01c38d91e7c85cb8e620b51811633ba28294a2ea658ba1351ad71fc565a543",
+    ("endo-classify", "F4", "identity"): "35208bb6a7b9c5d2607cad5a33534e6f06d73f6279a1118328ccd7d0f89fabe6",
+    ("endo-classify", "F4", "phi_one_plus_m"): "9243e5b7cb8eab2b8fe71e6eae47d59d174d2ea30071298fc1f5254994b9be5a",
+    ("partible", "F1", "sigma1"): "379bfbe585e57cee84fc537f23a6a5ef4e17b8e7cd840cb9174817baf6286121",
+    ("partible", "F1", "identity"): "e78f4cded5a1a2c29e8bc07f9abd341ada9cef6c8280a485fa7383ffedc930b8",
+    ("partible", "F1", "phi_one_plus_m"): "ddccff87a4fce94ef73d16d7b5b14fb51a3242c0b346eb8cdeb62c3aff221c07",
+    ("partible", "F3", "sigma1"): "7dc43d1f7c166a651f4c1e1c7bad19290290a82bbea8bd6cf8d837e16558601f",
+    ("partible", "F3", "identity"): "d14f6704316caff41715c3a110937a457a9135f0565d1c2c726db88cade8321d",
+    ("partible", "F3", "phi_one_plus_m"): "a93d29537edb6b2a349817d43faafabe4a8cae91661824651e6b208bad84736b",
+    ("partible", "F4", "sigma1"): "ff8f5088f9b75b3b5f23181da77327060b21527e0df74e9c5c6f1a7a11bb0208",
+    ("partible", "F4", "identity"): "d14f6704316caff41715c3a110937a457a9135f0565d1c2c726db88cade8321d",
+    ("partible", "F4", "phi_one_plus_m"): "a93d29537edb6b2a349817d43faafabe4a8cae91661824651e6b208bad84736b",
 }
 
 
@@ -142,6 +164,7 @@ def cli_inputs(tmp_path_factory):
             D0 = extremal_split(tri, D, sigma).residual
             for stem, m in (("theta", theta), ("D", D), ("D0", D0)):
                 (d / ("%s_%s.json" % (stem, sig_name))).write_text(io.canonical_json(m.to_json()))
+        (d / "phi_one_plus_m.json").write_text(io.canonical_json(phi_one_plus_m(tri).to_json()))
     return root
 
 
@@ -150,6 +173,8 @@ def _cli_args(command, name, sig_name, root):
     t = str(d / "T.json")
     if command == "center":
         return [command, t]
+    if command == "endo-classify":
+        return ["endo", "classify", t, "--map", str(d / (sig_name + ".json"))]
     args = [command, t, "--sigma", str(d / (sig_name + ".json"))]
     if command in ("properness", "commuting-blocks"):
         args += ["--map", str(d / ("theta_%s.json" % sig_name))]
