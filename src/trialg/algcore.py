@@ -33,7 +33,7 @@ from .errors import (
     UnitLawViolation,
     ZeroModule,
 )
-from .exactla import Field, Mat, SparseColumns, Subspace, kernel_basis, kernel_sparse
+from .exactla import Field, Mat, SparseColumns, Subspace, kernel_basis, kernel_sparse, span_coefficients
 
 DEFAULT_BUDGET = 10**6
 
@@ -445,9 +445,8 @@ class FinAlgebra:
 
     def invert(self, x) -> tuple:
         """Two-sided inverse of x, or NotInvertible."""
-        from .exactla import solve_linear
-
-        y = solve_linear(self.left_mul_mat(x), self.unit)
+        y = span_coefficients(self.field, [self.mul_vec(x, self.basis_vector(j)) for j in range(self.dim)],
+                              self.unit)
         if y is None or self.mul_vec(y, x) != self.unit:
             raise NotInvertible("element has no inverse")
         return y
@@ -986,16 +985,14 @@ def eta_from_center(tri: TriAlgebra, z: Subspace, nu_mat: Mat) -> SubspaceMap:
 
     Verified on all basis pairs and for bijectivity.
     """
-    from .exactla import solve_linear
-
     field = tri.field
     da, dm = tri.A.dim, tri.M.dim_m
     pa = project_subspace(z, tri.range_a, da)
     pb = project_subspace(z, tri.range_b, tri.B.dim)
-    b_cols = Mat(field, list(zip(*[tri.part_b(v) for v in z.basis])) if z.basis else [], z.dim)
+    b_parts = [tri.part_b(v) for v in z.basis]
     cols = []
     for u in pb.basis:
-        coeffs = solve_linear(b_cols, u)
+        coeffs = span_coefficients(field, b_parts, u)
         if coeffs is None:
             raise TheoremViolation("projection of the twisted center is inconsistent")
         a = [field.zero] * da
@@ -1005,7 +1002,7 @@ def eta_from_center(tri: TriAlgebra, z: Subspace, nu_mat: Mat) -> SubspaceMap:
             for k, w in enumerate(tri.part_a(v)):
                 a[k] = field.add(a[k], field.mul(c, w))
         cols.append(pa.coords(a))
-    eta = SubspaceMap(pb, pa, Mat(field, list(zip(*cols)) if cols else [], len(pb.basis)))
+    eta = SubspaceMap(pb, pa, Mat._trusted(field, zip(*cols), len(pb.basis)))
     for u in pb.basis:
         a = eta.apply_ambient(u)
         for j in range(dm):
@@ -1152,10 +1149,8 @@ def radical(alg: FinAlgebra) -> Subspace:
         raise CharTooSmall(p, alg.dim)
     field = alg.field
     lmats = [alg.left_mul_mat(alg.basis_vector(i)) for i in range(alg.dim)]
-    gram = Mat(field, [[(lmats[i] @ lmats[j]).trace() for j in range(alg.dim)] for i in range(alg.dim)],
-               alg.dim)
-    from .exactla import kernel_basis
-
+    gram = Mat._trusted(field, [[(lmats[i] @ lmats[j]).trace() for j in range(alg.dim)] for i in range(alg.dim)],
+                        alg.dim)
     rad = kernel_basis(gram)
     if not is_ideal(alg, rad):
         raise TheoremViolation("trace-form kernel is not an ideal")

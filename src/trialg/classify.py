@@ -10,16 +10,19 @@ is a reportable finding rather than a silent failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import itertools
+from dataclasses import dataclass, field as dc_field, fields
 
 from .algcore import (
     Bimodule,
     FinAlgebra,
     TriAlgebra,
+    annihilators,
     basis_and_pair_sums,
     build_triangular,
     coupling_rows,
     diagonal_pairs,
+    enumeration_budget,
     is_ideal,
     product_rule_failure,
     product_rule_rows,
@@ -45,15 +48,17 @@ from .errors import (
     PreconditionFails,
     TheoremViolation,
 )
-from .exactla import IntegerRows, Mat, Subspace, kernel_sparse, solve_linear
+from .exactla import IntegerRows, Subspace, kernel_sparse, span_coefficients
 from .sigmamaps import (
     AutBlocks,
     BilinMap,
     LinMap,
     automorphism_verdict,
     block_decompose,
+    block_of,
     classify_bilinear,
     classify_linear,
+    from_blocks,
     identity_map,
     is_endomorphism,
     sigma_center,
@@ -168,20 +173,10 @@ def inner_biderivation_witness(tri: TriAlgebra, D0: BilinMap, sigma: LinMap,
     z_sigma, _ = sigma_center(tri, blocks, want_eta=False)
     field = alg.field
     n = alg.dim
-    zdim = z_sigma.dim
-    rows = []
-    rhs = []
-    comms = [[alg.commutator(alg.basis_vector(i), alg.basis_vector(j)) for j in range(n)]
-             for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            cij = comms[i][j]
-            gens = [alg.mul_vec(z, cij) for z in z_sigma.basis]
-            target = D0.value(i, j)
-            for m in range(n):
-                rows.append([g[m] for g in gens])
-                rhs.append(target[m])
-    coeffs = solve_linear(Mat(field, rows, zdim), rhs)
+    # lambda [.,.] for lambda in the twisted center, flattened as D0 is
+    comms = [alg.commutator(alg.basis_vector(i), alg.basis_vector(j)) for i in range(n) for j in range(n)]
+    gens = [[c for cij in comms for c in alg.mul_vec(z, cij)] for z in z_sigma.basis]
+    coeffs = span_coefficients(field, gens, D0.flatten())
     if coeffs is None:
         if hypotheses is not None and hypotheses.all_pass():
             raise TheoremViolation("hypotheses verified but a corner-vanishing twisted "
@@ -217,8 +212,6 @@ def innerness_hypotheses(tri: TriAlgebra, blocks: AutBlocks,
     reading of the annihilation condition, see notes); (iv) every
     intertwining map on the corner bimodule is of scalar-action form.
     """
-    from .algcore import enumeration_budget
-
     if budget is None:
         budget = enumeration_budget()
     report = TheoremReport("inner twisted biderivations")
@@ -273,8 +266,6 @@ def _annihilation_hypothesis(tri: TriAlgebra, z_sigma: Subspace, budget: int) ->
         if count > budget:
             return Hypothesis("central_annihilation", "undecided",
                               "span of size %d exceeds budget" % count)
-        import itertools
-
         for combo in itertools.product(range(p), repeat=z_sigma.dim):
             if all(c == 0 for c in combo):
                 continue
@@ -332,12 +323,21 @@ def _scalar_action_space(tri: TriAlgebra, blocks: AutBlocks,
 
 @dataclass(frozen=True)
 class CommutingBlocks:
-    delta1: LinMap  # A -> A
-    delta2: LinMap  # M -> A
-    delta3: LinMap  # B -> A
-    mu1: LinMap  # A -> B
-    mu2: LinMap  # M -> B
-    mu3: LinMap  # B -> B
+    """The six corner blocks of a twisted commuting map; each field's
+    metadata names its (source, target) corners."""
+
+    delta1: LinMap = dc_field(metadata={"block": ("A", "A")})
+    delta2: LinMap = dc_field(metadata={"block": ("M", "A")})
+    delta3: LinMap = dc_field(metadata={"block": ("B", "A")})
+    mu1: LinMap = dc_field(metadata={"block": ("A", "B")})
+    mu2: LinMap = dc_field(metadata={"block": ("M", "B")})
+    mu3: LinMap = dc_field(metadata={"block": ("B", "B")})
+
+
+def _corner_blocks(cls, tri: TriAlgebra, f: LinMap):
+    """The blocks of f named by the fields of the dataclass cls, each read
+    off at the (source, target) corners its metadata names."""
+    return cls(**{fd.name: block_of(tri, f, *fd.metadata["block"]) for fd in fields(cls)})
 
 
 def commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks
@@ -350,21 +350,7 @@ def commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks
         raise NotSigmaCommuting(str(v.witness.indices if v.witness else ""))
     if not tri.is_faithful():
         raise NotFaithful("the block description needs a faithful bimodule")
-    field = tri.field
-    cb = CommutingBlocks(
-        delta1=LinMap.from_images(field, [tri.part_a(theta.image_of_basis(j)) for j in tri.range_a],
-                                  tri.A.dim, tri.A.dim),
-        delta2=LinMap.from_images(field, [tri.part_a(theta.image_of_basis(j)) for j in tri.range_m],
-                                  tri.M.dim_m, tri.A.dim),
-        delta3=LinMap.from_images(field, [tri.part_a(theta.image_of_basis(j)) for j in tri.range_b],
-                                  tri.B.dim, tri.A.dim),
-        mu1=LinMap.from_images(field, [tri.part_b(theta.image_of_basis(j)) for j in tri.range_a],
-                               tri.A.dim, tri.B.dim),
-        mu2=LinMap.from_images(field, [tri.part_b(theta.image_of_basis(j)) for j in tri.range_m],
-                               tri.M.dim_m, tri.B.dim),
-        mu3=LinMap.from_images(field, [tri.part_b(theta.image_of_basis(j)) for j in tri.range_b],
-                               tri.B.dim, tri.B.dim),
-    )
+    cb = _corner_blocks(CommutingBlocks, tri, theta)
     report = TheoremReport("block description of twisted commuting maps")
     _verify_commuting_blocks(tri, theta, blocks, cb)
     report.verdict = "all conditions verified"
@@ -374,7 +360,6 @@ def commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks
 def _verify_commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks,
                              cb: CommutingBlocks):
     field = tri.field
-    zero_m = tuple([field.zero] * tri.M.dim_m)
     da, dm, db = tri.A.dim, tri.M.dim_m, tri.B.dim
     sub, nu = tri.total.sub_vec, blocks.nu
     left, right = tri.M._left_pairs, tri.M._right_pairs
@@ -391,15 +376,12 @@ def _verify_commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks,
                                          for m, nm in units], dm, dm)
 
     # M-block: zero on the corners, the closed form on M
-    for j in tri.range_a:
-        if tuple(tri.part_m(theta.image_of_basis(j))) != zero_m:
-            raise TheoremViolation("Theta(A) has a nonzero M-part")
-    for j in tri.range_b:
-        if tuple(tri.part_m(theta.image_of_basis(j))) != zero_m:
-            raise TheoremViolation("Theta(B) has a nonzero M-part")
-    for idx, j in enumerate(tri.range_m):
-        if tuple(tri.part_m(theta.image_of_basis(j))) != mblock.image_of_basis(idx):
-            raise TheoremViolation("M-block of Theta differs from its closed form")
+    if not block_of(tri, theta, "A", "M").is_zero():
+        raise TheoremViolation("Theta(A) has a nonzero M-part")
+    if not block_of(tri, theta, "B", "M").is_zero():
+        raise TheoremViolation("Theta(B) has a nonzero M-part")
+    if block_of(tri, theta, "M", "M") != mblock:
+        raise TheoremViolation("M-block of Theta differs from its closed form")
     # value spaces
     zfa = sigma_center_direct(tri.A, blocks.f.mat)
     zgb = sigma_center_direct(tri.B, blocks.g.mat)
@@ -517,40 +499,16 @@ def properness(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks) -> PropernessR
 def _direct_proper_solve(tri: TriAlgebra, theta: LinMap, z_sigma: Subspace) -> tuple | None:
     """Find lambda in the twisted center with Theta(e_j) - lambda e_j in it for all j.
 
-    Membership is imposed through the residual projector whose kernel is
-    exactly the center subspace, so the system stays linear in the center
-    coordinates of lambda.
+    Membership is imposed through the residual against the center subspace,
+    which is linear and vanishes exactly on it, so the system stays linear in
+    the center coordinates of lambda.
     """
-    field = tri.field
     alg = tri.total
-    zdim = z_sigma.dim
-    rows = []
-    rhs = []
-    comp = _complement_projector(z_sigma)
-    for j in range(alg.dim):
-        ej = alg.basis_vector(j)
-        target = comp.apply(theta.image_of_basis(j))
-        gens = [comp.apply(alg.mul_vec(z, ej)) for z in z_sigma.basis]
-        for m in range(len(target)):
-            rows.append([g[m] for g in gens])
-            rhs.append(target[m])
-    return solve_linear(Mat(field, rows, zdim), rhs)
-
-
-def _complement_projector(sub: Subspace) -> Mat:
-    """Matrix whose kernel is exactly the subspace: residual after removing
-    the pivot-coordinate combination of the RREF basis."""
-    field = sub.field
-    n = sub.ambient_dim
-    ident = Mat.identity(field, n)
-    rows = [list(r) for r in ident.rows]
-    for p, bas in zip(sub.pivots, sub.basis):
-        for k in range(n):
-            for i in range(n):
-                rows[k][i] = field.sub(rows[k][i],
-                                       field.mul(bas[k], ident.rows[p][i]))
-    # rows now implement v - sum_j v[pivot_j] basis_j; kernel is the span
-    return Mat(field, rows, n)
+    res = z_sigma.residual
+    basis = [alg.basis_vector(j) for j in range(alg.dim)]
+    gens = [[c for ej in basis for c in res(alg.mul_vec(z, ej))] for z in z_sigma.basis]
+    target = [c for j in range(alg.dim) for c in res(theta.image_of_basis(j))]
+    return span_coefficients(tri.field, gens, target)
 
 
 def properness_sufficiency(tri: TriAlgebra, blocks: AutBlocks) -> TheoremReport:
@@ -615,29 +573,20 @@ def _condition_set(tri: TriAlgebra, blocks: AutBlocks, m0) -> Subspace:
 
 @dataclass(frozen=True)
 class EndoBlocks:
-    chi1: LinMap  # A -> A
-    chi2: LinMap  # A -> M
-    chi3: LinMap  # A -> B
-    gamma1: LinMap  # B -> B
-    gamma2: LinMap  # B -> M
-    gamma3: LinMap  # B -> A
-    h: LinMap  # M -> M
+    """The seven blocks of an endomorphism outside M -> A and M -> B; each
+    field's metadata names its (source, target) corners."""
+
+    chi1: LinMap = dc_field(metadata={"block": ("A", "A")})
+    chi2: LinMap = dc_field(metadata={"block": ("A", "M")})
+    chi3: LinMap = dc_field(metadata={"block": ("A", "B")})
+    gamma1: LinMap = dc_field(metadata={"block": ("B", "B")})
+    gamma2: LinMap = dc_field(metadata={"block": ("B", "M")})
+    gamma3: LinMap = dc_field(metadata={"block": ("B", "A")})
+    h: LinMap = dc_field(metadata={"block": ("M", "M")})
 
     def reassemble(self, tri: TriAlgebra) -> LinMap:
-        images = []
-        for j in range(tri.A.dim):
-            images.append(tri.assemble(self.chi1.image_of_basis(j),
-                                       self.chi2.image_of_basis(j),
-                                       self.chi3.image_of_basis(j)))
-        for j in range(tri.M.dim_m):
-            za = [tri.field.zero] * tri.A.dim
-            zb = [tri.field.zero] * tri.B.dim
-            images.append(tri.assemble(za, self.h.image_of_basis(j), zb))
-        for j in range(tri.B.dim):
-            images.append(tri.assemble(self.gamma3.image_of_basis(j),
-                                       self.gamma2.image_of_basis(j),
-                                       self.gamma1.image_of_basis(j)))
-        return LinMap.from_images(tri.field, images, tri.dim, tri.dim)
+        """The map with these blocks and zero M -> A and M -> B blocks."""
+        return from_blocks(tri, {fd.metadata["block"]: getattr(self, fd.name) for fd in fields(self)})
 
 
 def endo_blocks(tri: TriAlgebra, phi: LinMap) -> tuple[EndoBlocks, TheoremReport]:
@@ -651,29 +600,9 @@ def endo_blocks(tri: TriAlgebra, phi: LinMap) -> tuple[EndoBlocks, TheoremReport
     v = is_endomorphism(tri.total, phi)
     if not v.holds:
         raise NotEndomorphism(str(v.witness.indices if v.witness else ""))
-    field = tri.field
-    eb = EndoBlocks(
-        chi1=LinMap.from_images(field, [tri.part_a(phi.image_of_basis(j)) for j in tri.range_a],
-                                tri.A.dim, tri.A.dim),
-        chi2=LinMap.from_images(field, [tri.part_m(phi.image_of_basis(j)) for j in tri.range_a],
-                                tri.A.dim, tri.M.dim_m),
-        chi3=LinMap.from_images(field, [tri.part_b(phi.image_of_basis(j)) for j in tri.range_a],
-                                tri.A.dim, tri.B.dim),
-        gamma1=LinMap.from_images(field, [tri.part_b(phi.image_of_basis(j)) for j in tri.range_b],
-                                  tri.B.dim, tri.B.dim),
-        gamma2=LinMap.from_images(field, [tri.part_m(phi.image_of_basis(j)) for j in tri.range_b],
-                                  tri.B.dim, tri.M.dim_m),
-        gamma3=LinMap.from_images(field, [tri.part_a(phi.image_of_basis(j)) for j in tri.range_b],
-                                  tri.B.dim, tri.A.dim),
-        h=LinMap.from_images(field, [tri.part_m(phi.image_of_basis(j)) for j in tri.range_m],
-                             tri.M.dim_m, tri.M.dim_m),
-    )
+    eb = _corner_blocks(EndoBlocks, tri, phi)
     report = TheoremReport("block structure of corner-preserving endomorphisms")
-    m_into = all(
-        not any(tri.part_a(phi.image_of_basis(j)))
-        and not any(tri.part_b(phi.image_of_basis(j)))
-        for j in tri.range_m
-    )
+    m_into = block_of(tri, phi, "M", "A").is_zero() and block_of(tri, phi, "M", "B").is_zero()
     m_onto = m_into and eb.h.rank() == tri.M.dim_m
     report.hypotheses.append(Hypothesis("maps_M_into_M", "pass" if m_into else "fail"))
     report.hypotheses.append(Hypothesis("maps_M_onto_M", "pass" if m_onto else "fail"))
@@ -724,8 +653,6 @@ def _thm0_conditions(tri: TriAlgebra, eb: EndoBlocks, report: TheoremReport, ass
 
 
 def _thm1_conditions(tri: TriAlgebra, eb: EndoBlocks, report: TheoremReport):
-    from .algcore import annihilators
-
     ann = annihilators(tri)
     A, B = tri.A, tri.B
 
@@ -907,44 +834,25 @@ def _sub_triangular(tri: TriAlgebra, sub_a: Subspace, sub_b: Subspace, include_m
     ordered = [tri.embed_a(v) for v in sub_a.basis]
     ordered += [t.basis_vector(i) for i in tri.range_m] if include_m else []
     ordered += [tri.embed_b(v) for v in sub_b.basis]
-    basis_mat = Mat(field, list(zip(*ordered)) if ordered else [], len(ordered))
 
-    def coords(vec) -> tuple:
-        c = solve_linear(basis_mat, vec)
+    def coords(vectors, vec, leaves: str) -> tuple:
+        c = span_coefficients(field, vectors, vec)
         if c is None:
-            raise TheoremViolation("vector leaves the invariant ideal")
+            raise TheoremViolation(leaves)
         return c
 
     # the unit of the ideal: component of 1 in this ideal within the I + J split
-    unit_coords = _ideal_unit(tri, ordered, coords)
+    unit_coords = _ideal_unit(tri, ordered)
     # corner algebra on sub_a
-    a_basis = [tri.embed_a(v) for v in sub_a.basis]
-    a_mat = Mat(field, list(zip(*[tuple(tri.part_a(v)) for v in a_basis])) if a_basis else [],
-                len(a_basis))
-
-    def a_coords(avec):
-        c = solve_linear(a_mat, avec)
-        if c is None:
-            raise TheoremViolation("corner product leaves the corner ideal")
-        return c
-
-    mul_a = [[a_coords(tri.A.mul_vec(sub_a.basis[i], sub_a.basis[j]))
+    mul_a = [[coords(sub_a.basis, tri.A.mul_vec(sub_a.basis[i], sub_a.basis[j]),
+                     "corner product leaves the corner ideal")
               for j in range(sub_a.dim)] for i in range(sub_a.dim)]
     unit_a = list(unit_coords[: sub_a.dim])
     alg_a = validate_algebra(field, mul_a, unit_a,
                              ["a%d" % i for i in range(sub_a.dim)]) if sub_a.dim else \
         validate_algebra(field, [], [], [])
-    b_basis = [tri.embed_b(v) for v in sub_b.basis]
-    b_mat = Mat(field, list(zip(*[tuple(tri.part_b(v)) for v in b_basis])) if b_basis else [],
-                len(b_basis))
-
-    def b_coords(bvec):
-        c = solve_linear(b_mat, bvec)
-        if c is None:
-            raise TheoremViolation("corner product leaves the corner ideal")
-        return c
-
-    mul_b = [[b_coords(tri.B.mul_vec(sub_b.basis[i], sub_b.basis[j]))
+    mul_b = [[coords(sub_b.basis, tri.B.mul_vec(sub_b.basis[i], sub_b.basis[j]),
+                     "corner product leaves the corner ideal")
               for j in range(sub_b.dim)] for i in range(sub_b.dim)]
     unit_b = list(unit_coords[sub_a.dim + dm:])
     alg_b = validate_algebra(field, mul_b, unit_b,
@@ -959,27 +867,20 @@ def _sub_triangular(tri: TriAlgebra, sub_a: Subspace, sub_b: Subspace, include_m
     else:
         bm = Bimodule.zero(field, sub_a.dim, sub_b.dim)
     sub_tri = build_triangular(alg_a, bm, alg_b, allow_zero_m=True)
-    images = [coords(phi.apply(v)) for v in ordered]
+    images = [coords(ordered, phi.apply(v), "vector leaves the invariant ideal") for v in ordered]
     phi_sub = LinMap.from_images(field, images, len(ordered), len(ordered))
     return sub_tri, phi_sub
 
 
-def _ideal_unit(tri: TriAlgebra, ordered, coords) -> tuple:
+def _ideal_unit(tri: TriAlgebra, ordered) -> tuple:
     """Coordinates (in the ordered ideal basis) of the unit component in it."""
     t = tri.total
-    field = tri.field
     if not ordered:
         return ()
     # 1 * v = v for v in the ideal; the component of 1 inside the ideal is the
     # unique idempotent acting as the identity there: solve sum_c c_i (v_i v_j) = v_j
-    rows = []
-    rhs = []
-    for j, vj in enumerate(ordered):
-        prods = [t.mul_vec(vi, vj) for vi in ordered]
-        for m in range(tri.dim):
-            rows.append([pr[m] for pr in prods])
-            rhs.append(vj[m])
-    sol = solve_linear(Mat(field, rows, len(ordered)), rhs)
+    prods = [[c for vj in ordered for c in t.mul_vec(vi, vj)] for vi in ordered]
+    sol = span_coefficients(tri.field, prods, [c for vj in ordered for c in vj])
     if sol is None:
         raise TheoremViolation("invariant ideal has no unit")
     return sol

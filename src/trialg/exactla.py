@@ -54,7 +54,7 @@ __all__ = [
     "Subspace",
     "rref",
     "kernel_basis",
-    "solve_linear",
+    "span_coefficients",
     "subspace_ops",
 ]
 
@@ -441,14 +441,8 @@ class Mat:
         if self.field != other.field:
             raise FieldMismatch("mixed fields %r / %r" % (self.field, other.field))
 
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
     def scalar(self, i: int, j: int) -> FieldScalar:
         return FieldScalar(self.field, self.rows[i][j])
-
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
 
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)
@@ -471,11 +465,6 @@ class Mat:
         sub = self.field.sub
         return Mat._trusted(self.field, [[sub(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
                             self.ncols)
-
-    def scale(self, c) -> "Mat":
-        c = self.field.coerce(c)
-        mul = self.field.mul
-        return Mat._trusted(self.field, [[mul(c, v) for v in row] for row in self.rows], self.ncols)
 
     def __neg__(self) -> "Mat":
         neg = self.field.neg
@@ -515,12 +504,6 @@ class Mat:
                     acc = add(acc, mul(v, w))
             out.append(acc)
         return tuple(out)
-
-    def stack(self, other: "Mat") -> "Mat":
-        self._check(other)
-        if self.ncols != other.ncols:
-            raise ShapeMismatch("stack widths %d and %d" % (self.ncols, other.ncols))
-        return Mat._trusted(self.field, self.rows + other.rows, self.ncols)
 
     def is_zero(self) -> bool:
         return not any(v for row in self.rows for v in row)
@@ -784,12 +767,16 @@ def solve_sparse(field: Field, rows: Sequence[dict], rhs: Sequence, ncols: int) 
     return tuple(x)
 
 
-def solve_linear(m: Mat, rhs: Sequence) -> tuple | None:
-    """Particular solution of m x = rhs with zeros in all free coordinates.
+def span_coefficients(field: Field, vectors: Sequence[Sequence], target: Sequence) -> tuple | None:
+    """Coefficients c with sum_i c[i] * vectors[i] = target, zero at every
+    free index, or None when target is not in the span of the vectors.
 
-    Returns None when the system is inconsistent.
+    The vectors hold raw values of field and share the length of target.  It
+    is solve_sparse on the transposed system, one row per coordinate; as the
+    reduced form of the augmented system is unique, so is the answer.
     """
-    return solve_sparse(m.field, list(_rows_to_sparse(m.rows)), rhs, m.ncols)
+    rows = [{i: v[k] for i, v in enumerate(vectors) if v[k]} for k in range(len(target))]
+    return solve_sparse(field, rows, target, len(vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -864,24 +851,29 @@ class Subspace:
     def __hash__(self):
         return hash((self.field, self.ambient_dim, self.basis))
 
-    def try_coords(self, vec: Sequence) -> tuple | None:
-        """Coefficients of vec in this RREF basis, or None if not in the span."""
-        field = self.field
-        vec = tuple(field.coerce(v) for v in vec)
+    def residual(self, vec: Sequence) -> tuple:
+        """vec minus sum_k vec[p_k] * b_k over the RREF basis b_k and its
+        pivots p_k: zero exactly when vec lies in the span, and linear in vec.
+        vec holds raw values of the field."""
         if len(vec) != self.ambient_dim:
             raise AmbientMismatch("vector length %d in ambient %d" % (len(vec), self.ambient_dim))
-        coeffs = tuple(vec[p] for p in self.pivots)
-        sub, mul = field.sub, field.mul
+        sub, mul = self.field.sub, self.field.mul
         residual = list(vec)
-        for c, row in zip(coeffs, self.basis):
+        for p, row in zip(self.pivots, self.basis):
+            c = vec[p]
             if not c:
                 continue
             for k, v in enumerate(row):
                 if v:
                     residual[k] = sub(residual[k], mul(c, v))
-        if any(residual):
+        return tuple(residual)
+
+    def try_coords(self, vec: Sequence) -> tuple | None:
+        """Coefficients of vec in this RREF basis, or None if not in the span."""
+        vec = tuple(map(self.field.coerce, vec))
+        if any(self.residual(vec)):
             return None
-        return coeffs
+        return tuple(vec[p] for p in self.pivots)
 
     def coords(self, vec: Sequence) -> tuple:
         """Like try_coords but raises NotInSpan."""

@@ -35,9 +35,12 @@ def _load_json(path: str):
 
 
 def _dump_json(obj, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(obj))
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(canonical_json(obj))
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError("cannot write %s: %s" % (path, exc)) from exc
 
 
 def canonical_json(obj) -> str:
@@ -222,7 +225,10 @@ def emit_fixture(name: str, out_dir: str) -> list[str]:
     """Write the canonical fixture files; returns the paths written."""
     from . import fixtures as fx
 
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise InputError("cannot create %s: %s" % (out_dir, exc)) from exc
     written = []
 
     def put(fname: str, payload: dict):

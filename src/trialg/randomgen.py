@@ -21,7 +21,7 @@ from .fixtures import (
     truncated_polynomial_algebra,
     upper_triangular_algebra,
 )
-from .sigmamaps import LinMap, blocks_to_total, inner_automorphism
+from .sigmamaps import LinMap, inner_automorphism
 
 
 def regular_bimodule(alg: FinAlgebra) -> Bimodule:
@@ -188,5 +188,4 @@ __all__ = [
     "random_faithful_instances",
     "random_instances",
     "regular_bimodule",
-    "blocks_to_total",
 ]

@@ -50,7 +50,7 @@ from .errors import (
     SigmaNotAutomorphism,
     TheoremViolation,
 )
-from .exactla import Field, Mat, SparseColumns, Subspace
+from .exactla import Field, Mat, SparseColumns, Subspace, kernel_basis
 
 LINEAR_KINDS = (
     "endomorphism",
@@ -145,8 +145,6 @@ class LinMap:
         return self.mat.is_zero()
 
     def kernel(self) -> Subspace:
-        from .exactla import kernel_basis
-
         return kernel_basis(self.mat)
 
     def image(self) -> Subspace:
@@ -466,6 +464,32 @@ def classify_bilinear(kind: str, alg: FinAlgebra, D: BilinMap, sigma: LinMap | N
 # ---------------------------------------------------------------------------
 
 
+def _corner_range(tri: TriAlgebra, name: str) -> range:
+    """The coordinates of corner "A", "M" or "B" in the total algebra."""
+    return {"A": tri.range_a, "M": tri.range_m, "B": tri.range_b}[name]
+
+
+def block_of(tri: TriAlgebra, f: LinMap, src: str, dst: str) -> LinMap:
+    """The block of a map f on the total algebra from corner src to corner
+    dst (each "A", "M" or "B"): e_j of src goes to the dst part of f(e_j).
+    It is a submatrix of f, taken as it is."""
+    rs, rd = _corner_range(tri, src), _corner_range(tri, dst)
+    rows = [row[rs.start:rs.stop] for row in f.mat.rows[rd.start:rd.stop]]
+    return LinMap(tri.field, Mat._trusted(tri.field, rows, len(rs)), len(rs), len(rd))
+
+
+def from_blocks(tri: TriAlgebra, blocks: dict) -> LinMap:
+    """The map on the total algebra with the blocks {(src, dst): LinMap},
+    as block_of reads them, and zero in every block not given."""
+    field = tri.field
+    rows = [[field.zero] * tri.dim for _ in range(tri.dim)]
+    for (src, dst), block in blocks.items():
+        rs = _corner_range(tri, src)
+        for k, row in zip(_corner_range(tri, dst), block.mat.rows):
+            rows[k][rs.start:rs.stop] = row
+    return LinMap(field, Mat._trusted(field, rows, tri.dim))
+
+
 @dataclass(frozen=True)
 class AutBlocks:
     """Diagonal blocks (f, g) and corner block nu of a block-preserving automorphism."""
@@ -495,38 +519,16 @@ def block_decompose(tri: TriAlgebra, sigma: LinMap) -> AutBlocks:
     """Split a block-preserving automorphism of the total algebra into (f, g, nu)."""
     if not automorphism_verdict(tri.total, sigma).holds:
         raise NotAutomorphism("block decomposition needs an automorphism")
-    field = tri.field
-    blocks = (("A", tri.range_a), ("M", tri.range_m), ("B", tri.range_b))
-    for name, rng in blocks:
+    for name, rng in (("A", tri.range_a), ("M", tri.range_m), ("B", tri.range_b)):
         outside = [i for i in range(tri.dim) if i not in rng]
         for j in rng:
             img = sigma.image_of_basis(j)
             if any(img[i] for i in outside):
                 raise NotBlockPreserving((name, j, img))
-    f = LinMap.from_images(field, [tri.part_a(sigma.image_of_basis(j)) for j in tri.range_a],
-                           tri.A.dim, tri.A.dim)
-    nu = LinMap.from_images(field, [tri.part_m(sigma.image_of_basis(j)) for j in tri.range_m],
-                            tri.M.dim_m, tri.M.dim_m)
-    g = LinMap.from_images(field, [tri.part_b(sigma.image_of_basis(j)) for j in tri.range_b],
-                           tri.B.dim, tri.B.dim)
-    blocks_out = AutBlocks(tri, f, g, nu, sigma)
+    blocks_out = AutBlocks(tri, block_of(tri, sigma, "A", "A"), block_of(tri, sigma, "B", "B"),
+                           block_of(tri, sigma, "M", "M"), sigma)
     blocks_out.verify()
     return blocks_out
-
-
-def blocks_to_total(tri: TriAlgebra, f: LinMap, g: LinMap, nu: LinMap) -> LinMap:
-    """Assemble the total-algebra map with the given diagonal and corner blocks."""
-    images = []
-    zm = [tri.field.zero] * tri.M.dim_m
-    zb = [tri.field.zero] * tri.B.dim
-    za = [tri.field.zero] * tri.A.dim
-    for j in range(tri.A.dim):
-        images.append(tri.assemble(f.image_of_basis(j), zm, zb))
-    for j in range(tri.M.dim_m):
-        images.append(tri.assemble(za, nu.image_of_basis(j), zb))
-    for j in range(tri.B.dim):
-        images.append(tri.assemble(za, zm, g.image_of_basis(j)))
-    return LinMap.from_images(tri.field, images, tri.dim, tri.dim)
 
 
 def sigma_center(tri: TriAlgebra, blocks: AutBlocks, want_eta: bool = True

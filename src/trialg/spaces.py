@@ -55,10 +55,12 @@ from .sigmamaps import (
     BilinMap,
     LinMap,
     block_decompose,
+    block_of,
     classify_bilinear,
     classify_linear,
     commuting_terms,
     derivation_terms,
+    from_blocks,
     identity_map,
     is_alpha_beta_derivation,
     require_automorphism,
@@ -379,19 +381,13 @@ class DerivationBlocks:
     def reassemble(self) -> LinMap:
         tri = self.tri
         field = tri.field
-        images = []
-        for j in range(tri.A.dim):
-            a = tri.A.basis_vector(j)
-            mpart = tri.act_left(self.blocks.f.apply(a), self.m_d)
-            images.append(tri.assemble(self.d_a.image_of_basis(j), mpart, [field.zero] * tri.B.dim))
-        for j in range(tri.M.dim_m):
-            images.append(tri.assemble([field.zero] * tri.A.dim, self.xi.image_of_basis(j),
-                                       [field.zero] * tri.B.dim))
-        for j in range(tri.B.dim):
-            b = tri.B.basis_vector(j)
-            mpart = tuple(field.neg(v) for v in tri.act_right(self.m_d, b))
-            images.append(tri.assemble([field.zero] * tri.A.dim, mpart, self.d_b.image_of_basis(j)))
-        return LinMap.from_images(field, images, tri.dim, tri.dim)
+        dm = tri.M.dim_m
+        a_to_m = [tri.act_left(self.blocks.f.image_of_basis(j), self.m_d) for j in range(tri.A.dim)]
+        b_to_m = [tuple(map(field.neg, tri.act_right(self.m_d, tri.B.basis_vector(j))))
+                  for j in range(tri.B.dim)]
+        return from_blocks(tri, {("A", "A"): self.d_a, ("M", "M"): self.xi, ("B", "B"): self.d_b,
+                                 ("A", "M"): LinMap.from_images(field, a_to_m, tri.A.dim, dm),
+                                 ("B", "M"): LinMap.from_images(field, b_to_m, tri.B.dim, dm)})
 
 
 def sigma_derivation_blocks(tri: TriAlgebra, d: LinMap, blocks: AutBlocks) -> DerivationBlocks:
@@ -404,15 +400,9 @@ def sigma_derivation_blocks(tri: TriAlgebra, d: LinMap, blocks: AutBlocks) -> De
     v = classify_linear("sigma_derivation", alg, d, blocks.source)
     if not v.holds:
         raise NotSigmaDerivation(str(v.witness.indices if v.witness else ""))
-    field = tri.field
-    d_a = LinMap.from_images(field, [tri.part_a(d.image_of_basis(j)) for j in tri.range_a],
-                             tri.A.dim, tri.A.dim)
-    d_b = LinMap.from_images(field, [tri.part_b(d.image_of_basis(j)) for j in tri.range_b],
-                             tri.B.dim, tri.B.dim)
-    xi = LinMap.from_images(field, [tri.part_m(d.image_of_basis(j)) for j in tri.range_m],
-                            tri.M.dim_m, tri.M.dim_m)
     m_d = tri.part_m(d.apply(tri.p))
-    hw = DerivationBlocks(tri, blocks, d_a, d_b, m_d, xi)
+    hw = DerivationBlocks(tri, blocks, block_of(tri, d, "A", "A"), block_of(tri, d, "B", "B"), m_d,
+                          block_of(tri, d, "M", "M"))
     _verify_derivation_blocks(hw, d)
     return hw
 

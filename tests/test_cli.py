@@ -86,6 +86,22 @@ class TestFixturesAndCenter:
         assert payload["error"]["type"] == "InputError"
         assert "invalid choice: 'F9'" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("blocked", ["dir", "file"])
+    def test_emit_unwritable_target(self, tmp_path, blocked):
+        """An output directory under a regular file, or a target file that is
+        a directory, exits 1 with one JSON error instead of a traceback."""
+        if blocked == "dir":
+            (tmp_path / "file").write_text("")
+            out_dir = tmp_path / "file" / "x"
+        else:
+            out_dir = tmp_path / "out"
+            (out_dir / "T.json").mkdir(parents=True)
+        code, out, _ = run_cli(["fixtures", "emit", "F1", str(out_dir)])
+        assert code == 1
+        payload = json.loads(out)  # exactly one JSON object
+        assert payload["error"]["type"] == "InputError"
+        assert str(out_dir) in payload["error"]["message"]
+
 
 class TestSolveAndReports:
     def test_solve_contains_model_map(self, f1_dir):

@@ -18,8 +18,8 @@ from trialg.exactla import (
     _sparse_reduce,
     kernel_basis,
     rref,
-    solve_linear,
     solve_sparse,
+    span_coefficients,
     subspace_ops,
 )
 from trialg.spaces import _dedup_rows
@@ -136,16 +136,17 @@ class TestKernel:
             assert all(x == 0 for x in m.apply(v))
 
 
-class TestSolveLinear:
+class TestSpanCoefficients:
     def test_identity_system(self):
-        assert solve_linear(Mat.identity(QQ, 3), [1, 2, 3]) == \
+        assert span_coefficients(QQ, Mat.identity(QQ, 3).rows, [1, 2, 3]) == \
             (Fraction(1), Fraction(2), Fraction(3))
 
     def test_free_coordinate_zero_convention(self):
-        assert solve_linear(Mat(QQ, [[1, 1]]), [2]) == (Fraction(2), Fraction(0))
+        one = Fraction(1)
+        assert span_coefficients(QQ, [(one,), (one,)], [2]) == (Fraction(2), Fraction(0))
 
     def test_inconsistent(self):
-        assert solve_linear(Mat(QQ, [[0]]), [1]) is None
+        assert span_coefficients(QQ, [(Fraction(0),)], [1]) is None
 
 
 class TestSubspace:
@@ -325,6 +326,39 @@ class TestIntegerEliminationOracle:
             expect[c] = row[ncols]
         assert got == tuple(expect)
         assert all(_is_raw(field, v) for v in got)
+
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_span_coefficients(self, field, data):
+        """The coefficients are the last column of the Gauss-Jordan RREF of
+        the system whose columns are the vectors and the target, with zero at
+        every free index.  Half of the targets are drawn inside the span."""
+        vectors, n = data.draw(_systems(field))
+        scalar = (st.fractions(min_value=-5, max_value=5, max_denominator=7) if field is QQ
+                  else st.integers(0, field.characteristic - 1))
+        if data.draw(st.booleans()):
+            coeffs = [field.coerce(data.draw(scalar)) for _ in vectors]
+            target = [field.zero] * n
+            for c, v in zip(coeffs, vectors):
+                target = [field.add(t, field.mul(c, w)) for t, w in zip(target, v)]
+        else:
+            target = [field.coerce(data.draw(scalar)) for _ in range(n)]
+        k = len(vectors)
+        aug, pivots = _gauss_jordan(field, [tuple(v[i] for v in vectors) + (target[i],) for i in range(n)], k + 1)
+        got = span_coefficients(field, vectors, target)
+        if k in pivots:
+            assert got is None
+            return
+        expect = [field.zero] * k
+        for c, row in zip(pivots, aug):
+            expect[c] = row[k]
+        assert got == tuple(expect)
+        combo = [field.zero] * n
+        for c, v in zip(got, vectors):
+            combo = [field.add(t, field.mul(c, w)) for t, w in zip(combo, v)]
+        assert combo == target
 
 
 class TestRowKeys:

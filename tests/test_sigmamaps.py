@@ -24,15 +24,17 @@ from trialg.fixtures import (
     sigma2,
     upper_triangular_algebra,
 )
-from trialg.randomgen import regular_bimodule
+from trialg.randomgen import random_instances, regular_bimodule
 from trialg.sigmamaps import (
     BilinMap,
     LinMap,
     alpha_beta_reduce,
     block_decompose,
+    block_of,
     classify_bilinear,
     classify_linear,
     derivation_terms,
+    from_blocks,
     inner_automorphism,
     is_alpha_beta_biderivation,
     require_automorphism,
@@ -258,6 +260,48 @@ class TestBlockDecompose:
         bad = LinMap.zero(QQ, 3)
         with pytest.raises(SigmaNotAutomorphism):
             classify_linear("sigma_commuting", f1.total, f1_theta1, bad)
+
+
+def _block_instances():
+    """(tri, map) pairs: random instances over Q and F_5, each with its twist
+    and with a dense random map, and the diagonal Trian(k, 0, k), whose M
+    blocks are 0-dimensional, with its swap automorphism."""
+    from test_classify import diagonal_triangular, swap_map
+
+    out = []
+    for field, seed in ((QQ, 1301), (GF(5), 1302)):
+        rng = random.Random(seed)
+        for _, tri, sigma in random_instances(field, 5, seed):
+            dense = [[field.coerce(rng.randrange(-3, 4)) for _ in range(tri.dim)] for _ in range(tri.dim)]
+            out += [(tri, sigma), (tri, LinMap(field, dense))]
+    diag = diagonal_triangular()
+    return out + [(diag, swap_map(diag))]
+
+
+class TestBlockMaps:
+    CORNERS = ("A", "M", "B")
+
+    @staticmethod
+    def _from_images(tri, f, src, dst):
+        """The block as the column-by-column extraction it replaces."""
+        ranges = {"A": tri.range_a, "M": tri.range_m, "B": tri.range_b}
+        part = {"A": tri.part_a, "M": tri.part_m, "B": tri.part_b}[dst]
+        return LinMap.from_images(tri.field, [part(f.image_of_basis(j)) for j in ranges[src]],
+                                  len(ranges[src]), len(ranges[dst]))
+
+    def test_nine_blocks_reassemble_the_map(self):
+        for tri, f in _block_instances():
+            blocks = {(src, dst): block_of(tri, f, src, dst) for src in self.CORNERS for dst in self.CORNERS}
+            for (src, dst), block in blocks.items():
+                assert block == self._from_images(tri, f, src, dst)
+                assert block.mat.nrows == block.dst_dim and block.mat.ncols == block.src_dim
+            assert from_blocks(tri, blocks) == f
+
+    def test_missing_blocks_are_zero(self, f1, phi_m):
+        diagonal = from_blocks(f1, {(c, c): block_of(f1, phi_m, c, c) for c in self.CORNERS})
+        assert block_of(f1, diagonal, "A", "M").is_zero()
+        assert from_blocks(f1, {}) == LinMap.zero(QQ, f1.dim)
+        assert not block_of(f1, phi_m, "A", "M").is_zero()
 
 
 class TestAutomorphismMemo:
