@@ -8,7 +8,7 @@ classification results as verified identities.
 
 __version__ = "0.1.0"
 
-from .exactla import GF, QQ, FieldScalar, Mat, Subspace, kernel_basis, rref, span_coefficients
+from .exactla import GF, QQ, Mat, Subspace, kernel_basis, rref, span_coefficients
 from .algcore import (
     Bimodule,
     FinAlgebra,

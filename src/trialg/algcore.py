@@ -33,7 +33,7 @@ from .errors import (
     UnitLawViolation,
     ZeroModule,
 )
-from .exactla import Field, Mat, SparseColumns, Subspace, kernel_basis, kernel_sparse, span_coefficients
+from .exactla import Field, Mat, SparseColumns, Subspace, kernel_sparse, matrix_inverse, span_coefficients
 
 DEFAULT_BUDGET = 10**6
 
@@ -913,20 +913,28 @@ class AnnihilatorReport:
     right_faithful: bool
 
 
+def _annihilator(field: Field, table: SparseTable, ncols: int, gs) -> Subspace:
+    """{x : x g = 0 for every basis vector g listed in gs}, for table[i][g]
+    the product of basis vectors i and g (x ranges over ncols coordinates):
+    the kernel of one row per g and output coordinate."""
+    rows = {}
+    for i, row in enumerate(table):
+        for g in gs:
+            for k, c in row[g]:
+                rows.setdefault((g, k), {})[i] = c
+    return kernel_sparse(field, rows.values(), ncols)
+
+
 def annihilators(tri: TriAlgebra) -> AnnihilatorReport:
     field = tri.field
-    da, dm, db = tri.A.dim, tri.M.dim_m, tri.B.dim
-    left, right = tri.M.left, tri.M.right
-    # L = {a : a.m_j = 0 for all j}, R = {b : m_j.b = 0 for all j}
-    L = kernel_basis(Mat._trusted(field, [[left[i][j][mp] for i in range(da)]
-                                          for j in range(dm) for mp in range(dm)], da))
-    R = kernel_basis(Mat._trusted(field, [[right[j][k][mp] for k in range(db)]
-                                          for j in range(dm) for mp in range(dm)], db))
-    # annihilators of M inside the total algebra: x m_j = 0, resp. m_j x = 0
+    dm = tri.M.dim_m
     t = tri.total
-    ms = [t.basis_vector(j) for j in tri.range_m]
-    lann = kernel_basis(Mat._trusted(field, [r for m in ms for r in t.right_mul_mat(m).rows], t.dim))
-    rann = kernel_basis(Mat._trusted(field, [r for m in ms for r in t.left_mul_mat(m).rows], t.dim))
+    # L = {a : a m_j = 0 for all j}, R = {b : m_j b = 0 for all j}
+    L = _annihilator(field, tri.M._left_pairs, tri.A.dim, range(dm))
+    R = _annihilator(field, tri.M._right_pairs.transpose(), tri.B.dim, range(dm))
+    # annihilators of M inside the total algebra: x m_j = 0, resp. m_j x = 0
+    lann = _annihilator(field, t._pairs, t.dim, tri.range_m)
+    rann = _annihilator(field, t._pairs.transpose(), t.dim, tri.range_m)
     report = AnnihilatorReport(L, R, lann, rann, L.is_zero(), R.is_zero())
     if report.left_faithful and report.right_faithful and dm > 0:
         mb = Subspace.from_vectors(field, t.dim, [t.basis_vector(i) for i in list(tri.range_m) + list(tri.range_b)])
@@ -964,19 +972,17 @@ class SubspaceMap:
         return self.matrix.nrows == self.matrix.ncols and self.matrix.rank() == self.matrix.nrows
 
     def inverse(self) -> "SubspaceMap":
-        inv = self.matrix.inverse()
+        inv = matrix_inverse(self.matrix)
         if inv is None:
             raise NotInvertible("subspace map is not invertible")
         return SubspaceMap(self.codomain, self.domain, inv)
 
 
-def project_subspace(sub: Subspace, indices, new_dim: int | None = None) -> Subspace:
+def project_subspace(sub: Subspace, indices) -> Subspace:
     """Coordinate projection of a subspace onto the listed positions."""
     indices = list(indices)
-    if new_dim is None:
-        new_dim = len(indices)
     vecs = [tuple(v[i] for i in indices) for v in sub.basis]
-    return Subspace.from_vectors(sub.field, new_dim, vecs)
+    return Subspace.from_vectors(sub.field, len(indices), vecs)
 
 
 def eta_from_center(tri: TriAlgebra, z: Subspace, nu_mat: Mat) -> SubspaceMap:
@@ -987,8 +993,8 @@ def eta_from_center(tri: TriAlgebra, z: Subspace, nu_mat: Mat) -> SubspaceMap:
     """
     field = tri.field
     da, dm = tri.A.dim, tri.M.dim_m
-    pa = project_subspace(z, tri.range_a, da)
-    pb = project_subspace(z, tri.range_b, tri.B.dim)
+    pa = project_subspace(z, tri.range_a)
+    pb = project_subspace(z, tri.range_b)
     b_parts = [tri.part_b(v) for v in z.basis]
     cols = []
     for u in pb.basis:
@@ -1137,6 +1143,28 @@ def is_nilpotent_subspace(alg: FinAlgebra, sub: Subspace) -> bool:
     return cur.is_zero()
 
 
+def _trace_form_rows(alg: FinAlgebra):
+    """The nonzero entries of each row i of the trace form of the left
+    regular representation, read off the product table: tr(L_i L_j) is the
+    sum over a of the e_a-coefficient of e_i (e_j e_a)."""
+    field = alg.field
+    add, mul, zero = field.add, field.mul, field.zero
+    pairs = alg._pairs
+    for i in range(alg.dim):
+        left = [dict(prods) for prods in pairs[i]]  # left[k][a]: e_a in e_i e_k
+        row = {}
+        for j, row_j in enumerate(pairs):
+            acc = zero
+            for a, prods in enumerate(row_j):
+                for k, c in prods:
+                    d = left[k].get(a)
+                    if d:
+                        acc = add(acc, mul(c, d))
+            if acc:
+                row[j] = acc
+        yield row
+
+
 def radical(alg: FinAlgebra) -> Subspace:
     """Largest nil ideal, computed as the trace-form kernel of the left
     regular representation (valid in characteristic 0 or p > dim).
@@ -1147,11 +1175,7 @@ def radical(alg: FinAlgebra) -> Subspace:
     p = alg.field.characteristic
     if p != 0 and p <= alg.dim:
         raise CharTooSmall(p, alg.dim)
-    field = alg.field
-    lmats = [alg.left_mul_mat(alg.basis_vector(i)) for i in range(alg.dim)]
-    gram = Mat._trusted(field, [[(lmats[i] @ lmats[j]).trace() for j in range(alg.dim)] for i in range(alg.dim)],
-                        alg.dim)
-    rad = kernel_basis(gram)
+    rad = kernel_sparse(alg.field, _trace_form_rows(alg), alg.dim)
     if not is_ideal(alg, rad):
         raise TheoremViolation("trace-form kernel is not an ideal")
     if not is_nilpotent_subspace(alg, rad):

@@ -216,11 +216,10 @@ def innerness_hypotheses(tri: TriAlgebra, blocks: AutBlocks,
         budget = enumeration_budget()
     report = TheoremReport("inner twisted biderivations")
     z_sigma, _ = sigma_center(tri, blocks, want_eta=False)
-    da, db = tri.A.dim, tri.B.dim
 
     # (i) projections of the twisted center
-    pa = project_subspace(z_sigma, tri.range_a, da)
-    pb = project_subspace(z_sigma, tri.range_b, db)
+    pa = project_subspace(z_sigma, tri.range_a)
+    pb = project_subspace(z_sigma, tri.range_b)
     zfa = sigma_center_direct(tri.A, blocks.f.mat)
     zgb = sigma_center_direct(tri.B, blocks.g.mat)
     ok = pa == zfa and pb == zgb
@@ -449,8 +448,8 @@ def properness(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks) -> PropernessR
     field = tri.field
     alg = tri.total
     z_sigma, eta = sigma_center(tri, blocks, want_eta=True)
-    pa = project_subspace(z_sigma, tri.range_a, tri.A.dim)
-    pb = project_subspace(z_sigma, tri.range_b, tri.B.dim)
+    pa = project_subspace(z_sigma, tri.range_a)
+    pb = project_subspace(z_sigma, tri.range_b)
     dm = tri.M.dim_m
 
     def diag_in_center(j: int) -> bool:
@@ -521,8 +520,8 @@ def properness_sufficiency(tri: TriAlgebra, blocks: AutBlocks) -> TheoremReport:
     report = TheoremReport("properness of all twisted commuting maps")
     field = tri.field
     z_sigma, _ = sigma_center(tri, blocks, want_eta=False)
-    pa = project_subspace(z_sigma, tri.range_a, tri.A.dim)
-    pb = project_subspace(z_sigma, tri.range_b, tri.B.dim)
+    pa = project_subspace(z_sigma, tri.range_a)
+    pb = project_subspace(z_sigma, tri.range_b)
     zfa = sigma_center_direct(tri.A, blocks.f.mat)
     zgb = sigma_center_direct(tri.B, blocks.g.mat)
     comm_a = _commutator_span(tri.A)

@@ -31,10 +31,6 @@ class NotInSpan(TrialgError):
     """A vector has no representation in the given basis."""
 
 
-class NoSolution(TrialgError):
-    """An inhomogeneous linear system is inconsistent."""
-
-
 class NonAssociative(TrialgError):
     """Structure constants fail associativity.
 

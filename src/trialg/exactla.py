@@ -1,9 +1,9 @@
 """Exact scalar arithmetic and deterministic linear algebra over Q and F_p.
 
 Scalars are plain ``Fraction`` values over the rationals and plain ``int``
-residues over a prime field; a :class:`Field` object carries the arithmetic.
-:class:`FieldScalar` wraps a raw value together with its field for the wire
-format and for element-level use.  No floating point anywhere.
+residues over a prime field; a :class:`Field` object carries the arithmetic,
+reads input literals into raw values (``coerce``) and writes the wire format
+(``format``).  No floating point anywhere.
 
 Row reduction is fully deterministic (leftmost pivot, first row, exact
 arithmetic), so every reduced row-echelon form and every solution-space basis
@@ -49,21 +49,26 @@ __all__ = [
     "Field",
     "RationalField",
     "PrimeField",
-    "FieldScalar",
     "Mat",
     "Subspace",
     "rref",
     "kernel_basis",
     "span_coefficients",
-    "subspace_ops",
 ]
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound, the least strong pseudoprime to all of them; larger
+# moduli are refused.
+_PRIME_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
+    """Deterministic Miller-Rabin, exact for n < _PRIME_BOUND."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -71,7 +76,7 @@ def _is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -112,14 +117,11 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def coerce(self, x):
-        """Raw value from int, string, Fraction, or FieldScalar."""
+        """Raw value from an int, a string literal, or (over Q) a Fraction."""
         raise NotImplementedError
 
     def format(self, a) -> str:
         raise NotImplementedError
-
-    def scalar(self, x) -> "FieldScalar":
-        return FieldScalar(self, self.coerce(x))
 
     def to_json(self):
         raise NotImplementedError
@@ -160,10 +162,6 @@ class RationalField(Field):
     def coerce(self, x):
         if isinstance(x, Fraction):
             return x
-        if isinstance(x, FieldScalar):
-            if x.field is not self:
-                raise FieldMismatch("scalar from %r used over Q" % (x.field,))
-            return x.value
         if isinstance(x, int) and not isinstance(x, bool):
             return Fraction(x)
         if isinstance(x, str):
@@ -202,6 +200,8 @@ class PrimeField(Field):
     kind = "prime"
 
     def __init__(self, p: int):
+        if p >= _PRIME_BOUND:
+            raise InputError("p = %r is beyond the exact primality test (p < %d)" % (p, _PRIME_BOUND))
         if not _is_prime(p):
             raise InputError("p = %r is not prime" % (p,))
         self.p = p
@@ -227,10 +227,6 @@ class PrimeField(Field):
         return pow(a, self.p - 2, self.p)
 
     def coerce(self, x):
-        if isinstance(x, FieldScalar):
-            if x.field != self:
-                raise FieldMismatch("scalar from %r used over F_%d" % (x.field, self.p))
-            return x.value
         if isinstance(x, int) and not isinstance(x, bool):
             return x % self.p
         if isinstance(x, str):
@@ -279,72 +275,6 @@ def field_from_json(obj) -> Field:
     raise InputError("unknown field kind %r" % (obj["kind"],))
 
 
-class FieldScalar:
-    """One exact scalar: a normalized fraction or a residue mod p.
-
-    Serializes as "num/den" over Q (denominator omitted when 1) and as the
-    decimal residue over F_p.
-    """
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", field.coerce(value))
-
-    def __setattr__(self, *a):
-        raise AttributeError("FieldScalar is immutable")
-
-    def _raw(self, other):
-        if isinstance(other, FieldScalar):
-            if other.field != self.field:
-                raise FieldMismatch("mixed scalar fields %r / %r" % (self.field, other.field))
-            return other.value
-        return self.field.coerce(other)
-
-    def __add__(self, other):
-        return FieldScalar(self.field, self.field.add(self.value, self._raw(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldScalar(self.field, self.field.sub(self.value, self._raw(other)))
-
-    def __rsub__(self, other):
-        return FieldScalar(self.field, self.field.sub(self._raw(other), self.value))
-
-    def __mul__(self, other):
-        return FieldScalar(self.field, self.field.mul(self.value, self._raw(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldScalar(self.field, self.field.div(self.value, self._raw(other)))
-
-    def __neg__(self):
-        return FieldScalar(self.field, self.field.neg(self.value))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldScalar):
-            return self.field == other.field and self.value == other.value
-        try:
-            return self.value == self.field.coerce(other)
-        except (InputError, FieldMismatch):
-            return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def is_zero(self) -> bool:
-        return not self.value
-
-    def __str__(self):
-        return self.field.format(self.value)
-
-    def __repr__(self):
-        return "FieldScalar(%r, %s)" % (self.field, self)
-
-
 # ---------------------------------------------------------------------------
 # dense matrices
 # ---------------------------------------------------------------------------
@@ -378,10 +308,10 @@ class Mat:
     """Dense immutable matrix of raw field values.
 
     The public constructor coerces every entry through field.coerce and
-    checks the shape, so it takes input values (int, str, Fraction,
-    FieldScalar).  Mat._trusted skips both; it is for rows of raw values of
-    this field made by trialg itself (identities, products, solved bases,
-    images already coerced), never for values read from input.
+    checks the shape, so it takes input values (int, str, Fraction).
+    Mat._trusted skips both; it is for rows of raw values of this field made
+    by trialg itself (identities, products, solved bases, images already
+    coerced), never for values read from input.
 
     A matrix keeps two derived values, each made on first use: its sparse
     columns (sparse_columns(), which in turn keep their lifted form over Q)
@@ -441,9 +371,6 @@ class Mat:
         if self.field != other.field:
             raise FieldMismatch("mixed fields %r / %r" % (self.field, other.field))
 
-    def scalar(self, i: int, j: int) -> FieldScalar:
-        return FieldScalar(self.field, self.rows[i][j])
-
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)
 
@@ -470,25 +397,6 @@ class Mat:
         neg = self.field.neg
         return Mat._trusted(self.field, [[neg(v) for v in row] for row in self.rows], self.ncols)
 
-    def __matmul__(self, other: "Mat") -> "Mat":
-        self._check(other)
-        if self.ncols != other.nrows:
-            raise ShapeMismatch("matmul %dx%d by %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols))
-        add, mul, zero = self.field.add, self.field.mul, self.field.zero
-        cols = other.rows
-        out = []
-        for r in self.rows:
-            acc = [zero] * other.ncols
-            for k, v in enumerate(r):
-                if not v:
-                    continue
-                rk = cols[k]
-                for j, w in enumerate(rk):
-                    if w:
-                        acc[j] = add(acc[j], mul(v, w))
-            out.append(acc)
-        return Mat._trusted(self.field, out, other.ncols)
-
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product."""
         if len(vec) != self.ncols:
@@ -512,25 +420,6 @@ class Mat:
         """The rank, as the number of pivots of the column space, read off
         the cached sparse columns."""
         return len(_sparse_reduce(self.field, map(dict, self.sparse_columns()), self.nrows))
-
-    def trace(self):
-        if self.nrows != self.ncols:
-            raise ShapeMismatch("trace of non-square matrix")
-        acc = self.field.zero
-        for i in range(self.nrows):
-            acc = self.field.add(acc, self.rows[i][i])
-        return acc
-
-    def inverse(self) -> "Mat | None":
-        """Exact inverse, or None if singular."""
-        n = self.nrows
-        if n != self.ncols:
-            raise ShapeMismatch("inverse of non-square matrix")
-        aug = Mat._trusted(self.field, [r + e for r, e in zip(self.rows, Mat.identity(self.field, n).rows)], 2 * n)
-        red, pivots = rref(aug)
-        if list(pivots) != list(range(n)):
-            return None
-        return Mat._trusted(self.field, [row[n:] for row in red.rows[:n]], n)
 
     def __eq__(self, other):
         return (
@@ -743,6 +632,25 @@ def kernel_basis(m: Mat) -> "Subspace":
     return kernel_sparse(m.field, _rows_to_sparse(m.rows), m.ncols)
 
 
+def matrix_inverse(m: Mat) -> Mat | None:
+    """Exact inverse of a square matrix, or None if it is singular.
+
+    The sparse rows of [m | I] are reduced once: m is invertible exactly when
+    the pivot columns are 0, ..., n-1, and pivot row i then holds row i of the
+    inverse in its columns n, ..., 2n-1.
+    """
+    n = m.nrows
+    if n != m.ncols:
+        raise ShapeMismatch("inverse of non-square matrix")
+    field = m.field
+    one, zero = field.one, field.zero
+    rows = ({**row, n + i: one} for i, row in enumerate(_rows_to_sparse(m.rows)))
+    pivots = _sparse_reduce(field, rows, 2 * n)
+    if any(c >= n for c in pivots):
+        return None
+    return Mat._trusted(field, [[pivots[i].get(n + j, zero) for j in range(n)] for i in range(n)], n)
+
+
 def solve_sparse(field: Field, rows: Sequence[dict], rhs: Sequence, ncols: int) -> tuple | None:
     """Particular solution of sparse rows against rhs, one value per row, with
     zeros in all free coordinates.
@@ -938,19 +846,3 @@ class Subspace:
 
     def __repr__(self):
         return "Subspace(dim=%d, ambient=%d)" % (self.dim, self.ambient_dim)
-
-
-def subspace_ops(mode: str, a: Subspace, b):
-    """Set-style operations on spans: equal | contains | intersect | sum | coords."""
-    if mode == "equal":
-        a._check(b)
-        return a == b
-    if mode == "contains":
-        return a.contains(b)
-    if mode == "intersect":
-        return a.intersect(b)
-    if mode == "sum":
-        return a.sum(b)
-    if mode == "coords":
-        return a.coords(b)
-    raise InputError("unknown subspace op %r" % (mode,))

@@ -32,6 +32,8 @@ def _load_json(path: str):
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise InputError("%s is not valid JSON (line %d)" % (path, exc.lineno)) from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an over-long integer, deep nesting
+        raise InputError("%s is not readable JSON: %s" % (path, exc)) from exc
 
 
 def _dump_json(obj, path: str):

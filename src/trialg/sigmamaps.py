@@ -50,7 +50,7 @@ from .errors import (
     SigmaNotAutomorphism,
     TheoremViolation,
 )
-from .exactla import Field, Mat, SparseColumns, Subspace, kernel_basis
+from .exactla import Field, Mat, SparseColumns, Subspace, kernel_basis, matrix_inverse
 
 LINEAR_KINDS = (
     "endomorphism",
@@ -115,7 +115,20 @@ class LinMap:
         if other.dst_dim != self.src_dim:
             raise DimMismatch("compose %d->%d after %d->%d"
                               % (self.src_dim, self.dst_dim, other.src_dim, other.dst_dim))
-        return LinMap(self.field, self.mat @ other.mat, other.src_dim, self.dst_dim)
+        if other.field != self.field:
+            raise FieldMismatch("compose maps over %r and %r" % (self.field, other.field))
+        # column j of the product is self applied to column j of other
+        add, mul, zero = self.field.add, self.field.mul, self.field.zero
+        cols = self.mat.sparse_columns()
+        images = []
+        for col in other.mat.sparse_columns():
+            img = [zero] * self.dst_dim
+            for k, c in col:
+                for l, v in cols[k]:
+                    img[l] = add(img[l], mul(c, v))
+            images.append(img)
+        rows = [[img[l] for img in images] for l in range(self.dst_dim)]
+        return LinMap(self.field, Mat._trusted(self.field, rows, other.src_dim), other.src_dim, self.dst_dim)
 
     def __add__(self, other: "LinMap") -> "LinMap":
         return LinMap(self.field, self.mat + other.mat, self.src_dim, self.dst_dim)
@@ -127,7 +140,7 @@ class LinMap:
         return LinMap(self.field, -self.mat, self.src_dim, self.dst_dim)
 
     def inverse(self) -> "LinMap":
-        inv = self.mat.inverse()
+        inv = matrix_inverse(self.mat)
         if inv is None:
             raise NotInvertible("map is not invertible")
         return LinMap(self.field, inv, self.dst_dim, self.src_dim)

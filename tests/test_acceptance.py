@@ -325,8 +325,8 @@ def _check_commuting_lemmas(tri, blocks, space):
     from trialg.algcore import project_subspace
 
     z, _ = sigma_center(tri, blocks, want_eta=False)
-    pa = project_subspace(z, tri.range_a, tri.A.dim)
-    pb = project_subspace(z, tri.range_b, tri.B.dim)
+    pa = project_subspace(z, tri.range_a)
+    pb = project_subspace(z, tri.range_b)
     for theta in space.basis_maps():
         cb, _ = commuting_blocks(tri, theta, blocks)
         for i in range(tri.A.dim):

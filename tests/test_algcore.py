@@ -541,7 +541,7 @@ def _first_failure(pairs, residual):
 def _rebased(alg, P):
     """alg in the basis of P's columns: e_i e_j = sum_k c_ijk e_k with
     c_ij = P^-1 (P e_i)(P e_j)."""
-    Pinv = P.inverse()
+    Pinv = LinMap(QQ, P).inverse()
     n = alg.dim
     mul = [[Pinv.apply(alg.mul_vec(P.col(i), P.col(j))) for j in range(n)] for i in range(n)]
     return validate_algebra(QQ, mul, Pinv.apply(alg.unit))

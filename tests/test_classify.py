@@ -483,8 +483,8 @@ class TestLemauxContainments:
         for tri, blocks, space in ((f1, f1_blocks, f1_commuting_space),
                                    (f4, f4_blocks, f4_commuting_space)):
             z, _ = sigma_center(tri, blocks, want_eta=False)
-            pa = project_subspace(z, tri.range_a, tri.A.dim)
-            pb = project_subspace(z, tri.range_b, tri.B.dim)
+            pa = project_subspace(z, tri.range_a)
+            pb = project_subspace(z, tri.range_b)
             for theta in space.basis_maps():
                 cb, _ = commuting_blocks(tri, theta, blocks)
                 for i in range(tri.A.dim):

@@ -263,6 +263,20 @@ class TestInputErrors:
         assert code == 1
         assert list(json.loads(out)) == ["error", "version"]
 
+    @pytest.mark.parametrize("content", [
+        b"1" * 5000,  # beyond the int-conversion digit limit
+        b"[" * 200000,  # deeper than the recursion limit
+        b"\xff\xfe{}",  # not UTF-8
+    ], ids=["long_integer", "deep_nesting", "not_utf8"])
+    def test_unreadable_json_is_one_json_error(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, _ = run_cli(["validate", str(path)])
+        assert code == 1
+        payload = json.loads(out)
+        assert list(payload) == ["error", "version"]
+        assert payload["error"]["type"] == "InputError"
+
     def test_negative_bilinear_dim_is_one_json_error(self, f1_dir):
         path = f1_dir / "bad_bid.json"
         path.write_text(json.dumps({"dim": -1, "tensor": []}))

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trialg.errors import AmbientMismatch, FieldMismatch, InputError, NotInSpan
+from trialg.errors import AmbientMismatch, FieldMismatch, InputError, NotInSpan, NotInvertible
 from trialg.exactla import (
     GF,
     QQ,
-    FieldScalar,
     Mat,
     Subspace,
     _integer_row,
@@ -20,8 +19,8 @@ from trialg.exactla import (
     rref,
     solve_sparse,
     span_coefficients,
-    subspace_ops,
 )
+from trialg.sigmamaps import LinMap
 from trialg.spaces import _dedup_rows
 
 F5 = GF(5)
@@ -29,18 +28,22 @@ F2 = GF(2)
 
 
 class TestFieldScalar:
+    """Scalars are raw field values: Fraction over Q, a residue in [0, p)
+    over F_p.  Field.coerce reads input literals, Field.format writes the
+    wire format, and the field's methods do the arithmetic."""
+
     def test_rational_normalization(self):
-        s = QQ.scalar("2/4")
-        assert s.value == Fraction(1, 2)
-        assert str(s) == "1/2"
-        assert str(QQ.scalar(-3)) == "-3"
-        assert str(QQ.scalar("-6/4")) == "-3/2"
+        s = QQ.coerce("2/4")
+        assert s == Fraction(1, 2)
+        assert QQ.format(s) == "1/2"
+        assert QQ.format(QQ.coerce(-3)) == "-3"
+        assert QQ.format(QQ.coerce("-6/4")) == "-3/2"
 
     def test_prime_field_reduction(self):
-        s = F5.scalar(7)
-        assert s.value == 2
-        assert str(s) == "2"
-        assert str(F5.scalar("-1")) == "4"
+        s = F5.coerce(7)
+        assert s == 2
+        assert F5.format(s) == "2"
+        assert F5.format(F5.coerce("-1")) == "4"
 
     def test_prime_check(self):
         with pytest.raises(InputError):
@@ -49,21 +52,34 @@ class TestFieldScalar:
             GF(1)
         GF(2), GF(97)
 
+    @pytest.mark.parametrize("n", [
+        318665857834031151167461,  # 399165290221 * 798330580441, strong pseudoprime to bases 2..37
+        3317044064679887385961981,  # strong pseudoprime to bases 2..41, beyond the exact test
+    ])
+    def test_strong_pseudoprime_refused(self, n):
+        with pytest.raises(InputError):
+            GF(n)
+
+    def test_large_prime_accepted(self):
+        p = 2 ** 61 - 1
+        assert GF(p).characteristic == p
+
     def test_arithmetic(self):
-        a = QQ.scalar("1/3")
-        b = QQ.scalar("1/6")
-        assert str(a + b) == "1/2"
-        assert str(a - b) == "1/6"
-        assert str(a * b) == "1/18"
-        assert str(a / b) == "2"
-        assert (-a).value == Fraction(-1, 3)
-        x = F5.scalar(3)
-        assert (x * x).value == 4
-        assert (x / x).value == 1
+        a, b = QQ.coerce("1/3"), QQ.coerce("1/6")
+        assert QQ.format(QQ.add(a, b)) == "1/2"
+        assert QQ.format(QQ.sub(a, b)) == "1/6"
+        assert QQ.format(QQ.mul(a, b)) == "1/18"
+        assert QQ.format(QQ.div(a, b)) == "2"
+        assert QQ.neg(a) == Fraction(-1, 3)
+        x = F5.coerce(3)
+        assert F5.mul(x, x) == 4
+        assert F5.div(x, x) == 1
 
     def test_mixed_fields_rejected(self):
         with pytest.raises(FieldMismatch):
-            QQ.scalar(1) + F5.scalar(1)
+            Mat(QQ, [[1]]) + Mat(F5, [[1]])
+        with pytest.raises(FieldMismatch):
+            Subspace.full(QQ, 1).sum(Subspace.full(F5, 1))
 
     def test_gf_parse_rejects_fractions(self):
         with pytest.raises(InputError):
@@ -153,18 +169,18 @@ class TestSubspace:
     def test_equal_up_to_scaling(self):
         a = Subspace.from_vectors(QQ, 2, [[1, 0]])
         b = Subspace.from_vectors(QQ, 2, [[2, 0]])
-        assert subspace_ops("equal", a, b) is True
+        assert a == b
 
     def test_intersection(self):
         a = Subspace.from_vectors(QQ, 3, [[1, 0, 0], [0, 1, 0]])
         b = Subspace.from_vectors(QQ, 3, [[0, 1, 0], [0, 0, 1]])
-        inter = subspace_ops("intersect", a, b)
+        inter = a.intersect(b)
         assert inter == Subspace.from_vectors(QQ, 3, [[0, 1, 0]])
 
     def test_coords_not_in_span(self):
         a = Subspace.from_vectors(QQ, 2, [[1, 1]])
         with pytest.raises(NotInSpan):
-            subspace_ops("coords", a, (1, 0))
+            a.coords((1, 0))
 
     def test_coords_roundtrip(self):
         a = Subspace.from_vectors(QQ, 3, [[1, 0, 2], [0, 1, 3]])
@@ -174,14 +190,16 @@ class TestSubspace:
     def test_sum(self):
         a = Subspace.from_vectors(QQ, 3, [[1, 0, 0]])
         b = Subspace.from_vectors(QQ, 3, [[0, 0, 1]])
-        s = subspace_ops("sum", a, b)
+        s = a.sum(b)
         assert s.dim == 2 and s.contains(a) and s.contains(b)
 
     def test_ambient_mismatch(self):
         a = Subspace.from_vectors(QQ, 2, [[1, 0]])
         b = Subspace.from_vectors(QQ, 3, [[1, 0, 0]])
         with pytest.raises(AmbientMismatch):
-            subspace_ops("equal", a, b)
+            a.contains(b)
+        with pytest.raises(AmbientMismatch):
+            a.intersect(b)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -210,14 +228,16 @@ class TestSubspace:
 
 
 class TestMat:
-    def test_matmul_and_inverse(self):
-        m = Mat(QQ, [[1, 2], [3, 5]])
+    def test_compose_and_inverse(self):
+        m = LinMap(QQ, Mat(QQ, [[1, 2], [3, 5]]))
         inv = m.inverse()
-        assert inv @ m == Mat.identity(QQ, 2)
-        assert m @ inv == Mat.identity(QQ, 2)
+        assert inv.mat == Mat(QQ, [[-5, 2], [3, -1]])
+        assert inv.compose(m) == LinMap.identity(QQ, 2)
+        assert m.compose(inv) == LinMap.identity(QQ, 2)
 
-    def test_singular_inverse_none(self):
-        assert Mat(QQ, [[1, 2], [2, 4]]).inverse() is None
+    def test_singular_inverse_raises(self):
+        with pytest.raises(NotInvertible):
+            LinMap(QQ, Mat(QQ, [[1, 2], [2, 4]])).inverse()
 
     def test_empty_shapes(self):
         m = Mat(QQ, [], 3)
