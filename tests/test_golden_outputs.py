@@ -204,3 +204,31 @@ def cli_result_digest(command, name, sig_name, root):
 def test_cli_result_digest(cli_inputs, command, name, sig_name):
     assert cli_result_digest(command, name, sig_name, cli_inputs) == \
         CLI_GOLDEN[(command, name, sig_name)]
+
+
+# ---------------------------------------------------------------------------
+# demo scripts
+# ---------------------------------------------------------------------------
+#
+# Each digest is taken over the stdout of one demo run as
+# ``PYTHONPATH=src python demos/<name>.py`` in a fresh process.
+
+DEMO_GOLDEN = {
+    "automorphism_structure": "4d23781f3ed6eab8bd3c204caff234aae206edde04bc31f5b2b48df91b54859b",
+    "biderivation_splitting": "e00eea27acce5f2f487ef696d6f28e4b97fe9047a0ed83fecac24580060393df",
+    "triangular_basics": "b3bb066fff4b23fb5b0d67776f5bf8eebd224f969085cd6b43ecd2055a30656f",
+    "twisted_maps": "7e654bf8c402140dcb43c5fc4179085f96674a93d547123c8dc68291d60849f4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_GOLDEN))
+def test_demo_stdout_digest(name):
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, os.path.join(root, "demos", name + ".py")],
+                          capture_output=True, env=env, check=True)
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_GOLDEN[name]
