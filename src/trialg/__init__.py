@@ -24,7 +24,6 @@ from .algcore import (
     radical,
     structure_checks,
     tau_iso,
-    validate_algebra,
 )
 from .sigmamaps import (
     AutBlocks,

@@ -1,10 +1,12 @@
 """Finite-dimensional algebras, bimodules, and the triangular construction.
 
-An algebra is a structure-constant tensor ``mul[i][j][k]`` (coefficient of
-``e_k`` in ``e_i * e_j``) together with the coefficient vector of its unit;
-associativity and the unit laws are checked at construction.  A triangular
-algebra Trian(A, M, B) is assembled from two algebras and an (A, B)-bimodule
-into one total algebra carrying the Peirce idempotents p and q.
+An algebra is stored as the SparseTable of its structure constants (entry
+[i][j] lists the nonzero (k, c) with c the coefficient of ``e_k`` in
+``e_i * e_j``) together with the coefficient vector of its unit; associativity
+and the unit laws are checked at construction.  A bimodule is stored as the
+SparseTables of its two actions.  A triangular algebra Trian(A, M, B) is
+assembled from two algebras and an (A, B)-bimodule into one total algebra,
+its table made of theirs, carrying the Peirce idempotents p and q.
 
 Also here: the sparse product-rule evaluator behind every basis-pair identity
 check, centers and twisted centers, annihilators and faithfulness, the
@@ -128,9 +130,21 @@ def _copy_tables(table) -> tuple:
 
 
 def _sparse_table(tensor) -> SparseTable:
-    """The SparseTable of a product given as an order-3 tensor of structure constants."""
+    """The SparseTable of a product given as an order-3 tensor of structure
+    constants, or as rows of the vectors of its products."""
     return SparseTable(tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row)
                        for row in tensor)
+
+
+def _coerced_table(field: Field, tensor, shape: tuple, what: str) -> SparseTable:
+    """The SparseTable of a dense order-3 tensor of the given shape, every
+    constant coerced into field: the input of the public constructors."""
+    coerce = field.coerce
+    tensor = [[tuple(map(coerce, vec)) for vec in row] for row in tensor]
+    d0, d1, d2 = shape
+    if len(tensor) != d0 or any(len(row) != d1 or any(len(vec) != d2 for vec in row) for row in tensor):
+        raise DimMismatch(what)
+    return _sparse_table(tensor)
 
 
 def _sparse_columns(f) -> SparseColumns:
@@ -320,32 +334,33 @@ def product_rule_rows(table, terms, n: int, order=None) -> tuple:
 class FinAlgebra:
     """Unital associative algebra given by structure constants.
 
-    The public constructor coerces every structure constant and unit entry
-    through field.coerce; FinAlgebra._trusted takes raw values of the field as
-    they are.  Both check the shapes, the unit laws and associativity.
+    The structure constants are stored only as the SparseTable _pairs.  The
+    public constructor takes them as a dense tensor mul[i][j][k] (coefficient
+    of e_k in e_i * e_j), coerces every constant and unit entry through
+    field.coerce and converts the tensor once; FinAlgebra._trusted takes a
+    table and unit of raw values of the field as they are.  Both check the
+    shapes, the unit laws and associativity.
     """
 
-    __slots__ = ("field", "dim", "basis_names", "mul", "unit", "_pairs", "_automorphisms", "_identity")
+    __slots__ = ("field", "dim", "basis_names", "unit", "_pairs", "_automorphisms", "_identity")
 
     def __init__(self, field: Field, mul, unit, basis_names=None):
-        coerce = field.coerce
-        self._set(field, tuple(tuple(tuple(map(coerce, vec)) for vec in row) for row in mul),
-                  tuple(map(coerce, unit)), basis_names)
+        dim = len(mul)
+        table = _coerced_table(field, mul, (dim, dim, dim), "structure tensor is not dim^3")
+        self._set(field, table, tuple(map(field.coerce, unit)), basis_names)
 
     @classmethod
-    def _trusted(cls, field: Field, mul, unit, basis_names=None) -> "FinAlgebra":
-        """An algebra of structure constants and unit that are raw values of
+    def _trusted(cls, field: Field, table: SparseTable, unit, basis_names=None) -> "FinAlgebra":
+        """An algebra of a product table and unit that are raw values of
         field already (made by trialg, or coerced once by an io loader), taken
-        without coercion; the shape checks and _validate still run."""
+        without coercion; the unit length, basis names and _validate are still
+        checked."""
         self = object.__new__(cls)
-        self._set(field, tuple(tuple(map(tuple, row)) for row in mul), tuple(unit), basis_names)
+        self._set(field, table, tuple(unit), basis_names)
         return self
 
-    def _set(self, field: Field, mul: tuple, unit: tuple, basis_names):
-        dim = len(mul)
-        for row in mul:
-            if len(row) != dim or any(len(vec) != dim for vec in row):
-                raise DimMismatch("structure tensor is not dim^3")
+    def _set(self, field: Field, table: SparseTable, unit: tuple, basis_names):
+        dim = len(table)
         if len(unit) != dim:
             raise DimMismatch("unit vector length %d for dim %d" % (len(unit), dim))
         if basis_names is None:
@@ -357,9 +372,8 @@ class FinAlgebra:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis_names", basis_names)
-        object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "_pairs", _sparse_table(mul))
+        object.__setattr__(self, "_pairs", table)
         # matrices of maps that sigmamaps.require_automorphism verified on this instance
         object.__setattr__(self, "_automorphisms", set())
         object.__setattr__(self, "_identity", None)
@@ -452,8 +466,8 @@ class FinAlgebra:
         return y
 
     def is_commutative(self) -> bool:
-        """e_i e_j = e_j e_i on every basis pair: the structure tensor is symmetric."""
-        return self.mul == tuple(zip(*self.mul))
+        """e_i e_j = e_j e_i on every basis pair: the product table is symmetric."""
+        return self._pairs == self._pairs.transpose()
 
     def format_vector(self, vec) -> str:
         field = self.field
@@ -479,12 +493,12 @@ class FinAlgebra:
         return (
             isinstance(other, FinAlgebra)
             and self.field == other.field
-            and self.mul == other.mul
+            and self._pairs == other._pairs
             and self.unit == other.unit
         )
 
     def __hash__(self):
-        return hash((self.field, self.mul, self.unit))
+        return hash((self.field, self._pairs, self.unit))
 
     def __repr__(self):
         return "FinAlgebra(dim=%d, field=%r)" % (self.dim, self.field)
@@ -544,55 +558,55 @@ def _associativity_failure(pairs: SparseTable, p: int) -> tuple | None:
     return None
 
 
-def validate_algebra(field: Field, mul, unit, basis_names=None) -> FinAlgebra:
-    """Build a FinAlgebra, reporting the first failing axiom triple."""
-    return FinAlgebra(field, mul, unit, basis_names)
-
-
 # ---------------------------------------------------------------------------
 # bimodules and the triangular construction
 # ---------------------------------------------------------------------------
 
 
 class Bimodule:
-    """(A, B)-bimodule data: left tensor l[a][m][m'] and right tensor r[m][b][m']."""
+    """(A, B)-bimodule data, stored as the SparseTables of its two actions:
+    _left_pairs[a][m] lists the nonzero (m', c) of e_a . m, _right_pairs[m][b]
+    those of m . e_b.
 
-    __slots__ = ("field", "dim_a", "dim_m", "dim_b", "left", "right", "basis_names",
-                 "_left_pairs", "_right_pairs")
+    The public constructor takes the actions as dense tensors l[a][m][m'] and
+    r[m][b][m'], coerces every constant and converts them once;
+    Bimodule._trusted takes tables of raw values of the field as they are.
+    """
+
+    __slots__ = ("field", "dim_a", "dim_m", "dim_b", "basis_names", "_left_pairs", "_right_pairs")
 
     def __init__(self, field: Field, dim_a: int, dim_m: int, dim_b: int, left, right, basis_names=None):
-        coerce = field.coerce
-        left = tuple(tuple(tuple(map(coerce, vec)) for vec in row) for row in left)
-        right = tuple(tuple(tuple(map(coerce, vec)) for vec in row) for row in right)
+        left = _coerced_table(field, left, (dim_a, dim_m, dim_m),
+                              "left action tensor must be dimA x dimM x dimM")
+        right = _coerced_table(field, right, (dim_m, dim_b, dim_m),
+                               "right action tensor must be dimM x dimB x dimM")
         self._set(field, dim_a, dim_m, dim_b, left, right, basis_names)
 
     @classmethod
-    def _trusted(cls, field: Field, dim_a: int, dim_m: int, dim_b: int, left, right,
-                 basis_names=None) -> "Bimodule":
-        """A bimodule of action tensors of raw values of field already, taken
-        without coercion (as FinAlgebra._trusted); the shape checks still run."""
+    def _trusted(cls, field: Field, dim_a: int, dim_m: int, dim_b: int, left_table: SparseTable,
+                 right_table: SparseTable, basis_names=None) -> "Bimodule":
+        """A bimodule of action tables of raw values of field already, taken
+        without coercion (as FinAlgebra._trusted); the basis names are still
+        checked."""
         self = object.__new__(cls)
-        self._set(field, dim_a, dim_m, dim_b, tuple(tuple(map(tuple, row)) for row in left),
-                  tuple(tuple(map(tuple, row)) for row in right), basis_names)
+        self._set(field, dim_a, dim_m, dim_b, left_table, right_table, basis_names)
         return self
 
-    def _set(self, field: Field, dim_a: int, dim_m: int, dim_b: int, left: tuple, right: tuple,
-             basis_names):
-        if len(left) != dim_a or any(len(row) != dim_m or any(len(v) != dim_m for v in row) for row in left):
-            raise DimMismatch("left action tensor must be dimA x dimM x dimM")
-        if len(right) != dim_m or any(len(row) != dim_b or any(len(v) != dim_m for v in row) for row in right):
-            raise DimMismatch("right action tensor must be dimM x dimB x dimM")
+    def _set(self, field: Field, dim_a: int, dim_m: int, dim_b: int, left: SparseTable,
+             right: SparseTable, basis_names):
         if basis_names is None:
             basis_names = tuple("m%d" % i for i in range(dim_m))
+        else:
+            basis_names = tuple(basis_names)
+            if len(basis_names) != dim_m:
+                raise DimMismatch("need %d bimodule basis names, got %d" % (dim_m, len(basis_names)))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim_a", dim_a)
         object.__setattr__(self, "dim_m", dim_m)
         object.__setattr__(self, "dim_b", dim_b)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "basis_names", tuple(basis_names))
-        object.__setattr__(self, "_left_pairs", _sparse_table(left))
-        object.__setattr__(self, "_right_pairs", _sparse_table(right))
+        object.__setattr__(self, "basis_names", basis_names)
+        object.__setattr__(self, "_left_pairs", left)
+        object.__setattr__(self, "_right_pairs", right)
 
     def __setattr__(self, *a):
         raise AttributeError("Bimodule is immutable")
@@ -748,34 +762,19 @@ def build_triangular(A: FinAlgebra, M: Bimodule, B: FinAlgebra, allow_zero_m: bo
         raise ZeroModule("M = 0 requires allow_zero_m=True")
     field = A.field
     da, dm, db = A.dim, M.dim_m, B.dim
-    n = da + dm + db
-    zero_vec = [field.zero] * n
 
-    def emb(block: int, vec) -> list:
-        out = list(zero_vec)
-        off = (0, da, da + dm)[block]
-        for i, v in enumerate(vec):
-            out[off + i] = v
-        return out
+    def moved(row, off: int) -> tuple:
+        return tuple(tuple((off + k, c) for k, c in prods) for prods in row)
 
-    mul = [[list(zero_vec) for _ in range(n)] for _ in range(n)]
-    for i in range(da):
-        for j in range(da):
-            mul[i][j] = emb(0, A.mul[i][j])
-        for j in range(dm):
-            mul[i][da + j] = emb(1, M.left[i][j])
-    for i in range(dm):
-        for j in range(db):
-            mul[da + i][da + dm + j] = emb(1, M.right[i][j])
-    for i in range(db):
-        for j in range(db):
-            mul[da + dm + i][da + dm + j] = emb(2, B.mul[i][j])
-    unit = emb(0, A.unit)
-    for i, v in enumerate(B.unit):
-        unit[da + dm + i] = v
+    # each corner and action table in its block of coordinates (A, M, B)
+    table = SparseTable(
+        [A._pairs[i] + moved(M._left_pairs[i], da) + ((),) * db for i in range(da)]
+        + [((),) * (da + dm) + moved(row, da) for row in M._right_pairs]
+        + [((),) * (da + dm) + moved(row, da + dm) for row in B._pairs])
+    unit = A.unit + (field.zero,) * dm + B.unit
     if basis_names is None:
         basis_names = tuple(A.basis_names) + tuple(M.basis_names) + tuple(B.basis_names)
-    total = FinAlgebra._trusted(field, mul, unit, basis_names)
+    total = FinAlgebra._trusted(field, table, unit, basis_names)
     tri = TriAlgebra(A, M, B, total)
     _check_peirce(tri)
     return tri
@@ -828,27 +827,25 @@ def twisted_center_rows(alg: FinAlgebra, sigma_mat: Mat, offset: int = 0):
 
 
 def coupling_rows(tri: TriAlgebra, m, nu_m):
-    """Sparse rows of a m = nu(m) b over the pair unknowns (a, b), a first."""
+    """Sparse rows of a m = nu(m) b over the pair unknowns (a, b), a first,
+    one per output coordinate of M in ascending order, read off the action
+    tables: a's unknowns pair with the left action on m, b's with the
+    (transposed) right action of -nu(m)."""
     field = tri.field
     zero, add, mul = field.zero, field.add, field.mul
-    da = tri.A.dim
-    left, right = tri.M.left, tri.M.right
-    for mp in range(tri.M.dim_m):
-        d = {}
-        for i in range(da):
-            acc = zero
-            for j, c in enumerate(m):
+    M = tri.M
+    rows = {}
+    for offset, table, vec in ((0, M._left_pairs, m),
+                               (tri.A.dim, M._right_pairs.transpose(), [field.neg(c) for c in nu_m])):
+        for u, row in enumerate(table):
+            key = offset + u
+            for j, c in enumerate(vec):
                 if c:
-                    acc = add(acc, mul(c, left[i][j][mp]))
-            if acc:
-                d[i] = acc
-        for k in range(tri.B.dim):
-            acc = zero
-            for t, c in enumerate(nu_m):
-                if c:
-                    acc = add(acc, mul(c, right[t][k][mp]))
-            if acc:
-                d[da + k] = field.neg(acc)
+                    for o, v in row[j]:
+                        r = rows.setdefault(o, {})
+                        r[key] = add(r.get(key, zero), mul(c, v))
+    for o in sorted(rows):
+        d = {key: v for key, v in rows[o].items() if v}
         if d:
             yield d
 
@@ -1041,8 +1038,11 @@ def quotient_algebra(alg: FinAlgebra, ideal: Subspace) -> tuple[FinAlgebra, Mat]
     piv = set(ideal.pivots)
     keep = [i for i in range(n) if i not in piv]
 
-    def reduce_vec(vec) -> tuple:
-        v = list(vec)
+    def reduce_vec(entries) -> tuple:
+        """The quotient coordinates of the vector with these nonzero (k, c)."""
+        v = [field.zero] * n
+        for k, c in entries:
+            v[k] = c
         for p, row in zip(ideal.pivots, ideal.basis):
             c = v[p]
             if not c:
@@ -1052,11 +1052,12 @@ def quotient_algebra(alg: FinAlgebra, ideal: Subspace) -> tuple[FinAlgebra, Mat]
                     v[k] = field.sub(v[k], field.mul(c, w))
         return tuple(v[i] for i in keep)
 
-    mul = [[reduce_vec(alg.mul[i][j]) for j in keep] for i in keep]
-    unit = reduce_vec(alg.unit)
+    pairs = alg._pairs
+    table = _sparse_table((reduce_vec(pairs[i][j]) for j in keep) for i in keep)
+    unit = reduce_vec(enumerate(alg.unit))
     names = tuple(alg.basis_names[i] for i in keep)
-    quotient = FinAlgebra._trusted(field, mul, unit, names)
-    proj_cols = [reduce_vec(alg.basis_vector(i)) for i in range(n)]
+    quotient = FinAlgebra._trusted(field, table, unit, names)
+    proj_cols = [reduce_vec(((i, field.one),)) for i in range(n)]
     proj = Mat._trusted(field, zip(*proj_cols), n)
     return quotient, proj
 
@@ -1071,8 +1072,8 @@ def faithful_quotient(tri: TriAlgebra) -> TriAlgebra:
     keep_b = [i for i in range(tri.B.dim) if i not in set(ann.R.pivots)]
     dm = tri.M.dim_m
     # induced actions: act by any representative (L M = M R = 0 makes this well defined)
-    left = [[tri.M.left[i][j] for j in range(dm)] for i in keep_a]
-    right = [[tri.M.right[j][k] for k in keep_b] for j in range(dm)]
+    left = SparseTable(tri.M._left_pairs[i] for i in keep_a)
+    right = SparseTable(tuple(row[k] for k in keep_b) for row in tri.M._right_pairs)
     Mq = Bimodule._trusted(field, Aq.dim, dm, Bq.dim, left, right, tri.M.basis_names)
     out = build_triangular(Aq, Mq, Bq, allow_zero_m=(dm == 0))
     if dm > 0 and not out.is_faithful():

@@ -17,6 +17,7 @@ from .algcore import (
     Bimodule,
     FinAlgebra,
     TriAlgebra,
+    _sparse_table,
     annihilators,
     basis_and_pair_sums,
     build_triangular,
@@ -33,7 +34,6 @@ from .algcore import (
     structure_checks,
     subspace_product,
     unit_m,
-    validate_algebra,
 )
 from .errors import (
     CharTooSmall,
@@ -842,29 +842,20 @@ def _sub_triangular(tri: TriAlgebra, sub_a: Subspace, sub_b: Subspace, include_m
 
     # the unit of the ideal: component of 1 in this ideal within the I + J split
     unit_coords = _ideal_unit(tri, ordered)
-    # corner algebra on sub_a
-    mul_a = [[coords(sub_a.basis, tri.A.mul_vec(sub_a.basis[i], sub_a.basis[j]),
-                     "corner product leaves the corner ideal")
-              for j in range(sub_a.dim)] for i in range(sub_a.dim)]
-    unit_a = list(unit_coords[: sub_a.dim])
-    alg_a = validate_algebra(field, mul_a, unit_a,
-                             ["a%d" % i for i in range(sub_a.dim)]) if sub_a.dim else \
-        validate_algebra(field, [], [], [])
-    mul_b = [[coords(sub_b.basis, tri.B.mul_vec(sub_b.basis[i], sub_b.basis[j]),
-                     "corner product leaves the corner ideal")
-              for j in range(sub_b.dim)] for i in range(sub_b.dim)]
-    unit_b = list(unit_coords[sub_a.dim + dm:])
-    alg_b = validate_algebra(field, mul_b, unit_b,
-                             ["b%d" % i for i in range(sub_b.dim)]) if sub_b.dim else \
-        validate_algebra(field, [], [], [])
-    if include_m:
-        left = [[tri.act_left(sub_a.basis[i], unit_m(field, dm, j)) for j in range(dm)]
-                for i in range(sub_a.dim)]
-        right = [[tri.act_right(unit_m(field, dm, j), sub_b.basis[k]) for k in range(sub_b.dim)]
-                 for j in range(dm)]
-        bm = Bimodule(field, sub_a.dim, dm, sub_b.dim, left, right)
-    else:
-        bm = Bimodule.zero(field, sub_a.dim, sub_b.dim)
+
+    def corner(sub: Subspace, alg: FinAlgebra, unit, prefix: str) -> FinAlgebra:
+        """The corner algebra on the basis of sub, its products in their coordinates."""
+        leaves = "corner product leaves the corner ideal"
+        table = _sparse_table((coords(sub.basis, alg.mul_vec(u, v), leaves) for v in sub.basis)
+                              for u in sub.basis)
+        return FinAlgebra._trusted(field, table, unit, [prefix + str(i) for i in range(sub.dim)])
+
+    alg_a = corner(sub_a, tri.A, unit_coords[: sub_a.dim], "a")
+    alg_b = corner(sub_b, tri.B, unit_coords[sub_a.dim + dm:], "b")
+    # M, or the zero bimodule when dm = 0
+    left = _sparse_table((tri.act_left(a, unit_m(field, dm, j)) for j in range(dm)) for a in sub_a.basis)
+    right = _sparse_table((tri.act_right(unit_m(field, dm, j), b) for b in sub_b.basis) for j in range(dm))
+    bm = Bimodule._trusted(field, sub_a.dim, dm, sub_b.dim, left, right)
     sub_tri = build_triangular(alg_a, bm, alg_b, allow_zero_m=True)
     images = [coords(ordered, phi.apply(v), "vector leaves the invariant ideal") for v in ordered]
     phi_sub = LinMap.from_images(field, images, len(ordered), len(ordered))

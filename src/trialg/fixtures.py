@@ -13,7 +13,7 @@ inner automorphism by 1 + m generalize to any triangular algebra.
 
 from __future__ import annotations
 
-from .algcore import Bimodule, FinAlgebra, TriAlgebra, build_triangular, validate_algebra
+from .algcore import Bimodule, FinAlgebra, TriAlgebra, build_triangular
 from .exactla import GF, QQ, Field
 from .sigmamaps import LinMap, inner_automorphism, scaling_automorphism
 
@@ -39,7 +39,7 @@ FIXTURE_NAMES = ("F1", "F2", "F3", "F4")
 
 def scalar_algebra(field: Field) -> FinAlgebra:
     """The field itself as a 1-dimensional algebra."""
-    return validate_algebra(field, [[[field.one]]], [field.one], ["1"])
+    return FinAlgebra(field, [[[field.one]]], [field.one], ["1"])
 
 
 def product_field_algebra(field: Field, parts: int = 2) -> FinAlgebra:
@@ -49,7 +49,7 @@ def product_field_algebra(field: Field, parts: int = 2) -> FinAlgebra:
             for j in range(parts)] for i in range(parts)]
     unit = [one] * parts
     names = ["u%d" % i for i in range(parts)]
-    return validate_algebra(field, mul, unit, names)
+    return FinAlgebra(field, mul, unit, names)
 
 
 def truncated_polynomial_algebra(field: Field, degree_bound: int) -> FinAlgebra:
@@ -59,7 +59,7 @@ def truncated_polynomial_algebra(field: Field, degree_bound: int) -> FinAlgebra:
     mul = [[[one if k == i + j else zero for k in range(n)] for j in range(n)] for i in range(n)]
     unit = [one] + [zero] * (n - 1)
     names = ["1"] + ["x^%d" % i if i > 1 else "x" for i in range(1, n)]
-    return validate_algebra(field, mul, unit, names)
+    return FinAlgebra(field, mul, unit, names)
 
 
 def upper_triangular_algebra(field: Field, n: int) -> FinAlgebra:
@@ -81,7 +81,7 @@ def upper_triangular_algebra(field: Field, n: int) -> FinAlgebra:
     for i in range(n):
         unit[index[(i, i)]] = one
     names = ["E%d%d" % (i + 1, j + 1) for (i, j) in units]
-    return validate_algebra(field, mul, unit, names)
+    return FinAlgebra(field, mul, unit, names)
 
 
 def _scalar_bimodule(field: Field) -> Bimodule:

@@ -9,12 +9,14 @@ strings resolved relative to the containing file.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
 from .algcore import (
     Bimodule,
     FinAlgebra,
+    SparseTable,
     TriAlgebra,
     build_triangular,
     check_corner_dims,
@@ -77,27 +79,34 @@ def _list(obj, key: str, optional: bool = False):
     return value
 
 
-def _sparse_tensor(field: Field, entries, dims) -> list:
-    out = [[[field.zero] * dims[2] for _ in range(dims[1])] for _ in range(dims[0])]
+def _sparse_tensor(field: Field, entries, dims) -> SparseTable:
+    """The SparseTable of a dims[0] x dims[1] x dims[2] tensor given by its
+    [i, j, k, coeff] entries, each coefficient coerced once; omitted entries
+    are zero, and a later entry at the same index replaces an earlier one."""
+    d0, d1, d2 = dims
+    coeffs = {}
     for entry in entries:
         if not isinstance(entry, list) or len(entry) != 4:
             raise InputError("tensor entry %r is not [i, j, k, coeff]" % (entry,))
         i, j, k, c = entry
         if not (_is_count(i) and _is_count(j) and _is_count(k)):
             raise InputError("tensor index %r is not three non-negative integers" % (entry[:3],))
-        try:
-            out[i][j][k] = field.coerce(c)
-        except IndexError as exc:
-            raise InputError("tensor index %r out of range" % (entry[:3],)) from exc
-    return out
+        c = field.coerce(c)
+        if i >= d0 or j >= d1 or k >= d2:
+            raise InputError("tensor index %r out of range" % (entry[:3],))
+        coeffs[i, j, k] = c
+    table = [[()] * d1 for _ in range(d0)]
+    for (i, j), prods in itertools.groupby(sorted(coeffs.items()), lambda item: item[0][:2]):
+        table[i][j] = tuple((k, c) for (_, _, k), c in prods if c)
+    return SparseTable(map(tuple, table))
 
 
-def _tensor_entries(field: Field, tensor) -> list:
+def _tensor_entries(field: Field, table: SparseTable) -> list:
     fmt = field.format
     return [[i, j, k, fmt(c)]
-            for i, row in enumerate(tensor)
+            for i, row in enumerate(table)
             for j, vec in enumerate(row)
-            for k, c in enumerate(vec) if c]
+            for k, c in vec]
 
 
 def algebra_from_json(obj) -> FinAlgebra:
@@ -105,7 +114,7 @@ def algebra_from_json(obj) -> FinAlgebra:
     field = field_from_json(obj["field"])
     dim = _dim(obj, "dim")
     unit = [field.coerce(v) for v in _list(obj, "unit")]
-    if len(unit) != dim:  # the unit witnesses dim before dim^3 entries are allocated
+    if len(unit) != dim:  # the unit witnesses dim before any product entry is read
         raise DimMismatch("unit vector length %d for dim %d" % (len(unit), dim))
     mul = _sparse_tensor(field, _list(obj, "mul"), (dim, dim, dim))
     return FinAlgebra._trusted(field, mul, unit, _list(obj, "basis", optional=True))
@@ -118,7 +127,7 @@ def algebra_to_json(alg: FinAlgebra) -> dict:
         "dim": alg.dim,
         "basis": list(alg.basis_names),
         "unit": [fmt(v) for v in alg.unit],
-        "mul": _tensor_entries(alg.field, alg.mul),
+        "mul": _tensor_entries(alg.field, alg._pairs),
     }
 
 
@@ -143,8 +152,8 @@ def bimodule_to_json(m: Bimodule) -> dict:
         "dimM": m.dim_m,
         "dimB": m.dim_b,
         "basis": list(m.basis_names),
-        "left": _tensor_entries(m.field, m.left),
-        "right": _tensor_entries(m.field, m.right),
+        "left": _tensor_entries(m.field, m._left_pairs),
+        "right": _tensor_entries(m.field, m._right_pairs),
     }
 
 
@@ -206,7 +215,11 @@ def load_linmap(path: str, field: Field) -> LinMap:
 def bilinmap_from_json(obj, field: Field) -> BilinMap:
     _require(obj, ("dim", "tensor"), "bilinear file")
     dim = _dim(obj, "dim")
-    tensor = _sparse_tensor(field, _list(obj, "tensor"), (dim, dim, dim))
+    tensor = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, row in enumerate(_sparse_tensor(field, _list(obj, "tensor"), (dim, dim, dim))):
+        for j, vec in enumerate(row):
+            for k, c in vec:
+                tensor[i][j][k] = c
     return BilinMap(field, tensor)
 
 

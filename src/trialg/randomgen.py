@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .algcore import Bimodule, FinAlgebra, TriAlgebra, build_triangular
+from .algcore import Bimodule, FinAlgebra, SparseTable, TriAlgebra, build_triangular
 from .errors import NotInvertible
 from .exactla import Field
 from .fixtures import (
@@ -27,28 +27,21 @@ from .sigmamaps import LinMap, inner_automorphism
 def regular_bimodule(alg: FinAlgebra) -> Bimodule:
     """The algebra as a bimodule over itself (both actions by multiplication)."""
     n = alg.dim
-    left = [[alg.mul[i][j] for j in range(n)] for i in range(n)]
-    right = [[alg.mul[i][j] for j in range(n)] for i in range(n)]
-    return Bimodule(alg.field, n, n, n, left, right)
+    return Bimodule._trusted(alg.field, n, n, n, alg._pairs, alg._pairs)
 
 
 def left_scalar_bimodule(scalars: FinAlgebra, alg: FinAlgebra) -> Bimodule:
     """alg as a (scalars, alg)-bimodule: scalars act by scaling, alg regularly."""
-    field = alg.field
     n = alg.dim
-    left = [[[field.mul(scalars.unit[0], field.one if j == mp else field.zero)
-              for mp in range(n)] for j in range(n)]]
-    right = [[alg.mul[i][j] for j in range(n)] for i in range(n)]
-    return Bimodule(field, 1, n, n, left, right)
+    left = SparseTable([tuple(((j, scalars.unit[0]),) for j in range(n))])
+    return Bimodule._trusted(alg.field, 1, n, n, left, alg._pairs)
 
 
 def right_scalar_bimodule(alg: FinAlgebra) -> Bimodule:
     """alg as an (alg, k)-bimodule: alg acts regularly, the scalars by scaling."""
-    field = alg.field
     n = alg.dim
-    left = [[alg.mul[i][j] for j in range(n)] for i in range(n)]
-    right = [[[field.one if j == mp else field.zero for mp in range(n)]] for j in range(n)]
-    return Bimodule(field, n, n, 1, left, right)
+    right = SparseTable((((j, alg.field.one),),) for j in range(n))
+    return Bimodule._trusted(alg.field, n, n, 1, alg._pairs, right)
 
 
 def row_module_over_ut2(field: Field) -> Bimodule:

@@ -9,6 +9,7 @@ import pytest
 
 from trialg.algcore import (
     Bimodule,
+    FinAlgebra,
     SparseTable,
     annihilators,
     build_triangular,
@@ -25,7 +26,6 @@ from trialg.algcore import (
     subspace_product,
     tau_iso,
     twisted_commutator_blocks,
-    validate_algebra,
 )
 from trialg.errors import (
     CharTooSmall,
@@ -61,20 +61,20 @@ def dead_factor_triangular(field=QQ):
 
 class TestValidateAlgebra:
     def test_one_dimensional(self):
-        alg = validate_algebra(QQ, [[[1]]], [1])
+        alg = FinAlgebra(QQ, [[[1]]], [1])
         assert alg.dim == 1
 
     def test_dual_numbers(self):
         # e2 e2 = 0, e1 the unit
         mul = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
-        alg = validate_algebra(QQ, mul, [1, 0])
+        alg = FinAlgebra(QQ, mul, [1, 0])
         assert alg.mul_vec((0, 1), (0, 1)) == (0, 0)
 
     def test_unit_law_violation(self):
         # e1 e2 = e2 but e2 e1 = 0 while claiming e1 is the unit
         mul = [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]
         with pytest.raises(UnitLawViolation) as err:
-            validate_algebra(QQ, mul, [1, 0])
+            FinAlgebra(QQ, mul, [1, 0])
         assert err.value.index == 1
 
     def test_non_associative(self):
@@ -85,12 +85,12 @@ class TestValidateAlgebra:
             [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
         ]
         with pytest.raises(NonAssociative) as err:
-            validate_algebra(QQ, mul, [1, 0, 0])
+            FinAlgebra(QQ, mul, [1, 0, 0])
         assert err.value.triple == (1, 1, 1)
 
 
 def _dense_validation_failure(field, mul, unit):
-    """What validate_algebra must report, by plain dense evaluation: ("unit",
+    """What FinAlgebra must report, by plain dense evaluation: ("unit",
     the least i with 1 e_i != e_i or e_i 1 != e_i), else ("assoc", the least
     (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k)), else None."""
     n = len(mul)
@@ -128,7 +128,8 @@ class TestValidationOracle:
         seen = set()
         for _ in range(60):
             alg = rng.choice(bases)
-            mul = [[list(vec) for vec in row] for row in alg.mul]
+            basis = [alg.basis_vector(i) for i in range(alg.dim)]
+            mul = [[list(alg.mul_vec(x, y)) for y in basis] for x in basis]
             unit = list(alg.unit)
             for _ in range(rng.randint(1, 2)):
                 if rng.random() < 0.2:
@@ -138,7 +139,7 @@ class TestValidationOracle:
                     mul[i][j][k] = rng.choice(values)
             expected = _dense_validation_failure(field, mul, unit)
             try:
-                validate_algebra(field, mul, unit)
+                FinAlgebra(field, mul, unit)
                 got = None
             except UnitLawViolation as exc:
                 got = "unit", exc.index
@@ -165,9 +166,10 @@ class TestCopyTables:
         algs += [tri.total for _, tri, _ in random_instances(field, 3, 8100)]
         if field is QQ:  # UT_2 in the basis s_i e_i, whose constants are c_ijk s_i s_j / s_k
             ut2, scale = upper_triangular_algebra(QQ, 2), (Fraction(1), Fraction(2), Fraction(1, 3))
-            mul = [[[c * scale[i] * scale[j] / scale[k] for k, c in enumerate(vec)]
-                    for j, vec in enumerate(row)] for i, row in enumerate(ut2.mul)]
-            algs.append(validate_algebra(QQ, mul, [u / s for u, s in zip(ut2.unit, scale)]))
+            e = [ut2.basis_vector(i) for i in range(ut2.dim)]
+            mul = [[[c * scale[i] * scale[j] / scale[k] for k, c in enumerate(ut2.mul_vec(e[i], e[j]))]
+                    for j in range(ut2.dim)] for i in range(ut2.dim)]
+            algs.append(FinAlgebra(QQ, mul, [u / s for u, s in zip(ut2.unit, scale)]))
         dens = set()
         for alg in algs:
             pairs, n = alg._pairs, alg.dim
@@ -200,17 +202,26 @@ class TestBuildTriangular:
         # ut3 order: E11 E12 E13 E22 E23 E33 -> f3 order: E11 E12 E22 E13 E23 E33
         perm = [0, 1, 3, 2, 4, 5]  # f3 index -> ut3 index
         inv = {u: f for f, u in enumerate(perm)}
+        e, t = ut3.basis_vector, f3.total
         for i in range(6):
             for j in range(6):
-                via_ut3 = ut3.mul[perm[i]][perm[j]]
+                via_ut3 = ut3.mul_vec(e(perm[i]), e(perm[j]))
                 reordered = tuple(via_ut3[perm[k]] for k in range(6))
-                assert f3.total.mul[i][j] == reordered, (i, j, inv)
+                assert t.mul_vec(t.basis_vector(i), t.basis_vector(j)) == reordered, (i, j, inv)
 
     def test_dim_mismatch(self):
         a = scalar_algebra(QQ)
         bad = Bimodule(QQ, 2, 1, 1, [[[QQ.one]], [[QQ.one]]], [[[QQ.one]]])
         with pytest.raises(DimMismatch):
             build_triangular(a, bad, scalar_algebra(QQ))
+
+    def test_bimodule_basis_names_match_dim_m(self):
+        with pytest.raises(DimMismatch):
+            Bimodule(QQ, 1, 1, 1, [[[1]]], [[[1]]], ["a", "b"])
+        one = SparseTable([(((0, QQ.one),),)])
+        assert Bimodule._trusted(QQ, 1, 1, 1, one, one, ["m"]).basis_names == ("m",)
+        with pytest.raises(DimMismatch):
+            Bimodule._trusted(QQ, 1, 1, 1, one, one, ["a", "b"])
 
     def test_zero_module_needs_flag(self):
         a = scalar_algebra(QQ)
@@ -303,14 +314,14 @@ class TestTau:
 class TestFaithfulQuotient:
     def test_already_faithful_unchanged(self, f1):
         out = faithful_quotient(f1)
-        assert out.total.mul == f1.total.mul
+        assert out.total == f1.total
 
     def test_dead_factor_collapses_to_f1(self):
         tri = dead_factor_triangular()
         out = faithful_quotient(tri)
         f1 = fixture_f1()
         assert out.dim == 3
-        assert out.total.mul == f1.total.mul
+        assert out.total == f1.total
         assert out.is_faithful()
 
     def test_output_always_faithful(self, random_f5_mixed):
@@ -544,7 +555,7 @@ def _rebased(alg, P):
     Pinv = LinMap(QQ, P).inverse()
     n = alg.dim
     mul = [[Pinv.apply(alg.mul_vec(P.col(i), P.col(j))) for j in range(n)] for i in range(n)]
-    return validate_algebra(QQ, mul, Pinv.apply(alg.unit))
+    return FinAlgebra(QQ, mul, Pinv.apply(alg.unit))
 
 
 class TestRationalEvaluatorOracle:

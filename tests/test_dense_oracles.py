@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from trialg.algcore import _trace_form_rows, annihilators, radical
+from trialg.algcore import _trace_form_rows, annihilators, radical, unit_m
 from trialg.errors import CharTooSmall, NotInvertible
 from trialg.exactla import GF, QQ, Mat, kernel_basis, rref
 from trialg.randomgen import instance_catalog, random_block_preserving_sigma, random_instances
@@ -58,11 +58,16 @@ def _dense_trace_form(alg) -> Mat:
 
 
 def _stacked_annihilators(tri) -> tuple:
-    """L, R, lann_T and rann_T as kernels of stacked dense systems: the action
-    tensors of M, and the multiplication matrices by each basis vector of M."""
+    """L, R, lann_T and rann_T as kernels of stacked dense systems: the dense
+    actions of each corner basis vector on each basis vector of M, and the
+    multiplication matrices by each basis vector of M."""
     field = tri.field
     da, dm, db = tri.A.dim, tri.M.dim_m, tri.B.dim
-    left, right = tri.M.left, tri.M.right
+    ea = [tri.A.basis_vector(i) for i in range(da)]
+    eb = [tri.B.basis_vector(k) for k in range(db)]
+    em = [unit_m(field, dm, j) for j in range(dm)]
+    left = [[tri.act_left(a, m) for m in em] for a in ea]
+    right = [[tri.act_right(m, b) for b in eb] for m in em]
     L = kernel_basis(Mat._trusted(field, [[left[i][j][mp] for i in range(da)]
                                           for j in range(dm) for mp in range(dm)], da))
     R = kernel_basis(Mat._trusted(field, [[right[j][k][mp] for k in range(db)]

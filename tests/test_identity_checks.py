@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from trialg.algcore import build_triangular, validate_algebra
+from trialg.algcore import FinAlgebra, build_triangular
 from trialg.classify import (
     TheoremReport,
     _thm0_conditions,
@@ -140,7 +140,7 @@ def _non_associative():
     mul = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
            [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
            [[0, 0, 1], [0, 0, 0], [0, -1, 0]]]
-    return _raised(lambda: validate_algebra(QQ, mul, [1, 0, 0]), NonAssociative)
+    return _raised(lambda: FinAlgebra(QQ, mul, [1, 0, 0]), NonAssociative)
 
 
 def _commuting_blocks(tri, name: str, k: int, j: int):

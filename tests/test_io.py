@@ -1,12 +1,13 @@
 """The input boundary: every io loader coerces and checks each scalar it
 reads, so values from input never reach Mat._trusted or BilinMap._trusted,
 which take raw field values as they are.  The algebra and bimodule loaders
-coerce each structure constant exactly once and hand the coerced tensors to
-FinAlgebra._trusted and Bimodule._trusted, which still check shapes and
-validate."""
+coerce each structure constant exactly once and hand the coerced sparse
+product tables to FinAlgebra._trusted and Bimodule._trusted, which still
+check shapes and validate."""
 
 import copy
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -125,3 +126,20 @@ def test_public_mat_coerces_input_values():
     for field, bad in ((QQ, True), (QQ, "1/x"), (GF(5), False), (GF(5), "two")):
         with pytest.raises(InputError):
             Mat(field, [[bad]])
+
+
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+def test_tensor_entries_last_wins_and_dump_sorted(fname):
+    """The algebra loader reads [i, j, k, coeff] entries into the product
+    table: a repeated entry replaces the earlier one (no sum), so a later "0"
+    loads as an absent product; entries given out of order dump back sorted by
+    (i, j, k); an index past the declared dim is out of range."""
+    field = FIELDS[fname]
+    total = fixture_f1(field).total
+    doc = io.algebra_to_json(total)
+    entries = [[1, 1, 0, "1"]] + doc["mul"][::-1] + [[1, 1, 0, "0"], list(doc["mul"][0])]
+    loaded = io.algebra_from_json(dict(doc, mul=entries))
+    assert loaded == total
+    assert io.algebra_to_json(loaded)["mul"] == doc["mul"]
+    with pytest.raises(InputError, match=re.escape("tensor index [0, 3, 0] out of range")):
+        io.algebra_from_json(dict(doc, mul=doc["mul"] + [[0, 3, 0, "1"]]))
