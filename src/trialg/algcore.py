@@ -55,11 +55,11 @@ class SparseTable(tuple):
     """Sparse product table: entry [i][j] lists the nonzero (k, c) of the
     product of basis vectors i and j.
 
-    Built once per algebra or bimodule, it keeps these derived tables, each
-    made on first use: its transpose (entry [j][i] = entry [i][j]), its
-    negation (negated(), the table of minus the product), the actions of an
-    algebra on n copies of itself (copies()) and, for constants over Q, the
-    table over the integers (lifted()).
+    Built once per algebra, bimodule or bilinear map, it keeps these derived
+    tables, each made on first use: its transpose (entry [j][i] = entry
+    [i][j]), its negation (negated(), the table of minus the product), the
+    actions of an algebra on n copies of itself (copies()) and, for constants
+    over Q, the table over the integers (lifted()).
     """
 
     def __new__(cls, entries):
@@ -76,7 +76,8 @@ class SparseTable(tuple):
         if self._lifted is None:
             den = lcm(*[c.denominator for row in self for vec in row for _, c in vec])
             self._lifted = den, tuple(
-                tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in vec) for vec in row)
+                tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in vec) if vec else ()
+                      for vec in row)
                 for row in self)
         return self._lifted
 
@@ -145,6 +146,15 @@ def _coerced_table(field: Field, tensor, shape: tuple, what: str) -> SparseTable
     if len(tensor) != d0 or any(len(row) != d1 or any(len(vec) != d2 for vec in row) for row in tensor):
         raise DimMismatch(what)
     return _sparse_table(tensor)
+
+
+def _tensor_entries(field: Field, table: SparseTable) -> list:
+    """The [i, j, k, coeff] entries of a table in (i, j, k) order (io's wire format)."""
+    fmt = field.format
+    return [[i, j, k, fmt(c)]
+            for i, row in enumerate(table)
+            for j, vec in enumerate(row)
+            for k, c in vec]
 
 
 def _sparse_columns(f) -> SparseColumns:

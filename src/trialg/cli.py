@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import os
 import sys
 import time
 
@@ -352,7 +353,7 @@ def _input_error(exc: TrialgError) -> int:
     return EXIT_INPUT
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
     except InputError as exc:  # a usage error; -h and --help still print and exit 0
@@ -369,6 +370,16 @@ def main(argv=None) -> int:
         return _input_error(exc)
     finally:
         sys.stderr.write("elapsed_ms: %d\n" % int((time.monotonic() - start) * 1000))
+    return code
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # here, so a closed stdout cannot fail at interpreter exit
+    except BrokenPipeError:  # the reader is gone: send the rest of stdout to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
     return code
 
 

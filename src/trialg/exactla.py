@@ -300,7 +300,7 @@ class SparseColumns(tuple):
         if self._lifted is None:
             den = lcm(*[c.denominator for col in self for _, c in col])
             self._lifted = den, tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in col)
-                                      for col in self)
+                                      if col else () for col in self)
         return self._lifted
 
 

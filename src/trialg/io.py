@@ -18,6 +18,7 @@ from .algcore import (
     FinAlgebra,
     SparseTable,
     TriAlgebra,
+    _tensor_entries,
     build_triangular,
     check_corner_dims,
 )
@@ -99,14 +100,6 @@ def _sparse_tensor(field: Field, entries, dims) -> SparseTable:
     for (i, j), prods in itertools.groupby(sorted(coeffs.items()), lambda item: item[0][:2]):
         table[i][j] = tuple((k, c) for (_, _, k), c in prods if c)
     return SparseTable(map(tuple, table))
-
-
-def _tensor_entries(field: Field, table: SparseTable) -> list:
-    fmt = field.format
-    return [[i, j, k, fmt(c)]
-            for i, row in enumerate(table)
-            for j, vec in enumerate(row)
-            for k, c in vec]
 
 
 def algebra_from_json(obj) -> FinAlgebra:
@@ -215,12 +208,7 @@ def load_linmap(path: str, field: Field) -> LinMap:
 def bilinmap_from_json(obj, field: Field) -> BilinMap:
     _require(obj, ("dim", "tensor"), "bilinear file")
     dim = _dim(obj, "dim")
-    tensor = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i, row in enumerate(_sparse_tensor(field, _list(obj, "tensor"), (dim, dim, dim))):
-        for j, vec in enumerate(row):
-            for k, c in vec:
-                tensor[i][j][k] = c
-    return BilinMap(field, tensor)
+    return BilinMap._trusted(field, _sparse_tensor(field, _list(obj, "tensor"), (dim, dim, dim)))
 
 
 def load_bilinmap(path: str, field: Field) -> BilinMap:

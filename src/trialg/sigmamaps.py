@@ -2,8 +2,9 @@
 sigma-commutator calculus.
 
 Matrix convention everywhere: entry [k][j] of a map matrix is the coefficient
-of e_k in the image of e_j (images live in the columns).  Bilinear maps are
-order-3 tensors t[i][j][k]: the coefficient of e_k in D(e_i, e_j).
+of e_k in the image of e_j (images live in the columns).  A bilinear map is
+stored as a SparseTable, like the product of an algebra: entry [i][j] lists
+the nonzero (k, c) with c the coefficient of e_k in D(e_i, e_j).
 
 Every product rule X(x y) = sum_t P_t(x) Q_t(y) (multiplicativity, the twisted
 derivation rule in each slot, the block identities on triangular algebras) is
@@ -30,8 +31,12 @@ from dataclasses import dataclass, replace
 
 from .algcore import (
     FinAlgebra,
+    SparseTable,
     SubspaceMap,
     TriAlgebra,
+    _coerced_table,
+    _sparse_table,
+    _tensor_entries,
     eta_from_center,
     product_rule_failure,
     quadratic_failure,
@@ -192,34 +197,29 @@ class LinMap:
 
 
 class BilinMap:
-    """Total bilinear map A x A -> A as an order-3 tensor t[i][j][k].
-
-    It keeps, made on first use, its two slot maps as sparse columns
-    (slot_columns()).
+    """Total bilinear map A x A -> A, stored as the SparseTable of its values
+    (entry [i][j] lists the nonzero (k, c) of D(e_i, e_j)).  The public
+    constructor coerces a dense tensor t[i][j][k]; _trusted takes a table of
+    raw values made by trialg itself (as Mat._trusted).  It keeps, made on
+    first use, its two slot maps as sparse columns (slot_columns()).
     """
 
-    __slots__ = ("field", "dim", "tensor", "_slot_columns")
+    __slots__ = ("field", "dim", "table", "_slot_columns")
 
     def __init__(self, field: Field, tensor):
         dim = len(tensor)
-        tensor = tuple(tuple(tuple(field.coerce(c) for c in vec) for vec in row) for row in tensor)
-        for row in tensor:
-            if len(row) != dim or any(len(v) != dim for v in row):
-                raise DimMismatch("bilinear tensor is not dim^3")
-        self._set(field, tensor)
+        self._set(field, _coerced_table(field, tensor, (dim, dim, dim), "bilinear tensor is not dim^3"))
 
-    def _set(self, field: Field, tensor: tuple):
+    def _set(self, field: Field, table: SparseTable):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", len(tensor))
-        object.__setattr__(self, "tensor", tensor)
+        object.__setattr__(self, "dim", len(table))
+        object.__setattr__(self, "table", table)
         object.__setattr__(self, "_slot_columns", None)
 
     @classmethod
-    def _trusted(cls, field: Field, tensor: tuple) -> "BilinMap":
-        """A map of a dim^3 tensor of raw values of field, nested tuples made
-        by trialg itself, taken as it is (as Mat._trusted)."""
+    def _trusted(cls, field: Field, table: SparseTable) -> "BilinMap":
         self = object.__new__(cls)
-        self._set(field, tensor)
+        self._set(field, table)
         return self
 
     def __setattr__(self, *a):
@@ -227,35 +227,31 @@ class BilinMap:
 
     @staticmethod
     def zero(field: Field, dim: int) -> "BilinMap":
-        z = field.zero
-        return BilinMap(field, [[[z] * dim for _ in range(dim)] for _ in range(dim)])
+        return BilinMap._trusted(field, SparseTable([((),) * dim] * dim))
 
     @staticmethod
     def from_function(alg: FinAlgebra, fn) -> "BilinMap":
         """Tabulate fn(e_i, e_j) over all basis pairs."""
-        vals = [[alg.coerce_vector(fn(alg.basis_vector(i), alg.basis_vector(j)))
-                 for j in range(alg.dim)] for i in range(alg.dim)]
-        return BilinMap(alg.field, vals)
+        vals = ((alg.coerce_vector(fn(alg.basis_vector(i), alg.basis_vector(j)))
+                 for j in range(alg.dim)) for i in range(alg.dim))
+        return BilinMap._trusted(alg.field, _sparse_table(vals))
 
     def value(self, i: int, j: int) -> tuple:
-        return self.tensor[i][j]
+        vec = [self.field.zero] * self.dim
+        for k, c in self.table[i][j]:
+            vec[k] = c
+        return tuple(vec)
 
     def slot_columns(self) -> tuple:
         """(first, second): the slot maps for all fixed arguments at once, as
         SparseColumns of maps into n copies of the space (coordinate k*n + o
-        for e_o in copy k): first e_l -> (D(e_l, e_k))_k, second
-        e_l -> (D(e_k, e_l))_k.  Made in one pass over the tensor."""
+        for e_o in copy k): first e_l -> (D(e_l, e_k))_k, read off row l of
+        the table, second e_l -> (D(e_k, e_l))_k, off row l of its transpose."""
         if self._slot_columns is None:
             n = self.dim
-            first, second = [[] for _ in range(n)], [[] for _ in range(n)]
-            for l, row in enumerate(self.tensor):
-                for k, vec in enumerate(row):
-                    for o, c in enumerate(vec):
-                        if c:
-                            first[l].append((k * n + o, c))
-                            second[k].append((l * n + o, c))
-            object.__setattr__(self, "_slot_columns", tuple(
-                SparseColumns(self.field, n * n, map(tuple, cols)) for cols in (first, second)))
+            cols = [[tuple((k * n + o, c) for k, vec in enumerate(row) for o, c in vec) for row in table]
+                    for table in (self.table, self.table.transpose())]
+            object.__setattr__(self, "_slot_columns", tuple(SparseColumns(self.field, n * n, c) for c in cols))
         return self._slot_columns
 
     def apply(self, x, y) -> tuple:
@@ -265,58 +261,59 @@ class BilinMap:
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            row = self.tensor[i]
+            row = self.table[i]
             for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                f = mul(xi, yj)
-                for k, c in enumerate(row[j]):
-                    if c:
+                if yj and row[j]:
+                    f = mul(xi, yj)
+                    for k, c in row[j]:
                         acc[k] = add(acc[k], mul(f, c))
         return tuple(acc)
 
+    def _merged(self, other: "BilinMap", op) -> "BilinMap":
+        """The map with values op(self(e_i, e_j), other(e_i, e_j)), for op
+        the add or sub of the field, merged entry by entry."""
+        zero = self.field.zero
+
+        def merge(u, v):
+            acc = dict(u)
+            for k, c in v:
+                acc[k] = op(acc.get(k, zero), c)
+            return tuple(sorted(item for item in acc.items() if item[1]))
+
+        return BilinMap._trusted(self.field, SparseTable(tuple(map(merge, r1, r2))
+                                                         for r1, r2 in zip(self.table, other.table)))
+
     def __add__(self, other: "BilinMap") -> "BilinMap":
-        add = self.field.add
-        return BilinMap(self.field, [[[add(a, b) for a, b in zip(v1, v2)]
-                                      for v1, v2 in zip(r1, r2)]
-                                     for r1, r2 in zip(self.tensor, other.tensor)])
+        return self._merged(other, self.field.add)
 
     def __sub__(self, other: "BilinMap") -> "BilinMap":
-        sub = self.field.sub
-        return BilinMap(self.field, [[[sub(a, b) for a, b in zip(v1, v2)]
-                                      for v1, v2 in zip(r1, r2)]
-                                     for r1, r2 in zip(self.tensor, other.tensor)])
+        return self._merged(other, self.field.sub)
 
     def is_zero(self) -> bool:
-        return not any(c for row in self.tensor for vec in row for c in vec)
+        return not any(map(any, self.table))
 
     def is_symmetric(self) -> bool:
-        n = self.dim
-        return all(self.tensor[i][j] == self.tensor[j][i] for i in range(n) for j in range(i + 1, n))
+        return self.table == self.table.transpose()
 
     def flatten(self) -> tuple:
         """Row-major flattening: index (i*dim + j)*dim + k."""
-        return tuple(c for row in self.tensor for vec in row for c in vec)
+        n = self.dim
+        return tuple(c for i in range(n) for j in range(n) for c in self.value(i, j))
 
     @staticmethod
     def unflatten(field: Field, flat, dim: int) -> "BilinMap":
         """Inverse of flatten; flat holds raw values of field, taken as they are."""
-        return BilinMap._trusted(field, tuple(tuple(tuple(flat[(i * dim + j) * dim:(i * dim + j + 1) * dim])
-                                                    for j in range(dim)) for i in range(dim)))
+        return BilinMap._trusted(field, _sparse_table((flat[(i * dim + j) * dim:(i * dim + j + 1) * dim]
+                                                       for j in range(dim)) for i in range(dim)))
 
     def __eq__(self, other):
-        return isinstance(other, BilinMap) and self.field == other.field and self.tensor == other.tensor
+        return isinstance(other, BilinMap) and self.field == other.field and self.table == other.table
 
     def __hash__(self):
-        return hash((self.field, self.tensor))
+        return hash((self.field, self.table))
 
     def to_json(self):
-        fmt = self.field.format
-        entries = [[i, j, k, fmt(c)]
-                   for i, row in enumerate(self.tensor)
-                   for j, vec in enumerate(row)
-                   for k, c in enumerate(vec) if c]
-        return {"dim": self.dim, "tensor": entries}
+        return {"dim": self.dim, "tensor": _tensor_entries(self.field, self.table)}
 
     def __repr__(self):
         return "BilinMap(dim=%d)" % self.dim
@@ -456,19 +453,10 @@ def classify_bilinear(kind: str, alg: FinAlgebra, D: BilinMap, sigma: LinMap | N
         raise InputError("unknown classification kind %r" % (kind,))
     v = replace(is_alpha_beta_biderivation(alg, D, ident, beta), kind=kind)
     if v.holds and kind == "sigma_biderivation":
-        # sanity: a twisted biderivation kills the unit in each slot.  Column l
-        # of the first (second) slot map holds D(e_l, e_k) (D(e_k, e_l)) in
-        # copy k, so the unit's combination of the copies is D(e_l, 1) (D(1, e_l)).
-        n, unit, field = alg.dim, alg.unit, alg.field
-        for cols in D.slot_columns():
-            for col in cols:
-                acc = {}
-                for key, c in col:
-                    k, o = divmod(key, n)
-                    if unit[k]:
-                        acc[o] = field.add(acc.get(o, field.zero), field.mul(unit[k], c))
-                if any(acc.values()):
-                    raise TheoremViolation("sigma-biderivation does not vanish on the unit")
+        # sanity: a twisted biderivation kills the unit in each slot
+        for e in map(alg.basis_vector, range(alg.dim)):
+            if any(D.apply(e, alg.unit)) or any(D.apply(alg.unit, e)):
+                raise TheoremViolation("sigma-biderivation does not vanish on the unit")
     return v
 
 
@@ -612,7 +600,7 @@ def is_alpha_beta_biderivation(alg: FinAlgebra, D: BilinMap, alpha: LinMap, beta
     the bimodule of n copies of alg, e_l -> (D(e_l, e_k))_k, and the slot
     identities are the derivation identity Y(xy) = beta(x) Y(y) + Y(x) alpha(y)
     over the copies' actions (SparseTable.copies); likewise D(e_k, .).  Both
-    maps are read off the tensor (BilinMap.slot_columns).  The witness is the
+    maps are read off the table (BilinMap.slot_columns).  The witness is the
     failure first in the order (i, j, k, first slot before second) of the pair
     e_i e_j and the fixed argument e_k: the first failing pair of a slot, at
     the least copy k where its residual is nonzero.
@@ -674,9 +662,8 @@ def alpha_beta_reduce(alg: FinAlgebra, obj: LinMap | BilinMap, alpha: LinMap, be
     alpha_inv = alpha.inverse()
     sigma = alpha_inv.compose(beta)
     if isinstance(obj, BilinMap):
-        reduced = BilinMap(alg.field,
-                           [[alpha_inv.apply(obj.value(i, j)) for j in range(alg.dim)]
-                            for i in range(alg.dim)])
+        reduced = BilinMap._trusted(alg.field, _sparse_table(
+            (alpha_inv.apply(obj.value(i, j)) for j in range(alg.dim)) for i in range(alg.dim)))
         vin = is_alpha_beta_biderivation(alg, obj, alpha, beta)
         vout = classify_bilinear("sigma_biderivation", alg, reduced, sigma)
     else:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from .algcore import (
     FinAlgebra,
     TriAlgebra,
+    _sparse_table,
     product_rule_failure,
     product_rule_rows,
     twisted_commutator_blocks,
@@ -308,9 +309,9 @@ def inner_sigma_biderivation(t, lam, sigma: LinMap) -> BilinMap:
         raise CommutativeAlgebra("inner twisted biderivations need [T, T] != 0")
     if not is_sigma_central(alg, lam, sigma):
         raise NotSigmaCentral("lambda is not twisted-central")
-    vals = [[alg.mul_vec(lam, alg.commutator(alg.basis_vector(i), alg.basis_vector(j)))
-             for j in range(alg.dim)] for i in range(alg.dim)]
-    D = BilinMap(alg.field, vals)
+    vals = ((alg.mul_vec(lam, alg.commutator(alg.basis_vector(i), alg.basis_vector(j)))
+             for j in range(alg.dim)) for i in range(alg.dim))
+    D = BilinMap._trusted(alg.field, _sparse_table(vals))
     v = classify_bilinear("sigma_biderivation", alg, D, sigma)
     if not v.holds:
         raise TheoremViolation("inner twisted biderivation failed its own identity")
@@ -334,9 +335,9 @@ def extremal_sigma_biderivation(t, x0, sigma: LinMap) -> BilinMap:
             if sigma_commutator_vec(alg, comm, x0, sigma) != zero:
                 raise PreconditionFails((i, j))
     inner = [sigma_commutator_vec(alg, alg.basis_vector(j), x0, sigma) for j in range(alg.dim)]
-    vals = [[sigma_commutator_vec(alg, alg.basis_vector(i), inner[j], sigma)
-             for j in range(alg.dim)] for i in range(alg.dim)]
-    psi = BilinMap(alg.field, vals)
+    vals = ((sigma_commutator_vec(alg, alg.basis_vector(i), inner[j], sigma)
+             for j in range(alg.dim)) for i in range(alg.dim))
+    psi = BilinMap._trusted(alg.field, _sparse_table(vals))
     if not psi.is_symmetric():
         raise TheoremViolation("extremal twisted biderivation is not symmetric")
     v = classify_bilinear("sigma_biderivation", alg, psi, sigma)

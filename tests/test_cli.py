@@ -23,13 +23,17 @@ def run_cli(args, tmp_path=None):
     return code, out.getvalue(), err.getvalue()
 
 
+def _fresh_env():
+    """The environment of a new process that imports this trialg."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trialg.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_fresh(args):
     """Run the CLI as `python -m trialg.cli` in a new process."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(trialg.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "trialg.cli"] + args,
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_fresh_env())
     return proc.returncode, proc.stdout
 
 
@@ -357,6 +361,20 @@ class TestDeterminism:
         z = center_T(fixture_f3())
         assert via_cli["dim"] == z.dim
         assert via_cli["basis"] == [[z.field.format(v) for v in row] for row in z.basis]
+
+
+class TestClosedStdout:
+    def test_reader_gone_before_output(self, f1_dir):
+        """A reader that closes stdout before the report is written (as
+        `trialg ... | head -c 10` may) ends the run with a CLI exit code and
+        no traceback, also from the interpreter's last flush."""
+        with subprocess.Popen([sys.executable, "-m", "trialg.cli", "triangular", "build",
+                               str(f1_dir / "T.json")], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=_fresh_env()) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+        assert proc.returncode in (0, 1, 2)
+        assert "Traceback" not in err
 
 
 class TestBilinearSolves:

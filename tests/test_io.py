@@ -1,13 +1,14 @@
 """The input boundary: every io loader coerces and checks each scalar it
-reads, so values from input never reach Mat._trusted or BilinMap._trusted,
-which take raw field values as they are.  The algebra and bimodule loaders
-coerce each structure constant exactly once and hand the coerced sparse
-product tables to FinAlgebra._trusted and Bimodule._trusted, which still
-check shapes and validate."""
+reads, so values from input never reach Mat._trusted, which takes raw field
+values as they are.  The algebra, bimodule and bilinear-map loaders coerce
+each structure constant exactly once and hand the coerced sparse product
+tables to FinAlgebra._trusted, Bimodule._trusted and BilinMap._trusted;
+the first two still check shapes and validate."""
 
 import copy
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -95,7 +96,6 @@ def test_loaders_never_reach_the_trusted_constructors(fname, tmp_path, monkeypat
         raise AssertionError("trusted constructor reached while loading input")
 
     monkeypatch.setattr(Mat, "_trusted", refuse)
-    monkeypatch.setattr(BilinMap, "_trusted", refuse)
     for name, doc in docs.items():
         loaded = [load(doc) for load in _loaders(name, field, tmp_path)]
         if name in ("linmap", "bilinmap"):
@@ -116,6 +116,32 @@ def test_load_triangular_coerces_each_constant_once(fname, tmp_path, count_coerc
     tri = io.load_triangular(str(path))
     assert sorted(count_coerce) == sorted(constants)
     assert io.triangular_to_json(tri) == doc
+
+
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+def test_load_bilinmap_coerces_each_constant_once(fname, tmp_path, count_coerce):
+    """One load of a bilinear map coerces each tensor constant once and
+    hands the coerced table on as it is."""
+    doc = _documents(FIELDS[fname])["bilinmap"]
+    path = tmp_path / "D.json"
+    path.write_text(json.dumps(doc))
+    count_coerce.clear()  # building the document coerced too
+    D = io.load_bilinmap(str(path), FIELDS[fname])
+    assert sorted(count_coerce) == sorted(entry[3] for entry in doc["tensor"])
+    assert D.to_json() == doc
+
+
+def test_bilinmap_loader_allocates_no_dense_tensor():
+    """A document declaring dim 200 with one entry is loaded in memory
+    quadratic in dim: a dense tensor would hold 8 * 10**6 slots."""
+    tracemalloc.start()
+    try:
+        D = io.bilinmap_from_json({"dim": 200, "tensor": [[0, 0, 0, "1"]]}, QQ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert D.apply(D.value(0, 0), D.value(0, 0)) == D.value(0, 0)
+    assert peak < 16 * 2**20
 
 
 def test_public_mat_coerces_input_values():

@@ -499,7 +499,7 @@ def _per_slot_failure(alg, D, alpha, beta):
     n = alg.dim
     failures = []
     for k in range(n):
-        for slot, images in enumerate(([D.value(l, k) for l in range(n)], D.tensor[k])):
+        for slot, images in enumerate(([D.value(l, k) for l in range(n)], [D.value(k, l) for l in range(n)])):
             d = LinMap.from_images(alg.field, images, n, n)
             bad = product_rule_failure(alg._pairs, d, derivation_terms(alg, d, alpha, beta))
             if bad:
