@@ -889,11 +889,20 @@ class PartibleWitness:
 
 
 def partible_witness(tri: TriAlgebra, sigma: LinMap) -> PartibleWitness | None:
-    """Factor sigma as an inner automorphism after a block-preserving one.
+    """Factor sigma as an inner automorphism after a block-preserving one,
+    sigma(x) = z^-1 sigma_bar(x) z, or None when sigma is not partible.
 
-    The witness family is z = 1 + corner-part of sigma(p); it covers every
-    automorphism that preserves M.  A miss returns None (unknown), never a
-    negative certificate.
+    None is a proof.  An automorphism tau is block-preserving iff tau(p) = p
+    for p = 1_A: then tau(A) = tau(pTp) = pTp = A, and likewise for M and B;
+    conversely tau(p) in A and tau(1 - p) in B add up to 1, so tau(p) = p.
+    So sigma is partible iff z q z^-1 = p for some invertible z, where
+    q = sigma(p) = q_A + q_M + q_B.  For z = a + m + b the A- and B-parts of
+    z q z^-1 are a q_A a^-1 and b q_B b^-1, since (1 - p) T p = 0, so
+    z q z^-1 = p forces q_A = 1_A and q_B = 0.  Conversely, if q = p + q_M,
+    then z = 1 + q_M has inverse 1 - q_M, and z q z^-1 = p because
+    p q_M = q_M and q_M p = q_M^2 = 0.  Hence sigma is partible iff q_A = 1_A
+    and q_B = 0, and then z = 1 + q_M is a witness (z = 1 when sigma is
+    block-preserving already).
     """
     if not automorphism_verdict(tri.total, sigma).holds:
         raise NotAutomorphism("partibility witnesses need an automorphism")
@@ -915,8 +924,8 @@ def partible_witness(tri: TriAlgebra, sigma: LinMap) -> PartibleWitness | None:
     sigma_bar = LinMap.from_images(field, images, tri.dim, tri.dim)
     try:
         blocks = block_decompose(tri, sigma_bar)
-    except NotBlockPreserving:
-        return None
+    except NotBlockPreserving as exc:
+        raise TheoremViolation("conjugation by 1 + q_M does not preserve the blocks") from exc
     # verify sigma = conj_z . sigma_bar exactly
     recomposed = [t.mul_vec(t.mul_vec(z_inv, sigma_bar.image_of_basis(j)), z)
                   for j in range(tri.dim)]

@@ -5,11 +5,23 @@ residues over a prime field; a :class:`Field` object carries the arithmetic,
 reads input literals into raw values (``coerce``) and writes the wire format
 (``format``).  No floating point anywhere.
 
-Row reduction is fully deterministic (leftmost pivot, first row, exact
-arithmetic), so every reduced row-echelon form and every solution-space basis
-is canonical and reproducible bit for bit.
+Row reduction is fully deterministic (exact arithmetic, each row's pivot at
+its least column), so every reduced row-echelon form and every
+solution-space basis is canonical and reproducible bit for bit.
 
-Row reduction runs on Python ints, fraction-free in the manner of Bareiss.
+Row reduction is online Gauss-Jordan: the pivot rows are kept fully reduced
+as rows arrive, each holding no pivot column but its own, so there is no
+back-substitution pass at the end.  An incoming row is cleared in one pass
+over its entries in pivot columns; as no pivot row holds another pivot
+column, no step fills one.  What is left, if anything, becomes a pivot row at
+its least column c, and c is then eliminated from the earlier pivot rows that
+hold it.  Those are found through an index from each non-pivot column to the
+pivot rows that took an entry there; an entry that later cancels leaves a
+stale index entry, which is checked on use.  Each row that adds to the span
+adds one pivot column, the one the unique RREF of the rows so far gains, so
+the pivots come out in that order.
+
+The work is done on Python ints, fraction-free in the manner of Bareiss.
 Over Q each incoming row is scaled to its primitive integer form: denominators
 cleared, the gcd of the entries divided out, the lead (the entry at the least
 column) made positive.  A row is reduced by a pivot row of lead b by
@@ -19,10 +31,11 @@ The gcd of the row is taken only after a step with b' != 1, which scales the
 row (lazy content); pivot rows of lead 1, the common case, cost nothing extra.
 Each pivot row becomes field values once, at the end, as Fraction(v, lead).
 Rows built in integers already (IntegerRows, as the constraint-row builders
-make them) skip the clearing of denominators.  Over F_p the same loops run on
-residues, with monic pivots and one ``% p`` per updated entry instead of
-field-method calls.  Rows that are scalar multiples of each other share one
-integer form, and only the first of them is eliminated.
+make them) skip the clearing of denominators, and integer_kernel returns a
+kernel basis read off the pivot rows as such rows.  Over F_p the same
+loops run on residues, with monic pivots and one ``% p`` per updated entry
+instead of field-method calls.  Rows that are scalar multiples of each other
+share one integer form, and only the first of them is eliminated.
 
 Hot loops test raw scalars for zero by truthiness (``if v:``), which is exact
 because ``Fraction`` values are normalized and F_p residues are always
@@ -31,6 +44,7 @@ reduced to [0, p) by ``PrimeField.coerce`` and every field operation.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -444,11 +458,12 @@ class Mat:
 # row reduction engine
 # ---------------------------------------------------------------------------
 #
-# Rows are sparse {column: value} dicts; the accumulated pivot rows form an
-# online echelon basis, fully back-substituted at the end.  Output is the
-# unique RREF of the row space, independent of input order.  The work is done
-# on integer rows (see the module docstring) and turned into field values once,
-# when the pivot rows are returned.
+# Rows are sparse {column: value} dicts.  The pivot rows are kept fully
+# reduced as rows arrive (online Gauss-Jordan, see the module docstring), with
+# a column -> pivot-rows index to find the rows a new pivot column must be
+# cleared from.  Output is the unique RREF of the row space, independent of
+# input order.  The work is done on integer rows and turned into field values
+# once, when the pivot rows are returned.
 
 
 class IntegerRows:
@@ -535,13 +550,23 @@ def _eliminate(row: dict, c: int, piv: dict, p: int):
 
 def _sparse_reduce(field: Field, rows, ncols: int) -> dict[int, dict]:
     """Fully reduced pivot rows {pivot column: {column: field value}} of the
-    sparse rows, each with 1 at its pivot column.  Rows are eliminated in
-    their integer form (_integer_row, or _primitive for IntegerRows over Q),
-    a row whose form was already seen is skipped, and the result is converted
-    to field values at the end."""
+    sparse rows, each with 1 at its pivot column, in the order in which the
+    rows added their pivot columns.
+
+    Online Gauss-Jordan on the rows' integer forms (_integer_row, or
+    _primitive for IntegerRows over Q); a row whose form was already seen is
+    skipped.  The pivot rows stay fully reduced: a new row is cleared of every
+    pivot column it holds (and brought back to its integer form, which a row
+    no pivot touched still has), and its own pivot column c is then cleared
+    from the earlier pivot rows that hold it.  holders[c] names them: a pivot
+    row is listed under each column it gains, and stays listed when its entry
+    there cancels later, so each name is checked on use.  Each pivot row is
+    converted to field values at the end.
+    """
     p = field.characteristic
     integer = not p and isinstance(rows, IntegerRows)
     pivots: dict[int, dict] = {}
+    holders: defaultdict[int, list] = defaultdict(list)
     seen = set()
     for raw in rows:
         row = _primitive({c: v for c, v in raw.items() if v}) if integer else _integer_row(p, raw)
@@ -549,20 +574,25 @@ def _sparse_reduce(field: Field, rows, ncols: int) -> dict[int, dict]:
         if not row or key in seen:
             continue
         seen.add(key)
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                pivots[c] = _integer_row(p, row) if p else _primitive(row)
-                break
-            _eliminate(row, c, piv, p)
-    # full back-substitution, last pivot row first: each row's entries in
-    # later pivot columns are cleared by rows that are already fully reduced,
-    # which hold no pivot column but their own
-    for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        for k in [k for k in row if k != c and k in pivots]:
-            _eliminate(row, k, pivots[k], p)
+        hits = [k for k in row if k in pivots]
+        if hits:
+            for k in hits:
+                _eliminate(row, k, pivots[k], p)
+            if not row:
+                continue
+            row = _integer_row(p, row) if p else _primitive(row)
+        c = min(row)
+        others = [k for k in row if k != c]
+        for k in others:
+            holders[k].append(c)
+        for lead in holders.pop(c, ()):
+            piv = pivots[lead]
+            if c in piv:
+                for k in others:
+                    if k not in piv:
+                        holders[k].append(lead)
+                _eliminate(piv, c, row, p)
+        pivots[c] = row
     if p:
         return pivots
     one = field.one
@@ -621,10 +651,30 @@ def kernel_from_pivots(field: Field, pivots: dict[int, dict], ncols: int) -> lis
     return vecs
 
 
+def integer_kernel(field: Field, pivots: dict[int, dict], ncols: int) -> list[dict]:
+    """The kernel basis of kernel_from_pivots as sparse IntegerRows rows, read
+    straight off the pivot rows: the vector of free column f times the least
+    common denominator of its entries over Q, its residues over F_p."""
+    p = field.characteristic
+    vecs = {f: {f: 1} for f in range(ncols) if f not in pivots}
+    for c, row in pivots.items():
+        for k, v in row.items():
+            if k != c:
+                vecs[k][c] = p - v if p else -v
+    if p:
+        return list(vecs.values())
+    out = []
+    for vec in vecs.values():
+        den = lcm(*[v.denominator for v in vec.values()])
+        out.append({k: v.numerator * (den // v.denominator) for k, v in vec.items()})
+    return out
+
+
 def kernel_sparse(field: Field, rows, ncols: int) -> "Subspace":
-    """Kernel of a linear system given as sparse constraint rows."""
+    """Kernel of a linear system given as sparse constraint rows, with its
+    canonical RREF basis."""
     pivots = _sparse_reduce(field, rows, ncols)
-    return Subspace._from_rows(field, ncols, _rows_to_sparse(kernel_from_pivots(field, pivots, ncols)))
+    return Subspace._from_rows(field, ncols, IntegerRows(integer_kernel(field, pivots, ncols)))
 
 
 def kernel_basis(m: Mat) -> "Subspace":

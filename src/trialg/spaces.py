@@ -15,7 +15,10 @@ linear map matrix entry [k][j] at k*dim + j, a bilinear tensor entry
 Every system is built in Python ints and handed to the reduce as
 exactla.IntegerRows: over Q each row is a positive integer multiple of the
 row of its identity (product_rule_rows reports the factor), which leaves the
-kernel unchanged.  Twist and identity are read through their cached sparse
+kernel unchanged.  The biderivation coefficient kernel stays in integers too:
+it is read off the pivot rows (exactla.integer_kernel) without an RREF of its
+own, lifted to tensors in ints, and only the lifted tensors are reduced to
+the canonical basis.  Twist and identity are read through their cached sparse
 columns, so verifying the r basis maps of a space extracts and lifts sigma
 and the identity once, not r times.
 """
@@ -47,6 +50,7 @@ from .exactla import (
     Subspace,
     _integer_row,
     _sparse_reduce,
+    integer_kernel,
     kernel_from_pivots,
     kernel_sparse,
     solve_sparse,
@@ -187,14 +191,18 @@ def _biderivation_space(alg: FinAlgebra, sigma: LinMap) -> Subspace:
     y -> D(e_l, y), whose entry [o][k] is sum_s c[k][s] delta_s[o][l].  Each
     kernel vector c lifts to t[l][k][o] = sum_s c[k][s] delta_s[o][l].
 
-    The coefficient rows are built in integers: over Q each P and each
+    The whole coefficient step runs on Python ints.  Over Q each P and each
     delta_s is taken in its integer form (exactla._integer_row), a nonzero
     multiple.  Scaling P scales its rows; scaling delta_s by lambda_s
     rescales the unknowns c[k][s], and the lift uses the same scaled deltas,
-    so the lifted tensors span the same space.
+    so the lifted tensors span the same space.  The coefficient kernel is
+    read straight off the pivot rows in integer form (exactla.integer_kernel),
+    with no canonical RREF of its own: any kernel basis lifts to tensors that
+    span Bider_sigma, and Subspace._from_rows, handed them as IntegerRows,
+    makes the one canonical basis.
     """
     field, n = alg.field, alg.dim
-    zero, add, mul, p = field.zero, field.add, field.mul, field.characteristic
+    p = field.characteristic
     pivots = _sparse_reduce(field, _derivation_rows(alg, sigma), n * n)
     deltas = [{key: v for key, v in enumerate(delta) if v}
               for delta in kernel_from_pivots(field, pivots, n * n)]
@@ -222,20 +230,19 @@ def _biderivation_space(alg: FinAlgebra, sigma: LinMap) -> Subspace:
                     {col: v for col, v in row.items() if v}
                 if row:
                     rows.append(row)
-    coeffs = kernel_sparse(field, IntegerRows(rows), n * r)
+    coeffs = integer_kernel(field, _sparse_reduce(field, IntegerRows(rows), n * r), n * r)
     tensors = []
-    for c in coeffs.basis:
+    for c in coeffs:
         t = {}
-        for ks, cks in enumerate(c):
-            if not cks:
-                continue
+        for ks, cks in c.items():
             k, s = divmod(ks, r)
             for key, v in deltas[s].items():
                 o, l = divmod(key, n)
                 idx = (l * n + k) * n + o
-                t[idx] = add(t.get(idx, zero), mul(cks, v))
-        tensors.append(t)
-    return Subspace._from_rows(field, n ** 3, tensors)
+                t[idx] = t.get(idx, 0) + cks * v
+        tensors.append({idx: v % p for idx, v in t.items() if v % p} if p else
+                       {idx: v for idx, v in t.items() if v})
+    return Subspace._from_rows(field, n ** 3, IntegerRows(tensors))
 
 
 def solve_space(kind: str, t, sigma: LinMap | None = None,

@@ -1,6 +1,8 @@
 """Theorem-level checkers: splitting, inner witnesses, commuting-map blocks,
 properness, endomorphism structure, ideal splitting, and partibility."""
 
+import itertools
+
 import pytest
 
 from trialg.algcore import Bimodule, build_triangular, structure_checks
@@ -18,7 +20,7 @@ from trialg.classify import (
     partible_witness,
     properness,
 )
-from trialg.errors import NotSigmaBiderivation, PreconditionFails
+from trialg.errors import NotInvertible, NotSigmaBiderivation, PreconditionFails
 from trialg.exactla import GF, QQ
 from trialg.fixtures import (
     fixture_f1,
@@ -30,12 +32,13 @@ from trialg.fixtures import (
     truncated_polynomial_algebra,
     upper_triangular_algebra,
 )
-from trialg.randomgen import regular_bimodule
+from trialg.randomgen import instance_catalog, regular_bimodule
 from trialg.sigmamaps import (
     BilinMap,
     LinMap,
     block_decompose,
     classify_linear,
+    inner_automorphism,
     sigma_center,
 )
 from trialg.spaces import (
@@ -374,7 +377,67 @@ class TestIdealSplit:
         assert spl.tri_i is not None and spl.tri_i.dim == 3
 
 
+def _units(t):
+    """Every invertible element of an algebra over F_2, with its inverse."""
+    out = []
+    for z in itertools.product((0, 1), repeat=t.dim):
+        try:
+            out.append((z, t.invert(z)))
+        except NotInvertible:
+            pass
+    return out
+
+
+def _conjugates_into_blocks(tri, sigma, units):
+    """Whether some invertible z makes x -> z sigma(x) z^-1 map every basis
+    vector of A, M and B into its own block, by trying every z."""
+    t = tri.total
+    block = {j: rng for rng in (tri.range_a, tri.range_m, tri.range_b) for j in rng}
+    images = [sigma.image_of_basis(j) for j in range(tri.dim)]
+    return any(all(all(i in block[j] for i, v in enumerate(t.mul_vec(t.mul_vec(z, img), z_inv)) if v)
+                   for j, img in enumerate(images))
+               for z, z_inv in units)
+
+
+def _ut2_tensor_flip(field):
+    """The regular Trian(UT_2, UT_2, UT_2), which is UT_2 (x) UT_2 with
+    e_(3a+b) = E_a (x) E_b over the basis E11, E12, E22 of UT_2, and the flip
+    of the two factors, e_(3a+b) -> e_(3b+a): an automorphism with sigma(p) =
+    E11 (in A) + E11 (in B), so it is not partible."""
+    ut = upper_triangular_algebra(field, 2)
+    tri = build_triangular(ut, regular_bimodule(ut), upper_triangular_algebra(field, 2))
+    images = [tri.total.basis_vector(3 * (j % 3) + j // 3) for j in range(9)]
+    return tri, LinMap.from_images(field, images, 9, 9)
+
+
 class TestPartibleWitness:
+    @pytest.mark.parametrize("name", [name for name, _ in instance_catalog(GF(2))])
+    def test_none_exactly_when_no_conjugate_preserves_blocks_f2(self, name):
+        """Over F_2, on a catalog instance (dim <= 6) and every inner
+        automorphism sigma of it, partible_witness returns None exactly when no
+        invertible z makes conj_z . sigma block-preserving, by enumeration."""
+        tri = dict(instance_catalog(GF(2)))[name]()
+        assert tri.dim <= 6
+        units = _units(tri.total)
+        for mat in {inner_automorphism(tri.total, u).mat for u, _ in units}:
+            sigma = LinMap(GF(2), mat, tri.dim, tri.dim)
+            w = partible_witness(tri, sigma)
+            assert (w is None) == (not _conjugates_into_blocks(tri, sigma, units))
+
+    def test_tensor_flip_is_certified_non_partible_f2(self):
+        """The factor flip of UT_2 (x) UT_2 over F_2, and each inner
+        automorphism with and without the flip after it: partible_witness
+        returns None exactly on those with the flip, and exactly there none of
+        the 32 invertible elements among the 512 conjugates into the blocks."""
+        tri, flip = _ut2_tensor_flip(GF(2))
+        units = _units(tri.total)
+        assert len(units) == 32
+        for u, _ in units:
+            inner = inner_automorphism(tri.total, u)
+            for sigma, partible in ((inner, True), (inner.compose(flip), False)):
+                assert (partible_witness(tri, sigma) is not None) == partible
+                assert _conjugates_into_blocks(tri, sigma, units) == partible
+
     def test_block_preserving_gives_unit(self, f1, f1_sigma1):
         w = partible_witness(f1, f1_sigma1)
         assert w.z == f1.total.unit

@@ -11,6 +11,7 @@ from trialg.errors import AmbientMismatch, FieldMismatch, InputError, NotInSpan,
 from trialg.exactla import (
     GF,
     QQ,
+    IntegerRows,
     Mat,
     Subspace,
     _integer_row,
@@ -299,6 +300,35 @@ def _systems(draw, field, max_rows=6, max_cols=6):
     return [tuple(r) for r in order], ncols
 
 
+@st.composite
+def _redundant_systems(draw, field, max_rank=4, max_cols=7):
+    """A rank-deficient system of ten rows per basis row: combinations, with
+    coefficients in -2..2, of up to max_rank rows of entries in {-1, 0, 1}, so
+    that entries cancel often.  The entries are ints, residues over F_p."""
+    ncols = draw(st.integers(2, max_cols))
+    k = draw(st.integers(1, max_rank))
+    unit = st.sampled_from([-1, 0, 1])
+    basis = draw(st.lists(st.lists(unit, min_size=ncols, max_size=ncols), min_size=k, max_size=k))
+    coeffs = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+    p = field.characteristic
+    rows = []
+    for _ in range(10 * k):
+        cs = draw(coeffs)
+        row = [sum(c * b[j] for c, b in zip(cs, basis)) for j in range(ncols)]
+        rows.append(tuple(v % p for v in row) if p else tuple(row))
+    return rows, ncols
+
+
+def _lead_order(field, rows, ncols):
+    """The pivot column that each row adds to the RREF of the rows before it,
+    in row order, skipping the rows that add none."""
+    order, span = [], []
+    for row in rows:
+        span, pivots = _gauss_jordan(field, span + [row], ncols)
+        order += [c for c in pivots if c not in order]
+    return order
+
+
 _FIELDS = [QQ, GF(2), GF(5)]
 
 
@@ -306,6 +336,18 @@ def _is_raw(field, v):
     if field is QQ:
         return type(v) is Fraction
     return type(v) is int and 0 <= v < field.characteristic
+
+
+def _check_reduced(field, pivots, rows, ncols):
+    """pivots, as _sparse_reduce returns them, are the nonzero rows of the
+    dense Gauss-Jordan RREF of rows, in raw field values, keyed and ordered by
+    the pivot column each row prefix adds (which _biderivation_space reads)."""
+    expect, expect_pivots = _gauss_jordan(field, rows, ncols)
+    assert list(pivots) == _lead_order(field, rows, ncols)
+    assert sorted(pivots) == expect_pivots
+    for c, row in zip(expect_pivots, expect):
+        assert pivots[c] == {k: v for k, v in enumerate(row) if v}
+        assert all(_is_raw(field, v) for v in pivots[c].values())
 
 
 class TestIntegerEliminationOracle:
@@ -320,13 +362,51 @@ class TestIntegerEliminationOracle:
         rows, ncols = data.draw(_systems(field))
         expect, expect_pivots = _gauss_jordan(field, rows, ncols)
         pivots = _sparse_reduce(field, [{c: v for c, v in enumerate(r) if v} for r in rows], ncols)
-        assert sorted(pivots) == expect_pivots
-        for c, row in zip(expect_pivots, expect):
-            assert pivots[c] == {k: v for k, v in enumerate(row) if v}
-            assert all(_is_raw(field, v) for v in pivots[c].values())
+        _check_reduced(field, pivots, rows, ncols)
         red, red_pivots = rref(Mat(field, rows, ncols))
         assert red_pivots == tuple(expect_pivots)
         assert red.rows == tuple(expect) + ((field.zero,) * ncols,) * (len(rows) - len(expect))
+
+    @pytest.mark.parametrize("field", _FIELDS, ids=str)
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_integer_rows(self, field, data):
+        """The same systems handed over as IntegerRows: over Q each row as an
+        integer multiple of either sign, over F_p as its residues."""
+        rows, ncols = data.draw(_systems(field))
+        ints = []
+        for r in rows:
+            row = {c: v for c, v in enumerate(r) if v}
+            if field is QQ:
+                m = data.draw(st.integers(-3, 3).filter(bool)) * math.lcm(*[v.denominator for v in r])
+                row = {c: int(v * m) for c, v in row.items()}
+            ints.append(row)
+        _check_reduced(field, _sparse_reduce(field, IntegerRows(ints), ncols), rows, ncols)
+
+    @pytest.mark.parametrize("field", _FIELDS, ids=str)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_redundant_rows(self, field, data):
+        """Rank-deficient systems of ten times as many rows as the rank, whose
+        entries cancel, in both entry forms (field values and IntegerRows)."""
+        rows, ncols = data.draw(_redundant_systems(field))
+        sparse = [{c: v for c, v in enumerate(r) if v} for r in rows]
+        as_field = [{c: field.coerce(v) for c, v in r.items()} for r in sparse]
+        field_rows = [tuple(map(field.coerce, r)) for r in rows]
+        _check_reduced(field, _sparse_reduce(field, as_field, ncols), field_rows, ncols)
+        _check_reduced(field, _sparse_reduce(field, IntegerRows(sparse), ncols), field_rows, ncols)
+
+    @pytest.mark.parametrize("field", _FIELDS, ids=str)
+    def test_pivot_row_drops_an_indexed_column(self, field):
+        """The first pivot row, e0 + e2 + e3, is indexed under columns 2 and 3.
+        The second, e2 + e3, clears column 2 from it, and its column 3 cancels
+        too; when e3 arrives, the index still names the first row under column
+        3, and it must be passed over."""
+        rows = [{c: v for c, v in enumerate(r) if v} for r in [(1, 0, 1, 1), (0, 0, 1, 1), (0, 0, 0, 1)]]
+        for system in (IntegerRows(rows), [{c: field.coerce(v) for c, v in r.items()} for r in rows]):
+            pivots = _sparse_reduce(field, system, 4)
+            assert pivots == {0: {0: field.one}, 2: {2: field.one}, 3: {3: field.one}}
+            assert list(pivots) == [0, 2, 3]
 
     @pytest.mark.parametrize("field", _FIELDS, ids=str)
     @settings(max_examples=120, deadline=None)

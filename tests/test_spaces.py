@@ -15,7 +15,16 @@ from trialg.errors import (
     PreconditionFails,
     TheoremViolation,
 )
-from trialg.exactla import GF, QQ, Mat, Subspace, kernel_from_pivots, kernel_sparse
+from trialg.exactla import (
+    GF,
+    QQ,
+    IntegerRows,
+    Mat,
+    Subspace,
+    integer_kernel,
+    kernel_from_pivots,
+    kernel_sparse,
+)
 from trialg.fixtures import (
     fixture_f1,
     fixture_f2,
@@ -62,6 +71,21 @@ from trialg.spaces import (
 TWISTED_KINDS = ("sigma_derivation", "sigma_commuting", "sigma_biderivation")
 
 
+def _kernel_plus_non_solution(field, rows, ncols):
+    """kernel_sparse with the first unit vector outside the kernel added."""
+    sub = kernel_sparse(field, rows, ncols)
+    extra = next(v for v in Subspace.full(field, ncols).basis if not sub.contains_vector(v))
+    return sub.sum(Subspace.from_vectors(field, ncols, [extra]))
+
+
+def _integer_kernel_plus_non_solution(field, pivots, ncols):
+    """integer_kernel with the first unit vector outside the kernel added."""
+    vecs = integer_kernel(field, pivots, ncols)
+    span = Subspace._from_rows(field, ncols, IntegerRows(vecs))
+    j = next(j for j, e in enumerate(Subspace.full(field, ncols).basis) if not span.contains_vector(e))
+    return vecs + [{j: 1}]
+
+
 class TestSolveSpace:
     def test_derivation_space_contains_inner_derivation(self, f1):
         space = solve_space("derivation", f1)
@@ -105,15 +129,16 @@ class TestSolveSpace:
 
     @pytest.mark.parametrize("kind", TWISTED_KINDS)
     def test_verification_catches_a_non_solution(self, f1, f1_sigma1, kind, monkeypatch):
+        """A vector outside the kernel injected into the kernel the solve
+        takes: kernel_sparse for the linear kinds, the integer coefficient
+        kernel for sigma_biderivation."""
         import trialg.spaces as sp
 
-        def kernel_plus_non_solution(field, rows, ncols):
-            sub = kernel_sparse(field, rows, ncols)
-            extra = next(v for v in Subspace.full(field, ncols).basis if not sub.contains_vector(v))
-            return sub.sum(Subspace.from_vectors(field, ncols, [extra]))
-
-        monkeypatch.setattr(sp, "kernel_sparse", kernel_plus_non_solution)
-        with pytest.raises(TheoremViolation):
+        if kind == "sigma_biderivation":
+            monkeypatch.setattr(sp, "integer_kernel", _integer_kernel_plus_non_solution)
+        else:
+            monkeypatch.setattr(sp, "kernel_sparse", _kernel_plus_non_solution)
+        with pytest.raises(TheoremViolation, match="non-solution"):
             solve_space(kind, f1, f1_sigma1)
 
     @pytest.mark.parametrize("site", ["derivation_kernel", "coefficient_kernel"])
@@ -141,15 +166,10 @@ class TestSolveSpace:
                                        sigma or LinMap.identity(field, 3)).holds
             return kernel_from_pivots(field, pivots, ncols) + [d]
 
-        def coefficients_plus_non_solution(field, rows, ncols):
-            sub = kernel_sparse(field, rows, ncols)
-            extra = next(v for v in Subspace.full(field, ncols).basis if not sub.contains_vector(v))
-            return sub.sum(Subspace.from_vectors(field, ncols, [extra]))
-
         if site == "derivation_kernel":
             monkeypatch.setattr(sp, "kernel_from_pivots", deltas_plus_non_solution)
         else:
-            monkeypatch.setattr(sp, "kernel_sparse", coefficients_plus_non_solution)
+            monkeypatch.setattr(sp, "integer_kernel", _integer_kernel_plus_non_solution)
         with pytest.raises(TheoremViolation, match="non-solution"):
             solve_space(kind, f1, sigma)
 
