@@ -963,17 +963,7 @@ class SubspaceMap:
 
     def apply_ambient(self, vec) -> tuple:
         """Apply to an ambient vector of the domain, returning an ambient vector."""
-        coords = self.domain.coords(vec)
-        img = self.matrix.apply(coords)
-        field = self.matrix.field
-        out = [field.zero] * self.codomain.ambient_dim
-        for c, row in zip(img, self.codomain.basis):
-            if not c:
-                continue
-            for k, v in enumerate(row):
-                if v:
-                    out[k] = field.add(out[k], field.mul(c, v))
-        return tuple(out)
+        return self.codomain.combine(self.matrix.apply(self.domain.coords(vec)))
 
     def is_bijective(self) -> bool:
         return self.matrix.nrows == self.matrix.ncols and self.matrix.rank() == self.matrix.nrows
@@ -999,7 +989,7 @@ def eta_from_center(tri: TriAlgebra, z: Subspace, nu_mat: Mat) -> SubspaceMap:
     Verified on all basis pairs and for bijectivity.
     """
     field = tri.field
-    da, dm = tri.A.dim, tri.M.dim_m
+    dm = tri.M.dim_m
     pa = project_subspace(z, tri.range_a)
     pb = project_subspace(z, tri.range_b)
     b_parts = [tri.part_b(v) for v in z.basis]
@@ -1008,14 +998,8 @@ def eta_from_center(tri: TriAlgebra, z: Subspace, nu_mat: Mat) -> SubspaceMap:
         coeffs = span_coefficients(field, b_parts, u)
         if coeffs is None:
             raise TheoremViolation("projection of the twisted center is inconsistent")
-        a = [field.zero] * da
-        for c, v in zip(coeffs, z.basis):
-            if not c:
-                continue
-            for k, w in enumerate(tri.part_a(v)):
-                a[k] = field.add(a[k], field.mul(c, w))
-        cols.append(pa.coords(a))
-    eta = SubspaceMap(pb, pa, Mat._trusted(field, zip(*cols), len(pb.basis)))
+        cols.append(pa.coords(tri.part_a(z.combine(coeffs))))
+    eta = SubspaceMap(pb, pa, Mat._trusted(field, zip(*cols), pb.dim))
     for u in pb.basis:
         a = eta.apply_ambient(u)
         for j in range(dm):
@@ -1053,13 +1037,7 @@ def quotient_algebra(alg: FinAlgebra, ideal: Subspace) -> tuple[FinAlgebra, Mat]
         v = [field.zero] * n
         for k, c in entries:
             v[k] = c
-        for p, row in zip(ideal.pivots, ideal.basis):
-            c = v[p]
-            if not c:
-                continue
-            for k, w in enumerate(row):
-                if w:
-                    v[k] = field.sub(v[k], field.mul(c, w))
+        v = ideal.residual(v)
         return tuple(v[i] for i in keep)
 
     pairs = alg._pairs

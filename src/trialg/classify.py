@@ -182,13 +182,7 @@ def inner_biderivation_witness(tri: TriAlgebra, D0: BilinMap, sigma: LinMap,
             raise TheoremViolation("hypotheses verified but a corner-vanishing twisted "
                                    "biderivation is not inner")
         return None
-    lam = [field.zero] * n
-    for c, z in zip(coeffs, z_sigma.basis):
-        if not c:
-            continue
-        for k, w in enumerate(z):
-            lam[k] = field.add(lam[k], field.mul(c, w))
-    lam = tuple(lam)
+    lam = z_sigma.combine(coeffs)
     delta = inner_sigma_biderivation(alg, lam, sigma) if any(lam) \
         else BilinMap.zero(field, n)
     if delta != D0:
@@ -268,11 +262,7 @@ def _annihilation_hypothesis(tri: TriAlgebra, z_sigma: Subspace, budget: int) ->
         for combo in itertools.product(range(p), repeat=z_sigma.dim):
             if all(c == 0 for c in combo):
                 continue
-            lam = [field.zero] * alg.dim
-            for c, z in zip(combo, z_sigma.basis):
-                for k, w in enumerate(z):
-                    lam[k] = field.add(lam[k], field.mul(field.coerce(c), w))
-            if alg.left_mul_mat(tuple(lam)).rank() != alg.dim:
+            if alg.left_mul_mat(z_sigma.combine(combo)).rank() != alg.dim:
                 return Hypothesis("central_annihilation", "fail",
                                   "lambda with singular left multiplication found")
         return Hypothesis("central_annihilation", "pass",

@@ -37,6 +37,14 @@ loops run on residues, with monic pivots and one ``% p`` per updated entry
 instead of field-method calls.  Rows that are scalar multiples of each other
 share one integer form, and only the first of them is eliminated.
 
+A Subspace stores one form of its basis: the sparse RREF rows that
+_sparse_reduce returns, each a tuple of its nonzero (column, value) sorted by
+column, in pivot order.  Membership, sums, intersections, equality and JSON
+all work on these rows; Subspace.combine is the one linear combination of
+them and Subspace.residual the one reduction of a vector against them.  The
+dense basis is a read-only view, made on first read and kept, for callers
+that work element by element.
+
 Hot loops test raw scalars for zero by truthiness (``if v:``), which is exact
 because ``Fraction`` values are normalized and F_p residues are always
 reduced to [0, p) by ``PrimeField.coerce`` and every field operation.
@@ -604,15 +612,12 @@ def _sparse_reduce(field: Field, rows, ncols: int) -> dict[int, dict]:
     return out
 
 
-def _dense_rows(field: Field, pivots: dict[int, dict], ncols: int) -> list[tuple]:
-    zero = field.zero
-    out = []
-    for c in sorted(pivots):
-        row = [zero] * ncols
-        for k, v in pivots[c].items():
-            row[k] = v
-        out.append(tuple(row))
-    return out
+def _dense(zero, n: int, entries) -> list:
+    """The length-n list holding these (column, value) entries, zero elsewhere."""
+    vec = [zero] * n
+    for k, v in entries:
+        vec[k] = v
+    return vec
 
 
 def _rows_to_sparse(rows):
@@ -627,34 +632,17 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     bottom.
     """
     pivots = _sparse_reduce(m.field, _rows_to_sparse(m.rows), m.ncols)
-    dense = _dense_rows(m.field, pivots, m.ncols)
-    zero_row = tuple([m.field.zero] * m.ncols)
-    while len(dense) < m.nrows:
-        dense.append(zero_row)
+    zero = m.field.zero
+    dense = [_dense(zero, m.ncols, pivots[c].items()) for c in sorted(pivots)]
+    dense += [[zero] * m.ncols] * (m.nrows - len(dense))
     return Mat._trusted(m.field, dense, m.ncols), tuple(sorted(pivots))
 
 
-def kernel_from_pivots(field: Field, pivots: dict[int, dict], ncols: int) -> list[list]:
-    """Kernel basis of a system already reduced by _sparse_reduce: one vector
-    per free column f, with 1 at f and minus column f of the pivot rows."""
-    zero, one, neg = field.zero, field.one, field.neg
-    free = [c for c in range(ncols) if c not in pivots]
-    vecs = []
-    for f in free:
-        v = [zero] * ncols
-        v[f] = one
-        for c, row in pivots.items():
-            w = row.get(f)
-            if w is not None:
-                v[c] = neg(w)
-        vecs.append(v)
-    return vecs
-
-
 def integer_kernel(field: Field, pivots: dict[int, dict], ncols: int) -> list[dict]:
-    """The kernel basis of kernel_from_pivots as sparse IntegerRows rows, read
-    straight off the pivot rows: the vector of free column f times the least
-    common denominator of its entries over Q, its residues over F_p."""
+    """Kernel basis of a system already reduced by _sparse_reduce, as sparse
+    IntegerRows rows read straight off the pivot rows: per free column f, the
+    vector with 1 at f and minus column f of the pivot rows, times the least
+    common denominator of its entries over Q, as residues over F_p."""
     p = field.characteristic
     vecs = {f: {f: 1} for f in range(ncols) if f not in pivots}
     for c, row in pivots.items():
@@ -743,15 +731,24 @@ def span_coefficients(field: Field, vectors: Sequence[Sequence], target: Sequenc
 
 
 class Subspace:
-    """Span of vectors, stored as the unique RREF basis (one vector per row)."""
+    """Span of vectors, stored as its unique RREF basis in sparse form.
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    rows holds the RREF rows in pivot order, each a tuple of the nonzero
+    (column, value) sorted by column, and pivots their pivot columns.  Every
+    method works on rows; combine(coeffs) is the one linear combination of
+    them and residual(vec) the one reduction of a vector against them.  basis,
+    the rows as dense ambient vectors, is a read-only view made on first read
+    and kept (for element-level callers).
+    """
 
-    def __init__(self, field: Field, ambient_dim: int, basis: tuple, pivots: tuple):
+    __slots__ = ("field", "ambient_dim", "rows", "pivots", "_basis")
+
+    def __init__(self, field: Field, ambient_dim: int, rows: tuple, pivots: tuple):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -768,28 +765,29 @@ class Subspace:
     def _from_rows(field: Field, ambient_dim: int, rows) -> "Subspace":
         """The span of sparse rows {column: raw value of field} below
         ambient_dim, taken as they are (no coercion, no length check)."""
-        pivots = _sparse_reduce(field, rows, ambient_dim)
-        return Subspace(field, ambient_dim, tuple(_dense_rows(field, pivots, ambient_dim)),
-                        tuple(sorted(pivots)))
-
-    @staticmethod
-    def zero(field: Field, ambient_dim: int) -> "Subspace":
-        return Subspace(field, ambient_dim, (), ())
+        pivots = sorted(_sparse_reduce(field, rows, ambient_dim).items())
+        return Subspace(field, ambient_dim, tuple(tuple(sorted(row.items())) for _, row in pivots),
+                        tuple(c for c, _ in pivots))
 
     @staticmethod
     def full(field: Field, ambient_dim: int) -> "Subspace":
-        ident = Mat.identity(field, ambient_dim)
-        return Subspace(field, ambient_dim, ident.rows, tuple(range(ambient_dim)))
+        return Subspace(field, ambient_dim, tuple(((c, field.one),) for c in range(ambient_dim)),
+                        tuple(range(ambient_dim)))
+
+    @property
+    def basis(self) -> tuple:
+        """The RREF rows as dense ambient vectors, made once."""
+        if self._basis is None:
+            zero, n = self.field.zero, self.ambient_dim
+            object.__setattr__(self, "_basis", tuple(tuple(_dense(zero, n, row)) for row in self.rows))
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def is_zero(self) -> bool:
-        return not self.basis
-
-    def matrix(self) -> Mat:
-        return Mat._trusted(self.field, self.basis, self.ambient_dim)
+        return not self.rows
 
     def _check(self, other: "Subspace"):
         if self.field != other.field:
@@ -803,28 +801,39 @@ class Subspace:
         return (
             self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.basis))
+        return hash((self.field, self.ambient_dim, self.rows))
 
     def residual(self, vec: Sequence) -> tuple:
-        """vec minus sum_k vec[p_k] * b_k over the RREF basis b_k and its
+        """vec minus sum_k vec[p_k] * b_k over the RREF rows b_k and their
         pivots p_k: zero exactly when vec lies in the span, and linear in vec.
         vec holds raw values of the field."""
         if len(vec) != self.ambient_dim:
             raise AmbientMismatch("vector length %d in ambient %d" % (len(vec), self.ambient_dim))
         sub, mul = self.field.sub, self.field.mul
         residual = list(vec)
-        for p, row in zip(self.pivots, self.basis):
+        for p, row in zip(self.pivots, self.rows):
             c = vec[p]
-            if not c:
-                continue
-            for k, v in enumerate(row):
-                if v:
+            if c:
+                for k, v in row:
                     residual[k] = sub(residual[k], mul(c, v))
         return tuple(residual)
+
+    def combine(self, coeffs: Sequence) -> tuple:
+        """The ambient vector sum_k coeffs[k] * b_k over the RREF rows b_k;
+        coeffs holds raw values of the field, one per row."""
+        if len(coeffs) != self.dim:
+            raise ShapeMismatch("%d coefficients for a %d-dim subspace" % (len(coeffs), self.dim))
+        add, mul = self.field.add, self.field.mul
+        vec = [self.field.zero] * self.ambient_dim
+        for c, row in zip(coeffs, self.rows):
+            if c:
+                for k, v in row:
+                    vec[k] = add(vec[k], mul(c, v))
+        return tuple(vec)
 
     def try_coords(self, vec: Sequence) -> tuple | None:
         """Coefficients of vec in this RREF basis, or None if not in the span."""
@@ -845,53 +854,41 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
-        return all(self.contains_vector(v) for v in other.basis)
+        zero, n = self.field.zero, self.ambient_dim
+        return not any(any(self.residual(_dense(zero, n, row))) for row in other.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        return Subspace.from_vectors(self.field, self.ambient_dim, list(self.basis) + list(other.basis))
+        return Subspace._from_rows(self.field, self.ambient_dim, map(dict, self.rows + other.rows))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of [A^T | -B^T]."""
+        """Intersection: each kernel vector (a, b) of [A^T | -B^T], for the
+        rows of A and B, gives the element sum_i a_i A_i of both."""
         self._check(other)
-        field = self.field
-        n = self.ambient_dim
+        field, n = self.field, self.ambient_dim
         ra, rb = self.dim, other.dim
-        zero, neg = field.zero, field.neg
-        rows = []
-        for k in range(n):
-            d = {}
-            for i in range(ra):
-                v = self.basis[i][k]
-                if v:
-                    d[i] = v
-            for j in range(rb):
-                v = other.basis[j][k]
-                if v:
-                    d[ra + j] = neg(v)
-            rows.append(d)
-        pair_kernel = kernel_sparse(field, rows, ra + rb)
-        add, mul = field.add, field.mul
-        vecs = []
-        for coeffs in pair_kernel.basis:
-            v = [zero] * n
-            for i in range(ra):
-                c = coeffs[i]
-                if not c:
-                    continue
-                for k, w in enumerate(self.basis[i]):
-                    if w:
-                        v[k] = add(v[k], mul(c, w))
-            vecs.append(v)
-        return Subspace.from_vectors(field, n, vecs)
+        neg = field.neg
+        cols = [{} for _ in range(n)]
+        for i, row in enumerate(self.rows):
+            for k, v in row:
+                cols[k][i] = v
+        for j, row in enumerate(other.rows):
+            for k, v in row:
+                cols[k][ra + j] = neg(v)
+        pairs = integer_kernel(field, _sparse_reduce(field, cols, ra + rb), ra + rb)
+        zero = field.zero
+        vecs = [self.combine(_dense(zero, ra, ((i, c) for i, c in pair.items() if i < ra))) for pair in pairs]
+        return Subspace._from_rows(field, n, _rows_to_sparse(vecs))
 
     def to_json(self):
+        """Rows written densely, the zero formatted once."""
         fmt = self.field.format
+        zero, n = fmt(self.field.zero), self.ambient_dim
         return {
-            "ambient_dim": self.ambient_dim,
+            "ambient_dim": n,
             "dim": self.dim,
             "pivots": list(self.pivots),
-            "basis": [[fmt(v) for v in row] for row in self.basis],
+            "basis": [_dense(zero, n, [(k, fmt(v)) for k, v in row]) for row in self.rows],
         }
 
     def __repr__(self):

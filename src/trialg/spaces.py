@@ -18,9 +18,15 @@ row of its identity (product_rule_rows reports the factor), which leaves the
 kernel unchanged.  The biderivation coefficient kernel stays in integers too:
 it is read off the pivot rows (exactla.integer_kernel) without an RREF of its
 own, lifted to tensors in ints, and only the lifted tensors are reduced to
-the canonical basis.  Twist and identity are read through their cached sparse
-columns, so verifying the r basis maps of a space extracts and lifts sigma
-and the identity once, not r times.
+the canonical basis.  The derivation kernel delta_1 ... delta_r comes from
+integer_kernel as well.  Twist and identity are read through their cached
+sparse columns, so verifying the r basis maps of a space extracts and lifts
+sigma and the identity once, not r times.
+
+A space is kept as the sparse RREF rows of its Subspace.  Its basis maps are
+built straight from those rows (a bilinear map's table with no n^3 dense
+vector), and to_json writes the rows as Subspace.to_json does, so neither a
+solve nor its report makes the dense basis view.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from dataclasses import dataclass
 
 from .algcore import (
     FinAlgebra,
+    SparseTable,
     TriAlgebra,
     _sparse_table,
     product_rule_failure,
@@ -48,10 +55,10 @@ from .errors import (
 from .exactla import (
     IntegerRows,
     Subspace,
+    _dense,
     _integer_row,
     _sparse_reduce,
     integer_kernel,
-    kernel_from_pivots,
     kernel_sparse,
     solve_sparse,
 )
@@ -93,10 +100,18 @@ class MapSpace:
         return self.kind in ("derivation", "sigma_derivation", "commuting", "sigma_commuting")
 
     def basis_maps(self):
-        n = self.algebra.dim
+        """The basis as maps, each built from its sparse RREF row: no bilinear
+        map passes through a dense n^3 vector."""
+        field, n = self.algebra.field, self.algebra.dim
         if self.is_linear_kind():
-            return [LinMap.unflatten(self.algebra.field, v, n, n) for v in self.subspace.basis]
-        return [BilinMap.unflatten(self.algebra.field, v, n) for v in self.subspace.basis]
+            return [LinMap.unflatten(field, _dense(field.zero, n * n, row), n, n) for row in self.subspace.rows]
+        maps = []
+        for row in self.subspace.rows:
+            table = [[()] * n for _ in range(n)]
+            for ij, entries in itertools.groupby(row, key=lambda e: e[0] // n):
+                table[ij // n][ij % n] = tuple((key % n, v) for key, v in entries)
+            maps.append(BilinMap._trusted(field, SparseTable(map(tuple, table))))
+        return maps
 
     def contains(self, m: LinMap | BilinMap) -> bool:
         return self.subspace.contains_vector(m.flatten())
@@ -105,13 +120,13 @@ class MapSpace:
         return self.subspace.coords(m.flatten())
 
     def to_json(self):
-        fmt = self.algebra.field.format
+        sub = self.subspace.to_json()
         return {
             "kind": self.kind,
-            "ambient_dim": self.subspace.ambient_dim,
-            "dim": self.dim,
+            "ambient_dim": sub["ambient_dim"],
+            "dim": sub["dim"],
             "flattening": "row-major",
-            "basis": [[fmt(v) for v in row] for row in self.subspace.basis],
+            "basis": sub["basis"],
         }
 
 
@@ -191,9 +206,9 @@ def _biderivation_space(alg: FinAlgebra, sigma: LinMap) -> Subspace:
     y -> D(e_l, y), whose entry [o][k] is sum_s c[k][s] delta_s[o][l].  Each
     kernel vector c lifts to t[l][k][o] = sum_s c[k][s] delta_s[o][l].
 
-    The whole coefficient step runs on Python ints.  Over Q each P and each
-    delta_s is taken in its integer form (exactla._integer_row), a nonzero
-    multiple.  Scaling P scales its rows; scaling delta_s by lambda_s
+    The whole coefficient step runs on Python ints.  Over Q each P is taken
+    in its integer form (exactla._integer_row) and each delta_s as
+    exactla.integer_kernel returns it, each a nonzero multiple.  Scaling P scales its rows; scaling delta_s by lambda_s
     rescales the unknowns c[k][s], and the lift uses the same scaled deltas,
     so the lifted tensors span the same space.  The coefficient kernel is
     read straight off the pivot rows in integer form (exactla.integer_kernel),
@@ -204,11 +219,9 @@ def _biderivation_space(alg: FinAlgebra, sigma: LinMap) -> Subspace:
     field, n = alg.field, alg.dim
     p = field.characteristic
     pivots = _sparse_reduce(field, _derivation_rows(alg, sigma), n * n)
-    deltas = [{key: v for key, v in enumerate(delta) if v}
-              for delta in kernel_from_pivots(field, pivots, n * n)]
+    deltas = integer_kernel(field, pivots, n * n)
     prows = list(pivots.values())
     if not p:
-        deltas = [_integer_row(0, delta) for delta in deltas]
         prows = [_integer_row(0, prow) for prow in prows]
     r = len(deltas)
     at = [[] for _ in range(n * n)]  # at[o*n + l]: the nonzero (s, delta_s[o][l])

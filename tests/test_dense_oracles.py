@@ -5,15 +5,23 @@ stacked multiplication matrices of x -> x m_j and x -> m_j x, the dense
 matrix product, and the inverse read off the rref of the dense [M | I].
 
 Every instance of instance_catalog (with a random block-preserving twist)
-and of random_instances is checked over Q, F_5, F_3 and F_2."""
+and of random_instances is checked over Q, F_5, F_3 and F_2.
+
+Subspace, stored as its sparse RREF rows, is checked against the dense forms
+it replaced: the nonzero rows of the dense rref, the residual and the linear
+combination taken over dense rows, the intersection through the dense
+kernel of [A^T | -B^T], and the dense to_json.  It runs on random subspaces
+over Q, F_5 and F_2 (the zero and the full subspace and ambient dim 0
+among them) and on the centers and radicals of every instance_catalog
+entry."""
 
 import random
 
 import pytest
 
-from trialg.algcore import _trace_form_rows, annihilators, radical, unit_m
+from trialg.algcore import _trace_form_rows, annihilators, center_direct, center_T, nil_radical_T, radical, unit_m
 from trialg.errors import CharTooSmall, NotInvertible
-from trialg.exactla import GF, QQ, Mat, kernel_basis, rref
+from trialg.exactla import GF, QQ, Mat, Subspace, kernel_basis, rref
 from trialg.randomgen import instance_catalog, random_block_preserving_sigma, random_instances
 from trialg.sigmamaps import LinMap
 
@@ -148,3 +156,163 @@ def test_compose_and_inverse(field):
                 assert f.inverse().mat == expect
                 invertible += 1
     assert singular and invertible
+
+
+# ---------------------------------------------------------------------------
+# Subspace against its dense forms
+# ---------------------------------------------------------------------------
+
+SUBSPACE_FIELDS = [QQ, GF(5), GF(2)]
+
+
+def _dense_rref_rows(field, n, vectors) -> tuple:
+    """(rows, pivots): the nonzero rows of the rref of the vectors."""
+    red, pivots = rref(Mat._trusted(field, vectors, n))
+    return red.rows[:len(pivots)], pivots
+
+
+def _dense_residual(field, rows, pivots, vec) -> tuple:
+    residual = list(vec)
+    for p, row in zip(pivots, rows):
+        c = vec[p]
+        if not c:
+            continue
+        for k, v in enumerate(row):
+            if v:
+                residual[k] = field.sub(residual[k], field.mul(c, v))
+    return tuple(residual)
+
+
+def _dense_combination(field, n, rows, coeffs) -> tuple:
+    vec = [field.zero] * n
+    for c, row in zip(coeffs, rows):
+        if not c:
+            continue
+        for k, w in enumerate(row):
+            if w:
+                vec[k] = field.add(vec[k], field.mul(c, w))
+    return tuple(vec)
+
+
+def _dense_intersection(field, n, rows_a, rows_b) -> tuple:
+    """The rref rows of the intersection: each vector (a, b) of the dense
+    kernel of [A^T | -B^T] gives sum_i a_i A_i."""
+    ra = len(rows_a)
+    system = Mat._trusted(field, [[row[k] for row in rows_a] + [field.neg(row[k]) for row in rows_b]
+                                  for k in range(n)], ra + len(rows_b))
+    vecs = [_dense_combination(field, n, rows_a, pair[:ra]) for pair in kernel_basis(system).basis]
+    return _dense_rref_rows(field, n, vecs)
+
+
+def _dense_json(field, n, rows, pivots) -> dict:
+    return {"ambient_dim": n, "dim": len(rows), "pivots": list(pivots),
+            "basis": [[field.format(v) for v in row] for row in rows]}
+
+
+def _random_vector(field, n, rng) -> tuple:
+    """Entries mostly zero, the rest small, so that spans overlap."""
+    return tuple(field.coerce(rng.choice([0, 0, 1, -1, rng.randrange(-4, 5)])) for _ in range(n))
+
+
+def _random_spanning_sets(field, rng) -> list:
+    """(n, vectors): the zero and the full span, ambient dim 0, and random
+    spans of up to n + 2 vectors, drawn from a pool per n so that spans
+    overlap, some vectors repeated or scaled."""
+    out = [(0, []), (0, [()]), (1, []), (3, [(field.one, field.zero, field.one)])]
+    for n in (0, 1, 2, 3, 4, 6, 9):
+        out.append((n, [tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)]))
+        pool = [_random_vector(field, n, rng) for _ in range(n + 1)]
+        for _ in range(6):
+            vecs = rng.sample(pool, rng.randrange(len(pool))) + [_random_vector(field, n, rng)]
+            if rng.random() < 0.5:
+                vecs.append(tuple(field.mul(field.coerce(3), v) for v in vecs[0]))
+            out.append((n, vecs))
+    return out
+
+
+def _sparse(rows) -> tuple:
+    return tuple(tuple((k, v) for k, v in enumerate(row) if v) for row in rows)
+
+
+def _check_subspace(sub: Subspace, rows: tuple, pivots: tuple, rng):
+    """sub against its dense rref rows: rows, pivots, the dense view, the
+    residual, the linear combination and to_json."""
+    field, n = sub.field, sub.ambient_dim
+    assert sub.pivots == tuple(pivots)
+    assert sub.rows == _sparse(rows)
+    assert sub.basis == tuple(map(tuple, rows))
+    assert sub.dim == len(rows) and sub.is_zero() == (not rows)
+    assert sub.to_json() == _dense_json(field, n, rows, pivots)
+    for _ in range(4):
+        coeffs = tuple(field.coerce(rng.randrange(-3, 4)) for _ in rows)
+        member = sub.combine(coeffs)
+        assert member == _dense_combination(field, n, rows, coeffs)
+        assert not any(sub.residual(member))
+        assert sub.try_coords(member) == coeffs
+        vec = _random_vector(field, n, rng)
+        assert sub.residual(vec) == _dense_residual(field, rows, pivots, vec)
+
+
+def _check_pair(a: Subspace, b: Subspace, dense_a: tuple, dense_b: tuple) -> bool:
+    """sum, intersect and contains of two subspaces against the dense rows;
+    True when the intersection is neither zero nor all of a or b."""
+    field, n = a.field, a.ambient_dim
+    total = a.sum(b)
+    rows, pivots = _dense_rref_rows(field, n, list(dense_a) + list(dense_b))
+    assert (total.rows, total.pivots) == (_sparse(rows), tuple(pivots))
+    meet = a.intersect(b)
+    rows, pivots = _dense_intersection(field, n, dense_a, dense_b)
+    assert (meet.rows, meet.pivots) == (_sparse(rows), tuple(pivots))
+    assert a.contains(b) == all(not any(_dense_residual(field, dense_a, a.pivots, v)) for v in dense_b)
+    assert a.contains(meet) and b.contains(meet) and total.contains(a) and total.contains(b)
+    return 0 < meet.dim < min(a.dim, b.dim)
+
+
+@pytest.mark.parametrize("field", SUBSPACE_FIELDS, ids=str)
+def test_subspace_against_dense_forms_random(field):
+    rng = random.Random(8800)
+    subs = []
+    for n, vecs in _random_spanning_sets(field, rng):
+        sub = Subspace.from_vectors(field, n, vecs)
+        rows, pivots = _dense_rref_rows(field, n, vecs)
+        _check_subspace(sub, rows, pivots, rng)
+        subs.append((sub, rows))
+    full, zero = Subspace.full(field, 4), Subspace.from_vectors(field, 4, [])
+    _check_subspace(full, Mat.identity(field, 4).rows, tuple(range(4)), rng)
+    assert zero.rows == () and zero.pivots == ()
+    pairs = proper = 0
+    for a, rows_a in subs:
+        for b, rows_b in subs + [(full, Mat.identity(field, 4).rows), (zero, ())]:
+            if a.ambient_dim == b.ambient_dim:
+                proper += _check_pair(a, b, rows_a, rows_b)
+                pairs += 1
+    assert pairs > 400 and proper > 15
+
+
+@pytest.mark.parametrize("field", SUBSPACE_FIELDS, ids=str)
+def test_subspace_against_dense_forms_catalog(field):
+    """The centers and, where they are defined, the radicals of every
+    instance_catalog entry, each pair of them in the same ambient space."""
+    rng = random.Random(8900)
+    radicals = 0
+    for _, make in instance_catalog(field):
+        tri = make()
+        subs = [center_T(tri), center_direct(tri.total), center_direct(tri.A), center_direct(tri.B)]
+        for get in (lambda: nil_radical_T(tri), lambda: radical(tri.total), lambda: radical(tri.A)):
+            try:
+                subs.append(get())
+                radicals += 1
+            except CharTooSmall:
+                pass
+        dense = []
+        for sub in subs:
+            rows = [tuple(dict(row).get(k, field.zero) for k in range(sub.ambient_dim)) for row in sub.rows]
+            red, pivots = _dense_rref_rows(field, sub.ambient_dim, rows)
+            assert red == tuple(rows)
+            _check_subspace(sub, red, pivots, rng)
+            dense.append(red)
+        for a, rows_a in zip(subs, dense):
+            for b, rows_b in zip(subs, dense):
+                if a.ambient_dim == b.ambient_dim:
+                    _check_pair(a, b, rows_a, rows_b)
+    assert radicals

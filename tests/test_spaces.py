@@ -22,7 +22,6 @@ from trialg.exactla import (
     Mat,
     Subspace,
     integer_kernel,
-    kernel_from_pivots,
     kernel_sparse,
 )
 from trialg.fixtures import (
@@ -53,6 +52,7 @@ from trialg.sigmamaps import (
     sigma_commutator_vec,
 )
 from trialg.spaces import (
+    SOLVE_KINDS,
     _biderivation_rows,
     _commuting_rows,
     _derivation_row_blocks,
@@ -158,16 +158,23 @@ class TestSolveSpace:
         import trialg.spaces as sp
 
         sigma = f1_sigma1 if kind.startswith("sigma_") else None
+        calls = []
 
         def deltas_plus_non_solution(field, pivots, ncols):
+            """integer_kernel, plus d on the first call: the derivation kernel
+            (ncols = n*n), taken before the coefficient kernel."""
+            calls.append(ncols)
+            if len(calls) > 1:
+                return integer_kernel(field, pivots, ncols)
+            assert ncols == 3 * 3
             d = [field.zero] * ncols
             d[1 * 3 + 0] = field.one
             assert not classify_linear("sigma_derivation", f1.total, LinMap.unflatten(field, d, 3, 3),
                                        sigma or LinMap.identity(field, 3)).holds
-            return kernel_from_pivots(field, pivots, ncols) + [d]
+            return integer_kernel(field, pivots, ncols) + [{1 * 3 + 0: 1}]
 
         if site == "derivation_kernel":
-            monkeypatch.setattr(sp, "kernel_from_pivots", deltas_plus_non_solution)
+            monkeypatch.setattr(sp, "integer_kernel", deltas_plus_non_solution)
         else:
             monkeypatch.setattr(sp, "integer_kernel", _integer_kernel_plus_non_solution)
         with pytest.raises(TheoremViolation, match="non-solution"):
@@ -182,6 +189,24 @@ class TestSolveSpace:
         assert solve_space("derivation", alg).dim == 0
         space = solve_space(kind, alg, ident)
         assert (space.dim, space.subspace.ambient_dim) == (0, alg.dim ** 3)
+
+    @pytest.mark.parametrize("instance", ["F1", "regular_UT2"])
+    @pytest.mark.parametrize("kind", SOLVE_KINDS)
+    def test_solve_and_emit_build_no_dense_basis(self, kind, instance, monkeypatch):
+        """A verified solve and its JSON read only the sparse RREF rows of the
+        space: Subspace.basis, the dense view, is never made."""
+        if instance == "F1":
+            tri = fixture_f1()
+        else:
+            ut = upper_triangular_algebra(QQ, 2)
+            tri = build_triangular(ut, regular_bimodule(ut), upper_triangular_algebra(QQ, 2))
+
+        def no_dense_view(sub):
+            raise AssertionError("dense basis view made")
+
+        monkeypatch.setattr(Subspace, "basis", property(no_dense_view))
+        space = solve_space(kind, tri, sigma1(tri) if kind.startswith("sigma_") else None, verify=True)
+        assert space.dim > 0 and len(space.to_json()["basis"]) == space.dim
 
     @pytest.mark.parametrize("kind", TWISTED_KINDS)
     def test_one_automorphism_check_per_solve(self, kind, count_aut_checks):

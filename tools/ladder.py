@@ -1,20 +1,23 @@
 """North-star ladder: unverified and verified solve times of the three twisted
-kinds, one JSON object on stdout.
+kinds, and the time to emit each solved space, one JSON object on stdout.
 
-    python tools/ladder.py                  # every rung
+    python tools/ladder.py                  # every rung up to dim 45
+    python tools/ladder.py --max-dim 84     # also UT_6 and UT_7 (dims 63, 84)
     python tools/ladder.py --max-dim 18 --repeats 1 --min-seconds 0
 
 The rungs are F1, F2, F3 over Q, F1, F2, F4 over F_5 (F4 is F3 over F_5), and
-the regular Trian(UT_k, UT_k, UT_k) for k = 2..5 (dims 9, 18, 30, 45) over Q
-and over F_5, each with its fixture twist (sigma2 on F2, the corner negation
-sigma1 on the triangular algebras).  For every rung and kind the script times
-solve_space(kind, T, sigma, verify=False) and verify=True, each on a fresh
-instance (so no cached automorphism verdict or map data carries over), and
-reports the best time.  Each mode runs at least --repeats solves and goes on
-until its solves add up to --min-seconds (at most 200 solves), so that the
-sub-millisecond rungs are sampled as well as the large ones.  Both modes must
-return the same basis; a mismatch exits with status 1.  It imports trialg
-from src/ beside this directory and uses only the standard library.
+the regular Trian(UT_k, UT_k, UT_k) for k = 2..7 (dims 9, 18, 30, 45, 63, 84)
+over Q and over F_5, each with its fixture twist (sigma2 on F2, the corner
+negation sigma1 on the triangular algebras).  For every rung and kind the
+script times solve_space(kind, T, sigma, verify=False) and verify=True, each
+on a fresh instance (so no cached automorphism verdict or map data carries
+over), and the report layer, io.canonical_json(space.to_json()), on each
+verified space; it reports the best time of each.  Each solve mode runs at
+least --repeats solves and goes on until its solves add up to --min-seconds
+(at most 200 solves), so that the sub-millisecond rungs are sampled as well
+as the large ones.  Both modes must return the same basis; a mismatch exits
+with status 1.  It imports trialg from src/ beside this directory and uses
+only the standard library.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from trialg.fixtures import (  # noqa: E402
     sigma1,
     upper_triangular_algebra,
 )
+from trialg.io import canonical_json  # noqa: E402
 from trialg.randomgen import regular_bimodule  # noqa: E402
 from trialg.spaces import solve_space  # noqa: E402
 
@@ -74,33 +78,36 @@ def rungs(max_dim: int):
         for name, build in fixtures:
             t, _ = build()
             out.append((name, fname, t.dim, build))
-        for k in range(2, 6):
+        for k in range(2, 8):
             dim = 3 * k * (k + 1) // 2
             out.append(("UT_%d" % k, fname, dim, _regular(field, k)))
     return [r for r in out if r[2] <= max_dim]
 
 
-def _timed_solve(kind, build, verify):
-    t, sigma = build()
+def _timed(fn):
     gc.collect()
     start = time.perf_counter()
-    space = solve_space(kind, t, sigma, verify=verify)
-    return time.perf_counter() - start, space.subspace
+    out = fn()
+    return time.perf_counter() - start, out
 
 
 def measure(kind, build, repeats, min_seconds):
-    best = {False: float("inf"), True: float("inf")}
+    """(unverified s, verified s, emit s, same basis, space dim, rounds)."""
+    best = {False: float("inf"), True: float("inf"), "emit": float("inf")}
     spent = {False: 0.0, True: 0.0}
     bases = {}
     r = 0
     while r < repeats or (min(spent.values()) < min_seconds and r < MAX_SOLVES):
         for verify in ((False, True) if r % 2 == 0 else (True, False)):
-            sec, sub = _timed_solve(kind, build, verify)
+            t, sigma = build()
+            sec, space = _timed(lambda: solve_space(kind, t, sigma, verify=verify))
             best[verify] = min(best[verify], sec)
             spent[verify] += sec
-            bases[verify] = sub
+            bases[verify] = space.subspace
+            if verify:
+                best["emit"] = min(best["emit"], _timed(lambda: canonical_json(space.to_json()))[0])
         r += 1
-    return best[False], best[True], bases[False] == bases[True], bases[True].dim, r
+    return best[False], best[True], best["emit"], bases[False] == bases[True], bases[True].dim, r
 
 
 def main(argv=None) -> int:
@@ -114,21 +121,24 @@ def main(argv=None) -> int:
     ok = True
     for name, fname, dim, build in rungs(args.max_dim):
         for kind in KINDS:
-            unverified, verified, same, space_dim, solves = measure(kind, build, args.repeats,
-                                                                    args.min_seconds)
+            unverified, verified, emit, same, space_dim, solves = measure(kind, build, args.repeats,
+                                                                          args.min_seconds)
             ok = ok and same
             rows.append({"rung": name, "field": fname, "dim": dim, "kind": kind,
                          "space_dim": space_dim, "same_basis": same, "solves": solves,
                          "unverified_ms": round(unverified * 1e3, 2),
                          "verified_ms": round(verified * 1e3, 2),
-                         "ratio": round(verified / unverified, 2)})
-            sys.stderr.write("%-5s %-3s dim %2d %-18s %9.2f %9.2f ms  x%.2f%s\n"
+                         "ratio": round(verified / unverified, 2),
+                         "emit_ms": round(emit * 1e3, 2)})
+            sys.stderr.write("%-5s %-3s dim %2d %-18s %9.2f %9.2f ms  x%.2f  emit %8.2f ms%s\n"
                              % (name, fname, dim, kind, unverified * 1e3, verified * 1e3,
-                                verified / unverified, "" if same else "  BASES DIFFER"))
+                                verified / unverified, emit * 1e3, "" if same else "  BASES DIFFER"))
     json.dump({"python": platform.python_version(), "machine": platform.machine(),
                "protocol": "best of at least %d solves per rung and mode, continued until "
                            "they add up to %g s (at most %d), fresh instance per solve, "
-                           "gc.collect() before each" % (args.repeats, args.min_seconds, MAX_SOLVES),
+                           "gc.collect() before each; emit_ms is the best time of "
+                           "io.canonical_json(space.to_json()) over the verified spaces"
+                           % (args.repeats, args.min_seconds, MAX_SOLVES),
                "all_bases_identical": ok, "rungs": rows}, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0 if ok else 1
