@@ -4,67 +4,54 @@ Builds triangular algebras from structure constants, solves for complete
 spaces of twisted derivations, biderivations, and commuting maps by exact
 linear algebra over Q or F_p, and executes the corresponding structure and
 classification results as verified identities.
+
+``import trialg`` loads no submodule.  Each public name below is imported
+from its submodule on first access (PEP 562) and then kept in this
+module's globals, so a one-shot command loads only the modules it runs.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .exactla import GF, QQ, Mat, Subspace, kernel_basis, rref, span_coefficients
-from .algcore import (
-    Bimodule,
-    FinAlgebra,
-    TriAlgebra,
-    annihilators,
-    build_triangular,
-    center_T,
-    center_direct,
-    faithful_quotient,
-    nil_radical_T,
-    nilpotency,
-    nilpotency_T,
-    radical,
-    structure_checks,
-    tau_iso,
-)
-from .sigmamaps import (
-    AutBlocks,
-    BilinMap,
-    LinMap,
-    alpha_beta_reduce,
-    block_decompose,
-    classify_bilinear,
-    classify_linear,
-    inner_automorphism,
-    sigma_center,
-    sigma_center_oracle,
-    sigma_commutator_vec,
-)
-from .spaces import (
-    DerivationBlocks,
-    MapSpace,
-    extremal_sigma_biderivation,
-    inner_derivation_witness,
-    inner_sigma_biderivation,
-    inner_sigma_derivation,
-    posner_intersection,
-    sigma_derivation_blocks,
-    solve_space,
-)
-from .classify import (
-    CommutingBlocks,
-    EndoBlocks,
-    InnerWitness,
-    ProperWitness,
-    properness_sufficiency,
-    commuting_auto_check,
-    commuting_blocks,
-    endo_blocks,
-    endo_mono_epi,
-    extremal_split,
-    ideal_split,
-    inner_biderivation_witness,
-    innerness_hypotheses,
-    partibility_sufficient,
-    partible_witness,
-    properness,
-)
-from .errors import TheoremViolation, TrialgError
+_EXPORTS = {
+    "exactla": ("GF", "QQ", "Mat", "Subspace", "kernel_basis", "rref", "span_coefficients"),
+    "algcore": ("Bimodule", "FinAlgebra", "TriAlgebra", "annihilators", "build_triangular",
+                "center_T", "center_direct", "faithful_quotient", "nil_radical_T", "nilpotency",
+                "nilpotency_T", "radical", "structure_checks", "tau_iso"),
+    "sigmamaps": ("AutBlocks", "BilinMap", "LinMap", "alpha_beta_reduce", "block_decompose",
+                  "classify_bilinear", "classify_linear", "inner_automorphism", "sigma_center",
+                  "sigma_center_oracle", "sigma_commutator_vec"),
+    "spaces": ("DerivationBlocks", "MapSpace", "extremal_sigma_biderivation",
+               "inner_derivation_witness", "inner_sigma_biderivation", "inner_sigma_derivation",
+               "posner_intersection", "sigma_derivation_blocks", "solve_space"),
+    "classify": ("CommutingBlocks", "EndoBlocks", "InnerWitness", "ProperWitness",
+                 "properness_sufficiency", "commuting_auto_check", "commuting_blocks",
+                 "endo_blocks", "endo_mono_epi", "extremal_split", "ideal_split",
+                 "inner_biderivation_witness", "innerness_hypotheses", "partibility_sufficient",
+                 "partible_witness", "properness"),
+    "errors": ("TheoremViolation", "TrialgError"),
+}
+
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+_SUBMODULES = ("algcore", "classify", "cli", "errors", "exactla", "fixtures", "io",
+               "randomgen", "sigmamaps", "spaces")
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        # importing a submodule binds it in this module's globals
+        return importlib.import_module("." + name, __name__)
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_SUBMODULES))

@@ -545,17 +545,20 @@ def _associativity_failure(pairs: SparseTable, p: int) -> tuple | None:
 
     Both sides are accumulated in integers: over F_p on the residues, reduced
     mod p once per triple, and over Q on the lifted table, where both sides
-    carry the square of its denominator.
+    carry the square of its denominator.  For each pair (i, j) only the k
+    where a side can be nonzero are visited, in increasing order: those with
+    e_j e_k != 0, and those with e_a e_k != 0 for some e_a in the support of
+    e_i e_j.
     """
     tab = pairs if p else pairs.lifted()[1]
-    n = len(tab)
+    cols = range(len(tab))
+    support = [list(itertools.compress(cols, row)) for row in tab]  # the k with e_r e_k != 0
     for i, row in enumerate(tab):
         for j, ij in enumerate(row):
             jrow = tab[j]
-            for k in range(n):
+            ks = sorted(set(support[j]).union(*[support[a] for a, _ in ij])) if ij else support[j]
+            for k in ks:
                 jk = jrow[k]
-                if not (ij or jk):
-                    continue
                 acc = {}
                 for a, c in ij:
                     for b, d in tab[a][k]:

@@ -19,7 +19,6 @@ import time
 from . import __version__, io as tio
 from .errors import InputError, TheoremViolation, TrialgError
 from .sigmamaps import block_decompose
-from .spaces import solve_space
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -127,6 +126,8 @@ def _cmd_solve(args) -> int:
     if args.sigma:
         sigma = tio.load_linmap(args.sigma, tri.field)
         paths.append(args.sigma)
+    from .spaces import solve_space
+
     space = solve_space(args.kind, tri, sigma)
     return _emit(_report("solve %s" % args.kind, paths, {"space": space.to_json()}))
 

@@ -28,6 +28,7 @@ them; the minus sign of a commuting term lives in the negated product table.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import lcm
 
 from .algcore import (
     FinAlgebra,
@@ -454,10 +455,34 @@ def classify_bilinear(kind: str, alg: FinAlgebra, D: BilinMap, sigma: LinMap | N
     v = replace(is_alpha_beta_biderivation(alg, D, ident, beta), kind=kind)
     if v.holds and kind == "sigma_biderivation":
         # sanity: a twisted biderivation kills the unit in each slot
-        for e in map(alg.basis_vector, range(alg.dim)):
-            if any(D.apply(e, alg.unit)) or any(D.apply(alg.unit, e)):
-                raise TheoremViolation("sigma-biderivation does not vanish on the unit")
+        if not all(_kills_unit(alg, Y) for Y in D.slot_columns()):
+            raise TheoremViolation("sigma-biderivation does not vanish on the unit")
     return v
+
+
+def _kills_unit(alg: FinAlgebra, slot: SparseColumns) -> bool:
+    """Whether a slot map of a bilinear map D (a SparseColumns of
+    BilinMap.slot_columns, column l listing the (k*n + o, c) of D(e_l, e_k)
+    or of D(e_k, e_l)) sends the unit to zero for every e_l: the sum over k
+    of u_k times copy k.  It is accumulated in integers: over F_p on the
+    residues, reduced mod p once per l, and over Q on the lifted columns with
+    the unit scaled by its denominator."""
+    n, p = alg.dim, alg.field.characteristic
+    if p:
+        cols, unit = slot, alg.unit
+    else:
+        cols = slot.lifted()[1]
+        du = lcm(*[u.denominator for u in alg.unit])
+        unit = [u.numerator * (du // u.denominator) for u in alg.unit]
+    for col in cols:
+        acc = {}
+        for ko, c in col:
+            k, o = divmod(ko, n)
+            if unit[k]:
+                acc[o] = acc.get(o, 0) + unit[k] * c
+        if any(acc.values()) and (not p or any(map(p.__rmod__, acc.values()))):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

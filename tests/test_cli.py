@@ -486,3 +486,50 @@ class TestTriangularBuild:
         assert code == 0
         res = json.loads(out)["result"]
         assert res["witness"]["lambda"] == ["1", "0", "-1"]
+
+
+def _loaded_after(code):
+    """The trialg modules in sys.modules after a new process runs code."""
+    proc = subprocess.run([sys.executable, "-c", code + "\nimport sys\n"
+                           "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'trialg'))"],
+                          capture_output=True, text=True, env=_fresh_env())
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+class TestImportGraph:
+    """`import trialg` loads no submodule, and the CLI loads only the layers
+    every command needs; the rest load in the commands that run them."""
+
+    def test_bare_import_loads_no_submodule(self):
+        assert _loaded_after("import trialg") == {"trialg"}
+
+    def test_cli_leaves_solver_theorems_and_generators_unloaded(self):
+        assert _loaded_after("import trialg.cli") == {
+            "trialg", "trialg.algcore", "trialg.cli", "trialg.errors", "trialg.exactla", "trialg.io",
+            "trialg.sigmamaps"}
+
+    def test_submodule_attribute_after_bare_import(self):
+        loaded = _loaded_after("import trialg\nassert trialg.classify.properness is trialg.properness")
+        assert {"trialg.classify", "trialg.spaces"} <= loaded
+
+    def test_public_names_are_the_submodules_objects(self):
+        import importlib
+
+        assert len(trialg.__all__) == len(set(trialg.__all__)) == len(trialg._SOURCE)
+        listed = dir(trialg)
+        for name in trialg.__all__:
+            module = importlib.import_module("trialg." + trialg._SOURCE[name])
+            assert getattr(trialg, name) is getattr(module, name)
+            assert name in listed
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from trialg import *", namespace)
+        assert all(namespace[name] is getattr(trialg, name) for name in trialg.__all__)
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(trialg, "no_such_name")
+        with pytest.raises(ImportError):
+            exec("from trialg import no_such_name", {})

@@ -13,13 +13,20 @@ combination taken over dense rows, the intersection through the dense
 kernel of [A^T | -B^T], and the dense to_json.  It runs on random subspaces
 over Q, F_5 and F_2 (the zero and the full subspace and ambient dim 0
 among them) and on the centers and radicals of every instance_catalog
-entry."""
+entry.
+
+The associativity check, which visits only the triples where a side can be
+nonzero, is checked against the loop over all n^3 basis triples it
+replaced: both must name the same first failing triple on associative
+tables, on associative tables with one product changed, and on random
+sparse tables, over Q, F_5 and F_2."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from trialg.algcore import _trace_form_rows, annihilators, center_direct, center_T, nil_radical_T, radical, unit_m
+from trialg.algcore import SparseTable, _associativity_failure, _trace_form_rows, annihilators, center_direct, center_T, nil_radical_T, radical, unit_m
 from trialg.errors import CharTooSmall, NotInvertible
 from trialg.exactla import GF, QQ, Mat, Subspace, kernel_basis, rref
 from trialg.randomgen import instance_catalog, random_block_preserving_sigma, random_instances
@@ -316,3 +323,73 @@ def test_subspace_against_dense_forms_catalog(field):
                 if a.ambient_dim == b.ambient_dim:
                     _check_pair(a, b, rows_a, rows_b)
     assert radicals
+
+
+# -- associativity ----------------------------------------------------------
+
+
+def _all_triples_associativity_failure(pairs: SparseTable, p: int) -> tuple | None:
+    """The least failing triple (i, j, k), found by visiting all n^3 basis
+    triples."""
+    tab = pairs if p else pairs.lifted()[1]
+    n = len(tab)
+    for i, row in enumerate(tab):
+        for j, ij in enumerate(row):
+            jrow = tab[j]
+            for k in range(n):
+                jk = jrow[k]
+                if not (ij or jk):
+                    continue
+                acc = {}
+                for a, c in ij:
+                    for b, d in tab[a][k]:
+                        acc[b] = acc.get(b, 0) + c * d
+                for a, c in jk:
+                    for b, d in row[a]:
+                        acc[b] = acc.get(b, 0) - c * d
+                if any(acc.values()) and (not p or any(map(p.__rmod__, acc.values()))):
+                    return i, j, k
+    return None
+
+
+def _random_scalar(field, rng):
+    """A nonzero constant of field."""
+    while True:
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if field is QQ else rng.randrange(field.characteristic)
+        if c:
+            return c
+
+
+def _random_product(field, n, density, rng) -> tuple:
+    return tuple((k, _random_scalar(field, rng)) for k in range(n) if rng.random() < density)
+
+
+def _random_table(field, n, density, rng) -> SparseTable:
+    """Each product e_i e_j is nonzero with probability density."""
+    return SparseTable(tuple(_random_product(field, n, density, rng) if rng.random() < density else ()
+                             for _ in range(n)) for _ in range(n))
+
+
+def _with_product_changed(table: SparseTable, field, rng) -> SparseTable:
+    """table with one product e_i e_j replaced by a random one."""
+    n = len(table)
+    i, j = rng.randrange(n), rng.randrange(n)
+    rows = [list(row) for row in table]
+    rows[i][j] = _random_product(field, n, 0.4, rng)
+    return SparseTable(map(tuple, rows))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(2)], ids=str)
+def test_associativity_failure_against_all_triples(field):
+    rng = random.Random(9100)
+    p = field.characteristic
+    associative = [tri.total._pairs for tri, _ in _instances(field)]
+    tables = associative + [_with_product_changed(t, field, rng) for t in associative for _ in range(3)]
+    tables += [_random_table(field, rng.randint(1, 12), rng.choice((0.05, 0.1, 0.2, 0.4)), rng) for _ in range(120)]
+    failures = 0
+    for table in tables:
+        want = _all_triples_associativity_failure(table, p)
+        assert _associativity_failure(table, p) == want
+        failures += want is not None
+    assert all(_associativity_failure(t, p) is None for t in associative)
+    assert failures > len(tables) // 4

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from trialg.algcore import build_triangular, product_rule_failure
+from trialg.algcore import FinAlgebra, build_triangular, product_rule_failure
 from trialg.errors import (
     NotBlockPreserving,
     SigmaMissing,
@@ -590,3 +590,25 @@ class TestUnitSanityCheck:
                         classify_bilinear("sigma_biderivation", alg, D, sigma)
                 outcomes.add(kills)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+    def test_fires_on_one_slot_alone(self, field, monkeypatch):
+        """On K x K with e_0 e_0 = 2 e_0 and e_1 e_1 = 3 e_1, whose unit is
+        (1/2, 1/3), D(e_0, e_0) = e_0 and D(e_0, e_1) = -(3/2) e_0 give
+        D(e_i, 1) = 0 for both i but D(1, e_0) = e_0 / 2; its transpose fails
+        in the other slot.  Both must still be refused once the predicate
+        passes them."""
+        import trialg.sigmamaps as sm
+
+        monkeypatch.setattr(sm, "is_alpha_beta_biderivation",
+                            lambda *args: Verdict("alpha_beta_biderivation", True))
+        inv = lambda x: field.inv(field.coerce(x))
+        alg = FinAlgebra(field, [[[2, 0], [0, 0]], [[0, 0], [0, 3]]], [inv(2), inv(3)])
+        c = field.mul(field.coerce(-3), inv(2))
+        second_only = BilinMap(field, [[[1, 0], [c, 0]], [[0, 0], [0, 0]]])
+        first_only = BilinMap(field, [[[1, 0], [0, 0]], [[c, 0], [0, 0]]])
+        ident = LinMap.identity(field, 2)
+        for D in (second_only, first_only):
+            with pytest.raises(TheoremViolation, match="unit"):
+                classify_bilinear("sigma_biderivation", alg, D, ident)
+        assert classify_bilinear("sigma_biderivation", alg, BilinMap.zero(field, 2), ident).holds
