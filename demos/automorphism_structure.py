@@ -23,14 +23,14 @@ def main():
     composite = phi.compose(sig)
     eb, report = endo_blocks(f1, composite)
     print("  block verdict:", report.verdict)
-    print("  chi2 (A -> M):", eb.chi2.mat.rows, " h (M -> M):", eb.h.mat.rows)
+    print("  chi2 (A -> M):", eb.chi2.rows, " h (M -> M):", eb.h.rows)
     rep = endo_mono_epi(f1, eb, composite)
     print("  mono:", rep.mono, " epi:", rep.epi, " rank:", rep.rank)
 
     print("\n== Partibility witness ==")
     w = partible_witness(f1, composite)
     print("  z =", t.format_vector(w.z))
-    print("  sigma_bar equals the corner negation:", w.sigma_bar.mat == sig.mat)
+    print("  sigma_bar equals the corner negation:", w.sigma_bar == sig)
 
     print("\n== Splitting off a dead diagonal summand ==")
     kk = product_field_algebra(QQ, 2)

@@ -15,11 +15,11 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "exactla": ("GF", "QQ", "Mat", "Subspace", "kernel_basis", "rref", "span_coefficients"),
+    "exactla": ("GF", "LinMap", "QQ", "Subspace", "kernel_basis", "rref", "span_coefficients"),
     "algcore": ("Bimodule", "FinAlgebra", "TriAlgebra", "annihilators", "build_triangular",
                 "center_T", "center_direct", "faithful_quotient", "nil_radical_T", "nilpotency",
                 "nilpotency_T", "radical", "structure_checks", "tau_iso"),
-    "sigmamaps": ("AutBlocks", "BilinMap", "LinMap", "alpha_beta_reduce", "block_decompose",
+    "sigmamaps": ("AutBlocks", "BilinMap", "alpha_beta_reduce", "block_decompose",
                   "classify_bilinear", "classify_linear", "inner_automorphism", "sigma_center",
                   "sigma_center_oracle", "sigma_commutator_vec"),
     "spaces": ("DerivationBlocks", "MapSpace", "extremal_sigma_biderivation",

@@ -35,7 +35,7 @@ from .errors import (
     UnitLawViolation,
     ZeroModule,
 )
-from .exactla import Field, Mat, SparseColumns, Subspace, kernel_sparse, matrix_inverse, span_coefficients
+from .exactla import Field, LinMap, SparseColumns, Subspace, kernel_sparse, span_coefficients
 
 DEFAULT_BUDGET = 10**6
 
@@ -158,11 +158,9 @@ def _tensor_entries(field: Field, table: SparseTable) -> list:
 
 
 def _sparse_columns(f) -> SparseColumns:
-    """The SparseColumns of f: f itself, or those of a Mat or of a map
-    holding one as f.mat (images in columns), made once per matrix."""
-    if isinstance(f, SparseColumns):
-        return f
-    return (f if isinstance(f, Mat) else f.mat).sparse_columns()
+    """The SparseColumns of f: f itself, or those of a LinMap, made once per
+    map."""
+    return f if isinstance(f, SparseColumns) else f.sparse_columns()
 
 
 def _integer_terms(table, xc, terms) -> tuple:
@@ -193,9 +191,9 @@ def product_rule_failure(table, X, terms, order=None) -> tuple | None:
     Products are SparseTables, entry [i][j] the nonzero (k, c) of e_i * e_j
     (FinAlgebra._pairs, Bimodule._left_pairs / _right_pairs, or a transpose
     or negation of one); each term is a triple (P_t, Q_t, table_t) of maps and
-    a table.  A map is a Mat, a map holding one as .mat, or a SparseColumns,
-    and is read through its cached sparse columns.  An identity with no X
-    term passes X = None; its residual lies where the first Q_t maps.
+    a table.  A map is a LinMap or a SparseColumns, and is read through its
+    cached sparse columns.  An identity with no X term passes X = None; its
+    residual lies where the first Q_t maps.
 
     The residual is accumulated in integers.  Over F_p the residues are
     integers already, and the accumulator is reduced mod p once per residual.
@@ -384,7 +382,7 @@ class FinAlgebra:
         object.__setattr__(self, "basis_names", basis_names)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "_pairs", table)
-        # matrices of maps that sigmamaps.require_automorphism verified on this instance
+        # maps that sigmamaps.require_automorphism verified on this instance
         object.__setattr__(self, "_automorphisms", set())
         object.__setattr__(self, "_identity", None)
         self._validate()
@@ -403,11 +401,11 @@ class FinAlgebra:
         if bad:
             raise NonAssociative(*bad)
 
-    def identity_mat(self) -> Mat:
-        """The identity matrix on this algebra, made once per instance, so
-        that its sparse columns are made once too."""
+    def identity_map(self) -> LinMap:
+        """The identity map of this algebra, made once per instance, so that
+        its sparse columns are made once too."""
         if self._identity is None:
-            object.__setattr__(self, "_identity", Mat.identity(self.field, self.dim))
+            object.__setattr__(self, "_identity", LinMap.identity(self.field, self.dim))
         return self._identity
 
     # -- vector arithmetic ----------------------------------------------------
@@ -458,14 +456,18 @@ class FinAlgebra:
     def commutator(self, x, y) -> tuple:
         return self.sub_vec(self.mul_vec(x, y), self.mul_vec(y, x))
 
-    def left_mul_mat(self, x) -> Mat:
-        """Matrix of y -> x*y (columns are images of basis vectors)."""
-        cols = [self.mul_vec(x, self.basis_vector(j)) for j in range(self.dim)]
-        return Mat._trusted(self.field, zip(*cols) if cols else [], self.dim)
-
-    def right_mul_mat(self, x) -> Mat:
-        cols = [self.mul_vec(self.basis_vector(j), x) for j in range(self.dim)]
-        return Mat._trusted(self.field, zip(*cols) if cols else [], self.dim)
+    def left_mul_mat(self, x) -> LinMap:
+        """The map y -> x y of an element x of raw values: column j is
+        sum_a x_a (e_a e_j), read off the product table."""
+        field, n = self.field, self.dim
+        add, mul = field.add, field.mul
+        rows = [[field.zero] * n for _ in range(n)]
+        for a, xa in enumerate(x):
+            if xa:
+                for j, prods in enumerate(self._pairs[a]):
+                    for k, c in prods:
+                        rows[k][j] = add(rows[k][j], mul(xa, c))
+        return LinMap._trusted(field, rows, n)
 
     def invert(self, x) -> tuple:
         """Two-sided inverse of x, or NotInvertible."""
@@ -518,22 +520,32 @@ def _unit_law_failure(pairs: SparseTable, unit: tuple, p: int) -> int | None:
     """The least i with 1 e_i != e_i or e_i 1 != e_i, or None, read on the
     table in integers like _associativity_failure: over Q on the lifted
     table and the unit scaled by its denominator, where 1 e_i should be
-    e_i times both denominators."""
+    e_i times both denominators.  Both sides of every i are accumulated in
+    one pass over the nonzero products: e_a e_b adds u_a (e_a e_b) to 1 e_b
+    and u_b (e_a e_b) to e_a 1."""
     if p:
-        tab, one, ints = pairs, 1, [(a, u) for a, u in enumerate(unit) if u]
+        tab, one, ints = pairs, 1, unit
     else:
         den, tab = pairs.lifted()
         du = lcm(*[u.denominator for u in unit])
-        ints = [(a, u.numerator * (du // u.denominator)) for a, u in enumerate(unit) if u]
+        ints = [u.numerator * (du // u.denominator) for u in unit]
         one = den * du
-    for i in range(len(tab)):
-        left = [(tab[a][i], u) for a, u in ints]  # the products of 1 e_i
-        right = [(tab[i][a], u) for a, u in ints]  # and of e_i 1
-        for side in (left, right):
-            acc = {i: -one}
-            for prods, u in side:
+    cols = range(len(tab))
+    left = [{i: -one} for i in cols]  # 1 e_i - e_i
+    right = [{i: -one} for i in cols]  # e_i 1 - e_i
+    for a, row in enumerate(tab):
+        ua, acc_right = ints[a], right[a]
+        for b in itertools.compress(cols, row):
+            prods, ub = row[b], ints[b]
+            if ua:
+                acc = left[b]
                 for k, c in prods:
-                    acc[k] = acc.get(k, 0) + u * c
+                    acc[k] = acc.get(k, 0) + ua * c
+            if ub:
+                for k, c in prods:
+                    acc_right[k] = acc_right.get(k, 0) + ub * c
+    for i in cols:
+        for acc in (left[i], right[i]):
             if any(acc.values()) and (not p or any(map(p.__rmod__, acc.values()))):
                 return i
     return None
@@ -810,13 +822,13 @@ def _check_peirce(tri: TriAlgebra):
 # ---------------------------------------------------------------------------
 
 
-def twisted_commutator_blocks(alg: FinAlgebra, sigma_mat: Mat):
+def twisted_commutator_blocks(alg: FinAlgebra, sigma: LinMap):
     """Per basis vector e_i, the dim rows of sigma(e_i) x - x e_i in the
     unknown coordinates of x, one per output coordinate, zero rows included as
     empty dicts; read off the sparse products and sigma's columns."""
     field, n, pairs = alg.field, alg.dim, alg._pairs
     zero, add, sub, mul = field.zero, field.add, field.sub, field.mul
-    for i, col in enumerate(_sparse_columns(sigma_mat)):
+    for i, col in enumerate(sigma.sparse_columns()):
         block = [{} for _ in range(n)]
         for a, u in col:
             for j, prods in enumerate(pairs[a]):
@@ -830,10 +842,10 @@ def twisted_commutator_blocks(alg: FinAlgebra, sigma_mat: Mat):
         yield [{j: row[j] for j in sorted(row) if row[j]} for row in block]
 
 
-def twisted_center_rows(alg: FinAlgebra, sigma_mat: Mat, offset: int = 0):
+def twisted_center_rows(alg: FinAlgebra, sigma: LinMap, offset: int = 0):
     """Sparse rows of sigma(e_i) x - x e_i = 0 over all basis vectors e_i; the
     unknown coordinates of x start at column offset."""
-    for block in twisted_commutator_blocks(alg, sigma_mat):
+    for block in twisted_commutator_blocks(alg, sigma):
         for row in block:
             if row:
                 yield {offset + j: v for j, v in row.items()}
@@ -873,17 +885,17 @@ def diagonal_pairs(tri: TriAlgebra, rows) -> Subspace:
     return Subspace.from_vectors(field, tri.dim, [tri.assemble(v[:da], zm, v[da:]) for v in pairs.basis])
 
 
-def sigma_center_direct(alg: FinAlgebra, sigma_mat: Mat) -> Subspace:
+def sigma_center_direct(alg: FinAlgebra, sigma: LinMap) -> Subspace:
     """Kernel of x -> (sigma(e_i) x - x e_i)_i over all basis vectors."""
-    return kernel_sparse(alg.field, twisted_center_rows(alg, sigma_mat), alg.dim)
+    return kernel_sparse(alg.field, twisted_center_rows(alg, sigma), alg.dim)
 
 
 def center_direct(alg: FinAlgebra) -> Subspace:
     """Kernel of x -> ([e_i, x])_i: the commutant-style center computation."""
-    return sigma_center_direct(alg, Mat.identity(alg.field, alg.dim))
+    return sigma_center_direct(alg, alg.identity_map())
 
 
-def twisted_center_T(tri: TriAlgebra, f_mat: Mat, g_mat: Mat, nu_mat: Mat) -> Subspace:
+def twisted_center_T(tri: TriAlgebra, f: LinMap, g: LinMap, nu: LinMap) -> Subspace:
     """Twisted center of Trian(A, M, B) for the blocks (f, g, nu) of an automorphism.
 
     Diagonal pairs (a, b) with a in the f-twisted center of A, b in the
@@ -892,18 +904,17 @@ def twisted_center_T(tri: TriAlgebra, f_mat: Mat, g_mat: Mat, nu_mat: Mat) -> Su
     """
     field, dm = tri.field, tri.M.dim_m
     rows = itertools.chain(
-        twisted_center_rows(tri.A, f_mat),
-        twisted_center_rows(tri.B, g_mat, tri.A.dim),
-        *(coupling_rows(tri, unit_m(field, dm, j), nu_mat.col(j)) for j in range(dm)))
+        twisted_center_rows(tri.A, f),
+        twisted_center_rows(tri.B, g, tri.A.dim),
+        *(coupling_rows(tri, unit_m(field, dm, j), nu.image_of_basis(j)) for j in range(dm)))
     return diagonal_pairs(tri, rows)
 
 
 def center_T(tri: TriAlgebra) -> Subspace:
     """Center of Trian(A, M, B) from its block description: the twisted center
     for identity blocks (a central in A, b central in B, am = mb)."""
-    field = tri.field
-    return twisted_center_T(tri, Mat.identity(field, tri.A.dim), Mat.identity(field, tri.B.dim),
-                            Mat.identity(field, tri.M.dim_m))
+    return twisted_center_T(tri, tri.A.identity_map(), tri.B.identity_map(),
+                            LinMap.identity(tri.field, tri.M.dim_m))
 
 
 # ---------------------------------------------------------------------------
@@ -962,20 +973,17 @@ class SubspaceMap:
 
     domain: Subspace
     codomain: Subspace
-    matrix: Mat  # codomain-coords image of each domain basis vector, in columns
+    matrix: LinMap  # codomain coordinates of the image of each domain basis vector
 
     def apply_ambient(self, vec) -> tuple:
         """Apply to an ambient vector of the domain, returning an ambient vector."""
         return self.codomain.combine(self.matrix.apply(self.domain.coords(vec)))
 
     def is_bijective(self) -> bool:
-        return self.matrix.nrows == self.matrix.ncols and self.matrix.rank() == self.matrix.nrows
+        return self.matrix.is_bijective()
 
     def inverse(self) -> "SubspaceMap":
-        inv = matrix_inverse(self.matrix)
-        if inv is None:
-            raise NotInvertible("subspace map is not invertible")
-        return SubspaceMap(self.codomain, self.domain, inv)
+        return SubspaceMap(self.codomain, self.domain, self.matrix.inverse())
 
 
 def project_subspace(sub: Subspace, indices) -> Subspace:
@@ -985,7 +993,7 @@ def project_subspace(sub: Subspace, indices) -> Subspace:
     return Subspace.from_vectors(sub.field, len(indices), vecs)
 
 
-def eta_from_center(tri: TriAlgebra, z: Subspace, nu_mat: Mat) -> SubspaceMap:
+def eta_from_center(tri: TriAlgebra, z: Subspace, nu: LinMap) -> SubspaceMap:
     """eta: pi_B(Z) -> pi_A(Z) with eta(b) m = nu(m) b, for Z the twisted center
     of the blocks with corner block nu (faithful case).
 
@@ -1002,11 +1010,11 @@ def eta_from_center(tri: TriAlgebra, z: Subspace, nu_mat: Mat) -> SubspaceMap:
         if coeffs is None:
             raise TheoremViolation("projection of the twisted center is inconsistent")
         cols.append(pa.coords(tri.part_a(z.combine(coeffs))))
-    eta = SubspaceMap(pb, pa, Mat._trusted(field, zip(*cols), pb.dim))
+    eta = SubspaceMap(pb, pa, LinMap._trusted(field, zip(*cols), pb.dim))
     for u in pb.basis:
         a = eta.apply_ambient(u)
         for j in range(dm):
-            if tri.act_left(a, unit_m(field, dm, j)) != tri.act_right(nu_mat.col(j), u):
+            if tri.act_left(a, unit_m(field, dm, j)) != tri.act_right(nu.image_of_basis(j), u):
                 raise TheoremViolation("eta(b) m != nu(m) b on a basis pair")
     if not eta.is_bijective():
         raise TheoremViolation("eta is not bijective")
@@ -1018,15 +1026,15 @@ def tau_iso(tri: TriAlgebra) -> SubspaceMap:
     eta for the identity blocks, inverted."""
     if not tri.is_faithful():
         raise NotFaithful("tau requires M faithful on both sides")
-    return eta_from_center(tri, center_T(tri), Mat.identity(tri.field, tri.M.dim_m)).inverse()
+    return eta_from_center(tri, center_T(tri), LinMap.identity(tri.field, tri.M.dim_m)).inverse()
 
 
-def quotient_algebra(alg: FinAlgebra, ideal: Subspace) -> tuple[FinAlgebra, Mat]:
+def quotient_algebra(alg: FinAlgebra, ideal: Subspace) -> tuple[FinAlgebra, LinMap]:
     """Quotient by a two-sided ideal subspace.
 
     Returns the quotient algebra on the non-pivot coordinates and the
-    projection matrix (quotient coordinates of each original basis vector, in
-    columns).
+    projection onto them (the quotient coordinates of each original basis
+    vector in its columns).
     """
     field = alg.field
     n = alg.dim
@@ -1049,8 +1057,7 @@ def quotient_algebra(alg: FinAlgebra, ideal: Subspace) -> tuple[FinAlgebra, Mat]
     names = tuple(alg.basis_names[i] for i in keep)
     quotient = FinAlgebra._trusted(field, table, unit, names)
     proj_cols = [reduce_vec(((i, field.one),)) for i in range(n)]
-    proj = Mat._trusted(field, zip(*proj_cols), n)
-    return quotient, proj
+    return quotient, LinMap._trusted(field, zip(*proj_cols), n)
 
 
 def faithful_quotient(tri: TriAlgebra) -> TriAlgebra:

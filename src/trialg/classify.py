@@ -59,7 +59,6 @@ from .sigmamaps import (
     classify_bilinear,
     classify_linear,
     from_blocks,
-    identity_map,
     is_endomorphism,
     sigma_center,
 )
@@ -214,8 +213,8 @@ def innerness_hypotheses(tri: TriAlgebra, blocks: AutBlocks,
     # (i) projections of the twisted center
     pa = project_subspace(z_sigma, tri.range_a)
     pb = project_subspace(z_sigma, tri.range_b)
-    zfa = sigma_center_direct(tri.A, blocks.f.mat)
-    zgb = sigma_center_direct(tri.B, blocks.g.mat)
+    zfa = sigma_center_direct(tri.A, blocks.f)
+    zgb = sigma_center_direct(tri.B, blocks.g)
     ok = pa == zfa and pb == zgb
     report.hypotheses.append(Hypothesis(
         "center_projections", "pass" if ok else "fail",
@@ -284,7 +283,7 @@ def _intertwiner_space(tri: TriAlgebra, blocks: AutBlocks) -> Subspace:
     left, right = tri.M._left_pairs, tri.M._right_pairs
     dm = tri.M.dim_m
     sides = ((left, ((blocks.f, None, left),)),
-             (right, ((None, identity_map(tri.B), right),)))
+             (right, ((None, tri.B.identity_map(), right),)))
     rows = [row for table, terms in sides
             for block in product_rule_rows(table, terms, dm)[1] for row in block.values()]
     return kernel_sparse(tri.field, IntegerRows(rows), dm * dm)
@@ -353,7 +352,7 @@ def _verify_commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks,
     sub, nu = tri.total.sub_vec, blocks.nu
     left, right = tri.M._left_pairs, tri.M._right_pairs
     right_t = right.transpose()
-    ident_m, ident_b = LinMap.identity(field, dm), identity_map(tri.B)
+    ident_m, ident_b = LinMap.identity(field, dm), tri.B.identity_map()
     d1_one, mu1_one = cb.delta1.apply(tri.A.unit), cb.mu1.apply(tri.A.unit)
     d3_one, mu3_one = cb.delta3.apply(tri.B.unit), cb.mu3.apply(tri.B.unit)
     units = [(unit_m(field, dm, j), nu.image_of_basis(j)) for j in range(dm)]
@@ -372,8 +371,8 @@ def _verify_commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks,
     if block_of(tri, theta, "M", "M") != mblock:
         raise TheoremViolation("M-block of Theta differs from its closed form")
     # value spaces
-    zfa = sigma_center_direct(tri.A, blocks.f.mat)
-    zgb = sigma_center_direct(tri.B, blocks.g.mat)
+    zfa = sigma_center_direct(tri.A, blocks.f)
+    zgb = sigma_center_direct(tri.B, blocks.g)
     for j in range(dm):
         if not zfa.contains_vector(cb.delta2.image_of_basis(j)):
             raise TheoremViolation("delta2 does not map into the twisted center of A")
@@ -477,7 +476,7 @@ def properness(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks) -> PropernessR
     )
     if not z_sigma.contains_vector(lam):
         raise TheoremViolation("constructed lambda is not twisted-central")
-    lam_mul = LinMap(field, alg.left_mul_mat(lam), alg.dim, alg.dim)
+    lam_mul = alg.left_mul_mat(lam)
     omega = theta - lam_mul
     for j in range(alg.dim):
         if not z_sigma.contains_vector(omega.image_of_basis(j)):
@@ -512,8 +511,8 @@ def properness_sufficiency(tri: TriAlgebra, blocks: AutBlocks) -> TheoremReport:
     z_sigma, _ = sigma_center(tri, blocks, want_eta=False)
     pa = project_subspace(z_sigma, tri.range_a)
     pb = project_subspace(z_sigma, tri.range_b)
-    zfa = sigma_center_direct(tri.A, blocks.f.mat)
-    zgb = sigma_center_direct(tri.B, blocks.g.mat)
+    zfa = sigma_center_direct(tri.A, blocks.f)
+    zgb = sigma_center_direct(tri.B, blocks.g)
     comm_a = _commutator_span(tri.A)
     comm_b = _commutator_span(tri.B)
     ok1 = (zfa == pa) or comm_b.dim == tri.B.dim
@@ -595,7 +594,7 @@ def endo_blocks(tri: TriAlgebra, phi: LinMap) -> tuple[EndoBlocks, TheoremReport
     m_onto = m_into and eb.h.rank() == tri.M.dim_m
     report.hypotheses.append(Hypothesis("maps_M_into_M", "pass" if m_into else "fail"))
     report.hypotheses.append(Hypothesis("maps_M_onto_M", "pass" if m_onto else "fail"))
-    if m_into and eb.reassemble(tri).mat != phi.mat:
+    if m_into and eb.reassemble(tri) != phi:
         raise TheoremViolation("block reassembly does not reproduce the endomorphism")
     if m_into:
         _thm0_conditions(tri, eb, report, assert_strict=m_onto)
@@ -717,7 +716,7 @@ def endo_mono_epi(tri: TriAlgebra, eb: EndoBlocks, phi: LinMap) -> MonoEpiReport
     verdict, the rank check is ground truth.  A disagreement under the
     onto-M hypothesis is a finding.
     """
-    m_into = eb.reassemble(tri).mat == phi.mat
+    m_into = eb.reassemble(tri) == phi
     if not m_into:
         raise NotMPreserving("mono/epi criteria need phi(M) inside M")
     A, B = tri.A, tri.B
@@ -769,7 +768,7 @@ def ideal_split(tri: TriAlgebra, phi: LinMap) -> IdealSplit:
     if not automorphism_verdict(tri.total, phi).holds:
         raise NotAutomorphism("ideal splitting needs an automorphism")
     eb, _ = endo_blocks(tri, phi)
-    if eb.reassemble(tri).mat != phi.mat:
+    if eb.reassemble(tri) != phi:
         raise NotMPreserving("ideal splitting needs phi(M) = M")
     field = tri.field
     t = tri.total
@@ -919,7 +918,7 @@ def partible_witness(tri: TriAlgebra, sigma: LinMap) -> PartibleWitness | None:
     # verify sigma = conj_z . sigma_bar exactly
     recomposed = [t.mul_vec(t.mul_vec(z_inv, sigma_bar.image_of_basis(j)), z)
                   for j in range(tri.dim)]
-    if LinMap.from_images(field, recomposed, tri.dim, tri.dim).mat != sigma.mat:
+    if LinMap.from_images(field, recomposed, tri.dim, tri.dim) != sigma:
         raise TheoremViolation("witness recomposition does not reproduce sigma")
     return PartibleWitness(z, sigma_bar, blocks)
 

@@ -208,7 +208,7 @@ def _cmd_endo_classify(args) -> int:
         "blocks": {name: getattr(eb, name).to_json()
                    for name in ("chi1", "chi2", "chi3", "gamma1", "gamma2", "gamma3", "h")},
     }
-    if eb.reassemble(tri).mat == phi.mat:
+    if eb.reassemble(tri) == phi:
         result["mono_epi"] = endo_mono_epi(tri, eb, phi).to_json()
     return _emit(_report("endo classify", [args.triangular, args.map], result))
 
@@ -223,9 +223,10 @@ def _cmd_partible(args) -> int:
 
         witness = partible_witness(tri, sigma)
         fmt = tri.field.format
-        if witness is None:
-            result = {"witness": None,
-                      "note": "not found in the witness family; partibility undecided"}
+        if witness is None:  # a proof: sigma(1_A) has A-part other than 1_A or B-part nonzero
+            result = {"witness": None, "sigma_p": [fmt(v) for v in sigma.apply(tri.p)],
+                      "note": "sigma is not partible: the A-part of sigma_p = sigma(1_A) is not 1_A "
+                              "or its B-part is not 0"}
         else:
             result = {"witness": {"z": [fmt(v) for v in witness.z],
                                   "sigma_bar": witness.sigma_bar.to_json()}}

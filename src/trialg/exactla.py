@@ -37,6 +37,12 @@ loops run on residues, with monic pivots and one ``% p`` per updated entry
 instead of field-method calls.  Rows that are scalar multiples of each other
 share one integer form, and only the first of them is eliminated.
 
+A LinMap is a linear map held as its dense matrix, entry [k][j] the
+coefficient of e_k in the image of e_j, with its sparse columns made on first
+use.  It is the one map type of trialg, for automorphisms, their blocks and
+every solved map alike, and sits here below the row reduction that inverts it
+and the algebra layer that evaluates it.
+
 A Subspace stores one form of its basis: the sparse RREF rows that
 _sparse_reduce returns, each a tuple of its nonzero (column, value) sorted by
 column, in pivot order.  Membership, sums, intersections, equality and JSON
@@ -59,9 +65,11 @@ from typing import Iterable, Sequence
 
 from .errors import (
     AmbientMismatch,
+    DimMismatch,
     FieldMismatch,
     InputError,
     NotInSpan,
+    NotInvertible,
     ShapeMismatch,
 )
 
@@ -71,7 +79,7 @@ __all__ = [
     "Field",
     "RationalField",
     "PrimeField",
-    "Mat",
+    "LinMap",
     "Subspace",
     "rref",
     "kernel_basis",
@@ -298,13 +306,13 @@ def field_from_json(obj) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# dense matrices
+# linear maps (dense rows, sparse columns on first use)
 # ---------------------------------------------------------------------------
 
 
 class SparseColumns(tuple):
-    """The columns of a matrix over field as sparse lists: entry j holds the
-    nonzero (k, c) of column j, the image of e_j for a map matrix.
+    """The columns of a map's matrix over field as sparse lists: entry j
+    holds the nonzero (k, c) of column j, the image of e_j.
 
     It keeps, made on first use, its lifted form over Q (lifted()).
     """
@@ -326,103 +334,92 @@ class SparseColumns(tuple):
         return self._lifted
 
 
-class Mat:
-    """Dense immutable matrix of raw field values.
+class LinMap:
+    """Linear map between coordinate spaces (usually one algebra), held as
+    its dense immutable matrix of raw field values: entry [k][j] of rows is
+    the coefficient of e_k in the image of e_j (images in the columns), so
+    there are dst_dim rows of src_dim entries.
 
     The public constructor coerces every entry through field.coerce and
     checks the shape, so it takes input values (int, str, Fraction).
-    Mat._trusted skips both; it is for rows of raw values of this field made
-    by trialg itself (identities, products, solved bases, images already
+    LinMap._trusted skips both; it is for rows of raw values of this field
+    made by trialg itself (identities, products, solved bases, images already
     coerced), never for values read from input.
 
-    A matrix keeps two derived values, each made on first use: its sparse
+    A map keeps two derived values, each made on first use: its sparse
     columns (sparse_columns(), which in turn keep their lifted form over Q)
     and its hash.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_columns", "_hash")
+    __slots__ = ("field", "src_dim", "dst_dim", "rows", "_columns", "_hash")
 
-    def __init__(self, field: Field, rows: Iterable[Sequence], ncols: int | None = None):
+    def __init__(self, field: Field, rows: Iterable[Sequence], src_dim: int | None = None,
+                 dst_dim: int | None = None):
         rows = tuple(tuple(field.coerce(v) for v in row) for row in rows)
-        if rows:
-            ncols = len(rows[0])
-            for row in rows:
-                if len(row) != ncols:
-                    raise ShapeMismatch("ragged rows")
-        elif ncols is None:
-            ncols = 0
+        ncols = len(rows[0]) if rows else src_dim or 0
+        for row in rows:
+            if len(row) != ncols:
+                raise ShapeMismatch("ragged rows")
+        expected = (len(rows) if dst_dim is None else dst_dim, ncols if src_dim is None else src_dim)
+        if (len(rows), ncols) != expected:
+            raise DimMismatch("map matrix is %dx%d, expected %dx%d" % ((len(rows), ncols) + expected))
         self._set(field, rows, ncols)
 
-    def _set(self, field: Field, rows: tuple, ncols: int):
+    def _set(self, field: Field, rows: tuple, src_dim: int):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "src_dim", src_dim)
+        object.__setattr__(self, "dst_dim", len(rows))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_columns", None)
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _trusted(cls, field: Field, rows: Iterable[Sequence], ncols: int) -> "Mat":
-        """A matrix of rows of raw values of field, of equal length ncols,
+    def _trusted(cls, field: Field, rows: Iterable[Sequence], src_dim: int) -> "LinMap":
+        """The map of rows of raw values of field, each of length src_dim,
         taken as they are: no coercion and no shape check."""
         self = object.__new__(cls)
-        self._set(field, tuple(map(tuple, rows)), ncols)
+        self._set(field, tuple(map(tuple, rows)), src_dim)
         return self
 
     def __setattr__(self, *a):
-        raise AttributeError("Mat is immutable")
+        raise AttributeError("LinMap is immutable")
 
     @staticmethod
-    def identity(field: Field, n: int) -> "Mat":
+    def identity(field: Field, n: int) -> "LinMap":
         one, zero = field.one, field.zero
-        return Mat._trusted(field, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
+        return LinMap._trusted(field, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
 
     @staticmethod
-    def zeros(field: Field, nrows: int, ncols: int) -> "Mat":
-        return Mat._trusted(field, [(field.zero,) * ncols] * nrows, ncols)
+    def zero(field: Field, src_dim: int, dst_dim: int | None = None) -> "LinMap":
+        if dst_dim is None:
+            dst_dim = src_dim
+        return LinMap._trusted(field, [(field.zero,) * src_dim] * dst_dim, src_dim)
+
+    @staticmethod
+    def from_images(field: Field, images: list, src_dim: int | None = None, dst_dim: int | None = None) -> "LinMap":
+        """Build from the list of basis-vector images."""
+        if src_dim is None:
+            src_dim = len(images)
+        if dst_dim is None:
+            dst_dim = len(images[0]) if images else 0
+        rows = [[field.coerce(img[k]) for img in images] for k in range(dst_dim)]
+        return LinMap._trusted(field, rows, src_dim)
 
     def sparse_columns(self) -> SparseColumns:
-        """The nonzero (k, c) of each column, made once per matrix."""
+        """The nonzero (k, c) of each column, made once per map."""
         if self._columns is None:
-            cols = zip(*self.rows) if self.nrows else [()] * self.ncols
+            cols = zip(*self.rows) if self.dst_dim else [()] * self.src_dim
             object.__setattr__(self, "_columns", SparseColumns(
-                self.field, self.nrows, [tuple((k, c) for k, c in enumerate(col) if c) for col in cols]))
+                self.field, self.dst_dim, [tuple((k, c) for k, c in enumerate(col) if c) for col in cols]))
         return self._columns
 
-    def _check(self, other: "Mat"):
-        if self.field != other.field:
-            raise FieldMismatch("mixed fields %r / %r" % (self.field, other.field))
-
-    def col(self, j: int) -> tuple:
+    def image_of_basis(self, j: int) -> tuple:
+        """Column j: the image of e_j."""
         return tuple(r[j] for r in self.rows)
 
-    def transpose(self) -> "Mat":
-        return Mat._trusted(self.field, zip(*self.rows) if self.rows else [], self.nrows)
-
-    def __add__(self, other: "Mat") -> "Mat":
-        self._check(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ShapeMismatch("add %dx%d and %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols))
-        add = self.field.add
-        return Mat._trusted(self.field, [[add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-                            self.ncols)
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        self._check(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ShapeMismatch("sub %dx%d and %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols))
-        sub = self.field.sub
-        return Mat._trusted(self.field, [[sub(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-                            self.ncols)
-
-    def __neg__(self) -> "Mat":
-        neg = self.field.neg
-        return Mat._trusted(self.field, [[neg(v) for v in row] for row in self.rows], self.ncols)
-
     def apply(self, vec: Sequence) -> tuple:
-        """Matrix-vector product."""
-        if len(vec) != self.ncols:
-            raise ShapeMismatch("apply %dx%d to vector of length %d" % (self.nrows, self.ncols, len(vec)))
+        if len(vec) != self.src_dim:
+            raise ShapeMismatch("apply %dx%d to vector of length %d" % (self.dst_dim, self.src_dim, len(vec)))
         add, mul, zero, coerce = self.field.add, self.field.mul, self.field.zero, self.field.coerce
         nonzero = [(j, w) for j, w in enumerate(map(coerce, vec)) if w]
         out = []
@@ -435,31 +432,106 @@ class Mat:
             out.append(acc)
         return tuple(out)
 
-    def is_zero(self) -> bool:
-        return not any(v for row in self.rows for v in row)
+    def compose(self, other: "LinMap") -> "LinMap":
+        """self after other."""
+        if other.dst_dim != self.src_dim:
+            raise DimMismatch("compose %d->%d after %d->%d"
+                              % (self.src_dim, self.dst_dim, other.src_dim, other.dst_dim))
+        self._check(other)
+        # column j of the product is self applied to column j of other
+        add, mul, zero = self.field.add, self.field.mul, self.field.zero
+        cols = self.sparse_columns()
+        images = []
+        for col in other.sparse_columns():
+            img = [zero] * self.dst_dim
+            for k, c in col:
+                for l, v in cols[k]:
+                    img[l] = add(img[l], mul(c, v))
+            images.append(img)
+        return LinMap._trusted(self.field, [[img[l] for img in images] for l in range(self.dst_dim)],
+                               other.src_dim)
+
+    def _check(self, other: "LinMap", op: str | None = None):
+        """Both maps over one field, and for op (add or sub) of one shape."""
+        if self.field != other.field:
+            raise FieldMismatch("mixed fields %r / %r" % (self.field, other.field))
+        if op and (self.dst_dim, self.src_dim) != (other.dst_dim, other.src_dim):
+            raise ShapeMismatch("%s %dx%d and %dx%d"
+                                % (op, self.dst_dim, self.src_dim, other.dst_dim, other.src_dim))
+
+    def __add__(self, other: "LinMap") -> "LinMap":
+        self._check(other, "add")
+        add = self.field.add
+        return LinMap._trusted(self.field, [[add(a, b) for a, b in zip(r1, r2)]
+                                            for r1, r2 in zip(self.rows, other.rows)], self.src_dim)
+
+    def __sub__(self, other: "LinMap") -> "LinMap":
+        self._check(other, "sub")
+        sub = self.field.sub
+        return LinMap._trusted(self.field, [[sub(a, b) for a, b in zip(r1, r2)]
+                                            for r1, r2 in zip(self.rows, other.rows)], self.src_dim)
+
+    def __neg__(self) -> "LinMap":
+        neg = self.field.neg
+        return LinMap._trusted(self.field, [[neg(v) for v in row] for row in self.rows], self.src_dim)
+
+    def inverse(self) -> "LinMap":
+        inv = matrix_inverse(self)
+        if inv is None:
+            raise NotInvertible("map is not invertible")
+        return inv
 
     def rank(self) -> int:
         """The rank, as the number of pivots of the column space, read off
         the cached sparse columns."""
-        return len(_sparse_reduce(self.field, map(dict, self.sparse_columns()), self.nrows))
+        return len(_sparse_reduce(self.field, map(dict, self.sparse_columns()), self.dst_dim))
+
+    def is_bijective(self) -> bool:
+        return self.src_dim == self.dst_dim and self.rank() == self.src_dim
+
+    def is_identity(self) -> bool:
+        return self.src_dim == self.dst_dim and self == LinMap.identity(self.field, self.src_dim)
+
+    def is_zero(self) -> bool:
+        return not any(v for row in self.rows for v in row)
+
+    def kernel(self) -> "Subspace":
+        return kernel_basis(self)
+
+    def image(self) -> "Subspace":
+        return Subspace._from_rows(self.field, self.dst_dim, map(dict, self.sparse_columns()))
+
+    def flatten(self) -> tuple:
+        """Row-major flattening: index k*src_dim + j."""
+        return tuple(v for row in self.rows for v in row)
+
+    @staticmethod
+    def unflatten(field: Field, flat, src_dim: int, dst_dim: int | None = None) -> "LinMap":
+        """Inverse of flatten; flat holds raw values of field, taken as they are."""
+        if dst_dim is None:
+            dst_dim = len(flat) // src_dim
+        return LinMap._trusted(field, [flat[k * src_dim:(k + 1) * src_dim] for k in range(dst_dim)], src_dim)
 
     def __eq__(self, other):
         return (
-            isinstance(other, Mat)
+            isinstance(other, LinMap)
             and self.field == other.field
-            and self.ncols == other.ncols
+            and self.src_dim == other.src_dim
             and self.rows == other.rows
         )
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.field, self.ncols, self.rows)))
+            object.__setattr__(self, "_hash", hash((self.field, self.src_dim, self.rows)))
         return self._hash
 
-    def __repr__(self):
+    def to_json(self):
         fmt = self.field.format
-        body = "; ".join(" ".join(fmt(v) for v in row) for row in self.rows)
-        return "Mat(%r, [%s])" % (self.field, body)
+        return {"convention": "image-in-columns",
+                "matrix": [[fmt(v) for v in row] for row in self.rows]}
+
+    def __repr__(self):
+        return "LinMap(%d -> %d)" % (self.src_dim, self.dst_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -625,17 +697,18 @@ def _rows_to_sparse(rows):
         yield {c: v for c, v in enumerate(row) if v}
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Unique reduced row-echelon form and its pivot columns.
+def rref(m: LinMap) -> tuple[LinMap, tuple[int, ...]]:
+    """Unique reduced row-echelon form of a map's matrix and its pivot columns.
 
     The output has the same shape as the input; zero rows are kept at the
     bottom.
     """
-    pivots = _sparse_reduce(m.field, _rows_to_sparse(m.rows), m.ncols)
+    n = m.src_dim
+    pivots = _sparse_reduce(m.field, _rows_to_sparse(m.rows), n)
     zero = m.field.zero
-    dense = [_dense(zero, m.ncols, pivots[c].items()) for c in sorted(pivots)]
-    dense += [[zero] * m.ncols] * (m.nrows - len(dense))
-    return Mat._trusted(m.field, dense, m.ncols), tuple(sorted(pivots))
+    dense = [_dense(zero, n, pivots[c].items()) for c in sorted(pivots)]
+    dense += [[zero] * n] * (m.dst_dim - len(dense))
+    return LinMap._trusted(m.field, dense, n), tuple(sorted(pivots))
 
 
 def integer_kernel(field: Field, pivots: dict[int, dict], ncols: int) -> list[dict]:
@@ -665,20 +738,20 @@ def kernel_sparse(field: Field, rows, ncols: int) -> "Subspace":
     return Subspace._from_rows(field, ncols, IntegerRows(integer_kernel(field, pivots, ncols)))
 
 
-def kernel_basis(m: Mat) -> "Subspace":
-    """Canonical basis of the right kernel {v : m v = 0}."""
-    return kernel_sparse(m.field, _rows_to_sparse(m.rows), m.ncols)
+def kernel_basis(m: LinMap) -> "Subspace":
+    """Canonical basis of the kernel {v : m v = 0}."""
+    return kernel_sparse(m.field, _rows_to_sparse(m.rows), m.src_dim)
 
 
-def matrix_inverse(m: Mat) -> Mat | None:
-    """Exact inverse of a square matrix, or None if it is singular.
+def matrix_inverse(m: LinMap) -> LinMap | None:
+    """Exact inverse of a square map, or None if it is singular.
 
     The sparse rows of [m | I] are reduced once: m is invertible exactly when
     the pivot columns are 0, ..., n-1, and pivot row i then holds row i of the
     inverse in its columns n, ..., 2n-1.
     """
-    n = m.nrows
-    if n != m.ncols:
+    n = m.dst_dim
+    if n != m.src_dim:
         raise ShapeMismatch("inverse of non-square matrix")
     field = m.field
     one, zero = field.one, field.zero
@@ -686,7 +759,7 @@ def matrix_inverse(m: Mat) -> Mat | None:
     pivots = _sparse_reduce(field, rows, 2 * n)
     if any(c >= n for c in pivots):
         return None
-    return Mat._trusted(field, [[pivots[i].get(n + j, zero) for j in range(n)] for i in range(n)], n)
+    return LinMap._trusted(field, [[pivots[i].get(n + j, zero) for j in range(n)] for i in range(n)], n)
 
 
 def solve_sparse(field: Field, rows: Sequence[dict], rhs: Sequence, ncols: int) -> tuple | None:

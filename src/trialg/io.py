@@ -23,7 +23,7 @@ from .algcore import (
     check_corner_dims,
 )
 from .errors import DimMismatch, InputError
-from .exactla import Field, Mat, field_from_json
+from .exactla import Field, field_from_json
 from .sigmamaps import BilinMap, LinMap
 
 
@@ -198,7 +198,7 @@ def linmap_from_json(obj, field: Field) -> LinMap:
     rows = _list(obj, "matrix")
     if not all(isinstance(row, list) for row in rows):
         raise InputError("'matrix' must be a list of rows, got %r" % (rows,))
-    return LinMap(field, Mat(field, rows, 0))
+    return LinMap(field, rows)
 
 
 def load_linmap(path: str, field: Field) -> LinMap:

@@ -19,10 +19,11 @@ polarization q(e_i, e_j), this decides the condition at every element, in
 every characteristic.  The derivation and commuting terms are shared with the
 solve rows of spaces, which algcore.product_rule_rows builds from them.
 
-The evaluator reads every map through its cached sparse columns (Mat), so the
-twist sigma and the identity of an algebra (FinAlgebra.identity_mat) are
-extracted, and lifted over Q, once however many maps are checked against
-them; the minus sign of a commuting term lives in the negated product table.
+The evaluator reads every map through its cached sparse columns (a LinMap,
+defined in exactla, keeps them), so the twist sigma and the identity of an
+algebra (FinAlgebra.identity_map) are extracted, and lifted over Q, once
+however many maps are checked against them; the minus sign of a commuting
+term lives in the negated product table.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .errors import (
     SigmaNotAutomorphism,
     TheoremViolation,
 )
-from .exactla import Field, Mat, SparseColumns, Subspace, kernel_basis, matrix_inverse
+from .exactla import Field, LinMap, SparseColumns, Subspace
 
 LINEAR_KINDS = (
     "endomorphism",
@@ -69,139 +70,11 @@ LINEAR_KINDS = (
 BILINEAR_KINDS = ("biderivation", "sigma_biderivation")
 
 
-class LinMap:
-    """Total linear map between coordinate spaces (usually one algebra)."""
-
-    __slots__ = ("field", "src_dim", "dst_dim", "mat")
-
-    def __init__(self, field: Field, mat: Mat | list, src_dim: int | None = None, dst_dim: int | None = None):
-        if not isinstance(mat, Mat):
-            mat = Mat(field, mat, src_dim)
-        if mat.field != field:
-            raise FieldMismatch("map matrix over the wrong field")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "src_dim", mat.ncols if src_dim is None else src_dim)
-        object.__setattr__(self, "dst_dim", mat.nrows if dst_dim is None else dst_dim)
-        if (mat.nrows, mat.ncols) != (self.dst_dim, self.src_dim):
-            raise DimMismatch("map matrix is %dx%d, expected %dx%d"
-                              % (mat.nrows, mat.ncols, self.dst_dim, self.src_dim))
-        object.__setattr__(self, "mat", mat)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LinMap is immutable")
-
-    @staticmethod
-    def identity(field: Field, n: int) -> "LinMap":
-        return LinMap(field, Mat.identity(field, n))
-
-    @staticmethod
-    def zero(field: Field, src_dim: int, dst_dim: int | None = None) -> "LinMap":
-        if dst_dim is None:
-            dst_dim = src_dim
-        return LinMap(field, Mat.zeros(field, dst_dim, src_dim))
-
-    @staticmethod
-    def from_images(field: Field, images: list, src_dim: int | None = None, dst_dim: int | None = None) -> "LinMap":
-        """Build from the list of basis-vector images."""
-        if src_dim is None:
-            src_dim = len(images)
-        if dst_dim is None:
-            dst_dim = len(images[0]) if images else 0
-        rows = [[field.coerce(img[k]) for img in images] for k in range(dst_dim)]
-        return LinMap(field, Mat._trusted(field, rows, src_dim), src_dim, dst_dim)
-
-    def apply(self, vec) -> tuple:
-        return self.mat.apply(vec)
-
-    def image_of_basis(self, j: int) -> tuple:
-        return self.mat.col(j)
-
-    def compose(self, other: "LinMap") -> "LinMap":
-        """self after other."""
-        if other.dst_dim != self.src_dim:
-            raise DimMismatch("compose %d->%d after %d->%d"
-                              % (self.src_dim, self.dst_dim, other.src_dim, other.dst_dim))
-        if other.field != self.field:
-            raise FieldMismatch("compose maps over %r and %r" % (self.field, other.field))
-        # column j of the product is self applied to column j of other
-        add, mul, zero = self.field.add, self.field.mul, self.field.zero
-        cols = self.mat.sparse_columns()
-        images = []
-        for col in other.mat.sparse_columns():
-            img = [zero] * self.dst_dim
-            for k, c in col:
-                for l, v in cols[k]:
-                    img[l] = add(img[l], mul(c, v))
-            images.append(img)
-        rows = [[img[l] for img in images] for l in range(self.dst_dim)]
-        return LinMap(self.field, Mat._trusted(self.field, rows, other.src_dim), other.src_dim, self.dst_dim)
-
-    def __add__(self, other: "LinMap") -> "LinMap":
-        return LinMap(self.field, self.mat + other.mat, self.src_dim, self.dst_dim)
-
-    def __sub__(self, other: "LinMap") -> "LinMap":
-        return LinMap(self.field, self.mat - other.mat, self.src_dim, self.dst_dim)
-
-    def __neg__(self) -> "LinMap":
-        return LinMap(self.field, -self.mat, self.src_dim, self.dst_dim)
-
-    def inverse(self) -> "LinMap":
-        inv = matrix_inverse(self.mat)
-        if inv is None:
-            raise NotInvertible("map is not invertible")
-        return LinMap(self.field, inv, self.dst_dim, self.src_dim)
-
-    def rank(self) -> int:
-        return self.mat.rank()
-
-    def is_bijective(self) -> bool:
-        return self.src_dim == self.dst_dim and self.rank() == self.src_dim
-
-    def is_identity(self) -> bool:
-        return self.src_dim == self.dst_dim and self.mat == Mat.identity(self.field, self.src_dim)
-
-    def is_zero(self) -> bool:
-        return self.mat.is_zero()
-
-    def kernel(self) -> Subspace:
-        return kernel_basis(self.mat)
-
-    def image(self) -> Subspace:
-        return Subspace.from_vectors(self.field, self.dst_dim,
-                                     [self.mat.col(j) for j in range(self.src_dim)])
-
-    def flatten(self) -> tuple:
-        """Row-major flattening: index k*src_dim + j."""
-        return tuple(v for row in self.mat.rows for v in row)
-
-    @staticmethod
-    def unflatten(field: Field, flat, src_dim: int, dst_dim: int | None = None) -> "LinMap":
-        """Inverse of flatten; flat holds raw values of field, taken as they are."""
-        if dst_dim is None:
-            dst_dim = len(flat) // src_dim
-        rows = [flat[k * src_dim:(k + 1) * src_dim] for k in range(dst_dim)]
-        return LinMap(field, Mat._trusted(field, rows, src_dim), src_dim, dst_dim)
-
-    def __eq__(self, other):
-        return isinstance(other, LinMap) and self.mat == other.mat
-
-    def __hash__(self):
-        return hash(self.mat)
-
-    def to_json(self):
-        fmt = self.field.format
-        return {"convention": "image-in-columns",
-                "matrix": [[fmt(v) for v in row] for row in self.mat.rows]}
-
-    def __repr__(self):
-        return "LinMap(%d -> %d)" % (self.src_dim, self.dst_dim)
-
-
 class BilinMap:
     """Total bilinear map A x A -> A, stored as the SparseTable of its values
     (entry [i][j] lists the nonzero (k, c) of D(e_i, e_j)).  The public
     constructor coerces a dense tensor t[i][j][k]; _trusted takes a table of
-    raw values made by trialg itself (as Mat._trusted).  It keeps, made on
+    raw values made by trialg itself (as LinMap._trusted).  It keeps, made on
     first use, its two slot maps as sparse columns (slot_columns()).
     """
 
@@ -356,11 +229,6 @@ class Verdict:
         return out
 
 
-def identity_map(alg: FinAlgebra) -> LinMap:
-    """The identity of alg over its cached identity matrix."""
-    return LinMap(alg.field, alg.identity_mat())
-
-
 def _check_square(alg: FinAlgebra, f: LinMap):
     if f.src_dim != alg.dim or f.dst_dim != alg.dim:
         raise DimMismatch("map is %d->%d on an algebra of dim %d" % (f.src_dim, f.dst_dim, alg.dim))
@@ -393,14 +261,14 @@ def automorphism_verdict(alg: FinAlgebra, f: LinMap) -> Verdict:
     """is_automorphism, remembered on the algebra instance once it holds.
 
     A passing verdict is stored in the instance's set, keyed by the immutable
-    matrix, so a later check of an equal map on the same object returns at
+    map, so a later check of an equal map on the same object returns at
     once; failures are never remembered and there is no global cache.
     """
-    if f.mat in alg._automorphisms:
+    if f in alg._automorphisms:
         return Verdict("automorphism", True)
     v = is_automorphism(alg, f)
     if v.holds:
-        alg._automorphisms.add(f.mat)
+        alg._automorphisms.add(f)
     return v
 
 
@@ -430,7 +298,7 @@ def classify_linear(kind: str, alg: FinAlgebra, f: LinMap, sigma: LinMap | None 
         return is_endomorphism(alg, f)
     if kind == "automorphism":
         return is_automorphism(alg, f)
-    ident = identity_map(alg)
+    ident = alg.identity_map()
     if kind in ("derivation", "commuting"):
         beta = ident
     elif kind in ("sigma_derivation", "sigma_commuting"):
@@ -445,7 +313,7 @@ def classify_bilinear(kind: str, alg: FinAlgebra, D: BilinMap, sigma: LinMap | N
     """Exact verdict for biderivation-style predicates, witness is a basis triple."""
     if D.dim != alg.dim:
         raise DimMismatch("bilinear map of dim %d on algebra of dim %d" % (D.dim, alg.dim))
-    ident = identity_map(alg)
+    ident = alg.identity_map()
     if kind == "biderivation":
         beta = ident
     elif kind == "sigma_biderivation":
@@ -500,8 +368,7 @@ def block_of(tri: TriAlgebra, f: LinMap, src: str, dst: str) -> LinMap:
     dst (each "A", "M" or "B"): e_j of src goes to the dst part of f(e_j).
     It is a submatrix of f, taken as it is."""
     rs, rd = _corner_range(tri, src), _corner_range(tri, dst)
-    rows = [row[rs.start:rs.stop] for row in f.mat.rows[rd.start:rd.stop]]
-    return LinMap(tri.field, Mat._trusted(tri.field, rows, len(rs)), len(rs), len(rd))
+    return LinMap._trusted(tri.field, [row[rs.start:rs.stop] for row in f.rows[rd.start:rd.stop]], len(rs))
 
 
 def from_blocks(tri: TriAlgebra, blocks: dict) -> LinMap:
@@ -511,9 +378,9 @@ def from_blocks(tri: TriAlgebra, blocks: dict) -> LinMap:
     rows = [[field.zero] * tri.dim for _ in range(tri.dim)]
     for (src, dst), block in blocks.items():
         rs = _corner_range(tri, src)
-        for k, row in zip(_corner_range(tri, dst), block.mat.rows):
+        for k, row in zip(_corner_range(tri, dst), block.rows):
             rows[k][rs.start:rs.stop] = row
-    return LinMap(field, Mat._trusted(field, rows, tri.dim))
+    return LinMap._trusted(field, rows, tri.dim)
 
 
 @dataclass(frozen=True)
@@ -568,17 +435,17 @@ def sigma_center(tri: TriAlgebra, blocks: AutBlocks, want_eta: bool = True
     """
     if blocks.tri is not tri and blocks.tri != tri:
         raise FieldMismatch("blocks belong to a different triangular algebra")
-    z_sigma = twisted_center_T(tri, blocks.f.mat, blocks.g.mat, blocks.nu.mat)
+    z_sigma = twisted_center_T(tri, blocks.f, blocks.g, blocks.nu)
     if not want_eta:
         return z_sigma, None
     if not tri.is_faithful():
         raise NotFaithful("eta needs the bimodule faithful on both sides")
-    return z_sigma, eta_from_center(tri, z_sigma, blocks.nu.mat)
+    return z_sigma, eta_from_center(tri, z_sigma, blocks.nu)
 
 
 def sigma_center_oracle(tri: TriAlgebra, sigma: LinMap) -> Subspace:
     """Direct kernel of x -> [e_i, x]_sigma over all basis vectors."""
-    return sigma_center_direct(tri.total, sigma.mat)
+    return sigma_center_direct(tri.total, sigma)
 
 
 # ---------------------------------------------------------------------------

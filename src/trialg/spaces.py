@@ -73,7 +73,6 @@ from .sigmamaps import (
     commuting_terms,
     derivation_terms,
     from_blocks,
-    identity_map,
     is_alpha_beta_derivation,
     require_automorphism,
     sigma_commutator_vec,
@@ -156,7 +155,7 @@ def _derivation_row_blocks(alg: FinAlgebra, sigma: LinMap) -> tuple:
     """(scale, blocks): per basis pair (i, j), the nonzero integer rows of
     d(e_i e_j) - d(e_i) e_j - sigma(e_i) d(e_j) = 0 by output coordinate,
     flattened unknowns d[k][j], as product_rule_rows scales them."""
-    return product_rule_rows(alg._pairs, derivation_terms(alg, None, identity_map(alg), sigma), alg.dim)
+    return product_rule_rows(alg._pairs, derivation_terms(alg, None, alg.identity_map(), sigma), alg.dim)
 
 
 def _derivation_rows(alg: FinAlgebra, sigma: LinMap) -> IntegerRows:
@@ -171,7 +170,7 @@ def _commuting_rows(alg: FinAlgebra, sigma: LinMap) -> IntegerRows:
     n = alg.dim
     order = [((i, i),) for i in range(n)]
     order += [((i, i), (j, j), (i, j), (j, i)) for i, j in itertools.combinations(range(n), 2)]
-    _, blocks = product_rule_rows(None, commuting_terms(alg, None, identity_map(alg), sigma), n, order)
+    _, blocks = product_rule_rows(None, commuting_terms(alg, None, alg.identity_map(), sigma), n, order)
     return IntegerRows(row for block in blocks for row in block.values())
 
 
@@ -275,7 +274,7 @@ def solve_space(kind: str, t, sigma: LinMap | None = None,
     else:
         if sigma is not None:
             raise InputError("kind %r takes no twist map" % (kind,))
-        sigma = identity_map(alg)
+        sigma = alg.identity_map()
     if kind in ("biderivation", "sigma_biderivation"):
         if bilinear_dim_cap is not None and n > bilinear_dim_cap:
             raise InputError("bilinear solve capped at dim %d (got %d)" % (bilinear_dim_cap, n))
@@ -371,13 +370,13 @@ def inner_derivation_witness(t, d: LinMap, sigma: LinMap) -> tuple | None:
     alg = _algebra_of(t)
     rows = []
     rhs = []
-    for j, block in enumerate(twisted_commutator_blocks(alg, sigma.mat)):
+    for j, block in enumerate(twisted_commutator_blocks(alg, sigma)):
         rows.extend(block)
         rhs.extend(d.image_of_basis(j))
     x0 = solve_sparse(alg.field, rows, rhs, alg.dim)
     if x0 is None:
         return None
-    if inner_sigma_derivation(alg, x0, sigma).mat != d.mat:
+    if inner_sigma_derivation(alg, x0, sigma) != d:
         raise TheoremViolation("inner-derivation solve returned a non-witness")
     return x0
 
@@ -431,18 +430,18 @@ def sigma_derivation_blocks(tri: TriAlgebra, d: LinMap, blocks: AutBlocks) -> De
 def _verify_derivation_blocks(hw: DerivationBlocks, d: LinMap):
     tri = hw.tri
     field = tri.field
-    if not is_alpha_beta_derivation(tri.A, hw.d_a, identity_map(tri.A), hw.blocks.f).holds:
+    if not is_alpha_beta_derivation(tri.A, hw.d_a, tri.A.identity_map(), hw.blocks.f).holds:
         raise TheoremViolation("corner block d_A is not an f-twisted derivation")
-    if not is_alpha_beta_derivation(tri.B, hw.d_b, identity_map(tri.B), hw.blocks.g).holds:
+    if not is_alpha_beta_derivation(tri.B, hw.d_b, tri.B.identity_map(), hw.blocks.g).holds:
         raise TheoremViolation("corner block d_B is not a g-twisted derivation")
     # xi(a m) = d_A(a) m + f(a) xi(m) and xi(m b) = xi(m) b + nu(m) d_B(b)
     left, right = tri.M._left_pairs, tri.M._right_pairs
-    id_m, id_b = LinMap.identity(field, tri.M.dim_m), identity_map(tri.B)
+    id_m, id_b = LinMap.identity(field, tri.M.dim_m), tri.B.identity_map()
     if product_rule_failure(left, hw.xi, ((hw.d_a, id_m, left), (hw.blocks.f, hw.xi, left))):
         raise TheoremViolation("xi fails its left action identity")
     if product_rule_failure(right, hw.xi, ((hw.xi, id_b, right), (hw.blocks.nu, hw.d_b, right))):
         raise TheoremViolation("xi fails its right action identity")
-    if hw.reassemble().mat != d.mat:
+    if hw.reassemble() != d:
         raise TheoremViolation("block reassembly does not reproduce the twisted derivation")
 
 

@@ -152,13 +152,13 @@ def count_aut_checks(monkeypatch):
 
 @pytest.fixture()
 def count_column_builds(monkeypatch):
-    """Record each build of derived map data: the rows of a Mat each time
+    """Record each build of derived map data: the rows of a LinMap each time
     sparse_columns() returns columns it did not hold before the call, and the
     columns of a SparseColumns each time lifted() returns a new lifted form."""
     import trialg.exactla as ex
 
     built = {"columns": [], "lifted": []}
-    columns, lifted = ex.Mat.sparse_columns, ex.SparseColumns.lifted
+    columns, lifted = ex.LinMap.sparse_columns, ex.SparseColumns.lifted
 
     def counting_columns(self):
         before = self._columns
@@ -174,7 +174,7 @@ def count_column_builds(monkeypatch):
             built["lifted"].append(tuple(self))
         return out
 
-    monkeypatch.setattr(ex.Mat, "sparse_columns", counting_columns)
+    monkeypatch.setattr(ex.LinMap, "sparse_columns", counting_columns)
     monkeypatch.setattr(ex.SparseColumns, "lifted", counting_lifted)
     return built
 

@@ -249,7 +249,7 @@ def test_criterion_10_partibility_witnesses(f1, f1_sigma1, f3):
             tri.field,
             [t.mul_vec(t.mul_vec(z_inv, w.sigma_bar.image_of_basis(j)), w.z)
              for j in range(tri.dim)], tri.dim, tri.dim)
-        assert recomposed.mat == sig.mat
+        assert recomposed == sig
         block_decompose(tri, w.sigma_bar)  # block preservation re-verified
     _announce(10, "inner and composite automorphisms factor through the witness")
 
@@ -311,12 +311,12 @@ def _check_z_transfer(tri, sig_factor):
     sigma = phi.compose(sig_factor)
     w = partible_witness(tri, sigma)
     assert w is not None
-    z_mul = LinMap(field, t.left_mul_mat(w.z), t.dim, t.dim)
+    z_mul = t.left_mul_mat(w.z)
     space = solve_space("sigma_derivation", tri, sigma)
     for d in space.basis_maps():
         assert classify_linear("sigma_derivation", t, z_mul.compose(d), w.sigma_bar).holds
     back = solve_space("sigma_derivation", tri, w.sigma_bar)
-    z_inv_mul = LinMap(field, t.left_mul_mat(t.invert(w.z)), t.dim, t.dim)
+    z_inv_mul = t.left_mul_mat(t.invert(w.z))
     for d in back.basis_maps():
         assert classify_linear("sigma_derivation", t, z_inv_mul.compose(d), sigma).holds
 

@@ -35,7 +35,7 @@ from trialg.errors import (
     UnitLawViolation,
     ZeroModule,
 )
-from trialg.exactla import GF, QQ, Mat, Subspace
+from trialg.exactla import GF, QQ, Subspace
 from trialg.fixtures import (
     fixture_f1,
     fixture_f3,
@@ -46,6 +46,8 @@ from trialg.fixtures import (
 )
 from trialg.sigmamaps import LinMap, derivation_terms, inner_automorphism
 from trialg.spaces import inner_sigma_derivation
+
+from test_dense_oracles import right_mul_mat
 
 F2 = GF(2)
 F5 = GF(5)
@@ -269,10 +271,10 @@ class TestCenter:
         cases += [(tri, sigma) for _, tri, sigma in random_instances(QQ, 6, 9200) + random_f5_mixed]
         for tri, sigma in cases:
             alg = tri.total
-            blocks = list(twisted_commutator_blocks(alg, sigma.mat))
+            blocks = list(twisted_commutator_blocks(alg, sigma))
             assert len(blocks) == alg.dim
             for i, block in enumerate(blocks):
-                dense = alg.left_mul_mat(sigma.mat.col(i)) - alg.right_mul_mat(alg.basis_vector(i))
+                dense = alg.left_mul_mat(sigma.image_of_basis(i)) - right_mul_mat(alg, alg.basis_vector(i))
                 assert block == [{j: v for j, v in enumerate(row) if v} for row in dense.rows]
 
 
@@ -469,7 +471,7 @@ def _random_table(field, n, rng, m=None, out=None):
 
 def _random_mat(field, n, rng, ncols=None):
     ncols = ncols or n
-    return Mat(field, [[_draw(field, rng, False) if rng.random() < 0.5 else field.zero
+    return LinMap(field, [[_draw(field, rng, False) if rng.random() < 0.5 else field.zero
                         for _ in range(ncols)] for _ in range(n)], ncols)
 
 
@@ -487,7 +489,7 @@ def _random_quadratic_terms(field, n, rng):
             if rng.random() < 0.5:
                 k, j = rng.randrange(n), rng.randrange(n)
                 neg_q[k][j] = field.add(neg_q[k][j], field.one)
-            terms.append((Mat(field, neg_q, n), p, tab.transpose()))
+            terms.append((LinMap(field, neg_q, n), p, tab.transpose()))
     return tuple(terms)
 
 
@@ -534,8 +536,8 @@ def _dense_residual(table, X, terms, i, j, nout):
             for l in range(nout):
                 out[l] += c * X.rows[l][k]
     for p, q, tab in terms:
-        for a in range(p.nrows):
-            for b in range(q.nrows):
+        for a in range(p.dst_dim):
+            for b in range(q.dst_dim):
                 for k, c in tab[a][b]:
                     out[k] -= p.rows[a][i] * q.rows[b][j] * c
     return tuple(out)
@@ -552,9 +554,10 @@ def _first_failure(pairs, residual):
 def _rebased(alg, P):
     """alg in the basis of P's columns: e_i e_j = sum_k c_ijk e_k with
     c_ij = P^-1 (P e_i)(P e_j)."""
-    Pinv = LinMap(QQ, P).inverse()
+    Pinv = P.inverse()
     n = alg.dim
-    mul = [[Pinv.apply(alg.mul_vec(P.col(i), P.col(j))) for j in range(n)] for i in range(n)]
+    mul = [[Pinv.apply(alg.mul_vec(P.image_of_basis(i), P.image_of_basis(j))) for j in range(n)]
+           for i in range(n)]
     return FinAlgebra(QQ, mul, Pinv.apply(alg.unit))
 
 
@@ -612,23 +615,22 @@ class TestRationalEvaluatorOracle:
         half = Fraction(1, 2)
         for base in (upper_triangular_algebra(QQ, 2), fixture_f1().total):
             n = base.dim
-            P = Mat(QQ, [[1 if i == j else half if j == i + 1 else 0 for j in range(n)]
+            P = LinMap(QQ, [[1 if i == j else half if j == i + 1 else 0 for j in range(n)]
                          for i in range(n)])
             alg = _rebased(base, P)
             assert alg._pairs.lifted()[0] > 1
             u = [QQ.one] + [half] * (n - 1)
             u = tuple(alg.mul_vec(alg.unit, u))
             sigma = inner_automorphism(alg, u)
-            assert any(v.denominator > 1 for row in sigma.mat.rows for v in row)
+            assert any(v.denominator > 1 for row in sigma.rows for v in row)
             d = inner_sigma_derivation(alg, [half] * n, sigma)
             ident = LinMap.identity(QQ, n)
             assert product_rule_failure(alg._pairs, d, derivation_terms(alg, d, ident, sigma)) is None
-            rows = [list(r) for r in d.mat.rows]
+            rows = [list(r) for r in d.rows]
             rows[n - 1][0] += Fraction(1, 3)
-            bumped = LinMap(QQ, Mat(QQ, rows, n))
+            bumped = LinMap(QQ, rows, n)
             terms = derivation_terms(alg, bumped, ident, sigma)
-            dense = [(p.mat, q.mat, tab) for p, q, tab in terms]
             for i, j in itertools.product(range(n), repeat=2):
-                r = _dense_residual(alg._pairs, bumped.mat, dense, i, j, n)
+                r = _dense_residual(alg._pairs, bumped, terms, i, j, n)
                 got = product_rule_failure(alg._pairs, bumped, terms, [(i, j)])
                 assert got == (((i, j), r) if any(r) else None)

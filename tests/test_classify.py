@@ -175,7 +175,7 @@ class TestCommutingBlocks:
     def test_model_map_blocks(self, f1, f1_theta1, f1_blocks):
         cb, report = commuting_blocks(f1, f1_theta1, f1_blocks)
         assert cb.delta1.is_identity()
-        assert cb.mu3.mat.rows == ((QQ.coerce(-1),),)
+        assert cb.mu3.rows == ((QQ.coerce(-1),),)
         for name in ("delta2", "delta3", "mu1", "mu2"):
             assert getattr(cb, name).is_zero()
         assert report.verdict == "all conditions verified"
@@ -189,11 +189,11 @@ class TestCommutingBlocks:
         assert cb.mu1.is_zero() and cb.mu2.is_zero()
 
     def test_central_multiplication_matches_model(self, f1, f1_lambda1, f1_blocks, f1_theta1):
-        lam_mul = LinMap(QQ, f1.total.left_mul_mat(f1_lambda1), 3, 3)
-        assert lam_mul.mat == f1_theta1.mat
+        lam_mul = f1.total.left_mul_mat(f1_lambda1)
+        assert lam_mul == f1_theta1
         cb, _ = commuting_blocks(f1, lam_mul, f1_blocks)
         assert cb.delta1.is_identity()
-        assert cb.mu3.mat.rows == ((QQ.coerce(-1),),)
+        assert cb.mu3.rows == ((QQ.coerce(-1),),)
 
     def test_whole_solved_space_passes(self, f4, f4_blocks, f4_commuting_space):
         for theta in f4_commuting_space.basis_maps():
@@ -255,7 +255,7 @@ class TestEndoBlocks:
     def test_corner_negation_blocks(self, f1, f1_sigma1):
         eb, _ = endo_blocks(f1, f1_sigma1)
         assert eb.chi1.is_identity() and eb.gamma1.is_identity()
-        assert eb.h.mat.rows == ((QQ.coerce(-1),),)
+        assert eb.h.rows == ((QQ.coerce(-1),),)
 
     def test_composite_with_unipotent(self, f1, f1_sigma1, phi_m):
         composite = phi_m.compose(f1_sigma1)
@@ -419,8 +419,7 @@ class TestPartibleWitness:
         tri = dict(instance_catalog(GF(2)))[name]()
         assert tri.dim <= 6
         units = _units(tri.total)
-        for mat in {inner_automorphism(tri.total, u).mat for u, _ in units}:
-            sigma = LinMap(GF(2), mat, tri.dim, tri.dim)
+        for sigma in {inner_automorphism(tri.total, u) for u, _ in units}:
             w = partible_witness(tri, sigma)
             assert (w is None) == (not _conjugates_into_blocks(tri, sigma, units))
 
@@ -441,7 +440,7 @@ class TestPartibleWitness:
     def test_block_preserving_gives_unit(self, f1, f1_sigma1):
         w = partible_witness(f1, f1_sigma1)
         assert w.z == f1.total.unit
-        assert w.sigma_bar.mat == f1_sigma1.mat
+        assert w.sigma_bar == f1_sigma1
 
     def test_unipotent_inner(self, f1, phi_m):
         w = partible_witness(f1, phi_m)
@@ -452,7 +451,7 @@ class TestPartibleWitness:
     def test_composite(self, f1, f1_sigma1, phi_m):
         w = partible_witness(f1, phi_m.compose(f1_sigma1))
         assert w is not None
-        assert w.sigma_bar.mat == f1_sigma1.mat
+        assert w.sigma_bar == f1_sigma1
 
     def test_f3_family(self, f3):
         from trialg.sigmamaps import inner_automorphism
@@ -470,14 +469,14 @@ class TestPartibleWitness:
                 recomposed = LinMap.from_images(
                     QQ, [t.mul_vec(t.mul_vec(z_inv, w.sigma_bar.image_of_basis(j)), w.z)
                          for j in range(6)], 6, 6)
-                assert recomposed.mat == sig.mat
+                assert recomposed == sig
                 block_decompose(f3, w.sigma_bar)
 
     def test_z_transfer_for_twisted_derivations(self, f1, f1_sigma1, phi_m):
         sigma = phi_m.compose(f1_sigma1)
         w = partible_witness(f1, sigma)
         t = f1.total
-        z_mul = LinMap(QQ, t.left_mul_mat(w.z), 3, 3)
+        z_mul = t.left_mul_mat(w.z)
         space = solve_space("sigma_derivation", f1, sigma)
         assert space.dim > 0
         for d in space.basis_maps():
@@ -485,7 +484,7 @@ class TestPartibleWitness:
             assert classify_linear("sigma_derivation", t, shifted, w.sigma_bar).holds
         # converse: pull a sigma_bar-derivation back
         back_space = solve_space("sigma_derivation", f1, w.sigma_bar)
-        z_inv_mul = LinMap(QQ, t.left_mul_mat(t.invert(w.z)), 3, 3)
+        z_inv_mul = t.left_mul_mat(t.invert(w.z))
         for d in back_space.basis_maps():
             shifted = z_inv_mul.compose(d)
             assert classify_linear("sigma_derivation", t, shifted, sigma).holds

@@ -159,6 +159,37 @@ class TestSolveAndReports:
         res = json.loads(out)["result"]
         assert res["witness"]["z"] == ["1", "0", "1"]
 
+    @pytest.mark.parametrize("p", [0, 5], ids=["Q", "F5"])
+    def test_partible_certifies_the_tensor_flip(self, p, tmp_path):
+        """The factor flip e_(3a+b) -> e_(3b+a) of UT_2 (x) UT_2, the regular
+        Trian(UT_2, UT_2, UT_2), is not partible; the report says so and
+        carries sigma(1_A), recomputed here from the two files."""
+        from fractions import Fraction
+
+        from trialg import io as tio
+        from trialg.algcore import build_triangular
+        from trialg.exactla import GF, QQ
+        from trialg.fixtures import upper_triangular_algebra
+        from trialg.randomgen import regular_bimodule
+
+        field = GF(p) if p else QQ
+        ut = upper_triangular_algebra(field, 2)
+        doc = tio.triangular_to_json(build_triangular(ut, regular_bimodule(ut), ut))
+        flip = [["1" if k == 3 * (j % 3) + j // 3 else "0" for j in range(9)] for k in range(9)]
+        (tmp_path / "T.json").write_text(json.dumps(doc))
+        (tmp_path / "flip.json").write_text(json.dumps({"matrix": flip}))
+        code, out, _ = run_cli(["partible", str(tmp_path / "T.json"), "--sigma", str(tmp_path / "flip.json")])
+        assert code == 0
+        res = json.loads(out)["result"]
+        assert res["witness"] is None and "not partible" in res["note"]
+        unit_a = [Fraction(v) for v in doc["A"]["unit"]]
+        one_a = unit_a + [Fraction(0)] * 6
+        sigma_p = [sum(Fraction(m) * v for m, v in zip(row, one_a)) for row in flip]
+        if p:
+            sigma_p = [v % p for v in sigma_p]
+        assert res["sigma_p"] == [str(v) for v in sigma_p]
+        assert sigma_p[:3] != unit_a or any(sigma_p[6:])
+
     def test_partible_report_only(self, f1_dir):
         code, out, _ = run_cli(["partible", str(f1_dir / "T.json")])
         assert code == 0

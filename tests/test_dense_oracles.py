@@ -3,6 +3,9 @@ against the dense matrix forms they replaced, kept here as references: the
 n^2 products L_i L_j of left multiplication matrices and their traces, the
 stacked multiplication matrices of x -> x m_j and x -> m_j x, the dense
 matrix product, and the inverse read off the rref of the dense [M | I].
+The multiplication maps built from n mul_vec products (left_mul_by_mul_vec,
+and right_mul_mat, which other test modules import) are references too:
+left_mul_mat, read off the product table, must equal the first.
 
 Every instance of instance_catalog (with a random block-preserving twist)
 and of random_instances is checked over Q, F_5, F_3 and F_2.
@@ -26,11 +29,10 @@ from fractions import Fraction
 
 import pytest
 
-from trialg.algcore import SparseTable, _associativity_failure, _trace_form_rows, annihilators, center_direct, center_T, nil_radical_T, radical, unit_m
+from trialg.algcore import FinAlgebra, SparseTable, _associativity_failure, _trace_form_rows, annihilators, center_direct, center_T, nil_radical_T, radical, unit_m
 from trialg.errors import CharTooSmall, NotInvertible
-from trialg.exactla import GF, QQ, Mat, Subspace, kernel_basis, rref
+from trialg.exactla import GF, QQ, LinMap, Subspace, kernel_basis, rref
 from trialg.randomgen import instance_catalog, random_block_preserving_sigma, random_instances
-from trialg.sigmamaps import LinMap
 
 FIELDS = [QQ, GF(5), GF(3), GF(2)]
 
@@ -45,30 +47,44 @@ def _instances(field):
     return out + [(tri, sigma) for _, tri, sigma in random_instances(field, 5, 8600)]
 
 
-def _dense_product(a: Mat, b: Mat) -> Mat:
+def _mul_vec_map(alg, cols) -> LinMap:
+    return LinMap._trusted(alg.field, zip(*cols) if cols else [], alg.dim)
+
+
+def left_mul_by_mul_vec(alg, x) -> LinMap:
+    """The map y -> x y, its column j the product x e_j by mul_vec."""
+    return _mul_vec_map(alg, [alg.mul_vec(x, alg.basis_vector(j)) for j in range(alg.dim)])
+
+
+def right_mul_mat(alg, x) -> LinMap:
+    """The map y -> y x, its column j the product e_j x by mul_vec."""
+    return _mul_vec_map(alg, [alg.mul_vec(alg.basis_vector(j), x) for j in range(alg.dim)])
+
+
+def _dense_product(a: LinMap, b: LinMap) -> LinMap:
     """a times b by dense rows."""
     add, mul, zero = a.field.add, a.field.mul, a.field.zero
     rows = []
     for r in a.rows:
-        out = [zero] * b.ncols
+        out = [zero] * b.src_dim
         for k, v in enumerate(r):
             for j, w in enumerate(b.rows[k]):
                 out[j] = add(out[j], mul(v, w))
         rows.append(out)
-    return Mat._trusted(a.field, rows, b.ncols)
+    return LinMap._trusted(a.field, rows, b.src_dim)
 
 
-def _dense_trace(m: Mat):
+def _dense_trace(m: LinMap):
     acc = m.field.zero
-    for i in range(m.nrows):
+    for i in range(m.dst_dim):
         acc = m.field.add(acc, m.rows[i][i])
     return acc
 
 
-def _dense_trace_form(alg) -> Mat:
+def _dense_trace_form(alg) -> LinMap:
     """tr(L_i L_j) from the n^2 products of the left multiplication matrices."""
-    lmats = [alg.left_mul_mat(alg.basis_vector(i)) for i in range(alg.dim)]
-    return Mat._trusted(alg.field, [[_dense_trace(_dense_product(a, b)) for b in lmats] for a in lmats],
+    lmats = [left_mul_by_mul_vec(alg, alg.basis_vector(i)) for i in range(alg.dim)]
+    return LinMap._trusted(alg.field, [[_dense_trace(_dense_product(a, b)) for b in lmats] for a in lmats],
                         alg.dim)
 
 
@@ -83,25 +99,60 @@ def _stacked_annihilators(tri) -> tuple:
     em = [unit_m(field, dm, j) for j in range(dm)]
     left = [[tri.act_left(a, m) for m in em] for a in ea]
     right = [[tri.act_right(m, b) for b in eb] for m in em]
-    L = kernel_basis(Mat._trusted(field, [[left[i][j][mp] for i in range(da)]
+    L = kernel_basis(LinMap._trusted(field, [[left[i][j][mp] for i in range(da)]
                                           for j in range(dm) for mp in range(dm)], da))
-    R = kernel_basis(Mat._trusted(field, [[right[j][k][mp] for k in range(db)]
+    R = kernel_basis(LinMap._trusted(field, [[right[j][k][mp] for k in range(db)]
                                           for j in range(dm) for mp in range(dm)], db))
     t = tri.total
     ms = [t.basis_vector(j) for j in tri.range_m]
-    lann = kernel_basis(Mat._trusted(field, [r for m in ms for r in t.right_mul_mat(m).rows], t.dim))
-    rann = kernel_basis(Mat._trusted(field, [r for m in ms for r in t.left_mul_mat(m).rows], t.dim))
+    lann = kernel_basis(LinMap._trusted(field, [r for m in ms for r in right_mul_mat(t, m).rows], t.dim))
+    rann = kernel_basis(LinMap._trusted(field, [r for m in ms for r in left_mul_by_mul_vec(t, m).rows], t.dim))
     return L, R, lann, rann
 
 
-def _rref_inverse(m: Mat):
+def _rref_inverse(m: LinMap):
     """The inverse read off the rref of the dense [m | I], or None."""
-    n = m.nrows
-    ident = Mat.identity(m.field, n)
-    red, pivots = rref(Mat._trusted(m.field, [r + e for r, e in zip(m.rows, ident.rows)], 2 * n))
+    n = m.dst_dim
+    ident = LinMap.identity(m.field, n)
+    red, pivots = rref(LinMap._trusted(m.field, [r + e for r, e in zip(m.rows, ident.rows)], 2 * n))
     if list(pivots) != list(range(n)):
         return None
-    return Mat._trusted(m.field, [row[n:] for row in red.rows[:n]], n)
+    return LinMap._trusted(m.field, [row[n:] for row in red.rows[:n]], n)
+
+
+def _rebased(alg, rng, values):
+    """alg in the basis of the columns of a random unitriangular P, its
+    structure constants P^-1 (P e_i)(P e_j): most products of basis vectors
+    then have several terms, where a matrix-unit basis has one."""
+    field, n = alg.field, alg.dim
+    P = LinMap(field, [[field.one if i == j else rng.choice(values) if j > i else field.zero
+                        for j in range(n)] for i in range(n)])
+    Pinv = P.inverse()
+    cols = [P.image_of_basis(i) for i in range(n)]
+    return FinAlgebra(field, [[Pinv.apply(alg.mul_vec(x, y)) for y in cols] for x in cols],
+                      Pinv.apply(alg.unit))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(2)], ids=str)
+def test_left_mul_mat_against_mul_vec(field):
+    """left_mul_mat, read off the product table, is the map of the products
+    x e_j by mul_vec, on the total algebra and the corners of every instance,
+    each also in a random basis, at each basis vector, the unit and random
+    elements."""
+    rng = random.Random(8950 + field.characteristic)
+    values = ([Fraction(v) for v in (0, 0, 1, -1, 3)] + [Fraction(1, 2), Fraction(-2, 3)]
+              if field is QQ else list(range(field.characteristic)) + [0])
+    checked = 0
+    for tri, _ in _instances(field):
+        for base in (tri.A, tri.B, tri.total):
+            alg = _rebased(base, rng, values)
+            xs = [alg.basis_vector(i) for i in range(alg.dim)] + [alg.unit, alg.zero_vector()]
+            xs += [tuple(rng.choice(values) for _ in range(alg.dim)) for _ in range(4)]
+            for x in xs:
+                for a in (base, alg):
+                    assert a.left_mul_mat(x) == left_mul_by_mul_vec(a, x)
+                    checked += 1
+    assert checked > 200
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -148,19 +199,19 @@ def test_compose_and_inverse(field):
         proj = LinMap.from_images(field, [tri.part_a(t.basis_vector(j)) for j in range(t.dim)], t.dim, tri.A.dim)
         emb = LinMap.from_images(field, [tri.embed_a(tri.A.basis_vector(j)) for j in range(tri.A.dim)],
                                  tri.A.dim, t.dim)
-        square = [sigma, LinMap(field, t.left_mul_mat(x)), LinMap(field, t.left_mul_mat(tri.p))]
+        square = [sigma, t.left_mul_mat(x), t.left_mul_mat(tri.p)]
         for f in square + [proj, emb]:
             for g in square + [proj, emb]:
                 if f.src_dim == g.dst_dim:
-                    assert f.compose(g).mat == _dense_product(f.mat, g.mat)
+                    assert f.compose(g) == _dense_product(f, g)
         for f in square + [proj.compose(emb)]:
-            expect = _rref_inverse(f.mat)
+            expect = _rref_inverse(f)
             if expect is None:
                 with pytest.raises(NotInvertible):
                     f.inverse()
                 singular += 1
             else:
-                assert f.inverse().mat == expect
+                assert f.inverse() == expect
                 invertible += 1
     assert singular and invertible
 
@@ -174,7 +225,7 @@ SUBSPACE_FIELDS = [QQ, GF(5), GF(2)]
 
 def _dense_rref_rows(field, n, vectors) -> tuple:
     """(rows, pivots): the nonzero rows of the rref of the vectors."""
-    red, pivots = rref(Mat._trusted(field, vectors, n))
+    red, pivots = rref(LinMap._trusted(field, vectors, n))
     return red.rows[:len(pivots)], pivots
 
 
@@ -205,7 +256,7 @@ def _dense_intersection(field, n, rows_a, rows_b) -> tuple:
     """The rref rows of the intersection: each vector (a, b) of the dense
     kernel of [A^T | -B^T] gives sum_i a_i A_i."""
     ra = len(rows_a)
-    system = Mat._trusted(field, [[row[k] for row in rows_a] + [field.neg(row[k]) for row in rows_b]
+    system = LinMap._trusted(field, [[row[k] for row in rows_a] + [field.neg(row[k]) for row in rows_b]
                                   for k in range(n)], ra + len(rows_b))
     vecs = [_dense_combination(field, n, rows_a, pair[:ra]) for pair in kernel_basis(system).basis]
     return _dense_rref_rows(field, n, vecs)
@@ -285,11 +336,11 @@ def test_subspace_against_dense_forms_random(field):
         _check_subspace(sub, rows, pivots, rng)
         subs.append((sub, rows))
     full, zero = Subspace.full(field, 4), Subspace.from_vectors(field, 4, [])
-    _check_subspace(full, Mat.identity(field, 4).rows, tuple(range(4)), rng)
+    _check_subspace(full, LinMap.identity(field, 4).rows, tuple(range(4)), rng)
     assert zero.rows == () and zero.pivots == ()
     pairs = proper = 0
     for a, rows_a in subs:
-        for b, rows_b in subs + [(full, Mat.identity(field, 4).rows), (zero, ())]:
+        for b, rows_b in subs + [(full, LinMap.identity(field, 4).rows), (zero, ())]:
             if a.ambient_dim == b.ambient_dim:
                 proper += _check_pair(a, b, rows_a, rows_b)
                 pairs += 1

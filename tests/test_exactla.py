@@ -7,12 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trialg.errors import AmbientMismatch, FieldMismatch, InputError, NotInSpan, NotInvertible
+from trialg.errors import (
+    AmbientMismatch,
+    DimMismatch,
+    FieldMismatch,
+    InputError,
+    NotInSpan,
+    NotInvertible,
+    ShapeMismatch,
+)
 from trialg.exactla import (
     GF,
     QQ,
     IntegerRows,
-    Mat,
+    LinMap,
     Subspace,
     _integer_row,
     _sparse_reduce,
@@ -21,7 +29,6 @@ from trialg.exactla import (
     solve_sparse,
     span_coefficients,
 )
-from trialg.sigmamaps import LinMap
 from trialg.spaces import _dedup_rows
 
 F5 = GF(5)
@@ -78,7 +85,7 @@ class TestFieldScalar:
 
     def test_mixed_fields_rejected(self):
         with pytest.raises(FieldMismatch):
-            Mat(QQ, [[1]]) + Mat(F5, [[1]])
+            LinMap(QQ, [[1]]) + LinMap(F5, [[1]])
         with pytest.raises(FieldMismatch):
             Subspace.full(QQ, 1).sum(Subspace.full(F5, 1))
 
@@ -89,19 +96,19 @@ class TestFieldScalar:
 
 class TestRref:
     def test_rank_one_forced(self):
-        m = Mat(QQ, [[2, 4], [1, 2]])
+        m = LinMap(QQ, [[2, 4], [1, 2]])
         red, pivots = rref(m)
         assert red.rows == ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(0)))
         assert pivots == (0,)
 
     def test_identity_fixed_point(self):
-        m = Mat.identity(QQ, 3)
+        m = LinMap.identity(QQ, 3)
         red, pivots = rref(m)
         assert red == m
         assert pivots == (0, 1, 2)
 
     def test_char_two_cancellation(self):
-        m = Mat(F2, [[1, 1], [1, 1]])
+        m = LinMap(F2, [[1, 1], [1, 1]])
         red, pivots = rref(m)
         assert red.rows == ((1, 1), (0, 0))
         assert pivots == (0,)
@@ -109,7 +116,7 @@ class TestRref:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3), min_size=1, max_size=4))
     def test_idempotence_f5(self, rows):
-        m = Mat(F5, rows)
+        m = LinMap(F5, rows)
         red, _ = rref(m)
         again, _ = rref(red)
         assert red == again
@@ -118,7 +125,7 @@ class TestRref:
     @given(st.lists(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
                              min_size=3, max_size=3), min_size=1, max_size=4))
     def test_idempotence_rationals(self, rows):
-        m = Mat(QQ, rows)
+        m = LinMap(QQ, rows)
         red, _ = rref(m)
         again, _ = rref(red)
         assert red == again
@@ -126,17 +133,17 @@ class TestRref:
 
 class TestKernel:
     def test_zero_map_full_kernel(self):
-        k = kernel_basis(Mat.zeros(QQ, 2, 2))
+        k = kernel_basis(LinMap.zero(QQ, 2))
         assert k.dim == 2
         assert k == Subspace.full(QQ, 2)
 
     def test_identity_trivial_kernel(self):
-        k = kernel_basis(Mat.identity(QQ, 2))
+        k = kernel_basis(LinMap.identity(QQ, 2))
         assert k.dim == 0
 
     def test_row_vector_kernel_canonical(self):
         # oracle: exhaustively check m v = 0 for the returned basis rows
-        m = Mat(QQ, [[1, 2]])
+        m = LinMap(QQ, [[1, 2]])
         k = kernel_basis(m)
         assert k.dim == 1
         for v in k.basis:
@@ -146,16 +153,16 @@ class TestKernel:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 4), min_size=4, max_size=4), min_size=1, max_size=5))
     def test_rank_nullity_and_annihilation_f5(self, rows):
-        m = Mat(F5, rows)
+        m = LinMap(F5, rows)
         k = kernel_basis(m)
-        assert m.rank() + k.dim == m.ncols
+        assert m.rank() + k.dim == m.src_dim
         for v in k.basis:
             assert all(x == 0 for x in m.apply(v))
 
 
 class TestSpanCoefficients:
     def test_identity_system(self):
-        assert span_coefficients(QQ, Mat.identity(QQ, 3).rows, [1, 2, 3]) == \
+        assert span_coefficients(QQ, LinMap.identity(QQ, 3).rows, [1, 2, 3]) == \
             (Fraction(1), Fraction(2), Fraction(3))
 
     def test_free_coordinate_zero_convention(self):
@@ -228,23 +235,52 @@ class TestSubspace:
         assert inter.dim == 1
 
 
-class TestMat:
+class TestLinMap:
     def test_compose_and_inverse(self):
-        m = LinMap(QQ, Mat(QQ, [[1, 2], [3, 5]]))
+        m = LinMap(QQ, [[1, 2], [3, 5]])
         inv = m.inverse()
-        assert inv.mat == Mat(QQ, [[-5, 2], [3, -1]])
+        assert inv == LinMap(QQ, [[-5, 2], [3, -1]])
         assert inv.compose(m) == LinMap.identity(QQ, 2)
         assert m.compose(inv) == LinMap.identity(QQ, 2)
 
     def test_singular_inverse_raises(self):
         with pytest.raises(NotInvertible):
-            LinMap(QQ, Mat(QQ, [[1, 2], [2, 4]])).inverse()
+            LinMap(QQ, [[1, 2], [2, 4]]).inverse()
 
     def test_empty_shapes(self):
-        m = Mat(QQ, [], 3)
-        assert m.nrows == 0 and m.ncols == 3
+        m = LinMap(QQ, [], 3)
+        assert m.dst_dim == 0 and m.src_dim == 3
         k = kernel_basis(m)
         assert k.dim == 3
+
+    def test_shape_and_dim_checks(self):
+        with pytest.raises(ShapeMismatch):
+            LinMap(QQ, [[1, 2], [3]])
+        with pytest.raises(ShapeMismatch):
+            LinMap(QQ, [[1, 2]]) + LinMap(QQ, [[1], [2]])
+        with pytest.raises(ShapeMismatch):
+            LinMap(QQ, [[1, 2]]) - LinMap(QQ, [[1, 2, 3]])
+        with pytest.raises(FieldMismatch):
+            LinMap(QQ, [[1]]) - LinMap(F5, [[1]])
+        with pytest.raises(FieldMismatch):
+            LinMap(QQ, [[1]]).compose(LinMap(F5, [[1]]))
+        for dims in ((3, None), (None, 1), (3, 2), (None, 3)):
+            with pytest.raises(DimMismatch):
+                LinMap(QQ, [[1, 2], [3, 4]], *dims)
+        with pytest.raises(DimMismatch):
+            LinMap(QQ, [], 2, 1)
+        assert LinMap(QQ, [[1, 2]], 2, 1).rows == ((Fraction(1), Fraction(2)),)
+
+    def test_immutable_equal_and_hashed_by_entries(self):
+        m = LinMap(F5, [[1, 7], [0, "3"]])
+        for attr in ("rows", "src_dim", "dst_dim", "field"):
+            with pytest.raises(AttributeError):
+                setattr(m, attr, None)
+        twin = LinMap.from_images(F5, [[1, 0], [2, 3]])
+        assert twin == m and hash(twin) == hash(m) and len({m, twin}) == 1
+        assert m != LinMap(GF(7), [[1, 2], [0, 3]])
+        assert LinMap(QQ, [], 2) != LinMap(QQ, [], 3)
+        assert m != m.rows
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +399,7 @@ class TestIntegerEliminationOracle:
         expect, expect_pivots = _gauss_jordan(field, rows, ncols)
         pivots = _sparse_reduce(field, [{c: v for c, v in enumerate(r) if v} for r in rows], ncols)
         _check_reduced(field, pivots, rows, ncols)
-        red, red_pivots = rref(Mat(field, rows, ncols))
+        red, red_pivots = rref(LinMap(field, rows, ncols))
         assert red_pivots == tuple(expect_pivots)
         assert red.rows == tuple(expect) + ((field.zero,) * ncols,) * (len(rows) - len(expect))
 

@@ -48,10 +48,12 @@ from trialg.sigmamaps import (
 )
 from trialg.spaces import _verify_derivation_blocks, sigma_derivation_blocks, solve_space
 
+from test_dense_oracles import right_mul_mat
+
 
 def _bump(f: LinMap, k: int, j: int, c=1) -> LinMap:
     """f with c added to matrix entry [k][j] (coefficient of e_k in f(e_j))."""
-    rows = [list(r) for r in f.mat.rows]
+    rows = [list(r) for r in f.rows]
     rows[k][j] = f.field.add(rows[k][j], f.field.coerce(c))
     return LinMap(f.field, rows, f.src_dim, f.dst_dim)
 
@@ -89,7 +91,7 @@ def _mult(tri, k: int):
     """Left (k = 0) or right (k = 1) multiplication by E12 on the regular bimodule."""
     a = tri.A
     x = a.basis_vector(1)
-    return LinMap(QQ, a.left_mul_mat(x) if k == 0 else a.right_mul_mat(x))
+    return a.left_mul_mat(x) if k == 0 else right_mul_mat(a, x)
 
 
 def _endomorphism():

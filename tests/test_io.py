@@ -1,5 +1,5 @@
 """The input boundary: every io loader coerces and checks each scalar it
-reads, so values from input never reach Mat._trusted, which takes raw field
+reads, so values from input never reach LinMap._trusted, which takes raw field
 values as they are.  The algebra, bimodule and bilinear-map loaders coerce
 each structure constant exactly once and hand the coerced sparse product
 tables to FinAlgebra._trusted, Bimodule._trusted and BilinMap._trusted;
@@ -15,7 +15,7 @@ import pytest
 
 from trialg import io
 from trialg.errors import InputError
-from trialg.exactla import GF, QQ, Mat
+from trialg.exactla import GF, QQ, LinMap
 from trialg.fixtures import fixture_f1, sigma1
 from trialg.sigmamaps import BilinMap
 
@@ -95,7 +95,7 @@ def test_loaders_never_reach_the_trusted_constructors(fname, tmp_path, monkeypat
     def refuse(*args, **kwargs):
         raise AssertionError("trusted constructor reached while loading input")
 
-    monkeypatch.setattr(Mat, "_trusted", refuse)
+    monkeypatch.setattr(LinMap, "_trusted", refuse)
     for name, doc in docs.items():
         loaded = [load(doc) for load in _loaders(name, field, tmp_path)]
         if name in ("linmap", "bilinmap"):
@@ -144,14 +144,14 @@ def test_bilinmap_loader_allocates_no_dense_tensor():
     assert peak < 16 * 2**20
 
 
-def test_public_mat_coerces_input_values():
-    m = Mat(QQ, [[1, "-1/2"], [0, " 3 "]])
+def test_public_linmap_coerces_input_values():
+    m = LinMap(QQ, [[1, "-1/2"], [0, " 3 "]])
     assert m.rows == ((Fraction(1), Fraction(-1, 2)), (Fraction(0), Fraction(3)))
     assert all(type(v) is Fraction for row in m.rows for v in row)
-    assert Mat(GF(5), [[7, "-1"], ["10", 3]]).rows == ((2, 4), (0, 3))
+    assert LinMap(GF(5), [[7, "-1"], ["10", 3]]).rows == ((2, 4), (0, 3))
     for field, bad in ((QQ, True), (QQ, "1/x"), (GF(5), False), (GF(5), "two")):
         with pytest.raises(InputError):
-            Mat(field, [[bad]])
+            LinMap(field, [[bad]])
 
 
 @pytest.mark.parametrize("fname", sorted(FIELDS))

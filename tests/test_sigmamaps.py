@@ -241,7 +241,7 @@ class TestBlockDecompose:
     def test_corner_negation_blocks(self, f1, f1_blocks):
         assert f1_blocks.f.is_identity()
         assert f1_blocks.g.is_identity()
-        assert f1_blocks.nu.mat.rows == ((QQ.coerce(-1),),)
+        assert f1_blocks.nu.rows == ((QQ.coerce(-1),),)
 
     def test_identity_blocks(self, f3):
         blocks = block_decompose(f3, LinMap.identity(QQ, 6))
@@ -294,7 +294,7 @@ class TestBlockMaps:
             blocks = {(src, dst): block_of(tri, f, src, dst) for src in self.CORNERS for dst in self.CORNERS}
             for (src, dst), block in blocks.items():
                 assert block == self._from_images(tri, f, src, dst)
-                assert block.mat.nrows == block.dst_dim and block.mat.ncols == block.src_dim
+                assert block.dst_dim == block.dst_dim and block.src_dim == block.src_dim
             assert from_blocks(tri, blocks) == f
 
     def test_missing_blocks_are_zero(self, f1, phi_m):
@@ -399,8 +399,8 @@ class TestAlphaBetaReduce:
         alg, sig = f2_pair
         d = LinMap.identity(QQ, 4) - sig
         res = alpha_beta_reduce(alg, d, LinMap.identity(QQ, 4), sig)
-        assert res.reduced.mat == d.mat
-        assert res.sigma.mat == sig.mat
+        assert res.reduced == d
+        assert res.sigma == sig
         assert res.input_verdict.holds and res.output_verdict.holds
 
     def test_equal_twists_collapse_to_identity(self, f1, f1_sigma1):
@@ -428,7 +428,7 @@ class TestAlphaBetaReduce:
         res = alpha_beta_reduce(f1.total, pushed, f1_sigma1,
                                 f1_sigma1.compose(f1_sigma1), commuting=True)
         assert res.input_verdict.holds and res.output_verdict.holds
-        assert res.reduced.mat == f1_theta1.mat
+        assert res.reduced == f1_theta1
 
 
 class TestInnerAutomorphism:
@@ -482,13 +482,13 @@ class TestCommutingOracle:
             sigma = random_block_preserving_sigma(tri, rng)
             maps = []
             for theta in solve_space("sigma_commuting", tri, sigma).basis_maps():
-                rows = [list(r) for r in theta.mat.rows]
+                rows = [list(r) for r in theta.rows]
                 k, j = rng.randrange(alg.dim), rng.randrange(alg.dim)
                 rows[k][j] = field.add(rows[k][j], field.one)
                 maps += [theta, LinMap(field, rows, alg.dim, alg.dim)]
             for theta in maps:
                 holds = classify_linear("sigma_commuting", alg, theta, sigma).holds
-                assert holds == _commutes_everywhere(alg, theta, sigma), (name, theta.mat.rows)
+                assert holds == _commutes_everywhere(alg, theta, sigma), (name, theta.rows)
                 outcomes.add(holds)
         assert outcomes == {True, False}
 

@@ -2,12 +2,12 @@
 kinds, and the time to emit each solved space, one JSON object on stdout.
 
     python tools/ladder.py                  # every rung up to dim 45
-    python tools/ladder.py --max-dim 84     # also UT_6 and UT_7 (dims 63, 84)
+    python tools/ladder.py --max-dim 135    # also UT_6 to UT_9 (dims 63, 84, 108, 135)
     python tools/ladder.py --max-dim 18 --repeats 1 --min-seconds 0
 
 The rungs are F1, F2, F3 over Q, F1, F2, F4 over F_5 (F4 is F3 over F_5), and
-the regular Trian(UT_k, UT_k, UT_k) for k = 2..7 (dims 9, 18, 30, 45, 63, 84)
-over Q and over F_5, each with its fixture twist (sigma2 on F2, the corner
+the regular Trian(UT_k, UT_k, UT_k) for k = 2..9 (dims 9, 18, 30, 45, 63, 84,
+108, 135) over Q and over F_5, each with its fixture twist (sigma2 on F2, the corner
 negation sigma1 on the triangular algebras).  For every rung and kind the
 script times solve_space(kind, T, sigma, verify=False) and verify=True, each
 on a fresh instance (so no cached automorphism verdict or map data carries
@@ -16,7 +16,9 @@ verified space; it reports the best time of each.  Each solve mode runs at
 least --repeats solves and goes on until its solves add up to --min-seconds
 (at most 200 solves), so that the sub-millisecond rungs are sampled as well
 as the large ones.  Both modes must return the same basis; a mismatch exits
-with status 1.  It imports trialg from src/ beside this directory and uses
+with status 1.  Each row carries basis_sha256, the sha256 of the emitted
+report of the verified space, so that two runs (say on two versions of src/)
+can be compared for identical bases row by row.  It imports trialg from src/ beside this directory and uses
 only the standard library.
 """
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import os
 import platform
@@ -78,7 +81,7 @@ def rungs(max_dim: int):
         for name, build in fixtures:
             t, _ = build()
             out.append((name, fname, t.dim, build))
-        for k in range(2, 8):
+        for k in range(2, 10):
             dim = 3 * k * (k + 1) // 2
             out.append(("UT_%d" % k, fname, dim, _regular(field, k)))
     return [r for r in out if r[2] <= max_dim]
@@ -92,10 +95,12 @@ def _timed(fn):
 
 
 def measure(kind, build, repeats, min_seconds):
-    """(unverified s, verified s, emit s, same basis, space dim, rounds)."""
+    """(unverified s, verified s, emit s, same basis, space dim, rounds, the
+    sha256 of the emitted verified space)."""
     best = {False: float("inf"), True: float("inf"), "emit": float("inf")}
     spent = {False: 0.0, True: 0.0}
     bases = {}
+    digest = None
     r = 0
     while r < repeats or (min(spent.values()) < min_seconds and r < MAX_SOLVES):
         for verify in ((False, True) if r % 2 == 0 else (True, False)):
@@ -105,9 +110,12 @@ def measure(kind, build, repeats, min_seconds):
             spent[verify] += sec
             bases[verify] = space.subspace
             if verify:
-                best["emit"] = min(best["emit"], _timed(lambda: canonical_json(space.to_json()))[0])
+                sec, text = _timed(lambda: canonical_json(space.to_json()))
+                best["emit"] = min(best["emit"], sec)
+                digest = hashlib.sha256(text.encode()).hexdigest()
         r += 1
-    return best[False], best[True], best["emit"], bases[False] == bases[True], bases[True].dim, r
+    return (best[False], best[True], best["emit"], bases[False] == bases[True], bases[True].dim, r,
+            digest)
 
 
 def main(argv=None) -> int:
@@ -121,15 +129,15 @@ def main(argv=None) -> int:
     ok = True
     for name, fname, dim, build in rungs(args.max_dim):
         for kind in KINDS:
-            unverified, verified, emit, same, space_dim, solves = measure(kind, build, args.repeats,
-                                                                          args.min_seconds)
+            unverified, verified, emit, same, space_dim, solves, digest = measure(
+                kind, build, args.repeats, args.min_seconds)
             ok = ok and same
             rows.append({"rung": name, "field": fname, "dim": dim, "kind": kind,
                          "space_dim": space_dim, "same_basis": same, "solves": solves,
                          "unverified_ms": round(unverified * 1e3, 2),
                          "verified_ms": round(verified * 1e3, 2),
                          "ratio": round(verified / unverified, 2),
-                         "emit_ms": round(emit * 1e3, 2)})
+                         "emit_ms": round(emit * 1e3, 2), "basis_sha256": digest})
             sys.stderr.write("%-5s %-3s dim %2d %-18s %9.2f %9.2f ms  x%.2f  emit %8.2f ms%s\n"
                              % (name, fname, dim, kind, unverified * 1e3, verified * 1e3,
                                 verified / unverified, emit * 1e3, "" if same else "  BASES DIFFER"))
