@@ -476,10 +476,22 @@ class LinMap:
         return LinMap._trusted(self.field, [[neg(v) for v in row] for row in self.rows], self.src_dim)
 
     def inverse(self) -> "LinMap":
-        inv = matrix_inverse(self)
-        if inv is None:
+        """Exact inverse of a square map; NotInvertible if it is singular.
+
+        The sparse rows of [self | I] are reduced once: the map is invertible
+        exactly when the pivot columns are 0, ..., n-1, and pivot row i then
+        holds row i of the inverse in its columns n, ..., 2n-1.
+        """
+        n = self.dst_dim
+        if n != self.src_dim:
+            raise ShapeMismatch("inverse of non-square matrix")
+        field = self.field
+        one, zero = field.one, field.zero
+        rows = ({**row, n + i: one} for i, row in enumerate(_rows_to_sparse(self.rows)))
+        pivots = _sparse_reduce(field, rows, 2 * n)
+        if any(c >= n for c in pivots):
             raise NotInvertible("map is not invertible")
-        return inv
+        return LinMap._trusted(field, [[pivots[i].get(n + j, zero) for j in range(n)] for i in range(n)], n)
 
     def rank(self) -> int:
         """The rank, as the number of pivots of the column space, read off
@@ -741,25 +753,6 @@ def kernel_sparse(field: Field, rows, ncols: int) -> "Subspace":
 def kernel_basis(m: LinMap) -> "Subspace":
     """Canonical basis of the kernel {v : m v = 0}."""
     return kernel_sparse(m.field, _rows_to_sparse(m.rows), m.src_dim)
-
-
-def matrix_inverse(m: LinMap) -> LinMap | None:
-    """Exact inverse of a square map, or None if it is singular.
-
-    The sparse rows of [m | I] are reduced once: m is invertible exactly when
-    the pivot columns are 0, ..., n-1, and pivot row i then holds row i of the
-    inverse in its columns n, ..., 2n-1.
-    """
-    n = m.dst_dim
-    if n != m.src_dim:
-        raise ShapeMismatch("inverse of non-square matrix")
-    field = m.field
-    one, zero = field.one, field.zero
-    rows = ({**row, n + i: one} for i, row in enumerate(_rows_to_sparse(m.rows)))
-    pivots = _sparse_reduce(field, rows, 2 * n)
-    if any(c >= n for c in pivots):
-        return None
-    return LinMap._trusted(field, [[pivots[i].get(n + j, zero) for j in range(n)] for i in range(n)], n)
 
 
 def solve_sparse(field: Field, rows: Sequence[dict], rhs: Sequence, ncols: int) -> tuple | None:

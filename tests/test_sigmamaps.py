@@ -292,9 +292,11 @@ class TestBlockMaps:
     def test_nine_blocks_reassemble_the_map(self):
         for tri, f in _block_instances():
             blocks = {(src, dst): block_of(tri, f, src, dst) for src in self.CORNERS for dst in self.CORNERS}
+            ranges = {"A": tri.range_a, "M": tri.range_m, "B": tri.range_b}
             for (src, dst), block in blocks.items():
                 assert block == self._from_images(tri, f, src, dst)
-                assert block.dst_dim == block.dst_dim and block.src_dim == block.src_dim
+                assert (block.dst_dim, block.src_dim) == (len(ranges[dst]), len(ranges[src]))
+                assert len(block.rows) == block.dst_dim and all(len(r) == block.src_dim for r in block.rows)
             assert from_blocks(tri, blocks) == f
 
     def test_missing_blocks_are_zero(self, f1, phi_m):
