@@ -21,7 +21,7 @@ _EXPORTS = {
                 "nilpotency_T", "radical", "structure_checks", "tau_iso"),
     "sigmamaps": ("AutBlocks", "BilinMap", "alpha_beta_reduce", "block_decompose",
                   "classify_bilinear", "classify_linear", "inner_automorphism", "sigma_center",
-                  "sigma_center_oracle", "sigma_commutator_vec"),
+                  "sigma_commutator_vec"),
     "spaces": ("DerivationBlocks", "MapSpace", "extremal_sigma_biderivation",
                "inner_derivation_witness", "inner_sigma_biderivation", "inner_sigma_derivation",
                "posner_intersection", "sigma_derivation_blocks", "solve_space"),

@@ -35,7 +35,7 @@ from .errors import (
     UnitLawViolation,
     ZeroModule,
 )
-from .exactla import Field, LinMap, SparseColumns, Subspace, kernel_sparse, span_coefficients
+from .exactla import Field, LinMap, Subspace, _sorted_nonzero, _sparse, kernel_sparse, span_coefficients
 
 DEFAULT_BUDGET = 10**6
 
@@ -133,8 +133,7 @@ def _copy_tables(table) -> tuple:
 def _sparse_table(tensor) -> SparseTable:
     """The SparseTable of a product given as an order-3 tensor of structure
     constants, or as rows of the vectors of its products."""
-    return SparseTable(tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row)
-                       for row in tensor)
+    return SparseTable(tuple(map(_sparse, row)) for row in tensor)
 
 
 def _coerced_table(field: Field, tensor, shape: tuple, what: str) -> SparseTable:
@@ -157,25 +156,19 @@ def _tensor_entries(field: Field, table: SparseTable) -> list:
             for k, c in vec]
 
 
-def _sparse_columns(f) -> SparseColumns:
-    """The SparseColumns of f: f itself, or those of a LinMap, made once per
-    map."""
-    return f if isinstance(f, SparseColumns) else f.sparse_columns()
-
-
-def _integer_terms(table, xc, terms) -> tuple:
+def _integer_terms(table, X, terms) -> tuple:
     """The data of product_rule_failure over Q as integers: (S, m_X, X's
     columns, table, terms as (P, Q, table_t, m_t)), read off the lifted
     columns and tables as described there."""
     lifted = []
     for P, Q, tab in terms:
-        dp, pc = _sparse_columns(P).lifted()
-        dq, qc = _sparse_columns(Q).lifted()
+        dp, pc = P.lifted()
+        dq, qc = Q.lifted()
         dt, tints = tab.lifted()
         lifted.append((pc, qc, tints, dp * dq * dt))
     xden = xints = xtab = None
-    if xc is not None:
-        dx, xints = xc.lifted()
+    if X is not None:
+        dx, xints = X.lifted()
         dt, xtab = table.lifted()
         xden = dx * dt
     den = lcm(*[d for *_, d in lifted], *([xden] if xden else []))
@@ -191,9 +184,9 @@ def product_rule_failure(table, X, terms, order=None) -> tuple | None:
     Products are SparseTables, entry [i][j] the nonzero (k, c) of e_i * e_j
     (FinAlgebra._pairs, Bimodule._left_pairs / _right_pairs, or a transpose
     or negation of one); each term is a triple (P_t, Q_t, table_t) of maps and
-    a table.  A map is a LinMap or a SparseColumns, and is read through its
-    cached sparse columns.  An identity with no X term passes X = None; its
-    residual lies where the first Q_t maps.
+    a table.  A map is a LinMap, read through its sparse columns.  An
+    identity with no X term passes X = None; its residual lies where the first
+    Q_t maps.
 
     The residual is accumulated in integers.  Over F_p the residues are
     integers already, and the accumulator is reduced mod p once per residual.
@@ -205,15 +198,14 @@ def product_rule_failure(table, X, terms, order=None) -> tuple | None:
     contribution multiplied by S over its own denominator (m_t, m_X), and a
     failing pair reports acc / S.
     """
-    xc = None if X is None else _sparse_columns(X)
-    out = xc if xc is not None else _sparse_columns(terms[0][1])
+    out = X if X is not None else terms[0][1]
     field = out.field
     p = field.characteristic
     if p:  # the residues are integers already
-        den, xm, xtab = 1, 1, table
-        sparse_terms = [(_sparse_columns(P), _sparse_columns(Q), tab, 1) for P, Q, tab in terms]
+        den, xm, xc, xtab = 1, 1, None if X is None else X.columns, table
+        sparse_terms = [(P.columns, Q.columns, tab, 1) for P, Q, tab in terms]
     else:
-        den, xm, xc, xtab, sparse_terms = _integer_terms(table, xc, terms)
+        den, xm, xc, xtab, sparse_terms = _integer_terms(table, X, terms)
     if order is None:
         order = itertools.product(range(len(table)), range(len(table[0]) if table else 0))
     for i, j in order:
@@ -237,7 +229,7 @@ def product_rule_failure(table, X, terms, order=None) -> tuple | None:
                                 acc[l] = acc.get(l, 0) - uw * c
         # nonzero as an integer, and over F_p also mod p (p.__rmod__(v) = v % p)
         if acc and any(acc.values()) and (not p or any(map(p.__rmod__, acc.values()))):
-            residual = [field.zero] * out.nrows
+            residual = [field.zero] * out.dst_dim
             for l, v in acc.items():
                 residual[l] = v % p if p else Fraction(v, den)
             return (i, j), tuple(residual)
@@ -288,9 +280,9 @@ def product_rule_rows(table, terms, n: int, order=None) -> tuple:
     # basis vector of X's side
     lifted = []
     for P, Q, tab in terms:
-        known, tab = (_sparse_columns(P), tab) if Q is None else (_sparse_columns(Q), tab.transpose())
+        known, tab = (P, tab) if Q is None else (Q, tab.transpose())
         if p:
-            lifted.append((known, 1, tab, Q is None))
+            lifted.append((known.columns, 1, tab, Q is None))
         else:
             (dk, known), (dt, tab) = known.lifted(), tab.lifted()
             lifted.append((known, dk * dt, tab, Q is None))
@@ -403,7 +395,7 @@ class FinAlgebra:
 
     def identity_map(self) -> LinMap:
         """The identity map of this algebra, made once per instance, so that
-        its sparse columns are made once too."""
+        its lifted columns are made once too."""
         if self._identity is None:
             object.__setattr__(self, "_identity", LinMap.identity(self.field, self.dim))
         return self._identity
@@ -460,14 +452,15 @@ class FinAlgebra:
         """The map y -> x y of an element x of raw values: column j is
         sum_a x_a (e_a e_j), read off the product table."""
         field, n = self.field, self.dim
-        add, mul = field.add, field.mul
-        rows = [[field.zero] * n for _ in range(n)]
+        zero, add, mul = field.zero, field.add, field.mul
+        cols = [{} for _ in range(n)]
         for a, xa in enumerate(x):
             if xa:
                 for j, prods in enumerate(self._pairs[a]):
+                    col = cols[j]
                     for k, c in prods:
-                        rows[k][j] = add(rows[k][j], mul(xa, c))
-        return LinMap._trusted(field, rows, n)
+                        col[k] = add(col.get(k, zero), mul(xa, c))
+        return LinMap._trusted(field, map(_sorted_nonzero, cols), n)
 
     def invert(self, x) -> tuple:
         """Two-sided inverse of x, or NotInvertible."""
@@ -557,18 +550,30 @@ def _associativity_failure(pairs: SparseTable, p: int) -> tuple | None:
 
     Both sides are accumulated in integers: over F_p on the residues, reduced
     mod p once per triple, and over Q on the lifted table, where both sides
-    carry the square of its denominator.  For each pair (i, j) only the k
-    where a side can be nonzero are visited, in increasing order: those with
-    e_j e_k != 0, and those with e_a e_k != 0 for some e_a in the support of
-    e_i e_j.
+    carry the square of its denominator.  Only the triples where a side can
+    be nonzero are visited, in increasing order: the left side needs
+    e_i e_j != 0, the right side an e_a with e_i e_a != 0 in e_j e_k.  So per i
+    the j are those with e_i e_j != 0 and those that an index a -> j, built
+    once, lists under such an a; the k are those with e_j e_k != 0 or
+    e_a e_k != 0 for an e_a in e_i e_j, or, when e_i e_j = 0, those where
+    e_j e_k meets the support of e_i.
     """
     tab = pairs if p else pairs.lifted()[1]
     cols = range(len(tab))
     support = [list(itertools.compress(cols, row)) for row in tab]  # the k with e_r e_k != 0
+    reach = [set() for _ in cols]  # the j with e_a in the support of some e_j e_k, per a
+    for j, row in enumerate(tab):
+        for k in support[j]:
+            for a, _ in row[k]:
+                reach[a].add(j)
     for i, row in enumerate(tab):
-        for j, ij in enumerate(row):
-            jrow = tab[j]
-            ks = sorted(set(support[j]).union(*[support[a] for a, _ in ij])) if ij else support[j]
+        left = set(support[i])
+        for j in sorted(left.union(*[reach[a] for a in left])):
+            ij, jrow = row[j], tab[j]
+            if ij:
+                ks = sorted(set(support[j]).union(*[support[a] for a, _ in ij]))
+            else:
+                ks = [k for k in support[j] if any(a in left for a, _ in jrow[k])]
             for k in ks:
                 jk = jrow[k]
                 acc = {}
@@ -828,7 +833,7 @@ def twisted_commutator_blocks(alg: FinAlgebra, sigma: LinMap):
     empty dicts; read off the sparse products and sigma's columns."""
     field, n, pairs = alg.field, alg.dim, alg._pairs
     zero, add, sub, mul = field.zero, field.add, field.sub, field.mul
-    for i, col in enumerate(sigma.sparse_columns()):
+    for i, col in enumerate(sigma.columns):
         block = [{} for _ in range(n)]
         for a, u in col:
             for j, prods in enumerate(pairs[a]):
@@ -1010,7 +1015,7 @@ def eta_from_center(tri: TriAlgebra, z: Subspace, nu: LinMap) -> SubspaceMap:
         if coeffs is None:
             raise TheoremViolation("projection of the twisted center is inconsistent")
         cols.append(pa.coords(tri.part_a(z.combine(coeffs))))
-    eta = SubspaceMap(pb, pa, LinMap._trusted(field, zip(*cols), pb.dim))
+    eta = SubspaceMap(pb, pa, LinMap._trusted(field, map(_sparse, cols), pa.dim))
     for u in pb.basis:
         a = eta.apply_ambient(u)
         for j in range(dm):
@@ -1057,7 +1062,7 @@ def quotient_algebra(alg: FinAlgebra, ideal: Subspace) -> tuple[FinAlgebra, LinM
     names = tuple(alg.basis_names[i] for i in keep)
     quotient = FinAlgebra._trusted(field, table, unit, names)
     proj_cols = [reduce_vec(((i, field.one),)) for i in range(n)]
-    return quotient, LinMap._trusted(field, zip(*proj_cols), n)
+    return quotient, LinMap._trusted(field, map(_sparse, proj_cols), len(keep))
 
 
 def faithful_quotient(tri: TriAlgebra) -> TriAlgebra:

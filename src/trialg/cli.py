@@ -95,9 +95,7 @@ def _cmd_sigma_center(args) -> int:
     z, eta = sigma_center(tri, blocks, want_eta=want_eta)
     result = {"sigma_center": z.to_json()}
     if eta is not None:
-        fmt = tri.field.format
-        result["eta"] = {"matrix": [[fmt(v) for v in row] for row in eta.matrix.rows],
-                         "domain_dim": eta.domain.dim}
+        result["eta"] = {"matrix": eta.matrix.to_json()["matrix"], "domain_dim": eta.domain.dim}
     else:
         result["eta"] = None
     return _emit(_report("sigma-center", [args.triangular, args.sigma], result))

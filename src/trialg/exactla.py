@@ -37,11 +37,11 @@ loops run on residues, with monic pivots and one ``% p`` per updated entry
 instead of field-method calls.  Rows that are scalar multiples of each other
 share one integer form, and only the first of them is eliminated.
 
-A LinMap is a linear map held as its dense matrix, entry [k][j] the
-coefficient of e_k in the image of e_j, with its sparse columns made on first
-use.  It is the one map type of trialg, for automorphisms, their blocks and
-every solved map alike, and sits here below the row reduction that inverts it
-and the algebra layer that evaluates it.
+A LinMap is a linear map stored only as its sparse columns, column j the
+nonzero (k, c) of the image of e_j; its dense matrix is a view made on each
+read.  It is the one map type of trialg, for automorphisms, their blocks, the
+slots of a bilinear map and every solved map alike, and sits here below the
+row reduction that inverts it and the algebra layer that evaluates it.
 
 A Subspace stores one form of its basis: the sparse RREF rows that
 _sparse_reduce returns, each a tuple of its nonzero (column, value) sorted by
@@ -306,56 +306,49 @@ def field_from_json(obj) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# linear maps (dense rows, sparse columns on first use)
+# linear maps (sparse columns)
 # ---------------------------------------------------------------------------
 
 
-class SparseColumns(tuple):
-    """The columns of a map's matrix over field as sparse lists: entry j
-    holds the nonzero (k, c) of column j, the image of e_j.
+def _sparse(vec) -> tuple:
+    """The nonzero (k, c) of a dense vector, in order of k."""
+    return tuple((k, c) for k, c in enumerate(vec) if c)
 
-    It keeps, made on first use, its lifted form over Q (lifted()).
-    """
 
-    def __new__(cls, field: Field, nrows: int, cols):
-        self = super().__new__(cls, cols)
-        self.field = field
-        self.nrows = nrows
-        self._lifted = None
-        return self
+def _sorted_nonzero(acc: dict) -> tuple:
+    """The nonzero (k, c) of a {k: c} dict, sorted by k."""
+    return tuple(sorted(item for item in acc.items() if item[1]))
 
-    def lifted(self) -> tuple:
-        """(den, ints): the least common denominator of the entries, and the
-        columns with each entry c replaced by the integer c * den (over Q)."""
-        if self._lifted is None:
-            den = lcm(*[c.denominator for col in self for _, c in col])
-            self._lifted = den, tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in col)
-                                      if col else () for col in self)
-        return self._lifted
+
+def _merge(u, v, op, zero) -> tuple:
+    """The sparse vector with entries op(u_k, v_k), for sparse vectors u, v
+    (tuples of nonzero (k, c)) and op the add or sub of a field."""
+    acc = dict(u)
+    for k, c in v:
+        acc[k] = op(acc.get(k, zero), c)
+    return _sorted_nonzero(acc)
 
 
 class LinMap:
-    """Linear map between coordinate spaces (usually one algebra), held as
-    its dense immutable matrix of raw field values: entry [k][j] of rows is
-    the coefficient of e_k in the image of e_j (images in the columns), so
-    there are dst_dim rows of src_dim entries.
+    """Linear map between coordinate spaces (usually one algebra), stored
+    only as its sparse columns: columns[j] lists the nonzero (k, c) of the
+    image of e_j, sorted by k, c the coefficient of e_k (a raw value of
+    field, k below dst_dim).  Every operation works on the columns; rows, the
+    dense matrix with entry [k][j] the coefficient of e_k in the image of
+    e_j, is a read-only view made anew on each read, for printing and tests.
 
-    The public constructor coerces every entry through field.coerce and
-    checks the shape, so it takes input values (int, str, Fraction).
-    LinMap._trusted skips both; it is for rows of raw values of this field
-    made by trialg itself (identities, products, solved bases, images already
-    coerced), never for values read from input.
-
-    A map keeps two derived values, each made on first use: its sparse
-    columns (sparse_columns(), which in turn keep their lifted form over Q)
-    and its hash.
+    The public constructor takes that dense matrix as input values (int, str,
+    Fraction), coerces every entry, checks the shape and converts it to
+    columns once.  LinMap._trusted takes columns of raw values made by trialg
+    itself, never values read from input.  A map keeps, made on first use,
+    its columns lifted to integers over Q (lifted()) and its hash.
     """
 
-    __slots__ = ("field", "src_dim", "dst_dim", "rows", "_columns", "_hash")
+    __slots__ = ("field", "src_dim", "dst_dim", "columns", "_lifted", "_hash")
 
     def __init__(self, field: Field, rows: Iterable[Sequence], src_dim: int | None = None,
                  dst_dim: int | None = None):
-        rows = tuple(tuple(field.coerce(v) for v in row) for row in rows)
+        rows = [tuple(field.coerce(v) for v in row) for row in rows]
         ncols = len(rows[0]) if rows else src_dim or 0
         for row in rows:
             if len(row) != ncols:
@@ -363,22 +356,22 @@ class LinMap:
         expected = (len(rows) if dst_dim is None else dst_dim, ncols if src_dim is None else src_dim)
         if (len(rows), ncols) != expected:
             raise DimMismatch("map matrix is %dx%d, expected %dx%d" % ((len(rows), ncols) + expected))
-        self._set(field, rows, ncols)
+        self._set(field, tuple(map(_sparse, zip(*rows))) if rows else ((),) * ncols, len(rows))
 
-    def _set(self, field: Field, rows: tuple, src_dim: int):
+    def _set(self, field: Field, columns: tuple, dst_dim: int):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "src_dim", src_dim)
-        object.__setattr__(self, "dst_dim", len(rows))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_columns", None)
+        object.__setattr__(self, "src_dim", len(columns))
+        object.__setattr__(self, "dst_dim", dst_dim)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "_lifted", None)
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _trusted(cls, field: Field, rows: Iterable[Sequence], src_dim: int) -> "LinMap":
-        """The map of rows of raw values of field, each of length src_dim,
-        taken as they are: no coercion and no shape check."""
+    def _trusted(cls, field: Field, columns: Iterable[Sequence], dst_dim: int) -> "LinMap":
+        """The map with these columns of raw values of field, in the form of
+        LinMap.columns, taken as they are: no coercion and no check."""
         self = object.__new__(cls)
-        self._set(field, tuple(map(tuple, rows)), src_dim)
+        self._set(field, tuple(map(tuple, columns)), dst_dim)
         return self
 
     def __setattr__(self, *a):
@@ -386,50 +379,62 @@ class LinMap:
 
     @staticmethod
     def identity(field: Field, n: int) -> "LinMap":
-        one, zero = field.one, field.zero
-        return LinMap._trusted(field, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
+        one = field.one
+        return LinMap._trusted(field, [((j, one),) for j in range(n)], n)
 
     @staticmethod
     def zero(field: Field, src_dim: int, dst_dim: int | None = None) -> "LinMap":
-        if dst_dim is None:
-            dst_dim = src_dim
-        return LinMap._trusted(field, [(field.zero,) * src_dim] * dst_dim, src_dim)
+        return LinMap._trusted(field, ((),) * src_dim, src_dim if dst_dim is None else dst_dim)
 
     @staticmethod
     def from_images(field: Field, images: list, src_dim: int | None = None, dst_dim: int | None = None) -> "LinMap":
-        """Build from the list of basis-vector images."""
+        """Build from the list of basis-vector images, coerced entry by entry."""
         if src_dim is None:
             src_dim = len(images)
         if dst_dim is None:
             dst_dim = len(images[0]) if images else 0
-        rows = [[field.coerce(img[k]) for img in images] for k in range(dst_dim)]
-        return LinMap._trusted(field, rows, src_dim)
+        if len(images) != src_dim or any(len(img) != dst_dim for img in images):
+            raise DimMismatch("images do not fit a %d -> %d map" % (src_dim, dst_dim))
+        coerce = field.coerce
+        return LinMap._trusted(field, (_sparse(map(coerce, img)) for img in images), dst_dim)
 
-    def sparse_columns(self) -> SparseColumns:
-        """The nonzero (k, c) of each column, made once per map."""
-        if self._columns is None:
-            cols = zip(*self.rows) if self.dst_dim else [()] * self.src_dim
-            object.__setattr__(self, "_columns", SparseColumns(
-                self.field, self.dst_dim, [tuple((k, c) for k, c in enumerate(col) if c) for col in cols]))
-        return self._columns
+    def lifted(self) -> tuple:
+        """(den, ints) over Q: the least common denominator of the entries,
+        and the columns with each entry c replaced by the integer c * den."""
+        if self._lifted is None:
+            den = lcm(*[c.denominator for col in self.columns for _, c in col])
+            object.__setattr__(self, "_lifted", (den, tuple(
+                tuple((k, c.numerator * (den // c.denominator)) for k, c in col) if col else ()
+                for col in self.columns)))
+        return self._lifted
+
+    def _sparse_rows(self) -> list:
+        """The rows of the matrix as sparse {j: c} dicts, each in order of j."""
+        rows = [{} for _ in range(self.dst_dim)]
+        for j, col in enumerate(self.columns):
+            for k, c in col:
+                rows[k][j] = c
+        return rows
+
+    @property
+    def rows(self) -> tuple:
+        """The dense matrix, made anew on each read."""
+        zero, n = self.field.zero, self.src_dim
+        return tuple(tuple(_dense(zero, n, row.items())) for row in self._sparse_rows())
 
     def image_of_basis(self, j: int) -> tuple:
-        """Column j: the image of e_j."""
-        return tuple(r[j] for r in self.rows)
+        """Column j as a dense vector: the image of e_j."""
+        return tuple(_dense(self.field.zero, self.dst_dim, self.columns[j]))
 
     def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.src_dim:
             raise ShapeMismatch("apply %dx%d to vector of length %d" % (self.dst_dim, self.src_dim, len(vec)))
-        add, mul, zero, coerce = self.field.add, self.field.mul, self.field.zero, self.field.coerce
-        nonzero = [(j, w) for j, w in enumerate(map(coerce, vec)) if w]
-        out = []
-        for r in self.rows:
-            acc = zero
-            for j, w in nonzero:
-                v = r[j]
-                if v:
-                    acc = add(acc, mul(v, w))
-            out.append(acc)
+        add, mul, coerce = self.field.add, self.field.mul, self.field.coerce
+        out = [self.field.zero] * self.dst_dim
+        for w, col in zip(map(coerce, vec), self.columns):
+            if w:
+                for k, c in col:
+                    out[k] = add(out[k], mul(c, w))
         return tuple(out)
 
     def compose(self, other: "LinMap") -> "LinMap":
@@ -440,16 +445,15 @@ class LinMap:
         self._check(other)
         # column j of the product is self applied to column j of other
         add, mul, zero = self.field.add, self.field.mul, self.field.zero
-        cols = self.sparse_columns()
+        cols = self.columns
         images = []
-        for col in other.sparse_columns():
-            img = [zero] * self.dst_dim
+        for col in other.columns:
+            acc = {}
             for k, c in col:
                 for l, v in cols[k]:
-                    img[l] = add(img[l], mul(c, v))
-            images.append(img)
-        return LinMap._trusted(self.field, [[img[l] for img in images] for l in range(self.dst_dim)],
-                               other.src_dim)
+                    acc[l] = add(acc.get(l, zero), mul(c, v))
+            images.append(_sorted_nonzero(acc))
+        return LinMap._trusted(self.field, images, self.dst_dim)
 
     def _check(self, other: "LinMap", op: str | None = None):
         """Both maps over one field, and for op (add or sub) of one shape."""
@@ -459,21 +463,22 @@ class LinMap:
             raise ShapeMismatch("%s %dx%d and %dx%d"
                                 % (op, self.dst_dim, self.src_dim, other.dst_dim, other.src_dim))
 
+    def _merged(self, other: "LinMap", op, name: str) -> "LinMap":
+        self._check(other, name)
+        zero = self.field.zero
+        return LinMap._trusted(self.field, (_merge(u, v, op, zero) for u, v in zip(self.columns, other.columns)),
+                               self.dst_dim)
+
     def __add__(self, other: "LinMap") -> "LinMap":
-        self._check(other, "add")
-        add = self.field.add
-        return LinMap._trusted(self.field, [[add(a, b) for a, b in zip(r1, r2)]
-                                            for r1, r2 in zip(self.rows, other.rows)], self.src_dim)
+        return self._merged(other, self.field.add, "add")
 
     def __sub__(self, other: "LinMap") -> "LinMap":
-        self._check(other, "sub")
-        sub = self.field.sub
-        return LinMap._trusted(self.field, [[sub(a, b) for a, b in zip(r1, r2)]
-                                            for r1, r2 in zip(self.rows, other.rows)], self.src_dim)
+        return self._merged(other, self.field.sub, "sub")
 
     def __neg__(self) -> "LinMap":
         neg = self.field.neg
-        return LinMap._trusted(self.field, [[neg(v) for v in row] for row in self.rows], self.src_dim)
+        return LinMap._trusted(self.field, (tuple((k, neg(c)) for k, c in col) for col in self.columns),
+                               self.dst_dim)
 
     def inverse(self) -> "LinMap":
         """Exact inverse of a square map; NotInvertible if it is singular.
@@ -486,17 +491,22 @@ class LinMap:
         if n != self.src_dim:
             raise ShapeMismatch("inverse of non-square matrix")
         field = self.field
-        one, zero = field.one, field.zero
-        rows = ({**row, n + i: one} for i, row in enumerate(_rows_to_sparse(self.rows)))
+        rows = self._sparse_rows()
+        for i, row in enumerate(rows):
+            row[n + i] = field.one
         pivots = _sparse_reduce(field, rows, 2 * n)
         if any(c >= n for c in pivots):
             raise NotInvertible("map is not invertible")
-        return LinMap._trusted(field, [[pivots[i].get(n + j, zero) for j in range(n)] for i in range(n)], n)
+        cols = [[] for _ in range(n)]
+        for i in range(n):
+            for c, v in pivots[i].items():
+                if c >= n:
+                    cols[c - n].append((i, v))
+        return LinMap._trusted(field, cols, n)
 
     def rank(self) -> int:
-        """The rank, as the number of pivots of the column space, read off
-        the cached sparse columns."""
-        return len(_sparse_reduce(self.field, map(dict, self.sparse_columns()), self.dst_dim))
+        """The rank, as the number of pivots of the column space."""
+        return len(_sparse_reduce(self.field, map(dict, self.columns), self.dst_dim))
 
     def is_bijective(self) -> bool:
         return self.src_dim == self.dst_dim and self.rank() == self.src_dim
@@ -505,42 +515,39 @@ class LinMap:
         return self.src_dim == self.dst_dim and self == LinMap.identity(self.field, self.src_dim)
 
     def is_zero(self) -> bool:
-        return not any(v for row in self.rows for v in row)
+        return not any(self.columns)
 
     def kernel(self) -> "Subspace":
         return kernel_basis(self)
 
     def image(self) -> "Subspace":
-        return Subspace._from_rows(self.field, self.dst_dim, map(dict, self.sparse_columns()))
+        return Subspace._from_rows(self.field, self.dst_dim, map(dict, self.columns))
 
     def flatten(self) -> tuple:
         """Row-major flattening: index k*src_dim + j."""
-        return tuple(v for row in self.rows for v in row)
-
-    @staticmethod
-    def unflatten(field: Field, flat, src_dim: int, dst_dim: int | None = None) -> "LinMap":
-        """Inverse of flatten; flat holds raw values of field, taken as they are."""
-        if dst_dim is None:
-            dst_dim = len(flat) // src_dim
-        return LinMap._trusted(field, [flat[k * src_dim:(k + 1) * src_dim] for k in range(dst_dim)], src_dim)
+        n = self.src_dim
+        flat = [self.field.zero] * (self.dst_dim * n)
+        for j, col in enumerate(self.columns):
+            for k, c in col:
+                flat[k * n + j] = c
+        return tuple(flat)
 
     def __eq__(self, other):
         return (
             isinstance(other, LinMap)
             and self.field == other.field
-            and self.src_dim == other.src_dim
-            and self.rows == other.rows
+            and self.dst_dim == other.dst_dim
+            and self.columns == other.columns
         )
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.field, self.src_dim, self.rows)))
+            object.__setattr__(self, "_hash", hash((self.field, self.dst_dim, self.columns)))
         return self._hash
 
     def to_json(self):
         fmt = self.field.format
-        return {"convention": "image-in-columns",
-                "matrix": [[fmt(v) for v in row] for row in self.rows]}
+        return {"convention": "image-in-columns", "matrix": [[fmt(v) for v in row] for row in self.rows]}
 
     def __repr__(self):
         return "LinMap(%d -> %d)" % (self.src_dim, self.dst_dim)
@@ -704,23 +711,19 @@ def _dense(zero, n: int, entries) -> list:
     return vec
 
 
-def _rows_to_sparse(rows):
-    for row in rows:
-        yield {c: v for c, v in enumerate(row) if v}
-
-
 def rref(m: LinMap) -> tuple[LinMap, tuple[int, ...]]:
     """Unique reduced row-echelon form of a map's matrix and its pivot columns.
 
     The output has the same shape as the input; zero rows are kept at the
     bottom.
     """
-    n = m.src_dim
-    pivots = _sparse_reduce(m.field, _rows_to_sparse(m.rows), n)
-    zero = m.field.zero
-    dense = [_dense(zero, n, pivots[c].items()) for c in sorted(pivots)]
-    dense += [[zero] * n] * (m.dst_dim - len(dense))
-    return LinMap._trusted(m.field, dense, n), tuple(sorted(pivots))
+    pivots = _sparse_reduce(m.field, m._sparse_rows(), m.src_dim)
+    order = sorted(pivots)
+    cols = [[] for _ in range(m.src_dim)]
+    for r, c in enumerate(order):  # pivot row r is row r of the output
+        for k, v in pivots[c].items():
+            cols[k].append((r, v))
+    return LinMap._trusted(m.field, cols, m.dst_dim), tuple(order)
 
 
 def integer_kernel(field: Field, pivots: dict[int, dict], ncols: int) -> list[dict]:
@@ -752,7 +755,7 @@ def kernel_sparse(field: Field, rows, ncols: int) -> "Subspace":
 
 def kernel_basis(m: LinMap) -> "Subspace":
     """Canonical basis of the kernel {v : m v = 0}."""
-    return kernel_sparse(m.field, _rows_to_sparse(m.rows), m.src_dim)
+    return kernel_sparse(m.field, m._sparse_rows(), m.src_dim)
 
 
 def solve_sparse(field: Field, rows: Sequence[dict], rhs: Sequence, ncols: int) -> tuple | None:
@@ -825,7 +828,7 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise AmbientMismatch("vector length %d in ambient %d" % (len(v), ambient_dim))
-        return Subspace._from_rows(field, ambient_dim, _rows_to_sparse(vecs))
+        return Subspace._from_rows(field, ambient_dim, ({c: v for c, v in enumerate(vec) if v} for vec in vecs))
 
     @staticmethod
     def _from_rows(field: Field, ambient_dim: int, rows) -> "Subspace":
@@ -944,7 +947,7 @@ class Subspace:
         pairs = integer_kernel(field, _sparse_reduce(field, cols, ra + rb), ra + rb)
         zero = field.zero
         vecs = [self.combine(_dense(zero, ra, ((i, c) for i, c in pair.items() if i < ra))) for pair in pairs]
-        return Subspace._from_rows(field, n, _rows_to_sparse(vecs))
+        return Subspace._from_rows(field, n, ({c: v for c, v in enumerate(vec) if v} for vec in vecs))
 
     def to_json(self):
         """Rows written densely, the zero formatted once."""

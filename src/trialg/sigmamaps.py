@@ -19,11 +19,11 @@ polarization q(e_i, e_j), this decides the condition at every element, in
 every characteristic.  The derivation and commuting terms are shared with the
 solve rows of spaces, which algcore.product_rule_rows builds from them.
 
-The evaluator reads every map through its cached sparse columns (a LinMap,
-defined in exactla, keeps them), so the twist sigma and the identity of an
-algebra (FinAlgebra.identity_map) are extracted, and lifted over Q, once
-however many maps are checked against them; the minus sign of a commuting
-term lives in the negated product table.
+The evaluator reads every map through its sparse columns (the one form a
+LinMap, defined in exactla, stores), and the twist sigma and the identity of
+an algebra (FinAlgebra.identity_map) keep their lifted form over Q, so they
+are lifted once however many maps are checked against them; the minus sign of
+a commuting term lives in the negated product table.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .algcore import (
     eta_from_center,
     product_rule_failure,
     quadratic_failure,
-    sigma_center_direct,
     twisted_center_T,
 )
 from .errors import (
@@ -57,7 +56,7 @@ from .errors import (
     SigmaNotAutomorphism,
     TheoremViolation,
 )
-from .exactla import Field, LinMap, SparseColumns, Subspace
+from .exactla import Field, LinMap, Subspace, _merge
 
 LINEAR_KINDS = (
     "endomorphism",
@@ -75,10 +74,10 @@ class BilinMap:
     (entry [i][j] lists the nonzero (k, c) of D(e_i, e_j)).  The public
     constructor coerces a dense tensor t[i][j][k]; _trusted takes a table of
     raw values made by trialg itself (as LinMap._trusted).  It keeps, made on
-    first use, its two slot maps as sparse columns (slot_columns()).
+    first use, its two slot maps (slot_maps()).
     """
 
-    __slots__ = ("field", "dim", "table", "_slot_columns")
+    __slots__ = ("field", "dim", "table", "_slot_maps")
 
     def __init__(self, field: Field, tensor):
         dim = len(tensor)
@@ -88,7 +87,7 @@ class BilinMap:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", len(table))
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_slot_columns", None)
+        object.__setattr__(self, "_slot_maps", None)
 
     @classmethod
     def _trusted(cls, field: Field, table: SparseTable) -> "BilinMap":
@@ -116,17 +115,18 @@ class BilinMap:
             vec[k] = c
         return tuple(vec)
 
-    def slot_columns(self) -> tuple:
+    def slot_maps(self) -> tuple:
         """(first, second): the slot maps for all fixed arguments at once, as
-        SparseColumns of maps into n copies of the space (coordinate k*n + o
-        for e_o in copy k): first e_l -> (D(e_l, e_k))_k, read off row l of
-        the table, second e_l -> (D(e_k, e_l))_k, off row l of its transpose."""
-        if self._slot_columns is None:
+        LinMaps into n copies of the space (coordinate k*n + o for e_o in copy
+        k): first e_l -> (D(e_l, e_k))_k, its columns read off row l of the
+        table, second e_l -> (D(e_k, e_l))_k, off row l of its transpose."""
+        if self._slot_maps is None:
             n = self.dim
-            cols = [[tuple((k * n + o, c) for k, vec in enumerate(row) for o, c in vec) for row in table]
-                    for table in (self.table, self.table.transpose())]
-            object.__setattr__(self, "_slot_columns", tuple(SparseColumns(self.field, n * n, c) for c in cols))
-        return self._slot_columns
+            object.__setattr__(self, "_slot_maps", tuple(
+                LinMap._trusted(self.field, [tuple((k * n + o, c) for k, vec in enumerate(row) for o, c in vec)
+                                             for row in table], n * n)
+                for table in (self.table, self.table.transpose())))
+        return self._slot_maps
 
     def apply(self, x, y) -> tuple:
         field = self.field
@@ -147,14 +147,7 @@ class BilinMap:
         """The map with values op(self(e_i, e_j), other(e_i, e_j)), for op
         the add or sub of the field, merged entry by entry."""
         zero = self.field.zero
-
-        def merge(u, v):
-            acc = dict(u)
-            for k, c in v:
-                acc[k] = op(acc.get(k, zero), c)
-            return tuple(sorted(item for item in acc.items() if item[1]))
-
-        return BilinMap._trusted(self.field, SparseTable(tuple(map(merge, r1, r2))
+        return BilinMap._trusted(self.field, SparseTable(tuple(_merge(u, v, op, zero) for u, v in zip(r1, r2))
                                                          for r1, r2 in zip(self.table, other.table)))
 
     def __add__(self, other: "BilinMap") -> "BilinMap":
@@ -323,21 +316,20 @@ def classify_bilinear(kind: str, alg: FinAlgebra, D: BilinMap, sigma: LinMap | N
     v = replace(is_alpha_beta_biderivation(alg, D, ident, beta), kind=kind)
     if v.holds and kind == "sigma_biderivation":
         # sanity: a twisted biderivation kills the unit in each slot
-        if not all(_kills_unit(alg, Y) for Y in D.slot_columns()):
+        if not all(_kills_unit(alg, Y) for Y in D.slot_maps()):
             raise TheoremViolation("sigma-biderivation does not vanish on the unit")
     return v
 
 
-def _kills_unit(alg: FinAlgebra, slot: SparseColumns) -> bool:
-    """Whether a slot map of a bilinear map D (a SparseColumns of
-    BilinMap.slot_columns, column l listing the (k*n + o, c) of D(e_l, e_k)
-    or of D(e_k, e_l)) sends the unit to zero for every e_l: the sum over k
-    of u_k times copy k.  It is accumulated in integers: over F_p on the
+def _kills_unit(alg: FinAlgebra, slot: LinMap) -> bool:
+    """Whether a slot map of a bilinear map D (one of BilinMap.slot_maps,
+    column l listing the (k*n + o, c) of D(e_l, e_k) or of D(e_k, e_l)) sends
+    the unit to zero for every e_l: the sum over k of u_k times copy k.  It is accumulated in integers: over F_p on the
     residues, reduced mod p once per l, and over Q on the lifted columns with
     the unit scaled by its denominator."""
     n, p = alg.dim, alg.field.characteristic
     if p:
-        cols, unit = slot, alg.unit
+        cols, unit = slot.columns, alg.unit
     else:
         cols = slot.lifted()[1]
         du = lcm(*[u.denominator for u in alg.unit])
@@ -366,21 +358,22 @@ def _corner_range(tri: TriAlgebra, name: str) -> range:
 def block_of(tri: TriAlgebra, f: LinMap, src: str, dst: str) -> LinMap:
     """The block of a map f on the total algebra from corner src to corner
     dst (each "A", "M" or "B"): e_j of src goes to the dst part of f(e_j).
-    It is a submatrix of f, taken as it is."""
+    Its columns are those of f at src, cut to dst."""
     rs, rd = _corner_range(tri, src), _corner_range(tri, dst)
-    return LinMap._trusted(tri.field, [row[rs.start:rs.stop] for row in f.rows[rd.start:rd.stop]], len(rs))
+    lo, hi = rd.start, rd.stop
+    return LinMap._trusted(tri.field, [tuple((k - lo, c) for k, c in f.columns[j] if lo <= k < hi) for j in rs],
+                           len(rd))
 
 
 def from_blocks(tri: TriAlgebra, blocks: dict) -> LinMap:
     """The map on the total algebra with the blocks {(src, dst): LinMap},
     as block_of reads them, and zero in every block not given."""
-    field = tri.field
-    rows = [[field.zero] * tri.dim for _ in range(tri.dim)]
+    cols = [[] for _ in range(tri.dim)]
     for (src, dst), block in blocks.items():
-        rs = _corner_range(tri, src)
-        for k, row in zip(_corner_range(tri, dst), block.rows):
-            rows[k][rs.start:rs.stop] = row
-    return LinMap._trusted(field, rows, tri.dim)
+        lo = _corner_range(tri, dst).start
+        for j, col in zip(_corner_range(tri, src), block.columns):
+            cols[j].extend((lo + k, c) for k, c in col)
+    return LinMap._trusted(tri.field, map(sorted, cols), tri.dim)
 
 
 @dataclass(frozen=True)
@@ -443,11 +436,6 @@ def sigma_center(tri: TriAlgebra, blocks: AutBlocks, want_eta: bool = True
     return z_sigma, eta_from_center(tri, z_sigma, blocks.nu)
 
 
-def sigma_center_oracle(tri: TriAlgebra, sigma: LinMap) -> Subspace:
-    """Direct kernel of x -> [e_i, x]_sigma over all basis vectors."""
-    return sigma_center_direct(tri.total, sigma)
-
-
 # ---------------------------------------------------------------------------
 # (alpha, beta) reduction
 # ---------------------------------------------------------------------------
@@ -492,7 +480,7 @@ def is_alpha_beta_biderivation(alg: FinAlgebra, D: BilinMap, alpha: LinMap, beta
     the bimodule of n copies of alg, e_l -> (D(e_l, e_k))_k, and the slot
     identities are the derivation identity Y(xy) = beta(x) Y(y) + Y(x) alpha(y)
     over the copies' actions (SparseTable.copies); likewise D(e_k, .).  Both
-    maps are read off the table (BilinMap.slot_columns).  The witness is the
+    maps are read off the table (BilinMap.slot_maps).  The witness is the
     failure first in the order (i, j, k, first slot before second) of the pair
     e_i e_j and the fixed argument e_k: the first failing pair of a slot, at
     the least copy k where its residual is nonzero.
@@ -500,7 +488,7 @@ def is_alpha_beta_biderivation(alg: FinAlgebra, D: BilinMap, alpha: LinMap, beta
     n = alg.dim
     left, right = alg._pairs.copies()
     failures = []
-    for slot, Y in enumerate(D.slot_columns()):
+    for slot, Y in enumerate(D.slot_maps()):
         bad = product_rule_failure(alg._pairs, Y, ((beta, Y, left), (Y, alpha, right)))
         if bad:
             (i, j), residual = bad

@@ -19,13 +19,13 @@ kernel unchanged.  The biderivation coefficient kernel stays in integers too:
 it is read off the pivot rows (exactla.integer_kernel) without an RREF of its
 own, lifted to tensors in ints, and only the lifted tensors are reduced to
 the canonical basis.  The derivation kernel delta_1 ... delta_r comes from
-integer_kernel as well.  Twist and identity are read through their cached
-sparse columns, so verifying the r basis maps of a space extracts and lifts
-sigma and the identity once, not r times.
+integer_kernel as well.  Twist and identity keep their lifted columns, so
+verifying the r basis maps of a space lifts sigma and the identity once, not
+r times.
 
 A space is kept as the sparse RREF rows of its Subspace.  Its basis maps are
-built straight from those rows (a bilinear map's table with no n^3 dense
-vector), and to_json writes the rows as Subspace.to_json does, so neither a
+built straight from those rows (a linear map's columns, a bilinear map's
+table), and to_json writes the rows as Subspace.to_json does, so neither a
 solve nor its report makes the dense basis view.
 """
 
@@ -55,7 +55,6 @@ from .errors import (
 from .exactla import (
     IntegerRows,
     Subspace,
-    _dense,
     _integer_row,
     _sparse_reduce,
     integer_kernel,
@@ -99,12 +98,17 @@ class MapSpace:
         return self.kind in ("derivation", "sigma_derivation", "commuting", "sigma_commuting")
 
     def basis_maps(self):
-        """The basis as maps, each built from its sparse RREF row: no bilinear
-        map passes through a dense n^3 vector."""
+        """The basis as maps, each built from its sparse RREF row (entries in
+        row-major order): no map passes through a dense vector."""
         field, n = self.algebra.field, self.algebra.dim
-        if self.is_linear_kind():
-            return [LinMap.unflatten(field, _dense(field.zero, n * n, row), n, n) for row in self.subspace.rows]
         maps = []
+        if self.is_linear_kind():
+            for row in self.subspace.rows:
+                cols = [[] for _ in range(n)]
+                for kj, v in row:
+                    cols[kj % n].append((kj // n, v))
+                maps.append(LinMap._trusted(field, cols, n))
+            return maps
         for row in self.subspace.rows:
             table = [[()] * n for _ in range(n)]
             for ij, entries in itertools.groupby(row, key=lambda e: e[0] // n):

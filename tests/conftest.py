@@ -151,31 +151,27 @@ def count_aut_checks(monkeypatch):
 
 
 @pytest.fixture()
-def count_column_builds(monkeypatch):
-    """Record each build of derived map data: the rows of a LinMap each time
-    sparse_columns() returns columns it did not hold before the call, and the
-    columns of a SparseColumns each time lifted() returns a new lifted form."""
+def count_map_builds(monkeypatch):
+    """Record the dimension of each identity map LinMap.identity makes, and
+    the columns of a LinMap each time lifted() returns a new lifted form."""
     import trialg.exactla as ex
 
-    built = {"columns": [], "lifted": []}
-    columns, lifted = ex.LinMap.sparse_columns, ex.SparseColumns.lifted
+    built = {"identity": [], "lifted": []}
+    identity, lifted = ex.LinMap.identity, ex.LinMap.lifted
 
-    def counting_columns(self):
-        before = self._columns
-        out = columns(self)
-        if out is not before:
-            built["columns"].append(self.rows)
-        return out
+    def counting_identity(field, n):
+        built["identity"].append(n)
+        return identity(field, n)
 
     def counting_lifted(self):
         before = self._lifted
         out = lifted(self)
         if out is not before:
-            built["lifted"].append(tuple(self))
+            built["lifted"].append(self.columns)
         return out
 
-    monkeypatch.setattr(ex.LinMap, "sparse_columns", counting_columns)
-    monkeypatch.setattr(ex.SparseColumns, "lifted", counting_lifted)
+    monkeypatch.setattr(ex.LinMap, "identity", staticmethod(counting_identity))
+    monkeypatch.setattr(ex.LinMap, "lifted", counting_lifted)
     return built
 
 

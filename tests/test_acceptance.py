@@ -15,6 +15,7 @@ from trialg.algcore import (
     nil_radical_T,
     nilpotency,
     radical,
+    sigma_center_direct,
 )
 from trialg.classify import (
     commuting_blocks,
@@ -44,7 +45,6 @@ from trialg.sigmamaps import (
     classify_linear,
     inner_automorphism,
     sigma_center,
-    sigma_center_oracle,
     sigma_commutator_vec,
 )
 from trialg.spaces import (
@@ -93,16 +93,16 @@ def test_criterion_03_center_formulas_vs_oracles(f1, f1_sigma1, f1_blocks, f3,
     assert center_T(f1) == center_direct(f1.total)
     assert center_T(f3) == center_direct(f3.total)
     z1, _ = sigma_center(f1, f1_blocks)
-    assert z1 == sigma_center_oracle(f1, f1_sigma1)
+    assert z1 == sigma_center_direct(f1.total, f1_sigma1)
     z3, _ = sigma_center(f3, f3_blocks, want_eta=False)
-    assert z3 == sigma_center_oracle(f3, f3_identity)
+    assert z3 == sigma_center_direct(f3.total, f3_identity)
     assert len(random_f5_mixed) == 20
     for _, tri, sig in random_f5_mixed:
         assert tri.dim <= 6
         assert center_T(tri) == center_direct(tri.total)
         blocks = block_decompose(tri, sig)
         z, _ = sigma_center(tri, blocks, want_eta=False)
-        assert z == sigma_center_oracle(tri, sig)
+        assert z == sigma_center_direct(tri.total, sig)
     _announce(3, "center and twisted center equal their kernel oracles")
 
 

@@ -2,13 +2,20 @@
 against the dense matrix forms they replaced, kept here as references: the
 n^2 products L_i L_j of left multiplication matrices and their traces, the
 stacked multiplication matrices of x -> x m_j and x -> m_j x, the dense
-matrix product, and the inverse read off the rref of the dense [M | I].
+matrix product, and the inverse read off a textbook Gauss-Jordan of the
+dense [M | I].
 The multiplication maps built from n mul_vec products (left_mul_by_mul_vec,
 and right_mul_mat, which other test modules import) are references too:
 left_mul_mat, read off the product table, must equal the first.
 
 Every instance of instance_catalog (with a random block-preserving twist)
 and of random_instances is checked over Q, F_5, F_3 and F_2.
+
+LinMap, stored as its sparse columns, is checked against its dense rows on
+random maps over Q and F_5, 0-dimensional sides among them: the operations,
+rank, kernel and image (the last three against the textbook Gauss-Jordan),
+and equality and hashing, which must tell apart maps that differ only in
+their target dimension.
 
 Subspace, stored as its sparse RREF rows, is checked against the dense forms
 it replaced: the nonzero rows of the dense rref, the residual and the linear
@@ -22,7 +29,7 @@ The associativity check, which visits only the triples where a side can be
 nonzero, is checked against the loop over all n^3 basis triples it
 replaced: both must name the same first failing triple on associative
 tables, on associative tables with one product changed, and on random
-sparse tables, over Q, F_5 and F_2."""
+sparse tables, over Q, F_5, F_3 and F_2."""
 
 import random
 from fractions import Fraction
@@ -32,6 +39,7 @@ import pytest
 from trialg.algcore import FinAlgebra, SparseTable, _associativity_failure, _trace_form_rows, annihilators, center_direct, center_T, nil_radical_T, radical, unit_m
 from trialg.errors import CharTooSmall, NotInvertible
 from trialg.exactla import GF, QQ, LinMap, Subspace, kernel_basis, rref
+from test_exactla import _gauss_jordan
 from trialg.randomgen import instance_catalog, random_block_preserving_sigma, random_instances
 
 FIELDS = [QQ, GF(5), GF(3), GF(2)]
@@ -48,7 +56,7 @@ def _instances(field):
 
 
 def _mul_vec_map(alg, cols) -> LinMap:
-    return LinMap._trusted(alg.field, zip(*cols) if cols else [], alg.dim)
+    return LinMap(alg.field, zip(*cols), alg.dim)
 
 
 def left_mul_by_mul_vec(alg, x) -> LinMap:
@@ -71,7 +79,7 @@ def _dense_product(a: LinMap, b: LinMap) -> LinMap:
             for j, w in enumerate(b.rows[k]):
                 out[j] = add(out[j], mul(v, w))
         rows.append(out)
-    return LinMap._trusted(a.field, rows, b.src_dim)
+    return LinMap(a.field, rows, b.src_dim)
 
 
 def _dense_trace(m: LinMap):
@@ -84,7 +92,7 @@ def _dense_trace(m: LinMap):
 def _dense_trace_form(alg) -> LinMap:
     """tr(L_i L_j) from the n^2 products of the left multiplication matrices."""
     lmats = [left_mul_by_mul_vec(alg, alg.basis_vector(i)) for i in range(alg.dim)]
-    return LinMap._trusted(alg.field, [[_dense_trace(_dense_product(a, b)) for b in lmats] for a in lmats],
+    return LinMap(alg.field, [[_dense_trace(_dense_product(a, b)) for b in lmats] for a in lmats],
                         alg.dim)
 
 
@@ -99,25 +107,57 @@ def _stacked_annihilators(tri) -> tuple:
     em = [unit_m(field, dm, j) for j in range(dm)]
     left = [[tri.act_left(a, m) for m in em] for a in ea]
     right = [[tri.act_right(m, b) for b in eb] for m in em]
-    L = kernel_basis(LinMap._trusted(field, [[left[i][j][mp] for i in range(da)]
+    L = kernel_basis(LinMap(field, [[left[i][j][mp] for i in range(da)]
                                           for j in range(dm) for mp in range(dm)], da))
-    R = kernel_basis(LinMap._trusted(field, [[right[j][k][mp] for k in range(db)]
+    R = kernel_basis(LinMap(field, [[right[j][k][mp] for k in range(db)]
                                           for j in range(dm) for mp in range(dm)], db))
     t = tri.total
     ms = [t.basis_vector(j) for j in tri.range_m]
-    lann = kernel_basis(LinMap._trusted(field, [r for m in ms for r in right_mul_mat(t, m).rows], t.dim))
-    rann = kernel_basis(LinMap._trusted(field, [r for m in ms for r in left_mul_by_mul_vec(t, m).rows], t.dim))
+    lann = kernel_basis(LinMap(field, [r for m in ms for r in right_mul_mat(t, m).rows], t.dim))
+    rann = kernel_basis(LinMap(field, [r for m in ms for r in left_mul_by_mul_vec(t, m).rows], t.dim))
     return L, R, lann, rann
 
 
 def _rref_inverse(m: LinMap):
-    """The inverse read off the rref of the dense [m | I], or None."""
+    """The inverse read off the Gauss-Jordan rref of the dense [m | I], or
+    None."""
     n = m.dst_dim
     ident = LinMap.identity(m.field, n)
-    red, pivots = rref(LinMap._trusted(m.field, [r + e for r, e in zip(m.rows, ident.rows)], 2 * n))
-    if list(pivots) != list(range(n)):
+    red, pivots = _gauss_jordan(m.field, [r + e for r, e in zip(m.rows, ident.rows)], 2 * n)
+    if pivots != list(range(n)):
         return None
-    return LinMap._trusted(m.field, [row[n:] for row in red.rows[:n]], n)
+    return LinMap(m.field, [row[n:] for row in red], n)
+
+
+def _random_dense(field, rng, dst: int, src: int) -> list:
+    """A dst x src matrix, each entry nonzero with a density drawn per map."""
+    values = ([Fraction(v) for v in (1, -1, 2, 3)] + [Fraction(1, 2), Fraction(-2, 3)]
+              if field is QQ else list(range(1, field.characteristic)))
+    density = rng.choice((0.15, 0.5, 0.9))
+    return [[rng.choice(values) if rng.random() < density else field.zero for _ in range(src)]
+            for _ in range(dst)]
+
+
+def _random_maps(field, rng) -> list:
+    """(dense rows, map) for random maps of every shape up to 5 x 5, 0 x n
+    and n x 0 among them, several per shape."""
+    out = []
+    for dst in range(6):
+        for src in range(6):
+            for _ in range(3):
+                dense = _random_dense(field, rng, dst, src)
+                out.append((dense, LinMap(field, dense, src, dst)))
+    return out
+
+
+def _dense_apply(field, dense, x) -> tuple:
+    out = []
+    for row in dense:
+        acc = field.zero
+        for v, w in zip(row, x):
+            acc = field.add(acc, field.mul(v, w))
+        out.append(acc)
+    return tuple(out)
 
 
 def _rebased(alg, rng, values):
@@ -204,7 +244,7 @@ def test_compose_and_inverse(field):
             for g in square + [proj, emb]:
                 if f.src_dim == g.dst_dim:
                     assert f.compose(g) == _dense_product(f, g)
-        for f in square + [proj.compose(emb)]:
+        for f in square + [proj.compose(emb)] + [m for _, m in _random_maps(field, rng) if m.src_dim == m.dst_dim]:
             expect = _rref_inverse(f)
             if expect is None:
                 with pytest.raises(NotInvertible):
@@ -216,6 +256,53 @@ def test_compose_and_inverse(field):
     assert singular and invertible
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_linmap_against_dense_rows(field):
+    """Each operation of a map stored as sparse columns against the same
+    operation on the dense rows it was made from."""
+    rng = random.Random(8750)
+    add, sub, neg = field.add, field.sub, field.neg
+    cases = _random_maps(field, rng)
+    maps = [m for _, m in cases]
+    for dense, m in cases:
+        n = m.src_dim
+        assert m.rows == tuple(map(tuple, dense)) and m.dst_dim == len(dense)
+        assert m.flatten() == tuple(v for row in dense for v in row)
+        assert m.is_zero() == (not any(v for row in dense for v in row))
+        assert [m.image_of_basis(j) for j in range(n)] == [tuple(row[j] for row in dense) for j in range(n)]
+        x = tuple(field.coerce(rng.randrange(-3, 4)) for _ in range(n))
+        assert m.apply(x) == _dense_apply(field, dense, x)
+        dense_other = _random_dense(field, rng, m.dst_dim, n)
+        other = LinMap(field, dense_other, n, m.dst_dim)
+        for got, op in ((m + other, add), (m - other, sub)):
+            assert got.rows == tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(dense, dense_other))
+        assert (-m).rows == tuple(tuple(map(neg, row)) for row in dense)
+        # rank, kernel and image against the textbook Gauss-Jordan of the rows and the columns
+        red, pivots = _gauss_jordan(field, dense, n)
+        assert m.rank() == len(pivots)
+        null = []
+        for f in (c for c in range(n) if c not in pivots):
+            vec = [field.zero] * n
+            vec[f] = field.one
+            for row, c in zip(red, pivots):
+                vec[c] = neg(row[f])
+            null.append(vec)
+        assert all(not any(_dense_apply(field, dense, vec)) for vec in null)
+        assert m.kernel().basis == tuple(_gauss_jordan(field, null, n)[0])
+        columns = [tuple(row[j] for row in dense) for j in range(n)]
+        assert m.image().basis == tuple(_gauss_jordan(field, columns, m.dst_dim)[0])
+        assert m.is_bijective() == (m.src_dim == m.dst_dim == len(pivots))
+        for g in maps[::7]:
+            if g.dst_dim == n:
+                assert m.compose(g) == _dense_product(m, g)
+    # equality and hashing see the target dimension, which no column shows on a zero map
+    for src in (0, 3):
+        narrow, wide = LinMap.zero(field, src, 2), LinMap.zero(field, src, 4)
+        assert narrow != wide and hash(narrow) != hash(wide) and len({narrow, wide}) == 2
+        assert narrow == LinMap(field, [[0] * src] * 2, src, 2) and hash(narrow) == hash(LinMap.zero(field, src, 2))
+    assert len(set(maps)) == len(set(map(lambda m: (m.dst_dim, m.src_dim, m.flatten()), maps)))
+
+
 # ---------------------------------------------------------------------------
 # Subspace against its dense forms
 # ---------------------------------------------------------------------------
@@ -225,7 +312,7 @@ SUBSPACE_FIELDS = [QQ, GF(5), GF(2)]
 
 def _dense_rref_rows(field, n, vectors) -> tuple:
     """(rows, pivots): the nonzero rows of the rref of the vectors."""
-    red, pivots = rref(LinMap._trusted(field, vectors, n))
+    red, pivots = rref(LinMap(field, vectors, n))
     return red.rows[:len(pivots)], pivots
 
 
@@ -256,7 +343,7 @@ def _dense_intersection(field, n, rows_a, rows_b) -> tuple:
     """The rref rows of the intersection: each vector (a, b) of the dense
     kernel of [A^T | -B^T] gives sum_i a_i A_i."""
     ra = len(rows_a)
-    system = LinMap._trusted(field, [[row[k] for row in rows_a] + [field.neg(row[k]) for row in rows_b]
+    system = LinMap(field, [[row[k] for row in rows_a] + [field.neg(row[k]) for row in rows_b]
                                   for k in range(n)], ra + len(rows_b))
     vecs = [_dense_combination(field, n, rows_a, pair[:ra]) for pair in kernel_basis(system).basis]
     return _dense_rref_rows(field, n, vecs)
@@ -430,7 +517,7 @@ def _with_product_changed(table: SparseTable, field, rng) -> SparseTable:
     return SparseTable(map(tuple, rows))
 
 
-@pytest.mark.parametrize("field", [QQ, GF(5), GF(2)], ids=str)
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(3), GF(2)], ids=str)
 def test_associativity_failure_against_all_triples(field):
     rng = random.Random(9100)
     p = field.characteristic

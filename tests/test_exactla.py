@@ -269,6 +269,9 @@ class TestLinMap:
                 LinMap(QQ, [[1, 2], [3, 4]], *dims)
         with pytest.raises(DimMismatch):
             LinMap(QQ, [], 2, 1)
+        for images, dims in (([[1, 2]], (2, 2)), ([[1], [2, 3]], ()), ([[1, 2], [3, 4]], (2, 3))):
+            with pytest.raises(DimMismatch):
+                LinMap.from_images(QQ, images, *dims)
         assert LinMap(QQ, [[1, 2]], 2, 1).rows == ((Fraction(1), Fraction(2)),)
 
     def test_immutable_equal_and_hashed_by_entries(self):

@@ -70,6 +70,11 @@ from trialg.spaces import (
 TWISTED_KINDS = ("sigma_derivation", "sigma_commuting", "sigma_biderivation")
 
 
+def _unflatten(field, flat, n: int) -> LinMap:
+    """The n x n map whose row-major flattening is flat."""
+    return LinMap(field, [flat[k * n:(k + 1) * n] for k in range(n)], n, n)
+
+
 def _kernel_plus_non_solution(field, rows, ncols):
     """kernel_sparse with the first unit vector outside the kernel added."""
     sub = kernel_sparse(field, rows, ncols)
@@ -168,7 +173,7 @@ class TestSolveSpace:
             assert ncols == 3 * 3
             d = [field.zero] * ncols
             d[1 * 3 + 0] = field.one
-            assert not classify_linear("sigma_derivation", f1.total, LinMap.unflatten(field, d, 3, 3),
+            assert not classify_linear("sigma_derivation", f1.total, _unflatten(field, d, 3),
                                        sigma or LinMap.identity(field, 3)).holds
             return integer_kernel(field, pivots, ncols) + [{1 * 3 + 0: 1}]
 
@@ -217,20 +222,20 @@ class TestSolveSpace:
     @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
     @pytest.mark.parametrize("kind", TWISTED_KINDS)
     def test_twist_and_identity_columns_built_once_per_solve(self, kind, field,
-                                                             count_column_builds):
+                                                             count_map_builds):
         """Row generation, the automorphism check and the re-verification of
-        every basis map share one build of the sparse columns of sigma and of
-        the identity, and over Q one build of their lifted form (over F_p the
-        evaluator reads the residues and lifts nothing).  Matrices are matched
-        by their entries, so a second identity built elsewhere would count."""
+        every basis map share one identity map and, over Q, one build of the
+        lifted columns of sigma and of the identity (over F_p the evaluator
+        reads the residues and lifts nothing).  Maps are matched by their
+        columns, so a second identity built elsewhere would count."""
         tri = fixture_f3(field)
         sigma = sigma1(tri)
+        count_map_builds["identity"].clear()
         space = solve_space(kind, tri, sigma)
         assert space.dim > 1
+        assert count_map_builds["identity"] == [tri.dim]
         for m in (sigma, LinMap.identity(field, tri.dim)):
-            cols = tuple(tuple((k, c) for k, c in enumerate(col) if c) for col in zip(*m.rows))
-            assert count_column_builds["columns"].count(m.rows) == 1
-            assert count_column_builds["lifted"].count(cols) == (0 if field.characteristic else 1)
+            assert count_map_builds["lifted"].count(m.columns) == (0 if field.characteristic else 1)
 
     def test_unknown_kind_rejected(self, f1):
         with pytest.raises(InputError):
@@ -328,7 +333,7 @@ class TestRowSequence:
     def test_linear_rows_match_definition(self, name):
         for alg, sigma in _row_instances(name):
             n = alg.dim
-            unflat = lambda f, v: LinMap.unflatten(f, v, n, n)
+            unflat = lambda f, v: _unflatten(f, v, n)
             assert list(_derivation_rows(alg, sigma)) == _oracle_rows(
                 alg, n * n, unflat, _derivation_residuals(alg, sigma))
             assert list(_commuting_rows(alg, sigma)) == _oracle_rows(
@@ -432,7 +437,7 @@ def _triple_intertwiner_space(tri, blocks):
                     rhs = tri.act_right(tri.act_left(fa, xi.image_of_basis(j)), b)
                     out.extend(field.sub(x, y) for x, y in zip(lhs, rhs))
         return out
-    rows = _oracle_rows(tri.total, dm * dm, lambda f, v: LinMap.unflatten(f, v, dm, dm), residuals)
+    rows = _oracle_rows(tri.total, dm * dm, lambda f, v: _unflatten(f, v, dm), residuals)
     return kernel_sparse(field, rows, dm * dm)
 
 
