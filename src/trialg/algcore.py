@@ -35,7 +35,18 @@ from .errors import (
     UnitLawViolation,
     ZeroModule,
 )
-from .exactla import Field, LinMap, Subspace, _sorted_nonzero, _sparse, kernel_sparse, span_coefficients
+from .exactla import (
+    Field,
+    LinMap,
+    Subspace,
+    _eliminate,
+    _integer_row,
+    _primitive,
+    _sorted_nonzero,
+    _sparse,
+    kernel_sparse,
+    span_coefficients,
+)
 
 DEFAULT_BUDGET = 10**6
 
@@ -181,6 +192,11 @@ def product_rule_failure(table, X, terms, order=None) -> tuple | None:
     is nonzero, with that residual; None when the identity holds on every pair.
 
     The pairs are visited in the given order, row-major over table by default.
+    A derivation-type identity Y(xy) = beta(x) Y(y) + Y(x) alpha(y) with
+    alpha and beta multiplicative holds on every pair once it holds on the
+    pairs (s, j) with e_s in FinAlgebra.generators(), since the x at which it
+    holds for every y form a subalgebra; sigmamaps._derivation_type_failure
+    passes those pairs first, and all pairs only after a failure there.
     Products are SparseTables, entry [i][j] the nonzero (k, c) of e_i * e_j
     (FinAlgebra._pairs, Bimodule._left_pairs / _right_pairs, or a transpose
     or negation of one); each term is a triple (P_t, Q_t, table_t) of maps and
@@ -331,6 +347,72 @@ def product_rule_rows(table, terms, n: int, order=None) -> tuple:
     return scale, blocks()
 
 
+def _generating_set(pairs: SparseTable, p: int) -> tuple:
+    """The ascending indices of a set S of basis vectors that generates the
+    algebra of this product table as a non-unital algebra, picked greedily.
+
+    The basis vectors are visited in ascending order of how often e_k occurs
+    in a product e_a e_b with a != k != b (ties by index), so that the
+    vectors that products rarely make come first.  e_i is kept when it lies outside the
+    span C of all products of the vectors kept so far.  C is the least
+    subspace that holds the kept vectors and is closed under left
+    multiplication by each of them, and it is kept so as vectors arrive: each
+    new vector of C is multiplied by every kept e_s, and a new e_s multiplies
+    every vector C already has.  C is held as integer echelon rows (over Q
+    on the lifted table, a positive multiple of the true products, which
+    spans the same space; over F_p on the residues), each with its least
+    column as lead, reduced with exactla._eliminate.  The walk stops once C
+    is the whole algebra; at worst S is the whole basis.
+    """
+    n = len(pairs)
+    tab = pairs if p else pairs.lifted()[1]
+    made = [0] * n
+    for a, row in enumerate(tab):
+        for b, prods in enumerate(row):
+            for k, _ in prods:
+                if k != a and k != b:
+                    made[k] += 1
+    pivots = {}  # the echelon rows of C by lead column; a row is never changed once added
+    kept = []
+
+    def reduced(row: dict) -> dict:
+        while True:
+            hits = [k for k in row if k in pivots]
+            if not hits:
+                return row
+            k = min(hits)
+            _eliminate(row, k, pivots[k], p)
+
+    def added(row: dict) -> dict:
+        row = _integer_row(p, row) if p else _primitive(row)
+        pivots[min(row)] = row
+        return row
+
+    for i in sorted(range(n), key=made.__getitem__):
+        if len(pivots) == n:
+            break
+        row = reduced({i: 1})
+        if not row:
+            continue
+        kept.append(i)
+        # (left factors, vector): the products still to take
+        todo = [((i,), v) for v in pivots.values()]
+        todo.append((kept, added(row)))
+        while todo and len(pivots) < n:
+            factors, vec = todo.pop()
+            for s in factors:
+                trow = tab[s]
+                acc = {}
+                for j, c in vec.items():
+                    for k, v in trow[j]:
+                        acc[k] = acc.get(k, 0) + c * v
+                row = reduced({k: v % p for k, v in acc.items() if v % p} if p else
+                              {k: v for k, v in acc.items() if v})
+                if row:
+                    todo.append((kept, added(row)))
+    return tuple(sorted(kept))
+
+
 class FinAlgebra:
     """Unital associative algebra given by structure constants.
 
@@ -342,7 +424,8 @@ class FinAlgebra:
     shapes, the unit laws and associativity.
     """
 
-    __slots__ = ("field", "dim", "basis_names", "unit", "_pairs", "_automorphisms", "_identity")
+    __slots__ = ("field", "dim", "basis_names", "unit", "_pairs", "_automorphisms", "_identity",
+                 "_generators")
 
     def __init__(self, field: Field, mul, unit, basis_names=None):
         dim = len(mul)
@@ -377,6 +460,7 @@ class FinAlgebra:
         # maps that sigmamaps.require_automorphism verified on this instance
         object.__setattr__(self, "_automorphisms", set())
         object.__setattr__(self, "_identity", None)
+        object.__setattr__(self, "_generators", None)
         self._validate()
 
     def __setattr__(self, *a):
@@ -399,6 +483,14 @@ class FinAlgebra:
         if self._identity is None:
             object.__setattr__(self, "_identity", LinMap.identity(self.field, self.dim))
         return self._identity
+
+    def generators(self) -> tuple:
+        """The ascending indices of basis vectors that generate this algebra
+        as a non-unital algebra: every element is a linear combination of
+        products of them.  Made once per instance (_generating_set)."""
+        if self._generators is None:
+            object.__setattr__(self, "_generators", _generating_set(self._pairs, self.field.characteristic))
+        return self._generators
 
     # -- vector arithmetic ----------------------------------------------------
 

@@ -9,6 +9,9 @@ F4: the same structure constants as F3 over F_5.
 Companion maps on F1: sigma1 = diag(1, -1, 1) (negates the corner), theta1 =
 diag(1, 1, -1), lambda1 = p - q.  The corner-negating automorphism and the
 inner automorphism by 1 + m generalize to any triangular algebra.
+
+The flip: the regular Trian(UT2(k), UT2(k), UT2(k)), which is UT2 (x) UT2,
+with the automorphism that swaps the two tensor factors; it is not partible.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ __all__ = [
     "lambda1",
     "sigma2",
     "phi_one_plus_m",
+    "regular_bimodule",
+    "ut2_tensor_flip",
     "FIXTURE_NAMES",
 ]
 
@@ -82,6 +87,12 @@ def upper_triangular_algebra(field: Field, n: int) -> FinAlgebra:
         unit[index[(i, i)]] = one
     names = ["E%d%d" % (i + 1, j + 1) for (i, j) in units]
     return FinAlgebra(field, mul, unit, names)
+
+
+def regular_bimodule(alg: FinAlgebra) -> Bimodule:
+    """The algebra as a bimodule over itself (both actions by multiplication)."""
+    n = alg.dim
+    return Bimodule._trusted(alg.field, n, n, n, alg._pairs, alg._pairs)
 
 
 def _scalar_bimodule(field: Field) -> Bimodule:
@@ -170,3 +181,14 @@ def phi_one_plus_m(tri: TriAlgebra, m_coords=None) -> LinMap:
         m_coords = [field.one] + [field.zero] * (tri.M.dim_m - 1)
     u = tri.total.add_vec(tri.total.unit, tri.embed_m(m_coords))
     return inner_automorphism(tri.total, u)
+
+
+def ut2_tensor_flip(field: Field = QQ) -> tuple[TriAlgebra, LinMap]:
+    """The regular Trian(UT_2, UT_2, UT_2), which is UT_2 (x) UT_2 with
+    e_(3a+b) = E_a (x) E_b over the basis E11, E12, E22 of UT_2, and the flip
+    of the two factors, e_(3a+b) -> e_(3b+a): an automorphism with sigma(p) =
+    E11 (in A) + E11 (in B), so it is not partible."""
+    ut = upper_triangular_algebra(field, 2)
+    tri = build_triangular(ut, regular_bimodule(ut), upper_triangular_algebra(field, 2))
+    one = field.one
+    return tri, LinMap._trusted(field, [((3 * (j % 3) + j // 3, one),) for j in range(9)], 9)

@@ -17,17 +17,12 @@ from .errors import NotInvertible
 from .exactla import Field
 from .fixtures import (
     product_field_algebra,
+    regular_bimodule,
     scalar_algebra,
     truncated_polynomial_algebra,
     upper_triangular_algebra,
 )
 from .sigmamaps import LinMap, inner_automorphism
-
-
-def regular_bimodule(alg: FinAlgebra) -> Bimodule:
-    """The algebra as a bimodule over itself (both actions by multiplication)."""
-    n = alg.dim
-    return Bimodule._trusted(alg.field, n, n, n, alg._pairs, alg._pairs)
 
 
 def left_scalar_bimodule(scalars: FinAlgebra, alg: FinAlgebra) -> Bimodule:

@@ -8,7 +8,11 @@ the nonzero (k, c) with c the coefficient of e_k in D(e_i, e_j).
 
 Every product rule X(x y) = sum_t P_t(x) Q_t(y) (multiplicativity, the twisted
 derivation rule in each slot, the block identities on triangular algebras) is
-checked on basis pairs by one evaluator, algcore.product_rule_failure.
+checked on basis pairs by one evaluator, algcore.product_rule_failure.  The
+(alpha, beta)-derivation rule, of a map or of a biderivation slot, is checked
+first on the pairs (s, j) with e_s in the generating set of the algebra
+(FinAlgebra.generators) when alpha and beta are known to be multiplicative;
+_derivation_type_failure states the lemma that makes this enough.
 
 Commuting-style conditions are quadratic in the argument; they are checked on
 singles + polarized pairs by the same evaluator (algcore.quadratic_failure):
@@ -28,6 +32,7 @@ a commuting term lives in the negated product table.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from math import lcm
 
@@ -285,7 +290,12 @@ def classify_linear(kind: str, alg: FinAlgebra, f: LinMap, sigma: LinMap | None 
 
     The (sigma-)derivation and (sigma-)commuting kinds are the (alpha, beta)
     predicates with alpha the identity and beta = sigma (the identity for the
-    untwisted kinds).
+    untwisted kinds).  sigma is verified to be an automorphism first, so a
+    derivation kind is decided on the pairs (s, j) with e_s a generator of
+    the algebra, and all pairs are scanned in row-major order only after a
+    failure there: the witness is the first failing pair of the full scan.
+    The commuting kinds satisfy a quadratic identity, to which that lemma
+    does not apply; they are checked on every single and pair sum.
     """
     if kind == "endomorphism":
         return is_endomorphism(alg, f)
@@ -303,7 +313,13 @@ def classify_linear(kind: str, alg: FinAlgebra, f: LinMap, sigma: LinMap | None 
 
 
 def classify_bilinear(kind: str, alg: FinAlgebra, D: BilinMap, sigma: LinMap | None = None) -> Verdict:
-    """Exact verdict for biderivation-style predicates, witness is a basis triple."""
+    """Exact verdict for biderivation-style predicates, witness is a basis triple.
+
+    Each slot is a derivation into n copies of the algebra, decided like a
+    derivation kind of classify_linear: on the generating pairs first, and
+    on all pairs only after a failure, so the witness is the first failing
+    triple of the full scan.
+    """
     if D.dim != alg.dim:
         raise DimMismatch("bilinear map of dim %d on algebra of dim %d" % (D.dim, alg.dim))
     ident = alg.identity_map()
@@ -455,18 +471,47 @@ def commuting_terms(alg: FinAlgebra, theta: LinMap | None, alpha: LinMap, beta: 
     return ((beta, theta, pairs.negated(alg.field)), (theta, alpha, pairs))
 
 
-def _derivation_failure(alg: FinAlgebra, d: LinMap, alpha: LinMap, beta: LinMap) -> tuple | None:
-    return product_rule_failure(alg._pairs, d, derivation_terms(alg, d, alpha, beta))
+def _multiplicative(alg: FinAlgebra, f: LinMap) -> bool:
+    """Whether f is known to be multiplicative on alg without a check: the
+    identity, or a map that automorphism_verdict has passed on this instance."""
+    return f is alg._identity or f in alg._automorphisms or f.is_identity()
+
+
+def _derivation_type_failure(alg: FinAlgebra, Y: LinMap, terms: tuple, alpha: LinMap,
+                             beta: LinMap) -> tuple | None:
+    """product_rule_failure(alg._pairs, Y, terms) for terms stating
+    Y(xy) = beta(x) Y(y) + Y(x) alpha(y), for Y a map into alg or into a
+    bimodule over it (the copies of a biderivation slot): the same first
+    failing pair in row-major order, or None.
+
+    When alpha and beta are multiplicative the x at which the identity holds
+    for every y form a subspace closed under products: for x1, x2 in it,
+    expanding Y(x1 x2 y) once at (x1, x2 y) and once at (x2, y) gives
+    beta(x1 x2) Y(y) + (beta(x1) Y(x2) + Y(x1) alpha(x2)) alpha(y), and the
+    bracket is Y(x1 x2).  So the identity holds on every pair once it holds
+    on S x basis for S = alg.generators(), and those pairs are checked
+    first.  Only a failure there leads to the row-major scan of all pairs,
+    which then reports the first failing pair.  For any other alpha or beta
+    all pairs are scanned at once.
+    """
+    if _multiplicative(alg, alpha) and _multiplicative(alg, beta):
+        gen_pairs = itertools.product(alg.generators(), range(alg.dim))
+        if product_rule_failure(alg._pairs, Y, terms, gen_pairs) is None:
+            return None
+    return product_rule_failure(alg._pairs, Y, terms)
 
 
 def is_alpha_beta_derivation(alg: FinAlgebra, d: LinMap, alpha: LinMap, beta: LinMap) -> Verdict:
-    """d(xy) = beta(x) d(y) + d(x) alpha(y) on all basis pairs.
+    """d(xy) = beta(x) d(y) + d(x) alpha(y) on all basis pairs, decided on
+    the generating pairs first when alpha and beta are multiplicative
+    (_derivation_type_failure); the witness is the first failing pair in
+    row-major order either way.
 
     With alpha the identity this is exactly the sigma-derivation condition for
     sigma = beta.
     """
     _check_square(alg, d)
-    bad = _derivation_failure(alg, d, alpha, beta)
+    bad = _derivation_type_failure(alg, d, derivation_terms(alg, d, alpha, beta), alpha, beta)
     if bad:
         return Verdict("alpha_beta_derivation", False,
                        Witness(*bad, "d(e_i e_j) - beta(e_i) d(e_j) - d(e_i) alpha(e_j)"))
@@ -483,13 +528,15 @@ def is_alpha_beta_biderivation(alg: FinAlgebra, D: BilinMap, alpha: LinMap, beta
     maps are read off the table (BilinMap.slot_maps).  The witness is the
     failure first in the order (i, j, k, first slot before second) of the pair
     e_i e_j and the fixed argument e_k: the first failing pair of a slot, at
-    the least copy k where its residual is nonzero.
+    the least copy k where its residual is nonzero.  Each slot is decided on
+    the generating pairs first when alpha and beta are multiplicative
+    (_derivation_type_failure: the copies are a bimodule over alg).
     """
     n = alg.dim
     left, right = alg._pairs.copies()
     failures = []
     for slot, Y in enumerate(D.slot_maps()):
-        bad = product_rule_failure(alg._pairs, Y, ((beta, Y, left), (Y, alpha, right)))
+        bad = _derivation_type_failure(alg, Y, ((beta, Y, left), (Y, alpha, right)), alpha, beta)
         if bad:
             (i, j), residual = bad
             k = next(k for k in range(n) if any(residual[k * n:(k + 1) * n]))

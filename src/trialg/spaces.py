@@ -12,6 +12,18 @@ unknowns for r = dim Der_sigma instead of n^3.  Flattening is row-major: a
 linear map matrix entry [k][j] at k*dim + j, a bilinear tensor entry
 [i][j][k] at (i*dim + j)*dim + k.
 
+The derivation rule d(xy) = sigma(x) d(y) + d(x) y is imposed only on the
+pairs (s, j) with e_s in the generating set S of the algebra
+(FinAlgebra.generators) once sigma is known to be multiplicative, as
+solve_space makes it by verifying that sigma is an automorphism.  Then the x
+at which the rule holds for every y form a subalgebra
+(sigmamaps._derivation_type_failure expands the product), so a map that satisfies the rule on S x basis
+satisfies it everywhere: the restricted system has the kernel of the full
+one, and so the same canonical RREF.  The same lemma lets verification
+check S x basis first, for a map and for each biderivation slot.  The
+sigma-commuting identity is quadratic in x, so its rows and checks keep
+every single and pair sum.
+
 Every system is built in Python ints and handed to the reduce as
 exactla.IntegerRows: over Q each row is a positive integer multiple of the
 row of its identity (product_rule_rows reports the factor), which leaves the
@@ -65,6 +77,7 @@ from .sigmamaps import (
     AutBlocks,
     BilinMap,
     LinMap,
+    _multiplicative,
     block_decompose,
     block_of,
     classify_bilinear,
@@ -155,16 +168,24 @@ def _dedup_rows(rows):
             yield r
 
 
-def _derivation_row_blocks(alg: FinAlgebra, sigma: LinMap) -> tuple:
-    """(scale, blocks): per basis pair (i, j), the nonzero integer rows of
+def _derivation_row_blocks(alg: FinAlgebra, sigma: LinMap, order=None) -> tuple:
+    """(scale, blocks): per basis pair (i, j), row-major or in the given
+    order of one-pair tuples, the nonzero integer rows of
     d(e_i e_j) - d(e_i) e_j - sigma(e_i) d(e_j) = 0 by output coordinate,
     flattened unknowns d[k][j], as product_rule_rows scales them."""
-    return product_rule_rows(alg._pairs, derivation_terms(alg, None, alg.identity_map(), sigma), alg.dim)
+    return product_rule_rows(alg._pairs, derivation_terms(alg, None, alg.identity_map(), sigma), alg.dim,
+                             order)
 
 
 def _derivation_rows(alg: FinAlgebra, sigma: LinMap) -> IntegerRows:
-    """d(e_i e_j) = d(e_i) e_j + sigma(e_i) d(e_j), flattened unknowns d[k][j]."""
-    _, blocks = _derivation_row_blocks(alg, sigma)
+    """d(e_i e_j) = d(e_i) e_j + sigma(e_i) d(e_j), flattened unknowns d[k][j]:
+    on the pairs with e_i a generator (FinAlgebra.generators) when sigma is
+    known to be multiplicative (the identity, or an automorphism verified on
+    alg), which leaves the kernel unchanged, else on all pairs."""
+    order = None
+    if _multiplicative(alg, sigma):
+        order = (((s, j),) for s in alg.generators() for j in range(alg.dim))
+    _, blocks = _derivation_row_blocks(alg, sigma, order)
     return IntegerRows(row for block in blocks for row in block.values())
 
 

@@ -31,6 +31,7 @@ from trialg.fixtures import (
     sigma1,
     truncated_polynomial_algebra,
     upper_triangular_algebra,
+    ut2_tensor_flip,
 )
 from trialg.randomgen import instance_catalog, regular_bimodule
 from trialg.sigmamaps import (
@@ -399,17 +400,6 @@ def _conjugates_into_blocks(tri, sigma, units):
                for z, z_inv in units)
 
 
-def _ut2_tensor_flip(field):
-    """The regular Trian(UT_2, UT_2, UT_2), which is UT_2 (x) UT_2 with
-    e_(3a+b) = E_a (x) E_b over the basis E11, E12, E22 of UT_2, and the flip
-    of the two factors, e_(3a+b) -> e_(3b+a): an automorphism with sigma(p) =
-    E11 (in A) + E11 (in B), so it is not partible."""
-    ut = upper_triangular_algebra(field, 2)
-    tri = build_triangular(ut, regular_bimodule(ut), upper_triangular_algebra(field, 2))
-    images = [tri.total.basis_vector(3 * (j % 3) + j // 3) for j in range(9)]
-    return tri, LinMap.from_images(field, images, 9, 9)
-
-
 class TestPartibleWitness:
     @pytest.mark.parametrize("name", [name for name, _ in instance_catalog(GF(2))])
     def test_none_exactly_when_no_conjugate_preserves_blocks_f2(self, name):
@@ -428,7 +418,7 @@ class TestPartibleWitness:
         automorphism with and without the flip after it: partible_witness
         returns None exactly on those with the flip, and exactly there none of
         the 32 invertible elements among the 512 conjugates into the blocks."""
-        tri, flip = _ut2_tensor_flip(GF(2))
+        tri, flip = ut2_tensor_flip(GF(2))
         units = _units(tri.total)
         assert len(units) == 32
         for u, _ in units:

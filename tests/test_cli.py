@@ -167,15 +167,12 @@ class TestSolveAndReports:
         from fractions import Fraction
 
         from trialg import io as tio
-        from trialg.algcore import build_triangular
         from trialg.exactla import GF, QQ
-        from trialg.fixtures import upper_triangular_algebra
-        from trialg.randomgen import regular_bimodule
+        from trialg.fixtures import ut2_tensor_flip
 
-        field = GF(p) if p else QQ
-        ut = upper_triangular_algebra(field, 2)
-        doc = tio.triangular_to_json(build_triangular(ut, regular_bimodule(ut), ut))
-        flip = [["1" if k == 3 * (j % 3) + j // 3 else "0" for j in range(9)] for k in range(9)]
+        tri, sigma = ut2_tensor_flip(GF(p) if p else QQ)
+        doc = tio.triangular_to_json(tri)
+        flip = sigma.to_json()["matrix"]
         (tmp_path / "T.json").write_text(json.dumps(doc))
         (tmp_path / "flip.json").write_text(json.dumps({"matrix": flip}))
         code, out, _ = run_cli(["partible", str(tmp_path / "T.json"), "--sigma", str(tmp_path / "flip.json")])

@@ -48,6 +48,7 @@ from trialg.sigmamaps import (
     classify_bilinear,
     classify_linear,
     derivation_terms,
+    require_automorphism,
     sigma_commutator_vec,
 )
 from trialg.spaces import (
@@ -277,13 +278,15 @@ def _minus(alg, x, *ys):
     return x
 
 
-def _derivation_residuals(alg, sigma):
-    """d(e_i e_j) - d(e_i) e_j - sigma(e_i) d(e_j), over i, j, then coordinates."""
+def _derivation_residuals(alg, sigma, firsts=None):
+    """d(e_i e_j) - d(e_i) e_j - sigma(e_i) d(e_j), over i (in firsts, default
+    every index), j, then coordinates."""
     n, mul = alg.dim, alg.mul_vec
     e = [alg.basis_vector(i) for i in range(n)]
+    firsts = range(n) if firsts is None else firsts
 
     def residuals(d):
-        return [v for i in range(n) for j in range(n)
+        return [v for i in firsts for j in range(n)
                 for v in _minus(alg, d.apply(mul(e[i], e[j])), mul(d.apply(e[i]), e[j]),
                                 mul(sigma.apply(e[i]), d.apply(e[j])))]
     return residuals
@@ -331,11 +334,17 @@ class TestRowSequence:
 
     @pytest.mark.parametrize("name", ["F1", "F2", "F3", "F4"])
     def test_linear_rows_match_definition(self, name):
+        """For a verified twist the derivation rows are the identity's on the
+        pairs (s, j) with e_s a generator, and their kernel is that of the
+        identity on all pairs."""
         for alg, sigma in _row_instances(name):
             n = alg.dim
             unflat = lambda f, v: _unflatten(f, v, n)
-            assert list(_derivation_rows(alg, sigma)) == _oracle_rows(
-                alg, n * n, unflat, _derivation_residuals(alg, sigma))
+            require_automorphism(alg, sigma)
+            rows = list(_derivation_rows(alg, sigma))
+            assert rows == _oracle_rows(alg, n * n, unflat, _derivation_residuals(alg, sigma, alg.generators()))
+            full = _oracle_rows(alg, n * n, unflat, _derivation_residuals(alg, sigma))
+            assert kernel_sparse(alg.field, IntegerRows(rows), n * n) == kernel_sparse(alg.field, full, n * n)
             assert list(_commuting_rows(alg, sigma)) == _oracle_rows(
                 alg, n * n, unflat, _commuting_residuals(alg, sigma))
 

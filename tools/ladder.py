@@ -18,8 +18,11 @@ least --repeats solves and goes on until its solves add up to --min-seconds
 as the large ones.  Both modes must return the same basis; a mismatch exits
 with status 1.  Each row carries basis_sha256, the sha256 of the emitted
 report of the verified space, so that two runs (say on two versions of src/)
-can be compared for identical bases row by row.  It imports trialg from src/ beside this directory and uses
-only the standard library.
+can be compared for identical bases row by row, and generators, the size of
+the generating set on whose pairs the derivation rule is imposed and checked
+(FinAlgebra.generators; 5k - 2 on the regular Trian(UT_k, UT_k, UT_k)).  It
+imports trialg from src/ beside this directory and uses only the standard
+library.
 """
 
 from __future__ import annotations
@@ -128,12 +131,15 @@ def main(argv=None) -> int:
     rows = []
     ok = True
     for name, fname, dim, build in rungs(args.max_dim):
+        t, _ = build()
+        generators = len(getattr(t, "total", t).generators())
         for kind in KINDS:
             unverified, verified, emit, same, space_dim, solves, digest = measure(
                 kind, build, args.repeats, args.min_seconds)
             ok = ok and same
             rows.append({"rung": name, "field": fname, "dim": dim, "kind": kind,
-                         "space_dim": space_dim, "same_basis": same, "solves": solves,
+                         "space_dim": space_dim, "generators": generators, "same_basis": same,
+                         "solves": solves,
                          "unverified_ms": round(unverified * 1e3, 2),
                          "verified_ms": round(verified * 1e3, 2),
                          "ratio": round(verified / unverified, 2),
