@@ -9,9 +9,9 @@ assembled from two algebras and an (A, B)-bimodule into one total algebra,
 its table made of theirs, carrying the Peirce idempotents p and q.
 
 Also here: the sparse product-rule evaluator behind every basis-pair identity
-check, centers and twisted centers, annihilators and faithfulness, the
-faithful quotient, nilpotency, the Koethe/Jacobson radical via the trace form,
-and exhaustive idempotent-based structure checks over small prime fields.
+check, twisted_ad and the (twisted) centers read off it, annihilators and
+faithfulness, the faithful quotient, nilpotency, the Koethe/Jacobson radical
+via the trace form, and exhaustive idempotent checks over small prime fields.
 """
 
 from __future__ import annotations
@@ -541,18 +541,8 @@ class FinAlgebra:
         return self.sub_vec(self.mul_vec(x, y), self.mul_vec(y, x))
 
     def left_mul_mat(self, x) -> LinMap:
-        """The map y -> x y of an element x of raw values: column j is
-        sum_a x_a (e_a e_j), read off the product table."""
-        field, n = self.field, self.dim
-        zero, add, mul = field.zero, field.add, field.mul
-        cols = [{} for _ in range(n)]
-        for a, xa in enumerate(x):
-            if xa:
-                for j, prods in enumerate(self._pairs[a]):
-                    col = cols[j]
-                    for k, c in prods:
-                        col[k] = add(col.get(k, zero), mul(xa, c))
-        return LinMap._trusted(field, map(_sorted_nonzero, cols), n)
+        """The map y -> x y of an element x of raw values (_mul_map)."""
+        return _mul_map(self.field, self._pairs, x)
 
     def invert(self, x) -> tuple:
         """Two-sided inverse of x, or NotInvertible."""
@@ -599,6 +589,20 @@ class FinAlgebra:
 
     def __repr__(self):
         return "FinAlgebra(dim=%d, field=%r)" % (self.dim, self.field)
+
+
+def _mul_map(field: Field, table: SparseTable, x) -> LinMap:
+    """The map y -> x * y for the product of a square table and an element x
+    of raw values: column j is sum_a x_a (e_a * e_j), read off table."""
+    zero, add, mul = field.zero, field.add, field.mul
+    cols = [{} for _ in table]
+    for a, xa in enumerate(x):
+        if xa:
+            for j, prods in enumerate(table[a]):
+                col = cols[j]
+                for k, c in prods:
+                    col[k] = add(col.get(k, zero), mul(xa, c))
+    return LinMap._trusted(field, map(_sorted_nonzero, cols), len(table))
 
 
 def _unit_law_failure(pairs: SparseTable, unit: tuple, p: int) -> int | None:
@@ -919,33 +923,26 @@ def _check_peirce(tri: TriAlgebra):
 # ---------------------------------------------------------------------------
 
 
-def twisted_commutator_blocks(alg: FinAlgebra, sigma: LinMap):
-    """Per basis vector e_i, the dim rows of sigma(e_i) x - x e_i in the
-    unknown coordinates of x, one per output coordinate, zero rows included as
-    empty dicts; read off the sparse products and sigma's columns."""
-    field, n, pairs = alg.field, alg.dim, alg._pairs
-    zero, add, sub, mul = field.zero, field.add, field.sub, field.mul
-    for i, col in enumerate(sigma.columns):
-        block = [{} for _ in range(n)]
-        for a, u in col:
-            for j, prods in enumerate(pairs[a]):
-                for o, c in prods:
-                    row = block[o]
-                    row[j] = add(row.get(j, zero), mul(u, c))
-        for j in range(n):
-            for o, c in pairs[j][i]:
-                row = block[o]
-                row[j] = sub(row.get(j, zero), c)
-        yield [{j: row[j] for j in sorted(row) if row[j]} for row in block]
+def twisted_ad(alg: FinAlgebra, sigma: LinMap, x) -> LinMap:
+    """The map e_i -> [e_i, x]_sigma = sigma(e_i) x - x e_i, the one
+    evaluation of the sigma-commutator in trialg: R_x o sigma - L_x, read off
+    the product table and its transpose.  DimMismatch when sigma is not a map
+    of alg to itself or x (coerced) has another length."""
+    n = alg.dim
+    if (sigma.src_dim, sigma.dst_dim) != (n, n):
+        raise DimMismatch("twist is %d->%d on an algebra of dim %d" % (sigma.src_dim, sigma.dst_dim, n))
+    x = alg.coerce_vector(x)
+    return _mul_map(alg.field, alg._pairs.transpose(), x).compose(sigma) - alg.left_mul_mat(x)
 
 
-def twisted_center_rows(alg: FinAlgebra, sigma: LinMap, offset: int = 0):
-    """Sparse rows of sigma(e_i) x - x e_i = 0 over all basis vectors e_i; the
-    unknown coordinates of x start at column offset."""
-    for block in twisted_commutator_blocks(alg, sigma):
-        for row in block:
-            if row:
-                yield {offset + j: v for j, v in row.items()}
+def _center_map(alg: FinAlgebra, sigma: LinMap) -> LinMap:
+    """x -> ([e_i, x]_sigma)_i into n copies of alg (e_o of copy i at i*n + o),
+    column j read off twisted_ad(alg, sigma, e_j); its kernel is the sigma-center."""
+    n = alg.dim
+    return LinMap._trusted(alg.field, (
+        tuple((i * n + o, c) for i, col in enumerate(twisted_ad(alg, sigma, alg.basis_vector(j)).columns)
+              for o, c in col)
+        for j in range(n)), n * n)
 
 
 def coupling_rows(tri: TriAlgebra, m, nu_m):
@@ -983,8 +980,8 @@ def diagonal_pairs(tri: TriAlgebra, rows) -> Subspace:
 
 
 def sigma_center_direct(alg: FinAlgebra, sigma: LinMap) -> Subspace:
-    """Kernel of x -> (sigma(e_i) x - x e_i)_i over all basis vectors."""
-    return kernel_sparse(alg.field, twisted_center_rows(alg, sigma), alg.dim)
+    """Kernel of x -> ([e_i, x]_sigma)_i over all basis vectors (_center_map)."""
+    return _center_map(alg, sigma).kernel()
 
 
 def center_direct(alg: FinAlgebra) -> Subspace:
@@ -999,10 +996,10 @@ def twisted_center_T(tri: TriAlgebra, f: LinMap, g: LinMap, nu: LinMap) -> Subsp
     g-twisted center of B, and a m = nu(m) b on every basis m, embedded back
     into the total algebra.
     """
-    field, dm = tri.field, tri.M.dim_m
+    field, da, dm = tri.field, tri.A.dim, tri.M.dim_m
     rows = itertools.chain(
-        twisted_center_rows(tri.A, f),
-        twisted_center_rows(tri.B, g, tri.A.dim),
+        _center_map(tri.A, f)._sparse_rows(),
+        ({da + j: v for j, v in row.items()} for row in _center_map(tri.B, g)._sparse_rows()),
         *(coupling_rows(tri, unit_m(field, dm, j), nu.image_of_basis(j)) for j in range(dm)))
     return diagonal_pairs(tri, rows)
 
@@ -1346,13 +1343,6 @@ def _all_idempotents(alg: FinAlgebra, budget: int) -> list[tuple]:
     return out
 
 
-def _is_central(alg: FinAlgebra, x) -> bool:
-    for i in range(alg.dim):
-        if alg.commutator(x, alg.basis_vector(i)) != alg.zero_vector():
-            return False
-    return True
-
-
 def _condition_I_exhaustive(alg: FinAlgebra, budget: int) -> tuple[str, tuple | None]:
     """Does every idempotent e with eA(1-e) = 0 satisfy (1-e)Ae = 0?"""
     one = alg.unit
@@ -1421,7 +1411,7 @@ def structure_checks(alg: FinAlgebra, mode: str, budget: int | None = None) -> S
             return StructureReport(mode, "holds", "commutative")
         if exhaustive_ok:
             for e in _all_idempotents(alg, budget):
-                if not _is_central(alg, e):
+                if not twisted_ad(alg, alg.identity_map(), e).is_zero():
                     return StructureReport(mode, "fails", "exhaustive", witness=e)
             return StructureReport(mode, "holds", "exhaustive")
         return StructureReport(mode, "undecided", "none",

@@ -48,7 +48,7 @@ from .errors import (
     PreconditionFails,
     TheoremViolation,
 )
-from .exactla import IntegerRows, Subspace, kernel_sparse, span_coefficients
+from .exactla import IntegerRows, Subspace, kernel_sparse, span_coefficients, sparse_span_coefficients
 from .sigmamaps import (
     AutBlocks,
     BilinMap,
@@ -62,7 +62,7 @@ from .sigmamaps import (
     is_endomorphism,
     sigma_center,
 )
-from .spaces import extremal_sigma_biderivation, inner_sigma_biderivation
+from .spaces import _ad_maps, _bracket_table, extremal_sigma_biderivation, inner_sigma_biderivation
 
 # ---------------------------------------------------------------------------
 # reports
@@ -172,10 +172,10 @@ def inner_biderivation_witness(tri: TriAlgebra, D0: BilinMap, sigma: LinMap,
     z_sigma, _ = sigma_center(tri, blocks, want_eta=False)
     field = alg.field
     n = alg.dim
-    # lambda [.,.] for lambda in the twisted center, flattened as D0 is
-    comms = [alg.commutator(alg.basis_vector(i), alg.basis_vector(j)) for i in range(n) for j in range(n)]
-    gens = [[c for cij in comms for c in alg.mul_vec(z, cij)] for z in z_sigma.basis]
-    coeffs = span_coefficients(field, gens, D0.flatten())
+    # lambda [.,.] for lambda in the twisted center, by blocks (i, j) as D0's table
+    ads = _ad_maps(alg)
+    gens = [itertools.chain(*_bracket_table(alg.left_mul_mat(z), ads)) for z in z_sigma.basis]
+    coeffs = sparse_span_coefficients(field, gens, itertools.chain(*D0.table))
     if coeffs is None:
         if hypotheses is not None and hypotheses.all_pass():
             raise TheoremViolation("hypotheses verified but a corner-vanishing twisted "
@@ -537,9 +537,8 @@ def properness_sufficiency(tri: TriAlgebra, blocks: AutBlocks) -> TheoremReport:
 
 
 def _commutator_span(alg: FinAlgebra) -> Subspace:
-    vecs = [alg.commutator(alg.basis_vector(i), alg.basis_vector(j))
-            for i in range(alg.dim) for j in range(i + 1, alg.dim)]
-    return Subspace.from_vectors(alg.field, alg.dim, vecs)
+    """[A, A]: the span of the columns of every ad(e_j)."""
+    return Subspace._from_rows(alg.field, alg.dim, (dict(col) for ad in _ad_maps(alg) for col in ad.columns))
 
 
 def _search_recovering_element(tri: TriAlgebra, blocks: AutBlocks, z_sigma: Subspace):

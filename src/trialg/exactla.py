@@ -782,16 +782,27 @@ def solve_sparse(field: Field, rows: Sequence[dict], rhs: Sequence, ncols: int) 
     return tuple(x)
 
 
+def sparse_span_coefficients(field: Field, vectors: Sequence[Iterable], target: Iterable) -> tuple | None:
+    """span_coefficients for vectors and target given as blocks of sparse
+    entries (a LinMap's columns, say), entry (k, c) of block t at coordinate
+    (t, k): solve_sparse on the transposed system, whose rows are built only
+    where some vector or the target is nonzero, as the other rows are zero."""
+    rows = defaultdict(dict)
+    for i, vec in enumerate(vectors):
+        for t, block in enumerate(vec):
+            for k, v in block:
+                rows[t, k][i] = v
+    target = {(t, k): v for t, block in enumerate(target) for k, v in block}
+    keys = sorted(rows.keys() | target.keys())
+    return solve_sparse(field, [rows[c] for c in keys], [target.get(c, field.zero) for c in keys], len(vectors))
+
+
 def span_coefficients(field: Field, vectors: Sequence[Sequence], target: Sequence) -> tuple | None:
     """Coefficients c with sum_i c[i] * vectors[i] = target, zero at every
-    free index, or None when target is not in the span of the vectors.
-
-    The vectors hold raw values of field and share the length of target.  It
-    is solve_sparse on the transposed system, one row per coordinate; as the
-    reduced form of the augmented system is unique, so is the answer.
-    """
-    rows = [{i: v[k] for i, v in enumerate(vectors) if v[k]} for k in range(len(target))]
-    return solve_sparse(field, rows, target, len(vectors))
+    free index, or None when target is not in the span of the vectors (raw
+    values of field, of the length of target); sparse_span_coefficients of
+    their nonzero entries."""
+    return sparse_span_coefficients(field, [(_sparse(v),) for v in vectors], (_sparse(map(field.coerce, target)),))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Complete solution spaces of map equations, plus the inner and extremal
-constructors and the block form of twisted derivations.
+constructors, which read every sigma-commutator off algcore.twisted_ad, and
+the block form of twisted derivations.
 
 Each defining identity is bilinear (or trilinear) in its arguments, so imposing
 it on basis tuples yields an exact linear system in the flattened map
@@ -50,10 +51,9 @@ from .algcore import (
     FinAlgebra,
     SparseTable,
     TriAlgebra,
-    _sparse_table,
     product_rule_failure,
     product_rule_rows,
-    twisted_commutator_blocks,
+    twisted_ad,
 )
 from .errors import (
     CentralElement,
@@ -71,12 +71,13 @@ from .exactla import (
     _sparse_reduce,
     integer_kernel,
     kernel_sparse,
-    solve_sparse,
+    sparse_span_coefficients,
 )
 from .sigmamaps import (
     AutBlocks,
     BilinMap,
     LinMap,
+    _check_square,
     _multiplicative,
     block_decompose,
     block_of,
@@ -87,7 +88,6 @@ from .sigmamaps import (
     from_blocks,
     is_alpha_beta_derivation,
     require_automorphism,
-    sigma_commutator_vec,
 )
 
 SOLVE_KINDS = ("derivation", "sigma_derivation", "biderivation",
@@ -325,12 +325,23 @@ def solve_space(kind: str, t, sigma: LinMap | None = None,
 # ---------------------------------------------------------------------------
 
 
+def _ad_maps(alg: FinAlgebra) -> list:
+    """ad(e_j) = twisted_ad(alg, identity, e_j), the map e_i -> [e_i, e_j],
+    for every basis vector e_j."""
+    ident = alg.identity_map()
+    return [twisted_ad(alg, ident, alg.basis_vector(j)) for j in range(alg.dim)]
+
+
+def _bracket_table(lam_mul: LinMap, ads: list) -> SparseTable:
+    """The table of (x, y) -> lambda [x, y] for lam_mul = L_lambda: entry
+    [i][j] is column i of L_lambda o ad(e_j)."""
+    return SparseTable(zip(*(lam_mul.compose(ad).columns for ad in ads)))
+
+
 def inner_sigma_derivation(t, x0, sigma: LinMap) -> LinMap:
-    """x -> [x, x0]_sigma; always a sigma-derivation."""
+    """x -> [x, x0]_sigma, twisted_ad(alg, sigma, x0); always a sigma-derivation."""
     alg = _algebra_of(t)
-    x0 = alg.coerce_vector(x0)
-    images = [sigma_commutator_vec(alg, alg.basis_vector(j), x0, sigma) for j in range(alg.dim)]
-    d = LinMap.from_images(alg.field, images, alg.dim, alg.dim)
+    d = twisted_ad(alg, sigma, x0)
     v = classify_linear("sigma_derivation", alg, d, sigma)
     if not v.holds:
         raise TheoremViolation("inner twisted derivation failed its own identity")
@@ -338,11 +349,7 @@ def inner_sigma_derivation(t, x0, sigma: LinMap) -> LinMap:
 
 
 def is_sigma_central(t, x, sigma: LinMap) -> bool:
-    alg = _algebra_of(t)
-    x = alg.coerce_vector(x)
-    zero = alg.zero_vector()
-    return all(sigma_commutator_vec(alg, alg.basis_vector(i), x, sigma) == zero
-               for i in range(alg.dim))
+    return twisted_ad(_algebra_of(t), sigma, x).is_zero()
 
 
 def inner_sigma_biderivation(t, lam, sigma: LinMap) -> BilinMap:
@@ -353,9 +360,7 @@ def inner_sigma_biderivation(t, lam, sigma: LinMap) -> BilinMap:
         raise CommutativeAlgebra("inner twisted biderivations need [T, T] != 0")
     if not is_sigma_central(alg, lam, sigma):
         raise NotSigmaCentral("lambda is not twisted-central")
-    vals = ((alg.mul_vec(lam, alg.commutator(alg.basis_vector(i), alg.basis_vector(j)))
-             for j in range(alg.dim)) for i in range(alg.dim))
-    D = BilinMap._trusted(alg.field, _sparse_table(vals))
+    D = BilinMap._trusted(alg.field, _bracket_table(alg.left_mul_mat(lam), _ad_maps(alg)))
     v = classify_bilinear("sigma_biderivation", alg, D, sigma)
     if not v.holds:
         raise TheoremViolation("inner twisted biderivation failed its own identity")
@@ -364,24 +369,21 @@ def inner_sigma_biderivation(t, lam, sigma: LinMap) -> BilinMap:
 
 def extremal_sigma_biderivation(t, x0, sigma: LinMap) -> BilinMap:
     """(x, y) -> [x, [y, x0]_sigma]_sigma for x0 outside the twisted center
-    with [[T, T], x0]_sigma = 0.
-
-    Symmetry and the biderivation identity are re-verified on the result.
+    with [[T, T], x0]_sigma = 0, PreconditionFails naming the first (i, j) in
+    row-major order where inner o ad(e_j), inner = twisted_ad(alg, sigma, x0),
+    does not vanish at e_i.  Symmetry and the biderivation identity are
+    re-verified on the result.
     """
     alg = _algebra_of(t)
-    x0 = alg.coerce_vector(x0)
-    if is_sigma_central(alg, x0, sigma):
+    inner = twisted_ad(alg, sigma, x0)
+    if inner.is_zero():
         raise CentralElement("x0 lies in the twisted center")
-    zero = alg.zero_vector()
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            comm = alg.commutator(alg.basis_vector(i), alg.basis_vector(j))
-            if sigma_commutator_vec(alg, comm, x0, sigma) != zero:
-                raise PreconditionFails((i, j))
-    inner = [sigma_commutator_vec(alg, alg.basis_vector(j), x0, sigma) for j in range(alg.dim)]
-    vals = ((sigma_commutator_vec(alg, alg.basis_vector(i), inner[j], sigma)
-             for j in range(alg.dim)) for i in range(alg.dim))
-    psi = BilinMap._trusted(alg.field, _sparse_table(vals))
+    failing = [(i, j) for j, ad in enumerate(_ad_maps(alg))
+               for i, col in enumerate(inner.compose(ad).columns) if col]
+    if failing:
+        raise PreconditionFails(min(failing))
+    table = zip(*(twisted_ad(alg, sigma, inner.image_of_basis(j)).columns for j in range(alg.dim)))
+    psi = BilinMap._trusted(alg.field, SparseTable(table))
     if not psi.is_symmetric():
         raise TheoremViolation("extremal twisted biderivation is not symmetric")
     v = classify_bilinear("sigma_biderivation", alg, psi, sigma)
@@ -391,14 +393,12 @@ def extremal_sigma_biderivation(t, x0, sigma: LinMap) -> BilinMap:
 
 
 def inner_derivation_witness(t, d: LinMap, sigma: LinMap) -> tuple | None:
-    """Solve [x, x0]_sigma = d(x) for x0; None when d is not inner."""
+    """Solve [x, x0]_sigma = d(x) for x0, the coefficients of d's columns in
+    those of the twisted_ad(alg, sigma, e_j); None when d is not inner."""
     alg = _algebra_of(t)
-    rows = []
-    rhs = []
-    for j, block in enumerate(twisted_commutator_blocks(alg, sigma)):
-        rows.extend(block)
-        rhs.extend(d.image_of_basis(j))
-    x0 = solve_sparse(alg.field, rows, rhs, alg.dim)
+    _check_square(alg, d)
+    cols = [twisted_ad(alg, sigma, alg.basis_vector(j)).columns for j in range(alg.dim)]
+    x0 = sparse_span_coefficients(alg.field, cols, d.columns)
     if x0 is None:
         return None
     if inner_sigma_derivation(alg, x0, sigma) != d:

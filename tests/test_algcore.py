@@ -25,7 +25,7 @@ from trialg.algcore import (
     structure_checks,
     subspace_product,
     tau_iso,
-    twisted_commutator_blocks,
+    twisted_ad,
 )
 from trialg.errors import (
     CharTooSmall,
@@ -262,8 +262,9 @@ class TestCenter:
         for _, tri, _ in random_f5_mixed:
             assert center_T(tri) == center_direct(tri.total)
 
-    def test_twisted_commutator_blocks_match_dense_products(self, random_f5_mixed):
-        """Block i holds the rows of L_{sigma(e_i)} - R_{e_i}, zero rows included."""
+    def test_twisted_ad_matches_dense_products(self, random_f5_mixed):
+        """Column i of twisted_ad(alg, sigma, x) is (L_{sigma(e_i)} - R_{e_i}) x,
+        at every basis vector x, the unit and an element with full support."""
         from trialg.fixtures import sigma1
         from trialg.randomgen import random_instances
 
@@ -271,11 +272,25 @@ class TestCenter:
         cases += [(tri, sigma) for _, tri, sigma in random_instances(QQ, 6, 9200) + random_f5_mixed]
         for tri, sigma in cases:
             alg = tri.total
-            blocks = list(twisted_commutator_blocks(alg, sigma))
-            assert len(blocks) == alg.dim
-            for i, block in enumerate(blocks):
-                dense = alg.left_mul_mat(sigma.image_of_basis(i)) - right_mul_mat(alg, alg.basis_vector(i))
-                assert block == [{j: v for j, v in enumerate(row) if v} for row in dense.rows]
+            n = alg.dim
+            dense = [alg.left_mul_mat(sigma.image_of_basis(i)) - right_mul_mat(alg, alg.basis_vector(i))
+                     for i in range(n)]
+            xs = [alg.basis_vector(j) for j in range(n)] + [alg.unit, tuple(range(1, n + 1))]
+            for x in xs:
+                x = alg.coerce_vector(x)
+                assert twisted_ad(alg, sigma, x) == LinMap.from_images(alg.field, [d.apply(x) for d in dense], n, n)
+
+
+    def test_twisted_ad_rejects_wrong_shapes(self, f1):
+        """A twist that is not a map of the algebra to itself, or an element
+        of another length, is an input error, not a wrong map."""
+        alg = f1.total
+        for sigma in (LinMap.identity(QQ, 2), LinMap.identity(QQ, 4), LinMap.zero(QQ, 3, 2), LinMap.zero(QQ, 2, 3)):
+            with pytest.raises(DimMismatch):
+                twisted_ad(alg, sigma, alg.unit)
+        for x in ((1, 0), (1, 0, 0, 0)):
+            with pytest.raises(DimMismatch):
+                twisted_ad(alg, alg.identity_map(), x)
 
 
 class TestAnnihilators:

@@ -36,11 +36,18 @@ from fractions import Fraction
 
 import pytest
 
-from trialg.algcore import FinAlgebra, SparseTable, _associativity_failure, _trace_form_rows, annihilators, center_direct, center_T, nil_radical_T, radical, unit_m
-from trialg.errors import CharTooSmall, NotInvertible
-from trialg.exactla import GF, QQ, LinMap, Subspace, kernel_basis, rref
+from trialg.algcore import (FinAlgebra, SparseTable, _associativity_failure, _trace_form_rows, annihilators,
+                            build_triangular, center_direct, center_T, nil_radical_T, radical, sigma_center_direct,
+                            twisted_ad, unit_m)
+from trialg.classify import _commutator_span, extremal_split, inner_biderivation_witness
+from trialg.errors import CentralElement, CharTooSmall, NotInvertible, PreconditionFails
+from trialg.exactla import GF, QQ, LinMap, Subspace, kernel_basis, rref, solve_sparse
 from test_exactla import _gauss_jordan
-from trialg.randomgen import instance_catalog, random_block_preserving_sigma, random_instances
+from trialg.fixtures import sigma1, upper_triangular_algebra
+from trialg.randomgen import instance_catalog, random_block_preserving_sigma, random_instances, regular_bimodule
+from trialg.sigmamaps import BilinMap, block_decompose, sigma_center, sigma_commutator_vec
+from trialg.spaces import (extremal_sigma_biderivation, inner_derivation_witness, inner_sigma_biderivation,
+                           inner_sigma_derivation, is_sigma_central, solve_space)
 
 FIELDS = [QQ, GF(5), GF(3), GF(2)]
 
@@ -531,3 +538,178 @@ def test_associativity_failure_against_all_triples(field):
         failures += want is not None
     assert all(_associativity_failure(t, p) is None for t in associative)
     assert failures > len(tables) // 4
+
+
+# -- the sigma-commutator ----------------------------------------------------
+#
+# Every [x, y]_sigma of trialg is read off algcore.twisted_ad.  The dense
+# formulas it replaced are kept here: sigma(x) y - y x by mul_vec, inner
+# derivations and centrality from n such products, lambda [e_i, e_j] and the
+# extremal map from n^2 of them, and the two inner witnesses as the dense
+# transposed systems (one row per flattened coordinate, zero rows included).
+
+
+def _dense_commutator(alg, x, y, sigma) -> tuple:
+    """[x, y]_sigma = sigma(x) y - y x by dense products."""
+    return alg.sub_vec(alg.mul_vec(sigma.apply(x), y), alg.mul_vec(y, x))
+
+
+def _dense_inner_derivation(alg, x0, sigma) -> LinMap:
+    return LinMap.from_images(alg.field, [_dense_commutator(alg, alg.basis_vector(j), x0, sigma)
+                                          for j in range(alg.dim)], alg.dim, alg.dim)
+
+
+def _dense_center(alg, sigma) -> Subspace:
+    """The kernel of x -> ([e_i, x]_sigma)_i, its matrix stacked from the
+    dense inner derivations of the basis vectors."""
+    n = alg.dim
+    cols = [_dense_inner_derivation(alg, alg.basis_vector(j), sigma).flatten() for j in range(n)]
+    return kernel_basis(LinMap(alg.field, [[col[r] for col in cols] for r in range(n * n)], n))
+
+
+def _dense_bracket(alg, lam) -> BilinMap:
+    """(x, y) -> lam [x, y], lam times the n^2 dense commutators."""
+    return BilinMap.from_function(alg, lambda x, y: alg.mul_vec(lam, alg.commutator(x, y)))
+
+
+def _dense_extremal(alg, x0, sigma) -> tuple:
+    """("central", None), ("precondition", the first failing (i, j) in
+    row-major order) or ("psi", the map [x, [y, x0]_sigma]_sigma)."""
+    n, zero = alg.dim, alg.zero_vector()
+    e = [alg.basis_vector(i) for i in range(n)]
+    if all(_dense_commutator(alg, e[i], x0, sigma) == zero for i in range(n)):
+        return "central", None
+    for i in range(n):
+        for j in range(n):
+            if _dense_commutator(alg, alg.commutator(e[i], e[j]), x0, sigma) != zero:
+                return "precondition", (i, j)
+    return "psi", BilinMap.from_function(
+        alg, lambda x, y: _dense_commutator(alg, x, _dense_commutator(alg, y, x0, sigma), sigma))
+
+
+def _extremal_outcome(alg, x0, sigma) -> tuple:
+    """extremal_sigma_biderivation's answer in the form of _dense_extremal."""
+    try:
+        return "psi", extremal_sigma_biderivation(alg, x0, sigma)
+    except CentralElement:
+        return "central", None
+    except PreconditionFails as exc:
+        return "precondition", exc.args[0]
+
+
+def _dense_span_coefficients(field, vectors, target):
+    """The dense transposed system, one row per coordinate of target."""
+    rows = [{i: v[k] for i, v in enumerate(vectors) if v[k]} for k in range(len(target))]
+    return solve_sparse(field, rows, target, len(vectors))
+
+
+def _dense_derivation_witness(alg, d, sigma):
+    gens = [_dense_inner_derivation(alg, alg.basis_vector(j), sigma).flatten() for j in range(alg.dim)]
+    return _dense_span_coefficients(alg.field, gens, d.flatten())
+
+
+def _dense_biderivation_lambda(tri, D0, sigma):
+    """lam in Z_sigma with D0 = lam [., .], or None: the flattened D0 in the
+    span of the flattened dense lam [., .] over the dense Z_sigma basis."""
+    alg = tri.total
+    z_sigma = _dense_center(alg, sigma)
+    gens = [_dense_bracket(alg, z).flatten() for z in z_sigma.basis]
+    coeffs = _dense_span_coefficients(alg.field, gens, D0.flatten())
+    return None if coeffs is None else z_sigma.combine(coeffs)
+
+
+def _commutator_cases(field) -> list:
+    """_instances(field) and the regular Trian(UT_3, UT_3, UT_3) with the
+    corner negation."""
+    ut = upper_triangular_algebra(field, 3)
+    tri = build_triangular(ut, regular_bimodule(ut), upper_triangular_algebra(field, 3))
+    return _instances(field) + [(tri, sigma1(tri))]
+
+
+def _elements(alg, rng) -> list:
+    """The basis vectors, the unit and three random elements."""
+    p = alg.field.characteristic
+    xs = [alg.basis_vector(i) for i in range(alg.dim)] + [alg.unit]
+    return xs + [alg.coerce_vector([rng.randrange(-2, 3) % (p or 7) for _ in range(alg.dim)]) for _ in range(3)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_sigma_commutator_against_dense_products(field):
+    """twisted_ad at every element, inner sigma-derivations, centrality and
+    the sigma-centers (direct and from the blocks) against the dense forms;
+    the commutator span of every corner and total algebra too."""
+    rng = random.Random(9300)
+    central = noncentral = 0
+    for tri, sigma in _commutator_cases(field):
+        alg = tri.total
+        z_sigma = _dense_center(alg, sigma)
+        assert sigma_center_direct(alg, sigma) == z_sigma
+        assert sigma_center(tri, block_decompose(tri, sigma), want_eta=False)[0] == z_sigma
+        for x in _elements(alg, rng) + list(z_sigma.basis):
+            dense = _dense_inner_derivation(alg, x, sigma)
+            assert twisted_ad(alg, sigma, x) == dense
+            assert inner_sigma_derivation(tri, x, sigma) == dense
+            assert is_sigma_central(tri, x, sigma) == dense.is_zero()
+            y = _elements(alg, rng)[-1]
+            assert sigma_commutator_vec(alg, y, x, sigma) == _dense_commutator(alg, y, x, sigma)
+            central += dense.is_zero()
+            noncentral += not dense.is_zero()
+        for a in (tri.A, tri.B, alg):
+            assert center_direct(a) == _dense_center(a, a.identity_map())
+            comms = [a.commutator(a.basis_vector(i), a.basis_vector(j)) for i in range(a.dim) for j in range(a.dim)]
+            assert _commutator_span(a) == Subspace.from_vectors(field, a.dim, comms)
+    assert central and noncentral
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_bracket_and_extremal_against_dense_products(field):
+    """lam [., .] for lam in the sigma-center, and the extremal map or the
+    error it raises (CentralElement, or PreconditionFails and its (i, j)) at
+    every element, each corner value D(p, p) of the sigma-biderivation space
+    and every sigma-central basis vector."""
+    rng = random.Random(9400)
+    outcomes = set()
+    brackets = 0
+    for tri, sigma in _commutator_cases(field):
+        alg = tri.total
+        z_sigma = _dense_center(alg, sigma)
+        if not alg.is_commutative():
+            for lam in z_sigma.basis:
+                assert inner_sigma_biderivation(tri, lam, sigma) == _dense_bracket(alg, lam)
+                brackets += 1
+        space = solve_space("sigma_biderivation", tri, sigma)
+        seeds = _elements(alg, rng) + list(z_sigma.basis)
+        seeds += [D.apply(tri.p, tri.p) for D in space.basis_maps()]
+        for x0 in seeds:
+            want = _dense_extremal(alg, x0, sigma)
+            assert _extremal_outcome(alg, x0, sigma) == want
+            outcomes.add(want[0])
+    assert brackets and outcomes == {"central", "precondition", "psi"}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_inner_witnesses_against_dense_systems(field):
+    """The inner sigma-derivation witness of every basis map of Der_sigma and
+    of inner derivations, and the inner biderivation witness of the residual
+    of extremal_split on every basis map of Bider_sigma and of lam [., .]:
+    the same x0 and lambda as the dense systems, or None for both."""
+    rng = random.Random(9500)
+    found = {"derivation": set(), "biderivation": set()}
+    for tri, sigma in _commutator_cases(field):
+        alg = tri.total
+        ders = solve_space("sigma_derivation", tri, sigma).basis_maps()
+        ders += [inner_sigma_derivation(tri, x, sigma) for x in _elements(alg, rng)[-3:]]
+        for d in ders:
+            want = _dense_derivation_witness(alg, d, sigma)
+            assert inner_derivation_witness(tri, d, sigma) == want
+            found["derivation"].add(want is None)
+        biders = [extremal_split(tri, D, sigma).residual
+                  for D in solve_space("sigma_biderivation", tri, sigma).basis_maps()]
+        if not alg.is_commutative():
+            biders += [_dense_bracket(alg, z) for z in _dense_center(alg, sigma).basis]
+        for D0 in biders:
+            want = _dense_biderivation_lambda(tri, D0, sigma)
+            got = inner_biderivation_witness(tri, D0, sigma)
+            assert (got and got.lam) == want
+            found["biderivation"].add(want is None)
+    assert found == {"derivation": {True, False}, "biderivation": {True, False}}

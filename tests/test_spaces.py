@@ -10,6 +10,7 @@ from trialg.classify import _intertwiner_space
 from trialg.errors import (
     CentralElement,
     CommutativeAlgebra,
+    DimMismatch,
     InputError,
     NotSigmaCentral,
     PreconditionFails,
@@ -607,6 +608,13 @@ class TestDerivationBlocks:
         x0 = inner_derivation_witness(f1, d, f1_sigma1)
         assert x0 is not None
         assert inner_sigma_derivation(f1, x0, f1_sigma1) == d
+
+
+    def test_inner_witness_rejects_wrong_shapes(self, f1, f1_sigma1):
+        """A map d that is not a map of the algebra to itself is an input error."""
+        for d in (LinMap.identity(QQ, 2), LinMap.zero(QQ, 3, 2), LinMap.zero(QQ, 2, 3)):
+            with pytest.raises(DimMismatch):
+                inner_derivation_witness(f1, d, f1_sigma1)
 
 
 class TestBiderivationIdentities:

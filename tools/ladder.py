@@ -20,7 +20,13 @@ with status 1.  Each row carries basis_sha256, the sha256 of the emitted
 report of the verified space, so that two runs (say on two versions of src/)
 can be compared for identical bases row by row, and generators, the size of
 the generating set on whose pairs the derivation rule is imposed and checked
-(FinAlgebra.generators; 5k - 2 on the regular Trian(UT_k, UT_k, UT_k)).  It
+(FinAlgebra.generators; 5k - 2 on the regular Trian(UT_k, UT_k, UT_k)).
+
+Each sigma_biderivation row of a triangular rung (every rung but F2) also
+times the theorem layer on the verified space, once: extremal_split of each
+basis map, then inner_biderivation_witness on its residual (theorem_ms), and
+carries theorem_sha256, the sha256 of their reports in basis order, written
+as the split-biderivation and inner-witness commands write them.  It
 imports trialg from src/ beside this directory and uses only the standard
 library.
 """
@@ -39,7 +45,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from trialg.algcore import build_triangular  # noqa: E402
+from trialg.algcore import TriAlgebra, build_triangular  # noqa: E402
+from trialg.classify import extremal_split, inner_biderivation_witness  # noqa: E402
 from trialg.exactla import GF, QQ  # noqa: E402
 from trialg.fixtures import (  # noqa: E402
     fixture_f1,
@@ -99,7 +106,8 @@ def _timed(fn):
 
 def measure(kind, build, repeats, min_seconds):
     """(unverified s, verified s, emit s, same basis, space dim, rounds, the
-    sha256 of the emitted verified space)."""
+    sha256 of the emitted verified space, (T, sigma, space) of the last
+    verified solve)."""
     best = {False: float("inf"), True: float("inf"), "emit": float("inf")}
     spent = {False: 0.0, True: 0.0}
     bases = {}
@@ -113,12 +121,34 @@ def measure(kind, build, repeats, min_seconds):
             spent[verify] += sec
             bases[verify] = space.subspace
             if verify:
+                verified = t, sigma, space
                 sec, text = _timed(lambda: canonical_json(space.to_json()))
                 best["emit"] = min(best["emit"], sec)
                 digest = hashlib.sha256(text.encode()).hexdigest()
         r += 1
     return (best[False], best[True], best["emit"], bases[False] == bases[True], bases[True].dim, r,
-            digest)
+            digest, verified)
+
+
+def theorem_layer(tri, sigma, space):
+    """(s, sha256): the time of extremal_split on every basis map of a
+    verified sigma-biderivation space plus inner_biderivation_witness on its
+    residual, and the sha256 of their reports in basis order."""
+    maps = space.basis_maps()
+    results = []
+    gc.collect()
+    start = time.perf_counter()
+    for D in maps:
+        split = extremal_split(tri, D, sigma)
+        results.append((split, inner_biderivation_witness(tri, split.residual, sigma)))
+    sec = time.perf_counter() - start
+    fmt = tri.field.format
+    reports = [{"corner_value": [fmt(v) for v in split.corner_value], "extremal": split.psi.to_json(),
+                "residual": split.residual.to_json(),
+                "witness": None if w is None else {"lambda": [fmt(v) for v in w.lam],
+                                                   "lambda_A": [fmt(v) for v in w.lam_a]}}
+               for split, w in results]
+    return sec, hashlib.sha256(canonical_json(reports).encode()).hexdigest()
 
 
 def main(argv=None) -> int:
@@ -134,24 +164,32 @@ def main(argv=None) -> int:
         t, _ = build()
         generators = len(getattr(t, "total", t).generators())
         for kind in KINDS:
-            unverified, verified, emit, same, space_dim, solves, digest = measure(
+            unverified, verified, emit, same, space_dim, solves, digest, (tv, sv, space) = measure(
                 kind, build, args.repeats, args.min_seconds)
             ok = ok and same
-            rows.append({"rung": name, "field": fname, "dim": dim, "kind": kind,
-                         "space_dim": space_dim, "generators": generators, "same_basis": same,
-                         "solves": solves,
-                         "unverified_ms": round(unverified * 1e3, 2),
-                         "verified_ms": round(verified * 1e3, 2),
-                         "ratio": round(verified / unverified, 2),
-                         "emit_ms": round(emit * 1e3, 2), "basis_sha256": digest})
-            sys.stderr.write("%-5s %-3s dim %2d %-18s %9.2f %9.2f ms  x%.2f  emit %8.2f ms%s\n"
+            row = {"rung": name, "field": fname, "dim": dim, "kind": kind,
+                   "space_dim": space_dim, "generators": generators, "same_basis": same,
+                   "solves": solves,
+                   "unverified_ms": round(unverified * 1e3, 2),
+                   "verified_ms": round(verified * 1e3, 2),
+                   "ratio": round(verified / unverified, 2),
+                   "emit_ms": round(emit * 1e3, 2), "basis_sha256": digest}
+            theorem = ""
+            if kind == "sigma_biderivation" and isinstance(tv, TriAlgebra):
+                sec, row["theorem_sha256"] = theorem_layer(tv, sv, space)
+                row["theorem_ms"] = round(sec * 1e3, 2)
+                theorem = "  theorem %8.2f ms" % row["theorem_ms"]
+            rows.append(row)
+            sys.stderr.write("%-5s %-3s dim %2d %-18s %9.2f %9.2f ms  x%.2f  emit %8.2f ms%s%s\n"
                              % (name, fname, dim, kind, unverified * 1e3, verified * 1e3,
-                                verified / unverified, emit * 1e3, "" if same else "  BASES DIFFER"))
+                                verified / unverified, emit * 1e3, theorem, "" if same else "  BASES DIFFER"))
     json.dump({"python": platform.python_version(), "machine": platform.machine(),
                "protocol": "best of at least %d solves per rung and mode, continued until "
                            "they add up to %g s (at most %d), fresh instance per solve, "
                            "gc.collect() before each; emit_ms is the best time of "
-                           "io.canonical_json(space.to_json()) over the verified spaces"
+                           "io.canonical_json(space.to_json()) over the verified spaces; "
+                           "theorem_ms is one timing of the theorem layer on the last verified "
+                           "sigma_biderivation space of a triangular rung"
                            % (args.repeats, args.min_seconds, MAX_SOLVES),
                "all_bases_identical": ok, "rungs": rows}, sys.stdout, indent=1)
     sys.stdout.write("\n")
