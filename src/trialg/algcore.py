@@ -9,9 +9,10 @@ assembled from two algebras and an (A, B)-bimodule into one total algebra,
 its table made of theirs, carrying the Peirce idempotents p and q.
 
 Also here: the sparse product-rule evaluator behind every basis-pair identity
-check, twisted_ad and the (twisted) centers read off it, annihilators and
-faithfulness, the faithful quotient, nilpotency, the Koethe/Jacobson radical
-via the trace form, and exhaustive idempotent checks over small prime fields.
+check, twisted_ad and the (twisted) centers read off it, the commutator map
+_bracket_map, annihilators and faithfulness, the faithful quotient,
+nilpotency, the Koethe/Jacobson radical via the trace form, and exhaustive
+idempotent checks over small prime fields.
 """
 
 from __future__ import annotations
@@ -41,11 +42,13 @@ from .exactla import (
     Subspace,
     _eliminate,
     _integer_row,
+    _merge,
     _primitive,
     _sorted_nonzero,
     _sparse,
     kernel_sparse,
     span_coefficients,
+    sparse_span_coefficients,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -545,9 +548,9 @@ class FinAlgebra:
         return _mul_map(self.field, self._pairs, x)
 
     def invert(self, x) -> tuple:
-        """Two-sided inverse of x, or NotInvertible."""
-        y = span_coefficients(self.field, [self.mul_vec(x, self.basis_vector(j)) for j in range(self.dim)],
-                              self.unit)
+        """Two-sided inverse of x, or NotInvertible: x y = 1 solved on the columns of L_x, then y x = 1 checked."""
+        y = sparse_span_coefficients(self.field, [(col,) for col in self.left_mul_mat(x).columns],
+                                     (_sparse(self.unit),))
         if y is None or self.mul_vec(y, x) != self.unit:
             raise NotInvertible("element has no inverse")
         return y
@@ -933,6 +936,14 @@ def twisted_ad(alg: FinAlgebra, sigma: LinMap, x) -> LinMap:
         raise DimMismatch("twist is %d->%d on an algebra of dim %d" % (sigma.src_dim, sigma.dst_dim, n))
     x = alg.coerce_vector(x)
     return _mul_map(alg.field, alg._pairs.transpose(), x).compose(sigma) - alg.left_mul_mat(x)
+
+
+def _bracket_map(alg: FinAlgebra) -> LinMap:
+    """The commutator [., .] : T (x) T -> T as one map from the n^2 basis pairs:
+    column i*n + j is [e_i, e_j] = e_i e_j - e_j e_i, read off the product table and its transpose."""
+    field, pairs = alg.field, alg._pairs
+    return LinMap._trusted(field, (_merge(u, v, field.sub, field.zero) for row, trow in zip(pairs, pairs.transpose())
+                                   for u, v in zip(row, trow)), alg.dim)
 
 
 def _center_map(alg: FinAlgebra, sigma: LinMap) -> LinMap:

@@ -5,7 +5,9 @@ structure of corner-preserving endomorphisms, and partibility certificates.
 
 Every checker verifies its hypotheses before asserting a conclusion; a
 conclusion that fails with verified hypotheses raises TheoremViolation, which
-is a reportable finding rather than a silent failure.
+is a reportable finding rather than a silent failure.  Every commutator [x, y]
+is read off algcore._bracket_map: the inner-witness system solves on the
+columns of L_z o [., .], z in the twisted center, and [A, A] is its image.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .algcore import (
     Bimodule,
     FinAlgebra,
     TriAlgebra,
+    _bracket_map,
     _sparse_table,
     annihilators,
     basis_and_pair_sums,
@@ -59,10 +62,11 @@ from .sigmamaps import (
     classify_bilinear,
     classify_linear,
     from_blocks,
+    inner_automorphism,
     is_endomorphism,
     sigma_center,
 )
-from .spaces import _ad_maps, _bracket_table, extremal_sigma_biderivation, inner_sigma_biderivation
+from .spaces import extremal_sigma_biderivation, inner_sigma_biderivation
 
 # ---------------------------------------------------------------------------
 # reports
@@ -172,9 +176,9 @@ def inner_biderivation_witness(tri: TriAlgebra, D0: BilinMap, sigma: LinMap,
     z_sigma, _ = sigma_center(tri, blocks, want_eta=False)
     field = alg.field
     n = alg.dim
-    # lambda [.,.] for lambda in the twisted center, by blocks (i, j) as D0's table
-    ads = _ad_maps(alg)
-    gens = [itertools.chain(*_bracket_table(alg.left_mul_mat(z), ads)) for z in z_sigma.basis]
+    # L_z o [., .] for z in the twisted center: column i*n + j is entry [i][j] of D0's table
+    brackets = _bracket_map(alg)
+    gens = [alg.left_mul_mat(z).compose(brackets).columns for z in z_sigma.basis]
     coeffs = sparse_span_coefficients(field, gens, itertools.chain(*D0.table))
     if coeffs is None:
         if hypotheses is not None and hypotheses.all_pass():
@@ -537,8 +541,8 @@ def properness_sufficiency(tri: TriAlgebra, blocks: AutBlocks) -> TheoremReport:
 
 
 def _commutator_span(alg: FinAlgebra) -> Subspace:
-    """[A, A]: the span of the columns of every ad(e_j)."""
-    return Subspace._from_rows(alg.field, alg.dim, (dict(col) for ad in _ad_maps(alg) for col in ad.columns))
+    """[A, A]: the image of the commutator map."""
+    return _bracket_map(alg).image()
 
 
 def _search_recovering_element(tri: TriAlgebra, blocks: AutBlocks, z_sigma: Subspace):
@@ -895,7 +899,6 @@ def partible_witness(tri: TriAlgebra, sigma: LinMap) -> PartibleWitness | None:
     if not automorphism_verdict(tri.total, sigma).holds:
         raise NotAutomorphism("partibility witnesses need an automorphism")
     t = tri.total
-    field = tri.field
     try:
         blocks = block_decompose(tri, sigma)
         return PartibleWitness(t.unit, sigma, blocks)
@@ -906,18 +909,15 @@ def partible_witness(tri: TriAlgebra, sigma: LinMap) -> PartibleWitness | None:
         return None
     if any(tri.part_b(e)):
         return None
-    z = t.add_vec(t.unit, tri.embed_m(tri.part_m(e)))
-    z_inv = t.invert(z)
-    images = [t.mul_vec(t.mul_vec(z, sigma.image_of_basis(j)), z_inv) for j in range(tri.dim)]
-    sigma_bar = LinMap.from_images(field, images, tri.dim, tri.dim)
+    q_m = tri.embed_m(tri.part_m(e))
+    z = t.add_vec(t.unit, q_m)
+    sigma_bar = inner_automorphism(t, t.sub_vec(t.unit, q_m)).compose(sigma)  # x -> z sigma(x) z^-1
     try:
         blocks = block_decompose(tri, sigma_bar)
     except NotBlockPreserving as exc:
         raise TheoremViolation("conjugation by 1 + q_M does not preserve the blocks") from exc
     # verify sigma = conj_z . sigma_bar exactly
-    recomposed = [t.mul_vec(t.mul_vec(z_inv, sigma_bar.image_of_basis(j)), z)
-                  for j in range(tri.dim)]
-    if LinMap.from_images(field, recomposed, tri.dim, tri.dim) != sigma:
+    if inner_automorphism(t, z).compose(sigma_bar) != sigma:
         raise TheoremViolation("witness recomposition does not reproduce sigma")
     return PartibleWitness(z, sigma_bar, blocks)
 

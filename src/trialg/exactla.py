@@ -196,6 +196,8 @@ class RationalField(Field):
             return Fraction(x)
         if isinstance(x, str):
             try:
+                if "e" in x or "E" in x:  # Fraction would expand "1e3000000" into a 10-Mbit integer
+                    raise ValueError("exponent notation")
                 return Fraction(x.strip())
             except (ValueError, ZeroDivisionError) as exc:
                 raise InputError("bad rational literal %r" % (x,)) from exc

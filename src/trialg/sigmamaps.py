@@ -42,6 +42,7 @@ from .algcore import (
     SubspaceMap,
     TriAlgebra,
     _coerced_table,
+    _mul_map,
     _sparse_table,
     _tensor_entries,
     eta_from_center,
@@ -619,11 +620,10 @@ def alpha_beta_reduce(alg: FinAlgebra, obj: LinMap | BilinMap, alpha: LinMap, be
 
 
 def inner_automorphism(alg: FinAlgebra, u) -> LinMap:
-    """Conjugation x -> u^{-1} x u by an invertible element."""
+    """Conjugation x -> u^{-1} x u by an invertible element, R_u o L_{u^-1}
+    read off the product table and its transpose."""
     u = alg.coerce_vector(u)
-    u_inv = alg.invert(u)
-    images = [alg.mul_vec(alg.mul_vec(u_inv, alg.basis_vector(j)), u) for j in range(alg.dim)]
-    return LinMap.from_images(alg.field, images, alg.dim, alg.dim)
+    return _mul_map(alg.field, alg._pairs.transpose(), u).compose(alg.left_mul_mat(alg.invert(u)))
 
 
 def scaling_automorphism(tri: TriAlgebra, c) -> LinMap:

@@ -1,6 +1,7 @@
 """Complete solution spaces of map equations, plus the inner and extremal
-constructors, which read every sigma-commutator off algcore.twisted_ad, and
-the block form of twisted derivations.
+constructors, which read every sigma-commutator off algcore.twisted_ad and
+every commutator off algcore._bracket_map ([., .] : T (x) T -> T, so that
+lambda [., .] is L_lambda o [., .]), and the block form of twisted derivations.
 
 Each defining identity is bilinear (or trilinear) in its arguments, so imposing
 it on basis tuples yields an exact linear system in the flattened map
@@ -51,6 +52,7 @@ from .algcore import (
     FinAlgebra,
     SparseTable,
     TriAlgebra,
+    _bracket_map,
     product_rule_failure,
     product_rule_rows,
     twisted_ad,
@@ -325,19 +327,6 @@ def solve_space(kind: str, t, sigma: LinMap | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _ad_maps(alg: FinAlgebra) -> list:
-    """ad(e_j) = twisted_ad(alg, identity, e_j), the map e_i -> [e_i, e_j],
-    for every basis vector e_j."""
-    ident = alg.identity_map()
-    return [twisted_ad(alg, ident, alg.basis_vector(j)) for j in range(alg.dim)]
-
-
-def _bracket_table(lam_mul: LinMap, ads: list) -> SparseTable:
-    """The table of (x, y) -> lambda [x, y] for lam_mul = L_lambda: entry
-    [i][j] is column i of L_lambda o ad(e_j)."""
-    return SparseTable(zip(*(lam_mul.compose(ad).columns for ad in ads)))
-
-
 def inner_sigma_derivation(t, x0, sigma: LinMap) -> LinMap:
     """x -> [x, x0]_sigma, twisted_ad(alg, sigma, x0); always a sigma-derivation."""
     alg = _algebra_of(t)
@@ -360,7 +349,8 @@ def inner_sigma_biderivation(t, lam, sigma: LinMap) -> BilinMap:
         raise CommutativeAlgebra("inner twisted biderivations need [T, T] != 0")
     if not is_sigma_central(alg, lam, sigma):
         raise NotSigmaCentral("lambda is not twisted-central")
-    D = BilinMap._trusted(alg.field, _bracket_table(alg.left_mul_mat(lam), _ad_maps(alg)))
+    n, cols = alg.dim, alg.left_mul_mat(lam).compose(_bracket_map(alg)).columns  # entry [i][j] at i*n + j
+    D = BilinMap._trusted(alg.field, SparseTable(cols[i * n:(i + 1) * n] for i in range(n)))
     v = classify_bilinear("sigma_biderivation", alg, D, sigma)
     if not v.holds:
         raise TheoremViolation("inner twisted biderivation failed its own identity")
@@ -370,18 +360,17 @@ def inner_sigma_biderivation(t, lam, sigma: LinMap) -> BilinMap:
 def extremal_sigma_biderivation(t, x0, sigma: LinMap) -> BilinMap:
     """(x, y) -> [x, [y, x0]_sigma]_sigma for x0 outside the twisted center
     with [[T, T], x0]_sigma = 0, PreconditionFails naming the first (i, j) in
-    row-major order where inner o ad(e_j), inner = twisted_ad(alg, sigma, x0),
-    does not vanish at e_i.  Symmetry and the biderivation identity are
-    re-verified on the result.
+    row-major order where [[e_i, e_j], x0]_sigma, column i*n + j of
+    inner o [., .] for inner = twisted_ad(alg, sigma, x0), does not vanish.
+    Symmetry and the biderivation identity are re-verified on the result.
     """
     alg = _algebra_of(t)
     inner = twisted_ad(alg, sigma, x0)
     if inner.is_zero():
         raise CentralElement("x0 lies in the twisted center")
-    failing = [(i, j) for j, ad in enumerate(_ad_maps(alg))
-               for i, col in enumerate(inner.compose(ad).columns) if col]
-    if failing:
-        raise PreconditionFails(min(failing))
+    failing = next((c for c, col in enumerate(inner.compose(_bracket_map(alg)).columns) if col), None)
+    if failing is not None:
+        raise PreconditionFails(divmod(failing, alg.dim))
     table = zip(*(twisted_ad(alg, sigma, inner.image_of_basis(j)).columns for j in range(alg.dim)))
     psi = BilinMap._trusted(alg.field, SparseTable(table))
     if not psi.is_symmetric():

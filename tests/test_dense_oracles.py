@@ -36,16 +36,17 @@ from fractions import Fraction
 
 import pytest
 
-from trialg.algcore import (FinAlgebra, SparseTable, _associativity_failure, _trace_form_rows, annihilators,
-                            build_triangular, center_direct, center_T, nil_radical_T, radical, sigma_center_direct,
+from trialg.algcore import (FinAlgebra, SparseTable, _associativity_failure, _bracket_map, _trace_form_rows,
+                            annihilators, build_triangular, center_direct, center_T, nil_radical_T, radical, sigma_center_direct,
                             twisted_ad, unit_m)
 from trialg.classify import _commutator_span, extremal_split, inner_biderivation_witness
 from trialg.errors import CentralElement, CharTooSmall, NotInvertible, PreconditionFails
 from trialg.exactla import GF, QQ, LinMap, Subspace, kernel_basis, rref, solve_sparse
 from test_exactla import _gauss_jordan
 from trialg.fixtures import sigma1, upper_triangular_algebra
-from trialg.randomgen import instance_catalog, random_block_preserving_sigma, random_instances, regular_bimodule
-from trialg.sigmamaps import BilinMap, block_decompose, sigma_center, sigma_commutator_vec
+from trialg.randomgen import (_random_invertible, instance_catalog, random_block_preserving_sigma, random_instances,
+                              regular_bimodule)
+from trialg.sigmamaps import BilinMap, block_decompose, inner_automorphism, sigma_center, sigma_commutator_vec
 from trialg.spaces import (extremal_sigma_biderivation, inner_derivation_witness, inner_sigma_biderivation,
                            inner_sigma_derivation, is_sigma_central, solve_space)
 
@@ -547,6 +548,9 @@ def test_associativity_failure_against_all_triples(field):
 # derivations and centrality from n such products, lambda [e_i, e_j] and the
 # extremal map from n^2 of them, and the two inner witnesses as the dense
 # transposed systems (one row per flattened coordinate, zero rows included).
+# Every ordinary commutator [x, y] of the theorem layer is read off
+# algcore._bracket_map, checked here against FinAlgebra.commutator, and
+# conjugation x -> u^-1 x u against u^-1 x u by mul_vec.
 
 
 def _dense_commutator(alg, x, y, sigma) -> tuple:
@@ -713,3 +717,36 @@ def test_inner_witnesses_against_dense_systems(field):
             assert (got and got.lam) == want
             found["biderivation"].add(want is None)
     assert found == {"derivation": {True, False}, "biderivation": {True, False}}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_bracket_map_and_conjugation_against_dense_products(field):
+    """Column i*n + j of _bracket_map is the dense commutator [e_i, e_j], and
+    inner_automorphism(alg, u) the map of the dense products u^-1 e_j u, with
+    u^-1 read off the Gauss-Jordan inverse of the dense L_u, on the corners
+    and the total algebra of every case, each also in a random basis, for the
+    unit and random invertible u; an element without inverse is refused."""
+    rng = random.Random(9600)
+    values = ([Fraction(v) for v in (0, 0, 1, -1, 3)] + [Fraction(1, 2)]
+              if field is QQ else list(range(field.characteristic)) + [0])
+    conjugations = 0
+    for tri, _ in _commutator_cases(field):
+        for base in (tri.A, tri.B, tri.total):
+            for alg in (base, _rebased(base, rng, values)):
+                n = alg.dim
+                e = [alg.basis_vector(i) for i in range(n)]
+                brackets = _bracket_map(alg)
+                assert (brackets.src_dim, brackets.dst_dim) == (n * n, n)
+                assert [brackets.image_of_basis(i * n + j) for i in range(n) for j in range(n)] == \
+                    [alg.commutator(x, y) for x in e for y in e]
+                units = [alg.unit] + [_random_invertible(alg, rng, field.characteristic or 7) for _ in range(3)]
+                for u in units:
+                    u_inv = _rref_inverse(left_mul_by_mul_vec(alg, u)).apply(alg.unit)
+                    dense = LinMap.from_images(field, [alg.mul_vec(alg.mul_vec(u_inv, x), u) for x in e], n, n)
+                    assert inner_automorphism(alg, u) == dense
+                    conjugations += u != alg.unit
+                if n:
+                    assert _rref_inverse(left_mul_by_mul_vec(alg, alg.zero_vector())) is None
+                    with pytest.raises(NotInvertible):
+                        inner_automorphism(alg, alg.zero_vector())
+    assert conjugations

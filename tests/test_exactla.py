@@ -93,6 +93,16 @@ class TestFieldScalar:
         with pytest.raises(InputError):
             F5.coerce("1/2")
 
+    @pytest.mark.parametrize("literal", ["1e3000000", "1E2", " 2.5e-1", "3/4e1", "-1e0"])
+    def test_rational_parse_rejects_exponents(self, literal):
+        # Fraction would read 1e3000000 as a 10-Mbit integer, at a cost superlinear in the exponent
+        with pytest.raises(InputError, match="bad rational literal"):
+            QQ.coerce(literal)
+
+    def test_rational_parse_keeps_decimals(self):
+        assert QQ.coerce(" 0.25 ") == Fraction(1, 4)
+        assert QQ.coerce("-1.5") == Fraction(-3, 2)
+
 
 class TestRref:
     def test_rank_one_forced(self):

@@ -3,7 +3,8 @@ reads, so values from input never reach LinMap._trusted, which takes raw field
 values as they are.  The algebra, bimodule and bilinear-map loaders coerce
 each structure constant exactly once and hand the coerced sparse product
 tables to FinAlgebra._trusted, Bimodule._trusted and BilinMap._trusted;
-the first two still check shapes and validate."""
+the first two still check shapes and validate.  `trialg validate` is fuzzed
+with near-schema algebra documents."""
 
 import copy
 import json
@@ -12,12 +13,15 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trialg import io
 from trialg.errors import InputError
 from trialg.exactla import GF, QQ, LinMap
 from trialg.fixtures import fixture_f1, sigma1
 from trialg.sigmamaps import BilinMap
+from test_cli import run_cli
 
 FIELDS = {"Q": QQ, "F5": GF(5)}
 # a boolean scalar, then unparsable literals: rationals over Q, residues over F_5
@@ -169,3 +173,69 @@ def test_tensor_entries_last_wins_and_dump_sorted(fname):
     assert io.algebra_to_json(loaded)["mul"] == doc["mul"]
     with pytest.raises(InputError, match=re.escape("tensor index [0, 3, 0] out of range")):
         io.algebra_from_json(dict(doc, mul=doc["mul"] + [[0, 3, 0, "1"]]))
+
+
+# -- fuzzing the ingest path --------------------------------------------------
+
+_LITERALS = ["0", "1", "-1", "2", "1/2", "-3/4", " 1 ", "1/0", "x", "", "0.5"]
+_EXPONENTS = ["1e3", "1E-2", "1e400000000"]  # Fraction would expand the last into a 1.3-Gbit integer
+_SCALARS = st.one_of(st.sampled_from(_LITERALS), st.sampled_from(_EXPONENTS), st.integers(-3, 3), st.booleans(),
+                     st.floats(-2, 2), st.lists(st.integers(0, 2), max_size=2), st.none())
+_OFF_FIELDS = [{"kind": "prime", "p": 4}, {"kind": "prime", "p": "5"}, {"kind": "prime", "p": True},
+               {"kind": "prime"}, {"kind": "complex"}, {}, "rational", None]
+_OFF_DIMS = [-1, 4, True, "2", 1.0, None]
+_INDICES = st.one_of(st.integers(-1, 4), st.sampled_from([True, 0.0, "0", None]))
+# valid algebras of dims 0-3 as (unit, products): k^n (n = 0..3), the dual numbers, UT_2
+_ALGEBRAS = [(["1"] * n, [[i, i, i, "1"] for i in range(n)]) for n in range(4)] + [
+    (["1", "0"], [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]]),
+    (["1", "0", "1"], [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 2, 1, "1"], [2, 2, 2, "1"]])]
+
+
+@st.composite
+def _near_algebra(draw):
+    """An algebra document near the schema: a valid algebra of dim 0-3 over
+    Q, F_2 or F_5, then up to three edits, each of which puts a field kind,
+    a dim, a unit or product value, an index, an entry, a basis or a key off
+    the schema."""
+    unit, mul = draw(st.sampled_from(_ALGEBRAS))
+    doc = {"field": draw(st.sampled_from([{"kind": "rational"}, {"kind": "prime", "p": 2},
+                                          {"kind": "prime", "p": 5}])),
+           "dim": len(unit), "unit": list(unit), "mul": [list(e) for e in mul]}
+    for edit in draw(st.lists(st.sampled_from(["field", "dim", "unit", "unit length", "value", "index",
+                                               "entry", "basis", "drop"]), max_size=3)):
+        if edit == "field":
+            doc["field"] = draw(st.sampled_from(_OFF_FIELDS))
+        elif edit == "dim":
+            doc["dim"] = draw(st.sampled_from(_OFF_DIMS))
+        elif edit == "unit" and doc.get("unit"):
+            doc["unit"][draw(st.integers(0, len(doc["unit"]) - 1))] = draw(_SCALARS)
+        elif edit == "unit length" and "unit" in doc:
+            doc["unit"] = doc["unit"][:-1] if doc["unit"] and draw(st.booleans()) else doc["unit"] + ["0"]
+        elif edit in ("value", "index") and any(isinstance(e, list) and len(e) == 4 for e in doc.get("mul", ())):
+            entry = draw(st.sampled_from([e for e in doc["mul"] if isinstance(e, list) and len(e) == 4]))
+            if edit == "value":
+                entry[3] = draw(_SCALARS)
+            else:
+                entry[draw(st.integers(0, 2))] = draw(_INDICES)
+        elif edit == "entry" and "mul" in doc:
+            doc["mul"].append(draw(st.one_of(st.tuples(_INDICES, _INDICES, _INDICES, _SCALARS).map(list),
+                                             st.lists(_SCALARS, max_size=5), _SCALARS)))
+        elif edit == "basis":
+            doc["basis"] = draw(st.one_of(st.lists(st.sampled_from(["e0", "e1", "p", "", 3]), max_size=4),
+                                          _SCALARS))
+        elif edit == "drop" and doc:
+            del doc[draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(doc=_near_algebra())
+def test_validate_fuzz_one_json_object_and_a_cli_exit_code(doc, tmp_path_factory):
+    """`trialg validate` on a near-schema document exits 0, 1 or 2 with one
+    JSON object on stdout and no traceback."""
+    path = tmp_path_factory.getbasetemp() / "fuzz_algebra.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["validate", str(path)])
+    assert code in (0, 1, 2)
+    assert isinstance(json.loads(out), dict)
+    assert "Traceback" not in err
