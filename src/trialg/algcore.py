@@ -6,7 +6,11 @@ An algebra is stored as the SparseTable of its structure constants (entry
 and the unit laws are checked at construction.  A bimodule is stored as the
 SparseTables of its two actions.  A triangular algebra Trian(A, M, B) is
 assembled from two algebras and an (A, B)-bimodule into one total algebra,
-its table made of theirs, carrying the Peirce idempotents p and q.
+its table made of theirs, carrying the Peirce idempotents p and q.  Every
+bimodule action a . m and m . b is read off the action tables as a sparse
+map (TriAlgebra.left_action, right_action, left_action_on and
+right_action_on) by _mul_map, which also gives the multiplication maps of an
+algebra.
 
 Also here: the sparse product-rule evaluator behind every basis-pair identity
 check, twisted_ad and the (twisted) centers read off it, the commutator map
@@ -545,7 +549,7 @@ class FinAlgebra:
 
     def left_mul_mat(self, x) -> LinMap:
         """The map y -> x y of an element x of raw values (_mul_map)."""
-        return _mul_map(self.field, self._pairs, x)
+        return _mul_map(self.field, self._pairs, x, self.dim, self.dim)
 
     def invert(self, x) -> tuple:
         """Two-sided inverse of x, or NotInvertible: x y = 1 solved on the columns of L_x, then y x = 1 checked."""
@@ -594,18 +598,18 @@ class FinAlgebra:
         return "FinAlgebra(dim=%d, field=%r)" % (self.dim, self.field)
 
 
-def _mul_map(field: Field, table: SparseTable, x) -> LinMap:
-    """The map y -> x * y for the product of a square table and an element x
-    of raw values: column j is sum_a x_a (e_a * e_j), read off table."""
+def _mul_map(field: Field, table: SparseTable, x, src_dim: int, dst_dim: int) -> LinMap:
+    """The map y -> x * y, src_dim -> dst_dim: column j is sum_a x_a (e_a * e_j),
+    read off table (entry [a][j] the (k, c) of e_a * e_j), for x of raw values.
+    A table with no rows (a transpose when M = 0) does not carry the shape."""
     zero, add, mul = field.zero, field.add, field.mul
-    cols = [{} for _ in table]
-    for a, xa in enumerate(x):
+    cols = [{} for _ in range(src_dim)]
+    for xa, row in zip(x, table):
         if xa:
-            for j, prods in enumerate(table[a]):
-                col = cols[j]
+            for col, prods in zip(cols, row):
                 for k, c in prods:
                     col[k] = add(col.get(k, zero), mul(xa, c))
-    return LinMap._trusted(field, map(_sorted_nonzero, cols), len(table))
+    return LinMap._trusted(field, map(_sorted_nonzero, cols), dst_dim)
 
 
 def _unit_law_failure(pairs: SparseTable, unit: tuple, p: int) -> int | None:
@@ -766,7 +770,7 @@ def basis_and_pair_sums(field: Field, n: int) -> list[tuple]:
 class TriAlgebra:
     """Trian(A, M, B) with its total algebra, Peirce idempotents, and block maps."""
 
-    __slots__ = ("A", "M", "B", "total", "p", "q", "range_a", "range_m", "range_b", "_faithful")
+    __slots__ = ("A", "M", "B", "total", "p", "q", "range_a", "range_m", "range_b", "_faithful", "_blocks")
 
     def __init__(self, A: FinAlgebra, M: Bimodule, B: FinAlgebra, total: FinAlgebra):
         object.__setattr__(self, "A", A)
@@ -786,6 +790,7 @@ class TriAlgebra:
         object.__setattr__(self, "p", tuple(p))
         object.__setattr__(self, "q", tuple(q))
         object.__setattr__(self, "_faithful", [None])
+        object.__setattr__(self, "_blocks", {})  # sigmamaps.block_decompose's verified AutBlocks, by map
 
     def __setattr__(self, *a):
         raise AttributeError("TriAlgebra is immutable")
@@ -840,11 +845,29 @@ class TriAlgebra:
 
     # -- bimodule actions inside the blocks ----------------------------------
 
+    def left_action(self, a) -> LinMap:
+        """m -> a . m on M, for a in A-coordinates of raw values (_mul_map)."""
+        return _mul_map(self.field, self.M._left_pairs, a, self.M.dim_m, self.M.dim_m)
+
+    def right_action(self, b) -> LinMap:
+        """m -> m . b on M, for b in B-coordinates of raw values (_mul_map)."""
+        return _mul_map(self.field, self.M._right_pairs.transpose(), b, self.M.dim_m, self.M.dim_m)
+
+    def left_action_on(self, m) -> LinMap:
+        """a -> a . m from A to M, for m in M-coordinates of raw values (_mul_map)."""
+        return _mul_map(self.field, self.M._left_pairs.transpose(), m, self.A.dim, self.M.dim_m)
+
+    def right_action_on(self, m) -> LinMap:
+        """b -> m . b from B to M, for m in M-coordinates of raw values (_mul_map)."""
+        return _mul_map(self.field, self.M._right_pairs, m, self.B.dim, self.M.dim_m)
+
     def act_left(self, a, m) -> tuple:
-        """a . m for a in A-coordinates, m in M-coordinates."""
+        """a . m for a in A-coordinates, m in M-coordinates, by a dense product in
+        the total algebra: the reference the action maps above are tested against."""
         return self.part_m(self.total.mul_vec(self.embed_a(a), self.embed_m(m)))
 
     def act_right(self, m, b) -> tuple:
+        """m . b by a dense product, the reference like act_left."""
         return self.part_m(self.total.mul_vec(self.embed_m(m), self.embed_b(b)))
 
     def faithfulness(self) -> tuple[bool, bool]:
@@ -935,7 +958,7 @@ def twisted_ad(alg: FinAlgebra, sigma: LinMap, x) -> LinMap:
     if (sigma.src_dim, sigma.dst_dim) != (n, n):
         raise DimMismatch("twist is %d->%d on an algebra of dim %d" % (sigma.src_dim, sigma.dst_dim, n))
     x = alg.coerce_vector(x)
-    return _mul_map(alg.field, alg._pairs.transpose(), x).compose(sigma) - alg.left_mul_mat(x)
+    return _mul_map(alg.field, alg._pairs.transpose(), x, n, n).compose(sigma) - alg.left_mul_mat(x)
 
 
 def _bracket_map(alg: FinAlgebra) -> LinMap:
@@ -956,28 +979,12 @@ def _center_map(alg: FinAlgebra, sigma: LinMap) -> LinMap:
         for j in range(n)), n * n)
 
 
-def coupling_rows(tri: TriAlgebra, m, nu_m):
-    """Sparse rows of a m = nu(m) b over the pair unknowns (a, b), a first,
-    one per output coordinate of M in ascending order, read off the action
-    tables: a's unknowns pair with the left action on m, b's with the
-    (transposed) right action of -nu(m)."""
-    field = tri.field
-    zero, add, mul = field.zero, field.add, field.mul
-    M = tri.M
-    rows = {}
-    for offset, table, vec in ((0, M._left_pairs, m),
-                               (tri.A.dim, M._right_pairs.transpose(), [field.neg(c) for c in nu_m])):
-        for u, row in enumerate(table):
-            key = offset + u
-            for j, c in enumerate(vec):
-                if c:
-                    for o, v in row[j]:
-                        r = rows.setdefault(o, {})
-                        r[key] = add(r.get(key, zero), mul(c, v))
-    for o in sorted(rows):
-        d = {key: v for key, v in rows[o].items() if v}
-        if d:
-            yield d
+def coupling_rows(tri: TriAlgebra, m, nu_m) -> list:
+    """Sparse rows of a m = nu(m) b over the pair unknowns (a, b), a first:
+    the nonzero rows of [a -> a m | b -> -nu(m) b], in ascending output
+    coordinate of M."""
+    cols = tri.left_action_on(m).columns + tri.right_action_on(tuple(map(tri.field.neg, nu_m))).columns
+    return [row for row in LinMap._trusted(tri.field, cols, tri.M.dim_m)._sparse_rows() if row]
 
 
 def diagonal_pairs(tri: TriAlgebra, rows) -> Subspace:
@@ -1098,16 +1105,14 @@ def project_subspace(sub: Subspace, indices) -> Subspace:
     return Subspace.from_vectors(sub.field, len(indices), vecs)
 
 
-def eta_from_center(tri: TriAlgebra, z: Subspace, nu: LinMap) -> SubspaceMap:
+def eta_from_center(tri: TriAlgebra, z: Subspace, projections: tuple, nu: LinMap) -> SubspaceMap:
     """eta: pi_B(Z) -> pi_A(Z) with eta(b) m = nu(m) b, for Z the twisted center
-    of the blocks with corner block nu (faithful case).
-
-    Verified on all basis pairs and for bijectivity.
+    of the blocks with corner block nu (faithful case) and projections
+    (pi_A(Z), pi_B(Z)).  Verified as L_eta(b) = R_b o nu for every basis
+    vector b of pi_B(Z), and for bijectivity.
     """
     field = tri.field
-    dm = tri.M.dim_m
-    pa = project_subspace(z, tri.range_a)
-    pb = project_subspace(z, tri.range_b)
+    pa, pb = projections
     b_parts = [tri.part_b(v) for v in z.basis]
     cols = []
     for u in pb.basis:
@@ -1117,10 +1122,8 @@ def eta_from_center(tri: TriAlgebra, z: Subspace, nu: LinMap) -> SubspaceMap:
         cols.append(pa.coords(tri.part_a(z.combine(coeffs))))
     eta = SubspaceMap(pb, pa, LinMap._trusted(field, map(_sparse, cols), pa.dim))
     for u in pb.basis:
-        a = eta.apply_ambient(u)
-        for j in range(dm):
-            if tri.act_left(a, unit_m(field, dm, j)) != tri.act_right(nu.image_of_basis(j), u):
-                raise TheoremViolation("eta(b) m != nu(m) b on a basis pair")
+        if tri.left_action(eta.apply_ambient(u)) != tri.right_action(u).compose(nu):
+            raise TheoremViolation("eta(b) m != nu(m) b on a basis pair")
     if not eta.is_bijective():
         raise TheoremViolation("eta is not bijective")
     return eta
@@ -1131,7 +1134,9 @@ def tau_iso(tri: TriAlgebra) -> SubspaceMap:
     eta for the identity blocks, inverted."""
     if not tri.is_faithful():
         raise NotFaithful("tau requires M faithful on both sides")
-    return eta_from_center(tri, center_T(tri), LinMap.identity(tri.field, tri.M.dim_m)).inverse()
+    z = center_T(tri)
+    projections = project_subspace(z, tri.range_a), project_subspace(z, tri.range_b)
+    return eta_from_center(tri, z, projections, LinMap.identity(tri.field, tri.M.dim_m)).inverse()
 
 
 def quotient_algebra(alg: FinAlgebra, ideal: Subspace) -> tuple[FinAlgebra, LinMap]:

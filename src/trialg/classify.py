@@ -8,6 +8,9 @@ conclusion that fails with verified hypotheses raises TheoremViolation, which
 is a reportable finding rather than a silent failure.  Every commutator [x, y]
 is read off algcore._bracket_map: the inner-witness system solves on the
 columns of L_z o [., .], z in the twisted center, and [A, A] is its image.
+Z_sigma, its projections, the corner twisted centers and eta are read off the
+AutBlocks of sigma, made once per (T, sigma), and every bimodule action off
+the action maps of TriAlgebra.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass, field as dc_field, fields
 from .algcore import (
     Bimodule,
     FinAlgebra,
+    SparseTable,
     TriAlgebra,
     _bracket_map,
     _sparse_table,
@@ -30,13 +34,10 @@ from .algcore import (
     is_ideal,
     product_rule_failure,
     product_rule_rows,
-    project_subspace,
     quadratic_failure,
     radical,
-    sigma_center_direct,
     structure_checks,
     subspace_product,
-    unit_m,
 )
 from .errors import (
     CharTooSmall,
@@ -64,7 +65,6 @@ from .sigmamaps import (
     from_blocks,
     inner_automorphism,
     is_endomorphism,
-    sigma_center,
 )
 from .spaces import extremal_sigma_biderivation, inner_sigma_biderivation
 
@@ -172,8 +172,7 @@ def inner_biderivation_witness(tri: TriAlgebra, D0: BilinMap, sigma: LinMap,
     zero = alg.zero_vector()
     if D0.apply(tri.p, tri.p) != zero:
         raise PreconditionFails("inner witnesses require D(p, p) = 0")
-    blocks = block_decompose(tri, sigma)
-    z_sigma, _ = sigma_center(tri, blocks, want_eta=False)
+    z_sigma = block_decompose(tri, sigma).center
     field = alg.field
     n = alg.dim
     # L_z o [., .] for z in the twisted center: column i*n + j is entry [i][j] of D0's table
@@ -212,13 +211,10 @@ def innerness_hypotheses(tri: TriAlgebra, blocks: AutBlocks,
     if budget is None:
         budget = enumeration_budget()
     report = TheoremReport("inner twisted biderivations")
-    z_sigma, _ = sigma_center(tri, blocks, want_eta=False)
 
     # (i) projections of the twisted center
-    pa = project_subspace(z_sigma, tri.range_a)
-    pb = project_subspace(z_sigma, tri.range_b)
-    zfa = sigma_center_direct(tri.A, blocks.f)
-    zgb = sigma_center_direct(tri.B, blocks.g)
+    pa, pb = blocks.projections
+    zfa, zgb = blocks.corner_centers
     ok = pa == zfa and pb == zgb
     report.hypotheses.append(Hypothesis(
         "center_projections", "pass" if ok else "fail",
@@ -232,11 +228,11 @@ def innerness_hypotheses(tri: TriAlgebra, blocks: AutBlocks,
         "A commutative: %s, B commutative: %s" % (tri.A.is_commutative(), tri.B.is_commutative())))
 
     # (iii) no nonzero twisted-central annihilator
-    report.hypotheses.append(_annihilation_hypothesis(tri, z_sigma, budget))
+    report.hypotheses.append(_annihilation_hypothesis(tri, blocks.center, budget))
 
     # (iv) intertwiners are of scalar-action form
     s1 = _intertwiner_space(tri, blocks)
-    s2 = _scalar_action_space(tri, blocks, zfa, zgb)
+    s2 = _scalar_action_space(tri, blocks)
     if not s1.contains(s2):
         raise TheoremViolation("scalar-action maps must always intertwine")
     ok4 = s1 == s2
@@ -293,19 +289,13 @@ def _intertwiner_space(tri: TriAlgebra, blocks: AutBlocks) -> Subspace:
     return kernel_sparse(tri.field, IntegerRows(rows), dm * dm)
 
 
-def _scalar_action_space(tri: TriAlgebra, blocks: AutBlocks,
-                         zfa: Subspace, zgb: Subspace) -> Subspace:
-    """Span of the maps m -> lam0 m and m -> nu(m) mu0 over the twisted corners."""
-    field = tri.field
-    dm = tri.M.dim_m
-    gens = []
-    for lam0 in zfa.basis:
-        images = [tri.act_left(lam0, unit_m(field, dm, j)) for j in range(dm)]
-        gens.append(LinMap.from_images(field, images, dm, dm).flatten())
-    for mu0 in zgb.basis:
-        images = [tri.act_right(blocks.nu.image_of_basis(j), mu0) for j in range(dm)]
-        gens.append(LinMap.from_images(field, images, dm, dm).flatten())
-    return Subspace.from_vectors(field, dm * dm, gens)
+def _scalar_action_space(tri: TriAlgebra, blocks: AutBlocks) -> Subspace:
+    """Span of the maps L_lam0 (m -> lam0 m) and R_mu0 o nu (m -> nu(m) mu0)
+    for lam0 in Z_f(A) and mu0 in Z_g(B)."""
+    zfa, zgb = blocks.corner_centers
+    gens = [tri.left_action(lam0) for lam0 in zfa.basis]
+    gens += [tri.right_action(mu0).compose(blocks.nu) for mu0 in zgb.basis]
+    return Subspace.from_vectors(tri.field, tri.M.dim_m ** 2, [g.flatten() for g in gens])
 
 
 # ---------------------------------------------------------------------------
@@ -353,19 +343,14 @@ def _verify_commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks,
                              cb: CommutingBlocks):
     field = tri.field
     da, dm, db = tri.A.dim, tri.M.dim_m, tri.B.dim
-    sub, nu = tri.total.sub_vec, blocks.nu
+    nu = blocks.nu
     left, right = tri.M._left_pairs, tri.M._right_pairs
     right_t = right.transpose()
     ident_m, ident_b = LinMap.identity(field, dm), tri.B.identity_map()
-    d1_one, mu1_one = cb.delta1.apply(tri.A.unit), cb.mu1.apply(tri.A.unit)
-    d3_one, mu3_one = cb.delta3.apply(tri.B.unit), cb.mu3.apply(tri.B.unit)
-    units = [(unit_m(field, dm, j), nu.image_of_basis(j)) for j in range(dm)]
-    # the closed form m -> delta1(1) m - nu(m) mu1(1) of the M-block, and
-    # m -> nu(m) mu3(1) - delta3(1) m of condition (vi)
-    mblock = LinMap.from_images(field, [sub(tri.act_left(d1_one, m), tri.act_right(nm, mu1_one))
-                                        for m, nm in units], dm, dm)
-    vi_form = LinMap.from_images(field, [sub(tri.act_right(nm, mu3_one), tri.act_left(d3_one, m))
-                                         for m, nm in units], dm, dm)
+    # the closed form L_delta1(1) - R_mu1(1) o nu of the M-block, and
+    # R_mu3(1) o nu - L_delta3(1) of condition (vi)
+    mblock = tri.left_action(cb.delta1.apply(tri.A.unit)) - tri.right_action(cb.mu1.apply(tri.A.unit)).compose(nu)
+    vi_form = tri.right_action(cb.mu3.apply(tri.B.unit)).compose(nu) - tri.left_action(cb.delta3.apply(tri.B.unit))
 
     # M-block: zero on the corners, the closed form on M
     if not block_of(tri, theta, "A", "M").is_zero():
@@ -375,8 +360,7 @@ def _verify_commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks,
     if block_of(tri, theta, "M", "M") != mblock:
         raise TheoremViolation("M-block of Theta differs from its closed form")
     # value spaces
-    zfa = sigma_center_direct(tri.A, blocks.f)
-    zgb = sigma_center_direct(tri.B, blocks.g)
+    zfa, zgb = blocks.corner_centers
     for j in range(dm):
         if not zfa.contains_vector(cb.delta2.image_of_basis(j)):
             raise TheoremViolation("delta2 does not map into the twisted center of A")
@@ -440,9 +424,8 @@ def properness(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks) -> PropernessR
     cb, _ = commuting_blocks(tri, theta, blocks)
     field = tri.field
     alg = tri.total
-    z_sigma, eta = sigma_center(tri, blocks, want_eta=True)
-    pa = project_subspace(z_sigma, tri.range_a)
-    pb = project_subspace(z_sigma, tri.range_b)
+    z_sigma, eta = blocks.center, blocks.eta
+    pa, pb = blocks.projections
     dm = tri.M.dim_m
 
     def diag_in_center(j: int) -> bool:
@@ -512,11 +495,8 @@ def properness_sufficiency(tri: TriAlgebra, blocks: AutBlocks) -> TheoremReport:
     """
     report = TheoremReport("properness of all twisted commuting maps")
     field = tri.field
-    z_sigma, _ = sigma_center(tri, blocks, want_eta=False)
-    pa = project_subspace(z_sigma, tri.range_a)
-    pb = project_subspace(z_sigma, tri.range_b)
-    zfa = sigma_center_direct(tri.A, blocks.f)
-    zgb = sigma_center_direct(tri.B, blocks.g)
+    pa, pb = blocks.projections
+    zfa, zgb = blocks.corner_centers
     comm_a = _commutator_span(tri.A)
     comm_b = _commutator_span(tri.B)
     ok1 = (zfa == pa) or comm_b.dim == tri.B.dim
@@ -527,7 +507,7 @@ def properness_sufficiency(tri: TriAlgebra, blocks: AutBlocks) -> TheoremReport:
     report.hypotheses.append(Hypothesis(
         "B_side", "pass" if ok2 else "fail",
         "Z_g(B) == pi_B(Z): %s; [A,A] = A: %s" % (zgb == pb, comm_a.dim == tri.A.dim)))
-    m0 = _search_recovering_element(tri, blocks, z_sigma)
+    m0 = _search_recovering_element(tri, blocks)
     if m0 is not None:
         report.hypotheses.append(Hypothesis("single_element_recovery", "pass",
                                             "m0 found in the search family"))
@@ -545,16 +525,13 @@ def _commutator_span(alg: FinAlgebra) -> Subspace:
     return _bracket_map(alg).image()
 
 
-def _search_recovering_element(tri: TriAlgebra, blocks: AutBlocks, z_sigma: Subspace):
+def _search_recovering_element(tri: TriAlgebra, blocks: AutBlocks):
+    """The first m0 among the basis vectors and pair sums of M whose diagonal
+    pairs with a m0 = nu(m0) b are exactly Z_sigma, or None."""
     for m0 in basis_and_pair_sums(tri.field, tri.M.dim_m):
-        if _condition_set(tri, blocks, m0) == z_sigma:
+        if diagonal_pairs(tri, coupling_rows(tri, m0, blocks.nu.apply(m0))) == blocks.center:
             return m0
     return None
-
-
-def _condition_set(tri: TriAlgebra, blocks: AutBlocks, m0) -> Subspace:
-    """Diagonal pairs with a m0 = nu(m0) b, as a subspace of the total algebra."""
-    return diagonal_pairs(tri, coupling_rows(tri, m0, blocks.nu.apply(m0)))
 
 
 # ---------------------------------------------------------------------------
@@ -659,19 +636,18 @@ def _thm1_conditions(tri: TriAlgebra, eb: EndoBlocks, report: TheoremReport):
     if not ann.R.contains(eb.gamma1.kernel()):
         fail("kernel of gamma1 leaves the right annihilator of M")
     left, right = tri.M._left_pairs, tri.M._right_pairs
-    chi2_one, gamma2_one = eb.chi2.apply(A.unit), eb.gamma2.apply(B.unit)
     # chi2(a a') = chi1(a) chi2(a') with chi2(a) = chi1(a) chi2(1), and
     # gamma2(b b') = gamma2(b) gamma1(b') with gamma2(b) = gamma2(1) gamma1(b)
     for name, scale, alg, term, scaled in (
             ("chi2", "chi1", A, (eb.chi1, eb.chi2, left),
-             lambda i: tri.act_left(eb.chi1.image_of_basis(i), chi2_one)),
+             tri.left_action_on(eb.chi2.apply(A.unit)).compose(eb.chi1)),
             ("gamma2", "gamma1", B, (eb.gamma2, eb.gamma1, right),
-             lambda i: tri.act_right(gamma2_one, eb.gamma1.image_of_basis(i)))):
+             tri.right_action_on(eb.gamma2.apply(B.unit)).compose(eb.gamma1))):
         block = getattr(eb, name)
         bad = product_rule_failure(alg._pairs, block, (term,))
         # row i's unit scaling is checked before row i's products
         rows = range(bad[0][0] + 1) if bad else range(alg.dim)
-        if any(block.image_of_basis(i) != scaled(i) for i in rows):
+        if any(block.columns[i] != scaled.columns[i] for i in rows):
             fail("%s is not %s-scaled from its unit value" % (name, scale))
         if bad:
             fail("%s fails its product rule" % name)
@@ -844,9 +820,10 @@ def _sub_triangular(tri: TriAlgebra, sub_a: Subspace, sub_b: Subspace, include_m
 
     alg_a = corner(sub_a, tri.A, unit_coords[: sub_a.dim], "a")
     alg_b = corner(sub_b, tri.B, unit_coords[sub_a.dim + dm:], "b")
-    # M, or the zero bimodule when dm = 0
-    left = _sparse_table((tri.act_left(a, unit_m(field, dm, j)) for j in range(dm)) for a in sub_a.basis)
-    right = _sparse_table((tri.act_right(unit_m(field, dm, j), b) for b in sub_b.basis) for j in range(dm))
+    # M, or the zero bimodule when dm = 0: row a of left is L_a, row j of right column j of each R_b
+    left = SparseTable(tri.left_action(a).columns if include_m else () for a in sub_a.basis)
+    rights = [tri.right_action(b).columns for b in sub_b.basis]
+    right = SparseTable(tuple(cols[j] for cols in rights) for j in range(dm))
     bm = Bimodule._trusted(field, sub_a.dim, dm, sub_b.dim, left, right)
     sub_tri = build_triangular(alg_a, bm, alg_b, allow_zero_m=True)
     images = [coords(ordered, phi.apply(v), "vector leaves the invariant ideal") for v in ordered]

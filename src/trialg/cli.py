@@ -91,13 +91,9 @@ def _cmd_sigma_center(args) -> int:
     _, blocks = _load_sigma_blocks(tri, args.sigma)
     from .sigmamaps import sigma_center
 
-    want_eta = tri.is_faithful()
-    z, eta = sigma_center(tri, blocks, want_eta=want_eta)
-    result = {"sigma_center": z.to_json()}
-    if eta is not None:
-        result["eta"] = {"matrix": eta.matrix.to_json()["matrix"], "domain_dim": eta.domain.dim}
-    else:
-        result["eta"] = None
+    z, eta = sigma_center(tri, blocks)
+    result = {"sigma_center": z.to_json(), "eta": None if eta is None else
+              {"matrix": eta.matrix.to_json()["matrix"], "domain_dim": eta.domain.dim}}
     return _emit(_report("sigma-center", [args.triangular, args.sigma], result))
 
 

@@ -319,7 +319,7 @@ def _sparse(vec) -> tuple:
 
 def _sorted_nonzero(acc: dict) -> tuple:
     """The nonzero (k, c) of a {k: c} dict, sorted by k."""
-    return tuple(sorted(item for item in acc.items() if item[1]))
+    return tuple(sorted(item for item in acc.items() if item[1])) if acc else ()
 
 
 def _merge(u, v, op, zero) -> tuple:

@@ -169,8 +169,10 @@ def triangular_from_json(obj, base_dir: str = ".", allow_zero_m: bool = False) -
     _require(m_obj, ("dimA", "dimB"), "bimodule file")
     check_corner_dims(A, _dim(m_obj, "dimA"), _dim(m_obj, "dimB"), B)  # before M's tensors
     M = bimodule_from_json(m_obj, A.field)
-    allow = allow_zero_m or bool(obj.get("allow_zero_M", False))
-    return build_triangular(A, M, B, allow_zero_m=allow)
+    allow = obj.get("allow_zero_M", False)
+    if not isinstance(allow, bool):
+        raise InputError("'allow_zero_M' must be true or false, got %r" % (allow,))
+    return build_triangular(A, M, B, allow_zero_m=allow_zero_m or allow)
 
 
 def triangular_to_json(tri: TriAlgebra) -> dict:

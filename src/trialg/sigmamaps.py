@@ -28,12 +28,17 @@ LinMap, defined in exactla, stores), and the twist sigma and the identity of
 an algebra (FinAlgebra.identity_map) keep their lifted form over Q, so they
 are lifted once however many maps are checked against them; the minus sign of
 a commuting term lives in the negated product table.
+
+block_decompose keeps each verified AutBlocks on its TriAlgebra, keyed by
+sigma; an AutBlocks makes Z_sigma, the corner twisted centers, the
+projections of Z_sigma and eta once each, on first use.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import lcm
 
 from .algcore import (
@@ -47,7 +52,9 @@ from .algcore import (
     _tensor_entries,
     eta_from_center,
     product_rule_failure,
+    project_subspace,
     quadratic_failure,
+    sigma_center_direct,
     twisted_ad,
     twisted_center_T,
 )
@@ -57,7 +64,6 @@ from .errors import (
     InputError,
     NotAutomorphism,
     NotBlockPreserving,
-    NotFaithful,
     NotInvertible,
     SigmaMissing,
     SigmaNotAutomorphism,
@@ -402,7 +408,9 @@ def from_blocks(tri: TriAlgebra, blocks: dict) -> LinMap:
 
 @dataclass(frozen=True)
 class AutBlocks:
-    """Diagonal blocks (f, g) and corner block nu of a block-preserving automorphism."""
+    """Diagonal blocks (f, g) and corner block nu of a block-preserving
+    automorphism, and the data read off them, each made on first use and kept:
+    center, corner_centers, projections and eta."""
 
     tri: TriAlgebra
     f: LinMap  # on A
@@ -424,9 +432,34 @@ class AutBlocks:
         if product_rule_failure(right, self.nu, ((self.nu, self.g, right),)):
             raise TheoremViolation("nu(mb) != nu(m) g(b) on a basis pair")
 
+    @cached_property
+    def center(self) -> Subspace:
+        """Z_sigma, from the block description (algcore.twisted_center_T)."""
+        return twisted_center_T(self.tri, self.f, self.g, self.nu)
+
+    @cached_property
+    def corner_centers(self) -> tuple[Subspace, Subspace]:
+        """(Z_f(A), Z_g(B)), the twisted centers of the corners."""
+        return sigma_center_direct(self.tri.A, self.f), sigma_center_direct(self.tri.B, self.g)
+
+    @cached_property
+    def projections(self) -> tuple[Subspace, Subspace]:
+        """(pi_A(Z_sigma), pi_B(Z_sigma))."""
+        return project_subspace(self.center, self.tri.range_a), project_subspace(self.center, self.tri.range_b)
+
+    @cached_property
+    def eta(self) -> SubspaceMap | None:
+        """eta: pi_B(Z_sigma) -> pi_A(Z_sigma), eta(b) m = nu(m) b; None unless M is faithful."""
+        return eta_from_center(self.tri, self.center, self.projections, self.nu) if self.tri.is_faithful() else None
+
 
 def block_decompose(tri: TriAlgebra, sigma: LinMap) -> AutBlocks:
-    """Split a block-preserving automorphism of the total algebra into (f, g, nu)."""
+    """Split a block-preserving automorphism of the total algebra into (f, g, nu).
+    The verified AutBlocks is kept on tri and returned again for an equal map;
+    a map that fails is checked again on every call."""
+    kept = tri._blocks.get(sigma)
+    if kept is not None:
+        return kept
     if not automorphism_verdict(tri.total, sigma).holds:
         raise NotAutomorphism("block decomposition needs an automorphism")
     for name, rng in (("A", tri.range_a), ("M", tri.range_m), ("B", tri.range_b)):
@@ -438,26 +471,16 @@ def block_decompose(tri: TriAlgebra, sigma: LinMap) -> AutBlocks:
     blocks_out = AutBlocks(tri, block_of(tri, sigma, "A", "A"), block_of(tri, sigma, "B", "B"),
                            block_of(tri, sigma, "M", "M"), sigma)
     blocks_out.verify()
+    tri._blocks[sigma] = blocks_out
     return blocks_out
 
 
-def sigma_center(tri: TriAlgebra, blocks: AutBlocks, want_eta: bool = True
-                 ) -> tuple[Subspace, SubspaceMap | None]:
-    """Twisted center of the triangular algebra from its block description.
-
-    Z_sigma = diagonal pairs (a, b) with a in the f-twisted center of A, b in
-    the g-twisted center of B, and a m = nu(m) b on every basis m.  When the
-    bimodule is faithful on both sides, also returns the isomorphism eta from
-    pi_B(Z_sigma) to pi_A(Z_sigma) with eta(b) m = nu(m) b.
-    """
+def sigma_center(tri: TriAlgebra, blocks: AutBlocks) -> tuple[Subspace, SubspaceMap | None]:
+    """(Z_sigma, eta) of the blocks (AutBlocks.center and AutBlocks.eta): eta
+    is None unless the bimodule is faithful on both sides."""
     if blocks.tri is not tri and blocks.tri != tri:
         raise FieldMismatch("blocks belong to a different triangular algebra")
-    z_sigma = twisted_center_T(tri, blocks.f, blocks.g, blocks.nu)
-    if not want_eta:
-        return z_sigma, None
-    if not tri.is_faithful():
-        raise NotFaithful("eta needs the bimodule faithful on both sides")
-    return z_sigma, eta_from_center(tri, z_sigma, blocks.nu)
+    return blocks.center, blocks.eta
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +645,8 @@ def alpha_beta_reduce(alg: FinAlgebra, obj: LinMap | BilinMap, alpha: LinMap, be
 def inner_automorphism(alg: FinAlgebra, u) -> LinMap:
     """Conjugation x -> u^{-1} x u by an invertible element, R_u o L_{u^-1}
     read off the product table and its transpose."""
-    u = alg.coerce_vector(u)
-    return _mul_map(alg.field, alg._pairs.transpose(), u).compose(alg.left_mul_mat(alg.invert(u)))
+    u, n = alg.coerce_vector(u), alg.dim
+    return _mul_map(alg.field, alg._pairs.transpose(), u, n, n).compose(alg.left_mul_mat(alg.invert(u)))
 
 
 def scaling_automorphism(tri: TriAlgebra, c) -> LinMap:

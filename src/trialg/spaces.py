@@ -414,14 +414,9 @@ class DerivationBlocks:
 
     def reassemble(self) -> LinMap:
         tri = self.tri
-        field = tri.field
-        dm = tri.M.dim_m
-        a_to_m = [tri.act_left(self.blocks.f.image_of_basis(j), self.m_d) for j in range(tri.A.dim)]
-        b_to_m = [tuple(map(field.neg, tri.act_right(self.m_d, tri.B.basis_vector(j))))
-                  for j in range(tri.B.dim)]
         return from_blocks(tri, {("A", "A"): self.d_a, ("M", "M"): self.xi, ("B", "B"): self.d_b,
-                                 ("A", "M"): LinMap.from_images(field, a_to_m, tri.A.dim, dm),
-                                 ("B", "M"): LinMap.from_images(field, b_to_m, tri.B.dim, dm)})
+                                 ("A", "M"): tri.left_action_on(self.m_d).compose(self.blocks.f),
+                                 ("B", "M"): -tri.right_action_on(self.m_d)})
 
 
 def sigma_derivation_blocks(tri: TriAlgebra, d: LinMap, blocks: AutBlocks) -> DerivationBlocks:

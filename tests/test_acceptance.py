@@ -94,14 +94,14 @@ def test_criterion_03_center_formulas_vs_oracles(f1, f1_sigma1, f1_blocks, f3,
     assert center_T(f3) == center_direct(f3.total)
     z1, _ = sigma_center(f1, f1_blocks)
     assert z1 == sigma_center_direct(f1.total, f1_sigma1)
-    z3, _ = sigma_center(f3, f3_blocks, want_eta=False)
+    z3, _ = sigma_center(f3, f3_blocks)
     assert z3 == sigma_center_direct(f3.total, f3_identity)
     assert len(random_f5_mixed) == 20
     for _, tri, sig in random_f5_mixed:
         assert tri.dim <= 6
         assert center_T(tri) == center_direct(tri.total)
         blocks = block_decompose(tri, sig)
-        z, _ = sigma_center(tri, blocks, want_eta=False)
+        z, _ = sigma_center(tri, blocks)
         assert z == sigma_center_direct(tri.total, sig)
     _announce(3, "center and twisted center equal their kernel oracles")
 
@@ -324,7 +324,7 @@ def _check_z_transfer(tri, sig_factor):
 def _check_commuting_lemmas(tri, blocks, space):
     from trialg.algcore import project_subspace
 
-    z, _ = sigma_center(tri, blocks, want_eta=False)
+    z, _ = sigma_center(tri, blocks)
     pa = project_subspace(z, tri.range_a)
     pb = project_subspace(z, tri.range_b)
     for theta in space.basis_maps():

@@ -534,7 +534,7 @@ class TestLemauxContainments:
 
         for tri, blocks, space in ((f1, f1_blocks, f1_commuting_space),
                                    (f4, f4_blocks, f4_commuting_space)):
-            z, _ = sigma_center(tri, blocks, want_eta=False)
+            z, _ = sigma_center(tri, blocks)
             pa = project_subspace(z, tri.range_a)
             pb = project_subspace(z, tri.range_b)
             for theta in space.basis_maps():

@@ -29,21 +29,25 @@ The associativity check, which visits only the triples where a side can be
 nonzero, is checked against the loop over all n^3 basis triples it
 replaced: both must name the same first failing triple on associative
 tables, on associative tables with one product changed, and on random
-sparse tables, over Q, F_5, F_3 and F_2."""
+sparse tables, over Q, F_5, F_3 and F_2.
+
+The bimodule action maps, coupling_rows and the block data that AutBlocks
+keeps (the twisted center, the corner centers, the projections and eta) are
+checked against dense products, dense kernels and a dense solve."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from trialg.algcore import (FinAlgebra, SparseTable, _associativity_failure, _bracket_map, _trace_form_rows,
-                            annihilators, build_triangular, center_direct, center_T, nil_radical_T, radical, sigma_center_direct,
-                            twisted_ad, unit_m)
-from trialg.classify import _commutator_span, extremal_split, inner_biderivation_witness
-from trialg.errors import CentralElement, CharTooSmall, NotInvertible, PreconditionFails
-from trialg.exactla import GF, QQ, LinMap, Subspace, kernel_basis, rref, solve_sparse
+from trialg.algcore import (Bimodule, FinAlgebra, SparseTable, _associativity_failure, _bracket_map, _trace_form_rows,
+                            annihilators, build_triangular, center_direct, center_T, coupling_rows, nil_radical_T,
+                            project_subspace, radical, sigma_center_direct, twisted_ad, unit_m)
+from trialg.classify import _commutator_span, endo_blocks, extremal_split, ideal_split, inner_biderivation_witness
+from trialg.errors import CentralElement, CharTooSmall, NotBlockPreserving, NotInvertible, PreconditionFails
+from trialg.exactla import GF, QQ, LinMap, Subspace, kernel_basis, kernel_sparse, rref, solve_sparse
 from test_exactla import _gauss_jordan
-from trialg.fixtures import sigma1, upper_triangular_algebra
+from trialg.fixtures import product_field_algebra, sigma1, upper_triangular_algebra
 from trialg.randomgen import (_random_invertible, instance_catalog, random_block_preserving_sigma, random_instances,
                               regular_bimodule)
 from trialg.sigmamaps import BilinMap, block_decompose, inner_automorphism, sigma_center, sigma_commutator_vec
@@ -648,7 +652,7 @@ def test_sigma_commutator_against_dense_products(field):
         alg = tri.total
         z_sigma = _dense_center(alg, sigma)
         assert sigma_center_direct(alg, sigma) == z_sigma
-        assert sigma_center(tri, block_decompose(tri, sigma), want_eta=False)[0] == z_sigma
+        assert sigma_center(tri, block_decompose(tri, sigma))[0] == z_sigma
         for x in _elements(alg, rng) + list(z_sigma.basis):
             dense = _dense_inner_derivation(alg, x, sigma)
             assert twisted_ad(alg, sigma, x) == dense
@@ -750,3 +754,128 @@ def test_bracket_map_and_conjugation_against_dense_products(field):
                     with pytest.raises(NotInvertible):
                         inner_automorphism(alg, alg.zero_vector())
     assert conjugations
+
+
+# Every bimodule action is read off the action tables as a sparse map
+# (TriAlgebra.left_action, right_action, left_action_on, right_action_on),
+# checked here against the dense products act_left and act_right in the total
+# algebra, and coupling_rows against the dense system of a m = nu(m) b.  The
+# twisted center and the data read off it, which AutBlocks makes once per
+# (T, sigma), are checked against the dense kernels and a dense solve for eta.
+
+
+def _action_elements(alg, rng) -> list:
+    """The basis vectors and two random elements of an algebra or of M (as
+    coordinates of length dim)."""
+    p, dim = alg.field.characteristic, alg.dim
+    xs = [alg.basis_vector(i) for i in range(dim)]
+    return xs + [alg.coerce_vector([rng.randrange(-2, 3) % (p or 7) for _ in range(dim)]) for _ in range(2)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_action_maps_and_coupling_rows_against_dense_products(field):
+    """L_a and R_b on M, a -> a m and b -> m b, for basis vectors and random
+    elements, and the kernel of coupling_rows(tri, m, nu(m)) against the
+    dense kernel of a m - nu(m) b over the pair unknowns (a, b)."""
+    rng = random.Random(9700)
+    couplings = 0
+    for tri, sigma in _commutator_cases(field):
+        da, dm, db = tri.A.dim, tri.M.dim_m, tri.B.dim
+        em = [unit_m(field, dm, j) for j in range(dm)]
+        ea = [tri.A.basis_vector(i) for i in range(da)]
+        eb = [tri.B.basis_vector(k) for k in range(db)]
+        for a in _action_elements(tri.A, rng):
+            assert tri.left_action(a) == LinMap.from_images(field, [tri.act_left(a, m) for m in em], dm, dm)
+        for b in _action_elements(tri.B, rng):
+            assert tri.right_action(b) == LinMap.from_images(field, [tri.act_right(m, b) for m in em], dm, dm)
+        ms = [tri.part_m(v) for v in _action_elements(tri.total, rng)[da:]]
+        nu = block_decompose(tri, sigma).nu
+        for m in ms:
+            assert tri.left_action_on(m) == LinMap.from_images(field, [tri.act_left(a, m) for a in ea], da, dm)
+            assert tri.right_action_on(m) == LinMap.from_images(field, [tri.act_right(m, b) for b in eb], db, dm)
+            nu_m = nu.apply(m)
+            dense = [[tri.act_left(a, m)[o] for a in ea] + [field.neg(tri.act_right(nu_m, b)[o]) for b in eb]
+                     for o in range(dm)]
+            want = kernel_basis(LinMap(field, dense, da + db, dm))
+            assert kernel_sparse(field, coupling_rows(tri, m, nu_m), da + db) == want
+            couplings += want.dim < da + db
+    assert couplings
+
+
+def _dense_eta(tri, pa: Subspace, pb: Subspace, nu: LinMap) -> LinMap:
+    """eta in the bases of pb and pa, column i the coordinates of the a in pa
+    with a m_j = nu(m_j) u_i for every j, solved on the flattened dense
+    actions."""
+    field, dm = tri.field, tri.M.dim_m
+    em = [unit_m(field, dm, j) for j in range(dm)]
+    gens = [[c for m in em for c in tri.act_left(a, m)] for a in pa.basis]
+    cols = [_dense_span_coefficients(field, gens, [c for m in em for c in tri.act_right(nu.apply(m), u)])
+            for u in pb.basis]
+    assert None not in cols
+    return LinMap.from_images(field, cols, pb.dim, pa.dim)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_block_data_against_dense_solves(field):
+    """AutBlocks.center, corner_centers, projections and eta against the dense
+    kernels, coordinate projections and a dense solve for eta (None on a
+    non-faithful instance, where sigma_center returns (Z_sigma, None));
+    block_decompose returns the blocks it kept for an equal sigma and raises
+    again on a sigma that is not block-preserving, keeping nothing."""
+    faithful = unfaithful = refused = 0
+    for tri, sigma in _commutator_cases(field):
+        blocks = block_decompose(tri, sigma)
+        assert block_decompose(tri, LinMap(field, sigma.rows)) is blocks
+        z_sigma = _dense_center(tri.total, sigma)
+        assert blocks.center == z_sigma == sigma_center_direct(tri.total, sigma)
+        assert blocks.corner_centers == (_dense_center(tri.A, blocks.f), _dense_center(tri.B, blocks.g))
+        pa, pb = project_subspace(z_sigma, tri.range_a), project_subspace(z_sigma, tri.range_b)
+        assert blocks.projections == (pa, pb)
+        if tri.is_faithful():
+            eta = blocks.eta
+            assert (eta.domain, eta.codomain) == (pb, pa)
+            assert eta.matrix == _dense_eta(tri, pa, pb, blocks.nu)
+            faithful += 1
+        else:
+            assert blocks.eta is None
+            assert sigma_center(tri, blocks) == (z_sigma, None)
+            unfaithful += 1
+        if tri.M.dim_m:
+            t = tri.total
+            conj = inner_automorphism(t, t.add_vec(t.unit, t.basis_vector(tri.range_m[0])))
+            for _ in range(2):
+                with pytest.raises(NotBlockPreserving):
+                    block_decompose(tri, conj)
+            assert conj not in tri._blocks
+            refused += 1
+    assert faithful and unfaithful and refused
+
+
+def _dead_summand(field):
+    """Trian(k x k, k, k x k) with the second factors acting as zero, and the
+    automorphism that swaps the two dead diagonal lines (as in test_classify,
+    over any field)."""
+    zero, one = field.zero, field.one
+    m = Bimodule(field, 2, 1, 2, [[[one]], [[zero]]], [[[one], [zero]]])
+    tri = build_triangular(product_field_algebra(field, 2), m, product_field_algebra(field, 2))
+    imgs = [tri.total.basis_vector(i) for i in range(5)]
+    imgs[1], imgs[4] = imgs[4], imgs[1]
+    return tri, LinMap.from_images(field, imgs, 5, 5)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_ideal_split_with_a_zero_bimodule_ideal(field):
+    """ideal_split on an automorphism whose diagonal ideal J has M = 0: the
+    sub-triangular algebra of J has no M, and the actions of the ideal I,
+    read off the action maps, are the dense products of the corner bases."""
+    tri, phi = _dead_summand(field)
+    spl = ideal_split(tri, phi)
+    assert spl.tri_j is not None and spl.tri_j.M.dim_m == 0 and spl.anti_partible_j
+    eb, _ = endo_blocks(tri, phi)
+    sub_a, sub_b = eb.chi3.kernel(), eb.gamma3.kernel()
+    tri_i, dm = spl.tri_i, tri.M.dim_m
+    em = [unit_m(field, dm, j) for j in range(dm)]
+    for i, a in enumerate(sub_a.basis):
+        assert [tri_i.act_left(tri_i.A.basis_vector(i), m) for m in em] == [tri.act_left(a, m) for m in em]
+    for k, b in enumerate(sub_b.basis):
+        assert [tri_i.act_right(m, tri_i.B.basis_vector(k)) for m in em] == [tri.act_right(m, b) for m in em]

@@ -4,7 +4,8 @@ values as they are.  The algebra, bimodule and bilinear-map loaders coerce
 each structure constant exactly once and hand the coerced sparse product
 tables to FinAlgebra._trusted, Bimodule._trusted and BilinMap._trusted;
 the first two still check shapes and validate.  `trialg validate` is fuzzed
-with near-schema algebra documents."""
+with near-schema algebra documents, and `trialg triangular build` and
+`trialg sigma-center` with near-schema triangular documents and maps."""
 
 import copy
 import json
@@ -17,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trialg import io
+from trialg.algcore import Bimodule
 from trialg.errors import InputError
 from trialg.exactla import GF, QQ, LinMap
-from trialg.fixtures import fixture_f1, sigma1
+from trialg.fixtures import fixture_f1, fixture_f3, sigma1
 from trialg.sigmamaps import BilinMap
 from test_cli import run_cli
 
@@ -239,3 +241,109 @@ def test_validate_fuzz_one_json_object_and_a_cli_exit_code(doc, tmp_path_factory
     assert code in (0, 1, 2)
     assert isinstance(json.loads(out), dict)
     assert "Traceback" not in err
+
+
+def _zero_m_document(field) -> dict:
+    """F1's corners with the zero bimodule: a triangular document with M = 0."""
+    tri = fixture_f1(field)
+    return {"A": io.algebra_to_json(tri.A), "B": io.algebra_to_json(tri.B),
+            "M": io.bimodule_to_json(Bimodule.zero(field, tri.A.dim, tri.B.dim))}
+
+
+@pytest.mark.parametrize("value, code, error", [
+    (True, 0, None), (False, 1, "ZeroModule"), ("absent", 1, "ZeroModule"),
+    ("false", 1, "InputError"), ("no", 1, "InputError"), ("true", 1, "InputError"), (0, 1, "InputError"),
+    (1, 1, "InputError"), (None, 1, "InputError"), ([], 1, "InputError"), ({}, 1, "InputError")])
+def test_allow_zero_m_must_be_a_json_boolean(value, code, error, tmp_path):
+    """`trialg triangular build` on an M = 0 file: "allow_zero_M": true builds
+    it, false or no key refuses the zero module, and any other value is an
+    input error, never read as a truth value."""
+    doc = _zero_m_document(QQ)
+    if value != "absent":
+        doc["allow_zero_M"] = value
+    path = tmp_path / "zero_m.json"
+    path.write_text(json.dumps(doc))
+    got, out, _ = run_cli(["triangular", "build", str(path)])
+    assert got == code
+    report = json.loads(out)
+    if error is None:
+        assert report["result"]["dims"]["M"] == 0
+    else:
+        assert report["error"]["type"] == error
+
+
+# near-schema triangular documents: F1 over Q or F_5, or F3, each with its corner negation
+_TRIANGULAR_BASES = [("F1", QQ), ("F1", GF(5)), ("F3", QQ)]
+_ALLOW_VALUES = st.one_of(st.booleans(), st.none(), st.integers(-1, 2), st.floats(-1, 1),
+                          st.sampled_from(["true", "false", "no", "", "1"]),
+                          st.lists(st.booleans(), max_size=2), st.dictionaries(st.sampled_from(["x"]), st.booleans()))
+
+
+@st.composite
+def _near_triangular(draw):
+    """(triangular document, sigma document) near the schema: a valid
+    triangular algebra and its corner negation, then up to three edits that
+    put a dim, an action value, index or entry, a basis list, the
+    allow_zero_M flag, the bimodule (made zero), a key or a sigma entry off
+    the schema."""
+    name, field = draw(st.sampled_from(_TRIANGULAR_BASES))
+    tri = (fixture_f1 if name == "F1" else fixture_f3)(field)
+    doc, sigma = io.triangular_to_json(tri), sigma1(tri).to_json()
+    for edit in draw(st.lists(st.sampled_from(["dim", "value", "index", "entry", "basis", "allow", "zero M",
+                                               "drop", "sigma"]), max_size=3)):
+        part = doc.get(draw(st.sampled_from(["A", "M", "B"])))
+        if not isinstance(part, dict):
+            continue
+        if edit == "dim":
+            keys = [k for k in ("dim", "dimA", "dimM", "dimB") if k in part]
+            if keys:
+                part[draw(st.sampled_from(keys))] = draw(st.one_of(st.sampled_from(_OFF_DIMS), st.integers(0, 3)))
+        elif edit in ("value", "index"):
+            entries = [e for key in ("left", "right", "mul") if isinstance(part.get(key), list)
+                       for e in part[key] if isinstance(e, list) and len(e) == 4]
+            if entries:
+                entry = draw(st.sampled_from(entries))
+                if edit == "value":
+                    entry[3] = draw(_SCALARS)
+                else:
+                    entry[draw(st.integers(0, 2))] = draw(_INDICES)
+        elif edit == "entry":
+            keys = [k for k in ("left", "right", "mul") if isinstance(part.get(k), list)]
+            if keys:
+                part[draw(st.sampled_from(keys))].append(draw(st.one_of(
+                    st.tuples(_INDICES, _INDICES, _INDICES, _SCALARS).map(list), st.lists(_SCALARS, max_size=5),
+                    _SCALARS)))
+        elif edit == "basis":
+            part["basis"] = draw(st.one_of(st.lists(st.sampled_from(["e0", "m", "", 3, None]), max_size=4),
+                                           _SCALARS))
+        elif edit == "allow":
+            doc["allow_zero_M"] = draw(_ALLOW_VALUES)
+        elif edit == "zero M":
+            doc["M"] = io.bimodule_to_json(Bimodule.zero(field, tri.A.dim, tri.B.dim))
+        elif edit == "drop" and part:
+            del part[draw(st.sampled_from(sorted(part)))]
+        elif edit == "sigma":
+            row = draw(st.sampled_from(sigma["matrix"]))
+            if draw(st.booleans()):
+                row[draw(st.integers(0, len(row) - 1))] = draw(_SCALARS)
+            else:
+                sigma["matrix"].remove(row)
+    return doc, sigma
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(docs=_near_triangular())
+def test_triangular_and_sigma_center_fuzz_one_json_object_and_a_cli_exit_code(docs, tmp_path_factory):
+    """`trialg triangular build` and `trialg sigma-center` on a near-schema
+    triangular document and map exit 0, 1 or 2 with one JSON object on stdout
+    and no traceback."""
+    doc, sigma = docs
+    base = tmp_path_factory.getbasetemp()
+    t_path, s_path = base / "fuzz_triangular.json", base / "fuzz_sigma.json"
+    t_path.write_text(json.dumps(doc))
+    s_path.write_text(json.dumps(sigma))
+    for argv in (["triangular", "build", str(t_path)], ["sigma-center", str(t_path), "--sigma", str(s_path)]):
+        code, out, err = run_cli(argv)
+        assert code in (0, 1, 2)
+        assert isinstance(json.loads(out), dict)
+        assert "Traceback" not in err

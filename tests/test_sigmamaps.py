@@ -219,13 +219,13 @@ class TestSigmaCenter:
     def test_oracle_equality_fixtures(self, f1, f1_sigma1, f1_blocks, f3, f3_identity, f3_blocks):
         z1, _ = sigma_center(f1, f1_blocks)
         assert z1 == sigma_center_direct(f1.total, f1_sigma1)
-        z3, _ = sigma_center(f3, f3_blocks, want_eta=False)
+        z3, _ = sigma_center(f3, f3_blocks)
         assert z3 == sigma_center_direct(f3.total, f3_identity)
 
     def test_oracle_equality_random(self, random_f5_instances):
         for _, tri, sig in random_f5_instances:
             blocks = block_decompose(tri, sig)
-            z, _ = sigma_center(tri, blocks, want_eta=False)
+            z, _ = sigma_center(tri, blocks)
             assert z == sigma_center_direct(tri.total, sig)
 
     def test_kernel_membership_definition(self, f1, f1_sigma1, f1_blocks):

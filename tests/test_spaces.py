@@ -548,7 +548,7 @@ class TestInnerTwistedBiderivation:
                                                        f4_bider_space):
         from trialg.sigmamaps import sigma_center
 
-        z, _ = sigma_center(f4, f4_blocks, want_eta=False)
+        z, _ = sigma_center(f4, f4_blocks)
         for lam in z.basis:
             D = inner_sigma_biderivation(f4, lam, f4_sigma1)
             assert f4_bider_space.contains(D)

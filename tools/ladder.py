@@ -23,12 +23,16 @@ the generating set on whose pairs the derivation rule is imposed and checked
 (FinAlgebra.generators; 5k - 2 on the regular Trian(UT_k, UT_k, UT_k)).
 
 Each sigma_biderivation row of a triangular rung (every rung but F2) also
-times the theorem layer on the verified space: extremal_split of each basis
-map, then inner_biderivation_witness on its residual, --repeats times, and
-reports the best pass (theorem_ms).  It carries theorem_sha256, the sha256
-of their reports in basis order, written as the split-biderivation and
-inner-witness commands write them.  The script imports trialg from src/
-beside this directory and uses only the standard library.
+times the theorem layer: extremal_split of each basis map of the verified
+space, then inner_biderivation_witness on its residual.  It runs --repeats
+passes, each on a fresh (T, sigma) and its freshly solved verified space
+(the solve untimed), so that no pass reuses the twisted center and block
+data that an earlier pass kept on its instance, and reports the best pass
+(theorem_ms).  It carries theorem_sha256, the sha256 of their reports in
+basis order, written as the split-biderivation and inner-witness commands
+write them; every pass must give the same reports, else it is null and the
+script exits with status 1.  The script imports trialg from src/ beside this
+directory and uses only the standard library.
 """
 
 from __future__ import annotations
@@ -106,8 +110,7 @@ def _timed(fn):
 
 def measure(kind, build, repeats, min_seconds):
     """(unverified s, verified s, emit s, same basis, space dim, rounds, the
-    sha256 of the emitted verified space, (T, sigma, space) of the last
-    verified solve)."""
+    sha256 of the emitted verified space)."""
     best = {False: float("inf"), True: float("inf"), "emit": float("inf")}
     spent = {False: 0.0, True: 0.0}
     bases = {}
@@ -121,37 +124,34 @@ def measure(kind, build, repeats, min_seconds):
             spent[verify] += sec
             bases[verify] = space.subspace
             if verify:
-                verified = t, sigma, space
                 sec, text = _timed(lambda: canonical_json(space.to_json()))
                 best["emit"] = min(best["emit"], sec)
                 digest = hashlib.sha256(text.encode()).hexdigest()
         r += 1
-    return (best[False], best[True], best["emit"], bases[False] == bases[True], bases[True].dim, r,
-            digest, verified)
+    return best[False], best[True], best["emit"], bases[False] == bases[True], bases[True].dim, r, digest
 
 
-def theorem_layer(tri, sigma, space, repeats):
+def theorem_layer(build, repeats):
     """(s, sha256): the best of repeats timings of extremal_split on every
     basis map of a verified sigma-biderivation space plus
-    inner_biderivation_witness on its residual, and the sha256 of their
-    reports in basis order."""
-    maps = space.basis_maps()
-
-    def passes():
-        return [(split, inner_biderivation_witness(tri, split.residual, sigma))
-                for split in (extremal_split(tri, D, sigma) for D in maps)]
-
-    sec = float("inf")
+    inner_biderivation_witness on its residual, each pass on a fresh
+    (T, sigma) from build() and its verified space, solved untimed; and the
+    sha256 of their reports in basis order, None when passes differ."""
+    sec, digests = float("inf"), set()
     for _ in range(repeats):
-        took, results = _timed(passes)
+        tri, sigma = build()
+        maps = solve_space("sigma_biderivation", tri, sigma).basis_maps()
+        took, results = _timed(lambda: [(split, inner_biderivation_witness(tri, split.residual, sigma))
+                                        for split in (extremal_split(tri, D, sigma) for D in maps)])
         sec = min(sec, took)
-    fmt = tri.field.format
-    reports = [{"corner_value": [fmt(v) for v in split.corner_value], "extremal": split.psi.to_json(),
-                "residual": split.residual.to_json(),
-                "witness": None if w is None else {"lambda": [fmt(v) for v in w.lam],
-                                                   "lambda_A": [fmt(v) for v in w.lam_a]}}
-               for split, w in results]
-    return sec, hashlib.sha256(canonical_json(reports).encode()).hexdigest()
+        fmt = tri.field.format
+        reports = [{"corner_value": [fmt(v) for v in split.corner_value], "extremal": split.psi.to_json(),
+                    "residual": split.residual.to_json(),
+                    "witness": None if w is None else {"lambda": [fmt(v) for v in w.lam],
+                                                       "lambda_A": [fmt(v) for v in w.lam_a]}}
+                   for split, w in results]
+        digests.add(hashlib.sha256(canonical_json(reports).encode()).hexdigest())
+    return sec, digests.pop() if len(digests) == 1 else None
 
 
 def main(argv=None) -> int:
@@ -167,7 +167,7 @@ def main(argv=None) -> int:
         t, _ = build()
         generators = len(getattr(t, "total", t).generators())
         for kind in KINDS:
-            unverified, verified, emit, same, space_dim, solves, digest, (tv, sv, space) = measure(
+            unverified, verified, emit, same, space_dim, solves, digest = measure(
                 kind, build, args.repeats, args.min_seconds)
             ok = ok and same
             row = {"rung": name, "field": fname, "dim": dim, "kind": kind,
@@ -178,8 +178,9 @@ def main(argv=None) -> int:
                    "ratio": round(verified / unverified, 2),
                    "emit_ms": round(emit * 1e3, 2), "basis_sha256": digest}
             theorem = ""
-            if kind == "sigma_biderivation" and isinstance(tv, TriAlgebra):
-                sec, row["theorem_sha256"] = theorem_layer(tv, sv, space, args.repeats)
+            if kind == "sigma_biderivation" and isinstance(t, TriAlgebra):
+                sec, row["theorem_sha256"] = theorem_layer(build, args.repeats)
+                ok = ok and row["theorem_sha256"] is not None
                 row["theorem_ms"] = round(sec * 1e3, 2)
                 theorem = "  theorem %8.2f ms" % row["theorem_ms"]
             rows.append(row)
@@ -191,8 +192,9 @@ def main(argv=None) -> int:
                            "they add up to %g s (at most %d), fresh instance per solve, "
                            "gc.collect() before each; emit_ms is the best time of "
                            "io.canonical_json(space.to_json()) over the verified spaces; "
-                           "theorem_ms is the best of %d timings of the theorem layer on the last "
-                           "verified sigma_biderivation space of a triangular rung"
+                           "theorem_ms is the best of %d timings of the theorem layer on the "
+                           "verified sigma_biderivation space of a triangular rung, each on a fresh "
+                           "instance and space, solved untimed"
                            % (args.repeats, args.min_seconds, MAX_SOLVES, args.repeats),
                "all_bases_identical": ok, "rungs": rows}, sys.stdout, indent=1)
     sys.stdout.write("\n")
