@@ -13,8 +13,8 @@ right_action_on) by _mul_map, which also gives the multiplication maps of an
 algebra.
 
 Also here: the sparse product-rule evaluator behind every basis-pair identity
-check, twisted_ad and the (twisted) centers read off it, the commutator map
-_bracket_map, annihilators and faithfulness, the faithful quotient,
+check, twisted_ad and the (twisted) centers read off it (_center_map), the
+commutator map _bracket_map, annihilators and faithfulness, the faithful quotient,
 nilpotency, the Koethe/Jacobson radical via the trace form, and exhaustive
 idempotent checks over small prime fields.
 """
@@ -50,6 +50,7 @@ from .exactla import (
     _primitive,
     _sorted_nonzero,
     _sparse,
+    derived,
     kernel_sparse,
     span_coefficients,
     sparse_span_coefficients,
@@ -73,36 +74,26 @@ class SparseTable(tuple):
     """Sparse product table: entry [i][j] lists the nonzero (k, c) of the
     product of basis vectors i and j.
 
-    Built once per algebra, bimodule or bilinear map, it keeps these derived
-    tables, each made on first use: its transpose (entry [j][i] = entry
-    [i][j]), its negation (negated(), the table of minus the product), the
-    actions of an algebra on n copies of itself (copies()) and, for constants
-    over Q, the table over the integers (lifted()).
+    Built once per algebra, bimodule or bilinear map, it keeps in its store
+    (exactla.derived, its one attribute) these tables, each made on first
+    use: its transpose (entry [j][i] = entry [i][j]), its negation (negated(),
+    the table of minus the product), the actions of an algebra on n copies of
+    itself (copies()) and, for constants over Q, the integer table (lifted()).
     """
-
-    def __new__(cls, entries):
-        self = super().__new__(cls, entries)
-        self._lifted = None
-        self._transposed = None
-        self._negated = None
-        self._copies = None
-        return self
 
     def lifted(self) -> tuple:
         """(den, ints): the least common denominator of the constants, and
         the table with each constant c replaced by the integer c * den."""
-        if self._lifted is None:
-            den = lcm(*[c.denominator for row in self for vec in row for _, c in vec])
-            self._lifted = den, tuple(
-                tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in vec) if vec else ()
-                      for vec in row)
-                for row in self)
-        return self._lifted
+        return derived(self, "lifted", self._lift)
+
+    def _lift(self) -> tuple:
+        den = lcm(*[c.denominator for row in self for vec in row for _, c in vec])
+        return den, tuple(tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in vec) if vec else ()
+                                for vec in row)
+                          for row in self)
 
     def transpose(self) -> "SparseTable":
-        if self._transposed is None:
-            self._transposed = SparseTable(zip(*self))
-        return self._transposed
+        return derived(self, "transpose", lambda: SparseTable(zip(*self)))
 
     def copies(self) -> tuple:
         """(left, right) for the product table of an algebra of dim n: the
@@ -110,21 +101,21 @@ class SparseTable(tuple):
         coordinate k*n + o for e_o in copy k.  Entry [a][k*n + o] of left lists
         the (k*n + l, c) of e_a e_o, entry [k*n + o][b] of right those of e_o e_b.
         When this table is already lifted, the copies are lifted with it."""
-        if self._copies is None:
-            left, right = _copy_tables(self)
-            if self._lifted is not None:
-                den, ints = self._lifted
-                left._lifted, right._lifted = ((den, t) for t in _copy_tables(ints))
-            self._copies = left, right
-        return self._copies
+        return derived(self, "copies", self._copy)
+
+    def _copy(self) -> tuple:
+        copies = _copy_tables(self)
+        lifted = derived(self, "lifted")
+        if lifted is not None:
+            for table, ints in zip(copies, _copy_tables(lifted[1])):
+                derived(table, "lifted", lambda: (lifted[0], ints))
+        return copies
 
     def negated(self, field: Field) -> "SparseTable":
         """The table of minus the product, its constants negated in field."""
-        if self._negated is None:
-            neg = field.neg
-            self._negated = SparseTable(tuple(tuple((k, neg(c)) for k, c in vec) for vec in row)
-                                        for row in self)
-        return self._negated
+        neg = field.neg
+        return derived(self, "negated", lambda: SparseTable(tuple(tuple((k, neg(c)) for k, c in vec) for vec in row)
+                                                            for row in self))
 
 
 def _copy_tables(table) -> tuple:
@@ -431,8 +422,7 @@ class FinAlgebra:
     shapes, the unit laws and associativity.
     """
 
-    __slots__ = ("field", "dim", "basis_names", "unit", "_pairs", "_automorphisms", "_identity",
-                 "_generators")
+    __slots__ = ("field", "dim", "basis_names", "unit", "_pairs", "_derived")
 
     def __init__(self, field: Field, mul, unit, basis_names=None):
         dim = len(mul)
@@ -464,10 +454,6 @@ class FinAlgebra:
         object.__setattr__(self, "basis_names", basis_names)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "_pairs", table)
-        # maps that sigmamaps.require_automorphism verified on this instance
-        object.__setattr__(self, "_automorphisms", set())
-        object.__setattr__(self, "_identity", None)
-        object.__setattr__(self, "_generators", None)
         self._validate()
 
     def __setattr__(self, *a):
@@ -485,19 +471,23 @@ class FinAlgebra:
             raise NonAssociative(*bad)
 
     def identity_map(self) -> LinMap:
-        """The identity map of this algebra, made once per instance, so that
-        its lifted columns are made once too."""
-        if self._identity is None:
-            object.__setattr__(self, "_identity", LinMap.identity(self.field, self.dim))
-        return self._identity
+        """The identity map of this algebra, kept in the instance's store
+        (exactla.derived), so that its lifted columns are made once too."""
+        return derived(self, "identity", lambda: LinMap.identity(self.field, self.dim))
 
     def generators(self) -> tuple:
         """The ascending indices of basis vectors that generate this algebra
         as a non-unital algebra: every element is a linear combination of
-        products of them.  Made once per instance (_generating_set)."""
-        if self._generators is None:
-            object.__setattr__(self, "_generators", _generating_set(self._pairs, self.field.characteristic))
-        return self._generators
+        products of them, kept in the store (_generating_set, exactla.derived)."""
+        return derived(self, "generators", lambda: _generating_set(self._pairs, self.field.characteristic))
+
+    def bracket_map(self) -> LinMap:
+        """The commutator map [., .] : T (x) T -> T (_bracket_map), kept in the store."""
+        return derived(self, "bracket_map", lambda: _bracket_map(self))
+
+    def center_map(self, sigma: LinMap) -> LinMap:
+        """x -> ([e_i, x]_sigma)_i (_center_map), kept in the store under ("center_map", sigma)."""
+        return derived(self, ("center_map", sigma), lambda: _center_map(self, sigma))
 
     # -- vector arithmetic ----------------------------------------------------
 
@@ -770,7 +760,7 @@ def basis_and_pair_sums(field: Field, n: int) -> list[tuple]:
 class TriAlgebra:
     """Trian(A, M, B) with its total algebra, Peirce idempotents, and block maps."""
 
-    __slots__ = ("A", "M", "B", "total", "p", "q", "range_a", "range_m", "range_b", "_faithful", "_blocks")
+    __slots__ = ("A", "M", "B", "total", "p", "q", "range_a", "range_m", "range_b", "_derived")
 
     def __init__(self, A: FinAlgebra, M: Bimodule, B: FinAlgebra, total: FinAlgebra):
         object.__setattr__(self, "A", A)
@@ -789,8 +779,6 @@ class TriAlgebra:
             q[i] = v
         object.__setattr__(self, "p", tuple(p))
         object.__setattr__(self, "q", tuple(q))
-        object.__setattr__(self, "_faithful", [None])
-        object.__setattr__(self, "_blocks", {})  # sigmamaps.block_decompose's verified AutBlocks, by map
 
     def __setattr__(self, *a):
         raise AttributeError("TriAlgebra is immutable")
@@ -871,12 +859,9 @@ class TriAlgebra:
         return self.part_m(self.total.mul_vec(self.embed_m(m), self.embed_b(b)))
 
     def faithfulness(self) -> tuple[bool, bool]:
-        cached = self._faithful[0]
-        if cached is None:
-            ann = annihilators(self)
-            cached = (ann.left_faithful, ann.right_faithful)
-            self._faithful[0] = cached
-        return cached
+        """(left, right) faithfulness of M, read off annihilators(self) kept in the store."""
+        ann = derived(self, "annihilators", lambda: annihilators(self))
+        return ann.left_faithful, ann.right_faithful
 
     def is_faithful(self) -> bool:
         lf, rf = self.faithfulness()
@@ -998,8 +983,8 @@ def diagonal_pairs(tri: TriAlgebra, rows) -> Subspace:
 
 
 def sigma_center_direct(alg: FinAlgebra, sigma: LinMap) -> Subspace:
-    """Kernel of x -> ([e_i, x]_sigma)_i over all basis vectors (_center_map)."""
-    return _center_map(alg, sigma).kernel()
+    """Kernel of x -> ([e_i, x]_sigma)_i over all basis vectors (FinAlgebra.center_map)."""
+    return alg.center_map(sigma).kernel()
 
 
 def center_direct(alg: FinAlgebra) -> Subspace:
@@ -1016,8 +1001,8 @@ def twisted_center_T(tri: TriAlgebra, f: LinMap, g: LinMap, nu: LinMap) -> Subsp
     """
     field, da, dm = tri.field, tri.A.dim, tri.M.dim_m
     rows = itertools.chain(
-        _center_map(tri.A, f)._sparse_rows(),
-        ({da + j: v for j, v in row.items()} for row in _center_map(tri.B, g)._sparse_rows()),
+        tri.A.center_map(f)._sparse_rows(),
+        ({da + j: v for j, v in row.items()} for row in tri.B.center_map(g)._sparse_rows()),
         *(coupling_rows(tri, unit_m(field, dm, j), nu.image_of_basis(j)) for j in range(dm)))
     return diagonal_pairs(tri, rows)
 

@@ -6,8 +6,9 @@ structure of corner-preserving endomorphisms, and partibility certificates.
 Every checker verifies its hypotheses before asserting a conclusion; a
 conclusion that fails with verified hypotheses raises TheoremViolation, which
 is a reportable finding rather than a silent failure.  Every commutator [x, y]
-is read off algcore._bracket_map: the inner-witness system solves on the
-columns of L_z o [., .], z in the twisted center, and [A, A] is its image.
+is read off FinAlgebra.bracket_map, made once per algebra: the inner-witness
+system solves on the columns of L_z o [., .], z in the twisted center, and
+[A, A] is its image.
 Z_sigma, its projections, the corner twisted centers and eta are read off the
 AutBlocks of sigma, made once per (T, sigma), and every bimodule action off
 the action maps of TriAlgebra.
@@ -23,7 +24,6 @@ from .algcore import (
     FinAlgebra,
     SparseTable,
     TriAlgebra,
-    _bracket_map,
     _sparse_table,
     annihilators,
     basis_and_pair_sums,
@@ -176,7 +176,7 @@ def inner_biderivation_witness(tri: TriAlgebra, D0: BilinMap, sigma: LinMap,
     field = alg.field
     n = alg.dim
     # L_z o [., .] for z in the twisted center: column i*n + j is entry [i][j] of D0's table
-    brackets = _bracket_map(alg)
+    brackets = alg.bracket_map()
     gens = [alg.left_mul_mat(z).compose(brackets).columns for z in z_sigma.basis]
     coeffs = sparse_span_coefficients(field, gens, itertools.chain(*D0.table))
     if coeffs is None:
@@ -522,7 +522,7 @@ def properness_sufficiency(tri: TriAlgebra, blocks: AutBlocks) -> TheoremReport:
 
 def _commutator_span(alg: FinAlgebra) -> Subspace:
     """[A, A]: the image of the commutator map."""
-    return _bracket_map(alg).image()
+    return alg.bracket_map().image()
 
 
 def _search_recovering_element(tri: TriAlgebra, blocks: AutBlocks):

@@ -51,6 +51,9 @@ them and Subspace.residual the one reduction of a vector against them.  The
 dense basis is a read-only view, made on first read and kept, for callers
 that work element by element.
 
+derived is the one cache of trialg: whatever is made on first use and kept
+lives in the store of one immutable instance, with no global cache.
+
 Hot loops test raw scalars for zero by truthiness (``if v:``), which is exact
 because ``Fraction`` values are normalized and F_p residues are always
 reduced to [0, p) by ``PrimeField.coerce`` and every field operation.
@@ -308,6 +311,30 @@ def field_from_json(obj) -> Field:
 
 
 # ---------------------------------------------------------------------------
+# the store of derived data
+# ---------------------------------------------------------------------------
+
+
+def derived(obj, key, make=None):
+    """obj's entry under key in its store, made by make() on the first call
+    and kept; if make raises nothing is kept.  With no make the entry is only
+    read (None if not made).  The store is a dict in the attribute _derived,
+    set on the first entry, so an object that never uses it costs nothing.
+    Keys are a name, or (name, sigma) for data that depends on a twist."""
+    try:
+        return obj._derived[key]
+    except (AttributeError, KeyError):
+        if make is None:
+            return None
+    store = getattr(obj, "_derived", None)
+    if store is None:
+        store = {}
+        object.__setattr__(obj, "_derived", store)
+    value = store[key] = make()
+    return value
+
+
+# ---------------------------------------------------------------------------
 # linear maps (sparse columns)
 # ---------------------------------------------------------------------------
 
@@ -342,11 +369,11 @@ class LinMap:
     The public constructor takes that dense matrix as input values (int, str,
     Fraction), coerces every entry, checks the shape and converts it to
     columns once.  LinMap._trusted takes columns of raw values made by trialg
-    itself, never values read from input.  A map keeps, made on first use,
+    itself, never values read from input.  A map keeps in its store (derived)
     its columns lifted to integers over Q (lifted()) and its hash.
     """
 
-    __slots__ = ("field", "src_dim", "dst_dim", "columns", "_lifted", "_hash")
+    __slots__ = ("field", "src_dim", "dst_dim", "columns", "_derived")
 
     def __init__(self, field: Field, rows: Iterable[Sequence], src_dim: int | None = None,
                  dst_dim: int | None = None):
@@ -365,8 +392,6 @@ class LinMap:
         object.__setattr__(self, "src_dim", len(columns))
         object.__setattr__(self, "dst_dim", dst_dim)
         object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "_lifted", None)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _trusted(cls, field: Field, columns: Iterable[Sequence], dst_dim: int) -> "LinMap":
@@ -403,12 +428,12 @@ class LinMap:
     def lifted(self) -> tuple:
         """(den, ints) over Q: the least common denominator of the entries,
         and the columns with each entry c replaced by the integer c * den."""
-        if self._lifted is None:
-            den = lcm(*[c.denominator for col in self.columns for _, c in col])
-            object.__setattr__(self, "_lifted", (den, tuple(
-                tuple((k, c.numerator * (den // c.denominator)) for k, c in col) if col else ()
-                for col in self.columns)))
-        return self._lifted
+        return derived(self, "lifted", self._lift)
+
+    def _lift(self) -> tuple:
+        den = lcm(*[c.denominator for col in self.columns for _, c in col])
+        return den, tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in col) if col else ()
+                          for col in self.columns)
 
     def _sparse_rows(self) -> list:
         """The rows of the matrix as sparse {j: c} dicts, each in order of j."""
@@ -543,9 +568,7 @@ class LinMap:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.field, self.dst_dim, self.columns)))
-        return self._hash
+        return derived(self, "hash", lambda: hash((self.field, self.dst_dim, self.columns)))
 
     def to_json(self):
         fmt = self.field.format
@@ -820,17 +843,16 @@ class Subspace:
     method works on rows; combine(coeffs) is the one linear combination of
     them and residual(vec) the one reduction of a vector against them.  basis,
     the rows as dense ambient vectors, is a read-only view made on first read
-    and kept (for element-level callers).
+    and kept in the store (derived), for element-level callers.
     """
 
-    __slots__ = ("field", "ambient_dim", "rows", "pivots", "_basis")
+    __slots__ = ("field", "ambient_dim", "rows", "pivots", "_derived")
 
     def __init__(self, field: Field, ambient_dim: int, rows: tuple, pivots: tuple):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -859,10 +881,8 @@ class Subspace:
     @property
     def basis(self) -> tuple:
         """The RREF rows as dense ambient vectors, made once."""
-        if self._basis is None:
-            zero, n = self.field.zero, self.ambient_dim
-            object.__setattr__(self, "_basis", tuple(tuple(_dense(zero, n, row)) for row in self.rows))
-        return self._basis
+        return derived(self, "basis", lambda: tuple(tuple(_dense(self.field.zero, self.ambient_dim, row))
+                                                    for row in self.rows))
 
     @property
     def dim(self) -> int:

@@ -29,16 +29,16 @@ an algebra (FinAlgebra.identity_map) keep their lifted form over Q, so they
 are lifted once however many maps are checked against them; the minus sign of
 a commuting term lives in the negated product table.
 
-block_decompose keeps each verified AutBlocks on its TriAlgebra, keyed by
-sigma; an AutBlocks makes Z_sigma, the corner twisted centers, the
-projections of Z_sigma and eta once each, on first use.
+In the one store of each instance (exactla.derived), automorphism_verdict
+keeps each passing verdict on the algebra, block_decompose each verified
+AutBlocks on the TriAlgebra, and an AutBlocks Z_sigma, the corner twisted
+centers, the projections of Z_sigma and eta.  A failing map is kept nowhere.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
 from math import lcm
 
 from .algcore import (
@@ -69,7 +69,7 @@ from .errors import (
     SigmaNotAutomorphism,
     TheoremViolation,
 )
-from .exactla import Field, LinMap, Subspace, _merge
+from .exactla import Field, LinMap, Subspace, _merge, derived
 
 LINEAR_KINDS = (
     "endomorphism",
@@ -86,11 +86,11 @@ class BilinMap:
     """Total bilinear map A x A -> A, stored as the SparseTable of its values
     (entry [i][j] lists the nonzero (k, c) of D(e_i, e_j)).  The public
     constructor coerces a dense tensor t[i][j][k]; _trusted takes a table of
-    raw values made by trialg itself (as LinMap._trusted).  It keeps, made on
-    first use, its two slot maps (slot_maps()).
+    raw values made by trialg itself (as LinMap._trusted).  It keeps in its
+    store (derived), made on first use, its two slot maps (slot_maps()).
     """
 
-    __slots__ = ("field", "dim", "table", "_slot_maps")
+    __slots__ = ("field", "dim", "table", "_derived")
 
     def __init__(self, field: Field, tensor):
         dim = len(tensor)
@@ -100,7 +100,6 @@ class BilinMap:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", len(table))
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_slot_maps", None)
 
     @classmethod
     def _trusted(cls, field: Field, table: SparseTable) -> "BilinMap":
@@ -133,13 +132,11 @@ class BilinMap:
         LinMaps into n copies of the space (coordinate k*n + o for e_o in copy
         k): first e_l -> (D(e_l, e_k))_k, its columns read off row l of the
         table, second e_l -> (D(e_k, e_l))_k, off row l of its transpose."""
-        if self._slot_maps is None:
-            n = self.dim
-            object.__setattr__(self, "_slot_maps", tuple(
-                LinMap._trusted(self.field, [tuple((k * n + o, c) for k, vec in enumerate(row) for o, c in vec)
-                                             for row in table], n * n)
-                for table in (self.table, self.table.transpose())))
-        return self._slot_maps
+        n = self.dim
+        return derived(self, "slot_maps", lambda: tuple(
+            LinMap._trusted(self.field, [tuple((k * n + o, c) for k, vec in enumerate(row) for o, c in vec)
+                                         for row in table], n * n)
+            for table in (self.table, self.table.transpose())))
 
     def apply(self, x, y) -> tuple:
         field = self.field
@@ -264,17 +261,14 @@ def is_automorphism(alg: FinAlgebra, f: LinMap) -> Verdict:
 
 
 def automorphism_verdict(alg: FinAlgebra, f: LinMap) -> Verdict:
-    """is_automorphism, remembered on the algebra instance once it holds.
-
-    A passing verdict is stored in the instance's set, keyed by the immutable
-    map, so a later check of an equal map on the same object returns at
-    once; failures are never remembered and there is no global cache.
+    """is_automorphism, kept in the algebra instance's store under
+    ("automorphism", f) once it holds, so a later check of an equal map on
+    the same object returns at once; a failing verdict is not kept, and the
+    map is checked again on every call.
     """
-    if f in alg._automorphisms:
-        return Verdict("automorphism", True)
-    v = is_automorphism(alg, f)
+    v = derived(alg, ("automorphism", f)) or is_automorphism(alg, f)
     if v.holds:
-        alg._automorphisms.add(f)
+        derived(alg, ("automorphism", f), lambda: v)
     return v
 
 
@@ -409,8 +403,8 @@ def from_blocks(tri: TriAlgebra, blocks: dict) -> LinMap:
 @dataclass(frozen=True)
 class AutBlocks:
     """Diagonal blocks (f, g) and corner block nu of a block-preserving
-    automorphism, and the data read off them, each made on first use and kept:
-    center, corner_centers, projections and eta."""
+    automorphism, and the data read off them, each made on first use and kept
+    in its store (derived): center, corner_centers, projections and eta."""
 
     tri: TriAlgebra
     f: LinMap  # on A
@@ -432,47 +426,46 @@ class AutBlocks:
         if product_rule_failure(right, self.nu, ((self.nu, self.g, right),)):
             raise TheoremViolation("nu(mb) != nu(m) g(b) on a basis pair")
 
-    @cached_property
+    @property
     def center(self) -> Subspace:
         """Z_sigma, from the block description (algcore.twisted_center_T)."""
-        return twisted_center_T(self.tri, self.f, self.g, self.nu)
+        return derived(self, "center", lambda: twisted_center_T(self.tri, self.f, self.g, self.nu))
 
-    @cached_property
+    @property
     def corner_centers(self) -> tuple[Subspace, Subspace]:
         """(Z_f(A), Z_g(B)), the twisted centers of the corners."""
-        return sigma_center_direct(self.tri.A, self.f), sigma_center_direct(self.tri.B, self.g)
+        return derived(self, "corner_centers", lambda: (sigma_center_direct(self.tri.A, self.f),
+                                                        sigma_center_direct(self.tri.B, self.g)))
 
-    @cached_property
+    @property
     def projections(self) -> tuple[Subspace, Subspace]:
         """(pi_A(Z_sigma), pi_B(Z_sigma))."""
-        return project_subspace(self.center, self.tri.range_a), project_subspace(self.center, self.tri.range_b)
+        return derived(self, "projections", lambda: (project_subspace(self.center, self.tri.range_a),
+                                                     project_subspace(self.center, self.tri.range_b)))
 
-    @cached_property
+    @property
     def eta(self) -> SubspaceMap | None:
         """eta: pi_B(Z_sigma) -> pi_A(Z_sigma), eta(b) m = nu(m) b; None unless M is faithful."""
-        return eta_from_center(self.tri, self.center, self.projections, self.nu) if self.tri.is_faithful() else None
+        return derived(self, "eta", lambda: eta_from_center(self.tri, self.center, self.projections, self.nu)
+                       if self.tri.is_faithful() else None)
 
 
 def block_decompose(tri: TriAlgebra, sigma: LinMap) -> AutBlocks:
     """Split a block-preserving automorphism of the total algebra into (f, g, nu).
-    The verified AutBlocks is kept on tri and returned again for an equal map;
-    a map that fails is checked again on every call."""
-    kept = tri._blocks.get(sigma)
-    if kept is not None:
-        return kept
-    if not automorphism_verdict(tri.total, sigma).holds:
-        raise NotAutomorphism("block decomposition needs an automorphism")
-    for name, rng in (("A", tri.range_a), ("M", tri.range_m), ("B", tri.range_b)):
-        outside = [i for i in range(tri.dim) if i not in rng]
-        for j in rng:
-            img = sigma.image_of_basis(j)
-            if any(img[i] for i in outside):
-                raise NotBlockPreserving((name, j, img))
-    blocks_out = AutBlocks(tri, block_of(tri, sigma, "A", "A"), block_of(tri, sigma, "B", "B"),
+    The verified AutBlocks is kept in tri's store under ("blocks", sigma); a
+    map that fails is kept nowhere and checked again on every call."""
+    def make():
+        if not automorphism_verdict(tri.total, sigma).holds:
+            raise NotAutomorphism("block decomposition needs an automorphism")
+        for name, rng in (("A", tri.range_a), ("M", tri.range_m), ("B", tri.range_b)):
+            for j in rng:
+                if any(k not in rng for k, _ in sigma.columns[j]):
+                    raise NotBlockPreserving((name, j, sigma.image_of_basis(j)))
+        blocks = AutBlocks(tri, block_of(tri, sigma, "A", "A"), block_of(tri, sigma, "B", "B"),
                            block_of(tri, sigma, "M", "M"), sigma)
-    blocks_out.verify()
-    tri._blocks[sigma] = blocks_out
-    return blocks_out
+        blocks.verify()
+        return blocks
+    return derived(tri, ("blocks", sigma), make)
 
 
 def sigma_center(tri: TriAlgebra, blocks: AutBlocks) -> tuple[Subspace, SubspaceMap | None]:
@@ -505,7 +498,7 @@ def commuting_terms(alg: FinAlgebra, theta: LinMap | None, alpha: LinMap, beta: 
 def _multiplicative(alg: FinAlgebra, f: LinMap) -> bool:
     """Whether f is known to be multiplicative on alg without a check: the
     identity, or a map that automorphism_verdict has passed on this instance."""
-    return f is alg._identity or f in alg._automorphisms or f.is_identity()
+    return f is derived(alg, "identity") or derived(alg, ("automorphism", f)) is not None or f.is_identity()
 
 
 def _derivation_type_failure(alg: FinAlgebra, Y: LinMap, terms: tuple, alpha: LinMap,

@@ -1,7 +1,8 @@
 """Complete solution spaces of map equations, plus the inner and extremal
 constructors, which read every sigma-commutator off algcore.twisted_ad and
-every commutator off algcore._bracket_map ([., .] : T (x) T -> T, so that
-lambda [., .] is L_lambda o [., .]), and the block form of twisted derivations.
+every commutator off FinAlgebra.bracket_map ([., .] : T (x) T -> T, made once
+per algebra, so that lambda [., .] is L_lambda o [., .]), and the block form
+of twisted derivations.
 
 Each defining identity is bilinear (or trilinear) in its arguments, so imposing
 it on basis tuples yields an exact linear system in the flattened map
@@ -33,9 +34,9 @@ kernel unchanged.  The biderivation coefficient kernel stays in integers too:
 it is read off the pivot rows (exactla.integer_kernel) without an RREF of its
 own, lifted to tensors in ints, and only the lifted tensors are reduced to
 the canonical basis.  The derivation kernel delta_1 ... delta_r comes from
-integer_kernel as well.  Twist and identity keep their lifted columns, so
-verifying the r basis maps of a space lifts sigma and the identity once, not
-r times.
+integer_kernel as well.  Twist and identity keep their lifted columns in
+their stores (exactla.derived), so verifying the r basis maps of a space
+lifts sigma and the identity once, not r times.
 
 A space is kept as the sparse RREF rows of its Subspace.  Its basis maps are
 built straight from those rows (a linear map's columns, a bilinear map's
@@ -52,7 +53,6 @@ from .algcore import (
     FinAlgebra,
     SparseTable,
     TriAlgebra,
-    _bracket_map,
     product_rule_failure,
     product_rule_rows,
     twisted_ad,
@@ -349,7 +349,7 @@ def inner_sigma_biderivation(t, lam, sigma: LinMap) -> BilinMap:
         raise CommutativeAlgebra("inner twisted biderivations need [T, T] != 0")
     if not is_sigma_central(alg, lam, sigma):
         raise NotSigmaCentral("lambda is not twisted-central")
-    n, cols = alg.dim, alg.left_mul_mat(lam).compose(_bracket_map(alg)).columns  # entry [i][j] at i*n + j
+    n, cols = alg.dim, alg.left_mul_mat(lam).compose(alg.bracket_map()).columns  # entry [i][j] at i*n + j
     D = BilinMap._trusted(alg.field, SparseTable(cols[i * n:(i + 1) * n] for i in range(n)))
     v = classify_bilinear("sigma_biderivation", alg, D, sigma)
     if not v.holds:
@@ -368,7 +368,7 @@ def extremal_sigma_biderivation(t, x0, sigma: LinMap) -> BilinMap:
     inner = twisted_ad(alg, sigma, x0)
     if inner.is_zero():
         raise CentralElement("x0 lies in the twisted center")
-    failing = next((c for c, col in enumerate(inner.compose(_bracket_map(alg)).columns) if col), None)
+    failing = next((c for c, col in enumerate(inner.compose(alg.bracket_map()).columns) if col), None)
     if failing is not None:
         raise PreconditionFails(divmod(failing, alg.dim))
     table = zip(*(twisted_ad(alg, sigma, inner.image_of_basis(j)).columns for j in range(alg.dim)))

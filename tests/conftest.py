@@ -151,6 +151,29 @@ def count_aut_checks(monkeypatch):
 
 
 @pytest.fixture()
+def count_derived_builds(monkeypatch):
+    """Record the algebra of each _bracket_map build and the (algebra, sigma)
+    of each _center_map build, the makes behind FinAlgebra.bracket_map and
+    center_map."""
+    import trialg.algcore as ac
+
+    built = {"bracket": [], "center": []}
+    bracket, center = ac._bracket_map, ac._center_map
+
+    def counting_bracket(alg):
+        built["bracket"].append(alg)
+        return bracket(alg)
+
+    def counting_center(alg, sigma):
+        built["center"].append((alg, sigma))
+        return center(alg, sigma)
+
+    monkeypatch.setattr(ac, "_bracket_map", counting_bracket)
+    monkeypatch.setattr(ac, "_center_map", counting_center)
+    return built
+
+
+@pytest.fixture()
 def count_map_builds(monkeypatch):
     """Record the dimension of each identity map LinMap.identity makes, and
     the columns of a LinMap each time lifted() returns a new lifted form."""
@@ -164,7 +187,7 @@ def count_map_builds(monkeypatch):
         return identity(field, n)
 
     def counting_lifted(self):
-        before = self._lifted
+        before = ex.derived(self, "lifted")
         out = lifted(self)
         if out is not before:
             built["lifted"].append(self.columns)

@@ -24,6 +24,7 @@ from trialg.exactla import (
     Subspace,
     _integer_row,
     _sparse_reduce,
+    derived,
     kernel_basis,
     rref,
     solve_sparse,
@@ -397,6 +398,46 @@ def _check_reduced(field, pivots, rows, ncols):
     for c, row in zip(expect_pivots, expect):
         assert pivots[c] == {k: v for k, v in enumerate(row) if v}
         assert all(_is_raw(field, v) for v in pivots[c].values())
+
+
+class TestDerived:
+    """exactla.derived, the one store of derived data per instance."""
+
+    def test_made_once_per_instance_and_only_read_without_make(self):
+        a, b = LinMap.identity(QQ, 2), LinMap.identity(QQ, 2)
+        made = []
+
+        def make():
+            made.append(1)
+            return len(made)
+
+        assert derived(a, "k") is None
+        assert derived(a, "k", make) == 1 == derived(a, "k", make) == derived(a, "k")
+        assert derived(b, "k", make) == 2 and made == [1, 1]
+        assert derived(a, ("k", b), make) == 3 and derived(a, ("k", LinMap.identity(QQ, 2))) == 3
+
+    def test_a_make_that_raises_keeps_nothing(self):
+        m = LinMap.zero(QQ, 1)
+        calls = []
+
+        def failing():
+            calls.append(1)
+            raise NotInvertible("no")
+
+        for n in (1, 2):
+            with pytest.raises(NotInvertible):
+                derived(m, "x", failing)
+            assert len(calls) == n and derived(m, "x") is None
+        # an entry of None is kept like any other (AutBlocks.eta on a non-faithful instance)
+        assert derived(m, "x", lambda: None) is None and derived(m, "x", failing) is None and len(calls) == 2
+
+    def test_a_table_keeps_its_entries_in_one_attribute(self):
+        from trialg.algcore import SparseTable
+
+        t = SparseTable([(((0, Fraction(1, 2)),),)])
+        assert not hasattr(t, "_derived")
+        assert t.transpose() is t.transpose() and t.lifted() == (2, ((((0, 1),),),))
+        assert set(t._derived) == {"transpose", "lifted"}
 
 
 class TestIntegerEliminationOracle:

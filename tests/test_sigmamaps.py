@@ -374,6 +374,114 @@ class TestAutomorphismMemo:
         assert not classify_linear("automorphism", tri.total, bad).holds
 
 
+class TestDerivedStore:
+    """Every derived object lives in the store of one instance: the bracket
+    map once per algebra, each corner center map once per (corner, twist),
+    nothing global, and a make that raises keeps nothing."""
+
+    @staticmethod
+    def _builds_per_key(keys):
+        counts = {}
+        for key in keys:
+            counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    def test_bracket_map_once_per_algebra_over_a_theorem_pass(self, count_derived_builds):
+        from trialg.classify import extremal_split, inner_biderivation_witness
+        from trialg.spaces import solve_space
+
+        ut = upper_triangular_algebra(QQ, 3)
+        tri = build_triangular(ut, regular_bimodule(ut), upper_triangular_algebra(QQ, 3))
+        sigma = sigma1(tri)
+        maps = solve_space("sigma_biderivation", tri, sigma).basis_maps()
+        assert len(maps) >= 2
+        for D in maps:
+            inner_biderivation_witness(tri, extremal_split(tri, D, sigma).residual, sigma)
+        bracket = self._builds_per_key(map(id, count_derived_builds["bracket"]))
+        assert bracket[id(tri.total)] == 1 and set(bracket.values()) == {1}
+        center = self._builds_per_key((id(alg), s) for alg, s in count_derived_builds["center"])
+        assert center and set(center.values()) == {1}
+
+    def test_inner_witness_command_builds_each_map_once(self, tmp_path, count_derived_builds):
+        import contextlib
+        import io as stdio
+
+        from trialg.cli import main
+        from trialg.io import canonical_json
+        from trialg.fixtures import lambda1
+        from trialg.spaces import inner_sigma_biderivation
+
+        f1 = fixture_f1()
+        bid = tmp_path / "delta.json"
+        bid.write_text(canonical_json(inner_sigma_biderivation(f1, lambda1(f1), sigma1(f1)).to_json()))
+        count_derived_builds["bracket"].clear()
+        count_derived_builds["center"].clear()
+        args = ["inner-witness", str(tmp_path / "T.json"), "--sigma", str(tmp_path / "sigma1.json"),
+                "--bid", str(bid)]
+        with contextlib.redirect_stdout(stdio.StringIO()), contextlib.redirect_stderr(stdio.StringIO()):
+            assert main(["fixtures", "emit", "F1", str(tmp_path)]) == 0
+            assert main(args) == 0
+        bracket = self._builds_per_key(map(id, count_derived_builds["bracket"]))
+        assert bracket and set(bracket.values()) == {1}
+        # the corner center maps of (A, f) and (B, g): one build each, shared by
+        # the rows of Z_sigma and the corner twisted centers
+        center = count_derived_builds["center"]
+        assert sorted(alg.dim for alg, _ in center) == [1, 1] and len({id(alg) for alg, _ in center}) == 2
+        # a second command loads its algebras anew and builds its own maps
+        with contextlib.redirect_stdout(stdio.StringIO()), contextlib.redirect_stderr(stdio.StringIO()):
+            assert main(args) == 0
+        assert len(count_derived_builds["bracket"]) == 2 * len(bracket) and len(center) == 4
+
+    def test_equal_algebra_built_separately_builds_its_own(self, count_derived_builds):
+        from trialg import io
+
+        obj = io.triangular_to_json(fixture_f1())
+        first, second = (io.triangular_from_json(obj) for _ in range(2))
+        assert first == second and first is not second
+        for tri in (first, first, second):
+            blocks = block_decompose(tri, sigma1(tri))
+            assert tri.total.bracket_map() is tri.total.bracket_map()
+            assert blocks.corner_centers == (sigma_center_direct(tri.A, blocks.f),
+                                             sigma_center_direct(tri.B, blocks.g))
+        assert list(map(id, count_derived_builds["bracket"])) == [id(first.total), id(second.total)]
+        assert [id(alg) for alg, _ in count_derived_builds["center"]] == \
+            [id(first.A), id(first.B), id(second.A), id(second.B)]
+
+    def test_block_decompose_checks_a_refused_map_again(self, count_aut_checks, monkeypatch):
+        import trialg.sigmamaps as sm
+        from trialg.exactla import derived
+
+        tri = fixture_f1()
+        conj = phi_one_plus_m(tri)
+        verdicts = []
+        orig = sm.automorphism_verdict
+
+        def counting(alg, f):
+            verdicts.append(f)
+            return orig(alg, f)
+
+        monkeypatch.setattr(sm, "automorphism_verdict", counting)
+        for _ in range(2):
+            with pytest.raises(NotBlockPreserving):
+                block_decompose(tri, conj)
+        # the block check ran twice; the automorphism it starts from passed
+        # once and was kept, the refused blocks were not
+        assert verdicts == [conj, conj] and len(count_aut_checks) == 1
+        assert derived(tri, ("blocks", conj)) is None
+        assert derived(tri.total, ("automorphism", conj)).holds
+
+    def test_require_automorphism_checks_a_non_automorphism_again(self, count_aut_checks):
+        from trialg.exactla import derived
+
+        t = fixture_f1().total
+        bad = LinMap.zero(QQ, 3)
+        for n in (1, 2):
+            with pytest.raises(SigmaNotAutomorphism):
+                require_automorphism(t, bad)
+            assert len(count_aut_checks) == n
+        assert derived(t, ("automorphism", bad)) is None
+
+
 class TestIdMinusSigmaFamily:
     """The difference of the identity and any automorphism obeys the twisted
     Leibniz rule; checked across fixtures and random instances."""
