@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from math import lcm
 
 from .errors import (
@@ -44,14 +43,19 @@ from .exactla import (
     Field,
     LinMap,
     Subspace,
+    _dense,
     _eliminate,
-    _integer_row,
     _merge,
-    _primitive,
     _sorted_nonzero,
     _sparse,
+    canonical_row,
     derived,
+    field_values,
+    integer_form,
+    integer_vector,
+    is_nonzero,
     kernel_sparse,
+    nonzero_rows,
     span_coefficients,
     sparse_span_coefficients,
 )
@@ -78,19 +82,12 @@ class SparseTable(tuple):
     (exactla.derived, its one attribute) these tables, each made on first
     use: its transpose (entry [j][i] = entry [i][j]), its negation (negated(),
     the table of minus the product), the actions of an algebra on n copies of
-    itself (copies()) and, for constants over Q, the integer table (lifted()).
+    itself (copies()) and, over Q, its integer form (exactla.integer_form).
     """
 
     def lifted(self) -> tuple:
-        """(den, ints): the least common denominator of the constants, and
-        the table with each constant c replaced by the integer c * den."""
-        return derived(self, "lifted", self._lift)
-
-    def _lift(self) -> tuple:
-        den = lcm(*[c.denominator for row in self for vec in row for _, c in vec])
-        return den, tuple(tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in vec) if vec else ()
-                                for vec in row)
-                          for row in self)
+        """The integer form of a table of constants over Q (exactla.integer_form)."""
+        return integer_form(0, self)
 
     def transpose(self) -> "SparseTable":
         return derived(self, "transpose", lambda: SparseTable(zip(*self)))
@@ -139,6 +136,22 @@ def _copy_tables(table) -> tuple:
     return left, right
 
 
+def _table_apply(field: Field, table: SparseTable, x, y, dim: int) -> tuple:
+    """The dense sum_ij x_i y_j (e_i * e_j) for dense x, y (FinAlgebra.mul_vec,
+    BilinMap.apply): the reference _mul_map's sparse maps are tested against."""
+    zero, add, mul = field.zero, field.add, field.mul
+    acc = [zero] * dim
+    for i, xi in enumerate(x):
+        if xi:
+            row = table[i]
+            for j, yj in enumerate(y):
+                if yj and row[j]:
+                    f = mul(xi, yj)
+                    for k, c in row[j]:
+                        acc[k] = add(acc[k], mul(f, c))
+    return tuple(acc)
+
+
 def _sparse_table(tensor) -> SparseTable:
     """The SparseTable of a product given as an order-3 tensor of structure
     constants, or as rows of the vectors of its products."""
@@ -165,24 +178,23 @@ def _tensor_entries(field: Field, table: SparseTable) -> list:
             for k, c in vec]
 
 
-def _integer_terms(table, X, terms) -> tuple:
-    """The data of product_rule_failure over Q as integers: (S, m_X, X's
-    columns, table, terms as (P, Q, table_t, m_t)), read off the lifted
-    columns and tables as described there."""
+def _integer_terms(p: int, table, X, terms) -> tuple:
+    """The one term lifting of product_rule_failure and product_rule_rows:
+    (S, m_X, X's columns, table, terms as (P, Q, table_t, m_t)) on the integer
+    forms (LinMap.lifted, exactla.integer_form), as described there; an open
+    map (None, X or a Q_t) lifts with factor 1, and table None is no X term."""
+    dx, xc = (1, None) if X is None else X.lifted()
+    dt, xtab = integer_form(p, table)
+    den = xden = dx * dt
     lifted = []
     for P, Q, tab in terms:
-        dp, pc = P.lifted()
-        dq, qc = Q.lifted()
-        dt, tints = tab.lifted()
-        lifted.append((pc, qc, tints, dp * dq * dt))
-    xden = xints = xtab = None
-    if X is not None:
-        dx, xints = X.lifted()
-        dt, xtab = table.lifted()
-        xden = dx * dt
-    den = lcm(*[d for *_, d in lifted], *([xden] if xden else []))
-    return (den, den // xden if xden else 0, xints, xtab,
-            [(pc, qc, tints, den // d) for pc, qc, tints, d in lifted])
+        (dp, pc), (dt, tints) = P.lifted(), integer_form(p, tab)
+        dq, qc = (1, None) if Q is None else Q.lifted()
+        lifted.append([pc, qc, tints, dp * dq * dt])
+        den = lcm(den, dp * dq * dt)
+    for term in lifted:  # m_t = S / d_t
+        term[3] = den // term[3]
+    return den, den // xden, xc, xtab, lifted
 
 
 def product_rule_failure(table, X, terms, order=None) -> tuple | None:
@@ -202,24 +214,21 @@ def product_rule_failure(table, X, terms, order=None) -> tuple | None:
     identity with no X term passes X = None; its residual lies where the first
     Q_t maps.
 
-    The residual is accumulated in integers.  Over F_p the residues are
-    integers already, and the accumulator is reduced mod p once per residual.
-    Over Q every map and table is read in its cached lifted form, f = f' / d_f
-    and table_t = table_t' / d_t with f', table_t' integral.  Term t then
+    The residual is accumulated in integers by the same code over both
+    fields.  Every map and table is read in its integer form (LinMap.lifted,
+    exactla.integer_form), f = f' / d_f and table_t = table_t' / d_t with f',
+    table_t' integral: over F_p d = 1 and f' the residues themselves.  Term t
     contributes P_t' Q_t' table_t' / (d_P d_Q d_t) and X contributes
     X' table' / (d_X d_table); one integer accumulator holds S times the
     residual, for S the least common multiple of these denominators, each
-    contribution multiplied by S over its own denominator (m_t, m_X), and a
-    failing pair reports acc / S.
+    contribution multiplied by S over its own denominator (m_t, m_X).  A pair
+    fails when acc is nonzero in the field (exactla.is_nonzero), and reports
+    acc / S.
     """
     out = X if X is not None else terms[0][1]
     field = out.field
     p = field.characteristic
-    if p:  # the residues are integers already
-        den, xm, xc, xtab = 1, 1, None if X is None else X.columns, table
-        sparse_terms = [(P.columns, Q.columns, tab, 1) for P, Q, tab in terms]
-    else:
-        den, xm, xc, xtab, sparse_terms = _integer_terms(table, X, terms)
+    den, xm, xc, xtab, sparse_terms = _integer_terms(p, None if X is None else table, X, terms)
     if order is None:
         order = itertools.product(range(len(table)), range(len(table[0]) if table else 0))
     for i, j in order:
@@ -241,12 +250,8 @@ def product_rule_failure(table, X, terms, order=None) -> tuple | None:
                             uw = u * w
                             for l, c in prods:
                                 acc[l] = acc.get(l, 0) - uw * c
-        # nonzero as an integer, and over F_p also mod p (p.__rmod__(v) = v % p)
-        if acc and any(acc.values()) and (not p or any(map(p.__rmod__, acc.values()))):
-            residual = [field.zero] * out.dst_dim
-            for l, v in acc.items():
-                residual[l] = v % p if p else Fraction(v, den)
-            return (i, j), tuple(residual)
+        if acc and is_nonzero(p, acc):
+            return (i, j), tuple(_dense(field.zero, out.dst_dim, field_values(p, den, acc).items()))
     return None
 
 
@@ -280,35 +285,21 @@ def product_rule_rows(table, terms, n: int, order=None) -> tuple:
     (default: each pair of table, row-major).  blocks yields per block the
     nonzero rows {unknown: coefficient}, keyed by ascending output coordinate.
 
-    Over F_p the coefficients are the residues themselves and scale is 1.
-    Over Q the rows are read off the lifted columns of the known maps and the
-    lifted tables, and each row is scale times the row of the residual: scale
-    is the least common multiple of the denominators d_table of X's table and
-    d_K d_t of each term (K its known map, t its table), the one positive
-    factor that makes every coefficient an integer in this scheme.
+    The terms are lifted as in product_rule_failure (_integer_terms), X with
+    factor 1, and each row is scale times the row of the residual: scale is
+    the least common multiple of the denominators d_table of X's table and
+    d_K d_t of each term (K its known map, t its table), 1 over F_p, where
+    the coefficients are residues (exactla.nonzero_rows).
     """
-    p = next(f for term in terms for f in term[:2] if f is not None).field.characteristic
     # a term X(x) *_t Q(y) is Q(y) *_t' X(x) over the transposed table t'; per
     # term keep the known map's columns, its factor S / (d_K d_t), whether it
     # is P, and per basis vector of its side the nonzero products with each
     # basis vector of X's side
-    lifted = []
-    for P, Q, tab in terms:
-        known, tab = (P, tab) if Q is None else (Q, tab.transpose())
-        if p:
-            lifted.append((known.columns, 1, tab, Q is None))
-        else:
-            (dk, known), (dt, tab) = known.lifted(), tab.lifted()
-            lifted.append((known, dk * dt, tab, Q is None))
-    xm, xtab = 1, table
-    scale = 1
-    if not p:
-        xden, xtab = table.lifted() if table is not None else (None, None)
-        scale = lcm(*[d for _, d, _, _ in lifted], *([xden] if xden else []))
-        xm = scale // xden if xden else 0
-    sparse_terms = [(known, scale // d, p_known,
-                     [[(v, prods) for v, prods in enumerate(row) if prods] for row in tab])
-                    for known, d, tab, p_known in lifted]
+    known = [(P, None, tab) if Q is None else (Q, None, tab.transpose()) for P, Q, tab in terms]
+    p = known[0][0].field.characteristic
+    scale, xm, _, xtab, lifted = _integer_terms(p, table, None, known)
+    sparse_terms = [(cols, m, Q is None, [[(v, prods) for v, prods in enumerate(row) if prods] for row in tab])
+                    for (cols, _, tab, m), (_, Q, _) in zip(lifted, terms)]
     if order is None:
         order = (((i, j),) for i, row in enumerate(table) for j in range(len(row)))
 
@@ -332,15 +323,7 @@ def product_rule_rows(table, terms, n: int, order=None) -> tuple:
                             for o, c in prods:
                                 row = acc.setdefault(o, {})
                                 row[key] = row.get(key, 0) - u * c
-            block = {}
-            for o in sorted(acc):
-                if p:
-                    row = {key: c % p for key, c in acc[o].items() if c % p}
-                else:
-                    row = {key: c for key, c in acc[o].items() if c}
-                if row:
-                    block[o] = row
-            yield block
+            yield nonzero_rows(p, acc)
 
     return scale, blocks()
 
@@ -356,14 +339,14 @@ def _generating_set(pairs: SparseTable, p: int) -> tuple:
     subspace that holds the kept vectors and is closed under left
     multiplication by each of them, and it is kept so as vectors arrive: each
     new vector of C is multiplied by every kept e_s, and a new e_s multiplies
-    every vector C already has.  C is held as integer echelon rows (over Q
-    on the lifted table, a positive multiple of the true products, which
-    spans the same space; over F_p on the residues), each with its least
-    column as lead, reduced with exactla._eliminate.  The walk stops once C
-    is the whole algebra; at worst S is the whole basis.
+    every vector C already has.  C is held as canonical integer echelon rows
+    (exactla.canonical_row) of products on the integer form of the table (a
+    positive multiple of the true products, which spans the same space),
+    each with its least column as lead, reduced with exactla._eliminate.  The
+    walk stops once C is the whole algebra; at worst S is the whole basis.
     """
     n = len(pairs)
-    tab = pairs if p else pairs.lifted()[1]
+    tab = integer_form(p, pairs)[1]
     made = [0] * n
     for a, row in enumerate(tab):
         for b, prods in enumerate(row):
@@ -382,7 +365,7 @@ def _generating_set(pairs: SparseTable, p: int) -> tuple:
             _eliminate(row, k, pivots[k], p)
 
     def added(row: dict) -> dict:
-        row = _integer_row(p, row) if p else _primitive(row)
+        row = canonical_row(p, row)
         pivots[min(row)] = row
         return row
 
@@ -398,14 +381,15 @@ def _generating_set(pairs: SparseTable, p: int) -> tuple:
         todo.append((kept, added(row)))
         while todo and len(pivots) < n:
             factors, vec = todo.pop()
-            for s in factors:
-                trow = tab[s]
-                acc = {}
+            products = {}  # e_s vec, by the position of s in factors
+            for t, s in enumerate(factors):
+                trow, acc = tab[s], {}
+                products[t] = acc
                 for j, c in vec.items():
                     for k, v in trow[j]:
                         acc[k] = acc.get(k, 0) + c * v
-                row = reduced({k: v % p for k, v in acc.items() if v % p} if p else
-                              {k: v for k, v in acc.items() if v})
+            for row in nonzero_rows(p, products).values():
+                row = reduced(row)
                 if row:
                     todo.append((kept, added(row)))
     return tuple(sorted(kept))
@@ -505,21 +489,7 @@ class FinAlgebra:
         return vec
 
     def mul_vec(self, x, y) -> tuple:
-        field = self.field
-        zero, add, mul = field.zero, field.add, field.mul
-        acc = [zero] * self.dim
-        pairs = self._pairs
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = pairs[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                f = mul(xi, yj)
-                for k, c in row[j]:
-                    acc[k] = add(acc[k], mul(f, c))
-        return tuple(acc)
+        return _table_apply(self.field, self._pairs, x, y, self.dim)
 
     def add_vec(self, x, y) -> tuple:
         add = self.field.add
@@ -604,18 +574,12 @@ def _mul_map(field: Field, table: SparseTable, x, src_dim: int, dst_dim: int) ->
 
 def _unit_law_failure(pairs: SparseTable, unit: tuple, p: int) -> int | None:
     """The least i with 1 e_i != e_i or e_i 1 != e_i, or None, read on the
-    table in integers like _associativity_failure: over Q on the lifted
-    table and the unit scaled by its denominator, where 1 e_i should be
-    e_i times both denominators.  Both sides of every i are accumulated in
-    one pass over the nonzero products: e_a e_b adds u_a (e_a e_b) to 1 e_b
-    and u_b (e_a e_b) to e_a 1."""
-    if p:
-        tab, one, ints = pairs, 1, unit
-    else:
-        den, tab = pairs.lifted()
-        du = lcm(*[u.denominator for u in unit])
-        ints = [u.numerator * (du // u.denominator) for u in unit]
-        one = den * du
+    integer forms of the table and the unit like _associativity_failure,
+    where 1 e_i should be e_i times both denominators.  Both sides of every i
+    are accumulated in one pass over the nonzero products: e_a e_b adds
+    u_a (e_a e_b) to 1 e_b and u_b (e_a e_b) to e_a 1."""
+    (den, tab), (du, ints) = integer_form(p, pairs), integer_vector(p, unit)
+    one = den * du
     cols = range(len(tab))
     left = [{i: -one} for i in cols]  # 1 e_i - e_i
     right = [{i: -one} for i in cols]  # e_i 1 - e_i
@@ -631,9 +595,8 @@ def _unit_law_failure(pairs: SparseTable, unit: tuple, p: int) -> int | None:
                 for k, c in prods:
                     acc_right[k] = acc_right.get(k, 0) + ub * c
     for i in cols:
-        for acc in (left[i], right[i]):
-            if any(acc.values()) and (not p or any(map(p.__rmod__, acc.values()))):
-                return i
+        if is_nonzero(p, left[i]) or is_nonzero(p, right[i]):
+            return i
     return None
 
 
@@ -641,17 +604,17 @@ def _associativity_failure(pairs: SparseTable, p: int) -> tuple | None:
     """The least basis triple (i, j, k), lexicographically, with
     (e_i e_j) e_k != e_i (e_j e_k), or None when the table is associative.
 
-    Both sides are accumulated in integers: over F_p on the residues, reduced
-    mod p once per triple, and over Q on the lifted table, where both sides
-    carry the square of its denominator.  Only the triples where a side can
-    be nonzero are visited, in increasing order: the left side needs
+    Both sides are accumulated on the integer form of the table
+    (exactla.integer_form), where they carry the square of its denominator,
+    and tested once per triple.  Only the triples where a side can be
+    nonzero are visited, in increasing order: the left side needs
     e_i e_j != 0, the right side an e_a with e_i e_a != 0 in e_j e_k.  So per i
     the j are those with e_i e_j != 0 and those that an index a -> j, built
     once, lists under such an a; the k are those with e_j e_k != 0 or
     e_a e_k != 0 for an e_a in e_i e_j, or, when e_i e_j = 0, those where
     e_j e_k meets the support of e_i.
     """
-    tab = pairs if p else pairs.lifted()[1]
+    tab = integer_form(p, pairs)[1]
     cols = range(len(tab))
     support = [list(itertools.compress(cols, row)) for row in tab]  # the k with e_r e_k != 0
     reach = [set() for _ in cols]  # the j with e_a in the support of some e_j e_k, per a
@@ -676,7 +639,7 @@ def _associativity_failure(pairs: SparseTable, p: int) -> tuple | None:
                 for a, c in jk:
                     for b, d in row[a]:
                         acc[b] = acc.get(b, 0) - c * d
-                if any(acc.values()) and (not p or any(map(p.__rmod__, acc.values()))):
+                if is_nonzero(p, acc):
                     return i, j, k
     return None
 

@@ -426,14 +426,15 @@ class LinMap:
         return LinMap._trusted(field, (_sparse(map(coerce, img)) for img in images), dst_dim)
 
     def lifted(self) -> tuple:
-        """(den, ints) over Q: the least common denominator of the entries,
-        and the columns with each entry c replaced by the integer c * den."""
+        """The integer form (den, ints) of the columns (see integer_form): over
+        F_p (1, the columns themselves), over Q made once and kept in the store."""
+        if self.field.characteristic:
+            return 1, self.columns
         return derived(self, "lifted", self._lift)
 
     def _lift(self) -> tuple:
-        den = lcm(*[c.denominator for col in self.columns for _, c in col])
-        return den, tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in col) if col else ()
-                          for col in self.columns)
+        den, (ints,) = _lift((self.columns,))
+        return den, ints
 
     def _sparse_rows(self) -> list:
         """The rows of the matrix as sparse {j: c} dicts, each in order of j."""
@@ -579,6 +580,95 @@ class LinMap:
 
 
 # ---------------------------------------------------------------------------
+# the integer form: the only passages between field values and Python ints
+# ---------------------------------------------------------------------------
+#
+# The integer form of field values is (den, ints), ints = den * the values
+# entry by entry, in the same shape: over F_p den = 1 and ints are the
+# residues themselves, shared and kept nowhere; over Q den is the least common
+# denominator.
+
+
+def _lift(rows) -> tuple:
+    """(den, ints) over Q of rows of sparse vectors of Fractions."""
+    den = lcm(*[c.denominator for row in rows for vec in row for _, c in vec])
+    return den, tuple(tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in vec) if vec else ()
+                            for vec in row)
+                      for row in rows)
+
+
+def integer_form(p: int, table) -> tuple:
+    """The integer form of a product table (rows of sparse vectors) over the
+    field of characteristic p, kept in its store (derived) over Q; a map's is
+    LinMap.lifted().  No table (None) has the form (1, None)."""
+    if p or table is None:
+        return 1, table
+    return derived(table, "lifted", lambda: _lift(table))
+
+
+def integer_vector(p: int, values) -> tuple:
+    """The integer form of a vector of field values, a dense sequence (ints a
+    list) or a sparse {k: value} dict (ints a dict), made anew over Q."""
+    if p:
+        return 1, values
+    sparse = isinstance(values, dict)
+    den = lcm(*[v.denominator for v in (values.values() if sparse else values)])
+    if sparse:
+        return den, {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def is_nonzero(p: int, acc: dict) -> bool:
+    """Whether an integer accumulator {k: int} is nonzero in the field (over F_p, mod p)."""
+    return any(acc.values()) and (not p or any(map(p.__rmod__, acc.values())))
+
+
+def nonzero_rows(p: int, rows: dict) -> dict:
+    """The integer accumulators of a block {key: acc}, keys ascending, each with
+    the entries that vanish in the field dropped (over F_p, the residues of the
+    others), and without the rows left empty: one call per block, not per row."""
+    out = {}
+    for key in sorted(rows):
+        acc = rows[key]  # an empty one costs no comprehension
+        row = acc and ({k: r for k, v in acc.items() if (r := v % p)} if p else {k: v for k, v in acc.items() if v})
+        if row:
+            out[key] = row
+    return out
+
+
+def field_values(p: int, den: int, acc: dict) -> dict:
+    """The field values acc_k / den of the entries of acc nonzero in the field."""
+    if p:
+        return {k: v * pow(den, -1, p) % p for k, v in acc.items() if v % p}
+    return {k: Fraction(v, den) for k, v in acc.items() if v}
+
+
+def canonical_row(p: int, row: dict) -> dict:
+    """The one form of every nonzero multiple of a sparse row of nonzero ints
+    (residues over F_p): monic over F_p, over Q primitive (the gcd of the
+    entries divided out) with a positive lead, the entry at the least column."""
+    if not row:
+        return row
+    lead = row[min(row)]
+    if p:
+        s = pow(lead, p - 2, p)
+        return row if s == 1 else {c: v * s % p for c, v in row.items()}
+    g = gcd(*row.values())
+    if lead < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _integer_row(p: int, raw) -> dict:
+    """The canonical_row of the integer form of a sparse row of field values,
+    lifted as by integer_vector in the pass that drops its zeros (a hot path)."""
+    if p:
+        return canonical_row(p, {c: v for c, v in raw.items() if v})
+    den = lcm(*[v.denominator for v in raw.values()])
+    return canonical_row(p, {c: v.numerator * (den // v.denominator) for c, v in raw.items() if v})
+
+
+# ---------------------------------------------------------------------------
 # row reduction engine
 # ---------------------------------------------------------------------------
 #
@@ -604,32 +694,6 @@ class IntegerRows:
 
     def __iter__(self):
         return iter(self.rows)
-
-
-def _primitive(row: dict) -> dict:
-    """A row of nonzero ints divided by the gcd of its entries, signed so
-    that its lead (the entry at the least column) is positive."""
-    if not row:
-        return row
-    g = gcd(*row.values())
-    if row[min(row)] < 0:
-        g = -g
-    return row if g == 1 else {c: v // g for c, v in row.items()}
-
-
-def _integer_row(p: int, raw) -> dict:
-    """Canonical integer form of a sparse row's nonzero entries, the same for
-    every nonzero scalar multiple of the row: over Q (p = 0) the primitive
-    integer row whose lead (entry at the least column) is positive, over F_p
-    the monic row of residues.  Empty for a zero row."""
-    if p:
-        row = {c: v for c, v in raw.items() if v}
-        s = pow(row[min(row)], p - 2, p) if row else 1
-        return row if s == 1 else {c: v * s % p for c, v in row.items()}
-    den = lcm(*[v.denominator for v in raw.values()])
-    if den == 1:
-        return _primitive({c: v.numerator for c, v in raw.items() if v})
-    return _primitive({c: v.numerator * (den // v.denominator) for c, v in raw.items() if v})
 
 
 def _eliminate(row: dict, c: int, piv: dict, p: int):
@@ -677,23 +741,23 @@ def _sparse_reduce(field: Field, rows, ncols: int) -> dict[int, dict]:
     sparse rows, each with 1 at its pivot column, in the order in which the
     rows added their pivot columns.
 
-    Online Gauss-Jordan on the rows' integer forms (_integer_row, or
-    _primitive for IntegerRows over Q); a row whose form was already seen is
-    skipped.  The pivot rows stay fully reduced: a new row is cleared of every
-    pivot column it holds (and brought back to its integer form, which a row
-    no pivot touched still has), and its own pivot column c is then cleared
-    from the earlier pivot rows that hold it.  holders[c] names them: a pivot
-    row is listed under each column it gains, and stays listed when its entry
-    there cancels later, so each name is checked on use.  Each pivot row is
-    converted to field values at the end.
+    Online Gauss-Jordan on the rows' canonical integer forms (canonical_row,
+    through _integer_row for rows of field values); a row whose form was
+    already seen is skipped.  The pivot rows stay fully reduced: a new row is
+    cleared of every pivot column it holds (and brought back to its canonical
+    form, which a row no pivot touched still has), and its own pivot column c
+    is then cleared from the earlier pivot rows that hold it.  holders[c]
+    names them: a pivot row is listed under each column it gains, and stays
+    listed when its entry there cancels later, so each name is checked on
+    use.  Each pivot row is converted to field values at the end.
     """
     p = field.characteristic
-    integer = not p and isinstance(rows, IntegerRows)
+    integer = isinstance(rows, IntegerRows)
     pivots: dict[int, dict] = {}
     holders: defaultdict[int, list] = defaultdict(list)
     seen = set()
     for raw in rows:
-        row = _primitive({c: v for c, v in raw.items() if v}) if integer else _integer_row(p, raw)
+        row = canonical_row(p, {c: v for c, v in raw.items() if v}) if integer else _integer_row(p, raw)
         key = frozenset(row.items())
         if not row or key in seen:
             continue
@@ -704,7 +768,7 @@ def _sparse_reduce(field: Field, rows, ncols: int) -> dict[int, dict]:
                 _eliminate(row, k, pivots[k], p)
             if not row:
                 continue
-            row = _integer_row(p, row) if p else _primitive(row)
+            row = canonical_row(p, row)
         c = min(row)
         others = [k for k in row if k != c]
         for k in others:
@@ -717,15 +781,12 @@ def _sparse_reduce(field: Field, rows, ncols: int) -> dict[int, dict]:
                         holders[k].append(lead)
                 _eliminate(piv, c, row, p)
         pivots[c] = row
-    if p:
+    if p:  # monic rows of residues are field values already
         return pivots
-    one = field.one
-    out = {}
     for c, row in pivots.items():
-        lead = row.pop(c)
-        out[c] = {k: Fraction(v, lead) for k, v in row.items()}
-        out[c][c] = one
-    return out
+        pivots[c] = field_values(p, row.pop(c), row)
+        pivots[c][c] = field.one
+    return pivots
 
 
 def _dense(zero, n: int, entries) -> list:
@@ -754,21 +815,15 @@ def rref(m: LinMap) -> tuple[LinMap, tuple[int, ...]]:
 def integer_kernel(field: Field, pivots: dict[int, dict], ncols: int) -> list[dict]:
     """Kernel basis of a system already reduced by _sparse_reduce, as sparse
     IntegerRows rows read straight off the pivot rows: per free column f, the
-    vector with 1 at f and minus column f of the pivot rows, times the least
-    common denominator of its entries over Q, as residues over F_p."""
-    p = field.characteristic
-    vecs = {f: {f: 1} for f in range(ncols) if f not in pivots}
+    integer form (integer_vector) of the vector with 1 at f and minus column f
+    of the pivot rows."""
+    neg = field.neg
+    vecs = {f: {f: field.one} for f in range(ncols) if f not in pivots}
     for c, row in pivots.items():
         for k, v in row.items():
             if k != c:
-                vecs[k][c] = p - v if p else -v
-    if p:
-        return list(vecs.values())
-    out = []
-    for vec in vecs.values():
-        den = lcm(*[v.denominator for v in vec.values()])
-        out.append({k: v.numerator * (den // v.denominator) for k, v in vec.items()})
-    return out
+                vecs[k][c] = neg(v)
+    return [integer_vector(field.characteristic, vec)[1] for vec in vecs.values()]
 
 
 def kernel_sparse(field: Field, rows, ncols: int) -> "Subspace":

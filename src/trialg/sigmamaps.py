@@ -23,11 +23,12 @@ polarization q(e_i, e_j), this decides the condition at every element, in
 every characteristic.  The derivation and commuting terms are shared with the
 solve rows of spaces, which algcore.product_rule_rows builds from them.
 
-The evaluator reads every map through its sparse columns (the one form a
-LinMap, defined in exactla, stores), and the twist sigma and the identity of
-an algebra (FinAlgebra.identity_map) keep their lifted form over Q, so they
-are lifted once however many maps are checked against them; the minus sign of
-a commuting term lives in the negated product table.
+The evaluator reads every map and table in its integer form (LinMap.lifted,
+exactla.integer_form), by the same code over both fields: over F_p the
+residues of a LinMap's sparse columns as they are, over Q integers over a
+common denominator, which sigma and the identity (FinAlgebra.identity_map)
+keep in their stores, lifted once however many maps are checked against
+them.  The minus sign of a commuting term lives in the negated table.
 
 In the one store of each instance (exactla.derived), automorphism_verdict
 keeps each passing verdict on the algebra, block_decompose each verified
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from math import lcm
 
 from .algcore import (
     FinAlgebra,
@@ -49,6 +49,7 @@ from .algcore import (
     _coerced_table,
     _mul_map,
     _sparse_table,
+    _table_apply,
     _tensor_entries,
     eta_from_center,
     product_rule_failure,
@@ -69,7 +70,7 @@ from .errors import (
     SigmaNotAutomorphism,
     TheoremViolation,
 )
-from .exactla import Field, LinMap, Subspace, _merge, derived
+from .exactla import Field, LinMap, Subspace, _merge, derived, integer_vector, is_nonzero
 
 LINEAR_KINDS = (
     "endomorphism",
@@ -139,19 +140,7 @@ class BilinMap:
             for table in (self.table, self.table.transpose())))
 
     def apply(self, x, y) -> tuple:
-        field = self.field
-        zero, add, mul = field.zero, field.add, field.mul
-        acc = [zero] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.table[i]
-            for j, yj in enumerate(y):
-                if yj and row[j]:
-                    f = mul(xi, yj)
-                    for k, c in row[j]:
-                        acc[k] = add(acc[k], mul(f, c))
-        return tuple(acc)
+        return _table_apply(self.field, self.table, x, y, self.dim)
 
     def _merged(self, other: "BilinMap", op) -> "BilinMap":
         """The map with values op(self(e_i, e_j), other(e_i, e_j)), for op
@@ -343,28 +332,22 @@ def _kills_unit(alg: FinAlgebra, slot: LinMap) -> bool:
     """Whether a slot map of a bilinear map D (one of BilinMap.slot_maps,
     column l listing the (k*n + o, c) of D(e_l, e_k) or of D(e_k, e_l)) sends
     the unit to zero for every e_l: the sum over k of u_k times copy k.  It is
-    accumulated in integers: over F_p on the residues, reduced mod p once per
-    l, and over Q on the lifted columns with the unit scaled by its
-    denominator.
+    accumulated in integers on the integer forms of the slot map and the unit
+    (LinMap.lifted, exactla.integer_vector) and tested once per l.
 
     Kept on purpose: not any(Y.apply(alg.unit)) on the slot maps says the
     same in fewer lines, but in Fraction arithmetic, slow on the dense unit of
     a rebased algebra.  It cost 8-9 % of the elim-q-rebased benchmark's jobs/s
     (30.5 / 30.8 -> 28.3 / 27.9 in two 10 s A/B pairs, 2-core x86_64)."""
     n, p = alg.dim, alg.field.characteristic
-    if p:
-        cols, unit = slot.columns, alg.unit
-    else:
-        cols = slot.lifted()[1]
-        du = lcm(*[u.denominator for u in alg.unit])
-        unit = [u.numerator * (du // u.denominator) for u in alg.unit]
+    (_, cols), (_, unit) = slot.lifted(), integer_vector(p, alg.unit)
     for col in cols:
         acc = {}
         for ko, c in col:
             k, o = divmod(ko, n)
             if unit[k]:
                 acc[o] = acc.get(o, 0) + unit[k] * c
-        if any(acc.values()) and (not p or any(map(p.__rmod__, acc.values()))):
+        if is_nonzero(p, acc):
             return False
     return True
 

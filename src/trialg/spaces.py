@@ -27,16 +27,17 @@ check S x basis first, for a map and for each biderivation slot.  The
 sigma-commuting identity is quadratic in x, so its rows and checks keep
 every single and pair sum.
 
-Every system is built in Python ints and handed to the reduce as
-exactla.IntegerRows: over Q each row is a positive integer multiple of the
-row of its identity (product_rule_rows reports the factor), which leaves the
-kernel unchanged.  The biderivation coefficient kernel stays in integers too:
-it is read off the pivot rows (exactla.integer_kernel) without an RREF of its
-own, lifted to tensors in ints, and only the lifted tensors are reduced to
-the canonical basis.  The derivation kernel delta_1 ... delta_r comes from
-integer_kernel as well.  Twist and identity keep their lifted columns in
-their stores (exactla.derived), so verifying the r basis maps of a space
-lifts sigma and the identity once, not r times.
+Every system is built in Python ints on the integer forms of exactla, by the
+same code over both fields, and handed to the reduce as exactla.IntegerRows:
+over Q each row is a positive integer multiple of the row of its identity
+(product_rule_rows reports the factor), over F_p its residues.  The
+biderivation coefficient kernel stays in integers too: it is read off the
+pivot rows (exactla.integer_kernel) without an RREF of its own, lifted to
+tensors in ints, and only the lifted tensors are reduced to the canonical
+basis.  The derivation kernel delta_1 ... delta_r comes from integer_kernel
+as well.  Over Q twist and identity keep their integer forms in their stores
+(exactla.derived), so verifying the r basis maps of a space lifts sigma and
+the identity once, not r times; over F_p nothing is lifted.
 
 A space is kept as the sparse RREF rows of its Subspace.  Its basis maps are
 built straight from those rows (a linear map's columns, a bilinear map's
@@ -72,7 +73,9 @@ from .exactla import (
     _integer_row,
     _sparse_reduce,
     integer_kernel,
+    integer_vector,
     kernel_sparse,
+    nonzero_rows,
     sparse_span_coefficients,
 )
 from .sigmamaps import (
@@ -232,56 +235,51 @@ def _biderivation_space(alg: FinAlgebra, sigma: LinMap) -> Subspace:
     y -> D(e_l, y), whose entry [o][k] is sum_s c[k][s] delta_s[o][l].  Each
     kernel vector c lifts to t[l][k][o] = sum_s c[k][s] delta_s[o][l].
 
-    The whole coefficient step runs on Python ints.  Over Q each P is taken
-    in its integer form (exactla._integer_row) and each delta_s as
-    exactla.integer_kernel returns it, each a nonzero multiple.  Scaling P scales its rows; scaling delta_s by lambda_s
-    rescales the unknowns c[k][s], and the lift uses the same scaled deltas,
-    so the lifted tensors span the same space.  The coefficient kernel is
-    read straight off the pivot rows in integer form (exactla.integer_kernel),
-    with no canonical RREF of its own: any kernel basis lifts to tensors that
-    span Bider_sigma, and Subspace._from_rows, handed them as IntegerRows,
-    makes the one canonical basis.
+    The whole coefficient step runs on Python ints, the same code over both
+    fields.  Each P is taken in its integer form (exactla.integer_vector) and
+    each delta_s as exactla.integer_kernel returns it, each a nonzero multiple
+    (over F_p the residues themselves).  Scaling P scales its rows; scaling
+    delta_s by lambda_s rescales the unknowns c[k][s], and the lift uses the
+    same scaled deltas, so the lifted tensors span the same space.  The
+    coefficient kernel is read straight off the pivot rows in integer form
+    (exactla.integer_kernel), with no canonical RREF of its own: any kernel
+    basis lifts to tensors that span Bider_sigma, and Subspace._from_rows,
+    handed them as IntegerRows, makes the one canonical basis.
     """
-    field, n = alg.field, alg.dim
-    p = field.characteristic
+    field, n, p = alg.field, alg.dim, alg.field.characteristic
     pivots = _sparse_reduce(field, _derivation_rows(alg, sigma), n * n)
     deltas = integer_kernel(field, pivots, n * n)
-    prows = list(pivots.values())
-    if not p:
-        prows = [_integer_row(0, prow) for prow in prows]
     r = len(deltas)
     at = [[] for _ in range(n * n)]  # at[o*n + l]: the nonzero (s, delta_s[o][l])
     for s, delta in enumerate(deltas):
         for key, v in delta.items():
             at[key].append((s, v))
-    # each pivot row P as its entries (o, k*r, P[o][k])
-    prows = [[(key // n, key % n * r, c) for key, c in prow.items()] for prow in prows]
+    # each pivot row P in integer form, as its entries (o, k*r, P[o][k])
+    prows = [[(key // n, key % n * r, c) for key, c in integer_vector(p, prow)[1].items()]
+             for prow in pivots.values()]
     rows = []
     for l in range(n):
         at_l = at[l::n]  # at_l[o]: the nonzero (s, delta_s[o][l])
-        for prow in prows:
+        block = {}  # the nonempty row of each pivot row P, by its position
+        for i, prow in enumerate(prows):
             row = {}
             for o, kr, c in prow:
                 for s, v in at_l[o]:
                     row[kr + s] = row.get(kr + s, 0) + c * v
             if row:
-                row = {col: v % p for col, v in row.items() if v % p} if p else \
-                    {col: v for col, v in row.items() if v}
-                if row:
-                    rows.append(row)
+                block[i] = row
+        rows += nonzero_rows(p, block).values()
     coeffs = integer_kernel(field, _sparse_reduce(field, IntegerRows(rows), n * r), n * r)
-    tensors = []
-    for c in coeffs:
-        t = {}
+    tensors = {}
+    for i, c in enumerate(coeffs):
+        t = tensors[i] = {}
         for ks, cks in c.items():
             k, s = divmod(ks, r)
             for key, v in deltas[s].items():
                 o, l = divmod(key, n)
                 idx = (l * n + k) * n + o
                 t[idx] = t.get(idx, 0) + cks * v
-        tensors.append({idx: v % p for idx, v in t.items() if v % p} if p else
-                       {idx: v for idx, v in t.items() if v})
-    return Subspace._from_rows(field, n ** 3, IntegerRows(tensors))
+    return Subspace._from_rows(field, n ** 3, IntegerRows(nonzero_rows(p, tensors).values()))
 
 
 def solve_space(kind: str, t, sigma: LinMap | None = None,

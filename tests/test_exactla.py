@@ -24,8 +24,14 @@ from trialg.exactla import (
     Subspace,
     _integer_row,
     _sparse_reduce,
+    canonical_row,
     derived,
+    field_values,
+    integer_form,
+    integer_vector,
+    is_nonzero,
     kernel_basis,
+    nonzero_rows,
     rref,
     solve_sparse,
     span_coefficients,
@@ -585,3 +591,97 @@ class TestRowKeys:
         rows = [{0: q(2), 3: q(-4)}, {}, {0: q(-1, 3), 3: q(2, 3)}, {3: q(5)},
                 {0: q(1), 3: q(-2)}, {3: q(-1, 7)}, {0: q(1), 3: q(2)}]
         assert list(_dedup_rows(rows)) == [rows[0], rows[3], rows[6]]
+
+
+# -- the integer form ---------------------------------------------------------
+
+
+_FORM_FIELDS = [QQ, GF(5), GF(3), GF(2)]
+
+
+def _values(field):
+    """Raw values of field, zero about one time in three."""
+    if field is QQ:
+        scalar = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    else:
+        scalar = st.integers(0, field.characteristic - 1)
+    return st.one_of(st.just(0), scalar, scalar).map(field.coerce)
+
+
+def _sparse_vectors(data, field, count, dim):
+    """count sparse vectors below dim, each a tuple of its nonzero (k, c)."""
+    return tuple(tuple((k, c) for k, c in enumerate(data.draw(st.lists(_values(field), min_size=dim, max_size=dim)))
+                       if c)
+                 for _ in range(count))
+
+
+def _scaled_by(den, values, ints):
+    """ints is den times values, entry by entry, in Python ints."""
+    return all(type(i) is int and i == den * v for i, v in zip(ints, values))
+
+
+class TestIntegerForm:
+    """exactla's integer form (den, ints) of a map, a table and a vector:
+    ints is den times the field values entry by entry, and over F_p den is 1
+    and ints are the residues themselves, the same object.  The accumulator
+    reductions (is_nonzero, nonzero_rows, field_values, canonical_row) agree
+    with a Fraction / % p oracle."""
+
+    @pytest.mark.parametrize("field", _FORM_FIELDS, ids=str)
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_maps_tables_and_vectors(self, field, data):
+        from trialg.algcore import SparseTable
+
+        p = field.characteristic
+        n, m = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 4))
+        linmap = LinMap._trusted(field, _sparse_vectors(data, field, n, m), m)
+        table = SparseTable(_sparse_vectors(data, field, m, m) for _ in range(n))
+        dense = tuple(data.draw(st.lists(_values(field), max_size=6)))
+        sparse = dict(_sparse_vectors(data, field, 1, 6)[0])
+        for obj, vecs, form in ((linmap, linmap.columns, linmap.lifted()),
+                                (table, [vec for row in table for vec in row], integer_form(p, table))):
+            den, ints = form
+            flat = [vec for row in ints for vec in row] if obj is table else ints
+            assert len(flat) == len(vecs)
+            for vec, ivec in zip(vecs, flat):
+                assert [k for k, _ in ivec] == [k for k, _ in vec]
+                assert _scaled_by(den, [c for _, c in vec], [c for _, c in ivec])
+            if p:
+                assert den == 1 and ints is (linmap.columns if obj is linmap else table)
+            else:
+                assert den == math.lcm(*[c.denominator for vec in vecs for _, c in vec])
+                assert (linmap.lifted() if obj is linmap else integer_form(p, table)) is form  # kept
+        for values in (dense, sparse):
+            den, ints = integer_vector(p, values)
+            if p:
+                assert den == 1 and ints is values
+            elif isinstance(values, dict):
+                assert ints.keys() == values.keys() and _scaled_by(den, values.values(), ints.values())
+            else:
+                assert len(ints) == len(values) and _scaled_by(den, values, ints)
+
+    @pytest.mark.parametrize("field", _FORM_FIELDS, ids=str)
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_accumulator_reductions(self, field, data):
+        """Accumulators whose entries are often all multiples of p, so that
+        an entry nonzero as an integer is still zero in the field."""
+        p = field.characteristic
+        step = data.draw(st.sampled_from([1, p or 1]))
+        acc = data.draw(st.dictionaries(st.integers(0, 9), st.integers(-12, 12).map(step.__mul__), max_size=5))
+        den = data.draw(st.integers(1, 12).filter(lambda d: not p or d % p))
+        if p:
+            expect = {k: v % p for k, v in acc.items() if v % p}
+        else:
+            expect = {k: v for k, v in acc.items() if Fraction(v)}
+        assert is_nonzero(p, acc) == bool(expect)
+        # a block: each row reduced, the empty ones dropped, keys ascending
+        block = nonzero_rows(p, {3: acc, 1: {}, 2: dict(acc)})
+        assert list(block.items()) == ([(2, expect), (3, expect)] if expect else [])
+        assert field_values(p, den, acc) == {k: field.div(field.coerce(v), field.coerce(den))
+                                             for k, v in expect.items()}
+        if expect:  # one canonical row for every nonzero multiple
+            c = data.draw(_values(field).filter(bool))
+            row = integer_vector(p, {k: field.mul(c, field.coerce(v)) for k, v in expect.items()})[1]
+            assert canonical_row(p, row) == canonical_row(p, expect)

@@ -347,3 +347,117 @@ def test_triangular_and_sigma_center_fuzz_one_json_object_and_a_cli_exit_code(do
         assert code in (0, 1, 2)
         assert isinstance(json.loads(out), dict)
         assert "Traceback" not in err
+
+
+# fuzzing the map and tensor loaders: the commands that read a --map, --bid
+# or --sigma file of their own, each on F1 over Q or F_5 with its corner
+# negation, the map or tensor document mutated off the schema
+_MAP_COMMANDS = [lambda t, s, m: ["commuting-blocks", t, "--sigma", s, "--map", m],
+                 lambda t, s, m: ["properness", t, "--sigma", s, "--map", m],
+                 lambda t, s, m: ["endo", "classify", t, "--map", m],
+                 lambda t, s, m: ["partible", t, "--sigma", m]]
+_TENSOR_COMMANDS = [lambda t, s, d: ["split-biderivation", t, "--sigma", s, "--bid", d],
+                    lambda t, s, d: ["inner-witness", t, "--sigma", s, "--bid", d]]
+
+
+def _f1_documents(field):
+    """(triangular, sigma, sigma-biderivation) documents of F1 over field."""
+    from trialg.spaces import solve_space
+
+    tri = fixture_f1(field)
+    sigma = sigma1(tri)
+    bid = solve_space("sigma_biderivation", tri, sigma).basis_maps()[-1]
+    return io.triangular_to_json(tri), sigma.to_json(), bid.to_json()
+
+
+_F1_DOCUMENTS = {name: _f1_documents(field) for name, field in FIELDS.items()}
+
+
+@st.composite
+def _near_map(draw, doc):
+    """A map document near the schema: up to three edits that put an entry
+    (a bool, a float, a nested list, null, an exponent string), a row (ragged
+    or not a list), the dims (a row or a column more or less), the matrix or
+    a key off the schema."""
+    doc = copy.deepcopy(doc)
+    for edit in draw(st.lists(st.sampled_from(["entry", "ragged", "row", "rows", "columns", "matrix", "drop"]),
+                              min_size=1, max_size=3)):
+        rows = doc.get("matrix")
+        if edit == "matrix" or not isinstance(rows, list):
+            doc["matrix"] = draw(_SCALARS)
+        elif edit == "drop" and doc:
+            del doc[draw(st.sampled_from(sorted(doc)))]
+        elif not rows or not all(isinstance(row, list) for row in rows):
+            continue
+        elif edit == "entry" and any(rows):
+            row = draw(st.sampled_from([row for row in rows if row]))
+            row[draw(st.integers(0, len(row) - 1))] = draw(_SCALARS)
+        elif edit == "ragged":
+            row = draw(st.sampled_from(rows))
+            row[:] = row[:-1] if row and draw(st.booleans()) else row + ["0"]
+        elif edit == "row":
+            rows[draw(st.integers(0, len(rows) - 1))] = draw(_SCALARS)
+        elif edit == "rows":
+            doc["matrix"] = rows[:-1] if draw(st.booleans()) else rows + [list(rows[0])]
+        elif edit == "columns":
+            doc["matrix"] = [row[:-1] for row in rows] if draw(st.booleans()) else [row + ["0"] for row in rows]
+    return doc
+
+
+@st.composite
+def _near_tensor(draw, doc):
+    """A tensor document near the schema: up to three edits that put a value
+    (a bool, a float, a nested list, null, an exponent string), an index (out
+    of range, negative or not an int), an entry (ragged or not a list), a
+    repeated entry, the dim, the tensor or a key off the schema."""
+    doc = copy.deepcopy(doc)
+    for edit in draw(st.lists(st.sampled_from(["value", "index", "entry", "repeat", "dim", "tensor", "drop"]),
+                              min_size=1, max_size=3)):
+        entries = doc.get("tensor")
+        if edit == "tensor" or not isinstance(entries, list):
+            doc["tensor"] = draw(_SCALARS)
+        elif edit == "drop" and doc:
+            del doc[draw(st.sampled_from(sorted(doc)))]
+        elif edit == "dim":
+            doc["dim"] = draw(st.one_of(st.sampled_from(_OFF_DIMS), st.integers(0, 4)))
+        elif edit == "entry":
+            entries.append(draw(st.one_of(st.tuples(_INDICES, _INDICES, _INDICES, _SCALARS).map(list),
+                                          st.lists(_SCALARS, max_size=5), _SCALARS)))
+        elif entries and all(isinstance(e, list) and len(e) == 4 for e in entries):
+            entry = draw(st.sampled_from(entries))
+            if edit == "value":
+                entry[3] = draw(_SCALARS)
+            elif edit == "index":
+                entry[draw(st.integers(0, 2))] = draw(_INDICES)
+            else:  # a repeated entry, with its value or another
+                entries.append(entry[:3] + [draw(st.one_of(st.just(entry[3]), st.sampled_from(_LITERALS)))])
+    return doc
+
+
+@st.composite
+def _map_and_tensor_runs(draw):
+    """(field name, argv builder, mutated document) for one fuzzed run."""
+    fname = draw(st.sampled_from(sorted(FIELDS)))
+    _, sigma, bid = _F1_DOCUMENTS[fname]
+    if draw(st.booleans()):
+        return fname, draw(st.sampled_from(_MAP_COMMANDS)), draw(_near_map(sigma))
+    return fname, draw(st.sampled_from(_TENSOR_COMMANDS)), draw(_near_tensor(bid))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(run=_map_and_tensor_runs())
+def test_map_and_tensor_loader_fuzz_one_json_object_and_a_cli_exit_code(run, tmp_path_factory):
+    """commuting-blocks, properness and endo classify with a mutated --map,
+    split-biderivation and inner-witness with a mutated --bid, and partible
+    with a mutated --sigma, on F1: exit 0, 1 or 2 with one JSON object on
+    stdout and no traceback."""
+    fname, command, doc = run
+    tri, sigma, _ = _F1_DOCUMENTS[fname]
+    base = tmp_path_factory.getbasetemp()
+    paths = [base / name for name in ("fuzz_f1_%s.json" % fname, "fuzz_sigma_%s.json" % fname, "fuzz_doc.json")]
+    for path, content in zip(paths, (tri, sigma, doc)):
+        path.write_text(json.dumps(content))
+    code, out, err = run_cli(command(*map(str, paths)))
+    assert code in (0, 1, 2)
+    assert isinstance(json.loads(out), dict)
+    assert "Traceback" not in err
