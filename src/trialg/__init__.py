@@ -19,9 +19,8 @@ _EXPORTS = {
     "algcore": ("Bimodule", "FinAlgebra", "TriAlgebra", "annihilators", "build_triangular",
                 "center_T", "center_direct", "faithful_quotient", "nil_radical_T", "nilpotency",
                 "nilpotency_T", "radical", "structure_checks", "tau_iso"),
-    "sigmamaps": ("AutBlocks", "BilinMap", "alpha_beta_reduce", "block_decompose",
-                  "classify_bilinear", "classify_linear", "inner_automorphism", "sigma_center",
-                  "sigma_commutator_vec"),
+    "sigmamaps": ("AutBlocks", "BilinMap", "block_decompose", "classify_bilinear",
+                  "classify_linear", "inner_automorphism", "sigma_center", "sigma_commutator_vec"),
     "spaces": ("DerivationBlocks", "MapSpace", "extremal_sigma_biderivation",
                "inner_derivation_witness", "inner_sigma_biderivation", "inner_sigma_derivation",
                "posner_intersection", "sigma_derivation_blocks", "solve_space"),

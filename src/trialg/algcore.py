@@ -85,10 +85,6 @@ class SparseTable(tuple):
     itself (copies()) and, over Q, its integer form (exactla.integer_form).
     """
 
-    def lifted(self) -> tuple:
-        """The integer form of a table of constants over Q (exactla.integer_form)."""
-        return integer_form(0, self)
-
     def transpose(self) -> "SparseTable":
         return derived(self, "transpose", lambda: SparseTable(zip(*self)))
 
@@ -202,11 +198,13 @@ def product_rule_failure(table, X, terms, order=None) -> tuple | None:
     is nonzero, with that residual; None when the identity holds on every pair.
 
     The pairs are visited in the given order, row-major over table by default.
-    A derivation-type identity Y(xy) = beta(x) Y(y) + Y(x) alpha(y) with
-    alpha and beta multiplicative holds on every pair once it holds on the
-    pairs (s, j) with e_s in FinAlgebra.generators(), since the x at which it
-    holds for every y form a subalgebra; sigmamaps._derivation_type_failure
-    passes those pairs first, and all pairs only after a failure there.
+    Every map identity of sigmamaps is decided at one twist sigma (the
+    identity for an untwisted kind).  A derivation-type identity
+    Y(xy) = sigma(x) Y(y) + Y(x) y with sigma multiplicative holds on every
+    pair once it holds on the pairs (s, j) with e_s in
+    FinAlgebra.generators(), since the x at which it holds for every y form a
+    subalgebra; sigmamaps._derivation_type_failure passes those pairs first,
+    and all pairs only after a failure there.
     Products are SparseTables, entry [i][j] the nonzero (k, c) of e_i * e_j
     (FinAlgebra._pairs, Bimodule._left_pairs / _right_pairs, or a transpose
     or negation of one); each term is a triple (P_t, Q_t, table_t) of maps and

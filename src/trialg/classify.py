@@ -65,6 +65,7 @@ from .sigmamaps import (
     from_blocks,
     inner_automorphism,
     is_endomorphism,
+    require_holds,
 )
 from .spaces import extremal_sigma_biderivation, inner_sigma_biderivation
 
@@ -122,9 +123,7 @@ def extremal_split(tri: TriAlgebra, D: BilinMap, sigma: LinMap) -> ExtremalSplit
     """Split D into the extremal part attached to D(p, p) plus a residual
     vanishing at (p, p)."""
     alg = tri.total
-    v = classify_bilinear("sigma_biderivation", alg, D, sigma)
-    if not v.holds:
-        raise NotSigmaBiderivation(str(v.witness.indices if v.witness else ""))
+    require_holds(classify_bilinear("sigma_biderivation", alg, D, sigma), NotSigmaBiderivation)
     x0 = D.apply(tri.p, tri.p)
     zero = alg.zero_vector()
     if x0 == zero:
@@ -166,9 +165,7 @@ def inner_biderivation_witness(tri: TriAlgebra, D0: BilinMap, sigma: LinMap,
     computed by the caller), a None result is escalated to a finding.
     """
     alg = tri.total
-    v = classify_bilinear("sigma_biderivation", alg, D0, sigma)
-    if not v.holds:
-        raise NotSigmaBiderivation(str(v.witness.indices if v.witness else ""))
+    require_holds(classify_bilinear("sigma_biderivation", alg, D0, sigma), NotSigmaBiderivation)
     zero = alg.zero_vector()
     if D0.apply(tri.p, tri.p) != zero:
         raise PreconditionFails("inner witnesses require D(p, p) = 0")
@@ -327,9 +324,7 @@ def commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks
     """Extract the six corner blocks of a twisted commuting map and verify the
     whole block description, including the closed form of its M-block."""
     alg = tri.total
-    v = classify_linear("sigma_commuting", alg, theta, blocks.source)
-    if not v.holds:
-        raise NotSigmaCommuting(str(v.witness.indices if v.witness else ""))
+    require_holds(classify_linear("sigma_commuting", alg, theta, blocks.source), NotSigmaCommuting)
     if not tri.is_faithful():
         raise NotFaithful("the block description needs a faithful bimodule")
     cb = _corner_blocks(CommutingBlocks, tri, theta)
@@ -565,9 +560,7 @@ def endo_blocks(tri: TriAlgebra, phi: LinMap) -> tuple[EndoBlocks, TheoremReport
     under which they are guaranteed; with M mapped strictly into itself they
     are evaluated and reported only.
     """
-    v = is_endomorphism(tri.total, phi)
-    if not v.holds:
-        raise NotEndomorphism(str(v.witness.indices if v.witness else ""))
+    require_holds(is_endomorphism(tri.total, phi), NotEndomorphism)
     eb = _corner_blocks(EndoBlocks, tri, phi)
     report = TheoremReport("block structure of corner-preserving endomorphisms")
     m_into = block_of(tri, phi, "M", "A").is_zero() and block_of(tri, phi, "M", "B").is_zero()

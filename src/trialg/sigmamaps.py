@@ -6,12 +6,23 @@ of e_k in the image of e_j (images live in the columns).  A bilinear map is
 stored as a SparseTable, like the product of an algebra: entry [i][j] lists
 the nonzero (k, c) with c the coefficient of e_k in D(e_i, e_j).
 
+Every map identity is decided at one twist sigma, verified to be an
+automorphism: d(xy) = d(x) y + sigma(x) d(y) for the derivation kinds (of a
+map, or of each slot of a bilinear map), sigma(x) Theta(x) = Theta(x) x for
+the commuting kinds.  An untwisted kind is its sigma-kind at sigma = 1.  Each
+kind is declared once, in MAP_KINDS: the identity it satisfies, its arity,
+and whether it is twisted; classify_linear, classify_bilinear and
+spaces.solve_space read that table and resolve the twist by one rule
+(map_twist).  A pair of twists (alpha, beta) needs no predicate of its own:
+d is an (alpha, beta)-map exactly when alpha^{-1} d is a sigma-map for
+sigma = alpha^{-1} beta.
+
 Every product rule X(x y) = sum_t P_t(x) Q_t(y) (multiplicativity, the twisted
 derivation rule in each slot, the block identities on triangular algebras) is
 checked on basis pairs by one evaluator, algcore.product_rule_failure.  The
-(alpha, beta)-derivation rule, of a map or of a biderivation slot, is checked
-first on the pairs (s, j) with e_s in the generating set of the algebra
-(FinAlgebra.generators) when alpha and beta are known to be multiplicative;
+sigma-derivation rule, of a map or of a biderivation slot, is checked first on
+the pairs (s, j) with e_s in the generating set of the algebra
+(FinAlgebra.generators) when sigma is known to be multiplicative;
 _derivation_type_failure states the lemma that makes this enough.
 
 Commuting-style conditions are quadratic in the argument; they are checked on
@@ -39,7 +50,7 @@ centers, the projections of Z_sigma and eta.  A failing map is kept nowhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .algcore import (
     FinAlgebra,
@@ -72,15 +83,26 @@ from .errors import (
 )
 from .exactla import Field, LinMap, Subspace, _merge, derived, integer_vector, is_nonzero
 
-LINEAR_KINDS = (
-    "endomorphism",
-    "automorphism",
-    "derivation",
-    "sigma_derivation",
-    "commuting",
-    "sigma_commuting",
-)
-BILINEAR_KINDS = ("biderivation", "sigma_biderivation")
+
+@dataclass(frozen=True)
+class MapKind:
+    """A kind of map: the identity it satisfies ("derivation" or
+    "commuting"), its arity, and whether it is twisted by a given
+    automorphism sigma or untwisted, the case sigma = 1."""
+
+    identity: str
+    bilinear: bool
+    twisted: bool
+
+
+MAP_KINDS = {
+    "derivation": MapKind("derivation", False, False),
+    "sigma_derivation": MapKind("derivation", False, True),
+    "biderivation": MapKind("derivation", True, False),
+    "sigma_biderivation": MapKind("derivation", True, True),
+    "sigma_commuting": MapKind("commuting", False, True),
+    "commuting": MapKind("commuting", False, False),
+}
 
 
 class BilinMap:
@@ -276,56 +298,145 @@ def sigma_commutator_vec(alg: FinAlgebra, x, y, sigma: LinMap) -> tuple:
     return twisted_ad(alg, sigma, y).apply(x)
 
 
+def require_holds(v: Verdict, error: type) -> None:
+    """Raise error, naming the indices of v's witness, unless v holds."""
+    if not v.holds:
+        raise error(str(v.witness.indices if v.witness else ""))
+
+
+def map_twist(kind: str, alg: FinAlgebra, sigma: LinMap | None) -> LinMap:
+    """The twist of a kind of MAP_KINDS, one rule for solve and classify: a
+    sigma-kind takes sigma, verified to be an automorphism of alg
+    (require_automorphism); an untwisted kind takes the identity of alg and
+    refuses a sigma."""
+    if MAP_KINDS[kind].twisted:
+        return require_automorphism(alg, sigma)
+    if sigma is not None:
+        raise InputError("kind %r takes no twist map" % (kind,))
+    return alg.identity_map()
+
+
+def derivation_terms(alg: FinAlgebra, d: LinMap | None, sigma: LinMap) -> tuple:
+    """Terms of d(xy) = sigma(x) d(y) + d(x) y; d = None for the unknown map."""
+    pairs = alg._pairs
+    return ((sigma, d, pairs), (d, alg.identity_map(), pairs))
+
+
+def commuting_terms(alg: FinAlgebra, theta: LinMap | None, sigma: LinMap) -> tuple:
+    """Terms of the quadratic residual sigma(x) Theta(x) - Theta(x) x; theta =
+    None for the unknown map.  The sign of the first term is carried by the
+    negated product table, so sigma is used as it is."""
+    pairs = alg._pairs
+    return ((sigma, theta, pairs.negated(alg.field)), (theta, alg.identity_map(), pairs))
+
+
+def _multiplicative(alg: FinAlgebra, f: LinMap) -> bool:
+    """Whether f is known to be multiplicative on alg without a check: the
+    identity, or a map that automorphism_verdict has passed on this instance."""
+    return f is derived(alg, "identity") or derived(alg, ("automorphism", f)) is not None or f.is_identity()
+
+
+def _derivation_type_failure(alg: FinAlgebra, Y: LinMap, terms: tuple, sigma: LinMap) -> tuple | None:
+    """product_rule_failure(alg._pairs, Y, terms) for terms stating
+    Y(xy) = sigma(x) Y(y) + Y(x) y, for Y a map into alg or into a bimodule
+    over it (the copies of a biderivation slot): the same first failing pair
+    in row-major order, or None.
+
+    When sigma is multiplicative the x at which the identity holds for every
+    y form a subspace closed under products: for x1, x2 in it, expanding
+    Y(x1 x2 y) once at (x1, x2 y) and once at (x2, y) gives
+    sigma(x1 x2) Y(y) + (sigma(x1) Y(x2) + Y(x1) x2) y, and the bracket is
+    Y(x1 x2).  So the identity holds on every pair once it holds on
+    S x basis for S = alg.generators(), and those pairs are checked first.
+    Only a failure there leads to the row-major scan of all pairs, which then
+    reports the first failing pair.  For any other sigma all pairs are
+    scanned at once.
+    """
+    if _multiplicative(alg, sigma):
+        gen_pairs = itertools.product(alg.generators(), range(alg.dim))
+        if product_rule_failure(alg._pairs, Y, terms, gen_pairs) is None:
+            return None
+    return product_rule_failure(alg._pairs, Y, terms)
+
+
 def classify_linear(kind: str, alg: FinAlgebra, f: LinMap, sigma: LinMap | None = None) -> Verdict:
     """Exact verdict for one linear-map predicate, with a first-failure witness.
 
-    The (sigma-)derivation and (sigma-)commuting kinds are the (alpha, beta)
-    predicates with alpha the identity and beta = sigma (the identity for the
-    untwisted kinds).  sigma is verified to be an automorphism first, so a
-    derivation kind is decided on the pairs (s, j) with e_s a generator of
-    the algebra, and all pairs are scanned in row-major order only after a
-    failure there: the witness is the first failing pair of the full scan.
-    The commuting kinds satisfy a quadratic identity, to which that lemma
-    does not apply; they are checked on every single and pair sum.
+    Besides endomorphism and automorphism, the kinds are the linear ones of
+    MAP_KINDS, each decided at its one twist (map_twist): sigma, verified to
+    be an automorphism, or the identity for an untwisted kind.  A derivation
+    kind, d(xy) = sigma(x) d(y) + d(x) y, is decided on the pairs (s, j) with
+    e_s a generator of the algebra, and all pairs are scanned in row-major
+    order only after a failure there: the witness is the first failing pair
+    of the full scan.  A commuting kind, sigma(x) Theta(x) = Theta(x) x, is a
+    quadratic identity, to which that lemma does not apply; it is checked on
+    every single and then every pair sum.
     """
     if kind == "endomorphism":
         return is_endomorphism(alg, f)
     if kind == "automorphism":
         return is_automorphism(alg, f)
-    ident = alg.identity_map()
-    if kind in ("derivation", "commuting"):
-        beta = ident
-    elif kind in ("sigma_derivation", "sigma_commuting"):
-        beta = require_automorphism(alg, sigma)
-    else:
+    mk = MAP_KINDS.get(kind)
+    if mk is None or mk.bilinear:
         raise InputError("unknown classification kind %r" % (kind,))
-    predicate = is_alpha_beta_derivation if kind.endswith("derivation") else is_alpha_beta_commuting
-    return replace(predicate(alg, f, ident, beta), kind=kind)
+    sigma = map_twist(kind, alg, sigma)
+    _check_square(alg, f)
+    if mk.identity == "derivation":
+        bad = _derivation_type_failure(alg, f, derivation_terms(alg, f, sigma), sigma)
+    else:
+        bad = quadratic_failure(commuting_terms(alg, f, sigma), alg.dim)
+    if bad is None:
+        return Verdict(kind, True)
+    (i, j), residual = bad
+    if mk.identity == "derivation":
+        what = "d(e_i e_j) - sigma(e_i) d(e_j) - d(e_i) e_j"
+    else:
+        what = "sigma(x) Theta(x) - Theta(x) x at x = " + ("e_i" if i == j else "e_i + e_j")
+    return Verdict(kind, False, Witness((i, j), residual, what))
 
 
 def classify_bilinear(kind: str, alg: FinAlgebra, D: BilinMap, sigma: LinMap | None = None) -> Verdict:
-    """Exact verdict for biderivation-style predicates, witness is a basis triple.
+    """Exact verdict for a bilinear kind of MAP_KINDS at its one twist
+    (map_twist): D is a sigma-derivation in each slot on all basis triples;
+    the witness is a basis triple.
 
-    Each slot is a derivation into n copies of the algebra, decided like a
-    derivation kind of classify_linear: on the generating pairs first, and
-    on all pairs only after a failure, so the witness is the first failing
-    triple of the full scan.
+    For all k at once, the slot maps D(., e_k) are one map Y from alg into
+    the bimodule of n copies of alg, e_l -> (D(e_l, e_k))_k, and the slot
+    identities are the derivation identity Y(xy) = sigma(x) Y(y) + Y(x) y
+    over the copies' actions (SparseTable.copies); likewise D(e_k, .).  Both
+    maps are read off the table (BilinMap.slot_maps).  The witness is the
+    failure first in the order (i, j, k, first slot before second) of the pair
+    e_i e_j and the fixed argument e_k: the first failing pair of a slot, at
+    the least copy k where its residual is nonzero.  Each slot is decided like
+    a derivation kind of classify_linear: on the generating pairs first, and
+    on all pairs only after a failure (_derivation_type_failure: the copies
+    are a bimodule over alg).  A biderivation that holds must kill the unit in
+    each slot, at sigma = 1 as at any other sigma; if it does not, that is a
+    TheoremViolation.
     """
     if D.dim != alg.dim:
         raise DimMismatch("bilinear map of dim %d on algebra of dim %d" % (D.dim, alg.dim))
-    ident = alg.identity_map()
-    if kind == "biderivation":
-        beta = ident
-    elif kind == "sigma_biderivation":
-        beta = require_automorphism(alg, sigma)
-    else:
+    mk = MAP_KINDS.get(kind)
+    if mk is None or not mk.bilinear:
         raise InputError("unknown classification kind %r" % (kind,))
-    v = replace(is_alpha_beta_biderivation(alg, D, ident, beta), kind=kind)
-    if v.holds and kind == "sigma_biderivation":
-        # sanity: a twisted biderivation kills the unit in each slot
-        if not all(_kills_unit(alg, Y) for Y in D.slot_maps()):
-            raise TheoremViolation("sigma-biderivation does not vanish on the unit")
-    return v
+    sigma = map_twist(kind, alg, sigma)
+    n, ident = alg.dim, alg.identity_map()
+    left, right = alg._pairs.copies()
+    failures = []
+    for slot, Y in enumerate(D.slot_maps()):
+        bad = _derivation_type_failure(alg, Y, ((sigma, Y, left), (Y, ident, right)), sigma)
+        if bad:
+            (i, j), residual = bad
+            k = next(k for k in range(n) if any(residual[k * n:(k + 1) * n]))
+            failures.append(((i, j, k, slot), residual[k * n:(k + 1) * n]))
+    if failures:
+        (i, j, k, slot), element = min(failures)
+        if slot == 0:
+            return Verdict(kind, False, Witness((i, j, k), element, "first-slot failure at (e_i e_j, e_k)"))
+        return Verdict(kind, False, Witness((k, i, j), element, "second-slot failure at (e_k, e_i e_j)"))
+    if not all(_kills_unit(alg, Y) for Y in D.slot_maps()):
+        raise TheoremViolation("sigma-biderivation does not vanish on the unit")
+    return Verdict(kind, True)
 
 
 def _kills_unit(alg: FinAlgebra, slot: LinMap) -> bool:
@@ -457,160 +568,6 @@ def sigma_center(tri: TriAlgebra, blocks: AutBlocks) -> tuple[Subspace, Subspace
     if blocks.tri is not tri and blocks.tri != tri:
         raise FieldMismatch("blocks belong to a different triangular algebra")
     return blocks.center, blocks.eta
-
-
-# ---------------------------------------------------------------------------
-# (alpha, beta) reduction
-# ---------------------------------------------------------------------------
-
-
-def derivation_terms(alg: FinAlgebra, d: LinMap | None, alpha: LinMap, beta: LinMap) -> tuple:
-    """Terms of d(xy) = beta(x) d(y) + d(x) alpha(y); d = None for the unknown map."""
-    pairs = alg._pairs
-    return ((beta, d, pairs), (d, alpha, pairs))
-
-
-def commuting_terms(alg: FinAlgebra, theta: LinMap | None, alpha: LinMap, beta: LinMap) -> tuple:
-    """Terms of the quadratic residual beta(x) Theta(x) - Theta(x) alpha(x);
-    theta = None for the unknown map.  The sign of the first term is carried
-    by the negated product table, so beta is used as it is."""
-    pairs = alg._pairs
-    return ((beta, theta, pairs.negated(alg.field)), (theta, alpha, pairs))
-
-
-def _multiplicative(alg: FinAlgebra, f: LinMap) -> bool:
-    """Whether f is known to be multiplicative on alg without a check: the
-    identity, or a map that automorphism_verdict has passed on this instance."""
-    return f is derived(alg, "identity") or derived(alg, ("automorphism", f)) is not None or f.is_identity()
-
-
-def _derivation_type_failure(alg: FinAlgebra, Y: LinMap, terms: tuple, alpha: LinMap,
-                             beta: LinMap) -> tuple | None:
-    """product_rule_failure(alg._pairs, Y, terms) for terms stating
-    Y(xy) = beta(x) Y(y) + Y(x) alpha(y), for Y a map into alg or into a
-    bimodule over it (the copies of a biderivation slot): the same first
-    failing pair in row-major order, or None.
-
-    When alpha and beta are multiplicative the x at which the identity holds
-    for every y form a subspace closed under products: for x1, x2 in it,
-    expanding Y(x1 x2 y) once at (x1, x2 y) and once at (x2, y) gives
-    beta(x1 x2) Y(y) + (beta(x1) Y(x2) + Y(x1) alpha(x2)) alpha(y), and the
-    bracket is Y(x1 x2).  So the identity holds on every pair once it holds
-    on S x basis for S = alg.generators(), and those pairs are checked
-    first.  Only a failure there leads to the row-major scan of all pairs,
-    which then reports the first failing pair.  For any other alpha or beta
-    all pairs are scanned at once.
-    """
-    if _multiplicative(alg, alpha) and _multiplicative(alg, beta):
-        gen_pairs = itertools.product(alg.generators(), range(alg.dim))
-        if product_rule_failure(alg._pairs, Y, terms, gen_pairs) is None:
-            return None
-    return product_rule_failure(alg._pairs, Y, terms)
-
-
-def is_alpha_beta_derivation(alg: FinAlgebra, d: LinMap, alpha: LinMap, beta: LinMap) -> Verdict:
-    """d(xy) = beta(x) d(y) + d(x) alpha(y) on all basis pairs, decided on
-    the generating pairs first when alpha and beta are multiplicative
-    (_derivation_type_failure); the witness is the first failing pair in
-    row-major order either way.
-
-    With alpha the identity this is exactly the sigma-derivation condition for
-    sigma = beta.
-    """
-    _check_square(alg, d)
-    bad = _derivation_type_failure(alg, d, derivation_terms(alg, d, alpha, beta), alpha, beta)
-    if bad:
-        return Verdict("alpha_beta_derivation", False,
-                       Witness(*bad, "d(e_i e_j) - beta(e_i) d(e_j) - d(e_i) alpha(e_j)"))
-    return Verdict("alpha_beta_derivation", True)
-
-
-def is_alpha_beta_biderivation(alg: FinAlgebra, D: BilinMap, alpha: LinMap, beta: LinMap) -> Verdict:
-    """D is an (alpha, beta)-derivation in each slot on all basis triples.
-
-    For all k at once, the slot maps D(., e_k) are one map Y from alg into
-    the bimodule of n copies of alg, e_l -> (D(e_l, e_k))_k, and the slot
-    identities are the derivation identity Y(xy) = beta(x) Y(y) + Y(x) alpha(y)
-    over the copies' actions (SparseTable.copies); likewise D(e_k, .).  Both
-    maps are read off the table (BilinMap.slot_maps).  The witness is the
-    failure first in the order (i, j, k, first slot before second) of the pair
-    e_i e_j and the fixed argument e_k: the first failing pair of a slot, at
-    the least copy k where its residual is nonzero.  Each slot is decided on
-    the generating pairs first when alpha and beta are multiplicative
-    (_derivation_type_failure: the copies are a bimodule over alg).
-    """
-    n = alg.dim
-    left, right = alg._pairs.copies()
-    failures = []
-    for slot, Y in enumerate(D.slot_maps()):
-        bad = _derivation_type_failure(alg, Y, ((beta, Y, left), (Y, alpha, right)), alpha, beta)
-        if bad:
-            (i, j), residual = bad
-            k = next(k for k in range(n) if any(residual[k * n:(k + 1) * n]))
-            failures.append(((i, j, k, slot), residual[k * n:(k + 1) * n]))
-    if not failures:
-        return Verdict("alpha_beta_biderivation", True)
-    (i, j, k, slot), element = min(failures)
-    if slot == 0:
-        return Verdict("alpha_beta_biderivation", False,
-                       Witness((i, j, k), element, "first-slot failure at (e_i e_j, e_k)"))
-    return Verdict("alpha_beta_biderivation", False,
-                   Witness((k, i, j), element, "second-slot failure at (e_k, e_i e_j)"))
-
-
-def is_alpha_beta_commuting(alg: FinAlgebra, theta: LinMap, alpha: LinMap, beta: LinMap) -> Verdict:
-    """beta(x) Theta(x) = Theta(x) alpha(x) via basis vectors plus pairwise sums.
-
-    The residual beta(x) Theta(x) - Theta(x) alpha(x) is [x, Theta(x)]_sigma
-    for alpha the identity and beta = sigma.  The singles are checked first,
-    so the residual at e_i + e_j is its polarization, four basis products.
-    """
-    _check_square(alg, theta)
-    bad = quadratic_failure(commuting_terms(alg, theta, alpha, beta), alg.dim)
-    if bad:
-        (i, j), val = bad
-        at = "e_i" if i == j else "e_i + e_j"
-        return Verdict("alpha_beta_commuting", False,
-                       Witness((i, j), val, "beta(x) Theta(x) - Theta(x) alpha(x) at x = " + at))
-    return Verdict("alpha_beta_commuting", True)
-
-
-@dataclass(frozen=True)
-class ReduceResult:
-    reduced: LinMap | BilinMap
-    sigma: LinMap
-    input_verdict: Verdict
-    output_verdict: Verdict
-
-
-def alpha_beta_reduce(alg: FinAlgebra, obj: LinMap | BilinMap, alpha: LinMap, beta: LinMap,
-                      commuting: bool = False) -> ReduceResult:
-    """Compose with alpha^{-1}; the twist collapses to sigma = alpha^{-1} beta.
-
-    The twisted-map property of the input and the sigma-map property of the
-    output are both checked and must agree; disagreement would falsify the
-    reduction identity itself.
-    """
-    require_automorphism(alg, alpha)
-    require_automorphism(alg, beta)
-    alpha_inv = alpha.inverse()
-    sigma = alpha_inv.compose(beta)
-    if isinstance(obj, BilinMap):
-        reduced = BilinMap._trusted(alg.field, _sparse_table(
-            (alpha_inv.apply(obj.value(i, j)) for j in range(alg.dim)) for i in range(alg.dim)))
-        vin = is_alpha_beta_biderivation(alg, obj, alpha, beta)
-        vout = classify_bilinear("sigma_biderivation", alg, reduced, sigma)
-    else:
-        reduced = alpha_inv.compose(obj)
-        if commuting:
-            vin = is_alpha_beta_commuting(alg, obj, alpha, beta)
-            vout = classify_linear("sigma_commuting", alg, reduced, sigma)
-        else:
-            vin = is_alpha_beta_derivation(alg, obj, alpha, beta)
-            vout = classify_linear("sigma_derivation", alg, reduced, sigma)
-    if vin.holds != vout.holds:
-        raise TheoremViolation("twisted-map reduction changed the verdict")
-    return ReduceResult(reduced, sigma, vin, vout)
 
 
 # ---------------------------------------------------------------------------

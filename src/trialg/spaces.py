@@ -79,6 +79,7 @@ from .exactla import (
     sparse_span_coefficients,
 )
 from .sigmamaps import (
+    MAP_KINDS,
     AutBlocks,
     BilinMap,
     LinMap,
@@ -91,12 +92,11 @@ from .sigmamaps import (
     commuting_terms,
     derivation_terms,
     from_blocks,
-    is_alpha_beta_derivation,
-    require_automorphism,
+    map_twist,
+    require_holds,
 )
 
-SOLVE_KINDS = ("derivation", "sigma_derivation", "biderivation",
-               "sigma_biderivation", "sigma_commuting", "commuting")
+SOLVE_KINDS = tuple(MAP_KINDS)
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ class MapSpace:
         return self.subspace.dim
 
     def is_linear_kind(self) -> bool:
-        return self.kind in ("derivation", "sigma_derivation", "commuting", "sigma_commuting")
+        return not MAP_KINDS[self.kind].bilinear
 
     def basis_maps(self):
         """The basis as maps, each built from its sparse RREF row (entries in
@@ -178,8 +178,7 @@ def _derivation_row_blocks(alg: FinAlgebra, sigma: LinMap, order=None) -> tuple:
     order of one-pair tuples, the nonzero integer rows of
     d(e_i e_j) - d(e_i) e_j - sigma(e_i) d(e_j) = 0 by output coordinate,
     flattened unknowns d[k][j], as product_rule_rows scales them."""
-    return product_rule_rows(alg._pairs, derivation_terms(alg, None, alg.identity_map(), sigma), alg.dim,
-                             order)
+    return product_rule_rows(alg._pairs, derivation_terms(alg, None, sigma), alg.dim, order)
 
 
 def _derivation_rows(alg: FinAlgebra, sigma: LinMap) -> IntegerRows:
@@ -200,7 +199,7 @@ def _commuting_rows(alg: FinAlgebra, sigma: LinMap) -> IntegerRows:
     n = alg.dim
     order = [((i, i),) for i in range(n)]
     order += [((i, i), (j, j), (i, j), (j, i)) for i, j in itertools.combinations(range(n), 2)]
-    _, blocks = product_rule_rows(None, commuting_terms(alg, None, alg.identity_map(), sigma), n, order)
+    _, blocks = product_rule_rows(None, commuting_terms(alg, None, sigma), n, order)
     return IntegerRows(row for block in blocks for row in block.values())
 
 
@@ -285,37 +284,28 @@ def _biderivation_space(alg: FinAlgebra, sigma: LinMap) -> Subspace:
 def solve_space(kind: str, t, sigma: LinMap | None = None,
                 bilinear_dim_cap: int | None = None,
                 verify: bool = True) -> MapSpace:
-    """Kernel of the defining identity; every basis map re-passes its own
-    predicate before the space is returned.  A bilinear solve of an algebra
-    above bilinear_dim_cap, when one is given, is refused."""
+    """Kernel of the defining identity of a kind of MAP_KINDS, at the twist
+    map_twist resolves (the identity for an untwisted kind); every basis map
+    re-passes its own predicate before the space is returned.  A bilinear
+    solve of an algebra above bilinear_dim_cap, when one is given, is
+    refused."""
     alg = _algebra_of(t)
-    field = alg.field
     n = alg.dim
-    if kind not in SOLVE_KINDS:
+    if kind not in MAP_KINDS:
         raise InputError("unknown solve kind %r" % (kind,))
-    twisted = kind.startswith("sigma_")
-    if twisted:
-        sigma = require_automorphism(alg, sigma)
-    else:
-        if sigma is not None:
-            raise InputError("kind %r takes no twist map" % (kind,))
-        sigma = alg.identity_map()
-    if kind in ("biderivation", "sigma_biderivation"):
+    mk, twist = MAP_KINDS[kind], map_twist(kind, alg, sigma)
+    if mk.bilinear:
         if bilinear_dim_cap is not None and n > bilinear_dim_cap:
             raise InputError("bilinear solve capped at dim %d (got %d)" % (bilinear_dim_cap, n))
-        sub = _biderivation_space(alg, sigma)
+        sub = _biderivation_space(alg, twist)
     else:
-        rows = (_derivation_rows if kind.endswith("derivation") else _commuting_rows)(alg, sigma)
-        sub = kernel_sparse(field, rows, n * n)
-    space = MapSpace(kind, alg, sigma if twisted else None, sub)
+        rows = (_derivation_rows if mk.identity == "derivation" else _commuting_rows)(alg, twist)
+        sub = kernel_sparse(alg.field, rows, n * n)
+    space = MapSpace(kind, alg, sigma, sub)
     if verify:
-        check_sigma = sigma if twisted else None
+        classify = classify_bilinear if mk.bilinear else classify_linear
         for m in space.basis_maps():
-            if isinstance(m, BilinMap):
-                v = classify_bilinear(kind, alg, m, check_sigma)
-            else:
-                v = classify_linear(kind, alg, m, check_sigma)
-            if not v.holds:
+            if not classify(kind, alg, m, sigma).holds:
                 raise TheoremViolation("solved %s space contains a non-solution" % kind)
     return space
 
@@ -423,10 +413,7 @@ def sigma_derivation_blocks(tri: TriAlgebra, d: LinMap, blocks: AutBlocks) -> De
     m_d is the corner part of d(p); reassembly reproducing d is the normative
     contract for the sign conventions.
     """
-    alg = tri.total
-    v = classify_linear("sigma_derivation", alg, d, blocks.source)
-    if not v.holds:
-        raise NotSigmaDerivation(str(v.witness.indices if v.witness else ""))
+    require_holds(classify_linear("sigma_derivation", tri.total, d, blocks.source), NotSigmaDerivation)
     m_d = tri.part_m(d.apply(tri.p))
     hw = DerivationBlocks(tri, blocks, block_of(tri, d, "A", "A"), block_of(tri, d, "B", "B"), m_d,
                           block_of(tri, d, "M", "M"))
@@ -437,9 +424,9 @@ def sigma_derivation_blocks(tri: TriAlgebra, d: LinMap, blocks: AutBlocks) -> De
 def _verify_derivation_blocks(hw: DerivationBlocks, d: LinMap):
     tri = hw.tri
     field = tri.field
-    if not is_alpha_beta_derivation(tri.A, hw.d_a, tri.A.identity_map(), hw.blocks.f).holds:
+    if not classify_linear("sigma_derivation", tri.A, hw.d_a, hw.blocks.f).holds:
         raise TheoremViolation("corner block d_A is not an f-twisted derivation")
-    if not is_alpha_beta_derivation(tri.B, hw.d_b, tri.B.identity_map(), hw.blocks.g).holds:
+    if not classify_linear("sigma_derivation", tri.B, hw.d_b, hw.blocks.g).holds:
         raise TheoremViolation("corner block d_B is not a g-twisted derivation")
     # xi(a m) = d_A(a) m + f(a) xi(m) and xi(m b) = xi(m) b + nu(m) d_B(b)
     left, right = tri.M._left_pairs, tri.M._right_pairs

@@ -35,7 +35,7 @@ from trialg.errors import (
     UnitLawViolation,
     ZeroModule,
 )
-from trialg.exactla import GF, QQ, Subspace
+from trialg.exactla import GF, QQ, Subspace, integer_form
 from trialg.fixtures import (
     fixture_f1,
     fixture_f3,
@@ -182,8 +182,8 @@ class TestCopyTables:
                                                for b in range(n)) for k in range(n) for o in range(n))
             if field is QQ:
                 for table in (left, right):
-                    assert table.lifted() == SparseTable(tuple(table)).lifted()
-                    dens.add(table.lifted()[0])
+                    assert integer_form(0, table) == integer_form(0, SparseTable(tuple(table)))
+                    dens.add(integer_form(0, table)[0])
         assert field is not QQ or max(dens) > 1
 
 
@@ -633,18 +633,17 @@ class TestRationalEvaluatorOracle:
             P = LinMap(QQ, [[1 if i == j else half if j == i + 1 else 0 for j in range(n)]
                          for i in range(n)])
             alg = _rebased(base, P)
-            assert alg._pairs.lifted()[0] > 1
+            assert integer_form(0, alg._pairs)[0] > 1
             u = [QQ.one] + [half] * (n - 1)
             u = tuple(alg.mul_vec(alg.unit, u))
             sigma = inner_automorphism(alg, u)
             assert any(v.denominator > 1 for row in sigma.rows for v in row)
             d = inner_sigma_derivation(alg, [half] * n, sigma)
-            ident = LinMap.identity(QQ, n)
-            assert product_rule_failure(alg._pairs, d, derivation_terms(alg, d, ident, sigma)) is None
+            assert product_rule_failure(alg._pairs, d, derivation_terms(alg, d, sigma)) is None
             rows = [list(r) for r in d.rows]
             rows[n - 1][0] += Fraction(1, 3)
             bumped = LinMap(QQ, rows, n)
-            terms = derivation_terms(alg, bumped, ident, sigma)
+            terms = derivation_terms(alg, bumped, sigma)
             for i, j in itertools.product(range(n), repeat=2):
                 r = _dense_residual(alg._pairs, bumped, terms, i, j, n)
                 got = product_rule_failure(alg._pairs, bumped, terms, [(i, j)])

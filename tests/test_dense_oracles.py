@@ -33,9 +33,17 @@ sparse tables, over Q, F_5, F_3 and F_2.
 
 The bimodule action maps, coupling_rows and the block data that AutBlocks
 keeps (the twisted center, the corner centers, the projections and eta) are
-checked against dense products, dense kernels and a dense solve."""
+checked against dense products, dense kernels and a dense solve.
 
+The reduction of a pair of twists (alpha, beta) to the one twist
+sigma = alpha^{-1} beta, through which the tests decide every (alpha, beta)
+identity (_reduced), is checked against the (alpha, beta) identities
+evaluated with mul_vec and apply on every basis pair, single, pair sum and
+triple, over Q and F_5."""
+
+import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -45,12 +53,14 @@ from trialg.algcore import (Bimodule, FinAlgebra, SparseTable, _associativity_fa
                             project_subspace, radical, sigma_center_direct, twisted_ad, unit_m)
 from trialg.classify import _commutator_span, endo_blocks, extremal_split, ideal_split, inner_biderivation_witness
 from trialg.errors import CentralElement, CharTooSmall, NotBlockPreserving, NotInvertible, PreconditionFails
-from trialg.exactla import GF, QQ, LinMap, Subspace, derived, kernel_basis, kernel_sparse, rref, solve_sparse
+from trialg.exactla import (GF, QQ, LinMap, Subspace, derived, integer_form, kernel_basis, kernel_sparse, rref,
+                            solve_sparse)
 from test_exactla import _gauss_jordan
-from trialg.fixtures import product_field_algebra, sigma1, upper_triangular_algebra
+from trialg.fixtures import phi_one_plus_m, product_field_algebra, sigma1, upper_triangular_algebra
 from trialg.randomgen import (_random_invertible, instance_catalog, random_block_preserving_sigma, random_instances,
                               regular_bimodule)
-from trialg.sigmamaps import BilinMap, block_decompose, inner_automorphism, sigma_center, sigma_commutator_vec
+from trialg.sigmamaps import (BilinMap, block_decompose, classify_bilinear, classify_linear, inner_automorphism,
+                              sigma_center, sigma_commutator_vec)
 from trialg.spaces import (extremal_sigma_biderivation, inner_derivation_witness, inner_sigma_biderivation,
                            inner_sigma_derivation, is_sigma_central, solve_space)
 
@@ -481,7 +491,7 @@ def test_subspace_against_dense_forms_catalog(field):
 def _all_triples_associativity_failure(pairs: SparseTable, p: int) -> tuple | None:
     """The least failing triple (i, j, k), found by visiting all n^3 basis
     triples."""
-    tab = pairs if p else pairs.lifted()[1]
+    tab = pairs if p else integer_form(0, pairs)[1]
     n = len(tab)
     for i, row in enumerate(tab):
         for j, ij in enumerate(row):
@@ -879,3 +889,106 @@ def test_ideal_split_with_a_zero_bimodule_ideal(field):
         assert [tri_i.act_left(tri_i.A.basis_vector(i), m) for m in em] == [tri.act_left(a, m) for m in em]
     for k, b in enumerate(sub_b.basis):
         assert [tri_i.act_right(m, tri_i.B.basis_vector(k)) for m in em] == [tri.act_right(m, b) for m in em]
+
+
+# -- the (alpha, beta) reduction ----------------------------------------------
+
+
+def _reduced(kind, alg, obj, alpha, beta):
+    """The verdict of the (alpha, beta) form of the sigma-kind `kind` on obj:
+    d(xy) = beta(x) d(y) + d(x) alpha(y) (each slot of a bilinear map), or
+    beta(x) Theta(x) = Theta(x) alpha(x).  For alpha an automorphism, obj
+    satisfies it exactly when alpha^{-1} o obj satisfies the sigma-identity
+    for sigma = alpha^{-1} beta, since alpha^{-1} of the (alpha, beta)
+    residual is the sigma residual of alpha^{-1} o obj.  classify_* decides
+    the reduced map at sigma; its witness keeps its indices, and its element
+    is mapped back by alpha to the (alpha, beta) residual."""
+    alpha_inv = alpha.inverse()
+    sigma = alpha_inv.compose(beta)
+    if isinstance(obj, BilinMap):
+        v = classify_bilinear(kind, alg, BilinMap.from_function(alg, lambda x, y: alpha_inv.apply(obj.apply(x, y))),
+                              sigma)
+    else:
+        v = classify_linear(kind, alg, alpha_inv.compose(obj), sigma)
+    if v.witness is None:
+        return v
+    return replace(v, witness=replace(v.witness, element=alpha.apply(v.witness.element)))
+
+
+def _dense_alpha_beta_failure(kind, alg, obj, alpha, beta):
+    """(indices, residual) of the first failure of the (alpha, beta) identity
+    of kind on obj, or None, each side evaluated with mul_vec and apply: the
+    commuting kind at e_i, then at e_i + e_j for i < j; the derivation kind on
+    the pairs (i, j) in row-major order; the biderivation kind on the triples
+    (i, j, k), first slot before second, reported as (i, j, k) or (k, i, j)."""
+    n, e, mul, sub = alg.dim, alg.basis_vector, alg.mul_vec, alg.sub_vec
+    if kind == "sigma_commuting":
+        xs = [((i, i), e(i)) for i in range(n)]
+        xs += [((i, j), alg.add_vec(e(i), e(j))) for i, j in itertools.combinations(range(n), 2)]
+        for at, x in xs:
+            t = obj.apply(x)
+            r = sub(mul(beta.apply(x), t), mul(t, alpha.apply(x)))
+            if any(r):
+                return at, r
+        return None
+
+    def residual(d, x, y):
+        return sub(sub(d(mul(x, y)), mul(beta.apply(x), d(y))), mul(d(x), alpha.apply(y)))
+
+    if kind == "sigma_derivation":
+        return next(((ij, r) for ij in itertools.product(range(n), repeat=2)
+                     for r in [residual(obj.apply, e(ij[0]), e(ij[1]))] if any(r)), None)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        z = e(k)
+        for at, d in (((i, j, k), lambda x: obj.apply(x, z)), ((k, i, j), lambda y: obj.apply(z, y))):
+            r = residual(d, e(i), e(j))
+            if any(r):
+                return at, r
+    return None
+
+
+def _bumped(obj, rng):
+    """obj with one entry, chosen by rng, raised by one."""
+    flat = list(obj.flatten())
+    pos = rng.randrange(len(flat))
+    flat[pos] = obj.field.add(flat[pos], obj.field.one)
+    if isinstance(obj, BilinMap):
+        return BilinMap.unflatten(obj.field, flat, obj.dim)
+    n = obj.src_dim
+    return LinMap(obj.field, [flat[k * n:(k + 1) * n] for k in range(n)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_alpha_beta_reduction_against_dense_evaluation(field):
+    """On every catalog instance, alpha and beta are random block-preserving
+    twists, one of them composed with the inner automorphism by 1 + m, which
+    is not block-preserving, on every other instance.  The maps are the first
+    two basis maps of each solved sigma-space, sigma = alpha^{-1} beta, pushed
+    forward by alpha, and each of them with one entry bumped.  _reduced and
+    the dense (alpha, beta) evaluation agree on the verdict, the first failing
+    indices and the residual there."""
+    rng = random.Random(8700 + field.characteristic)
+    outcomes = set()
+    for index, (name, make) in enumerate(instance_catalog(field)):
+        tri = make()
+        alg = tri.total
+        alpha, beta = random_block_preserving_sigma(tri, rng), random_block_preserving_sigma(tri, rng)
+        if index % 2:
+            alpha = alpha.compose(phi_one_plus_m(tri))
+        else:
+            beta = phi_one_plus_m(tri).compose(beta)
+        sigma = alpha.inverse().compose(beta)
+        for kind in ("sigma_derivation", "sigma_commuting", "sigma_biderivation"):
+            for m in solve_space(kind, alg, sigma, verify=False).basis_maps()[:2]:
+                if isinstance(m, BilinMap):
+                    pushed = BilinMap.from_function(alg, lambda x, y: alpha.apply(m.apply(x, y)))
+                else:
+                    pushed = alpha.compose(m)
+                for obj in (pushed, _bumped(pushed, rng)):
+                    v = _reduced(kind, alg, obj, alpha, beta)
+                    ref = _dense_alpha_beta_failure(kind, alg, obj, alpha, beta)
+                    assert v.holds == (ref is None), (name, kind)
+                    if ref is not None:
+                        assert (v.witness.indices, v.witness.element) == ref, (name, kind)
+                    outcomes.add((kind, v.holds))
+    assert len(outcomes) == 6

@@ -7,7 +7,10 @@ message of a block check.  The biderivation and associativity cases are
 chosen so that the witness depends on the order in which the two slots and
 the basis triples are visited; the commuting cases fail at a single basis
 vector, at a pair sum only, with alpha != id, and in characteristic 2; and
-each block condition (iii)-(vi) of a twisted commuting map fails once.
+each block condition (iii)-(vi) of a twisted commuting map fails once.  A
+case with twists (alpha, beta), alpha != id, is decided at the one twist
+alpha^{-1} beta (test_dense_oracles._reduced), and pins the (alpha, beta)
+residual.
 """
 
 from dataclasses import replace
@@ -39,16 +42,14 @@ from trialg.sigmamaps import (
     BilinMap,
     LinMap,
     block_decompose,
+    classify_bilinear,
     classify_linear,
     inner_automorphism,
-    is_alpha_beta_biderivation,
-    is_alpha_beta_commuting,
-    is_alpha_beta_derivation,
     is_endomorphism,
 )
 from trialg.spaces import _verify_derivation_blocks, sigma_derivation_blocks, solve_space
 
-from test_dense_oracles import right_mul_mat
+from test_dense_oracles import _reduced, right_mul_mat
 
 
 def _bump(f: LinMap, k: int, j: int, c=1) -> LinMap:
@@ -104,16 +105,18 @@ def _derivation(twisted_alpha: bool):
     s1 = sigma1(f3)
     d = solve_space("sigma_derivation", f3, s1).basis_maps()
     if twisted_alpha:
-        return _verdict(is_alpha_beta_derivation(f3.total, _bump(d[1], 4, 4, 2), phi_one_plus_m(f3), s1))
-    return _verdict(is_alpha_beta_derivation(f3.total, _bump(d[0], 1, 2), LinMap.identity(QQ, 6), s1))
+        return _verdict(_reduced("sigma_derivation", f3.total, _bump(d[1], 4, 4, 2), phi_one_plus_m(f3), s1))
+    return _verdict(classify_linear("sigma_derivation", f3.total, _bump(d[0], 1, 2), s1))
 
 
 def _biderivation(fixture, slot_entry, twisted_alpha: bool = False):
     tri = fixture()
     s1 = sigma1(tri)
     D = solve_space("sigma_biderivation", tri, s1).basis_maps()[0]
-    alpha = phi_one_plus_m(tri) if twisted_alpha else LinMap.identity(QQ, tri.dim)
-    return _verdict(is_alpha_beta_biderivation(tri.total, _bump_tensor(D, *slot_entry), alpha, s1))
+    bumped = _bump_tensor(D, *slot_entry)
+    if twisted_alpha:
+        return _verdict(_reduced("sigma_biderivation", tri.total, bumped, phi_one_plus_m(tri), s1))
+    return _verdict(classify_bilinear("sigma_biderivation", tri.total, bumped, s1))
 
 
 def _commuting(field, index: int, bumps, twisted_alpha: bool = False):
@@ -130,7 +133,7 @@ def _commuting(field, index: int, bumps, twisted_alpha: bool = False):
     for k, j, c in bumps:
         theta = _bump(theta, k, j, c)
     if twisted_alpha:
-        v = is_alpha_beta_commuting(f3.total, theta, phi, phi.compose(s1))
+        v = _reduced("sigma_commuting", f3.total, theta, phi, phi.compose(s1))
     else:
         v = classify_linear("sigma_commuting", f3.total, theta, s1)
     return _verdict(v, field) + (v.notes,)
@@ -206,10 +209,10 @@ def _thm1(name: str, k: int, j: int):
     return _raised(lambda: _thm1_conditions(tri, bad, TheoremReport("t")))
 
 
-DER = "d(e_i e_j) - beta(e_i) d(e_j) - d(e_i) alpha(e_j)"
+DER = "d(e_i e_j) - sigma(e_i) d(e_j) - d(e_i) e_j"
 FIRST = "first-slot failure at (e_i e_j, e_k)"
 SECOND = "second-slot failure at (e_k, e_i e_j)"
-COMM = "beta(x) Theta(x) - Theta(x) alpha(x) at x = e_i"
+COMM = "sigma(x) Theta(x) - Theta(x) x at x = e_i"
 COMM_PAIR = COMM + " + e_j"
 TV = "TheoremViolation"
 
@@ -218,30 +221,30 @@ CASES = {
                      ("endomorphism", False, (1, 4), ("1", "0", "0", "0", "0", "0"),
                       "f(e_i e_j) - f(e_i) f(e_j)")),
     "derivation": (lambda: _derivation(False),
-                   ("alpha_beta_derivation", False, (0, 2), ("0", "-1", "0", "0", "0", "0"), DER)),
+                   ("sigma_derivation", False, (0, 2), ("0", "-1", "0", "0", "0", "0"), DER)),
     "derivation_twisted_alpha": (lambda: _derivation(True),
-                                 ("alpha_beta_derivation", False, (1, 4),
+                                 ("sigma_derivation", False, (1, 4),
                                   ("0", "0", "0", "-2", "0", "0"), DER)),
     # both slots fail first at the loop triple (0, 0, 0): the first slot is reported
     "biderivation_both_slots": (lambda: _biderivation(fixture_f3, (0, 0, 0)),
-                                ("alpha_beta_biderivation", False, (0, 0, 0),
+                                ("sigma_biderivation", False, (0, 0, 0),
                                  ("-1", "0", "0", "0", "0", "0"), FIRST)),
     # a second-slot failure precedes every first-slot failure
     "biderivation_second_slot_first": (lambda: _biderivation(fixture_f1, (1, 0, 0)),
-                                       ("alpha_beta_biderivation", False, (1, 0, 0), ("-1", "0", "0"),
+                                       ("sigma_biderivation", False, (1, 0, 0), ("-1", "0", "0"),
                                         SECOND)),
     # the first failure is at k = 1, a second-slot one at k = 0 comes at a later pair
     "biderivation_k_inside_pair": (lambda: _biderivation(fixture_f3, (0, 1, 1)),
-                                   ("alpha_beta_biderivation", False, (0, 2, 1),
+                                   ("sigma_biderivation", False, (0, 2, 1),
                                     ("0", "-1", "0", "0", "0", "0"), FIRST)),
     "biderivation_twisted_alpha": (lambda: _biderivation(fixture_f1, (0, 1, 2), True),
-                                   ("alpha_beta_biderivation", False, (0, 0, 1), ("0", "0", "1"), FIRST)),
+                                   ("sigma_biderivation", False, (0, 0, 1), ("0", "0", "1"), FIRST)),
     "commuting_single": (lambda: _commuting(QQ, 0, ((1, 2, 1), (4, 2, 3))),
                          ("sigma_commuting", False, (2, 2), ("0", "-1", "0", "0", "3", "0"), COMM, ())),
     "commuting_pair_only": (lambda: _commuting(QQ, 0, ((5, 2, 1), (3, 1, 2))),
                             ("sigma_commuting", False, (0, 1), ("0", "0", "0", "2", "0", "0"), COMM_PAIR, ())),
     "commuting_twisted_alpha": (lambda: _commuting(QQ, 2, ((0, 4, 2),), True),
-                                ("alpha_beta_commuting", False, (0, 4), ("0", "0", "0", "-2", "0", "0"),
+                                ("sigma_commuting", False, (0, 4), ("0", "0", "0", "-2", "0", "0"),
                                  COMM_PAIR, ())),
     "commuting_char2": (lambda: _commuting(GF(2), 0, ((3, 4, 1),)),
                         ("sigma_commuting", False, (0, 4), ("0", "0", "0", "1", "0", "0"), COMM_PAIR, ())),

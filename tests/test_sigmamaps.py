@@ -1,5 +1,5 @@
-"""Map predicates, the twisted commutator calculus, twisted centers, block
-decomposition, and the two-twist reduction."""
+"""Map predicates and the twist rule of the map kinds, the twisted commutator
+calculus, twisted centers and block decomposition."""
 
 import random
 from fractions import Fraction
@@ -8,6 +8,7 @@ import pytest
 
 from trialg.algcore import FinAlgebra, build_triangular, product_rule_failure, sigma_center_direct
 from trialg.errors import (
+    InputError,
     NotBlockPreserving,
     SigmaMissing,
     SigmaNotAutomorphism,
@@ -26,22 +27,21 @@ from trialg.fixtures import (
 )
 from trialg.randomgen import random_instances, regular_bimodule
 from trialg.sigmamaps import (
+    MAP_KINDS,
     BilinMap,
     LinMap,
-    alpha_beta_reduce,
     block_decompose,
     block_of,
     classify_bilinear,
     classify_linear,
-    derivation_terms,
     from_blocks,
     inner_automorphism,
-    is_alpha_beta_biderivation,
     require_automorphism,
     sigma_center,
     sigma_commutator_vec,
-    Verdict,
 )
+
+from test_dense_oracles import _reduced
 
 
 @pytest.fixture()
@@ -259,6 +259,30 @@ class TestBlockDecompose:
         bad = LinMap.zero(QQ, 3)
         with pytest.raises(SigmaNotAutomorphism):
             classify_linear("sigma_commuting", f1.total, f1_theta1, bad)
+
+
+@pytest.mark.parametrize("kind", sorted(MAP_KINDS))
+def test_twist_rule(kind, f1, f1_sigma1):
+    """The one twist rule, in classify_* and solve_space alike: a sigma-kind
+    needs its automorphism, an untwisted kind refuses one; classify_* refuses
+    a kind of the other arity."""
+    from trialg.spaces import solve_space
+
+    alg, bilinear = f1.total, MAP_KINDS[kind].bilinear
+    zeros = (LinMap.zero(QQ, 3), BilinMap.zero(QQ, 3))
+    classify = classify_bilinear if bilinear else classify_linear
+    calls = (lambda s: classify(kind, alg, zeros[bilinear], s), lambda s: solve_space(kind, f1, s))
+    for call in calls:
+        if MAP_KINDS[kind].twisted:
+            with pytest.raises(SigmaMissing):
+                call(None)
+        else:
+            with pytest.raises(InputError, match="kind %r takes no twist map" % kind):
+                call(f1_sigma1)
+        assert call(f1_sigma1 if MAP_KINDS[kind].twisted else None)
+    wrong = classify_linear if bilinear else classify_bilinear
+    with pytest.raises(InputError, match="unknown classification kind %r" % kind):
+        wrong(kind, alg, zeros[not bilinear], f1_sigma1)
 
 
 def _block_instances():
@@ -504,43 +528,6 @@ class TestIdMinusSigmaFamily:
             assert classify_linear("sigma_derivation", tri.total, d, sig).holds
 
 
-class TestAlphaBetaReduce:
-    def test_identity_alpha_is_noop(self, f2_pair):
-        alg, sig = f2_pair
-        d = LinMap.identity(QQ, 4) - sig
-        res = alpha_beta_reduce(alg, d, LinMap.identity(QQ, 4), sig)
-        assert res.reduced == d
-        assert res.sigma == sig
-        assert res.input_verdict.holds and res.output_verdict.holds
-
-    def test_equal_twists_collapse_to_identity(self, f1, f1_sigma1):
-        from trialg.spaces import solve_space
-
-        d0 = solve_space("derivation", f1).basis_maps()[0]
-        pushed = f1_sigma1.compose(d0)
-        res = alpha_beta_reduce(f1.total, pushed, f1_sigma1, f1_sigma1)
-        assert res.sigma.is_identity()
-        assert res.input_verdict.holds and res.output_verdict.holds
-
-    def test_bilinear_pushforward(self, f1, f1_sigma1, f1_lambda1):
-        from trialg.spaces import inner_sigma_biderivation
-
-        D = inner_sigma_biderivation(f1, f1_lambda1, f1_sigma1)
-        # push through alpha: alpha . D is an (alpha, alpha sigma)-biderivation
-        alpha = f1_sigma1
-        pushed = BilinMap(QQ, [[alpha.apply(D.value(i, j)) for j in range(3)] for i in range(3)])
-        res = alpha_beta_reduce(f1.total, pushed, alpha, alpha.compose(f1_sigma1))
-        assert res.input_verdict.holds and res.output_verdict.holds
-        assert res.reduced == D
-
-    def test_commuting_variant(self, f1, f1_sigma1, f1_theta1):
-        pushed = f1_sigma1.compose(f1_theta1)
-        res = alpha_beta_reduce(f1.total, pushed, f1_sigma1,
-                                f1_sigma1.compose(f1_sigma1), commuting=True)
-        assert res.input_verdict.holds and res.output_verdict.holds
-        assert res.reduced == f1_theta1
-
-
 class TestInnerAutomorphism:
     def test_unipotent_conjugation_shape(self, f1, phi_m):
         t = f1.total
@@ -611,7 +598,7 @@ def _per_slot_failure(alg, D, alpha, beta):
     for k in range(n):
         for slot, images in enumerate(([D.value(l, k) for l in range(n)], [D.value(k, l) for l in range(n)])):
             d = LinMap.from_images(alg.field, images, n, n)
-            bad = product_rule_failure(alg._pairs, d, derivation_terms(alg, d, alpha, beta))
+            bad = product_rule_failure(alg._pairs, d, ((beta, d, alg._pairs), (d, alpha, alg._pairs)))
             if bad:
                 failures.append((bad[0] + (k, slot), bad[1]))
     return min(failures) if failures else None
@@ -620,7 +607,9 @@ def _per_slot_failure(alg, D, alpha, beta):
 class TestBiderivationWitnessOracle:
     """Checking all slot maps of a biderivation at once, as maps into n copies
     of the algebra, gives the verdict and first witness that checking each
-    slot map on its own gives, on solved and perturbed tensors."""
+    slot map on its own gives, on solved and perturbed tensors.  The twists
+    (alpha, beta) = (1, sigma) and (sigma, sigma) are decided through the
+    reduction to the one twist alpha^{-1} beta (test_dense_oracles._reduced)."""
 
     @pytest.mark.parametrize("field", [QQ, GF(5), GF(2)], ids=["Q", "F5", "F2"])
     def test_matches_per_slot_checks(self, field):
@@ -651,7 +640,7 @@ class TestBiderivationWitnessOracle:
                         flat[rng.randrange(n ** 3)] = rng.choice(values)
                     E = BilinMap.unflatten(field, flat, n)
                     for alpha in (ident, sigma):
-                        v = is_alpha_beta_biderivation(alg, E, alpha, sigma)
+                        v = _reduced("sigma_biderivation", alg, E, alpha, sigma)
                         ref = _per_slot_failure(alg, E, alpha, sigma)
                         assert v.holds == (ref is None)
                         if ref is not None:
@@ -666,17 +655,16 @@ class TestBiderivationWitnessOracle:
 
 
 class TestUnitSanityCheck:
-    """classify_bilinear's sanity check, that a sigma-biderivation vanishes on
-    the unit in each slot, fires exactly when D(e_i, 1) or D(1, e_i) is
-    nonzero for some i.  The predicate is forced to hold so that random
-    tensors reach the check."""
+    """classify_bilinear's sanity check, that a biderivation vanishes on the
+    unit in each slot, at sigma and at sigma = 1 alike, fires exactly when
+    D(e_i, 1) or D(1, e_i) is nonzero for some i.  The slot checks (_derivation_type_failure) are forced
+    to pass so that random tensors reach the check."""
 
     @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
     def test_fires_exactly_off_the_unit_kernel(self, field, monkeypatch):
         import trialg.sigmamaps as sm
 
-        monkeypatch.setattr(sm, "is_alpha_beta_biderivation",
-                            lambda *args: Verdict("alpha_beta_biderivation", True))
+        monkeypatch.setattr(sm, "_derivation_type_failure", lambda *args: None)
         rng = random.Random(7500 + field.characteristic)
         values = [1, -1, 2, Fraction(1, 2)] if field is QQ else [1, 2, 3, 4]
         ut2 = upper_triangular_algebra(field, 2)
@@ -693,11 +681,12 @@ class TestUnitSanityCheck:
                 D = BilinMap.unflatten(field, flat, n)
                 kills = all(D.apply(alg.basis_vector(i), alg.unit) == zero and
                             D.apply(alg.unit, alg.basis_vector(i)) == zero for i in range(n))
-                if kills:
-                    assert classify_bilinear("sigma_biderivation", alg, D, sigma).holds
-                else:
-                    with pytest.raises(TheoremViolation, match="unit"):
-                        classify_bilinear("sigma_biderivation", alg, D, sigma)
+                for kind, twist in (("sigma_biderivation", sigma), ("biderivation", None)):
+                    if kills:
+                        assert classify_bilinear(kind, alg, D, twist).holds
+                    else:
+                        with pytest.raises(TheoremViolation, match="unit"):
+                            classify_bilinear(kind, alg, D, twist)
                 outcomes.add(kills)
         assert outcomes == {True, False}
 
@@ -706,12 +695,11 @@ class TestUnitSanityCheck:
         """On K x K with e_0 e_0 = 2 e_0 and e_1 e_1 = 3 e_1, whose unit is
         (1/2, 1/3), D(e_0, e_0) = e_0 and D(e_0, e_1) = -(3/2) e_0 give
         D(e_i, 1) = 0 for both i but D(1, e_0) = e_0 / 2; its transpose fails
-        in the other slot.  Both must still be refused once the predicate
-        passes them."""
+        in the other slot.  Both must still be refused once the slot
+        checks pass them."""
         import trialg.sigmamaps as sm
 
-        monkeypatch.setattr(sm, "is_alpha_beta_biderivation",
-                            lambda *args: Verdict("alpha_beta_biderivation", True))
+        monkeypatch.setattr(sm, "_derivation_type_failure", lambda *args: None)
         inv = lambda x: field.inv(field.coerce(x))
         alg = FinAlgebra(field, [[[2, 0], [0, 0]], [[0, 0], [0, 3]]], [inv(2), inv(3)])
         c = field.mul(field.coerce(-3), inv(2))

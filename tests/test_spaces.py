@@ -460,13 +460,12 @@ class TestProductRuleRows:
         scales = set()
         for _, alg, sigma in _builder_instances():
             n = alg.dim
-            ident = LinMap.identity(alg.field, n)
             d = _random_map(alg.field, n, rng)
             rows = _derivation_row_blocks(alg, sigma)
             scales.add(rows[0])
             _assert_blocks_give_residuals(
                 alg._pairs, rows, d,
-                lambda pair: product_rule_failure(alg._pairs, d, derivation_terms(alg, d, ident, sigma), [pair]))
+                lambda pair: product_rule_failure(alg._pairs, d, derivation_terms(alg, d, sigma), [pair]))
         assert max(scales) > 1  # the instances include rational constants
 
     def test_intertwiner_sides_give_residuals(self):
