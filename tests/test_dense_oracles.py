@@ -37,7 +37,7 @@ checked against dense products, dense kernels and a dense solve.
 
 The reduction of a pair of twists (alpha, beta) to the one twist
 sigma = alpha^{-1} beta, through which the tests decide every (alpha, beta)
-identity (_reduced), is checked against the (alpha, beta) identities
+identity (_reduce, _reduced), is checked against the (alpha, beta) identities
 evaluated with mul_vec and apply on every basis pair, single, pair sum and
 triple, over Q and F_5."""
 
@@ -894,22 +894,33 @@ def test_ideal_split_with_a_zero_bimodule_ideal(field):
 # -- the (alpha, beta) reduction ----------------------------------------------
 
 
+def _reduce(alg, obj, alpha, beta):
+    """(alpha^{-1} o obj, alpha^{-1} beta): the map and the one twist sigma
+    to which a pair of twists (alpha, beta) reduces, for alpha an
+    automorphism."""
+    alpha_inv = alpha.inverse()
+    if isinstance(obj, BilinMap):
+        reduced = BilinMap.from_function(alg, lambda x, y: alpha_inv.apply(obj.apply(x, y)))
+    else:
+        reduced = alpha_inv.compose(obj)
+    return reduced, alpha_inv.compose(beta)
+
+
 def _reduced(kind, alg, obj, alpha, beta):
     """The verdict of the (alpha, beta) form of the sigma-kind `kind` on obj:
     d(xy) = beta(x) d(y) + d(x) alpha(y) (each slot of a bilinear map), or
     beta(x) Theta(x) = Theta(x) alpha(x).  For alpha an automorphism, obj
     satisfies it exactly when alpha^{-1} o obj satisfies the sigma-identity
-    for sigma = alpha^{-1} beta, since alpha^{-1} of the (alpha, beta)
-    residual is the sigma residual of alpha^{-1} o obj.  classify_* decides
-    the reduced map at sigma; its witness keeps its indices, and its element
-    is mapped back by alpha to the (alpha, beta) residual."""
-    alpha_inv = alpha.inverse()
-    sigma = alpha_inv.compose(beta)
+    for sigma = alpha^{-1} beta (_reduce), since alpha^{-1} of the
+    (alpha, beta) residual is the sigma residual of alpha^{-1} o obj.
+    classify_* decides the reduced map at sigma; its witness keeps its
+    indices, and its element is mapped back by alpha to the (alpha, beta)
+    residual."""
+    reduced, sigma = _reduce(alg, obj, alpha, beta)
     if isinstance(obj, BilinMap):
-        v = classify_bilinear(kind, alg, BilinMap.from_function(alg, lambda x, y: alpha_inv.apply(obj.apply(x, y))),
-                              sigma)
+        v = classify_bilinear(kind, alg, reduced, sigma)
     else:
-        v = classify_linear(kind, alg, alpha_inv.compose(obj), sigma)
+        v = classify_linear(kind, alg, reduced, sigma)
     if v.witness is None:
         return v
     return replace(v, witness=replace(v.witness, element=alpha.apply(v.witness.element)))

@@ -41,7 +41,7 @@ from trialg.sigmamaps import (
     sigma_commutator_vec,
 )
 
-from test_dense_oracles import _reduced
+from test_dense_oracles import _dense_alpha_beta_failure, _reduce, _reduced
 
 
 @pytest.fixture()
@@ -526,6 +526,53 @@ class TestIdMinusSigmaFamily:
         for _, tri, sig in random_f5_instances[:8]:
             d = LinMap.identity(tri.field, tri.dim) - sig
             assert classify_linear("sigma_derivation", tri.total, d, sig).holds
+
+
+class TestAlphaBetaReduce:
+    """The reduction of a pair of twists (alpha, beta) to sigma = alpha^{-1} beta
+    (test_dense_oracles._reduce) on the paper's fixtures: the (alpha, beta)
+    identity, evaluated densely, holds on the input, and classify_* accepts
+    the reduced map at sigma."""
+
+    @staticmethod
+    def _check(kind, alg, obj, alpha, beta):
+        reduced, sigma = _reduce(alg, obj, alpha, beta)
+        assert _dense_alpha_beta_failure(kind, alg, obj, alpha, beta) is None
+        classify = classify_bilinear if isinstance(obj, BilinMap) else classify_linear
+        assert classify(kind, alg, reduced, sigma).holds
+        assert _reduced(kind, alg, obj, alpha, beta).holds
+        return reduced, sigma
+
+    def test_identity_alpha_is_noop(self, f2_pair):
+        alg, sig = f2_pair
+        d = LinMap.identity(QQ, 4) - sig
+        reduced, sigma = self._check("sigma_derivation", alg, d, LinMap.identity(QQ, 4), sig)
+        assert reduced == d
+        assert sigma == sig
+
+    def test_equal_twists_collapse_to_identity(self, f1, f1_sigma1):
+        from trialg.spaces import solve_space
+
+        d0 = solve_space("derivation", f1).basis_maps()[0]
+        pushed = f1_sigma1.compose(d0)
+        reduced, sigma = self._check("sigma_derivation", f1.total, pushed, f1_sigma1, f1_sigma1)
+        assert sigma.is_identity()
+        assert reduced == d0
+
+    def test_bilinear_pushforward(self, f1, f1_sigma1, f1_lambda1):
+        from trialg.spaces import inner_sigma_biderivation
+
+        D = inner_sigma_biderivation(f1, f1_lambda1, f1_sigma1)
+        # push through alpha: alpha . D is an (alpha, alpha sigma)-biderivation
+        alpha = f1_sigma1
+        pushed = BilinMap(QQ, [[alpha.apply(D.value(i, j)) for j in range(3)] for i in range(3)])
+        reduced, _ = self._check("sigma_biderivation", f1.total, pushed, alpha, alpha.compose(f1_sigma1))
+        assert reduced == D
+
+    def test_commuting_variant(self, f1, f1_sigma1, f1_theta1):
+        pushed = f1_sigma1.compose(f1_theta1)
+        reduced, _ = self._check("sigma_commuting", f1.total, pushed, f1_sigma1, f1_sigma1.compose(f1_sigma1))
+        assert reduced == f1_theta1
 
 
 class TestInnerAutomorphism:
