@@ -81,7 +81,7 @@ class Hypothesis:
     evidence: str = ""
 
     def to_json(self):
-        return {"name": self.name, "verdict": self.verdict, "evidence": self.evidence}
+        return dict(vars(self))
 
 
 @dataclass
@@ -97,14 +97,7 @@ class TheoremReport:
         return all(h.verdict == "pass" for h in self.hypotheses)
 
     def to_json(self):
-        return {
-            "theorem": self.theorem,
-            "hypotheses": [h.to_json() for h in self.hypotheses],
-            "verdict": self.verdict,
-            "witnesses": self.witnesses,
-            "violations": self.violations,
-            "notes": self.notes,
-        }
+        return {**vars(self), "hypotheses": [h.to_json() for h in self.hypotheses]}
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +110,11 @@ class ExtremalSplit:
     psi: BilinMap
     residual: BilinMap
     corner_value: tuple  # D(p, p)
+
+    def to_json(self):
+        fmt = self.psi.field.format
+        return {"corner_value": [fmt(v) for v in self.corner_value],
+                "extremal": self.psi.to_json(), "residual": self.residual.to_json()}
 
 
 def extremal_split(tri: TriAlgebra, D: BilinMap, sigma: LinMap) -> ExtremalSplit:
@@ -154,6 +152,10 @@ def extremal_split(tri: TriAlgebra, D: BilinMap, sigma: LinMap) -> ExtremalSplit
 class InnerWitness:
     lam: tuple  # element of the total algebra, twisted-central
     lam_a: tuple  # its corner-A part
+
+    def to_json(self, field):
+        return {"lambda": [field.format(v) for v in self.lam],
+                "lambda_A": [field.format(v) for v in self.lam_a]}
 
 
 def inner_biderivation_witness(tri: TriAlgebra, D0: BilinMap, sigma: LinMap,
@@ -300,10 +302,22 @@ def _scalar_action_space(tri: TriAlgebra, blocks: AutBlocks) -> Subspace:
 # ---------------------------------------------------------------------------
 
 
+class _CornerBlocks:
+    """The corner blocks of a map, one dataclass field each, whose metadata
+    names its (source, target) corners; read off the map at those corners
+    and written by field name."""
+
+    @classmethod
+    def of(cls, tri: TriAlgebra, f: LinMap):
+        return cls(**{fd.name: block_of(tri, f, *fd.metadata["block"]) for fd in fields(cls)})
+
+    def to_json(self):
+        return {fd.name: getattr(self, fd.name).to_json() for fd in fields(self)}
+
+
 @dataclass(frozen=True)
-class CommutingBlocks:
-    """The six corner blocks of a twisted commuting map; each field's
-    metadata names its (source, target) corners."""
+class CommutingBlocks(_CornerBlocks):
+    """The six corner blocks of a twisted commuting map."""
 
     delta1: LinMap = dc_field(metadata={"block": ("A", "A")})
     delta2: LinMap = dc_field(metadata={"block": ("M", "A")})
@@ -311,12 +325,6 @@ class CommutingBlocks:
     mu1: LinMap = dc_field(metadata={"block": ("A", "B")})
     mu2: LinMap = dc_field(metadata={"block": ("M", "B")})
     mu3: LinMap = dc_field(metadata={"block": ("B", "B")})
-
-
-def _corner_blocks(cls, tri: TriAlgebra, f: LinMap):
-    """The blocks of f named by the fields of the dataclass cls, each read
-    off at the (source, target) corners its metadata names."""
-    return cls(**{fd.name: block_of(tri, f, *fd.metadata["block"]) for fd in fields(cls)})
 
 
 def commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks
@@ -327,7 +335,7 @@ def commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks
     require_holds(classify_linear("sigma_commuting", alg, theta, blocks.source), NotSigmaCommuting)
     if not tri.is_faithful():
         raise NotFaithful("the block description needs a faithful bimodule")
-    cb = _corner_blocks(CommutingBlocks, tri, theta)
+    cb = CommutingBlocks.of(tri, theta)
     report = TheoremReport("block description of twisted commuting maps")
     _verify_commuting_blocks(tri, theta, blocks, cb)
     report.verdict = "all conditions verified"
@@ -407,6 +415,10 @@ class PropernessResult:
         out = {"proper": self.proper, "verdicts": self.verdicts}
         if self.violated:
             out["violated"] = self.violated
+        if self.witness is not None:
+            fmt = self.witness.omega.field.format
+            out["witness"] = {"lambda": [fmt(v) for v in self.witness.lam],
+                              "omega": self.witness.omega.to_json()}
         return out
 
 
@@ -535,9 +547,8 @@ def _search_recovering_element(tri: TriAlgebra, blocks: AutBlocks):
 
 
 @dataclass(frozen=True)
-class EndoBlocks:
-    """The seven blocks of an endomorphism outside M -> A and M -> B; each
-    field's metadata names its (source, target) corners."""
+class EndoBlocks(_CornerBlocks):
+    """The seven blocks of an endomorphism outside M -> A and M -> B."""
 
     chi1: LinMap = dc_field(metadata={"block": ("A", "A")})
     chi2: LinMap = dc_field(metadata={"block": ("A", "M")})
@@ -561,7 +572,7 @@ def endo_blocks(tri: TriAlgebra, phi: LinMap) -> tuple[EndoBlocks, TheoremReport
     are evaluated and reported only.
     """
     require_holds(is_endomorphism(tri.total, phi), NotEndomorphism)
-    eb = _corner_blocks(EndoBlocks, tri, phi)
+    eb = EndoBlocks.of(tri, phi)
     report = TheoremReport("block structure of corner-preserving endomorphisms")
     m_into = block_of(tri, phi, "M", "A").is_zero() and block_of(tri, phi, "M", "B").is_zero()
     m_onto = m_into and eb.h.rank() == tri.M.dim_m
@@ -663,16 +674,7 @@ class MonoEpiReport:
     consistent: bool
 
     def to_json(self):
-        return {
-            "mono_criteria": self.mono_criteria,
-            "epi_criteria": self.epi_criteria,
-            "mono": self.mono,
-            "epi": self.epi,
-            "rank": self.rank,
-            "injective": self.injective,
-            "surjective": self.surjective,
-            "consistent": self.consistent,
-        }
+        return dict(vars(self))
 
 
 def _image_of_subspace(f: LinMap, sub: Subspace, dst_dim: int) -> Subspace:

@@ -5,6 +5,12 @@ Exit codes: 0 success, 1 input or validation error (a usage error in the
 arguments included), 2 mathematical finding (a verified-hypothesis identity
 failed).  Timing goes to stderr so stdout stays byte-deterministic across
 runs.
+
+Each command is declared once, in the table COMMANDS: its report name,
+help, arguments and handler, in usage order; build_parser loops over it.  A
+handler loads its files through an _Inputs, one method per kind of file,
+which records their paths in load order, and returns only the report's
+result; _run wraps it into the report, whose inputs are those paths.
 """
 
 from __future__ import annotations
@@ -18,14 +24,11 @@ import time
 
 from . import __version__, io as tio
 from .errors import InputError, TheoremViolation, TrialgError
-from .sigmamaps import block_decompose
+from .sigmamaps import MAP_KINDS, block_decompose
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_FINDING = 2
-
-SOLVE_CLI_KINDS = ("derivation", "sigma_derivation", "biderivation",
-                   "sigma_biderivation", "sigma_commuting")
 
 
 def _sha256(path: str) -> str:
@@ -36,13 +39,12 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _files(paths: list[str]) -> list[dict]:
+    return [{"path": p, "sha256": _sha256(p)} for p in paths]
+
+
 def _report(command: str, paths: list[str], result: dict) -> dict:
-    return {
-        "command": command,
-        "inputs": [{"path": p, "sha256": _sha256(p)} for p in paths],
-        "result": result,
-        "version": __version__,
-    }
+    return {"command": command, "inputs": _files(paths), "result": result, "version": __version__}
 
 
 def _emit(report: dict) -> int:
@@ -51,195 +53,195 @@ def _emit(report: dict) -> int:
     return EXIT_OK
 
 
-def _load_sigma_blocks(tri, sigma_path: str):
-    sigma = tio.load_linmap(sigma_path, tri.field)
-    return sigma, block_decompose(tri, sigma)
+class _Inputs:
+    """The input files of one command, each kind of file loaded one way (sigma
+    with its AutBlocks, which refuse a map that is not a block-preserving
+    automorphism); paths lists every file in load order."""
+
+    def __init__(self):
+        self.paths = []
+
+    def _path(self, path: str) -> str:
+        self.paths.append(path)
+        return path
+
+    def algebra(self, path: str):
+        return tio.load_algebra(self._path(path))
+
+    def triangular(self, path: str, allow_zero_m: bool = False):
+        return tio.load_triangular(self._path(path), allow_zero_m=allow_zero_m)
+
+    def linmap(self, path: str, tri):
+        return tio.load_linmap(self._path(path), tri.field)
+
+    def sigma(self, path: str, tri):
+        sigma = self.linmap(path, tri)
+        return sigma, block_decompose(tri, sigma)
+
+    def bilinmap(self, path: str, tri):
+        return tio.load_bilinmap_on(self._path(path), tri.total)
 
 
-# -- command handlers -------------------------------------------------------
+# -- command handlers: each returns the result of its report ----------------
 
 
-def _cmd_validate(args) -> int:
-    alg = tio.load_algebra(args.algebra)
-    result = {"valid": True, "dim": alg.dim, "field": alg.field.to_json(),
-              "commutative": alg.is_commutative()}
-    return _emit(_report("validate", [args.algebra], result))
+def _cmd_validate(args, load: _Inputs) -> dict:
+    alg = load.algebra(args.algebra)
+    return {"valid": True, "dim": alg.dim, "field": alg.field.to_json(),
+            "commutative": alg.is_commutative()}
 
 
-def _cmd_triangular_build(args) -> int:
-    tri = tio.load_triangular(args.triangular, allow_zero_m=args.allow_zero_M)
+def _cmd_triangular_build(args, load: _Inputs) -> dict:
+    tri = load.triangular(args.triangular, allow_zero_m=args.allow_zero_M)
     lf, rf = tri.faithfulness()
-    result = {
-        "dims": {"A": tri.A.dim, "M": tri.M.dim_m, "B": tri.B.dim, "total": tri.dim},
-        "field": tri.field.to_json(),
-        "left_faithful": lf,
-        "right_faithful": rf,
-    }
-    return _emit(_report("triangular build", [args.triangular], result))
+    return {"dims": {"A": tri.A.dim, "M": tri.M.dim_m, "B": tri.B.dim, "total": tri.dim},
+            "field": tri.field.to_json(), "left_faithful": lf, "right_faithful": rf}
 
 
-def _cmd_center(args) -> int:
-    tri = tio.load_triangular(args.triangular)
+def _cmd_center(args, load: _Inputs) -> dict:
+    tri = load.triangular(args.triangular)
     from .algcore import center_T
 
-    z = center_T(tri)
-    return _emit(_report("center", [args.triangular], {"center": z.to_json()}))
+    return {"center": center_T(tri).to_json()}
 
 
-def _cmd_sigma_center(args) -> int:
-    tri = tio.load_triangular(args.triangular)
-    _, blocks = _load_sigma_blocks(tri, args.sigma)
+def _cmd_sigma_center(args, load: _Inputs) -> dict:
+    tri = load.triangular(args.triangular)
+    _, blocks = load.sigma(args.sigma, tri)
     from .sigmamaps import sigma_center
 
     z, eta = sigma_center(tri, blocks)
-    result = {"sigma_center": z.to_json(), "eta": None if eta is None else
-              {"matrix": eta.matrix.to_json()["matrix"], "domain_dim": eta.domain.dim}}
-    return _emit(_report("sigma-center", [args.triangular, args.sigma], result))
+    return {"sigma_center": z.to_json(), "eta": None if eta is None else
+            {"matrix": eta.matrix.to_json()["matrix"], "domain_dim": eta.domain.dim}}
 
 
-def _cmd_radical(args) -> int:
-    alg = tio.load_algebra(args.algebra)
+def _cmd_radical(args, load: _Inputs) -> dict:
+    alg = load.algebra(args.algebra)
     from .algcore import radical
 
-    rad = radical(alg)
-    return _emit(_report("radical", [args.algebra], {"radical": rad.to_json()}))
+    return {"radical": radical(alg).to_json()}
 
 
-def _cmd_nil_radical(args) -> int:
-    tri = tio.load_triangular(args.triangular)
+def _cmd_nil_radical(args, load: _Inputs) -> dict:
+    tri = load.triangular(args.triangular)
     from .algcore import nil_radical_T
 
-    rad = nil_radical_T(tri)
-    return _emit(_report("nil-radical", [args.triangular], {"nil_radical": rad.to_json()}))
+    return {"nil_radical": nil_radical_T(tri).to_json()}
 
 
-def _cmd_solve(args) -> int:
-    tri = tio.load_triangular(args.triangular)
-    sigma = None
-    paths = [args.triangular]
-    if args.sigma:
-        sigma = tio.load_linmap(args.sigma, tri.field)
-        paths.append(args.sigma)
+def _cmd_solve(args, load: _Inputs) -> dict:
+    tri = load.triangular(args.triangular)
+    sigma = load.linmap(args.sigma, tri) if args.sigma else None
     from .spaces import solve_space
 
-    space = solve_space(args.kind, tri, sigma)
-    return _emit(_report("solve %s" % args.kind, paths, {"space": space.to_json()}))
+    return {"space": solve_space(args.kind, tri, sigma).to_json()}
 
 
-def _cmd_split_biderivation(args) -> int:
-    tri = tio.load_triangular(args.triangular)
-    sigma, _ = _load_sigma_blocks(tri, args.sigma)
-    D = tio.load_bilinmap_on(args.bid, tri.total)
+def _cmd_split_biderivation(args, load: _Inputs) -> dict:
+    tri = load.triangular(args.triangular)
+    sigma, _ = load.sigma(args.sigma, tri)
+    D = load.bilinmap(args.bid, tri)
     from .classify import extremal_split
 
-    split = extremal_split(tri, D, sigma)
-    fmt = tri.field.format
-    result = {
-        "corner_value": [fmt(v) for v in split.corner_value],
-        "extremal": split.psi.to_json(),
-        "residual": split.residual.to_json(),
-    }
-    return _emit(_report("split-biderivation", [args.triangular, args.sigma, args.bid], result))
+    return extremal_split(tri, D, sigma).to_json()
 
 
-def _cmd_inner_witness(args) -> int:
-    tri = tio.load_triangular(args.triangular)
-    sigma, blocks = _load_sigma_blocks(tri, args.sigma)
-    D = tio.load_bilinmap_on(args.bid, tri.total)
+def _cmd_inner_witness(args, load: _Inputs) -> dict:
+    tri = load.triangular(args.triangular)
+    sigma, blocks = load.sigma(args.sigma, tri)
+    D = load.bilinmap(args.bid, tri)
     from .classify import inner_biderivation_witness, innerness_hypotheses
 
     hyp = innerness_hypotheses(tri, blocks)
     witness = inner_biderivation_witness(tri, D, sigma,
                                          hypotheses=hyp if hyp.all_pass() else None)
-    fmt = tri.field.format
-    result = {"hypotheses": hyp.to_json()}
-    if witness is None:
-        result["witness"] = None
-    else:
-        result["witness"] = {"lambda": [fmt(v) for v in witness.lam],
-                             "lambda_A": [fmt(v) for v in witness.lam_a]}
-    return _emit(_report("inner-witness", [args.triangular, args.sigma, args.bid], result))
+    return {"hypotheses": hyp.to_json(),
+            "witness": None if witness is None else witness.to_json(tri.field)}
 
 
-def _cmd_commuting_blocks(args) -> int:
-    tri = tio.load_triangular(args.triangular)
-    _, blocks = _load_sigma_blocks(tri, args.sigma)
-    theta = tio.load_linmap(args.map, tri.field)
+def _cmd_commuting_blocks(args, load: _Inputs) -> dict:
+    tri = load.triangular(args.triangular)
+    _, blocks = load.sigma(args.sigma, tri)
+    theta = load.linmap(args.map, tri)
     from .classify import commuting_blocks
 
     cb, report = commuting_blocks(tri, theta, blocks)
-    result = {
-        "report": report.to_json(),
-        "blocks": {name: getattr(cb, name).to_json()
-                   for name in ("delta1", "delta2", "delta3", "mu1", "mu2", "mu3")},
-    }
-    return _emit(_report("commuting-blocks", [args.triangular, args.sigma, args.map], result))
+    return {"report": report.to_json(), "blocks": cb.to_json()}
 
 
-def _cmd_properness(args) -> int:
-    tri = tio.load_triangular(args.triangular)
-    _, blocks = _load_sigma_blocks(tri, args.sigma)
-    theta = tio.load_linmap(args.map, tri.field)
+def _cmd_properness(args, load: _Inputs) -> dict:
+    tri = load.triangular(args.triangular)
+    _, blocks = load.sigma(args.sigma, tri)
+    theta = load.linmap(args.map, tri)
     from .classify import properness
 
-    res = properness(tri, theta, blocks)
-    fmt = tri.field.format
-    result = res.to_json()
-    if res.witness is not None:
-        result["witness"] = {"lambda": [fmt(v) for v in res.witness.lam],
-                             "omega": res.witness.omega.to_json()}
-    return _emit(_report("properness", [args.triangular, args.sigma, args.map], result))
+    return properness(tri, theta, blocks).to_json()
 
 
-def _cmd_endo_classify(args) -> int:
-    tri = tio.load_triangular(args.triangular, allow_zero_m=True)
-    phi = tio.load_linmap(args.map, tri.field)
+def _cmd_endo_classify(args, load: _Inputs) -> dict:
+    tri = load.triangular(args.triangular, allow_zero_m=True)
+    phi = load.linmap(args.map, tri)
     from .classify import endo_blocks, endo_mono_epi
 
     eb, report = endo_blocks(tri, phi)
-    result = {
-        "report": report.to_json(),
-        "blocks": {name: getattr(eb, name).to_json()
-                   for name in ("chi1", "chi2", "chi3", "gamma1", "gamma2", "gamma3", "h")},
-    }
+    result = {"report": report.to_json(), "blocks": eb.to_json()}
     if eb.reassemble(tri) == phi:
         result["mono_epi"] = endo_mono_epi(tri, eb, phi).to_json()
-    return _emit(_report("endo classify", [args.triangular, args.map], result))
+    return result
 
 
-def _cmd_partible(args) -> int:
-    tri = tio.load_triangular(args.triangular, allow_zero_m=True)
-    paths = [args.triangular]
-    if args.sigma:
-        sigma = tio.load_linmap(args.sigma, tri.field)
-        paths.append(args.sigma)
-        from .classify import partible_witness
-
-        witness = partible_witness(tri, sigma)
-        fmt = tri.field.format
-        if witness is None:  # a proof: sigma(1_A) has A-part other than 1_A or B-part nonzero
-            result = {"witness": None, "sigma_p": [fmt(v) for v in sigma.apply(tri.p)],
-                      "note": "sigma is not partible: the A-part of sigma_p = sigma(1_A) is not 1_A "
-                              "or its B-part is not 0"}
-        else:
-            result = {"witness": {"z": [fmt(v) for v in witness.z],
-                                  "sigma_bar": witness.sigma_bar.to_json()}}
-    else:
+def _cmd_partible(args, load: _Inputs) -> dict:
+    tri = load.triangular(args.triangular, allow_zero_m=True)
+    if not args.sigma:
         from .classify import partibility_sufficient
 
-        result = {"report": partibility_sufficient(tri).to_json()}
-    return _emit(_report("partible", paths, result))
+        return {"report": partibility_sufficient(tri).to_json()}
+    sigma = load.linmap(args.sigma, tri)
+    from .classify import partible_witness
+
+    witness = partible_witness(tri, sigma)
+    fmt = tri.field.format
+    if witness is None:  # a proof: sigma(1_A) has A-part other than 1_A or B-part nonzero
+        return {"witness": None, "sigma_p": [fmt(v) for v in sigma.apply(tri.p)],
+                "note": "sigma is not partible: the A-part of sigma_p = sigma(1_A) is not 1_A "
+                        "or its B-part is not 0"}
+    return {"witness": {"z": [fmt(v) for v in witness.z], "sigma_bar": witness.sigma_bar.to_json()}}
 
 
-def _cmd_fixtures_emit(args) -> int:
-    written = tio.emit_fixture(args.name, args.out_dir)
-    report = {
-        "command": "fixtures emit",
-        "inputs": [],
-        "result": {"written": [{"path": p, "sha256": _sha256(p)} for p in written]},
-        "version": __version__,
-    }
-    return _emit(report)
+def _cmd_fixtures_emit(args, load: _Inputs) -> dict:
+    return {"written": _files(tio.emit_fixture(args.name, args.out_dir))}
+
+
+# Each command once, in usage order: its report name (its words, then any
+# {argument} the name also shows), help, arguments and handler.  An argument
+# is a positional, "--opt" a required option, "--opt?" an optional one and
+# "--opt!" a flag; the kind and fixture name arguments take their choices
+# from MAP_KINDS and FIXTURE_NAMES.
+COMMANDS = (
+    ("validate", "validate an algebra file", "algebra", _cmd_validate),
+    ("triangular build", "build and validate a triangular algebra", "triangular --allow-zero-M!",
+     _cmd_triangular_build),
+    ("center", "center of a triangular algebra", "triangular", _cmd_center),
+    ("sigma-center", "twisted center for a block-preserving automorphism", "triangular --sigma",
+     _cmd_sigma_center),
+    ("radical", "largest nil ideal of an algebra", "algebra", _cmd_radical),
+    ("nil-radical", "nil radical of a triangular algebra", "triangular", _cmd_nil_radical),
+    ("solve {kind}", "solve a complete map space", "kind triangular --sigma?", _cmd_solve),
+    ("split-biderivation", "extremal + corner-vanishing split", "triangular --sigma --bid",
+     _cmd_split_biderivation),
+    ("inner-witness", "inner witness for a corner-vanishing biderivation", "triangular --sigma --bid",
+     _cmd_inner_witness),
+    ("commuting-blocks", "block description of a twisted commuting map", "triangular --sigma --map",
+     _cmd_commuting_blocks),
+    ("properness", "properness of a twisted commuting map", "triangular --sigma --map",
+     _cmd_properness),
+    ("endo classify", "block structure and mono/epi criteria", "triangular --map", _cmd_endo_classify),
+    ("partible", "partibility witness or sufficiency report", "triangular --sigma?", _cmd_partible),
+    ("fixtures emit", "write the canonical fixture files", "name out_dir", _cmd_fixtures_emit),
+)
+# the help of each command group, the first word of a two-word command
+GROUP_HELP = {"triangular": "triangular-algebra commands", "endo": "endomorphism commands",
+              "fixtures": "fixture commands"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -252,91 +254,32 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process and shared by every
-    main call: parse_args fills a fresh namespace on each call, so no state
-    carries between calls.  Callers must not modify it."""
+    """The command line parser, built once per process from COMMANDS and
+    shared by every main call: parse_args fills a fresh namespace on each
+    call, so no state carries between calls.  Callers must not modify it."""
+    from .fixtures import FIXTURE_NAMES
+
+    choices = {"kind": MAP_KINDS, "name": FIXTURE_NAMES}
     parser = _Parser(
         prog="trialg",
         description="Exact computer algebra for triangular algebras Trian(A, M, B).")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate an algebra file")
-    p.add_argument("algebra")
-    p.set_defaults(func=_cmd_validate)
-
-    tri_parser = sub.add_parser("triangular", help="triangular-algebra commands")
-    tsub = tri_parser.add_subparsers(dest="subcommand", required=True)
-    p = tsub.add_parser("build", help="build and validate a triangular algebra")
-    p.add_argument("triangular")
-    p.add_argument("--allow-zero-M", action="store_true")
-    p.set_defaults(func=_cmd_triangular_build)
-
-    p = sub.add_parser("center", help="center of a triangular algebra")
-    p.add_argument("triangular")
-    p.set_defaults(func=_cmd_center)
-
-    p = sub.add_parser("sigma-center", help="twisted center for a block-preserving automorphism")
-    p.add_argument("triangular")
-    p.add_argument("--sigma", required=True)
-    p.set_defaults(func=_cmd_sigma_center)
-
-    p = sub.add_parser("radical", help="largest nil ideal of an algebra")
-    p.add_argument("algebra")
-    p.set_defaults(func=_cmd_radical)
-
-    p = sub.add_parser("nil-radical", help="nil radical of a triangular algebra")
-    p.add_argument("triangular")
-    p.set_defaults(func=_cmd_nil_radical)
-
-    p = sub.add_parser("solve", help="solve a complete map space")
-    p.add_argument("kind", choices=SOLVE_CLI_KINDS)
-    p.add_argument("triangular")
-    p.add_argument("--sigma")
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("split-biderivation", help="extremal + corner-vanishing split")
-    p.add_argument("triangular")
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--bid", required=True)
-    p.set_defaults(func=_cmd_split_biderivation)
-
-    p = sub.add_parser("inner-witness", help="inner witness for a corner-vanishing biderivation")
-    p.add_argument("triangular")
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--bid", required=True)
-    p.set_defaults(func=_cmd_inner_witness)
-
-    p = sub.add_parser("commuting-blocks", help="block description of a twisted commuting map")
-    p.add_argument("triangular")
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--map", required=True)
-    p.set_defaults(func=_cmd_commuting_blocks)
-
-    p = sub.add_parser("properness", help="properness of a twisted commuting map")
-    p.add_argument("triangular")
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--map", required=True)
-    p.set_defaults(func=_cmd_properness)
-
-    endo_parser = sub.add_parser("endo", help="endomorphism commands")
-    esub = endo_parser.add_subparsers(dest="subcommand", required=True)
-    p = esub.add_parser("classify", help="block structure and mono/epi criteria")
-    p.add_argument("triangular")
-    p.add_argument("--map", required=True)
-    p.set_defaults(func=_cmd_endo_classify)
-
-    p = sub.add_parser("partible", help="partibility witness or sufficiency report")
-    p.add_argument("triangular")
-    p.add_argument("--sigma")
-    p.set_defaults(func=_cmd_partible)
-
-    fx_parser = sub.add_parser("fixtures", help="fixture commands")
-    fsub = fx_parser.add_subparsers(dest="subcommand", required=True)
-    p = fsub.add_parser("emit", help="write the canonical fixture files")
-    p.add_argument("name", choices=("F1", "F2", "F3", "F4"))
-    p.add_argument("out_dir")
-    p.set_defaults(func=_cmd_fixtures_emit)
-
+    top = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for report, help_text, arguments, handler in COMMANDS:
+        *group, word = (w for w in report.split() if not w.startswith("{"))
+        if group and group[0] not in groups:
+            groups[group[0]] = top.add_parser(group[0], help=GROUP_HELP[group[0]]).add_subparsers(
+                dest="subcommand", required=True)
+        p = (groups[group[0]] if group else top).add_parser(word, help=help_text)
+        for arg in arguments.split():
+            name = arg.rstrip("?!")
+            if arg.endswith("!"):
+                p.add_argument(name, action="store_true")
+            elif arg.startswith("--"):
+                p.add_argument(name, required=not arg.endswith("?"))
+            else:
+                p.add_argument(name, choices=choices.get(name))
+        p.set_defaults(func=handler, report=report)
     return parser
 
 
@@ -356,7 +299,9 @@ def _run(argv) -> int:
         return _input_error(exc)
     start = time.monotonic()
     try:
-        code = args.func(args)
+        inputs = _Inputs()
+        result = args.func(args, inputs)
+        code = _emit(_report(args.report.format_map(vars(args)), inputs.paths, result))
     except TheoremViolation as exc:
         sys.stdout.write(tio.canonical_json({"finding": str(exc), "version": __version__}))
         sys.stdout.write("\n")

@@ -96,8 +96,6 @@ from .sigmamaps import (
     require_holds,
 )
 
-SOLVE_KINDS = tuple(MAP_KINDS)
-
 
 @dataclass(frozen=True)
 class MapSpace:

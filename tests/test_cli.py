@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, deterministic JSON reports, parity with the API."""
 
 import contextlib
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import trialg
 from trialg.cli import build_parser, main
+from trialg.sigmamaps import MAP_KINDS
 
 
 def run_cli(args, tmp_path=None):
@@ -193,6 +195,38 @@ class TestSolveAndReports:
         assert json.loads(out)["result"]["report"]["verdict"] == "partible"
 
 
+class TestSolveKinds:
+    @pytest.mark.parametrize("name", ["F1", "F4"])
+    @pytest.mark.parametrize("kind", tuple(MAP_KINDS))
+    def test_cli_api_parity(self, tmp_path, kind, name):
+        """Every kind of MAP_KINDS solves through the CLI to the space the API
+        solves: the untwisted kinds with no --sigma, the sigma-kinds at sigma1."""
+        from trialg import io
+        from trialg.spaces import solve_space
+
+        io.emit_fixture(name, str(tmp_path))
+        T, s = str(tmp_path / "T.json"), str(tmp_path / "sigma1.json")
+        tri = io.load_triangular(T)
+        twisted = MAP_KINDS[kind].twisted
+        code, out, _ = run_cli(["solve", kind, T] + (["--sigma", s] if twisted else []))
+        assert code == 0, out
+        report = json.loads(out)
+        assert report["command"] == "solve " + kind
+        assert [i["path"] for i in report["inputs"]] == ([T, s] if twisted else [T])
+        space = solve_space(kind, tri, io.load_linmap(s, tri.field) if twisted else None)
+        assert report["result"]["space"] == json.loads(io.canonical_json(space.to_json()))
+
+    def test_invalid_kind_lists_every_kind(self):
+        """The usage error names the kinds of MAP_KINDS in their order,
+        'commuting' last."""
+        code, out, _ = run_cli(["solve", "nonsense", "T.json"])
+        assert code == 1
+        message = json.loads(out)["error"]["message"].replace("'", "")  # quoting varies by version
+        assert message == ("trialg solve: argument kind: invalid choice: nonsense (choose from "
+                           "derivation, sigma_derivation, biderivation, sigma_biderivation, "
+                           "sigma_commuting, commuting)")
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("args", [
         [], ["frobnicate"], ["solve", "automorphism", "T.json"], ["solve", "derivation"],
@@ -221,6 +255,44 @@ class TestUsageErrors:
         assert out.getvalue().startswith("usage: trialg")
 
 
+# sha256 of the --help stdout at 80 columns of the top level, each command
+# group and each command, taken on CPython 3.11; argparse lays help out
+# differently in other versions.  solve's choices list every kind of MAP_KINDS.
+HELP_GOLDEN = {
+    (): "f5453fff078075b8348d5e47de107423e1cef6d00293048fc0647d1ffe7dab94",
+    ("triangular",): "6233a34339b109c45192e778ec88ed8581f542d1b055b48a5759f44caf3daaae",
+    ("endo",): "f362045415eebecdc9aff44d2baf558c70e03535dbc9d0cda0e2cec513a53d78",
+    ("fixtures",): "74ecd33e30f7e0a3f25c4f22836ec6648bad2b4b2f9f1dd25e8d51004ab0a52c",
+    ("validate",): "54b666035bf91e2c080649bc968956be5531af43363899a410c13f6d272644b8",
+    ("triangular", "build"): "f4f6c368692e6d03116d650521ede6e7f5cd8eadf1144ae506092c72d03ebf49",
+    ("center",): "fe086e9ee4c107526c70ebabf95b23141019aaf85dee19cff5ad5b954b0b34c0",
+    ("sigma-center",): "0696c7edb99206a5283f9caf25951f14a3558b418b1cf315acbafe95fa25cc01",
+    ("radical",): "43be9041cfe49e992894365a9993a1cb63f5987ba05ef9798ad6336ca597721f",
+    ("nil-radical",): "2be108ed1f18a1a8a56a929e60f272bbf4f5fa2afb0f85d4250c689e8b5413a1",
+    ("solve",): "83bc42d0fe258f457e7a52c497822b024af01f49433d416685b90de12769a621",
+    ("split-biderivation",): "4b534dd63d6dd73bd0657923c480480851a64c0cc0f870987a65330af2da6b4e",
+    ("inner-witness",): "564f6c2d2e361f3fd76fe22efffc493160e5e74dabd97ceffe2e5504f5eaf1fb",
+    ("commuting-blocks",): "1aec2c3c72a54e8fabf2abc75780a171c69258faf942fd452ba62ffbef87a272",
+    ("properness",): "d3ddfb0d2e982f9a2815139ccc7584d186fdff6fba2419fa405e3318cbc22c71",
+    ("endo", "classify"): "224c570af1e1f19e117a85a06b1423a2e36ef6112f83d51619f6a433a7730fdf",
+    ("partible",): "6e72e91e0d7119f9ce24da1949a080b754df34e3405844f98a4a34fcce1dda69",
+    ("fixtures", "emit"): "49e1462cae1f8521d49128fba63d23bb6dd45988eab13a0f27736265ba4ae3fb",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help digests taken on CPython 3.11")
+@pytest.mark.parametrize("words", sorted(HELP_GOLDEN), ids=lambda w: " ".join(w) or "trialg")
+def test_help_text_digest(words, monkeypatch):
+    import io
+
+    monkeypatch.setenv("COLUMNS", "80")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        main(list(words) + ["--help"])
+    assert exc.value.code == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == HELP_GOLDEN[words]
+
+
 class TestParserReuse:
     def test_parser_built_once(self):
         assert build_parser() is build_parser()
@@ -237,6 +309,43 @@ class TestParserReuse:
         assert [i["path"] for i in json.loads(seen[1][1])["inputs"]] == [T]  # no --sigma left over
         for args, got in zip(sequence, seen):
             assert got == run_fresh(args)
+
+
+NOT_BLOCK_PRESERVING = ("NotBlockPreserving",
+                        "('A', 0, (Fraction(1, 1), Fraction(1, 1), Fraction(0, 1)))")
+NOT_TRIANGULAR = ("InputError", "triangular file misses 'A'")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["solve", "sigma_derivation", "{A}", "--sigma", "{missing}"], NOT_TRIANGULAR),
+    (["sigma-center", "{A}", "--sigma", "{missing}"], NOT_TRIANGULAR),
+    (["split-biderivation", "{T}", "--sigma", "{phi}", "--bid", "{missing}"], NOT_BLOCK_PRESERVING),
+    (["inner-witness", "{T}", "--sigma", "{phi}", "--bid", "{missing}"], NOT_BLOCK_PRESERVING),
+    (["commuting-blocks", "{T}", "--sigma", "{phi}", "--map", "{missing}"], NOT_BLOCK_PRESERVING),
+    (["properness", "{T}", "--sigma", "{phi}", "--map", "{missing}"], NOT_BLOCK_PRESERVING),
+    (["endo", "classify", "{A}", "--map", "{missing}"], NOT_TRIANGULAR),
+    (["partible", "{A}", "--sigma", "{missing}"], NOT_TRIANGULAR),
+], ids=["solve", "sigma-center", "split-biderivation", "inner-witness", "commuting-blocks",
+        "properness", "endo-classify", "partible"])
+def test_first_bad_input_wins(f1_dir, tmp_path, argv, expected):
+    """Files load in argument order, and each check runs as its file loads:
+    the first bad input is reported, not a later file that is missing.  An
+    algebra file read as T misses its corners, and phi = 1 + m is not
+    block-preserving, which the sigma check refuses before --bid or --map
+    is read."""
+    from trialg import io
+    from trialg.fixtures import phi_one_plus_m
+
+    io.emit_fixture("F2", str(tmp_path / "f2"))
+    T = str(f1_dir / "T.json")
+    phi = tmp_path / "phi.json"
+    phi.write_text(io.canonical_json(phi_one_plus_m(io.load_triangular(T)).to_json()))
+    paths = {"T": T, "A": str(tmp_path / "f2" / "A.json"), "phi": str(phi),
+             "missing": str(tmp_path / "missing.json")}
+    code, out, _ = run_cli([a.format(**paths) for a in argv])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert (error["type"], error["message"]) == expected
 
 
 class TestInputErrors:

@@ -91,13 +91,14 @@ def test_solve_report_digest(name, kind):
 
 
 # ---------------------------------------------------------------------------
-# CLI reports of the center, twisted-center and theorem-checker commands
+# CLI reports of every command but solve and fixtures emit
 # ---------------------------------------------------------------------------
 #
 # Each digest is taken over ``io.canonical_json(report["result"])`` of one CLI
 # run on an emitted fixture (F1, F3, F4) with its ``sigma1`` or ``identity``
-# twist.  The map inputs come from solved spaces: theta is the sum of the
-# basis maps of the sigma-commuting space, D the sum of the basis maps of the
+# twist, or with no twist map (None); validate and radical read F2's A.json.
+# The map inputs come from solved spaces: theta is the sum of the basis maps
+# of the sigma-commuting space, D the sum of the basis maps of the
 # sigma-biderivation space, and D0 the residual of D's extremal split (so
 # D0(p, p) = 0, as inner-witness requires).  The endo-classify and partible
 # runs take their map from ``sigma1``, ``identity`` or ``phi_one_plus_m`` (the
@@ -159,6 +160,19 @@ CLI_GOLDEN = {
     ("partible", "F4", "sigma1"): "ff8f5088f9b75b3b5f23181da77327060b21527e0df74e9c5c6f1a7a11bb0208",
     ("partible", "F4", "identity"): "d14f6704316caff41715c3a110937a457a9135f0565d1c2c726db88cade8321d",
     ("partible", "F4", "phi_one_plus_m"): "a93d29537edb6b2a349817d43faafabe4a8cae91661824651e6b208bad84736b",
+    # the one-file commands: validate and radical on F2's A.json; triangular build,
+    # nil-radical and partible (its sufficiency report, no --sigma) on T.json
+    ("validate", "F2", None): "462655b91cb3f1c80c4eaa28c47646ce0db5dbed56c6e61a0092feade49bad50",
+    ("radical", "F2", None): "6112b235ab7071b562c4fe3473d9c48164abe050c70c55f310cbcae85c20dfca",
+    ("triangular-build", "F1", None): "0a0be85cc4a1e8daad9b9b53b5356614f6afeb3ddc997289b95b1519e7e8a47d",
+    ("triangular-build", "F3", None): "dc343819ab8488b9c50ceef38d8bd03daa917e1d5de35eb49ff05a49cc4ebb02",
+    ("triangular-build", "F4", None): "d4caf30b84a8df5a2fafef03025a8523225ded3448a5e40802ac84f2280730a3",
+    ("nil-radical", "F1", None): "b6f7d9216a78cc0950cee4bb6784487127bfe202aed53b9fe318cf3ca1631eb6",
+    ("nil-radical", "F3", None): "e1a80ea2d86f078f51640810ad1e1da3d6b5a4de6ba5bb94a93375bafb59f0cb",
+    ("nil-radical", "F4", None): "e1a80ea2d86f078f51640810ad1e1da3d6b5a4de6ba5bb94a93375bafb59f0cb",
+    ("partible", "F1", None): "c93f4f58dffb1cb30c1e525494a616ccce161d5a6be5af47684d844a4da13d33",
+    ("partible", "F3", None): "da769338173602b1d62948454951e7bb9b66801c382a9ad595af9404d5958be1",
+    ("partible", "F4", None): "65b493dd98b87c23966b9b2a11a2a3ecb05da69eb6341aeec9d468922aec2149",
 }
 
 
@@ -174,6 +188,7 @@ def cli_inputs(tmp_path_factory):
     from trialg.classify import extremal_split
 
     root = tmp_path_factory.mktemp("cli-golden")
+    io.emit_fixture("F2", str(root / "F2"))
     for name in CLI_FIXTURES:
         d = root / name
         io.emit_fixture(name, str(d))
@@ -192,7 +207,11 @@ def cli_inputs(tmp_path_factory):
 def _cli_args(command, name, sig_name, root):
     d = root / name
     t = str(d / "T.json")
-    if command == "center":
+    if command in ("validate", "radical"):
+        return [command, str(d / "A.json")]
+    if command == "triangular-build":
+        return ["triangular", "build", t]
+    if sig_name is None:
         return [command, t]
     if command == "endo-classify":
         return ["endo", "classify", t, "--map", str(d / (sig_name + ".json"))]

@@ -43,6 +43,7 @@ from trialg.randomgen import (
     regular_bimodule,
 )
 from trialg.sigmamaps import (
+    MAP_KINDS,
     BilinMap,
     LinMap,
     block_decompose,
@@ -53,7 +54,6 @@ from trialg.sigmamaps import (
     sigma_commutator_vec,
 )
 from trialg.spaces import (
-    SOLVE_KINDS,
     _biderivation_rows,
     _commuting_rows,
     _derivation_row_blocks,
@@ -197,7 +197,7 @@ class TestSolveSpace:
         assert (space.dim, space.subspace.ambient_dim) == (0, alg.dim ** 3)
 
     @pytest.mark.parametrize("instance", ["F1", "regular_UT2"])
-    @pytest.mark.parametrize("kind", SOLVE_KINDS)
+    @pytest.mark.parametrize("kind", tuple(MAP_KINDS))
     def test_solve_and_emit_build_no_dense_basis(self, kind, instance, monkeypatch):
         """A verified solve and its JSON read only the sparse RREF rows of the
         space: Subspace.basis, the dense view, is never made."""

@@ -144,11 +144,7 @@ def theorem_layer(build, repeats):
         took, results = _timed(lambda: [(split, inner_biderivation_witness(tri, split.residual, sigma))
                                         for split in (extremal_split(tri, D, sigma) for D in maps)])
         sec = min(sec, took)
-        fmt = tri.field.format
-        reports = [{"corner_value": [fmt(v) for v in split.corner_value], "extremal": split.psi.to_json(),
-                    "residual": split.residual.to_json(),
-                    "witness": None if w is None else {"lambda": [fmt(v) for v in w.lam],
-                                                       "lambda_A": [fmt(v) for v in w.lam_a]}}
+        reports = [{**split.to_json(), "witness": None if w is None else w.to_json(tri.field)}
                    for split, w in results]
         digests.add(hashlib.sha256(canonical_json(reports).encode()).hexdigest())
     return sec, digests.pop() if len(digests) == 1 else None
