@@ -15,8 +15,10 @@ algebra.
 Also here: the sparse product-rule evaluator behind every basis-pair identity
 check, twisted_ad and the (twisted) centers read off it (_center_map), the
 commutator map _bracket_map, annihilators and faithfulness, the faithful quotient,
-nilpotency, the Koethe/Jacobson radical via the trace form, and exhaustive
-idempotent checks over small prime fields.
+nilpotency, the Koethe/Jacobson radical via the trace form (kept in the
+algebra's store), and structure_checks: Condition (I), nondegeneracy and the
+idempotents, exhaustive over F_p^n (enumerated at most once per check, within
+TRIALG_BUDGET, the only budget) and decided by exact criteria otherwise.
 """
 
 from __future__ import annotations
@@ -1224,21 +1226,24 @@ def radical(alg: FinAlgebra) -> Subspace:
     """Largest nil ideal, computed as the trace-form kernel of the left
     regular representation (valid in characteristic 0 or p > dim).
 
-    The result is verified to be a nilpotent two-sided ideal before being
-    returned.
+    The result is verified to be a nilpotent two-sided ideal and kept in
+    alg's store; CharTooSmall is raised on every call.
     """
     p = alg.field.characteristic
     if p != 0 and p <= alg.dim:
         raise CharTooSmall(p, alg.dim)
-    rad = kernel_sparse(alg.field, _trace_form_rows(alg), alg.dim)
-    if not is_ideal(alg, rad):
-        raise TheoremViolation("trace-form kernel is not an ideal")
-    if not is_nilpotent_subspace(alg, rad):
-        raise TheoremViolation("trace-form kernel is not nil")
-    for v in rad.basis:
-        if not nilpotency(alg, v).nilpotent:
-            raise TheoremViolation("radical basis vector is not nilpotent")
-    return rad
+
+    def make():
+        rad = kernel_sparse(alg.field, _trace_form_rows(alg), alg.dim)
+        if not is_ideal(alg, rad):
+            raise TheoremViolation("trace-form kernel is not an ideal")
+        if not is_nilpotent_subspace(alg, rad):
+            raise TheoremViolation("trace-form kernel is not nil")
+        for v in rad.basis:
+            if not nilpotency(alg, v).nilpotent:
+                raise TheoremViolation("radical basis vector is not nilpotent")
+        return rad
+    return derived(alg, "radical", make)
 
 
 def nil_radical_T(tri: TriAlgebra) -> Subspace:
@@ -1274,151 +1279,102 @@ class StructureReport:
     implications: dict | None = None
     notes: list = dc_field(default_factory=list)
 
-    def to_json(self):
-        out = {"mode": self.mode, "verdict": self.verdict, "method": self.method,
-               "notes": list(self.notes)}
-        if self.witness is not None:
-            out["witness"] = [str(v) for v in self.witness]
-        if self.idempotents is not None:
-            out["idempotents"] = [[str(v) for v in e] for e in self.idempotents]
-        if self.implications is not None:
-            out["implications"] = self.implications
-        return out
 
-
-def _enumerate_elements(alg: FinAlgebra, budget: int):
-    p = alg.field.characteristic
+def _enumerate_elements(p: int, dim: int):
+    """Every vector of F_p^dim, in lexicographic order.  Reads
+    enumeration_budget() first; BudgetExceeded over Q or beyond the budget."""
+    budget = enumeration_budget()
     if p == 0:
         raise BudgetExceeded("cannot enumerate an infinite field")
-    count = p ** alg.dim
+    count = p ** dim
     if count > budget:
         raise BudgetExceeded("p^dim = %d exceeds budget %d" % (count, budget))
-    for combo in itertools.product(range(p), repeat=alg.dim):
-        yield tuple(combo)
+    return itertools.product(range(p), repeat=dim)
 
 
-def _all_idempotents(alg: FinAlgebra, budget: int) -> list[tuple]:
-    out = []
-    for x in _enumerate_elements(alg, budget):
-        if alg.mul_vec(x, x) == x:
-            out.append(x)
-    return out
-
-
-def _condition_I_exhaustive(alg: FinAlgebra, budget: int) -> tuple[str, tuple | None]:
-    """Does every idempotent e with eA(1-e) = 0 satisfy (1-e)Ae = 0?"""
-    one = alg.unit
+def _sandwich_zero(alg: FinAlgebra, x, y) -> bool:
+    """x A y = 0: x e_i y vanishes for every basis vector e_i."""
     zero = alg.zero_vector()
-    for e in _all_idempotents(alg, budget):
-        f = alg.sub_vec(one, e)
-        left_dead = all(
-            alg.mul_vec(alg.mul_vec(e, alg.basis_vector(i)), f) == zero for i in range(alg.dim)
-        )
-        if not left_dead:
-            continue
-        right_dead = all(
-            alg.mul_vec(alg.mul_vec(f, alg.basis_vector(i)), e) == zero for i in range(alg.dim)
-        )
-        if not right_dead:
-            return "fails", e
-    return "holds", None
+    return all(alg.mul_vec(alg.mul_vec(x, alg.basis_vector(i)), y) == zero for i in range(alg.dim))
 
 
-def _nondegenerate_exhaustive(alg: FinAlgebra, budget: int) -> tuple[str, tuple | None]:
-    zero = alg.zero_vector()
-    for a in _enumerate_elements(alg, budget):
-        if a == zero:
-            continue
-        if all(alg.mul_vec(alg.mul_vec(a, alg.basis_vector(i)), a) == zero for i in range(alg.dim)):
-            return "fails", a
-    return "holds", None
+def _central_witness(alg: FinAlgebra, idems: list) -> tuple | None:
+    """The first idempotent that is not central, if any."""
+    return next((e for e in idems if not twisted_ad(alg, alg.identity_map(), e).is_zero()), None)
 
 
-def _degeneracy_witness_from_radical(alg: FinAlgebra, rad: Subspace) -> tuple | None:
-    """Nonzero a with aAa = 0, taken from the last nonzero power of the radical."""
+def _nondegenerate_by_radical(alg: FinAlgebra) -> StructureReport:
+    """A zero Koethe radical forces non-degeneracy; a nonzero one gives a
+    witness a with aAa = 0 from its last nonzero power."""
+    try:
+        rad = radical(alg)
+    except CharTooSmall:
+        return StructureReport("nondegenerate", "undecided", "none", notes=["char too small for trace form"])
     if rad.is_zero():
-        return None
-    cur = rad
-    prev = rad
-    for _ in range(alg.dim + 1):
-        nxt = subspace_product(alg, cur, rad)
-        if nxt.is_zero():
-            break
-        prev, cur = cur, nxt
-    a = cur.basis[0] if not cur.is_zero() else prev.basis[0]
-    zero = alg.zero_vector()
-    if all(alg.mul_vec(alg.mul_vec(a, alg.basis_vector(i)), a) == zero for i in range(alg.dim)):
-        return a
-    return None
+        return StructureReport("nondegenerate", "holds", "radical", notes=["radical = 0"])
+    cur = rad  # radical() verified that some power of rad vanishes
+    while not (nxt := subspace_product(alg, cur, rad)).is_zero():
+        cur = nxt
+    a = cur.basis[0]
+    if _sandwich_zero(alg, a, a):
+        return StructureReport("nondegenerate", "fails", "radical", witness=a)
+    return StructureReport("nondegenerate", "undecided", "radical", notes=["nonzero radical but no witness found"])
 
 
-def structure_checks(alg: FinAlgebra, mode: str, budget: int | None = None) -> StructureReport:
+def structure_checks(alg: FinAlgebra, mode: str) -> StructureReport:
     """condition_I | nondegenerate | idempotents | central_idempotents.
 
-    Exhaustive over F_p within the enumeration budget; over Q only exact
-    sufficient criteria run (commutativity, semiprimitivity via the trace
-    form) and everything else is reported undecided.
+    Exhaustive over F_p^dim, enumerated at most once per call within
+    enumeration_budget() (read on every call); over Q or beyond the budget
+    only exact sufficient criteria run (commutativity, semiprimitivity via the
+    trace form) and the rest is undecided, but idempotents raises BudgetExceeded.
     """
-    if budget is None:
-        budget = enumeration_budget()
-    p = alg.field.characteristic
-    exhaustive_ok = p != 0 and p ** alg.dim <= budget
-
-    if mode == "idempotents":
-        idems = _all_idempotents(alg, budget)  # raises BudgetExceeded over Q
-        return StructureReport(mode, "holds", "exhaustive", idempotents=idems)
-
-    if mode == "central_idempotents":
-        if alg.is_commutative():
-            return StructureReport(mode, "holds", "commutative")
-        if exhaustive_ok:
-            for e in _all_idempotents(alg, budget):
-                if not twisted_ad(alg, alg.identity_map(), e).is_zero():
-                    return StructureReport(mode, "fails", "exhaustive", witness=e)
-            return StructureReport(mode, "holds", "exhaustive")
-        return StructureReport(mode, "undecided", "none",
-                               notes=["not commutative and not enumerable"])
+    try:
+        elements = _enumerate_elements(alg.field.characteristic, alg.dim)
+    except BudgetExceeded:
+        if mode == "idempotents":
+            raise
+        elements = None
+    if mode not in ("condition_I", "nondegenerate", "idempotents", "central_idempotents"):
+        raise InputError("unknown structure check mode %r" % (mode,))
 
     if mode == "nondegenerate":
-        if exhaustive_ok:
-            verdict, witness = _nondegenerate_exhaustive(alg, budget)
-            return StructureReport(mode, verdict, "exhaustive", witness=witness)
-        try:
-            rad = radical(alg)
-        except CharTooSmall:
-            return StructureReport(mode, "undecided", "none", notes=["char too small for trace form"])
-        if rad.is_zero():
-            # zero Koethe radical forces non-degeneracy
-            return StructureReport(mode, "holds", "radical", notes=["radical = 0"])
-        witness = _degeneracy_witness_from_radical(alg, rad)
-        if witness is not None:
-            return StructureReport(mode, "fails", "radical", witness=witness)
-        return StructureReport(mode, "undecided", "radical",
-                               notes=["nonzero radical but no witness found"])
+        if elements is None:
+            return _nondegenerate_by_radical(alg)
+        zero = alg.zero_vector()
+        witness = next((a for a in elements if a != zero and _sandwich_zero(alg, a, a)), None)
+        return StructureReport(mode, "holds" if witness is None else "fails", "exhaustive", witness=witness)
 
-    if mode == "condition_I":
-        report = StructureReport(mode, "undecided", "none")
-        if alg.is_commutative():
-            report.verdict, report.method = "holds", "commutative"
-        elif exhaustive_ok:
-            verdict, witness = _condition_I_exhaustive(alg, budget)
-            report.verdict, report.method, report.witness = verdict, "exhaustive", witness
-        else:
-            nondeg = structure_checks(alg, "nondegenerate", budget)
-            if nondeg.verdict == "holds":
-                report.verdict, report.method = "holds", "nondegenerate"
-            else:
-                report.notes.append("no exact sufficient criterion applied")
-        if exhaustive_ok:
-            # verify commutative => central idempotents => Condition (I) on this instance
-            comm = alg.is_commutative()
-            central = structure_checks(alg, "central_idempotents", budget).verdict == "holds"
-            cond = (report.verdict == "holds") if report.method == "exhaustive" \
-                else _condition_I_exhaustive(alg, budget)[0] == "holds"
-            report.implications = {"commutative": comm, "central_idempotents": central,
-                                   "condition_I": cond}
-            if (comm and not central) or (central and not cond):
-                raise TheoremViolation("idempotent implication chain fails on this instance")
-        return report
+    comm = alg.is_commutative()
+    if mode == "central_idempotents" and comm:
+        return StructureReport(mode, "holds", "commutative")
+    idems = None if elements is None else [x for x in elements if alg.mul_vec(x, x) == x]
+    if mode == "idempotents":
+        return StructureReport(mode, "holds", "exhaustive", idempotents=idems)
+    if mode == "central_idempotents":
+        if idems is None:
+            return StructureReport(mode, "undecided", "none", notes=["not commutative and not enumerable"])
+        witness = _central_witness(alg, idems)
+        return StructureReport(mode, "holds" if witness is None else "fails", "exhaustive", witness=witness)
 
-    raise InputError("unknown structure check mode %r" % (mode,))
+    report = StructureReport(mode, "undecided", "none")
+    # the witness: an idempotent e with eA(1-e) = 0 but (1-e)Ae != 0
+    pairs = [(e, alg.sub_vec(alg.unit, e)) for e in idems or ()]
+    witness = next((e for e, f in pairs if _sandwich_zero(alg, e, f) and not _sandwich_zero(alg, f, e)), None)
+    if comm:
+        report.verdict, report.method = "holds", "commutative"
+    elif idems is not None:
+        report.verdict, report.method, report.witness = \
+            "holds" if witness is None else "fails", "exhaustive", witness
+    elif _nondegenerate_by_radical(alg).verdict == "holds":
+        report.verdict, report.method = "holds", "nondegenerate"
+    else:
+        report.notes.append("no exact sufficient criterion applied")
+    if idems is not None:
+        # verify commutative => central idempotents => Condition (I) on this instance
+        central = comm or _central_witness(alg, idems) is None
+        cond = witness is None
+        report.implications = {"commutative": comm, "central_idempotents": central, "condition_I": cond}
+        if (comm and not central) or (central and not cond):
+            raise TheoremViolation("idempotent implication chain fails on this instance")
+    return report

@@ -24,6 +24,7 @@ from .algcore import (
     FinAlgebra,
     SparseTable,
     TriAlgebra,
+    _enumerate_elements,
     _sparse_table,
     annihilators,
     basis_and_pair_sums,
@@ -40,6 +41,7 @@ from .algcore import (
     subspace_product,
 )
 from .errors import (
+    BudgetExceeded,
     CharTooSmall,
     CentralElement,
     NotAutomorphism,
@@ -197,8 +199,7 @@ def inner_biderivation_witness(tri: TriAlgebra, D0: BilinMap, sigma: LinMap,
     return InnerWitness(lam, lam_a)
 
 
-def innerness_hypotheses(tri: TriAlgebra, blocks: AutBlocks,
-                         budget: int | None = None) -> TheoremReport:
+def innerness_hypotheses(tri: TriAlgebra, blocks: AutBlocks) -> TheoremReport:
     """The four innerness hypotheses for corner-vanishing twisted biderivations.
 
     (i) the diagonal projections of the twisted center fill the twisted
@@ -207,8 +208,7 @@ def innerness_hypotheses(tri: TriAlgebra, blocks: AutBlocks,
     reading of the annihilation condition, see notes); (iv) every
     intertwining map on the corner bimodule is of scalar-action form.
     """
-    if budget is None:
-        budget = enumeration_budget()
+    enumeration_budget()  # a malformed TRIALG_BUDGET fails every call, not only the enumerating ones
     report = TheoremReport("inner twisted biderivations")
 
     # (i) projections of the twisted center
@@ -227,7 +227,7 @@ def innerness_hypotheses(tri: TriAlgebra, blocks: AutBlocks,
         "A commutative: %s, B commutative: %s" % (tri.A.is_commutative(), tri.B.is_commutative())))
 
     # (iii) no nonzero twisted-central annihilator
-    report.hypotheses.append(_annihilation_hypothesis(tri, blocks.center, budget))
+    report.hypotheses.append(_annihilation_hypothesis(tri, blocks.center))
 
     # (iv) intertwiners are of scalar-action form
     s1 = _intertwiner_space(tri, blocks)
@@ -246,21 +246,19 @@ def innerness_hypotheses(tri: TriAlgebra, blocks: AutBlocks,
     return report
 
 
-def _annihilation_hypothesis(tri: TriAlgebra, z_sigma: Subspace, budget: int) -> Hypothesis:
-    field = tri.field
+def _annihilation_hypothesis(tri: TriAlgebra, z_sigma: Subspace) -> Hypothesis:
     alg = tri.total
     if z_sigma.dim == 0:
         return Hypothesis("central_annihilation", "pass", "twisted center is zero")
-    p = field.characteristic
+    p = tri.field.characteristic
     if p != 0:
-        count = p ** z_sigma.dim
-        if count > budget:
+        try:
+            combos = _enumerate_elements(p, z_sigma.dim)
+        except BudgetExceeded:
             return Hypothesis("central_annihilation", "undecided",
-                              "span of size %d exceeds budget" % count)
-        for combo in itertools.product(range(p), repeat=z_sigma.dim):
-            if all(c == 0 for c in combo):
-                continue
-            if alg.left_mul_mat(z_sigma.combine(combo)).rank() != alg.dim:
+                              "span of size %d exceeds budget" % p ** z_sigma.dim)
+        for combo in combos:
+            if any(combo) and alg.left_mul_mat(z_sigma.combine(combo)).rank() != alg.dim:
                 return Hypothesis("central_annihilation", "fail",
                                   "lambda with singular left multiplication found")
         return Hypothesis("central_annihilation", "pass",
@@ -894,45 +892,32 @@ def partible_witness(tri: TriAlgebra, sigma: LinMap) -> PartibleWitness | None:
     return PartibleWitness(z, sigma_bar, blocks)
 
 
-def partibility_sufficient(tri: TriAlgebra, budget: int | None = None) -> TheoremReport:
+def partibility_sufficient(tri: TriAlgebra) -> TheoremReport:
     """Certificates that force every automorphism to be partible: an
     idempotent-symmetry corner or a semiprimitive corner.  Never claims
     non-partibility."""
     report = TheoremReport("partibility of the triangular algebra")
-    cond_a = structure_checks(tri.A, "condition_I", budget)
-    cond_b = structure_checks(tri.B, "condition_I", budget)
-    report.hypotheses.append(Hypothesis("condition_I_A", _as_verdict(cond_a.verdict),
-                                        "method: %s" % cond_a.method))
-    report.hypotheses.append(Hypothesis("condition_I_B", _as_verdict(cond_b.verdict),
-                                        "method: %s" % cond_b.method))
-    nil_a = nil_b = None
-    try:
-        nil_a = radical(tri.A).is_zero()
-    except CharTooSmall:
-        pass
-    try:
-        nil_b = radical(tri.B).is_zero()
-    except CharTooSmall:
-        pass
-    report.hypotheses.append(Hypothesis(
-        "nil_radical_A_zero",
-        "pass" if nil_a else ("undecided" if nil_a is None else "fail")))
-    report.hypotheses.append(Hypothesis(
-        "nil_radical_B_zero",
-        "pass" if nil_b else ("undecided" if nil_b is None else "fail")))
-    certs = []
-    if cond_a.verdict == "holds":
-        certs.append("A satisfies the idempotent condition")
-    if cond_b.verdict == "holds":
-        certs.append("B satisfies the idempotent condition")
-    if nil_a:
-        certs.append("A has zero nil radical")
-    if nil_b:
-        certs.append("B has zero nil radical")
+    corners = (("A", tri.A), ("B", tri.B))
+    cond = {name: structure_checks(alg, "condition_I") for name, alg in corners}
+    for name, _ in corners:
+        report.hypotheses.append(Hypothesis("condition_I_" + name, _as_verdict(cond[name].verdict),
+                                            "method: %s" % cond[name].method))
+    nil = {}  # name -> whether the corner's radical is zero; None when it is out of range
+    for name, alg in corners:
+        try:
+            nil[name] = radical(alg).is_zero()
+        except CharTooSmall:
+            nil[name] = None
+        report.hypotheses.append(Hypothesis(
+            "nil_radical_%s_zero" % name,
+            "pass" if nil[name] else ("undecided" if nil[name] is None else "fail")))
+    certs = ["%s satisfies the idempotent condition" % name for name, _ in corners
+             if cond[name].verdict == "holds"]
+    certs += ["%s has zero nil radical" % name for name, _ in corners if nil[name]]
     if certs:
         report.verdict = "partible"
         report.witnesses.extend(certs)
-        if (nil_a or nil_b) and bool(nil_a) != bool(nil_b):
+        if bool(nil["A"]) != bool(nil["B"]):
             # the semiprimitivity certificate is stated one-sided; the
             # alternative argument via the corner nil radical needs both
             # sides, so record which reading is in force

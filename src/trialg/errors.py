@@ -114,7 +114,7 @@ class NotMPreserving(TrialgError):
 class NotBlockPreserving(TrialgError):
     """Automorphism does not preserve the three Peirce blocks.
 
-    Carries ``(block, index, image)`` for the first offending basis vector.
+    The message names the first offending basis vector, its block and its image.
     """
 
 

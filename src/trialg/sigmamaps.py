@@ -551,10 +551,12 @@ def block_decompose(tri: TriAlgebra, sigma: LinMap) -> AutBlocks:
     def make():
         if not automorphism_verdict(tri.total, sigma).holds:
             raise NotAutomorphism("block decomposition needs an automorphism")
+        t = tri.total
         for name, rng in (("A", tri.range_a), ("M", tri.range_m), ("B", tri.range_b)):
             for j in rng:
                 if any(k not in rng for k, _ in sigma.columns[j]):
-                    raise NotBlockPreserving((name, j, sigma.image_of_basis(j)))
+                    raise NotBlockPreserving("sigma maps basis vector %d (%r) of block %s to %s, outside %s" % (
+                        j, t.basis_names[j], name, t.format_vector(sigma.image_of_basis(j)), name))
         blocks = AutBlocks(tri, block_of(tri, sigma, "A", "A"), block_of(tri, sigma, "B", "B"),
                            block_of(tri, sigma, "M", "M"), sigma)
         blocks.verify()

@@ -509,6 +509,28 @@ class TestPartibilitySufficient:
         rep = partibility_sufficient(tri)
         assert rep.verdict == "partible"
 
+    def test_each_fact_computed_once(self, monkeypatch):
+        """Condition (I) draws each element of F_p^n once (its verdict and the
+        implication chain read one idempotent list), and partibility over Q
+        makes one radical per corner, though Condition (I) of the
+        noncommutative corner of F3 asks for it too."""
+        from trialg import algcore
+        from trialg.fixtures import fixture_f3
+
+        drawn, enumerate_elements = [], algcore._enumerate_elements
+        monkeypatch.setattr(algcore, "_enumerate_elements",
+                            lambda *args: (drawn.append(x) or x for x in enumerate_elements(*args)))
+        for field, n in ((GF(2), 2), (GF(3), 3)):
+            alg = upper_triangular_algebra(field, n)
+            drawn.clear()
+            assert structure_checks(alg, "condition_I").verdict == "fails"
+            assert len(drawn) == field.characteristic ** alg.dim
+        trace_forms, trace_form_rows = [], algcore._trace_form_rows
+        monkeypatch.setattr(algcore, "_trace_form_rows", lambda alg: trace_forms.append(alg) or trace_form_rows(alg))
+        f3 = fixture_f3()
+        assert partibility_sufficient(f3).verdict == "partible"
+        assert trace_forms == [f3.A, f3.B]
+
 
 class TestCommutingAutomorphism:
     def test_identity(self, f1):

@@ -312,7 +312,7 @@ class TestParserReuse:
 
 
 NOT_BLOCK_PRESERVING = ("NotBlockPreserving",
-                        "('A', 0, (Fraction(1, 1), Fraction(1, 1), Fraction(0, 1)))")
+                        "sigma maps basis vector 0 ('1') of block A to 1 + m, outside A")
 NOT_TRIANGULAR = ("InputError", "triangular file misses 'A'")
 
 
@@ -566,6 +566,46 @@ class TestBudgetOverride:
             structure_checks(upper_triangular_algebra(GF(2), 2), "idempotents")
         monkeypatch.delenv("TRIALG_BUDGET")
         assert enumeration_budget() == 10 ** 6
+
+    def test_malformed_budget_fails_every_check(self, f1_dir, tmp_path, monkeypatch):
+        """A TRIALG_BUDGET that is not an integer is an input error of partible
+        over Q (F1, whose corners need no enumeration) and over F_5 (F4), and
+        of inner-witness, read before any check decides."""
+        from trialg.fixtures import fixture_f1, lambda1, sigma1
+        from trialg.io import canonical_json
+        from trialg.spaces import inner_sigma_biderivation
+
+        f1 = fixture_f1()
+        bid_path = tmp_path / "delta.json"
+        bid_path.write_text(canonical_json(inner_sigma_biderivation(f1, lambda1(f1), sigma1(f1)).to_json()))
+        assert run_cli(["fixtures", "emit", "F4", str(tmp_path / "f4")])[0] == 0
+        monkeypatch.setenv("TRIALG_BUDGET", "abc")
+        T1 = str(f1_dir / "T.json")
+        for argv in (["partible", T1], ["partible", str(tmp_path / "f4" / "T.json")],
+                     ["inner-witness", T1, "--sigma", str(f1_dir / "sigma1.json"), "--bid", str(bid_path)]):
+            code, out, _ = run_cli(argv)
+            assert code == 1, argv
+            assert json.loads(out)["error"] == {"type": "InputError",
+                                                "message": "TRIALG_BUDGET must be an integer, got 'abc'"}
+
+    def test_budget_of_one(self, monkeypatch):
+        """Beyond the budget Condition (I) on UT_2(F_2) falls back to
+        nondegeneracy, which the trace form cannot decide in characteristic 2,
+        and F4's central-annihilation hypothesis is undecided."""
+        from trialg.algcore import structure_checks
+        from trialg.classify import innerness_hypotheses
+        from trialg.exactla import GF
+        from trialg.fixtures import fixture_f4, upper_triangular_algebra
+        from trialg.sigmamaps import block_decompose
+
+        monkeypatch.setenv("TRIALG_BUDGET", "1")
+        rep = structure_checks(upper_triangular_algebra(GF(2), 2), "condition_I")
+        assert (rep.verdict, rep.method, rep.witness, rep.implications, rep.notes) == \
+            ("undecided", "none", None, None, ["no exact sufficient criterion applied"])
+        f4 = fixture_f4()
+        hyp = innerness_hypotheses(f4, block_decompose(f4, f4.total.identity_map())).hypotheses[2]
+        assert (hyp.name, hyp.verdict, hyp.evidence) == \
+            ("central_annihilation", "undecided", "span of size 5 exceeds budget")
 
 
 class TestTriangularBuild:

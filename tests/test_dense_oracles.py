@@ -39,7 +39,13 @@ The reduction of a pair of twists (alpha, beta) to the one twist
 sigma = alpha^{-1} beta, through which the tests decide every (alpha, beta)
 identity (_reduce, _reduced), is checked against the (alpha, beta) identities
 evaluated with mul_vec and apply on every basis pair, single, pair sum and
-triple, over Q and F_5."""
+triple, over Q and F_5.
+
+structure_checks, in all four modes, is checked against a brute force over
+F_p^n with dense products on every corner of instance_catalog and on the
+exterior algebra on two generators over F_2, F_3 and F_5, and on UT_2 and
+UT_3 over F_2 and F_3: the verdict, the method, the first witness, the
+implication chain and the idempotent list."""
 
 import itertools
 import random
@@ -50,7 +56,7 @@ import pytest
 
 from trialg.algcore import (Bimodule, FinAlgebra, SparseTable, _associativity_failure, _bracket_map, _trace_form_rows,
                             annihilators, build_triangular, center_direct, center_T, coupling_rows, nil_radical_T,
-                            project_subspace, radical, sigma_center_direct, twisted_ad, unit_m)
+                            project_subspace, radical, sigma_center_direct, structure_checks, twisted_ad, unit_m)
 from trialg.classify import _commutator_span, endo_blocks, extremal_split, ideal_split, inner_biderivation_witness
 from trialg.errors import CentralElement, CharTooSmall, NotBlockPreserving, NotInvertible, PreconditionFails
 from trialg.exactla import (GF, QQ, LinMap, Subspace, derived, integer_form, kernel_basis, kernel_sparse, rref,
@@ -1003,3 +1009,77 @@ def test_alpha_beta_reduction_against_dense_evaluation(field):
                         assert (v.witness.indices, v.witness.element) == ref, (name, kind)
                     outcomes.add((kind, v.holds))
     assert len(outcomes) == 6
+
+
+def _dense_structure_reports(alg) -> dict:
+    """(verdict, method, witness, implications, idempotents) of each
+    structure_checks mode, by a brute force over F_p^n whose products are
+    read off the dense structure constants c[i][j][k]."""
+    field, n = alg.field, alg.dim
+    add, sub, mul, zero = field.add, field.sub, field.mul, field.zero
+    c = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k, v in alg._pairs[i][j]:
+                c[i][j][k] = v
+
+    def prod(x, y):
+        out = [zero] * n
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                if a and b:
+                    ab = mul(a, b)
+                    out = [add(o, mul(ab, c[i][j][k])) for k, o in enumerate(out)]
+        return tuple(out)
+
+    basis = [tuple(field.one if k == i else zero for k in range(n)) for i in range(n)]
+    null = tuple([zero] * n)
+    kills = lambda x, y: all(prod(prod(x, e), y) == null for e in basis)  # x A y = 0
+    elements = list(itertools.product(range(field.characteristic), repeat=n))
+    idems = [x for x in elements if prod(x, x) == x]
+    comm = all(prod(a, b) == prod(b, a) for a in basis for b in basis)
+    central = next((e for e in idems if any(prod(e, b) != prod(b, e) for b in basis)), None)
+    cond = next((e for e in idems if kills(e, tuple(map(sub, alg.unit, e)))
+                 and not kills(tuple(map(sub, alg.unit, e)), e)), None)
+    degenerate = next((a for a in elements if a != null and kills(a, a)), None)
+    verdict = lambda w: "holds" if w is None else "fails"
+    chain = {"commutative": comm, "central_idempotents": comm or central is None, "condition_I": cond is None}
+    return {
+        "idempotents": ("holds", "exhaustive", None, None, idems),
+        "central_idempotents": ("holds", "commutative", None, None, None) if comm
+        else (verdict(central), "exhaustive", central, None, None),
+        "nondegenerate": (verdict(degenerate), "exhaustive", degenerate, None, None),
+        "condition_I": (("holds", "commutative", None) if comm else (verdict(cond), "exhaustive", cond))
+        + (chain, None),
+    }
+
+
+def _exterior_algebra(field) -> FinAlgebra:
+    """The exterior algebra on x and y (basis 1, x, y, xy; yx = -xy), which
+    is noncommutative when p != 2 and whose only idempotents, 0 and 1, are
+    central."""
+    mul = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    for i in range(4):
+        mul[0][i][i] = mul[i][0][i] = 1
+    mul[1][2][3], mul[2][1][3] = 1, -1
+    return FinAlgebra(field, mul, [1, 0, 0, 0], ["1", "x", "y", "xy"])
+
+
+@pytest.mark.parametrize("field", [GF(5), GF(3), GF(2)], ids=str)
+def test_structure_checks_against_brute_force(field):
+    algebras = [alg for _, make in instance_catalog(field) for tri in (make(),) for alg in (tri.A, tri.B)]
+    algebras.append(_exterior_algebra(field))
+    if field.characteristic < 5:
+        algebras += [upper_triangular_algebra(field, 2), upper_triangular_algebra(field, 3)]
+    seen = set()
+    for alg in algebras:
+        for mode, expected in _dense_structure_reports(alg).items():
+            rep = structure_checks(alg, mode)
+            assert (rep.verdict, rep.method, rep.witness, rep.implications, rep.idempotents) == expected, mode
+            seen.add((mode, rep.verdict, rep.method))
+    # both verdicts of every exhaustive check (over F_2 the exterior algebra is
+    # commutative, and no noncommutative algebra here passes), and the commutative shortcut
+    verdicts = ("holds", "fails") if field.characteristic != 2 else ("fails",)
+    assert {(mode, verdict, "exhaustive") for mode in ("condition_I", "central_idempotents") for verdict in verdicts} \
+        | {("nondegenerate", "holds", "exhaustive"), ("nondegenerate", "fails", "exhaustive"),
+           ("condition_I", "holds", "commutative")} <= seen

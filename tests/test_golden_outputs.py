@@ -247,6 +247,45 @@ def test_cli_result_digest(cli_inputs, command, name, sig_name):
 
 
 # ---------------------------------------------------------------------------
+# partibility and innerness reports over the instance catalog
+# ---------------------------------------------------------------------------
+#
+# Each digest is taken over ``io.canonical_json`` of the list of to_json()
+# reports, one per instance_catalog entry in catalog order, of
+# partibility_sufficient(tri) or of innerness_hypotheses at the identity
+# twist.  Over the four fields the central-annihilation hypothesis passes,
+# fails and is undecided (over Q, on a twisted center of dim > 1).
+
+REPORT_GOLDEN = {
+    ("partibility", "F2"): "3ee40b6f890b8a989c587fac19a57b77ef559c6fcdfaa9cd318e28d1d8d8dfe8",
+    ("partibility", "F3"): "56a478aeb836da8991c6c19426a6e37efed87b58682df208b7f20944b67b9fac",
+    ("partibility", "F5"): "1f82cc423a034764f76012985f6cdc08d7d154ec35c8ce36a5f3265ca84661eb",
+    ("partibility", "Q"): "71db678c8ec1c7f8d12db86fdb50bff82861e1eb220990663d4dda5d45666fbf",
+    ("innerness", "F2"): "9f666654396dc421b6808f38342af994cf889faadcad5ba2d1343ac46c591120",
+    ("innerness", "F3"): "e5a0ccfdedf0eac4d38f8dace202d7afa1510c48e582f5fd6a3a9ab3057361d2",
+    ("innerness", "F5"): "9554c595d9fe0fb43c01bd03879249cbbca20f49f2061f990d6e5c9d69899b60",
+    ("innerness", "Q"): "25cccf240399a69649744a57c0d6061ccb1a6930ed2d8281601154d99974df4f",
+}
+REPORT_FIELDS = {"F2": GF(2), "F3": GF(3), "F5": GF(5), "Q": QQ}
+
+
+@pytest.mark.parametrize("report,field_name", sorted(REPORT_GOLDEN))
+def test_catalog_report_digest(report, field_name):
+    from trialg.classify import innerness_hypotheses, partibility_sufficient
+    from trialg.randomgen import instance_catalog
+    from trialg.sigmamaps import block_decompose
+
+    reports = []
+    for _, make in instance_catalog(REPORT_FIELDS[field_name]):
+        tri = make()
+        rep = partibility_sufficient(tri) if report == "partibility" else \
+            innerness_hypotheses(tri, block_decompose(tri, tri.total.identity_map()))
+        reports.append(rep.to_json())
+    digest = hashlib.sha256(io.canonical_json(reports).encode("utf-8")).hexdigest()
+    assert digest == REPORT_GOLDEN[(report, field_name)]
+
+
+# ---------------------------------------------------------------------------
 # demo scripts
 # ---------------------------------------------------------------------------
 #
