@@ -15,7 +15,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "exactla": ("GF", "LinMap", "QQ", "Subspace", "kernel_basis", "rref", "span_coefficients"),
+    "exactla": ("GF", "LinMap", "QQ", "Subspace", "rref", "span_coefficients"),
     "algcore": ("Bimodule", "FinAlgebra", "TriAlgebra", "annihilators", "build_triangular",
                 "center_T", "center_direct", "faithful_quotient", "nil_radical_T", "nilpotency",
                 "nilpotency_T", "radical", "structure_checks", "tau_iso"),

@@ -19,6 +19,11 @@ nilpotency, the Koethe/Jacobson radical via the trace form (kept in the
 algebra's store), and structure_checks: Condition (I), nondegeneracy and the
 idempotents, exhaustive over F_p^n (enumerated at most once per check, within
 TRIALG_BUDGET, the only budget) and decided by exact criteria otherwise.
+
+Every subspace is built from sparse rows: block_span moves rows of A, M's
+unit rows and rows of B into their blocks of T (rad(A) + M + rad(B), the
+annihilator checks), diagonal_pairs and project_subspace re-index kernel
+rows, and is_ideal is one inclusion of the columns of L_v and R_v.
 """
 
 from __future__ import annotations
@@ -59,7 +64,6 @@ from .exactla import (
     kernel_sparse,
     nonzero_rows,
     span_coefficients,
-    sparse_span_coefficients,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -513,8 +517,7 @@ class FinAlgebra:
 
     def invert(self, x) -> tuple:
         """Two-sided inverse of x, or NotInvertible: x y = 1 solved on the columns of L_x, then y x = 1 checked."""
-        y = sparse_span_coefficients(self.field, [(col,) for col in self.left_mul_mat(x).columns],
-                                     (_sparse(self.unit),))
+        y = span_coefficients(self.field, [(col,) for col in self.left_mul_mat(x).columns], (_sparse(self.unit),))
         if y is None or self.mul_vec(y, x) != self.unit:
             raise NotInvertible("element has no inverse")
         return y
@@ -765,34 +768,25 @@ class TriAlgebra:
     def part_b(self, x) -> tuple:
         return tuple(x[i] for i in self.range_b)
 
-    def embed_a(self, a) -> tuple:
+    def assemble(self, a, m, b) -> tuple:
+        """The element a + m + b from coordinates (input values) in A, M and B."""
         v = list(self.total.zero_vector())
-        for i, c in zip(self.range_a, a):
-            v[i] = self.field.coerce(c)
+        for block, part in ((self.range_a, a), (self.range_m, m), (self.range_b, b)):
+            for i, c in zip(block, part):
+                v[i] = self.field.coerce(c)
         return tuple(v)
+
+    def embed_a(self, a) -> tuple:
+        return self.assemble(a, (), ())
 
     def embed_m(self, m) -> tuple:
-        v = list(self.total.zero_vector())
-        for i, c in zip(self.range_m, m):
-            v[i] = self.field.coerce(c)
-        return tuple(v)
+        return self.assemble((), m, ())
 
     def embed_b(self, b) -> tuple:
-        v = list(self.total.zero_vector())
-        for i, c in zip(self.range_b, b):
-            v[i] = self.field.coerce(c)
-        return tuple(v)
-
-    def assemble(self, a, m, b) -> tuple:
-        v = list(self.embed_a(a))
-        for i, c in zip(self.range_m, m):
-            v[i] = self.field.coerce(c)
-        for i, c in zip(self.range_b, b):
-            v[i] = self.field.coerce(c)
-        return tuple(v)
+        return self.assemble((), (), b)
 
     def subspace_m(self) -> Subspace:
-        return Subspace.from_vectors(self.field, self.dim, [self.total.basis_vector(i) for i in self.range_m])
+        return block_span(self, (), True, ())
 
     # -- bimodule actions inside the blocks ----------------------------------
 
@@ -935,14 +929,24 @@ def coupling_rows(tri: TriAlgebra, m, nu_m) -> list:
     return [row for row in LinMap._trusted(tri.field, cols, tri.M.dim_m)._sparse_rows() if row]
 
 
+def block_span(tri: TriAlgebra, rows_a, with_m: bool, rows_b) -> Subspace:
+    """The span in the total algebra of sparse rows in A-coordinates, of M
+    (its unit rows) when with_m, and of sparse rows in B-coordinates, each
+    row moved into its block of coordinates."""
+    one, off_b = tri.field.one, tri.A.dim + tri.M.dim_m
+    rows = [dict(row) for row in rows_a]
+    rows += [{i: one} for i in tri.range_m] if with_m else []
+    rows += [{off_b + k: c for k, c in row} for row in rows_b]
+    return Subspace._from_rows(tri.field, tri.dim, rows)
+
+
 def diagonal_pairs(tri: TriAlgebra, rows) -> Subspace:
     """Kernel of sparse rows over the pair unknowns (a, b), embedded as a + b
-    in the total algebra."""
-    field = tri.field
-    da = tri.A.dim
-    pairs = kernel_sparse(field, rows, da + tri.B.dim)
-    zm = [field.zero] * tri.M.dim_m
-    return Subspace.from_vectors(field, tri.dim, [tri.assemble(v[:da], zm, v[da:]) for v in pairs.basis])
+    in the total algebra: each kernel row with its b-part moved past M."""
+    da, dm = tri.A.dim, tri.M.dim_m
+    pairs = kernel_sparse(tri.field, rows, da + tri.B.dim)
+    return Subspace._from_rows(tri.field, tri.dim, ({k if k < da else k + dm: c for k, c in row}
+                                                    for row in pairs.rows))
 
 
 def sigma_center_direct(alg: FinAlgebra, sigma: LinMap) -> Subspace:
@@ -1018,11 +1022,9 @@ def annihilators(tri: TriAlgebra) -> AnnihilatorReport:
     rann = _annihilator(field, t._pairs.transpose(), t.dim, tri.range_m)
     report = AnnihilatorReport(L, R, lann, rann, L.is_zero(), R.is_zero())
     if report.left_faithful and report.right_faithful and dm > 0:
-        mb = Subspace.from_vectors(field, t.dim, [t.basis_vector(i) for i in list(tri.range_m) + list(tri.range_b)])
-        am = Subspace.from_vectors(field, t.dim, [t.basis_vector(i) for i in list(tri.range_a) + list(tri.range_m)])
-        if lann != mb:
+        if lann != block_span(tri, (), True, Subspace.full(field, tri.B.dim).rows):
             raise TheoremViolation("left annihilator of a faithful corner bimodule must be M + B")
-        if rann != am:
+        if rann != block_span(tri, Subspace.full(field, tri.A.dim).rows, True, ()):
             raise TheoremViolation("right annihilator of a faithful corner bimodule must be A + M")
     return report
 
@@ -1047,10 +1049,10 @@ class SubspaceMap:
 
 
 def project_subspace(sub: Subspace, indices) -> Subspace:
-    """Coordinate projection of a subspace onto the listed positions."""
-    indices = list(indices)
-    vecs = [tuple(v[i] for i in indices) for v in sub.basis]
-    return Subspace.from_vectors(sub.field, len(indices), vecs)
+    """Coordinate projection of a subspace onto the listed positions: each
+    row with its entries there moved to their places in the list."""
+    at = {i: t for t, i in enumerate(indices)}
+    return Subspace._from_rows(sub.field, len(at), ({at[k]: c for k, c in row if k in at} for row in sub.rows))
 
 
 def eta_from_center(tri: TriAlgebra, z: Subspace, projections: tuple, nu: LinMap) -> SubspaceMap:
@@ -1059,15 +1061,17 @@ def eta_from_center(tri: TriAlgebra, z: Subspace, projections: tuple, nu: LinMap
     (pi_A(Z), pi_B(Z)).  Verified as L_eta(b) = R_b o nu for every basis
     vector b of pi_B(Z), and for bijectivity.
     """
-    field = tri.field
+    field, da, off_b = tri.field, tri.A.dim, tri.A.dim + tri.M.dim_m
     pa, pb = projections
-    b_parts = [tri.part_b(v) for v in z.basis]
+    # the corner parts of the rows of Z, each in its corner's coordinates
+    parts_a = LinMap._trusted(field, (tuple(e for e in row if e[0] < da) for row in z.rows), da)
+    parts_b = [(tuple((k - off_b, c) for k, c in row if k >= off_b),) for row in z.rows]
     cols = []
-    for u in pb.basis:
-        coeffs = span_coefficients(field, b_parts, u)
+    for u in pb.rows:
+        coeffs = span_coefficients(field, parts_b, (u,))
         if coeffs is None:
             raise TheoremViolation("projection of the twisted center is inconsistent")
-        cols.append(pa.coords(tri.part_a(z.combine(coeffs))))
+        cols.append(pa.coords(parts_a.apply(coeffs)))
     eta = SubspaceMap(pb, pa, LinMap._trusted(field, map(_sparse, cols), pa.dim))
     for u in pb.basis:
         if tri.left_action(eta.apply_ambient(u)) != tri.right_action(u).compose(nu):
@@ -1102,12 +1106,9 @@ def quotient_algebra(alg: FinAlgebra, ideal: Subspace) -> tuple[FinAlgebra, LinM
     keep = [i for i in range(n) if i not in piv]
 
     def reduce_vec(entries) -> tuple:
-        """The quotient coordinates of the vector with these nonzero (k, c)."""
-        v = [field.zero] * n
-        for k, c in entries:
-            v[k] = c
-        v = ideal.residual(v)
-        return tuple(v[i] for i in keep)
+        """The quotient coordinates of the vector with these (k, c)."""
+        v = ideal.reduce(entries)
+        return tuple(v.get(i, field.zero) for i in keep)
 
     pairs = alg._pairs
     table = _sparse_table((reduce_vec(pairs[i][j]) for j in keep) for i in keep)
@@ -1175,19 +1176,19 @@ def nilpotency_T(tri: TriAlgebra, x) -> NilpotencyResult:
 
 
 def subspace_product(alg: FinAlgebra, u: Subspace, v: Subspace) -> Subspace:
-    vecs = [alg.mul_vec(x, y) for x in u.basis for y in v.basis]
-    return Subspace.from_vectors(alg.field, alg.dim, vecs)
+    """The span of the products x y, x in u and y in v: the columns of
+    L_x o the inclusion of v, for x over the basis of u."""
+    incl = v.inclusion()
+    return Subspace._from_rows(alg.field, alg.dim, (dict(col) for x in u.basis
+                                                    for col in alg.left_mul_mat(x).compose(incl).columns))
 
 
 def is_ideal(alg: FinAlgebra, sub: Subspace) -> bool:
-    for i in range(alg.dim):
-        ei = alg.basis_vector(i)
-        for v in sub.basis:
-            if not sub.contains_vector(alg.mul_vec(ei, v)):
-                return False
-            if not sub.contains_vector(alg.mul_vec(v, ei)):
-                return False
-    return True
+    """e_i v and v e_i lie in sub for every basis vector v of sub and every i:
+    sub holds the columns of L_v and of R_v."""
+    n, right = alg.dim, alg._pairs.transpose()
+    return all(sub.holds(alg.left_mul_mat(v).columns) and sub.holds(_mul_map(alg.field, right, v, n, n).columns)
+               for v in sub.basis)
 
 
 def is_nilpotent_subspace(alg: FinAlgebra, sub: Subspace) -> bool:
@@ -1250,11 +1251,7 @@ def nil_radical_T(tri: TriAlgebra) -> Subspace:
     """Koethe radical of the triangular algebra: rad(A) + M + rad(B)."""
     rad_a = radical(tri.A)
     rad_b = radical(tri.B)
-    t = tri.total
-    vecs = [tri.embed_a(v) for v in rad_a.basis]
-    vecs += [t.basis_vector(i) for i in tri.range_m]
-    vecs += [tri.embed_b(v) for v in rad_b.basis]
-    out = Subspace.from_vectors(tri.field, tri.dim, vecs)
+    out = block_span(tri, rad_a.rows, True, rad_b.rows)
     if rad_a.is_zero() and rad_b.is_zero():
         m_block = tri.subspace_m()
         if out != m_block:

@@ -12,6 +12,11 @@ system solves on the columns of L_z o [., .], z in the twisted center, and
 Z_sigma, its projections, the corner twisted centers and eta are read off the
 AutBlocks of sigma, made once per (T, sigma), and every bimodule action off
 the action maps of TriAlgebra.
+Every subspace is built from sparse rows (the corner-kernel ideals by
+algcore.block_span, f(ker g) as the image of f o the inclusion of ker g); a
+value space is one inclusion of all columns of a map (Subspace.holds), and
+the direct properness solve runs on the columns of L_z and Theta reduced
+against Z_sigma.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .algcore import (
     _sparse_table,
     annihilators,
     basis_and_pair_sums,
+    block_span,
     build_triangular,
     coupling_rows,
     diagonal_pairs,
@@ -54,7 +60,7 @@ from .errors import (
     PreconditionFails,
     TheoremViolation,
 )
-from .exactla import IntegerRows, Subspace, kernel_sparse, span_coefficients, sparse_span_coefficients
+from .exactla import IntegerRows, Subspace, kernel_sparse, span_coefficients
 from .sigmamaps import (
     AutBlocks,
     BilinMap,
@@ -179,7 +185,7 @@ def inner_biderivation_witness(tri: TriAlgebra, D0: BilinMap, sigma: LinMap,
     # L_z o [., .] for z in the twisted center: column i*n + j is entry [i][j] of D0's table
     brackets = alg.bracket_map()
     gens = [alg.left_mul_mat(z).compose(brackets).columns for z in z_sigma.basis]
-    coeffs = sparse_span_coefficients(field, gens, itertools.chain(*D0.table))
+    coeffs = span_coefficients(field, gens, itertools.chain(*D0.table))
     if coeffs is None:
         if hypotheses is not None and hypotheses.all_pass():
             raise TheoremViolation("hypotheses verified but a corner-vanishing twisted "
@@ -288,11 +294,14 @@ def _intertwiner_space(tri: TriAlgebra, blocks: AutBlocks) -> Subspace:
 
 def _scalar_action_space(tri: TriAlgebra, blocks: AutBlocks) -> Subspace:
     """Span of the maps L_lam0 (m -> lam0 m) and R_mu0 o nu (m -> nu(m) mu0)
-    for lam0 in Z_f(A) and mu0 in Z_g(B)."""
+    for lam0 in Z_f(A) and mu0 in Z_g(B), flattened as _intertwiner_space
+    (entry [k][j] at k*dim M + j) from their columns."""
     zfa, zgb = blocks.corner_centers
+    dm = tri.M.dim_m
     gens = [tri.left_action(lam0) for lam0 in zfa.basis]
     gens += [tri.right_action(mu0).compose(blocks.nu) for mu0 in zgb.basis]
-    return Subspace.from_vectors(tri.field, tri.M.dim_m ** 2, [g.flatten() for g in gens])
+    return Subspace._from_rows(tri.field, dm * dm, ({k * dm + j: c for j, col in enumerate(g.columns) for k, c in col}
+                                                    for g in gens))
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +351,7 @@ def commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks
 
 def _verify_commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks,
                              cb: CommutingBlocks):
-    field = tri.field
-    da, dm, db = tri.A.dim, tri.M.dim_m, tri.B.dim
+    field, dm = tri.field, tri.M.dim_m
     nu = blocks.nu
     left, right = tri.M._left_pairs, tri.M._right_pairs
     right_t = right.transpose()
@@ -360,19 +368,11 @@ def _verify_commuting_blocks(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks,
         raise TheoremViolation("Theta(B) has a nonzero M-part")
     if block_of(tri, theta, "M", "M") != mblock:
         raise TheoremViolation("M-block of Theta differs from its closed form")
-    # value spaces
+    # value spaces: each twisted center holds all columns of its blocks
     zfa, zgb = blocks.corner_centers
-    for j in range(dm):
-        if not zfa.contains_vector(cb.delta2.image_of_basis(j)):
-            raise TheoremViolation("delta2 does not map into the twisted center of A")
-        if not zgb.contains_vector(cb.mu2.image_of_basis(j)):
-            raise TheoremViolation("mu2 does not map into the twisted center of B")
-    for j in range(da):
-        if not zgb.contains_vector(cb.mu1.image_of_basis(j)):
-            raise TheoremViolation("mu1 does not map into the twisted center of B")
-    for j in range(db):
-        if not zfa.contains_vector(cb.delta3.image_of_basis(j)):
-            raise TheoremViolation("delta3 does not map into the twisted center of A")
+    for name, center, corner in (("delta2", zfa, "A"), ("mu2", zgb, "B"), ("mu1", zgb, "B"), ("delta3", zfa, "A")):
+        if not center.holds(getattr(cb, name).columns):
+            raise TheoremViolation("%s does not map into the twisted center of %s" % (name, corner))
     # (i), (ii): corner commuting conditions
     if not classify_linear("sigma_commuting", tri.A, cb.delta1, blocks.f).holds:
         raise TheoremViolation("delta1 is not twisted-commuting on A")
@@ -432,20 +432,16 @@ def properness(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks) -> PropernessR
     z_sigma, eta = blocks.center, blocks.eta
     pa, pb = blocks.projections
     dm = tri.M.dim_m
-
-    def diag_in_center(j: int) -> bool:
-        vec = tri.assemble(cb.delta2.image_of_basis(j), [field.zero] * dm, cb.mu2.image_of_basis(j))
-        return z_sigma.contains_vector(vec)
-
-    diag_ok = all(diag_in_center(j) for j in range(dm))
+    off_b = tri.A.dim + dm
+    # diag(delta2, mu2): column j is delta2(m_j) + mu2(m_j), the B-part moved past M
+    diag_ok = z_sigma.holds(d + tuple((off_b + k, c) for k, c in m)
+                            for d, m in zip(cb.delta2.columns, cb.mu2.columns))
     # criterion on unit images
     d1_one = cb.delta1.apply(tri.A.unit)
     mu1_one = cb.mu1.apply(tri.A.unit)
     crit_iii = pa.contains_vector(d1_one) and pb.contains_vector(mu1_one) and diag_ok
     # criterion on full corner images
-    crit_ii = (all(pb.contains_vector(cb.mu1.image_of_basis(j)) for j in range(tri.A.dim))
-               and all(pa.contains_vector(cb.delta3.image_of_basis(j)) for j in range(tri.B.dim))
-               and diag_ok)
+    crit_ii = pb.holds(cb.mu1.columns) and pa.holds(cb.delta3.columns) and diag_ok
     # direct solve for lambda with Theta - lambda . ( ) twisted-central-valued
     direct = _direct_proper_solve(tri, theta, z_sigma)
     verdicts = {"unit_criterion": crit_iii, "image_criterion": crit_ii,
@@ -470,25 +466,23 @@ def properness(tri: TriAlgebra, theta: LinMap, blocks: AutBlocks) -> PropernessR
         raise TheoremViolation("constructed lambda is not twisted-central")
     lam_mul = alg.left_mul_mat(lam)
     omega = theta - lam_mul
-    for j in range(alg.dim):
-        if not z_sigma.contains_vector(omega.image_of_basis(j)):
-            raise TheoremViolation("remainder map is not twisted-central-valued")
+    if not z_sigma.holds(omega.columns):
+        raise TheoremViolation("remainder map is not twisted-central-valued")
     return PropernessResult(True, ProperWitness(lam, omega), None, verdicts)
 
 
 def _direct_proper_solve(tri: TriAlgebra, theta: LinMap, z_sigma: Subspace) -> tuple | None:
     """Find lambda in the twisted center with Theta(e_j) - lambda e_j in it for all j.
 
-    Membership is imposed through the residual against the center subspace,
-    which is linear and vanishes exactly on it, so the system stays linear in
-    the center coordinates of lambda.
+    Membership is imposed through the reduction against the center subspace
+    (Subspace.reduce), which is linear and vanishes exactly on it, so the
+    system stays linear in the center coordinates of lambda: block j of each
+    vector is the reduced column j of L_z, z over the basis of the center, and
+    of Theta.
     """
-    alg = tri.total
-    res = z_sigma.residual
-    basis = [alg.basis_vector(j) for j in range(alg.dim)]
-    gens = [[c for ej in basis for c in res(alg.mul_vec(z, ej))] for z in z_sigma.basis]
-    target = [c for j in range(alg.dim) for c in res(theta.image_of_basis(j))]
-    return span_coefficients(tri.field, gens, target)
+    reduce = z_sigma.reduce
+    gens = [[reduce(col).items() for col in tri.total.left_mul_mat(z).columns] for z in z_sigma.basis]
+    return span_coefficients(tri.field, gens, [reduce(col).items() for col in theta.columns])
 
 
 def properness_sufficiency(tri: TriAlgebra, blocks: AutBlocks) -> TheoremReport:
@@ -675,10 +669,6 @@ class MonoEpiReport:
         return dict(vars(self))
 
 
-def _image_of_subspace(f: LinMap, sub: Subspace, dst_dim: int) -> Subspace:
-    return Subspace.from_vectors(f.field, dst_dim, [f.apply(v) for v in sub.basis])
-
-
 def endo_mono_epi(tri: TriAlgebra, eb: EndoBlocks, phi: LinMap) -> MonoEpiReport:
     """Kernel/image criteria for injectivity and surjectivity, cross-checked
     against the rank of the full matrix.
@@ -697,10 +687,11 @@ def endo_mono_epi(tri: TriAlgebra, eb: EndoBlocks, phi: LinMap) -> MonoEpiReport
     m3 = eb.gamma1.kernel().intersect(eb.gamma3.kernel()).is_zero()
     mono = m1 and m2 and m3
     e1 = eb.h.rank() == tri.M.dim_m
-    chi1_ker3 = _image_of_subspace(eb.chi1, eb.chi3.kernel(), A.dim)
-    gamma3_ker1 = _image_of_subspace(eb.gamma3, eb.gamma1.kernel(), A.dim)
-    gamma1_ker3 = _image_of_subspace(eb.gamma1, eb.gamma3.kernel(), B.dim)
-    chi3_ker1 = _image_of_subspace(eb.chi3, eb.chi1.kernel(), B.dim)
+    # f(ker g), the image of the inclusion of ker g under f
+    chi1_ker3 = eb.chi1.compose(eb.chi3.kernel().inclusion()).image()
+    gamma3_ker1 = eb.gamma3.compose(eb.gamma1.kernel().inclusion()).image()
+    gamma1_ker3 = eb.gamma1.compose(eb.gamma3.kernel().inclusion()).image()
+    chi3_ker1 = eb.chi3.compose(eb.chi1.kernel().inclusion()).image()
     e2_sum = chi1_ker3.sum(gamma3_ker1).dim == A.dim
     e3_sum = gamma1_ker3.sum(chi3_ker1).dim == B.dim
     e2_lit = chi1_ker3.intersect(gamma3_ker1).dim == A.dim
@@ -742,26 +733,17 @@ def ideal_split(tri: TriAlgebra, phi: LinMap) -> IdealSplit:
     eb, _ = endo_blocks(tri, phi)
     if eb.reassemble(tri) != phi:
         raise NotMPreserving("ideal splitting needs phi(M) = M")
-    field = tri.field
     t = tri.total
-    ker_chi3 = eb.chi3.kernel()
-    ker_gamma3 = eb.gamma3.kernel()
-    ker_chi1 = eb.chi1.kernel()
-    ker_gamma1 = eb.gamma1.kernel()
-    i_vecs = [tri.embed_a(v_) for v_ in ker_chi3.basis]
-    i_vecs += [t.basis_vector(i) for i in tri.range_m]
-    i_vecs += [tri.embed_b(v_) for v_ in ker_gamma3.basis]
-    j_vecs = [tri.embed_a(v_) for v_ in ker_chi1.basis]
-    j_vecs += [tri.embed_b(v_) for v_ in ker_gamma1.basis]
-    sub_i = Subspace.from_vectors(field, tri.dim, i_vecs)
-    sub_j = Subspace.from_vectors(field, tri.dim, j_vecs)
+    ker_chi3, ker_gamma3 = eb.chi3.kernel(), eb.gamma3.kernel()
+    ker_chi1, ker_gamma1 = eb.chi1.kernel(), eb.gamma1.kernel()
+    sub_i = block_span(tri, ker_chi3.rows, True, ker_gamma3.rows)
+    sub_j = block_span(tri, ker_chi1.rows, False, ker_gamma1.rows)
     if not is_ideal(t, sub_i) or not is_ideal(t, sub_j):
         raise TheoremViolation("corner-kernel blocks are not ideals")
     if sub_i.sum(sub_j).dim != tri.dim or not sub_i.intersect(sub_j).is_zero():
         raise TheoremViolation("the two ideals do not decompose the algebra")
-    for basis, sub in ((sub_i.basis, sub_i), (sub_j.basis, sub_j)):
-        img = Subspace.from_vectors(field, tri.dim, [phi.apply(v_) for v_ in basis])
-        if img != sub:
+    for sub in (sub_i, sub_j):
+        if phi.compose(sub.inclusion()).image() != sub:
             raise TheoremViolation("ideal is not invariant under the automorphism")
     tri_i, phi_i = _sub_triangular(tri, ker_chi3, ker_gamma3, True, phi)
     tri_j, phi_j = _sub_triangular(tri, ker_chi1, ker_gamma1, False, phi)
@@ -787,27 +769,28 @@ def _sub_triangular(tri: TriAlgebra, sub_a: Subspace, sub_b: Subspace, include_m
     Returns (None, None) for the zero ideal.
     """
     field = tri.field
-    t = tri.total
     dm = tri.M.dim_m if include_m else 0
     if sub_a.dim == 0 and sub_b.dim == 0 and dm == 0:
         return None, None
-    ordered = [tri.embed_a(v) for v in sub_a.basis]
-    ordered += [t.basis_vector(i) for i in tri.range_m] if include_m else []
-    ordered += [tri.embed_b(v) for v in sub_b.basis]
+    # the rows of sub_a, of M and of sub_b, in the blocks of T, form the RREF
+    # basis of the ideal in this order, and it carries them as they are
+    ideal = block_span(tri, sub_a.rows, include_m, sub_b.rows)
 
-    def coords(vectors, vec, leaves: str) -> tuple:
-        c = span_coefficients(field, vectors, vec)
+    def coords(sub: Subspace, entries, leaves: str) -> tuple:
+        c = sub.try_coords(entries)
         if c is None:
             raise TheoremViolation(leaves)
         return c
 
     # the unit of the ideal: component of 1 in this ideal within the I + J split
-    unit_coords = _ideal_unit(tri, ordered)
+    unit_coords = _ideal_unit(tri, ideal)
 
     def corner(sub: Subspace, alg: FinAlgebra, unit, prefix: str) -> FinAlgebra:
-        """The corner algebra on the basis of sub, its products in their coordinates."""
+        """The corner algebra on the basis of sub, its products u v (the
+        columns of L_u o the inclusion of sub) in their coordinates."""
         leaves = "corner product leaves the corner ideal"
-        table = _sparse_table((coords(sub.basis, alg.mul_vec(u, v), leaves) for v in sub.basis)
+        incl = sub.inclusion()
+        table = _sparse_table((coords(sub, col, leaves) for col in alg.left_mul_mat(u).compose(incl).columns)
                               for u in sub.basis)
         return FinAlgebra._trusted(field, table, unit, [prefix + str(i) for i in range(sub.dim)])
 
@@ -819,20 +802,20 @@ def _sub_triangular(tri: TriAlgebra, sub_a: Subspace, sub_b: Subspace, include_m
     right = SparseTable(tuple(cols[j] for cols in rights) for j in range(dm))
     bm = Bimodule._trusted(field, sub_a.dim, dm, sub_b.dim, left, right)
     sub_tri = build_triangular(alg_a, bm, alg_b, allow_zero_m=True)
-    images = [coords(ordered, phi.apply(v), "vector leaves the invariant ideal") for v in ordered]
-    phi_sub = LinMap.from_images(field, images, len(ordered), len(ordered))
+    images = [coords(ideal, col, "vector leaves the invariant ideal")
+              for col in phi.compose(ideal.inclusion()).columns]
+    phi_sub = LinMap.from_images(field, images, ideal.dim, ideal.dim)
     return sub_tri, phi_sub
 
 
-def _ideal_unit(tri: TriAlgebra, ordered) -> tuple:
-    """Coordinates (in the ordered ideal basis) of the unit component in it."""
-    t = tri.total
-    if not ordered:
-        return ()
+def _ideal_unit(tri: TriAlgebra, ideal: Subspace) -> tuple:
+    """Coordinates (in the RREF basis of the ideal) of the unit component in it."""
     # 1 * v = v for v in the ideal; the component of 1 inside the ideal is the
-    # unique idempotent acting as the identity there: solve sum_c c_i (v_i v_j) = v_j
-    prods = [[c for vj in ordered for c in t.mul_vec(vi, vj)] for vi in ordered]
-    sol = span_coefficients(tri.field, prods, [c for vj in ordered for c in vj])
+    # unique idempotent acting as the identity there: solve sum_c c_i (v_i v_j) = v_j,
+    # block j of vector i the column j of L_{v_i} o the inclusion, of the target v_j
+    incl = ideal.inclusion()
+    prods = [tri.total.left_mul_mat(v).compose(incl).columns for v in ideal.basis]
+    sol = span_coefficients(tri.field, prods, incl.columns)
     if sol is None:
         raise TheoremViolation("invariant ideal has no unit")
     return sol

@@ -32,19 +32,14 @@ EXIT_FINDING = 2
 
 
 def _sha256(path: str) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _files(paths: list[str]) -> list[dict]:
-    return [{"path": p, "sha256": _sha256(p)} for p in paths]
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _report(command: str, paths: list[str], result: dict) -> dict:
-    return {"command": command, "inputs": _files(paths), "result": result, "version": __version__}
+    """The report of a command; each input's sha256 is that of the bytes parsed."""
+    inputs = [{"path": p, "sha256": tio.parsed_sha256[p]} for p in paths]
+    return {"command": command, "inputs": inputs, "result": result, "version": __version__}
 
 
 def _emit(report: dict) -> int:
@@ -209,7 +204,7 @@ def _cmd_partible(args, load: _Inputs) -> dict:
 
 
 def _cmd_fixtures_emit(args, load: _Inputs) -> dict:
-    return {"written": _files(tio.emit_fixture(args.name, args.out_dir))}
+    return {"written": [{"path": p, "sha256": _sha256(p)} for p in tio.emit_fixture(args.name, args.out_dir)]}
 
 
 # Each command once, in usage order: its report name (its words, then any

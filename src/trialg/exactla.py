@@ -45,11 +45,13 @@ row reduction that inverts it and the algebra layer that evaluates it.
 
 A Subspace stores one form of its basis: the sparse RREF rows that
 _sparse_reduce returns, each a tuple of its nonzero (column, value) sorted by
-column, in pivot order.  Membership, sums, intersections, equality and JSON
-all work on these rows; Subspace.combine is the one linear combination of
-them and Subspace.residual the one reduction of a vector against them.  The
-dense basis is a read-only view, made on first read and kept, for callers
-that work element by element.
+column, in pivot order.  Subspace.reduce is the one reduction of a sparse
+vector against them, behind membership (holds, of a whole list such as a
+map's columns), containment, coordinates and intersections; the image of a
+subspace under f is f.compose(sub.inclusion()).image().  The dense basis,
+from_vectors, contains_vector, coords and combine are thin edges over this
+core for element-level callers.  span_coefficients, on blocks of sparse
+entries, is the one solve for coefficients, and LinMap.kernel the one kernel.
 
 derived is the one cache of trialg: whatever is made on first use and kept
 lives in the store of one immutable instance, with no global cache.
@@ -85,7 +87,6 @@ __all__ = [
     "LinMap",
     "Subspace",
     "rref",
-    "kernel_basis",
     "span_coefficients",
 ]
 
@@ -546,7 +547,8 @@ class LinMap:
         return not any(self.columns)
 
     def kernel(self) -> "Subspace":
-        return kernel_basis(self)
+        """{v : self v = 0}, with its canonical RREF basis."""
+        return kernel_sparse(self.field, self._sparse_rows(), self.src_dim)
 
     def image(self) -> "Subspace":
         return Subspace._from_rows(self.field, self.dst_dim, map(dict, self.columns))
@@ -833,11 +835,6 @@ def kernel_sparse(field: Field, rows, ncols: int) -> "Subspace":
     return Subspace._from_rows(field, ncols, IntegerRows(integer_kernel(field, pivots, ncols)))
 
 
-def kernel_basis(m: LinMap) -> "Subspace":
-    """Canonical basis of the kernel {v : m v = 0}."""
-    return kernel_sparse(m.field, m._sparse_rows(), m.src_dim)
-
-
 def solve_sparse(field: Field, rows: Sequence[dict], rhs: Sequence, ncols: int) -> tuple | None:
     """Particular solution of sparse rows against rhs, one value per row, with
     zeros in all free coordinates.
@@ -862,10 +859,12 @@ def solve_sparse(field: Field, rows: Sequence[dict], rhs: Sequence, ncols: int) 
     return tuple(x)
 
 
-def sparse_span_coefficients(field: Field, vectors: Sequence[Iterable], target: Iterable) -> tuple | None:
-    """span_coefficients for vectors and target given as blocks of sparse
-    entries (a LinMap's columns, say), entry (k, c) of block t at coordinate
-    (t, k): solve_sparse on the transposed system, whose rows are built only
+def span_coefficients(field: Field, vectors: Sequence[Iterable], target: Iterable) -> tuple | None:
+    """Coefficients c with sum_i c[i] * vectors[i] = target, zero at every
+    free index, or None when target is not in the span of the vectors; each
+    vector and the target given as blocks of sparse (k, c) entries of raw
+    values (a LinMap's columns, say), entry (k, c) of block t at coordinate
+    (t, k).  solve_sparse on the transposed system, whose rows are built only
     where some vector or the target is nonzero, as the other rows are zero."""
     rows = defaultdict(dict)
     for i, vec in enumerate(vectors):
@@ -877,17 +876,18 @@ def sparse_span_coefficients(field: Field, vectors: Sequence[Iterable], target: 
     return solve_sparse(field, [rows[c] for c in keys], [target.get(c, field.zero) for c in keys], len(vectors))
 
 
-def span_coefficients(field: Field, vectors: Sequence[Sequence], target: Sequence) -> tuple | None:
-    """Coefficients c with sum_i c[i] * vectors[i] = target, zero at every
-    free index, or None when target is not in the span of the vectors (raw
-    values of field, of the length of target); sparse_span_coefficients of
-    their nonzero entries."""
-    return sparse_span_coefficients(field, [(_sparse(v),) for v in vectors], (_sparse(map(field.coerce, target)),))
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 # ---------------------------------------------------------------------------
+
+
+def _coerced(field: Field, n: int, vec: Sequence) -> tuple:
+    """The nonzero entries of a dense vector of input values, coerced, in an
+    ambient space of dim n: the way in of the dense edges of Subspace."""
+    vec = tuple(map(field.coerce, vec))
+    if len(vec) != n:
+        raise AmbientMismatch("vector length %d in ambient %d" % (len(vec), n))
+    return _sparse(vec)
 
 
 class Subspace:
@@ -895,10 +895,11 @@ class Subspace:
 
     rows holds the RREF rows in pivot order, each a tuple of the nonzero
     (column, value) sorted by column, and pivots their pivot columns.  Every
-    method works on rows; combine(coeffs) is the one linear combination of
-    them and residual(vec) the one reduction of a vector against them.  basis,
-    the rows as dense ambient vectors, is a read-only view made on first read
-    and kept in the store (derived), for element-level callers.
+    method works on rows: reduce(entries) is the one reduction of a sparse
+    vector against them, inclusion() the map from basis coordinates into the
+    ambient space.  basis, the rows as dense vectors, is a read-only view made
+    on first read and kept in the store (derived), a dense edge like
+    from_vectors, contains_vector, coords and combine.
     """
 
     __slots__ = ("field", "ambient_dim", "rows", "pivots", "_derived")
@@ -914,11 +915,7 @@ class Subspace:
 
     @staticmethod
     def from_vectors(field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = [tuple(field.coerce(v) for v in vec) for vec in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise AmbientMismatch("vector length %d in ambient %d" % (len(v), ambient_dim))
-        return Subspace._from_rows(field, ambient_dim, ({c: v for c, v in enumerate(vec) if v} for vec in vecs))
+        return Subspace._from_rows(field, ambient_dim, (dict(_coerced(field, ambient_dim, v)) for v in vectors))
 
     @staticmethod
     def _from_rows(field: Field, ambient_dim: int, rows) -> "Subspace":
@@ -964,78 +961,74 @@ class Subspace:
     def __hash__(self):
         return hash((self.field, self.ambient_dim, self.rows))
 
-    def residual(self, vec: Sequence) -> tuple:
-        """vec minus sum_k vec[p_k] * b_k over the RREF rows b_k and their
-        pivots p_k: zero exactly when vec lies in the span, and linear in vec.
-        vec holds raw values of the field."""
-        if len(vec) != self.ambient_dim:
-            raise AmbientMismatch("vector length %d in ambient %d" % (len(vec), self.ambient_dim))
-        sub, mul = self.field.sub, self.field.mul
-        residual = list(vec)
-        for p, row in zip(self.pivots, self.rows):
+    def reduce(self, entries) -> dict:
+        """{k: c}, the nonzero entries of v - sum_k v[p_k] * b_k for the vector
+        v with these (k, c) entries (raw values, k below ambient_dim), over the
+        RREF rows b_k and their pivots p_k: empty exactly when v lies in the
+        span, and linear in v.  Only the rows at pivots v holds are read; no
+        row holds another's pivot, so v[p_k] is unchanged until row k."""
+        sub, mul, zero = self.field.sub, self.field.mul, self.field.zero
+        at = derived(self, "at_pivot", lambda: dict(zip(self.pivots, self.rows)))
+        vec = dict(entries)
+        for p in [k for k in vec if k in at]:
             c = vec[p]
             if c:
-                for k, v in row:
-                    residual[k] = sub(residual[k], mul(c, v))
-        return tuple(residual)
+                for k, v in at[p]:
+                    vec[k] = sub(vec.get(k, zero), mul(c, v))
+        return {k: c for k, c in vec.items() if c}
+
+    def holds(self, vectors) -> bool:
+        """Whether every vector, each given by its (k, c) entries as in reduce
+        (the columns of a LinMap, the rows of a Subspace), lies in the span."""
+        return not any(map(self.reduce, vectors))
+
+    def try_coords(self, entries) -> tuple | None:
+        """Coefficients in the RREF basis of the vector with these (k, c)
+        entries, its entries at the pivots, or None if it is not in the span."""
+        vec = dict(entries)
+        return None if self.reduce(vec.items()) else tuple(vec.get(p, self.field.zero) for p in self.pivots)
+
+    def inclusion(self) -> LinMap:
+        """The map from coordinates in the RREF basis into the ambient space,
+        column k the row b_k; f.compose(sub.inclusion()).image() is f(sub)."""
+        return derived(self, "inclusion", lambda: LinMap._trusted(self.field, self.rows, self.ambient_dim))
+
+    # -- dense edges: vectors of input values, for element-level callers ------
 
     def combine(self, coeffs: Sequence) -> tuple:
-        """The ambient vector sum_k coeffs[k] * b_k over the RREF rows b_k;
-        coeffs holds raw values of the field, one per row."""
+        """The ambient vector sum_k coeffs[k] * b_k over the RREF rows b_k,
+        one coefficient per row: the inclusion applied to coeffs."""
         if len(coeffs) != self.dim:
             raise ShapeMismatch("%d coefficients for a %d-dim subspace" % (len(coeffs), self.dim))
-        add, mul = self.field.add, self.field.mul
-        vec = [self.field.zero] * self.ambient_dim
-        for c, row in zip(coeffs, self.rows):
-            if c:
-                for k, v in row:
-                    vec[k] = add(vec[k], mul(c, v))
-        return tuple(vec)
-
-    def try_coords(self, vec: Sequence) -> tuple | None:
-        """Coefficients of vec in this RREF basis, or None if not in the span."""
-        vec = tuple(map(self.field.coerce, vec))
-        if any(self.residual(vec)):
-            return None
-        return tuple(vec[p] for p in self.pivots)
+        return self.inclusion().apply(coeffs)
 
     def coords(self, vec: Sequence) -> tuple:
-        """Like try_coords but raises NotInSpan."""
-        c = self.try_coords(vec)
+        """try_coords of a dense vector, NotInSpan if it is not in the span."""
+        c = self.try_coords(_coerced(self.field, self.ambient_dim, vec))
         if c is None:
             raise NotInSpan("vector is not in the span")
         return c
 
     def contains_vector(self, vec: Sequence) -> bool:
-        return self.try_coords(vec) is not None
+        return not self.reduce(_coerced(self.field, self.ambient_dim, vec))
 
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
-        zero, n = self.field.zero, self.ambient_dim
-        return not any(any(self.residual(_dense(zero, n, row))) for row in other.rows)
+        return self.holds(other.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
         return Subspace._from_rows(self.field, self.ambient_dim, map(dict, self.rows + other.rows))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection: each kernel vector (a, b) of [A^T | -B^T], for the
-        rows of A and B, gives the element sum_i a_i A_i of both."""
+        """Intersection: the combinations sum_j y_j c_j of the rows c_j of
+        other that lie in self, where y runs over the kernel of the map
+        y -> reduce(sum_j y_j c_j) (reduce is linear), carried into the
+        ambient space by the inclusion of other."""
         self._check(other)
-        field, n = self.field, self.ambient_dim
-        ra, rb = self.dim, other.dim
-        neg = field.neg
-        cols = [{} for _ in range(n)]
-        for i, row in enumerate(self.rows):
-            for k, v in row:
-                cols[k][i] = v
-        for j, row in enumerate(other.rows):
-            for k, v in row:
-                cols[k][ra + j] = neg(v)
-        pairs = integer_kernel(field, _sparse_reduce(field, cols, ra + rb), ra + rb)
-        zero = field.zero
-        vecs = [self.combine(_dense(zero, ra, ((i, c) for i, c in pair.items() if i < ra))) for pair in pairs]
-        return Subspace._from_rows(field, n, ({c: v for c, v in enumerate(vec) if v} for vec in vecs))
+        residues = LinMap._trusted(self.field, (_sorted_nonzero(self.reduce(row)) for row in other.rows),
+                                   self.ambient_dim)
+        return other.inclusion().compose(residues.kernel().inclusion()).image()
 
     def to_json(self):
         """Rows written densely, the zero formatted once."""

@@ -9,6 +9,7 @@ strings resolved relative to the containing file.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -27,16 +28,26 @@ from .exactla import Field, field_from_json
 from .sigmamaps import BilinMap, LinMap
 
 
+# path -> the sha256 of the bytes _load_json last parsed from it, the digest
+# a report gives for an input, with no second read of the file
+parsed_sha256: dict[str, str] = {}
+
+
 def _load_json(path: str):
+    """The JSON value in the file at path, read once, its digest kept in
+    parsed_sha256; decoded as text mode reads (UTF-8, universal newlines)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        value = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise InputError("%s is not valid JSON (line %d)" % (path, exc.lineno)) from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, an over-long integer, deep nesting
         raise InputError("%s is not readable JSON: %s" % (path, exc)) from exc
+    parsed_sha256[path] = hashlib.sha256(data).hexdigest()
+    return value
 
 
 def _dump_json(obj, path: str):

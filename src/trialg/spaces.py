@@ -42,7 +42,8 @@ the identity once, not r times; over F_p nothing is lifted.
 A space is kept as the sparse RREF rows of its Subspace.  Its basis maps are
 built straight from those rows (a linear map's columns, a bilinear map's
 table), and to_json writes the rows as Subspace.to_json does, so neither a
-solve nor its report makes the dense basis view.
+solve nor its report makes the dense basis view; MapSpace.contains and coords
+read a map's sparse columns or table in that flattening.
 """
 
 from __future__ import annotations
@@ -59,9 +60,11 @@ from .algcore import (
     twisted_ad,
 )
 from .errors import (
+    AmbientMismatch,
     CentralElement,
     CommutativeAlgebra,
     InputError,
+    NotInSpan,
     NotSigmaCentral,
     NotSigmaDerivation,
     PreconditionFails,
@@ -76,7 +79,7 @@ from .exactla import (
     integer_vector,
     kernel_sparse,
     nonzero_rows,
-    sparse_span_coefficients,
+    span_coefficients,
 )
 from .sigmamaps import (
     MAP_KINDS,
@@ -132,11 +135,28 @@ class MapSpace:
             maps.append(BilinMap._trusted(field, SparseTable(map(tuple, table))))
         return maps
 
+    def _entries(self, m: LinMap | BilinMap) -> list:
+        """The nonzero entries of m.flatten(), read off m's columns or table in
+        the flattening basis_maps inverts; AmbientMismatch for another length."""
+        if isinstance(m, BilinMap):
+            n, size = m.dim, m.dim ** 3
+            entries = [((i * n + j) * n + k, c) for i, row in enumerate(m.table) for j, vec in enumerate(row)
+                       for k, c in vec]
+        else:
+            n, size = m.src_dim, m.src_dim * m.dst_dim
+            entries = [(k * n + j, c) for j, col in enumerate(m.columns) for k, c in col]
+        if size != self.subspace.ambient_dim:
+            raise AmbientMismatch("vector length %d in ambient %d" % (size, self.subspace.ambient_dim))
+        return entries
+
     def contains(self, m: LinMap | BilinMap) -> bool:
-        return self.subspace.contains_vector(m.flatten())
+        return not self.subspace.reduce(self._entries(m))
 
     def coords(self, m: LinMap | BilinMap) -> tuple:
-        return self.subspace.coords(m.flatten())
+        c = self.subspace.try_coords(self._entries(m))
+        if c is None:
+            raise NotInSpan("vector is not in the span")
+        return c
 
     def to_json(self):
         sub = self.subspace.to_json()
@@ -373,7 +393,7 @@ def inner_derivation_witness(t, d: LinMap, sigma: LinMap) -> tuple | None:
     alg = _algebra_of(t)
     _check_square(alg, d)
     cols = [twisted_ad(alg, sigma, alg.basis_vector(j)).columns for j in range(alg.dim)]
-    x0 = sparse_span_coefficients(alg.field, cols, d.columns)
+    x0 = span_coefficients(alg.field, cols, d.columns)
     if x0 is None:
         return None
     if inner_sigma_derivation(alg, x0, sigma) != d:

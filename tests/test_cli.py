@@ -500,6 +500,83 @@ class TestDeterminism:
         assert via_cli["basis"] == [[z.field.format(v) for v in row] for row in z.basis]
 
 
+class TestInputsReadOnce:
+    def test_each_input_opened_once(self, f1_dir, monkeypatch):
+        """One run opens each input file once, and the report gives the sha256
+        of the bytes it parsed, not of a second read."""
+        import builtins
+
+        paths = [str(f1_dir / name) for name in ("T.json", "sigma1.json", "theta1.json")]
+        real_open, opened = builtins.open, []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, out, _ = run_cli(["properness", paths[0], "--sigma", paths[1], "--map", paths[2]])
+        monkeypatch.undo()
+        assert code == 0
+        assert sorted(f for f in opened if f in paths) == sorted(paths)
+        digests = []
+        for path in paths:
+            with open(path, "rb") as fh:
+                digests.append({"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()})
+        assert json.loads(out)["inputs"] == digests
+
+
+class TestSparseSubspaces:
+    def test_theorem_layer_makes_no_dense_subspace(self, tmp_path, monkeypatch):
+        """With Subspace.from_vectors made to raise, the solves of the three
+        twisted kinds and the commands commuting-blocks, properness, endo
+        classify, partible, inner-witness and split-biderivation run over
+        F1-F4 and the F_5 catalog (twist sigma1; theta, D the sums of the
+        solved commuting and biderivation bases, D0 the residual of D's
+        extremal split): every subspace is built from sparse rows."""
+        from trialg import io
+        from trialg.classify import extremal_split
+        from trialg.exactla import GF, Subspace
+        from trialg.fixtures import fixture_f1, fixture_f2, fixture_f3, fixture_f4, sigma1
+        from trialg.randomgen import instance_catalog
+        from trialg.spaces import solve_space
+
+        def dense_round_trip(*args):
+            raise RuntimeError("Subspace.from_vectors reached")
+
+        monkeypatch.setattr(Subspace, "from_vectors", staticmethod(dense_round_trip))
+        alg, sigma2 = fixture_f2()
+        for kind in ("sigma_derivation", "sigma_commuting", "sigma_biderivation"):
+            solve_space(kind, alg, sigma2)
+        instances = [("F1", fixture_f1), ("F3", fixture_f3), ("F4", fixture_f4)] + instance_catalog(GF(5))
+        codes = {}
+        for name, make in instances:
+            tri = make()
+            sigma = sigma1(tri)
+            comm, _, bider = (solve_space(kind, tri, sigma).basis_maps()
+                              for kind in ("sigma_commuting", "sigma_derivation", "sigma_biderivation"))
+            theta, D = sum(comm[1:], comm[0]), sum(bider[1:], bider[0])
+            files = {"T": io.triangular_to_json(tri), "sigma": sigma.to_json(), "theta": theta.to_json(),
+                     "D": D.to_json(), "D0": extremal_split(tri, D, sigma).residual.to_json()}
+            d = tmp_path / name
+            d.mkdir()
+            path = {}
+            for stem, obj in files.items():
+                path[stem] = str(d / (stem + ".json"))
+                io._dump_json(obj, path[stem])
+            t, s = path["T"], ["--sigma", path["sigma"]]
+            for command, argv in (("commuting-blocks", ["commuting-blocks", t, *s, "--map", path["theta"]]),
+                                  ("properness", ["properness", t, *s, "--map", path["theta"]]),
+                                  ("endo classify", ["endo", "classify", t, "--map", path["sigma"]]),
+                                  ("partible", ["partible", t, *s]), ("partible", ["partible", t]),
+                                  ("inner-witness", ["inner-witness", t, *s, "--bid", path["D0"]]),
+                                  ("split-biderivation", ["split-biderivation", t, *s, "--bid", path["D"]])):
+                code, out, _ = run_cli(argv)
+                codes.setdefault(command, []).append(code)
+                assert code in (0, 1), (name, argv, out)
+        # an exit 1 is a refused input (an unfaithful bimodule, say); each command ran through somewhere
+        assert all(0 in runs for runs in codes.values()), codes
+
+
 class TestClosedStdout:
     def test_reader_gone_before_output(self, f1_dir):
         """A reader that closes stdout before the report is written (as

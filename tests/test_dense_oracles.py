@@ -59,7 +59,7 @@ from trialg.algcore import (Bimodule, FinAlgebra, SparseTable, _associativity_fa
                             project_subspace, radical, sigma_center_direct, structure_checks, twisted_ad, unit_m)
 from trialg.classify import _commutator_span, endo_blocks, extremal_split, ideal_split, inner_biderivation_witness
 from trialg.errors import CentralElement, CharTooSmall, NotBlockPreserving, NotInvertible, PreconditionFails
-from trialg.exactla import (GF, QQ, LinMap, Subspace, derived, integer_form, kernel_basis, kernel_sparse, rref,
+from trialg.exactla import (GF, QQ, LinMap, Subspace, derived, integer_form, kernel_sparse, rref,
                             solve_sparse)
 from test_exactla import _gauss_jordan
 from trialg.fixtures import phi_one_plus_m, product_field_algebra, sigma1, upper_triangular_algebra
@@ -135,14 +135,12 @@ def _stacked_annihilators(tri) -> tuple:
     em = [unit_m(field, dm, j) for j in range(dm)]
     left = [[tri.act_left(a, m) for m in em] for a in ea]
     right = [[tri.act_right(m, b) for b in eb] for m in em]
-    L = kernel_basis(LinMap(field, [[left[i][j][mp] for i in range(da)]
-                                          for j in range(dm) for mp in range(dm)], da))
-    R = kernel_basis(LinMap(field, [[right[j][k][mp] for k in range(db)]
-                                          for j in range(dm) for mp in range(dm)], db))
+    L = LinMap(field, [[left[i][j][mp] for i in range(da)] for j in range(dm) for mp in range(dm)], da).kernel()
+    R = LinMap(field, [[right[j][k][mp] for k in range(db)] for j in range(dm) for mp in range(dm)], db).kernel()
     t = tri.total
     ms = [t.basis_vector(j) for j in tri.range_m]
-    lann = kernel_basis(LinMap(field, [r for m in ms for r in right_mul_mat(t, m).rows], t.dim))
-    rann = kernel_basis(LinMap(field, [r for m in ms for r in left_mul_by_mul_vec(t, m).rows], t.dim))
+    lann = LinMap(field, [r for m in ms for r in right_mul_mat(t, m).rows], t.dim).kernel()
+    rann = LinMap(field, [r for m in ms for r in left_mul_by_mul_vec(t, m).rows], t.dim).kernel()
     return L, R, lann, rann
 
 
@@ -238,7 +236,7 @@ def test_trace_form_and_radical(field):
                 with pytest.raises(CharTooSmall):
                     radical(alg)
                 continue
-            assert radical(alg) == kernel_basis(gram)
+            assert radical(alg) == gram.kernel()
             radicals += 1
     assert radicals
 
@@ -373,7 +371,7 @@ def _dense_intersection(field, n, rows_a, rows_b) -> tuple:
     ra = len(rows_a)
     system = LinMap(field, [[row[k] for row in rows_a] + [field.neg(row[k]) for row in rows_b]
                                   for k in range(n)], ra + len(rows_b))
-    vecs = [_dense_combination(field, n, rows_a, pair[:ra]) for pair in kernel_basis(system).basis]
+    vecs = [_dense_combination(field, n, rows_a, pair[:ra]) for pair in system.kernel().basis]
     return _dense_rref_rows(field, n, vecs)
 
 
@@ -403,27 +401,51 @@ def _random_spanning_sets(field, rng) -> list:
     return out
 
 
+def _entries(vec) -> tuple:
+    return tuple((k, v) for k, v in enumerate(vec) if v)
+
+
 def _sparse(rows) -> tuple:
-    return tuple(tuple((k, v) for k, v in enumerate(row) if v) for row in rows)
+    return tuple(map(_entries, rows))
 
 
 def _check_subspace(sub: Subspace, rows: tuple, pivots: tuple, rng):
     """sub against its dense rref rows: rows, pivots, the dense view, the
-    residual, the linear combination and to_json."""
+    reduction (reduce, holds, try_coords) of members, of random vectors, of a
+    vector outside the span and of the columns of maps, the linear
+    combination and to_json."""
     field, n = sub.field, sub.ambient_dim
     assert sub.pivots == tuple(pivots)
     assert sub.rows == _sparse(rows)
     assert sub.basis == tuple(map(tuple, rows))
     assert sub.dim == len(rows) and sub.is_zero() == (not rows)
     assert sub.to_json() == _dense_json(field, n, rows, pivots)
+    free = [f for f in range(n) if f not in pivots]
     for _ in range(4):
         coeffs = tuple(field.coerce(rng.randrange(-3, 4)) for _ in rows)
         member = sub.combine(coeffs)
         assert member == _dense_combination(field, n, rows, coeffs)
-        assert not any(sub.residual(member))
-        assert sub.try_coords(member) == coeffs
+        assert sub.reduce(_entries(member)) == {} and sub.holds([_entries(member)])
+        assert sub.try_coords(_entries(member)) == coeffs and sub.coords(member) == coeffs
         vec = _random_vector(field, n, rng)
-        assert sub.residual(vec) == _dense_residual(field, rows, pivots, vec)
+        want = _dense_residual(field, rows, pivots, vec)
+        assert sub.reduce(_entries(vec)) == dict(_entries(want))
+        assert sub.holds([_entries(member), _entries(vec)]) == (not any(want))
+        assert sub.try_coords(_entries(vec)) == (None if any(want) else tuple(vec[p] for p in pivots))
+        if free:  # e_f at a column without a pivot is outside the span, and so is member + e_f
+            f = rng.choice(free)
+            outside = tuple(field.add(c, field.one) if k == f else c for k, c in enumerate(member))
+            assert _dense_residual(field, rows, pivots, outside) == tuple(field.one if k == f else field.zero
+                                                                           for k in range(n))
+            assert sub.reduce(_entries(outside)) == {f: field.one}
+            assert sub.try_coords(_entries(outside)) is None and not sub.contains_vector(outside)
+            cols = [member, vec, outside]
+        else:
+            cols = [member, vec]
+        # the columns of a map: held exactly when no column has a dense residual
+        m = LinMap.from_images(field, cols, len(cols), n)
+        assert sub.holds(m.columns) == all(not any(_dense_residual(field, rows, pivots, c)) for c in cols)
+        assert sub.holds(m.columns[:1])
 
 
 def _check_pair(a: Subspace, b: Subspace, dense_a: tuple, dense_b: tuple) -> bool:
@@ -588,7 +610,7 @@ def _dense_center(alg, sigma) -> Subspace:
     dense inner derivations of the basis vectors."""
     n = alg.dim
     cols = [_dense_inner_derivation(alg, alg.basis_vector(j), sigma).flatten() for j in range(n)]
-    return kernel_basis(LinMap(alg.field, [[col[r] for col in cols] for r in range(n * n)], n))
+    return LinMap(alg.field, [[col[r] for col in cols] for r in range(n * n)], n).kernel()
 
 
 def _dense_bracket(alg, lam) -> BilinMap:
@@ -812,7 +834,7 @@ def test_action_maps_and_coupling_rows_against_dense_products(field):
             nu_m = nu.apply(m)
             dense = [[tri.act_left(a, m)[o] for a in ea] + [field.neg(tri.act_right(nu_m, b)[o]) for b in eb]
                      for o in range(dm)]
-            want = kernel_basis(LinMap(field, dense, da + db, dm))
+            want = LinMap(field, dense, da + db, dm).kernel()
             assert kernel_sparse(field, coupling_rows(tri, m, nu_m), da + db) == want
             couplings += want.dim < da + db
     assert couplings

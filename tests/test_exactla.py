@@ -30,7 +30,6 @@ from trialg.exactla import (
     integer_form,
     integer_vector,
     is_nonzero,
-    kernel_basis,
     nonzero_rows,
     rref,
     solve_sparse,
@@ -150,18 +149,18 @@ class TestRref:
 
 class TestKernel:
     def test_zero_map_full_kernel(self):
-        k = kernel_basis(LinMap.zero(QQ, 2))
+        k = LinMap.zero(QQ, 2).kernel()
         assert k.dim == 2
         assert k == Subspace.full(QQ, 2)
 
     def test_identity_trivial_kernel(self):
-        k = kernel_basis(LinMap.identity(QQ, 2))
+        k = LinMap.identity(QQ, 2).kernel()
         assert k.dim == 0
 
     def test_row_vector_kernel_canonical(self):
         # oracle: exhaustively check m v = 0 for the returned basis rows
         m = LinMap(QQ, [[1, 2]])
-        k = kernel_basis(m)
+        k = m.kernel()
         assert k.dim == 1
         for v in k.basis:
             assert all(x == 0 for x in m.apply(v))
@@ -171,23 +170,26 @@ class TestKernel:
     @given(st.lists(st.lists(st.integers(0, 4), min_size=4, max_size=4), min_size=1, max_size=5))
     def test_rank_nullity_and_annihilation_f5(self, rows):
         m = LinMap(F5, rows)
-        k = kernel_basis(m)
+        k = m.kernel()
         assert m.rank() + k.dim == m.src_dim
         for v in k.basis:
             assert all(x == 0 for x in m.apply(v))
 
 
 class TestSpanCoefficients:
+    """Vectors and target as blocks of sparse (k, c) entries."""
+
     def test_identity_system(self):
-        assert span_coefficients(QQ, LinMap.identity(QQ, 3).rows, [1, 2, 3]) == \
+        cols = LinMap.identity(QQ, 3).columns
+        assert span_coefficients(QQ, [(col,) for col in cols], [((0, 1), (1, 2), (2, 3))]) == \
             (Fraction(1), Fraction(2), Fraction(3))
 
     def test_free_coordinate_zero_convention(self):
         one = Fraction(1)
-        assert span_coefficients(QQ, [(one,), (one,)], [2]) == (Fraction(2), Fraction(0))
+        assert span_coefficients(QQ, [[((0, one),)], [((0, one),)]], [((0, 2),)]) == (Fraction(2), Fraction(0))
 
     def test_inconsistent(self):
-        assert span_coefficients(QQ, [(Fraction(0),)], [1]) is None
+        assert span_coefficients(QQ, [[()]], [((0, 1),)]) is None
 
 
 class TestSubspace:
@@ -267,7 +269,7 @@ class TestLinMap:
     def test_empty_shapes(self):
         m = LinMap(QQ, [], 3)
         assert m.dst_dim == 0 and m.src_dim == 3
-        k = kernel_basis(m)
+        k = m.kernel()
         assert k.dim == 3
 
     def test_shape_and_dim_checks(self):
@@ -530,8 +532,17 @@ class TestIntegerEliminationOracle:
     def test_span_coefficients(self, field, data):
         """The coefficients are the last column of the Gauss-Jordan RREF of
         the system whose columns are the vectors and the target, with zero at
-        every free index.  Half of the targets are drawn inside the span."""
+        every free index.  Half of the targets are drawn inside the span.
+        span_coefficients is handed each vector and the target cut into two
+        or more blocks of sparse entries, each block indexed from 0, and
+        the oracle solves on the concatenated dense vectors."""
         vectors, n = data.draw(_systems(field))
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=1, max_size=3)))
+        bounds = list(zip([0] + cuts, cuts + [n]))
+
+        def blocks(vec):
+            return [tuple((k - lo, vec[k]) for k in range(lo, hi) if vec[k]) for lo, hi in bounds]
+
         scalar = (st.fractions(min_value=-5, max_value=5, max_denominator=7) if field is QQ
                   else st.integers(0, field.characteristic - 1))
         if data.draw(st.booleans()):
@@ -543,7 +554,7 @@ class TestIntegerEliminationOracle:
             target = [field.coerce(data.draw(scalar)) for _ in range(n)]
         k = len(vectors)
         aug, pivots = _gauss_jordan(field, [tuple(v[i] for v in vectors) + (target[i],) for i in range(n)], k + 1)
-        got = span_coefficients(field, vectors, target)
+        got = span_coefficients(field, [blocks(v) for v in vectors], blocks(target))
         if k in pivots:
             assert got is None
             return

@@ -8,10 +8,12 @@ import pytest
 from trialg.algcore import build_triangular, product_rule_failure, product_rule_rows, unit_m
 from trialg.classify import _intertwiner_space
 from trialg.errors import (
+    AmbientMismatch,
     CentralElement,
     CommutativeAlgebra,
     DimMismatch,
     InputError,
+    NotInSpan,
     NotSigmaCentral,
     PreconditionFails,
     TheoremViolation,
@@ -93,6 +95,38 @@ def _integer_kernel_plus_non_solution(field, pivots, ncols):
 
 
 class TestSolveSpace:
+    @pytest.mark.parametrize("make", [fixture_f1, fixture_f4], ids=["F1", "F4"])
+    def test_map_membership_reads_the_flattening(self, make):
+        """MapSpace.contains and coords, read off a map's sparse columns or
+        table, agree with the subspace on the dense flatten() for the basis
+        maps, their sum, and that sum with each flattened entry bumped in
+        turn (the inner biderivations are antisymmetric, so a transposed
+        reading shows); a map of the other shape is refused."""
+        tri = make()
+        field, n = tri.field, tri.dim
+        for kind in TWISTED_KINDS:
+            space = solve_space(kind, tri, sigma1(tri))
+            bilinear = MAP_KINDS[kind].bilinear
+            maps = space.basis_maps()
+            total = maps[0]
+            for m in maps[1:]:
+                total = total + m
+            flat = total.flatten()
+            for i in range(len(flat)):
+                bumped = flat[:i] + (field.add(flat[i], field.one),) + flat[i + 1:]
+                maps.append(BilinMap.unflatten(field, bumped, n) if bilinear
+                            else LinMap(field, [bumped[k * n:(k + 1) * n] for k in range(n)]))
+            for m in maps + [total]:
+                inside = space.subspace.contains_vector(m.flatten())
+                assert space.contains(m) == inside
+                if inside:
+                    assert space.coords(m) == space.subspace.coords(m.flatten())
+                else:
+                    with pytest.raises(NotInSpan):
+                        space.coords(m)
+            with pytest.raises(AmbientMismatch):
+                space.contains(LinMap.identity(field, n) if bilinear else BilinMap.zero(field, n))
+
     def test_derivation_space_contains_inner_derivation(self, f1):
         space = solve_space("derivation", f1)
         t = f1.total
