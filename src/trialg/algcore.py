@@ -13,7 +13,9 @@ right_action_on) by _mul_map, which also gives the multiplication maps of an
 algebra.
 
 Also here: the sparse product-rule evaluator behind every basis-pair identity
-check, twisted_ad and the (twisted) centers read off it (_center_map), the
+check and its row builder, both on basis pairs, the one polarization of a
+quadratic identity (polarized_passes), twisted_ad and the (twisted) centers
+read off it (_center_map), the
 commutator map _bracket_map, annihilators and faithfulness, the faithful quotient,
 nilpotency, the Koethe/Jacobson radical via the trace form (kept in the
 algebra's store), and structure_checks: Condition (I), nondegeneracy and the
@@ -259,21 +261,29 @@ def product_rule_failure(table, X, terms, order=None) -> tuple | None:
     return None
 
 
-def quadratic_failure(terms, n: int) -> tuple | None:
-    """First x among e_0, ..., e_{n-1}, then e_i + e_j for i < j in
-    lexicographic order, where the quadratic identity sum_t P_t(x) *_t Q_t(x) = 0
-    fails, as product_rule_failure reports it: ((i, i), residual) at a single
-    basis vector, ((i, j), residual) at a pair sum.
-
-    Once the singles vanish, the residual at e_i + e_j is the polarization
-    P_t(e_i) Q_t(e_j) + P_t(e_j) Q_t(e_i), whose swapped products read the
-    transposed tables.
+def polarized_passes(terms, n: int) -> tuple:
+    """The two passes, each (terms, basis pairs), that decide the quadratic
+    identity sum_t P_t(x) *_t Q_t(x) = 0 on n coordinates: the singles (i, i)
+    with the terms, then the pairs i < j in lexicographic order with the terms
+    and their swaps (Q_t, P_t, table_t transposed), the polarization
+    q(e_i, e_j) = P_t(e_i) Q_t(e_j) + P_t(e_j) Q_t(e_i).  As q(sum_i x_i e_i)
+    = sum_i x_i^2 q(e_i) + sum_{i<j} x_i x_j q(e_i, e_j), both vanish exactly
+    when the identity holds at every element, in every characteristic.
     """
-    bad = product_rule_failure(None, None, terms, [(i, i) for i in range(n)])
-    if bad:
-        return bad
     swapped = tuple((q, p, tab.transpose()) for p, q, tab in terms)
-    return product_rule_failure(None, None, terms + swapped, itertools.combinations(range(n), 2))
+    return ((terms, [(i, i) for i in range(n)]),
+            (terms + swapped, itertools.combinations(range(n), 2)))
+
+
+def quadratic_failure(terms, n: int) -> tuple | None:
+    """The first failure in the passes of polarized_passes, as
+    product_rule_failure reports it: ((i, i), residual) at a single basis
+    vector, ((i, j), the polarization) at a pair; None when both vanish."""
+    for pass_terms, pairs in polarized_passes(terms, n):
+        bad = product_rule_failure(None, None, pass_terms, pairs)
+        if bad:
+            return bad
+    return None
 
 
 def product_rule_rows(table, terms, n: int, order=None) -> tuple:
@@ -284,10 +294,10 @@ def product_rule_rows(table, terms, n: int, order=None) -> tuple:
     X[k][l], the coefficient of e_k in X(e_l), is unknown k*n + l.  Each term
     (P_t, Q_t, table_t) is as in product_rule_failure with None standing for X
     in exactly one slot.  The residual starts with X(e_i * e_j) over table; an
-    identity with no such term passes table = None and an explicit order.  Each
-    entry of order is a tuple of basis pairs whose residuals add up to one block
-    (default: each pair of table, row-major).  blocks yields per block the
-    nonzero rows {unknown: coefficient}, keyed by ascending output coordinate.
+    identity with no such term passes table = None and an explicit order.  The
+    basis pairs are taken in the given order, row-major over table by default,
+    as in product_rule_failure.  blocks yields per pair the nonzero rows
+    {unknown: coefficient}, keyed by ascending output coordinate.
 
     The terms are lifted as in product_rule_failure (_integer_terms), X with
     factor 1, and each row is scale times the row of the residual: scale is
@@ -305,28 +315,27 @@ def product_rule_rows(table, terms, n: int, order=None) -> tuple:
     sparse_terms = [(cols, m, Q is None, [[(v, prods) for v, prods in enumerate(row) if prods] for row in tab])
                     for (cols, _, tab, m), (_, Q, _) in zip(lifted, terms)]
     if order is None:
-        order = (((i, j),) for i, row in enumerate(table) for j in range(len(row)))
+        order = itertools.product(range(len(table)), range(len(table[0]) if table else 0))
 
     def blocks():
-        for pairs in order:
+        for i, j in order:
             acc = {}
-            for i, j in pairs:
-                if xtab is not None:
-                    for k, c in xtab[i][j]:
-                        c *= xm
-                        for o in range(n):
+            if xtab is not None:
+                for k, c in xtab[i][j]:
+                    c *= xm
+                    for o in range(n):
+                        row = acc.setdefault(o, {})
+                        key = o * n + k
+                        row[key] = row.get(key, 0) + c
+            for cols, m, p_known, nonzero in sparse_terms:
+                fixed, free = (i, j) if p_known else (j, i)
+                for s, u in cols[fixed]:
+                    u *= m
+                    for v, prods in nonzero[s]:
+                        key = v * n + free
+                        for o, c in prods:
                             row = acc.setdefault(o, {})
-                            key = o * n + k
-                            row[key] = row.get(key, 0) + c
-                for cols, m, p_known, nonzero in sparse_terms:
-                    fixed, free = (i, j) if p_known else (j, i)
-                    for s, u in cols[fixed]:
-                        u *= m
-                        for v, prods in nonzero[s]:
-                            key = v * n + free
-                            for o, c in prods:
-                                row = acc.setdefault(o, {})
-                                row[key] = row.get(key, 0) - u * c
+                            row[key] = row.get(key, 0) - u * c
             yield nonzero_rows(p, acc)
 
     return scale, blocks()

@@ -27,12 +27,12 @@ _derivation_type_failure states the lemma that makes this enough.
 
 Commuting-style conditions are quadratic in the argument; they are checked on
 singles + polarized pairs by the same evaluator (algcore.quadratic_failure):
-first at every basis vector e_i, then at every pair e_i + e_j, where the
-residual is a sum of four basis products once the singles vanish.  As
-q(sum_i x_i e_i) = sum_i x_i^2 q(e_i) + sum_{i<j} x_i x_j q(e_i, e_j) for the
-polarization q(e_i, e_j), this decides the condition at every element, in
-every characteristic.  The derivation and commuting terms are shared with the
-solve rows of spaces, which algcore.product_rule_rows builds from them.
+first at every basis vector e_i, then at every pair i < j, where the residual
+is the polarization P(e_i) Q(e_j) + P(e_j) Q(e_i) (algcore.polarized_passes),
+which decides the condition at every element, in every characteristic.  Each
+identity is stated once, in derivation_terms (of a map or a biderivation
+slot) and commuting_terms; the solve rows of spaces read the same terms on
+the same pairs through algcore.product_rule_rows.
 
 The evaluator reads every map and table in its integer form (LinMap.lifted,
 exactla.integer_form), by the same code over both fields: over F_p the
@@ -317,9 +317,12 @@ def map_twist(kind: str, alg: FinAlgebra, sigma: LinMap | None) -> LinMap:
 
 
 def derivation_terms(alg: FinAlgebra, d: LinMap | None, sigma: LinMap) -> tuple:
-    """Terms of d(xy) = sigma(x) d(y) + d(x) y; d = None for the unknown map."""
+    """Terms of d(xy) = sigma(x) d(y) + d(x) y over the actions on d's
+    target: alg's table for a map into alg or the unknown map d = None, the
+    copies' (SparseTable.copies) for a slot map into n copies of alg."""
     pairs = alg._pairs
-    return ((sigma, d, pairs), (d, alg.identity_map(), pairs))
+    left, right = (pairs, pairs) if d is None or d.dst_dim == alg.dim else pairs.copies()
+    return ((sigma, d, left), (d, alg.identity_map(), right))
 
 
 def commuting_terms(alg: FinAlgebra, theta: LinMap | None, sigma: LinMap) -> tuple:
@@ -370,7 +373,7 @@ def classify_linear(kind: str, alg: FinAlgebra, f: LinMap, sigma: LinMap | None 
     order only after a failure there: the witness is the first failing pair
     of the full scan.  A commuting kind, sigma(x) Theta(x) = Theta(x) x, is a
     quadratic identity, to which that lemma does not apply; it is checked on
-    every single and then every pair sum.
+    every single and then every polarized pair.
     """
     if kind == "endomorphism":
         return is_endomorphism(alg, f)
@@ -403,7 +406,7 @@ def classify_bilinear(kind: str, alg: FinAlgebra, D: BilinMap, sigma: LinMap | N
     For all k at once, the slot maps D(., e_k) are one map Y from alg into
     the bimodule of n copies of alg, e_l -> (D(e_l, e_k))_k, and the slot
     identities are the derivation identity Y(xy) = sigma(x) Y(y) + Y(x) y
-    over the copies' actions (SparseTable.copies); likewise D(e_k, .).  Both
+    over the copies' actions (derivation_terms); likewise D(e_k, .).  Both
     maps are read off the table (BilinMap.slot_maps).  The witness is the
     failure first in the order (i, j, k, first slot before second) of the pair
     e_i e_j and the fixed argument e_k: the first failing pair of a slot, at
@@ -420,11 +423,10 @@ def classify_bilinear(kind: str, alg: FinAlgebra, D: BilinMap, sigma: LinMap | N
     if mk is None or not mk.bilinear:
         raise InputError("unknown classification kind %r" % (kind,))
     sigma = map_twist(kind, alg, sigma)
-    n, ident = alg.dim, alg.identity_map()
-    left, right = alg._pairs.copies()
+    n = alg.dim
     failures = []
     for slot, Y in enumerate(D.slot_maps()):
-        bad = _derivation_type_failure(alg, Y, ((sigma, Y, left), (Y, ident, right)), sigma)
+        bad = _derivation_type_failure(alg, Y, derivation_terms(alg, Y, sigma), sigma)
         if bad:
             (i, j), residual = bad
             k = next(k for k in range(n) if any(residual[k * n:(k + 1) * n]))
@@ -590,10 +592,5 @@ def scaling_automorphism(tri: TriAlgebra, c) -> LinMap:
     c = field.coerce(c)
     if not c:
         raise NotInvertible("scaling by zero")
-    images = []
-    for j in range(tri.dim):
-        v = list(tri.total.basis_vector(j))
-        if j in tri.range_m:
-            v = [field.mul(c, x) for x in v]
-        images.append(v)
-    return LinMap.from_images(field, images, tri.dim, tri.dim)
+    one, m = field.one, tri.range_m
+    return LinMap._trusted(field, (((j, c if j in m else one),) for j in range(tri.dim)), tri.dim)

@@ -8,7 +8,8 @@ Each defining identity is bilinear (or trilinear) in its arguments, so imposing
 it on basis tuples yields an exact linear system in the flattened map
 coordinates; the solution space is its kernel, returned with a canonical RREF
 basis.  The rows are algcore.product_rule_rows of the terms the predicates
-check (sigmamaps.derivation_terms, commuting_terms).  A biderivation is a
+check (sigmamaps.derivation_terms, commuting_terms), on the pairs they check
+them on.  A biderivation is a
 derivation in each slot, so it is solved as a linear map k -> D(., e_k) into
 Der_sigma, with the reduced derivation rows imposed on the second slot: n*r
 unknowns for r = dim Der_sigma instead of n^3.  Flattening is row-major: a
@@ -24,8 +25,8 @@ at which the rule holds for every y form a subalgebra
 satisfies it everywhere: the restricted system has the kernel of the full
 one, and so the same canonical RREF.  The same lemma lets verification
 check S x basis first, for a map and for each biderivation slot.  The
-sigma-commuting identity is quadratic in x, so its rows and checks keep
-every single and pair sum.
+sigma-commuting identity is quadratic in x, so its rows and checks take
+every single and polarized pair (algcore.polarized_passes).
 
 Every system is built in Python ints on the integer forms of exactla, by the
 same code over both fields, and handed to the reduce as exactla.IntegerRows:
@@ -55,6 +56,7 @@ from .algcore import (
     FinAlgebra,
     SparseTable,
     TriAlgebra,
+    polarized_passes,
     product_rule_failure,
     product_rule_rows,
     twisted_ad,
@@ -191,34 +193,24 @@ def _dedup_rows(rows):
             yield r
 
 
-def _derivation_row_blocks(alg: FinAlgebra, sigma: LinMap, order=None) -> tuple:
-    """(scale, blocks): per basis pair (i, j), row-major or in the given
-    order of one-pair tuples, the nonzero integer rows of
-    d(e_i e_j) - d(e_i) e_j - sigma(e_i) d(e_j) = 0 by output coordinate,
-    flattened unknowns d[k][j], as product_rule_rows scales them."""
-    return product_rule_rows(alg._pairs, derivation_terms(alg, None, sigma), alg.dim, order)
-
-
 def _derivation_rows(alg: FinAlgebra, sigma: LinMap) -> IntegerRows:
     """d(e_i e_j) = d(e_i) e_j + sigma(e_i) d(e_j), flattened unknowns d[k][j]:
     on the pairs with e_i a generator (FinAlgebra.generators) when sigma is
     known to be multiplicative (the identity, or an automorphism verified on
     alg), which leaves the kernel unchanged, else on all pairs."""
-    order = None
-    if _multiplicative(alg, sigma):
-        order = (((s, j),) for s in alg.generators() for j in range(alg.dim))
-    _, blocks = _derivation_row_blocks(alg, sigma, order)
+    order = itertools.product(alg.generators(), range(alg.dim)) if _multiplicative(alg, sigma) else None
+    _, blocks = product_rule_rows(alg._pairs, derivation_terms(alg, None, sigma), alg.dim, order)
     return IntegerRows(row for block in blocks for row in block.values())
 
 
 def _commuting_rows(alg: FinAlgebra, sigma: LinMap) -> IntegerRows:
-    """sigma(x) Theta(x) - Theta(x) x = 0 for x over basis vectors and pairwise
-    sums; the residual at e_i + e_j adds up the four basis pairs of its support."""
-    n = alg.dim
-    order = [((i, i),) for i in range(n)]
-    order += [((i, i), (j, j), (i, j), (j, i)) for i, j in itertools.combinations(range(n), 2)]
-    _, blocks = product_rule_rows(None, commuting_terms(alg, None, sigma), n, order)
-    return IntegerRows(row for block in blocks for row in block.values())
+    """sigma(x) Theta(x) - Theta(x) x = 0 in the passes quadratic_failure
+    checks (algcore.polarized_passes), flattened unknowns Theta[k][j]: at each
+    e_i, then sigma(e_i) Theta(e_j) + sigma(e_j) Theta(e_i) - Theta(e_i) e_j
+    - Theta(e_j) e_i at each pair i < j."""
+    passes = polarized_passes(commuting_terms(alg, None, sigma), alg.dim)
+    return IntegerRows(row for terms, pairs in passes
+                       for block in product_rule_rows(None, terms, alg.dim, pairs)[1] for row in block.values())
 
 
 def _biderivation_rows(alg: FinAlgebra, sigma: LinMap):
@@ -233,7 +225,7 @@ def _biderivation_rows(alg: FinAlgebra, sigma: LinMap):
     n = alg.dim
     first = [[(l * n + k) * n + o for o in range(n) for l in range(n)] for k in range(n)]
     second = [[(k * n + l) * n + o for o in range(n) for l in range(n)] for k in range(n)]
-    for block in _derivation_row_blocks(alg, sigma)[1]:
+    for block in product_rule_rows(alg._pairs, derivation_terms(alg, None, sigma), n)[1]:
         for k in range(n):
             fk, sk = first[k], second[k]
             for row in block.values():

@@ -30,7 +30,7 @@ from trialg.sigmamaps import (
     is_endomorphism,
     require_automorphism,
 )
-from trialg.spaces import _biderivation_rows, _dedup_rows, _derivation_row_blocks, _derivation_rows, solve_space
+from trialg.spaces import _biderivation_rows, _dedup_rows, _derivation_rows, solve_space
 
 from test_algcore import _rebased
 
@@ -86,7 +86,8 @@ def test_generating_pairs_keep_the_solutions(label, alg, sigma):
     require_automorphism(alg, sigma)
     field, n = alg.field, alg.dim
     rows = list(_derivation_rows(alg, sigma))
-    full = [row for block in _derivation_row_blocks(alg, sigma)[1] for row in block.values()]
+    blocks = product_rule_rows(alg._pairs, derivation_terms(alg, None, sigma), n)[1]
+    full = [row for block in blocks for row in block.values()]
     assert len(rows) <= len(full)
     assert kernel_sparse(field, IntegerRows(rows), n * n) == kernel_sparse(field, IntegerRows(full), n * n)
     direct = kernel_sparse(field, _dedup_rows(_biderivation_rows(alg, sigma)), n ** 3)
@@ -259,7 +260,7 @@ def test_non_multiplicative_beta_keeps_the_full_scan():
     for k, j in itertools.product(range(n), repeat=2):
         beta = LinMap(field, [[(r == c) + ((r, c) == (k, j)) for c in range(n)] for r in range(n)])
         full = kernel(beta, None)
-        escaped = [v for v in kernel(beta, [((s, l),) for s in gens for l in range(n)]).basis
+        escaped = [v for v in kernel(beta, itertools.product(gens, range(n))).basis
                    if not full.contains_vector(v)]
         if escaped:
             break

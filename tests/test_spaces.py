@@ -58,7 +58,6 @@ from trialg.sigmamaps import (
 from trialg.spaces import (
     _biderivation_rows,
     _commuting_rows,
-    _derivation_row_blocks,
     _dedup_rows,
     _derivation_rows,
     extremal_sigma_biderivation,
@@ -328,7 +327,8 @@ def _derivation_residuals(alg, sigma, firsts=None):
 
 
 def _commuting_residuals(alg, sigma):
-    """sigma(x) Theta(x) - Theta(x) x over x = e_i, then x = e_i + e_j (i < j)."""
+    """sigma(x) Theta(x) - Theta(x) x over x = e_i, then x = e_i + e_j (i < j):
+    the residual at a pair sum adds up the four basis pairs of its support."""
     n, mul = alg.dim, alg.mul_vec
     e = [alg.basis_vector(i) for i in range(n)]
     xs = e + [alg.add_vec(e[i], e[j]) for i in range(n) for j in range(i + 1, n)]
@@ -336,6 +336,28 @@ def _commuting_residuals(alg, sigma):
     def residuals(theta):
         return [v for x in xs
                 for v in _minus(alg, mul(sigma.apply(x), theta.apply(x)), mul(theta.apply(x), x))]
+    return residuals
+
+
+def _polarized_commuting_residuals(alg, sigma):
+    """sigma(e_i) Theta(e_i) - Theta(e_i) e_i over i, then the polarization
+    sigma(e_i) Theta(e_j) + sigma(e_j) Theta(e_i) - Theta(e_i) e_j - Theta(e_j) e_i
+    over i < j."""
+    n, mul = alg.dim, alg.mul_vec
+    e = [alg.basis_vector(i) for i in range(n)]
+    sig = [sigma.apply(x) for x in e]
+    pairs = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def residuals(theta):
+        th = [theta.apply(x) for x in e]
+        out = []
+        for i, j in pairs:
+            if i == j:
+                out += _minus(alg, mul(sig[i], th[i]), mul(th[i], e[i]))
+            else:
+                out += _minus(alg, alg.add_vec(mul(sig[i], th[j]), mul(sig[j], th[i])),
+                              mul(th[i], e[j]), mul(th[j], e[i]))
+        return out
     return residuals
 
 
@@ -371,7 +393,8 @@ class TestRowSequence:
     def test_linear_rows_match_definition(self, name):
         """For a verified twist the derivation rows are the identity's on the
         pairs (s, j) with e_s a generator, and their kernel is that of the
-        identity on all pairs."""
+        identity on all pairs.  The commuting rows are the singles, then the
+        polarized pairs."""
         for alg, sigma in _row_instances(name):
             n = alg.dim
             unflat = lambda f, v: _unflatten(f, v, n)
@@ -381,7 +404,7 @@ class TestRowSequence:
             full = _oracle_rows(alg, n * n, unflat, _derivation_residuals(alg, sigma))
             assert kernel_sparse(alg.field, IntegerRows(rows), n * n) == kernel_sparse(alg.field, full, n * n)
             assert list(_commuting_rows(alg, sigma)) == _oracle_rows(
-                alg, n * n, unflat, _commuting_residuals(alg, sigma))
+                alg, n * n, unflat, _polarized_commuting_residuals(alg, sigma))
 
     @pytest.mark.parametrize("name", ["F1", "F2", "F3", "F4"])
     def test_biderivation_rows_match_definition(self, name):
@@ -390,6 +413,37 @@ class TestRowSequence:
             assert list(_biderivation_rows(alg, sigma)) == _oracle_rows(
                 alg, n ** 3, lambda f, v: BilinMap.unflatten(f, v, n),
                 _biderivation_residuals(alg, sigma))
+
+
+def _catalog_instances(fields, seed):
+    """(total algebra, twist): every catalog shape over each field, with the
+    identity and a seeded block-preserving twist."""
+    out = []
+    for field in fields:
+        rng = random.Random(seed + field.characteristic)
+        for _, make in instance_catalog(field):
+            tri = make()
+            out += [(tri.total, LinMap.identity(field, tri.dim)),
+                    (tri.total, random_block_preserving_sigma(tri, rng))]
+    return out
+
+
+class TestCommutingRows:
+    def test_polarized_rows_keep_the_four_pair_kernel(self):
+        """The polarized rows have the kernel of the rows of the residual at
+        every x = e_i and x = e_i + e_j, whose pair blocks add up four basis
+        pairs: both impose the singles.  Over F1-F4 and the catalog over Q,
+        F_5, F_3 and F_2, characteristic 2 included."""
+        cases = [case for name in ("F1", "F2", "F3", "F4") for case in _row_instances(name)]
+        cases += _catalog_instances((QQ, GF(5), GF(3), GF(2)), 9300)
+        proper = set()
+        for alg, sigma in cases:
+            n, field = alg.dim, alg.field
+            four_pair = _oracle_rows(alg, n * n, lambda f, v: _unflatten(f, v, n), _commuting_residuals(alg, sigma))
+            space = kernel_sparse(field, _commuting_rows(alg, sigma), n * n)
+            assert space == kernel_sparse(field, four_pair, n * n)
+            proper.add((field.characteristic, 0 < space.dim < n * n))
+        assert (2, True) in proper
 
 
 def _biderivation_oracle_instances():
@@ -401,13 +455,7 @@ def _biderivation_oracle_instances():
         ut2 = upper_triangular_algebra(field, 2)
         tri = build_triangular(ut2, regular_bimodule(ut2), upper_triangular_algebra(field, 2))
         out.append((tri.total, sigma1(tri)))
-    for field in (GF(5), GF(3), GF(2)):
-        rng = random.Random(9100 + field.p)
-        for _, make in instance_catalog(field):
-            tri = make()
-            out += [(tri.total, LinMap.identity(field, tri.dim)),
-                    (tri.total, random_block_preserving_sigma(tri, rng))]
-    return out
+    return out + _catalog_instances((GF(5), GF(3), GF(2)), 9100)
 
 
 class TestBiderivationOracle:
@@ -495,7 +543,7 @@ class TestProductRuleRows:
         for _, alg, sigma in _builder_instances():
             n = alg.dim
             d = _random_map(alg.field, n, rng)
-            rows = _derivation_row_blocks(alg, sigma)
+            rows = product_rule_rows(alg._pairs, derivation_terms(alg, None, sigma), n)
             scales.add(rows[0])
             _assert_blocks_give_residuals(
                 alg._pairs, rows, d,

@@ -21,6 +21,10 @@ report of the verified space, so that two runs (say on two versions of src/)
 can be compared for identical bases row by row, and generators, the size of
 the generating set on whose pairs the derivation rule is imposed and checked
 (FinAlgebra.generators; 5k - 2 on the regular Trian(UT_k, UT_k, UT_k)).
+Each sigma_derivation and sigma_commuting row also carries rows and row_nnz,
+the number of rows that spaces._derivation_rows or _commuting_rows yields
+for the solve and their nonzero entries, counted on a fresh instance at the
+twist the solve resolves (sigmamaps.map_twist), outside the timed solves.
 
 Each sigma_biderivation row of a triangular rung (every rung but F2) also
 times the theorem layer: extremal_split of each basis map of the verified
@@ -62,7 +66,8 @@ from trialg.fixtures import (  # noqa: E402
 )
 from trialg.io import canonical_json  # noqa: E402
 from trialg.randomgen import regular_bimodule  # noqa: E402
-from trialg.spaces import solve_space  # noqa: E402
+from trialg.sigmamaps import map_twist  # noqa: E402
+from trialg.spaces import _commuting_rows, _derivation_rows, solve_space  # noqa: E402
 
 KINDS = ("sigma_derivation", "sigma_commuting", "sigma_biderivation")
 MAX_SOLVES = 200
@@ -131,6 +136,19 @@ def measure(kind, build, repeats, min_seconds):
     return best[False], best[True], best["emit"], bases[False] == bases[True], bases[True].dim, r, digest
 
 
+def row_counts(kind, build):
+    """(rows, nonzero entries) of the rows the solve of a linear kind reduces,
+    on a fresh (T, sigma) from build()."""
+    t, sigma = build()
+    alg = getattr(t, "total", t)
+    make = _derivation_rows if kind == "sigma_derivation" else _commuting_rows
+    count = nnz = 0
+    for row in make(alg, map_twist(kind, alg, sigma)):
+        count += 1
+        nnz += len(row)
+    return count, nnz
+
+
 def theorem_layer(build, repeats):
     """(s, sha256): the best of repeats timings of extremal_split on every
     basis map of a verified sigma-biderivation space plus
@@ -174,7 +192,9 @@ def main(argv=None) -> int:
                    "ratio": round(verified / unverified, 2),
                    "emit_ms": round(emit * 1e3, 2), "basis_sha256": digest}
             theorem = ""
-            if kind == "sigma_biderivation" and isinstance(t, TriAlgebra):
+            if kind != "sigma_biderivation":
+                row["rows"], row["row_nnz"] = row_counts(kind, build)
+            elif isinstance(t, TriAlgebra):
                 sec, row["theorem_sha256"] = theorem_layer(build, args.repeats)
                 ok = ok and row["theorem_sha256"] is not None
                 row["theorem_ms"] = round(sec * 1e3, 2)
@@ -190,7 +210,10 @@ def main(argv=None) -> int:
                            "io.canonical_json(space.to_json()) over the verified spaces; "
                            "theorem_ms is the best of %d timings of the theorem layer on the "
                            "verified sigma_biderivation space of a triangular rung, each on a fresh "
-                           "instance and space, solved untimed"
+                           "instance and space, solved untimed; rows and row_nnz count the rows "
+                           "spaces._derivation_rows or _commuting_rows yields for a sigma_derivation "
+                           "or sigma_commuting solve and their nonzero entries, on a fresh instance, "
+                           "untimed"
                            % (args.repeats, args.min_seconds, MAX_SOLVES, args.repeats),
                "all_bases_identical": ok, "rungs": rows}, sys.stdout, indent=1)
     sys.stdout.write("\n")
