@@ -8,7 +8,8 @@ Run:  python3 demos/biderivation_splitting.py
 from trialg import QQ, solve_space
 from trialg.classify import extremal_split, inner_biderivation_witness, innerness_hypotheses
 from trialg.fixtures import fixture_f3, fixture_f4, sigma1
-from trialg.sigmamaps import LinMap, block_decompose
+from trialg.sigmamaps import LinMap
+from trialg.structure import block_decompose
 
 
 def narrate(tri, sigma, label):

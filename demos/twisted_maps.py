@@ -9,7 +9,8 @@ Run:  python3 demos/twisted_maps.py
 
 from trialg import QQ, classify_bilinear, classify_linear, sigma_commutator_vec, sigma_center
 from trialg.fixtures import fixture_f1, fixture_f2, lambda1, sigma1, theta1
-from trialg.sigmamaps import BilinMap, LinMap, block_decompose
+from trialg.sigmamaps import BilinMap, LinMap
+from trialg.structure import block_decompose
 
 
 def main():

@@ -16,26 +16,25 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "exactla": ("GF", "LinMap", "QQ", "Subspace", "rref", "span_coefficients"),
-    "algcore": ("Bimodule", "FinAlgebra", "TriAlgebra", "annihilators", "build_triangular",
-                "center_T", "center_direct", "faithful_quotient", "nil_radical_T", "nilpotency",
-                "nilpotency_T", "radical", "structure_checks", "tau_iso"),
-    "sigmamaps": ("AutBlocks", "BilinMap", "block_decompose", "classify_bilinear",
-                  "classify_linear", "inner_automorphism", "sigma_center", "sigma_commutator_vec"),
-    "spaces": ("DerivationBlocks", "MapSpace", "extremal_sigma_biderivation",
-               "inner_derivation_witness", "inner_sigma_biderivation", "inner_sigma_derivation",
-               "posner_intersection", "sigma_derivation_blocks", "solve_space"),
-    "classify": ("CommutingBlocks", "EndoBlocks", "InnerWitness", "ProperWitness",
-                 "properness_sufficiency", "commuting_auto_check", "commuting_blocks",
-                 "endo_blocks", "endo_mono_epi", "extremal_split", "ideal_split",
-                 "inner_biderivation_witness", "innerness_hypotheses", "partibility_sufficient",
-                 "partible_witness", "properness"),
+    "algcore": ("Bimodule", "FinAlgebra", "TriAlgebra", "build_triangular"),
+    "sigmamaps": ("BilinMap", "classify_bilinear", "classify_linear", "sigma_commutator_vec"),
+    "spaces": ("MapSpace", "solve_space"),
+    "structure": ("AutBlocks", "annihilators", "block_decompose", "center_T", "center_direct",
+                  "faithful_quotient", "inner_automorphism", "nil_radical_T", "nilpotency",
+                  "nilpotency_T", "radical", "sigma_center", "structure_checks", "tau_iso"),
+    "classify": ("CommutingBlocks", "DerivationBlocks", "EndoBlocks", "InnerWitness", "ProperWitness",
+                 "properness_sufficiency", "commuting_auto_check", "commuting_blocks", "endo_blocks",
+                 "endo_mono_epi", "extremal_sigma_biderivation", "extremal_split", "ideal_split",
+                 "inner_biderivation_witness", "inner_derivation_witness", "inner_sigma_biderivation",
+                 "inner_sigma_derivation", "innerness_hypotheses", "partibility_sufficient",
+                 "partible_witness", "posner_intersection", "properness", "sigma_derivation_blocks"),
     "errors": ("TheoremViolation", "TrialgError"),
 }
 
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 _SUBMODULES = ("algcore", "classify", "cli", "errors", "exactla", "fixtures", "io",
-               "randomgen", "sigmamaps", "spaces")
+               "randomgen", "sigmamaps", "spaces", "structure")
 
 __all__ = sorted(_SOURCE)
 

@@ -17,23 +17,17 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import os
 import sys
 import time
 
 from . import __version__, io as tio
 from .errors import InputError, TheoremViolation, TrialgError
-from .sigmamaps import MAP_KINDS, block_decompose
+from .sigmamaps import MAP_KINDS
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_FINDING = 2
-
-
-def _sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _report(command: str, paths: list[str], result: dict) -> dict:
@@ -71,6 +65,8 @@ class _Inputs:
 
     def sigma(self, path: str, tri):
         sigma = self.linmap(path, tri)
+        from .structure import block_decompose
+
         return sigma, block_decompose(tri, sigma)
 
     def bilinmap(self, path: str, tri):
@@ -95,7 +91,7 @@ def _cmd_triangular_build(args, load: _Inputs) -> dict:
 
 def _cmd_center(args, load: _Inputs) -> dict:
     tri = load.triangular(args.triangular)
-    from .algcore import center_T
+    from .structure import center_T
 
     return {"center": center_T(tri).to_json()}
 
@@ -103,7 +99,7 @@ def _cmd_center(args, load: _Inputs) -> dict:
 def _cmd_sigma_center(args, load: _Inputs) -> dict:
     tri = load.triangular(args.triangular)
     _, blocks = load.sigma(args.sigma, tri)
-    from .sigmamaps import sigma_center
+    from .structure import sigma_center
 
     z, eta = sigma_center(tri, blocks)
     return {"sigma_center": z.to_json(), "eta": None if eta is None else
@@ -112,14 +108,14 @@ def _cmd_sigma_center(args, load: _Inputs) -> dict:
 
 def _cmd_radical(args, load: _Inputs) -> dict:
     alg = load.algebra(args.algebra)
-    from .algcore import radical
+    from .structure import radical
 
     return {"radical": radical(alg).to_json()}
 
 
 def _cmd_nil_radical(args, load: _Inputs) -> dict:
     tri = load.triangular(args.triangular)
-    from .algcore import nil_radical_T
+    from .structure import nil_radical_T
 
     return {"nil_radical": nil_radical_T(tri).to_json()}
 
@@ -204,14 +200,15 @@ def _cmd_partible(args, load: _Inputs) -> dict:
 
 
 def _cmd_fixtures_emit(args, load: _Inputs) -> dict:
-    return {"written": [{"path": p, "sha256": _sha256(p)} for p in tio.emit_fixture(args.name, args.out_dir)]}
+    written = tio.emit_fixture(args.name, args.out_dir)
+    return {"written": [{"path": p, "sha256": digest} for p, digest in written.items()]}
 
 
 # Each command once, in usage order: its report name (its words, then any
 # {argument} the name also shows), help, arguments and handler.  An argument
 # is a positional, "--opt" a required option, "--opt?" an optional one and
 # "--opt!" a flag; the kind and fixture name arguments take their choices
-# from MAP_KINDS and FIXTURE_NAMES.
+# from MAP_KINDS and io.FIXTURE_NAMES.
 COMMANDS = (
     ("validate", "validate an algebra file", "algebra", _cmd_validate),
     ("triangular build", "build and validate a triangular algebra", "triangular --allow-zero-M!",
@@ -252,9 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process from COMMANDS and
     shared by every main call: parse_args fills a fresh namespace on each
     call, so no state carries between calls.  Callers must not modify it."""
-    from .fixtures import FIXTURE_NAMES
-
-    choices = {"kind": MAP_KINDS, "name": FIXTURE_NAMES}
+    choices = {"kind": MAP_KINDS, "name": tio.FIXTURE_NAMES}
     parser = _Parser(
         prog="trialg",
         description="Exact computer algebra for triangular algebras Trian(A, M, B).")

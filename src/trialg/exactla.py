@@ -65,6 +65,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -161,6 +162,14 @@ class Field:
         raise NotImplementedError
 
 
+@lru_cache(maxsize=1024)
+def _parse_rational(text: str) -> Fraction:
+    """Fraction(text), parsed once per distinct literal: the entries of an
+    input file are mostly a few literals such as "0" and "1".  A literal that
+    fails raises on every call, since a raise is not cached."""
+    return Fraction(text)
+
+
 class RationalField(Field):
     """The rationals; raw values are ``Fraction`` (lowest terms, positive denominator)."""
 
@@ -202,7 +211,7 @@ class RationalField(Field):
             try:
                 if "e" in x or "E" in x:  # Fraction would expand "1e3000000" into a 10-Mbit integer
                     raise ValueError("exponent notation")
-                return Fraction(x.strip())
+                return _parse_rational(x.strip())
             except (ValueError, ZeroDivisionError) as exc:
                 raise InputError("bad rational literal %r" % (x,)) from exc
         raise InputError("cannot coerce %r to a rational" % (x,))

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from .algcore import Bimodule, FinAlgebra, TriAlgebra, build_triangular
 from .exactla import GF, QQ, Field
-from .sigmamaps import LinMap, inner_automorphism, scaling_automorphism
+from .sigmamaps import LinMap
+from .structure import inner_automorphism, scaling_automorphism
 
 __all__ = [
     "scalar_algebra",
@@ -36,10 +37,7 @@ __all__ = [
     "phi_one_plus_m",
     "regular_bimodule",
     "ut2_tensor_flip",
-    "FIXTURE_NAMES",
 ]
-
-FIXTURE_NAMES = ("F1", "F2", "F3", "F4")
 
 
 def scalar_algebra(field: Field) -> FinAlgebra:

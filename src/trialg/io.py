@@ -32,6 +32,9 @@ from .sigmamaps import BilinMap, LinMap
 # a report gives for an input, with no second read of the file
 parsed_sha256: dict[str, str] = {}
 
+# the names emit_fixture takes, and the choices of `trialg fixtures emit`
+FIXTURE_NAMES = ("F1", "F2", "F3", "F4")
+
 
 def _load_json(path: str):
     """The JSON value in the file at path, read once, its digest kept in
@@ -50,13 +53,15 @@ def _load_json(path: str):
     return value
 
 
-def _dump_json(obj, path: str):
+def _dump_json(obj, path: str) -> str:
+    """Write obj as canonical JSON and a newline; returns the sha256 of the bytes written."""
+    data = (canonical_json(obj) + "\n").encode("utf-8")
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(obj))
-            fh.write("\n")
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         raise InputError("cannot write %s: %s" % (path, exc)) from exc
+    return hashlib.sha256(data).hexdigest()
 
 
 def canonical_json(obj) -> str:
@@ -237,20 +242,20 @@ def load_bilinmap_on(path: str, alg: FinAlgebra) -> BilinMap:
     return bilinmap_from_json(obj, alg.field)
 
 
-def emit_fixture(name: str, out_dir: str) -> list[str]:
-    """Write the canonical fixture files; returns the paths written."""
+def emit_fixture(name: str, out_dir: str) -> dict[str, str]:
+    """Write the canonical fixture files; returns {path: the sha256 of the
+    bytes written there}, in the order written."""
     from . import fixtures as fx
 
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise InputError("cannot create %s: %s" % (out_dir, exc)) from exc
-    written = []
+    written = {}
 
     def put(fname: str, payload: dict):
         path = os.path.join(out_dir, fname)
-        _dump_json(payload, path)
-        written.append(path)
+        written[path] = _dump_json(payload, path)
 
     if name == "F2":
         alg, sig = fx.fixture_f2()
@@ -264,7 +269,7 @@ def emit_fixture(name: str, out_dir: str) -> list[str]:
     elif name == "F4":
         tri = fx.fixture_f4()
     else:
-        raise InputError("unknown fixture %r (expected F1, F2, F3, F4)" % (name,))
+        raise InputError("unknown fixture %r (expected %s)" % (name, ", ".join(FIXTURE_NAMES)))
     put("T.json", triangular_to_json(tri))
     put("sigma1.json", fx.sigma1(tri).to_json())
     put("identity.json", LinMap.identity(tri.field, tri.dim).to_json())

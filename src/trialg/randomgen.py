@@ -22,7 +22,8 @@ from .fixtures import (
     truncated_polynomial_algebra,
     upper_triangular_algebra,
 )
-from .sigmamaps import LinMap, inner_automorphism
+from .sigmamaps import LinMap
+from .structure import inner_automorphism, scaling_automorphism
 
 
 def left_scalar_bimodule(scalars: FinAlgebra, alg: FinAlgebra) -> Bimodule:
@@ -137,8 +138,6 @@ def random_block_preserving_sigma(tri: TriAlgebra, rng: random.Random) -> LinMap
     c = field.coerce(rng.randrange(1, span))
     if not c:
         c = field.one
-    from .sigmamaps import scaling_automorphism
-
     return conj.compose(scaling_automorphism(tri, c))
 
 

@@ -41,58 +41,56 @@ common denominator, which sigma and the identity (FinAlgebra.identity_map)
 keep in their stores, lifted once however many maps are checked against
 them.  The minus sign of a commuting term lives in the negated table.
 
-In the one store of each instance (exactla.derived), automorphism_verdict
-keeps each passing verdict on the algebra, block_decompose each verified
-AutBlocks on the TriAlgebra, and an AutBlocks Z_sigma, the corner twisted
-centers, the projections of Z_sigma and eta.  A failing map is kept nowhere.
+automorphism_verdict keeps each passing verdict in the algebra's store
+(exactla.derived); a failing map is kept nowhere.  The block decomposition of
+an automorphism of a triangular algebra (AutBlocks, block_decompose), the
+twisted center read off it and the inner and scaling automorphisms are in
+trialg.structure.
+
+MapKind, Witness and Verdict are plain immutable classes with __slots__, like
+FinAlgebra, so that the solve path imports no dataclasses.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .algcore import (
     FinAlgebra,
     SparseTable,
-    SubspaceMap,
-    TriAlgebra,
     _coerced_table,
-    _mul_map,
     _sparse_table,
     _table_apply,
     _tensor_entries,
-    eta_from_center,
     product_rule_failure,
-    project_subspace,
     quadratic_failure,
-    sigma_center_direct,
     twisted_ad,
-    twisted_center_T,
 )
 from .errors import (
     DimMismatch,
     FieldMismatch,
     InputError,
-    NotAutomorphism,
-    NotBlockPreserving,
-    NotInvertible,
     SigmaMissing,
     SigmaNotAutomorphism,
     TheoremViolation,
 )
-from .exactla import Field, LinMap, Subspace, _merge, derived, integer_vector, is_nonzero
+from .exactla import Field, LinMap, _merge, derived, integer_vector, is_nonzero
 
 
-@dataclass(frozen=True)
 class MapKind:
     """A kind of map: the identity it satisfies ("derivation" or
     "commuting"), its arity, and whether it is twisted by a given
     automorphism sigma or untwisted, the case sigma = 1."""
 
-    identity: str
-    bilinear: bool
-    twisted: bool
+    __slots__ = ("identity", "bilinear", "twisted")
+
+    def __init__(self, identity: str, bilinear: bool, twisted: bool):
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "bilinear", bilinear)
+        object.__setattr__(self, "twisted", twisted)
+
+    def __setattr__(self, *a):
+        raise AttributeError("MapKind is immutable")
 
 
 MAP_KINDS = {
@@ -212,13 +210,18 @@ class BilinMap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Witness:
     """First failing evaluation of a predicate."""
 
-    indices: tuple
-    element: tuple  # the nonzero discrepancy, as a coefficient vector
-    description: str = ""
+    __slots__ = ("indices", "element", "description")
+
+    def __init__(self, indices: tuple, element: tuple, description: str = ""):
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "element", element)  # the nonzero discrepancy, as a coefficient vector
+        object.__setattr__(self, "description", description)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Witness is immutable")
 
     def to_json(self, field: Field):
         return {"indices": list(self.indices),
@@ -226,12 +229,17 @@ class Witness:
                 "description": self.description}
 
 
-@dataclass(frozen=True)
 class Verdict:
-    kind: str
-    holds: bool
-    witness: Witness | None = None
-    notes: tuple = ()
+    __slots__ = ("kind", "holds", "witness", "notes")
+
+    def __init__(self, kind: str, holds: bool, witness: Witness | None = None, notes: tuple = ()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "notes", notes)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Verdict is immutable")
 
     def __bool__(self):
         return self.holds
@@ -463,134 +471,3 @@ def _kills_unit(alg: FinAlgebra, slot: LinMap) -> bool:
         if is_nonzero(p, acc):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# twisted-center machinery on triangular algebras
-# ---------------------------------------------------------------------------
-
-
-def _corner_range(tri: TriAlgebra, name: str) -> range:
-    """The coordinates of corner "A", "M" or "B" in the total algebra."""
-    return {"A": tri.range_a, "M": tri.range_m, "B": tri.range_b}[name]
-
-
-def block_of(tri: TriAlgebra, f: LinMap, src: str, dst: str) -> LinMap:
-    """The block of a map f on the total algebra from corner src to corner
-    dst (each "A", "M" or "B"): e_j of src goes to the dst part of f(e_j).
-    Its columns are those of f at src, cut to dst."""
-    rs, rd = _corner_range(tri, src), _corner_range(tri, dst)
-    lo, hi = rd.start, rd.stop
-    return LinMap._trusted(tri.field, [tuple((k - lo, c) for k, c in f.columns[j] if lo <= k < hi) for j in rs],
-                           len(rd))
-
-
-def from_blocks(tri: TriAlgebra, blocks: dict) -> LinMap:
-    """The map on the total algebra with the blocks {(src, dst): LinMap},
-    as block_of reads them, and zero in every block not given."""
-    cols = [[] for _ in range(tri.dim)]
-    for (src, dst), block in blocks.items():
-        lo = _corner_range(tri, dst).start
-        for j, col in zip(_corner_range(tri, src), block.columns):
-            cols[j].extend((lo + k, c) for k, c in col)
-    return LinMap._trusted(tri.field, map(sorted, cols), tri.dim)
-
-
-@dataclass(frozen=True)
-class AutBlocks:
-    """Diagonal blocks (f, g) and corner block nu of a block-preserving
-    automorphism, and the data read off them, each made on first use and kept
-    in its store (derived): center, corner_centers, projections and eta."""
-
-    tri: TriAlgebra
-    f: LinMap  # on A
-    g: LinMap  # on B
-    nu: LinMap  # on M
-    source: LinMap  # the automorphism of the total algebra
-
-    def verify(self):
-        tri = self.tri
-        left, right = tri.M._left_pairs, tri.M._right_pairs
-        if not automorphism_verdict(tri.A, self.f).holds:
-            raise TheoremViolation("A-block of a block-preserving automorphism must be an automorphism")
-        if not automorphism_verdict(tri.B, self.g).holds:
-            raise TheoremViolation("B-block must be an automorphism")
-        if not self.nu.is_bijective():
-            raise TheoremViolation("M-block must be bijective")
-        if product_rule_failure(left, self.nu, ((self.f, self.nu, left),)):
-            raise TheoremViolation("nu(am) != f(a) nu(m) on a basis pair")
-        if product_rule_failure(right, self.nu, ((self.nu, self.g, right),)):
-            raise TheoremViolation("nu(mb) != nu(m) g(b) on a basis pair")
-
-    @property
-    def center(self) -> Subspace:
-        """Z_sigma, from the block description (algcore.twisted_center_T)."""
-        return derived(self, "center", lambda: twisted_center_T(self.tri, self.f, self.g, self.nu))
-
-    @property
-    def corner_centers(self) -> tuple[Subspace, Subspace]:
-        """(Z_f(A), Z_g(B)), the twisted centers of the corners."""
-        return derived(self, "corner_centers", lambda: (sigma_center_direct(self.tri.A, self.f),
-                                                        sigma_center_direct(self.tri.B, self.g)))
-
-    @property
-    def projections(self) -> tuple[Subspace, Subspace]:
-        """(pi_A(Z_sigma), pi_B(Z_sigma))."""
-        return derived(self, "projections", lambda: (project_subspace(self.center, self.tri.range_a),
-                                                     project_subspace(self.center, self.tri.range_b)))
-
-    @property
-    def eta(self) -> SubspaceMap | None:
-        """eta: pi_B(Z_sigma) -> pi_A(Z_sigma), eta(b) m = nu(m) b; None unless M is faithful."""
-        return derived(self, "eta", lambda: eta_from_center(self.tri, self.center, self.projections, self.nu)
-                       if self.tri.is_faithful() else None)
-
-
-def block_decompose(tri: TriAlgebra, sigma: LinMap) -> AutBlocks:
-    """Split a block-preserving automorphism of the total algebra into (f, g, nu).
-    The verified AutBlocks is kept in tri's store under ("blocks", sigma); a
-    map that fails is kept nowhere and checked again on every call."""
-    def make():
-        if not automorphism_verdict(tri.total, sigma).holds:
-            raise NotAutomorphism("block decomposition needs an automorphism")
-        t = tri.total
-        for name, rng in (("A", tri.range_a), ("M", tri.range_m), ("B", tri.range_b)):
-            for j in rng:
-                if any(k not in rng for k, _ in sigma.columns[j]):
-                    raise NotBlockPreserving("sigma maps basis vector %d (%r) of block %s to %s, outside %s" % (
-                        j, t.basis_names[j], name, t.format_vector(sigma.image_of_basis(j)), name))
-        blocks = AutBlocks(tri, block_of(tri, sigma, "A", "A"), block_of(tri, sigma, "B", "B"),
-                           block_of(tri, sigma, "M", "M"), sigma)
-        blocks.verify()
-        return blocks
-    return derived(tri, ("blocks", sigma), make)
-
-
-def sigma_center(tri: TriAlgebra, blocks: AutBlocks) -> tuple[Subspace, SubspaceMap | None]:
-    """(Z_sigma, eta) of the blocks (AutBlocks.center and AutBlocks.eta): eta
-    is None unless the bimodule is faithful on both sides."""
-    if blocks.tri is not tri and blocks.tri != tri:
-        raise FieldMismatch("blocks belong to a different triangular algebra")
-    return blocks.center, blocks.eta
-
-
-# ---------------------------------------------------------------------------
-# inner automorphisms
-# ---------------------------------------------------------------------------
-
-
-def inner_automorphism(alg: FinAlgebra, u) -> LinMap:
-    """Conjugation x -> u^{-1} x u by an invertible element, R_u o L_{u^-1}
-    read off the product table and its transpose."""
-    u, n = alg.coerce_vector(u), alg.dim
-    return _mul_map(alg.field, alg._pairs.transpose(), u, n, n).compose(alg.left_mul_mat(alg.invert(u)))
-
-
-def scaling_automorphism(tri: TriAlgebra, c) -> LinMap:
-    """a + m + b -> a + c m + b for a unit scalar c."""
-    field = tri.field
-    c = field.coerce(c)
-    if not c:
-        raise NotInvertible("scaling by zero")
-    one, m = field.one, tri.range_m
-    return LinMap._trusted(field, (((j, c if j in m else one),) for j in range(tri.dim)), tri.dim)

@@ -1,8 +1,7 @@
-"""Complete solution spaces of map equations, plus the inner and extremal
-constructors, which read every sigma-commutator off algcore.twisted_ad and
-every commutator off FinAlgebra.bracket_map ([., .] : T (x) T -> T, made once
-per algebra, so that lambda [., .] is L_lambda o [., .]), and the block form
-of twisted derivations.
+"""Complete solution spaces of map equations: MapSpace, the constraint-row
+builders and solve_space.  The inner and extremal constructors and the block
+form of twisted derivations, which read their solutions off these spaces,
+are in trialg.classify.
 
 Each defining identity is bilinear (or trilinear) in its arguments, so imposing
 it on basis tuples yields an exact linear system in the flattened map
@@ -50,26 +49,18 @@ read a map's sparse columns or table in that flattening.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .algcore import (
     FinAlgebra,
     SparseTable,
     TriAlgebra,
     polarized_passes,
-    product_rule_failure,
     product_rule_rows,
-    twisted_ad,
 )
 from .errors import (
     AmbientMismatch,
-    CentralElement,
-    CommutativeAlgebra,
     InputError,
     NotInSpan,
-    NotSigmaCentral,
-    NotSigmaDerivation,
-    PreconditionFails,
     TheoremViolation,
 )
 from .exactla import (
@@ -81,35 +72,35 @@ from .exactla import (
     integer_vector,
     kernel_sparse,
     nonzero_rows,
-    span_coefficients,
 )
 from .sigmamaps import (
     MAP_KINDS,
-    AutBlocks,
     BilinMap,
     LinMap,
-    _check_square,
     _multiplicative,
-    block_decompose,
-    block_of,
     classify_bilinear,
     classify_linear,
     commuting_terms,
     derivation_terms,
-    from_blocks,
     map_twist,
-    require_holds,
 )
 
 
-@dataclass(frozen=True)
 class MapSpace:
-    """Solution space of one map equation over flattened coordinates."""
+    """Solution space of one map equation over flattened coordinates; an
+    immutable __slots__ class, not a dataclass, so that the solve path does
+    not import dataclasses."""
 
-    kind: str
-    algebra: FinAlgebra
-    sigma: LinMap | None
-    subspace: Subspace
+    __slots__ = ("kind", "algebra", "sigma", "subspace")
+
+    def __init__(self, kind: str, algebra: FinAlgebra, sigma: LinMap | None, subspace: Subspace):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "subspace", subspace)
+
+    def __setattr__(self, *a):
+        raise AttributeError("MapSpace is immutable")
 
     @property
     def dim(self) -> int:
@@ -318,168 +309,3 @@ def solve_space(kind: str, t, sigma: LinMap | None = None,
             if not classify(kind, alg, m, sigma).holds:
                 raise TheoremViolation("solved %s space contains a non-solution" % kind)
     return space
-
-
-# ---------------------------------------------------------------------------
-# constructors
-# ---------------------------------------------------------------------------
-
-
-def inner_sigma_derivation(t, x0, sigma: LinMap) -> LinMap:
-    """x -> [x, x0]_sigma, twisted_ad(alg, sigma, x0); always a sigma-derivation."""
-    alg = _algebra_of(t)
-    d = twisted_ad(alg, sigma, x0)
-    v = classify_linear("sigma_derivation", alg, d, sigma)
-    if not v.holds:
-        raise TheoremViolation("inner twisted derivation failed its own identity")
-    return d
-
-
-def is_sigma_central(t, x, sigma: LinMap) -> bool:
-    return twisted_ad(_algebra_of(t), sigma, x).is_zero()
-
-
-def inner_sigma_biderivation(t, lam, sigma: LinMap) -> BilinMap:
-    """(x, y) -> lambda [x, y] for a twisted-central lambda on a noncommutative algebra."""
-    alg = _algebra_of(t)
-    lam = alg.coerce_vector(lam)
-    if alg.is_commutative():
-        raise CommutativeAlgebra("inner twisted biderivations need [T, T] != 0")
-    if not is_sigma_central(alg, lam, sigma):
-        raise NotSigmaCentral("lambda is not twisted-central")
-    n, cols = alg.dim, alg.left_mul_mat(lam).compose(alg.bracket_map()).columns  # entry [i][j] at i*n + j
-    D = BilinMap._trusted(alg.field, SparseTable(cols[i * n:(i + 1) * n] for i in range(n)))
-    v = classify_bilinear("sigma_biderivation", alg, D, sigma)
-    if not v.holds:
-        raise TheoremViolation("inner twisted biderivation failed its own identity")
-    return D
-
-
-def extremal_sigma_biderivation(t, x0, sigma: LinMap) -> BilinMap:
-    """(x, y) -> [x, [y, x0]_sigma]_sigma for x0 outside the twisted center
-    with [[T, T], x0]_sigma = 0, PreconditionFails naming the first (i, j) in
-    row-major order where [[e_i, e_j], x0]_sigma, column i*n + j of
-    inner o [., .] for inner = twisted_ad(alg, sigma, x0), does not vanish.
-    Symmetry and the biderivation identity are re-verified on the result.
-    """
-    alg = _algebra_of(t)
-    inner = twisted_ad(alg, sigma, x0)
-    if inner.is_zero():
-        raise CentralElement("x0 lies in the twisted center")
-    failing = next((c for c, col in enumerate(inner.compose(alg.bracket_map()).columns) if col), None)
-    if failing is not None:
-        raise PreconditionFails(divmod(failing, alg.dim))
-    table = zip(*(twisted_ad(alg, sigma, inner.image_of_basis(j)).columns for j in range(alg.dim)))
-    psi = BilinMap._trusted(alg.field, SparseTable(table))
-    if not psi.is_symmetric():
-        raise TheoremViolation("extremal twisted biderivation is not symmetric")
-    v = classify_bilinear("sigma_biderivation", alg, psi, sigma)
-    if not v.holds:
-        raise TheoremViolation("extremal twisted biderivation failed its own identity")
-    return psi
-
-
-def inner_derivation_witness(t, d: LinMap, sigma: LinMap) -> tuple | None:
-    """Solve [x, x0]_sigma = d(x) for x0, the coefficients of d's columns in
-    those of the twisted_ad(alg, sigma, e_j); None when d is not inner."""
-    alg = _algebra_of(t)
-    _check_square(alg, d)
-    cols = [twisted_ad(alg, sigma, alg.basis_vector(j)).columns for j in range(alg.dim)]
-    x0 = span_coefficients(alg.field, cols, d.columns)
-    if x0 is None:
-        return None
-    if inner_sigma_derivation(alg, x0, sigma) != d:
-        raise TheoremViolation("inner-derivation solve returned a non-witness")
-    return x0
-
-
-# ---------------------------------------------------------------------------
-# block form of twisted derivations
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DerivationBlocks:
-    """Block data (d_A, d_B, m_d, xi) of a twisted derivation of a triangular
-    algebra: d(a + m + b) = d_A(a) + (f(a) m_d - m_d b + xi(m)) + d_B(b)."""
-
-    tri: TriAlgebra
-    blocks: AutBlocks
-    d_a: LinMap
-    d_b: LinMap
-    m_d: tuple
-    xi: LinMap
-
-    def reassemble(self) -> LinMap:
-        tri = self.tri
-        return from_blocks(tri, {("A", "A"): self.d_a, ("M", "M"): self.xi, ("B", "B"): self.d_b,
-                                 ("A", "M"): tri.left_action_on(self.m_d).compose(self.blocks.f),
-                                 ("B", "M"): -tri.right_action_on(self.m_d)})
-
-
-def sigma_derivation_blocks(tri: TriAlgebra, d: LinMap, blocks: AutBlocks) -> DerivationBlocks:
-    """Extract (d_A, d_B, m_d, xi) and verify the block identities exactly.
-
-    m_d is the corner part of d(p); reassembly reproducing d is the normative
-    contract for the sign conventions.
-    """
-    require_holds(classify_linear("sigma_derivation", tri.total, d, blocks.source), NotSigmaDerivation)
-    m_d = tri.part_m(d.apply(tri.p))
-    hw = DerivationBlocks(tri, blocks, block_of(tri, d, "A", "A"), block_of(tri, d, "B", "B"), m_d,
-                          block_of(tri, d, "M", "M"))
-    _verify_derivation_blocks(hw, d)
-    return hw
-
-
-def _verify_derivation_blocks(hw: DerivationBlocks, d: LinMap):
-    tri = hw.tri
-    field = tri.field
-    if not classify_linear("sigma_derivation", tri.A, hw.d_a, hw.blocks.f).holds:
-        raise TheoremViolation("corner block d_A is not an f-twisted derivation")
-    if not classify_linear("sigma_derivation", tri.B, hw.d_b, hw.blocks.g).holds:
-        raise TheoremViolation("corner block d_B is not a g-twisted derivation")
-    # xi(a m) = d_A(a) m + f(a) xi(m) and xi(m b) = xi(m) b + nu(m) d_B(b)
-    left, right = tri.M._left_pairs, tri.M._right_pairs
-    id_m, id_b = LinMap.identity(field, tri.M.dim_m), tri.B.identity_map()
-    if product_rule_failure(left, hw.xi, ((hw.d_a, id_m, left), (hw.blocks.f, hw.xi, left))):
-        raise TheoremViolation("xi fails its left action identity")
-    if product_rule_failure(right, hw.xi, ((hw.xi, id_b, right), (hw.blocks.nu, hw.d_b, right))):
-        raise TheoremViolation("xi fails its right action identity")
-    if hw.reassemble() != d:
-        raise TheoremViolation("block reassembly does not reproduce the twisted derivation")
-
-
-# ---------------------------------------------------------------------------
-# twisted Posner intersection
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PosnerResult:
-    intersection: Subspace
-    derivation_space: MapSpace
-    commuting_space: MapSpace
-    faithful: bool
-
-    @property
-    def dim(self) -> int:
-        return self.intersection.dim
-
-
-def posner_intersection(tri: TriAlgebra, sigma: LinMap) -> PosnerResult:
-    """Intersection of the twisted-derivation and twisted-commuting spaces.
-
-    For a faithful instance with block-preserving sigma the intersection must
-    vanish; a nonzero intersection there is raised as a finding.
-    """
-    block_decompose(tri, sigma)  # the reduction assumes block preservation
-    faithful = tri.is_faithful()
-    der = solve_space("sigma_derivation", tri, sigma)
-    comm = solve_space("sigma_commuting", tri, sigma)
-    inter = der.subspace.intersect(comm.subspace)
-    result = PosnerResult(inter, der, comm, faithful)
-    if faithful and inter.dim != 0:
-        raise TheoremViolation(
-            "nonzero twisted-commuting twisted derivation on a faithful instance (dim %d)"
-            % inter.dim)
-    return result

@@ -15,8 +15,9 @@ from trialg.fixtures import (
     sigma1,
     theta1,
 )
-from trialg.sigmamaps import LinMap, block_decompose
+from trialg.sigmamaps import LinMap
 from trialg.spaces import solve_space
+from trialg.structure import block_decompose
 
 
 @pytest.fixture(scope="session")

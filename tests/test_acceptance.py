@@ -9,14 +9,6 @@ import random
 
 import pytest
 
-from trialg.algcore import (
-    center_T,
-    center_direct,
-    nil_radical_T,
-    nilpotency,
-    radical,
-    sigma_center_direct,
-)
 from trialg.classify import (
     commuting_blocks,
     endo_blocks,
@@ -24,8 +16,10 @@ from trialg.classify import (
     extremal_split,
     ideal_split,
     inner_biderivation_witness,
+    inner_sigma_biderivation,
     innerness_hypotheses,
     partible_witness,
+    posner_intersection,
     properness,
 )
 from trialg.exactla import GF, QQ, Subspace
@@ -40,17 +34,21 @@ from trialg.randomgen import random_block_preserving_sigma
 from trialg.sigmamaps import (
     BilinMap,
     LinMap,
-    block_decompose,
     classify_bilinear,
     classify_linear,
-    inner_automorphism,
-    sigma_center,
     sigma_commutator_vec,
 )
-from trialg.spaces import (
-    inner_sigma_biderivation,
-    posner_intersection,
-    solve_space,
+from trialg.spaces import solve_space
+from trialg.structure import (
+    block_decompose,
+    center_direct,
+    center_T,
+    inner_automorphism,
+    nil_radical_T,
+    nilpotency,
+    radical,
+    sigma_center,
+    sigma_center_direct,
 )
 
 
@@ -322,7 +320,7 @@ def _check_z_transfer(tri, sig_factor):
 
 
 def _check_commuting_lemmas(tri, blocks, space):
-    from trialg.algcore import project_subspace
+    from trialg.structure import project_subspace
 
     z, _ = sigma_center(tri, blocks)
     pa = project_subspace(z, tri.range_a)

@@ -11,22 +11,12 @@ from trialg.algcore import (
     Bimodule,
     FinAlgebra,
     SparseTable,
-    annihilators,
     build_triangular,
-    center_T,
-    center_direct,
-    faithful_quotient,
-    nil_radical_T,
-    nilpotency,
-    nilpotency_T,
     product_rule_failure,
     quadratic_failure,
-    radical,
-    structure_checks,
-    subspace_product,
-    tau_iso,
     twisted_ad,
 )
+from trialg.classify import inner_sigma_derivation
 from trialg.errors import (
     CharTooSmall,
     DimMismatch,
@@ -44,8 +34,21 @@ from trialg.fixtures import (
     truncated_polynomial_algebra,
     upper_triangular_algebra,
 )
-from trialg.sigmamaps import LinMap, derivation_terms, inner_automorphism
-from trialg.spaces import inner_sigma_derivation
+from trialg.sigmamaps import LinMap, derivation_terms
+from trialg.structure import (
+    annihilators,
+    center_direct,
+    center_T,
+    faithful_quotient,
+    inner_automorphism,
+    nil_radical_T,
+    nilpotency,
+    nilpotency_T,
+    radical,
+    structure_checks,
+    subspace_product,
+    tau_iso,
+)
 
 from test_dense_oracles import right_mul_mat
 
@@ -392,7 +395,7 @@ class TestRadical:
         assert power.is_zero()
 
     def test_quotient_has_zero_radical(self):
-        from trialg.algcore import quotient_algebra
+        from trialg.structure import quotient_algebra
 
         alg = truncated_polynomial_algebra(QQ, 4)
         quo, _ = quotient_algebra(alg, radical(alg))

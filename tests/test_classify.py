@@ -5,20 +5,22 @@ import itertools
 
 import pytest
 
-from trialg.algcore import Bimodule, build_triangular, structure_checks
+from trialg.algcore import Bimodule, build_triangular
 from trialg.classify import (
-    properness_sufficiency,
     commuting_auto_check,
     commuting_blocks,
     endo_blocks,
     endo_mono_epi,
+    extremal_sigma_biderivation,
     extremal_split,
     ideal_split,
     inner_biderivation_witness,
+    inner_sigma_biderivation,
     innerness_hypotheses,
     partibility_sufficient,
     partible_witness,
     properness,
+    properness_sufficiency,
 )
 from trialg.errors import NotInvertible, NotSigmaBiderivation, PreconditionFails
 from trialg.exactla import GF, QQ
@@ -34,19 +36,9 @@ from trialg.fixtures import (
     ut2_tensor_flip,
 )
 from trialg.randomgen import instance_catalog, regular_bimodule
-from trialg.sigmamaps import (
-    BilinMap,
-    LinMap,
-    block_decompose,
-    classify_linear,
-    inner_automorphism,
-    sigma_center,
-)
-from trialg.spaces import (
-    extremal_sigma_biderivation,
-    inner_sigma_biderivation,
-    solve_space,
-)
+from trialg.sigmamaps import BilinMap, LinMap, classify_linear
+from trialg.spaces import solve_space
+from trialg.structure import block_decompose, inner_automorphism, sigma_center, structure_checks
 
 
 def diagonal_triangular(field=QQ):
@@ -444,7 +436,7 @@ class TestPartibleWitness:
         assert w.sigma_bar == f1_sigma1
 
     def test_f3_family(self, f3):
-        from trialg.sigmamaps import inner_automorphism
+        from trialg.structure import inner_automorphism
 
         t = f3.total
         s3 = sigma1(f3)
@@ -514,19 +506,19 @@ class TestPartibilitySufficient:
         implication chain read one idempotent list), and partibility over Q
         makes one radical per corner, though Condition (I) of the
         noncommutative corner of F3 asks for it too."""
-        from trialg import algcore
+        from trialg import structure
         from trialg.fixtures import fixture_f3
 
-        drawn, enumerate_elements = [], algcore._enumerate_elements
-        monkeypatch.setattr(algcore, "_enumerate_elements",
+        drawn, enumerate_elements = [], structure._enumerate_elements
+        monkeypatch.setattr(structure, "_enumerate_elements",
                             lambda *args: (drawn.append(x) or x for x in enumerate_elements(*args)))
         for field, n in ((GF(2), 2), (GF(3), 3)):
             alg = upper_triangular_algebra(field, n)
             drawn.clear()
             assert structure_checks(alg, "condition_I").verdict == "fails"
             assert len(drawn) == field.characteristic ** alg.dim
-        trace_forms, trace_form_rows = [], algcore._trace_form_rows
-        monkeypatch.setattr(algcore, "_trace_form_rows", lambda alg: trace_forms.append(alg) or trace_form_rows(alg))
+        trace_forms, trace_form_rows = [], structure._trace_form_rows
+        monkeypatch.setattr(structure, "_trace_form_rows", lambda alg: trace_forms.append(alg) or trace_form_rows(alg))
         f3 = fixture_f3()
         assert partibility_sufficient(f3).verdict == "partible"
         assert trace_forms == [f3.A, f3.B]
@@ -552,7 +544,7 @@ class TestCommutingAutomorphism:
 class TestLemauxContainments:
     def test_corner_commutator_images_stay_central(self, f1, f1_blocks, f1_commuting_space,
                                                    f4, f4_blocks, f4_commuting_space):
-        from trialg.algcore import project_subspace
+        from trialg.structure import project_subspace
 
         for tri, blocks, space in ((f1, f1_blocks, f1_commuting_space),
                                    (f4, f4_blocks, f4_commuting_space)):

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import trialg
-from trialg.cli import build_parser, main
+from trialg.cli import COMMANDS, build_parser, main
 from trialg.sigmamaps import MAP_KINDS
 
 
@@ -476,6 +476,47 @@ class TestInputErrors:
         assert json.loads(out)["error"]["type"] == "DimMismatch"
 
 
+# one argv per entry of COMMANDS, on F1's files: T, sigma1, theta1, its corner A
+# as an algebra file, D the sum of the solved sigma1-biderivation basis and D0
+# the residual of D's extremal split
+COMMAND_ARGV = {
+    "validate": ["validate", "{A}"],
+    "triangular build": ["triangular", "build", "{T}"],
+    "center": ["center", "{T}"],
+    "sigma-center": ["sigma-center", "{T}", "--sigma", "{sigma}"],
+    "radical": ["radical", "{A}"],
+    "nil-radical": ["nil-radical", "{T}"],
+    "solve {kind}": ["solve", "sigma_biderivation", "{T}", "--sigma", "{sigma}"],
+    "split-biderivation": ["split-biderivation", "{T}", "--sigma", "{sigma}", "--bid", "{D}"],
+    "inner-witness": ["inner-witness", "{T}", "--sigma", "{sigma}", "--bid", "{D0}"],
+    "commuting-blocks": ["commuting-blocks", "{T}", "--sigma", "{sigma}", "--map", "{theta}"],
+    "properness": ["properness", "{T}", "--sigma", "{sigma}", "--map", "{theta}"],
+    "endo classify": ["endo", "classify", "{T}", "--map", "{sigma}"],
+    "partible": ["partible", "{T}", "--sigma", "{sigma}"],
+    "fixtures emit": ["fixtures", "emit", "F1", "{out}"],
+}
+
+
+@pytest.fixture(scope="module")
+def f1_command_files(tmp_path_factory):
+    from trialg import io
+    from trialg.classify import extremal_split
+    from trialg.spaces import solve_space
+
+    root = tmp_path_factory.mktemp("f1-commands")
+    io.emit_fixture("F1", str(root))
+    paths = {stem: str(root / (stem + ".json")) for stem in ("T", "A", "D", "D0")}
+    paths.update(sigma=str(root / "sigma1.json"), theta=str(root / "theta1.json"), out=str(root / "emit"))
+    tri = io.load_triangular(paths["T"])
+    sigma = io.load_linmap(paths["sigma"], tri.field)
+    bider = solve_space("sigma_biderivation", tri, sigma).basis_maps()
+    D = sum(bider[1:], bider[0])
+    io._dump_json(io.algebra_to_json(tri.A), paths["A"])
+    io._dump_json(D.to_json(), paths["D"])
+    io._dump_json(extremal_split(tri, D, sigma).residual.to_json(), paths["D0"])
+    return paths
+
+
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, f1_dir):
         _, out1, _ = run_cli(["solve", "sigma_biderivation", str(f1_dir / "T.json"),
@@ -484,14 +525,20 @@ class TestDeterminism:
                               "--sigma", str(f1_dir / "sigma1.json")])
         assert out1 == out2
 
-    def test_subprocess_matches_in_process(self, f1_dir):
-        code, expected, _ = run_cli(["center", str(f1_dir / "T.json")])
-        assert code == 0
-        assert run_fresh(["center", str(f1_dir / "T.json")]) == (0, expected)
+    @pytest.mark.parametrize("report", [command[0] for command in COMMANDS],
+                             ids=lambda report: report.split(" {")[0].replace(" ", "-"))
+    def test_subprocess_matches_in_process(self, report, f1_command_files):
+        """Every command prints the same bytes in a new process as in this
+        one, where earlier tests have loaded every module: a handler that
+        lost an import of the module it runs fails only in a new process."""
+        argv = [arg.format(**f1_command_files) for arg in COMMAND_ARGV[report]]
+        code, expected, _ = run_cli(argv)
+        assert code == 0, expected
+        assert run_fresh(argv) == (0, expected)
 
     def test_api_cli_parity(self, f3_dir):
-        from trialg.algcore import center_T
         from trialg.fixtures import fixture_f3
+        from trialg.structure import center_T
 
         _, out, _ = run_cli(["center", str(f3_dir / "T.json")])
         via_cli = json.loads(out)["result"]["center"]
@@ -618,13 +665,13 @@ class TestBilinearSolves:
 
 class TestFindingExitCode:
     def test_finding_via_main(self, f1_dir, monkeypatch):
-        from trialg import algcore
+        from trialg import structure
         from trialg.errors import TheoremViolation
 
         def fake_center(tri):
             raise TheoremViolation("synthetic finding")
 
-        monkeypatch.setattr(algcore, "center_T", fake_center)
+        monkeypatch.setattr(structure, "center_T", fake_center)
         code, out, _ = run_cli(["center", str(f1_dir / "T.json")])
         assert code == 2
         assert json.loads(out)["finding"] == "synthetic finding"
@@ -632,7 +679,8 @@ class TestFindingExitCode:
 
 class TestBudgetOverride:
     def test_env_var_budget(self, monkeypatch):
-        from trialg.algcore import enumeration_budget, structure_checks
+        from trialg.algcore import enumeration_budget
+        from trialg.structure import structure_checks
         from trialg.errors import BudgetExceeded
         from trialg.fixtures import upper_triangular_algebra
         from trialg.exactla import GF
@@ -648,9 +696,9 @@ class TestBudgetOverride:
         """A TRIALG_BUDGET that is not an integer is an input error of partible
         over Q (F1, whose corners need no enumeration) and over F_5 (F4), and
         of inner-witness, read before any check decides."""
+        from trialg.classify import inner_sigma_biderivation
         from trialg.fixtures import fixture_f1, lambda1, sigma1
         from trialg.io import canonical_json
-        from trialg.spaces import inner_sigma_biderivation
 
         f1 = fixture_f1()
         bid_path = tmp_path / "delta.json"
@@ -669,11 +717,10 @@ class TestBudgetOverride:
         """Beyond the budget Condition (I) on UT_2(F_2) falls back to
         nondegeneracy, which the trace form cannot decide in characteristic 2,
         and F4's central-annihilation hypothesis is undecided."""
-        from trialg.algcore import structure_checks
         from trialg.classify import innerness_hypotheses
         from trialg.exactla import GF
         from trialg.fixtures import fixture_f4, upper_triangular_algebra
-        from trialg.sigmamaps import block_decompose
+        from trialg.structure import block_decompose, structure_checks
 
         monkeypatch.setenv("TRIALG_BUDGET", "1")
         rep = structure_checks(upper_triangular_algebra(GF(2), 2), "condition_I")
@@ -709,9 +756,9 @@ class TestTriangularBuild:
 
     def test_split_biderivation_roundtrip(self, f1_dir, tmp_path):
         # write the extremal map attached to the corner generator, split it back
+        from trialg.classify import extremal_sigma_biderivation
         from trialg.fixtures import fixture_f1, sigma1
         from trialg.io import canonical_json
-        from trialg.spaces import extremal_sigma_biderivation
 
         f1 = fixture_f1()
         psi = extremal_sigma_biderivation(f1, f1.total.basis_vector(1), sigma1(f1))
@@ -726,9 +773,9 @@ class TestTriangularBuild:
         assert res["residual"]["tensor"] == []
 
     def test_inner_witness_command(self, f1_dir, tmp_path):
+        from trialg.classify import inner_sigma_biderivation
         from trialg.fixtures import fixture_f1, lambda1, sigma1
         from trialg.io import canonical_json
-        from trialg.spaces import inner_sigma_biderivation
 
         f1 = fixture_f1()
         D = inner_sigma_biderivation(f1, lambda1(f1), sigma1(f1))
@@ -743,9 +790,11 @@ class TestTriangularBuild:
 
 
 def _loaded_after(code):
-    """The trialg modules in sys.modules after a new process runs code."""
+    """The trialg modules, and dataclasses and inspect if loaded, in
+    sys.modules after a new process runs code."""
     proc = subprocess.run([sys.executable, "-c", code + "\nimport sys\n"
-                           "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'trialg'))"],
+                           "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'trialg' "
+                           "or m in ('dataclasses', 'inspect')))"],
                           capture_output=True, text=True, env=_fresh_env())
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
@@ -762,6 +811,14 @@ class TestImportGraph:
         assert _loaded_after("import trialg.cli") == {
             "trialg", "trialg.algcore", "trialg.cli", "trialg.errors", "trialg.exactla", "trialg.io",
             "trialg.sigmamaps"}
+
+    def test_solve_path_leaves_theorem_modules_and_dataclasses_unloaded(self):
+        """The modules a one-shot solve imports: no theorem module (structure,
+        classify), and no dataclasses, which imports inspect."""
+        loaded = _loaded_after("import trialg.cli, trialg.io, trialg.spaces")
+        assert not loaded & {"trialg.structure", "trialg.classify", "dataclasses", "inspect"}
+        assert loaded == {"trialg", "trialg.algcore", "trialg.cli", "trialg.errors", "trialg.exactla",
+                          "trialg.io", "trialg.sigmamaps", "trialg.spaces"}
 
     def test_submodule_attribute_after_bare_import(self):
         loaded = _loaded_after("import trialg\nassert trialg.classify.properness is trialg.properness")

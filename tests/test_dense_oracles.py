@@ -49,15 +49,15 @@ implication chain and the idempotent list."""
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from trialg.algcore import (Bimodule, FinAlgebra, SparseTable, _associativity_failure, _bracket_map, _trace_form_rows,
-                            annihilators, build_triangular, center_direct, center_T, coupling_rows, nil_radical_T,
-                            project_subspace, radical, sigma_center_direct, structure_checks, twisted_ad, unit_m)
-from trialg.classify import _commutator_span, endo_blocks, extremal_split, ideal_split, inner_biderivation_witness
+from trialg.algcore import (Bimodule, FinAlgebra, SparseTable, _associativity_failure, _bracket_map, build_triangular,
+                            twisted_ad, unit_m)
+from trialg.classify import (_commutator_span, endo_blocks, extremal_sigma_biderivation, extremal_split, ideal_split,
+                             inner_biderivation_witness, inner_derivation_witness, inner_sigma_biderivation,
+                             inner_sigma_derivation, is_sigma_central)
 from trialg.errors import CentralElement, CharTooSmall, NotBlockPreserving, NotInvertible, PreconditionFails
 from trialg.exactla import (GF, QQ, LinMap, Subspace, derived, integer_form, kernel_sparse, rref,
                             solve_sparse)
@@ -65,10 +65,11 @@ from test_exactla import _gauss_jordan
 from trialg.fixtures import phi_one_plus_m, product_field_algebra, sigma1, upper_triangular_algebra
 from trialg.randomgen import (_random_invertible, instance_catalog, random_block_preserving_sigma, random_instances,
                               regular_bimodule)
-from trialg.sigmamaps import (BilinMap, block_decompose, classify_bilinear, classify_linear, inner_automorphism,
-                              sigma_center, sigma_commutator_vec)
-from trialg.spaces import (extremal_sigma_biderivation, inner_derivation_witness, inner_sigma_biderivation,
-                           inner_sigma_derivation, is_sigma_central, solve_space)
+from trialg.sigmamaps import BilinMap, Verdict, Witness, classify_bilinear, classify_linear, sigma_commutator_vec
+from trialg.spaces import solve_space
+from trialg.structure import (_trace_form_rows, annihilators, block_decompose, center_direct, center_T, coupling_rows,
+                              inner_automorphism, nil_radical_T, project_subspace, radical, sigma_center,
+                              sigma_center_direct, structure_checks)
 
 FIELDS = [QQ, GF(5), GF(3), GF(2)]
 
@@ -951,7 +952,8 @@ def _reduced(kind, alg, obj, alpha, beta):
         v = classify_linear(kind, alg, reduced, sigma)
     if v.witness is None:
         return v
-    return replace(v, witness=replace(v.witness, element=alpha.apply(v.witness.element)))
+    w = v.witness
+    return Verdict(v.kind, v.holds, Witness(w.indices, alpha.apply(w.element), w.description), v.notes)
 
 
 def _dense_alpha_beta_failure(kind, alg, obj, alpha, beta):

@@ -53,6 +53,19 @@ class TestFieldScalar:
         assert QQ.format(QQ.coerce(-3)) == "-3"
         assert QQ.format(QQ.coerce("-6/4")) == "-3/2"
 
+    def test_rational_literal_parsed_once(self):
+        """Equal literals, up to surrounding blanks, give one parsed Fraction;
+        a bad literal raises on every call and is not kept."""
+        from trialg.exactla import _parse_rational
+
+        assert QQ.coerce(" 3/4") is QQ.coerce("3/4\n") == Fraction(3, 4)
+        kept = _parse_rational.cache_info().currsize
+        for _ in range(2):
+            for bad in ("3/0", "x", "1e3", " "):
+                with pytest.raises(InputError, match="bad rational literal"):
+                    QQ.coerce(bad)
+        assert _parse_rational.cache_info().currsize == kept
+
     def test_prime_field_reduction(self):
         s = F5.coerce(7)
         assert s == 2

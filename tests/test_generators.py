@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from trialg.algcore import build_triangular, product_rule_failure, product_rule_rows, subspace_product
+from trialg.algcore import build_triangular, product_rule_failure, product_rule_rows
 from trialg.exactla import GF, QQ, IntegerRows, Subspace, kernel_sparse
 from trialg.fixtures import fixture_f3, regular_bimodule, upper_triangular_algebra, ut2_tensor_flip
 from trialg.randomgen import instance_catalog, random_block_preserving_sigma, random_instances
@@ -31,6 +31,7 @@ from trialg.sigmamaps import (
     require_automorphism,
 )
 from trialg.spaces import _biderivation_rows, _dedup_rows, _derivation_rows, solve_space
+from trialg.structure import subspace_product
 
 from test_algcore import _rebased
 

@@ -273,7 +273,7 @@ REPORT_FIELDS = {"F2": GF(2), "F3": GF(3), "F5": GF(5), "Q": QQ}
 def test_catalog_report_digest(report, field_name):
     from trialg.classify import innerness_hypotheses, partibility_sufficient
     from trialg.randomgen import instance_catalog
-    from trialg.sigmamaps import block_decompose
+    from trialg.structure import block_decompose
 
     reports = []
     for _, make in instance_catalog(REPORT_FIELDS[field_name]):

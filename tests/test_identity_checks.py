@@ -23,8 +23,10 @@ from trialg.classify import (
     _thm0_conditions,
     _thm1_conditions,
     _verify_commuting_blocks,
+    _verify_derivation_blocks,
     commuting_blocks,
     endo_blocks,
+    sigma_derivation_blocks,
 )
 from trialg.errors import NonAssociative, TheoremViolation
 from trialg.exactla import GF, QQ
@@ -37,17 +39,9 @@ from trialg.fixtures import (
     upper_triangular_algebra,
 )
 from trialg.randomgen import regular_bimodule
-from trialg.sigmamaps import (
-    AutBlocks,
-    BilinMap,
-    LinMap,
-    block_decompose,
-    classify_bilinear,
-    classify_linear,
-    inner_automorphism,
-    is_endomorphism,
-)
-from trialg.spaces import _verify_derivation_blocks, sigma_derivation_blocks, solve_space
+from trialg.sigmamaps import BilinMap, LinMap, classify_bilinear, classify_linear, is_endomorphism
+from trialg.spaces import solve_space
+from trialg.structure import AutBlocks, block_decompose, inner_automorphism
 
 from test_dense_oracles import _reduced, right_mul_mat
 

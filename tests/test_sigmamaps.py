@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from trialg.algcore import FinAlgebra, build_triangular, product_rule_failure, sigma_center_direct
+from trialg.algcore import FinAlgebra, build_triangular, product_rule_failure
 from trialg.errors import (
     InputError,
     NotBlockPreserving,
@@ -30,15 +30,18 @@ from trialg.sigmamaps import (
     MAP_KINDS,
     BilinMap,
     LinMap,
-    block_decompose,
-    block_of,
     classify_bilinear,
     classify_linear,
+    require_automorphism,
+    sigma_commutator_vec,
+)
+from trialg.structure import (
+    block_decompose,
+    block_of,
     from_blocks,
     inner_automorphism,
-    require_automorphism,
     sigma_center,
-    sigma_commutator_vec,
+    sigma_center_direct,
 )
 
 from test_dense_oracles import _dense_alpha_beta_failure, _reduce, _reduced
@@ -204,7 +207,7 @@ class TestSigmaCenter:
         assert eta.matrix.rows == ((QQ.coerce(-1),),)
 
     def test_identity_twist_gives_center(self, f1):
-        from trialg.algcore import center_T
+        from trialg.structure import center_T
 
         ident = LinMap.identity(QQ, 3)
         blocks = block_decompose(f1, ident)
@@ -377,7 +380,7 @@ class TestAutomorphismMemo:
 
     def test_memo_keeps_each_callers_error(self):
         from trialg.errors import NotAutomorphism, TheoremViolation
-        from trialg.sigmamaps import AutBlocks
+        from trialg.structure import AutBlocks
 
         tri = fixture_f1()
         bad = LinMap.zero(QQ, 3)
@@ -433,7 +436,7 @@ class TestDerivedStore:
         from trialg.cli import main
         from trialg.io import canonical_json
         from trialg.fixtures import lambda1
-        from trialg.spaces import inner_sigma_biderivation
+        from trialg.classify import inner_sigma_biderivation
 
         f1 = fixture_f1()
         bid = tmp_path / "delta.json"
@@ -472,19 +475,19 @@ class TestDerivedStore:
             [id(first.A), id(first.B), id(second.A), id(second.B)]
 
     def test_block_decompose_checks_a_refused_map_again(self, count_aut_checks, monkeypatch):
-        import trialg.sigmamaps as sm
+        import trialg.structure as st
         from trialg.exactla import derived
 
         tri = fixture_f1()
         conj = phi_one_plus_m(tri)
         verdicts = []
-        orig = sm.automorphism_verdict
+        orig = st.automorphism_verdict
 
         def counting(alg, f):
             verdicts.append(f)
             return orig(alg, f)
 
-        monkeypatch.setattr(sm, "automorphism_verdict", counting)
+        monkeypatch.setattr(st, "automorphism_verdict", counting)
         for _ in range(2):
             with pytest.raises(NotBlockPreserving):
                 block_decompose(tri, conj)
@@ -560,7 +563,7 @@ class TestAlphaBetaReduce:
         assert reduced == d0
 
     def test_bilinear_pushforward(self, f1, f1_sigma1, f1_lambda1):
-        from trialg.spaces import inner_sigma_biderivation
+        from trialg.classify import inner_sigma_biderivation
 
         D = inner_sigma_biderivation(f1, f1_lambda1, f1_sigma1)
         # push through alpha: alpha . D is an (alpha, alpha sigma)-biderivation

@@ -6,7 +6,16 @@ import random
 import pytest
 
 from trialg.algcore import build_triangular, product_rule_failure, product_rule_rows, unit_m
-from trialg.classify import _intertwiner_space
+from trialg.classify import (
+    _intertwiner_space,
+    extremal_sigma_biderivation,
+    inner_derivation_witness,
+    inner_sigma_biderivation,
+    inner_sigma_derivation,
+    is_sigma_central,
+    posner_intersection,
+    sigma_derivation_blocks,
+)
 from trialg.errors import (
     AmbientMismatch,
     CentralElement,
@@ -48,7 +57,6 @@ from trialg.sigmamaps import (
     MAP_KINDS,
     BilinMap,
     LinMap,
-    block_decompose,
     classify_bilinear,
     classify_linear,
     derivation_terms,
@@ -60,15 +68,9 @@ from trialg.spaces import (
     _commuting_rows,
     _dedup_rows,
     _derivation_rows,
-    extremal_sigma_biderivation,
-    inner_derivation_witness,
-    inner_sigma_biderivation,
-    inner_sigma_derivation,
-    is_sigma_central,
-    posner_intersection,
-    sigma_derivation_blocks,
     solve_space,
 )
+from trialg.structure import block_decompose
 
 TWISTED_KINDS = ("sigma_derivation", "sigma_commuting", "sigma_biderivation")
 
@@ -144,7 +146,7 @@ class TestSolveSpace:
 
     def test_twisted_biderivation_space_contains_inner_family(self, f1, f1_sigma1,
                                                               f1_blocks, f1_bider_space):
-        from trialg.sigmamaps import sigma_center
+        from trialg.structure import sigma_center
 
         z, _ = sigma_center(f1, f1_blocks)
         for lam in z.basis:
@@ -627,7 +629,7 @@ class TestInnerTwistedBiderivation:
 
     def test_membership_for_every_central_basis_vector(self, f4, f4_sigma1, f4_blocks,
                                                        f4_bider_space):
-        from trialg.sigmamaps import sigma_center
+        from trialg.structure import sigma_center
 
         z, _ = sigma_center(f4, f4_blocks)
         for lam in z.basis:
