@@ -15,19 +15,19 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "exactla": ("GF", "LinMap", "QQ", "Subspace", "rref", "span_coefficients"),
+    "exactla": ("GF", "LinMap", "QQ", "Subspace", "span_coefficients"),
     "algcore": ("Bimodule", "FinAlgebra", "TriAlgebra", "build_triangular"),
     "sigmamaps": ("BilinMap", "classify_bilinear", "classify_linear", "sigma_commutator_vec"),
     "spaces": ("MapSpace", "solve_space"),
     "structure": ("AutBlocks", "annihilators", "block_decompose", "center_T", "center_direct",
-                  "faithful_quotient", "inner_automorphism", "nil_radical_T", "nilpotency",
-                  "nilpotency_T", "radical", "sigma_center", "structure_checks", "tau_iso"),
+                  "faithful_quotient", "inner_automorphism", "nil_radical_T", "nilpotency", "radical",
+                  "sigma_center", "structure_checks", "tau_iso"),
     "classify": ("CommutingBlocks", "DerivationBlocks", "EndoBlocks", "InnerWitness", "ProperWitness",
-                 "properness_sufficiency", "commuting_auto_check", "commuting_blocks", "endo_blocks",
-                 "endo_mono_epi", "extremal_sigma_biderivation", "extremal_split", "ideal_split",
-                 "inner_biderivation_witness", "inner_derivation_witness", "inner_sigma_biderivation",
-                 "inner_sigma_derivation", "innerness_hypotheses", "partibility_sufficient",
-                 "partible_witness", "posner_intersection", "properness", "sigma_derivation_blocks"),
+                 "properness_sufficiency", "commuting_blocks", "endo_blocks", "endo_mono_epi",
+                 "extremal_sigma_biderivation", "extremal_split", "ideal_split", "inner_biderivation_witness",
+                 "inner_sigma_biderivation", "inner_sigma_derivation", "innerness_hypotheses",
+                 "partibility_sufficient", "partible_witness", "posner_intersection", "properness",
+                 "sigma_derivation_blocks"),
     "errors": ("TheoremViolation", "TrialgError"),
 }
 

@@ -502,14 +502,6 @@ class FinAlgebra:
         sub = self.field.sub
         return tuple(sub(a, b) for a, b in zip(x, y))
 
-    def smul_vec(self, c, x) -> tuple:
-        c = self.field.coerce(c)
-        mul = self.field.mul
-        return tuple(mul(c, v) for v in x)
-
-    def commutator(self, x, y) -> tuple:
-        return self.sub_vec(self.mul_vec(x, y), self.mul_vec(y, x))
-
     def left_mul_mat(self, x) -> LinMap:
         """The map y -> x y of an element x of raw values (_mul_map)."""
         return _mul_map(self.field, self._pairs, x, self.dim, self.dim)
@@ -775,14 +767,8 @@ class TriAlgebra:
                 v[i] = self.field.coerce(c)
         return tuple(v)
 
-    def embed_a(self, a) -> tuple:
-        return self.assemble(a, (), ())
-
     def embed_m(self, m) -> tuple:
         return self.assemble((), m, ())
-
-    def embed_b(self, b) -> tuple:
-        return self.assemble((), (), b)
 
     def subspace_m(self) -> Subspace:
         return block_span(self, (), True, ())
@@ -804,15 +790,6 @@ class TriAlgebra:
     def right_action_on(self, m) -> LinMap:
         """b -> m . b from B to M, for m in M-coordinates of raw values (_mul_map)."""
         return _mul_map(self.field, self.M._right_pairs, m, self.B.dim, self.M.dim_m)
-
-    def act_left(self, a, m) -> tuple:
-        """a . m for a in A-coordinates, m in M-coordinates, by a dense product in
-        the total algebra: the reference the action maps above are tested against."""
-        return self.part_m(self.total.mul_vec(self.embed_a(a), self.embed_m(m)))
-
-    def act_right(self, m, b) -> tuple:
-        """m . b by a dense product, the reference like act_left."""
-        return self.part_m(self.total.mul_vec(self.embed_m(m), self.embed_b(b)))
 
     def faithfulness(self) -> tuple[bool, bool]:
         """(left, right) faithfulness of M, read off structure.annihilators(self)

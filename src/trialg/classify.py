@@ -4,9 +4,9 @@ block description and properness of twisted commuting maps, the block
 structure of corner-preserving endomorphisms, and partibility certificates.
 Also here: the constructors these read off the solved spaces (the inner
 sigma-derivation x -> [x, x0]_sigma read off algcore.twisted_ad, the inner
-biderivation lambda [., .] and the extremal biderivation, each re-verified,
-and the inner-derivation witness), the block form of twisted derivations
-(sigma_derivation_blocks) and the twisted Posner intersection.  They sit
+biderivation lambda [., .] and the extremal biderivation, each re-verified),
+the block form of twisted derivations (sigma_derivation_blocks) and the
+twisted Posner intersection.  They sit
 here, not in spaces, so that a one-shot solve does not load them.
 
 Every checker verifies its hypotheses before asserting a conclusion; a
@@ -66,7 +66,6 @@ from .exactla import IntegerRows, Subspace, _sparse, kernel_sparse, span_coeffic
 from .sigmamaps import (
     BilinMap,
     LinMap,
-    _check_square,
     automorphism_verdict,
     classify_bilinear,
     classify_linear,
@@ -178,20 +177,6 @@ def extremal_sigma_biderivation(t, x0, sigma: LinMap) -> BilinMap:
     if not v.holds:
         raise TheoremViolation("extremal twisted biderivation failed its own identity")
     return psi
-
-
-def inner_derivation_witness(t, d: LinMap, sigma: LinMap) -> tuple | None:
-    """Solve [x, x0]_sigma = d(x) for x0, the coefficients of d's columns in
-    those of the twisted_ad(alg, sigma, e_j); None when d is not inner."""
-    alg = _algebra_of(t)
-    _check_square(alg, d)
-    cols = [twisted_ad(alg, sigma, alg.basis_vector(j)).columns for j in range(alg.dim)]
-    x0 = span_coefficients(alg.field, cols, d.columns)
-    if x0 is None:
-        return None
-    if inner_sigma_derivation(alg, x0, sigma) != d:
-        raise TheoremViolation("inner-derivation solve returned a non-witness")
-    return x0
 
 
 # ---------------------------------------------------------------------------
@@ -1090,31 +1075,3 @@ def partibility_sufficient(tri: TriAlgebra) -> TheoremReport:
 
 def _as_verdict(v: str) -> str:
     return {"holds": "pass", "fails": "fail"}.get(v, "undecided")
-
-
-# ---------------------------------------------------------------------------
-# commuting automorphisms
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CommutingAutoResult:
-    is_identity: bool
-    commuting: bool
-    witness: dict | None
-
-
-def commuting_auto_check(tri: TriAlgebra, sigma: LinMap) -> CommutingAutoResult:
-    """A commuting automorphism of a faithful triangular algebra must be the
-    identity; otherwise the non-commuting witness pair is returned."""
-    if not automorphism_verdict(tri.total, sigma).holds:
-        raise NotAutomorphism("commuting check needs an automorphism")
-    if not tri.is_faithful():
-        raise NotFaithful("commuting-automorphism rigidity needs a faithful bimodule")
-    verdict = classify_linear("commuting", tri.total, sigma)
-    if verdict.holds:
-        if not sigma.is_identity():
-            raise TheoremViolation("commuting automorphism differs from the identity")
-        return CommutingAutoResult(True, True, None)
-    w = verdict.witness
-    return CommutingAutoResult(False, False, w.to_json(tri.field) if w else None)

@@ -21,7 +21,9 @@ import os
 import sys
 import time
 
-from . import __version__, io as tio
+import trialg.io as tio  # by dotted name: -X importtime does not time an import through trialg.__getattr__
+
+from . import __version__
 from .errors import InputError, TheoremViolation, TrialgError
 from .sigmamaps import MAP_KINDS
 

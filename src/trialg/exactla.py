@@ -51,7 +51,9 @@ map's columns), containment, coordinates and intersections; the image of a
 subspace under f is f.compose(sub.inclusion()).image().  The dense basis,
 from_vectors, contains_vector, coords and combine are thin edges over this
 core for element-level callers.  span_coefficients, on blocks of sparse
-entries, is the one solve for coefficients, and LinMap.kernel the one kernel.
+entries, is the one solve for coefficients and reduces its transposed system
+itself; LinMap.kernel is the one kernel, and the RREF of a list of rows is
+the Subspace they span.
 
 derived is the one cache of trialg: whatever is made on first use and kept
 lives in the store of one immutable instance, with no global cache.
@@ -87,7 +89,6 @@ __all__ = [
     "PrimeField",
     "LinMap",
     "Subspace",
-    "rref",
     "span_coefficients",
 ]
 
@@ -147,9 +148,6 @@ class Field:
 
     def inv(self, a):
         raise NotImplementedError
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def coerce(self, x):
         """Raw value from an int, a string literal, or (over Q) a Fraction."""
@@ -562,15 +560,6 @@ class LinMap:
     def image(self) -> "Subspace":
         return Subspace._from_rows(self.field, self.dst_dim, map(dict, self.columns))
 
-    def flatten(self) -> tuple:
-        """Row-major flattening: index k*src_dim + j."""
-        n = self.src_dim
-        flat = [self.field.zero] * (self.dst_dim * n)
-        for j, col in enumerate(self.columns):
-            for k, c in col:
-                flat[k * n + j] = c
-        return tuple(flat)
-
     def __eq__(self, other):
         return (
             isinstance(other, LinMap)
@@ -808,21 +797,6 @@ def _dense(zero, n: int, entries) -> list:
     return vec
 
 
-def rref(m: LinMap) -> tuple[LinMap, tuple[int, ...]]:
-    """Unique reduced row-echelon form of a map's matrix and its pivot columns.
-
-    The output has the same shape as the input; zero rows are kept at the
-    bottom.
-    """
-    pivots = _sparse_reduce(m.field, m._sparse_rows(), m.src_dim)
-    order = sorted(pivots)
-    cols = [[] for _ in range(m.src_dim)]
-    for r, c in enumerate(order):  # pivot row r is row r of the output
-        for k, v in pivots[c].items():
-            cols[k].append((r, v))
-    return LinMap._trusted(m.field, cols, m.dst_dim), tuple(order)
-
-
 def integer_kernel(field: Field, pivots: dict[int, dict], ncols: int) -> list[dict]:
     """Kernel basis of a system already reduced by _sparse_reduce, as sparse
     IntegerRows rows read straight off the pivot rows: per free column f, the
@@ -844,45 +818,28 @@ def kernel_sparse(field: Field, rows, ncols: int) -> "Subspace":
     return Subspace._from_rows(field, ncols, IntegerRows(integer_kernel(field, pivots, ncols)))
 
 
-def solve_sparse(field: Field, rows: Sequence[dict], rhs: Sequence, ncols: int) -> tuple | None:
-    """Particular solution of sparse rows against rhs, one value per row, with
-    zeros in all free coordinates.
-
-    Returns None when the system is inconsistent.
-    """
-    if len(rhs) != len(rows):
-        raise ShapeMismatch("rhs length %d for %d equations" % (len(rhs), len(rows)))
-    zero = field.zero
-
-    def aug_rows():
-        for row, b in zip(rows, rhs):
-            b = field.coerce(b)
-            yield {**row, ncols: b} if b else row
-
-    pivots = _sparse_reduce(field, aug_rows(), ncols + 1)
+def span_coefficients(field: Field, vectors: Sequence[Iterable], target: Iterable) -> tuple | None:
+    """Coefficients c with sum_i c[i] * vectors[i] = target, zero at every
+    free index, or None when target is not in the span of the vectors; each
+    vector and the target given as blocks of sparse (k, c) entries of raw
+    values (a LinMap's columns, say), entry (k, c) of block t at coordinate
+    (t, k).  The transposed system is reduced with the target as column
+    ncols = len(vectors), its rows built only where some vector or the target
+    is nonzero, as the other rows are zero; the target values are taken as
+    they are."""
+    ncols, zero = len(vectors), field.zero
+    rows = defaultdict(dict)
+    for i, vec in enumerate((*vectors, target)):
+        for t, block in enumerate(vec):
+            for k, v in block:
+                rows[t, k][i] = v
+    pivots = _sparse_reduce(field, (rows[c] for c in sorted(rows)), ncols + 1)
     if ncols in pivots:
         return None
     x = [zero] * ncols
     for c, row in pivots.items():
         x[c] = row.get(ncols, zero)
     return tuple(x)
-
-
-def span_coefficients(field: Field, vectors: Sequence[Iterable], target: Iterable) -> tuple | None:
-    """Coefficients c with sum_i c[i] * vectors[i] = target, zero at every
-    free index, or None when target is not in the span of the vectors; each
-    vector and the target given as blocks of sparse (k, c) entries of raw
-    values (a LinMap's columns, say), entry (k, c) of block t at coordinate
-    (t, k).  solve_sparse on the transposed system, whose rows are built only
-    where some vector or the target is nonzero, as the other rows are zero."""
-    rows = defaultdict(dict)
-    for i, vec in enumerate(vectors):
-        for t, block in enumerate(vec):
-            for k, v in block:
-                rows[t, k][i] = v
-    target = {(t, k): v for t, block in enumerate(target) for k, v in block}
-    keys = sorted(rows.keys() | target.keys())
-    return solve_sparse(field, [rows[c] for c in keys], [target.get(c, field.zero) for c in keys], len(vectors))
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,7 @@ def load_bilinmap_on(path: str, alg: FinAlgebra) -> BilinMap:
 def emit_fixture(name: str, out_dir: str) -> dict[str, str]:
     """Write the canonical fixture files; returns {path: the sha256 of the
     bytes written there}, in the order written."""
-    from . import fixtures as fx
+    import trialg.fixtures as fx
 
     try:
         os.makedirs(out_dir, exist_ok=True)

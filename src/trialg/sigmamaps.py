@@ -142,12 +142,6 @@ class BilinMap:
                  for j in range(alg.dim)) for i in range(alg.dim))
         return BilinMap._trusted(alg.field, _sparse_table(vals))
 
-    def value(self, i: int, j: int) -> tuple:
-        vec = [self.field.zero] * self.dim
-        for k, c in self.table[i][j]:
-            vec[k] = c
-        return tuple(vec)
-
     def slot_maps(self) -> tuple:
         """(first, second): the slot maps for all fixed arguments at once, as
         LinMaps into n copies of the space (coordinate k*n + o for e_o in copy
@@ -181,17 +175,6 @@ class BilinMap:
     def is_symmetric(self) -> bool:
         return self.table == self.table.transpose()
 
-    def flatten(self) -> tuple:
-        """Row-major flattening: index (i*dim + j)*dim + k."""
-        n = self.dim
-        return tuple(c for i in range(n) for j in range(n) for c in self.value(i, j))
-
-    @staticmethod
-    def unflatten(field: Field, flat, dim: int) -> "BilinMap":
-        """Inverse of flatten; flat holds raw values of field, taken as they are."""
-        return BilinMap._trusted(field, _sparse_table((flat[(i * dim + j) * dim:(i * dim + j + 1) * dim]
-                                                       for j in range(dim)) for i in range(dim)))
-
     def __eq__(self, other):
         return isinstance(other, BilinMap) and self.field == other.field and self.table == other.table
 
@@ -223,11 +206,6 @@ class Witness:
     def __setattr__(self, *a):
         raise AttributeError("Witness is immutable")
 
-    def to_json(self, field: Field):
-        return {"indices": list(self.indices),
-                "value": [field.format(v) for v in self.element],
-                "description": self.description}
-
 
 class Verdict:
     __slots__ = ("kind", "holds", "witness", "notes")
@@ -243,12 +221,6 @@ class Verdict:
 
     def __bool__(self):
         return self.holds
-
-    def to_json(self, field: Field):
-        out = {"kind": self.kind, "holds": self.holds, "notes": list(self.notes)}
-        if self.witness is not None:
-            out["witness"] = self.witness.to_json(field)
-        return out
 
 
 def _check_square(alg: FinAlgebra, f: LinMap):

@@ -129,8 +129,10 @@ class MapSpace:
         return maps
 
     def _entries(self, m: LinMap | BilinMap) -> list:
-        """The nonzero entries of m.flatten(), read off m's columns or table in
-        the flattening basis_maps inverts; AmbientMismatch for another length."""
+        """The nonzero entries of m in the row-major flattening basis_maps
+        inverts (index k*n + j of a linear map, (i*n + j)*n + k of a bilinear
+        one), read off m's columns or table; AmbientMismatch for another
+        length."""
         if isinstance(m, BilinMap):
             n, size = m.dim, m.dim ** 3
             entries = [((i * n + j) * n + k, c) for i, row in enumerate(m.table) for j, vec in enumerate(row)

@@ -297,20 +297,6 @@ def nilpotency(alg: FinAlgebra, x) -> NilpotencyResult:
     return NilpotencyResult(False, None)
 
 
-def nilpotency_T(tri: TriAlgebra, x) -> NilpotencyResult:
-    """Nilpotency in the total algebra, cross-checked against the corner parts.
-
-    An element a + m + b is nilpotent exactly when a and b are; a mismatch
-    would be a genuine finding.
-    """
-    x = tri.total.coerce_vector(x)
-    res = nilpotency(tri.total, x)
-    parts = nilpotency(tri.A, tri.part_a(x)).nilpotent and nilpotency(tri.B, tri.part_b(x)).nilpotent
-    if res.nilpotent != parts:
-        raise TheoremViolation("nilpotency of a + m + b disagrees with its corner parts")
-    return res
-
-
 def subspace_product(alg: FinAlgebra, u: Subspace, v: Subspace) -> Subspace:
     """The span of the products x y, x in u and y in v: the columns of
     L_x o the inclusion of v, for x over the basis of u."""

@@ -7,7 +7,6 @@ import pytest
 
 from trialg.algcore import Bimodule, build_triangular
 from trialg.classify import (
-    commuting_auto_check,
     commuting_blocks,
     endo_blocks,
     endo_mono_epi,
@@ -39,6 +38,8 @@ from trialg.randomgen import instance_catalog, regular_bimodule
 from trialg.sigmamaps import BilinMap, LinMap, classify_linear
 from trialg.spaces import solve_space
 from trialg.structure import block_decompose, inner_automorphism, sigma_center, structure_checks
+
+from test_dense_oracles import commutator
 
 
 def diagonal_triangular(field=QQ):
@@ -525,20 +526,23 @@ class TestPartibilitySufficient:
 
 
 class TestCommutingAutomorphism:
+    """On the faithful F1, a commuting automorphism is the identity: the
+    identity commutes, and the other automorphisms fail at a witness."""
+
     def test_identity(self, f1):
-        res = commuting_auto_check(f1, LinMap.identity(QQ, 3))
-        assert res.is_identity
+        assert f1.is_faithful()
+        assert classify_linear("commuting", f1.total, LinMap.identity(QQ, 3)).holds
 
     def test_corner_negation_witness(self, f1, f1_sigma1):
-        res = commuting_auto_check(f1, f1_sigma1)
-        assert not res.commuting
-        assert res.witness is not None
-        assert res.witness["indices"] == [0, 1]
+        verdict = classify_linear("commuting", f1.total, f1_sigma1)
+        assert not verdict.holds
+        assert verdict.witness is not None
+        assert verdict.witness.indices == (0, 1)
 
     def test_unipotent_inner_witness(self, f1, phi_m):
-        res = commuting_auto_check(f1, phi_m)
-        assert not res.commuting
-        assert res.witness is not None
+        verdict = classify_linear("commuting", f1.total, phi_m)
+        assert not phi_m.is_identity() and not verdict.holds
+        assert verdict.witness is not None
 
 
 class TestLemauxContainments:
@@ -555,11 +559,11 @@ class TestLemauxContainments:
                 cb, _ = commuting_blocks(tri, theta, blocks)
                 for i in range(tri.A.dim):
                     for j in range(tri.A.dim):
-                        comm = tri.A.commutator(tri.A.basis_vector(i), tri.A.basis_vector(j))
+                        comm = commutator(tri.A, tri.A.basis_vector(i), tri.A.basis_vector(j))
                         assert pb.contains_vector(cb.mu1.apply(comm))
                 for i in range(tri.B.dim):
                     for j in range(tri.B.dim):
-                        comm = tri.B.commutator(tri.B.basis_vector(i), tri.B.basis_vector(j))
+                        comm = commutator(tri.B, tri.B.basis_vector(i), tri.B.basis_vector(j))
                         assert pa.contains_vector(cb.delta3.apply(comm))
 
 

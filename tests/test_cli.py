@@ -13,6 +13,8 @@ import trialg
 from trialg.cli import COMMANDS, build_parser, main
 from trialg.sigmamaps import MAP_KINDS
 
+from test_dense_oracles import flatten
+
 
 def run_cli(args, tmp_path=None):
     """Invoke the CLI in-process, capturing stdout."""
@@ -122,7 +124,7 @@ class TestSolveAndReports:
 
         sub = Subspace.from_vectors(QQ, 9, [[QQ.coerce(v) for v in row]
                                             for row in space["basis"]])
-        assert sub.contains_vector(theta1(fixture_f1()).flatten())
+        assert sub.contains_vector(flatten(theta1(fixture_f1())))
 
     def test_sigma_center_report(self, f1_dir):
         code, out, _ = run_cli(["sigma-center", str(f1_dir / "T.json"),
@@ -820,6 +822,17 @@ class TestImportGraph:
         assert loaded == {"trialg", "trialg.algcore", "trialg.cli", "trialg.errors", "trialg.exactla",
                           "trialg.io", "trialg.sigmamaps", "trialg.spaces"}
 
+    def test_importtime_times_io_under_cli(self):
+        """cli and io import their trialg modules by dotted name, not through
+        the package's __getattr__, which -X importtime does not time: trialg.io
+        gets its own line, nested under trialg.cli."""
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import trialg.cli"],
+                              capture_output=True, text=True, env=_fresh_env())
+        assert proc.returncode == 0, proc.stderr
+        names = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                 if line.startswith("import time:")]
+        assert "trialg.io" in names and names.index("trialg.io") < names.index("trialg.cli")
+
     def test_submodule_attribute_after_bare_import(self):
         loaded = _loaded_after("import trialg\nassert trialg.classify.properness is trialg.properness")
         assert {"trialg.classify", "trialg.spaces"} <= loaded
@@ -844,3 +857,56 @@ class TestImportGraph:
             getattr(trialg, "no_such_name")
         with pytest.raises(ImportError):
             exec("from trialg import no_such_name", {})
+
+
+# The definitions of src/trialg that no program runs, each kept on purpose:
+# the paper constructions a later theorems command is to report, the dense
+# edge of Subspace, and instance families.
+LIBRARY_ONLY = {
+    "classify.inner_sigma_derivation", "classify.inner_sigma_biderivation", "classify.sigma_derivation_blocks",
+    "classify.properness_sufficiency", "exactla.Subspace.from_vectors", "fixtures.ut2_tensor_flip",
+    "randomgen.random_faithful_instances", "randomgen.random_instances",
+}
+
+
+def library_only_definitions(root: str) -> set:
+    """The functions, classes and methods of src/trialg whose name no Name or
+    Attribute node uses in a program: a module of src/trialg, demos/, tools/,
+    perfbench/ (its tests aside) or README's Quick tour.  Dunder methods are
+    left out, as Python calls them."""
+    import ast
+    import glob
+
+    src = sorted(glob.glob(os.path.join(root, "src", "trialg", "*.py")))
+    programs = src + sorted(glob.glob(os.path.join(root, "demos", "*.py")))
+    programs += sorted(glob.glob(os.path.join(root, "tools", "*.py")))
+    programs += sorted(p for p in glob.glob(os.path.join(root, "perfbench", "*.py"))
+                       if not os.path.basename(p).startswith("test_"))
+    texts = []
+    for path in programs:
+        with open(path, encoding="utf-8") as fh:
+            texts.append(fh.read())
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        texts.append(fh.read().split("```python\n", 1)[1].split("```", 1)[0])
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for text in texts for node in ast.walk(ast.parse(text)) if isinstance(node, (ast.Name, ast.Attribute))}
+    found = set()
+    for path, text in zip(src, texts):
+        module = os.path.basename(path)[:-3]
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(node.name, node.name)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(node.name + "." + sub.name, sub.name) for sub in node.body
+                         if isinstance(sub, ast.FunctionDef)]
+            found |= {module + "." + qual for qual, name in defs
+                      if name not in used and not (name.startswith("__") and name.endswith("__"))}
+    return found
+
+
+def test_library_only_definitions_are_the_kept_list():
+    """A definition that no program runs is deleted, moved into the tests
+    (test_dense_oracles holds the dense references), or kept in LIBRARY_ONLY."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    assert library_only_definitions(root) == LIBRARY_ONLY

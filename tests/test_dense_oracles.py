@@ -6,7 +6,15 @@ matrix product, and the inverse read off a textbook Gauss-Jordan of the
 dense [M | I].
 The multiplication maps built from n mul_vec products (left_mul_by_mul_vec,
 and right_mul_mat, which other test modules import) are references too:
-left_mul_mat, read off the product table, must equal the first.
+left_mul_mat, read off the product table, must equal the first.  So are the
+element-level operations that no program of trialg runs, which the tests of
+every module import from here: smul_vec and commutator by mul_vec, act_left
+and act_right as products in the total algebra, value, flatten and
+unflatten_bilinear.
+
+Every dense RREF, kernel and solve here is the textbook Gauss-Jordan of
+test_exactla (_gauss_jordan), never trialg's own row reduction, which is what
+the sparse forms run on.
 
 Every instance of instance_catalog (with a random block-preserving twist)
 and of random_instances is checked over Q, F_5, F_3 and F_2.
@@ -18,7 +26,7 @@ and equality and hashing, which must tell apart maps that differ only in
 their target dimension.
 
 Subspace, stored as its sparse RREF rows, is checked against the dense forms
-it replaced: the nonzero rows of the dense rref, the residual and the linear
+it replaced: the nonzero rows of the dense RREF, the residual and the linear
 combination taken over dense rows, the intersection through the dense
 kernel of [A^T | -B^T], and the dense to_json.  It runs on random subspaces
 over Q, F_5 and F_2 (the zero and the full subspace and ambient dim 0
@@ -56,11 +64,10 @@ import pytest
 from trialg.algcore import (Bimodule, FinAlgebra, SparseTable, _associativity_failure, _bracket_map, build_triangular,
                             twisted_ad, unit_m)
 from trialg.classify import (_commutator_span, endo_blocks, extremal_sigma_biderivation, extremal_split, ideal_split,
-                             inner_biderivation_witness, inner_derivation_witness, inner_sigma_biderivation,
-                             inner_sigma_derivation, is_sigma_central)
+                             inner_biderivation_witness, inner_sigma_biderivation, inner_sigma_derivation,
+                             is_sigma_central)
 from trialg.errors import CentralElement, CharTooSmall, NotBlockPreserving, NotInvertible, PreconditionFails
-from trialg.exactla import (GF, QQ, LinMap, Subspace, derived, integer_form, kernel_sparse, rref,
-                            solve_sparse)
+from trialg.exactla import GF, QQ, LinMap, Subspace, derived, integer_form, kernel_sparse
 from test_exactla import _gauss_jordan
 from trialg.fixtures import phi_one_plus_m, product_field_algebra, sigma1, upper_triangular_algebra
 from trialg.randomgen import (_random_invertible, instance_catalog, random_block_preserving_sigma, random_instances,
@@ -96,6 +103,56 @@ def left_mul_by_mul_vec(alg, x) -> LinMap:
 def right_mul_mat(alg, x) -> LinMap:
     """The map y -> y x, its column j the product e_j x by mul_vec."""
     return _mul_vec_map(alg, [alg.mul_vec(alg.basis_vector(j), x) for j in range(alg.dim)])
+
+
+# Element-level operations that no program of trialg runs, kept here as dense
+# references for the tests of every module: scalar multiples and commutators
+# by mul_vec, the bimodule actions as dense products in the total algebra, the
+# values of a bilinear map as dense vectors, and the row-major flattenings of
+# maps (a LinMap's at k*src_dim + j, a BilinMap's at (i*dim + j)*dim + k).
+
+
+def smul_vec(alg, c, x) -> tuple:
+    """c x, for c an input value."""
+    c = alg.field.coerce(c)
+    return tuple(alg.field.mul(c, v) for v in x)
+
+
+def commutator(alg, x, y) -> tuple:
+    """[x, y] = x y - y x by mul_vec."""
+    return alg.sub_vec(alg.mul_vec(x, y), alg.mul_vec(y, x))
+
+
+def act_left(tri, a, m) -> tuple:
+    """a . m for a in A-coordinates and m in M-coordinates, by a dense product
+    in the total algebra."""
+    return tri.part_m(tri.total.mul_vec(tri.assemble(a, (), ()), tri.embed_m(m)))
+
+
+def act_right(tri, m, b) -> tuple:
+    """m . b by a dense product, like act_left."""
+    return tri.part_m(tri.total.mul_vec(tri.embed_m(m), tri.assemble((), (), b)))
+
+
+def value(D: BilinMap, i: int, j: int) -> tuple:
+    """D(e_i, e_j) as a dense vector, read off D's table."""
+    vec = [D.field.zero] * D.dim
+    for k, c in D.table[i][j]:
+        vec[k] = c
+    return tuple(vec)
+
+
+def flatten(obj) -> tuple:
+    """The row-major flattening of a LinMap (its dense rows, concatenated) or
+    of a BilinMap (its values, concatenated)."""
+    if isinstance(obj, BilinMap):
+        return tuple(c for i in range(obj.dim) for j in range(obj.dim) for c in value(obj, i, j))
+    return tuple(v for row in obj.rows for v in row)
+
+
+def unflatten_bilinear(field, flat, n: int) -> BilinMap:
+    """The bilinear map on n basis vectors whose flattening is flat."""
+    return BilinMap(field, [[flat[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)])
 
 
 def _dense_product(a: LinMap, b: LinMap) -> LinMap:
@@ -134,14 +191,14 @@ def _stacked_annihilators(tri) -> tuple:
     ea = [tri.A.basis_vector(i) for i in range(da)]
     eb = [tri.B.basis_vector(k) for k in range(db)]
     em = [unit_m(field, dm, j) for j in range(dm)]
-    left = [[tri.act_left(a, m) for m in em] for a in ea]
-    right = [[tri.act_right(m, b) for b in eb] for m in em]
-    L = LinMap(field, [[left[i][j][mp] for i in range(da)] for j in range(dm) for mp in range(dm)], da).kernel()
-    R = LinMap(field, [[right[j][k][mp] for k in range(db)] for j in range(dm) for mp in range(dm)], db).kernel()
+    left = [[act_left(tri, a, m) for m in em] for a in ea]
+    right = [[act_right(tri, m, b) for b in eb] for m in em]
+    L = _dense_kernel(field, [[left[i][j][mp] for i in range(da)] for j in range(dm) for mp in range(dm)], da)
+    R = _dense_kernel(field, [[right[j][k][mp] for k in range(db)] for j in range(dm) for mp in range(dm)], db)
     t = tri.total
     ms = [t.basis_vector(j) for j in tri.range_m]
-    lann = LinMap(field, [r for m in ms for r in right_mul_mat(t, m).rows], t.dim).kernel()
-    rann = LinMap(field, [r for m in ms for r in left_mul_by_mul_vec(t, m).rows], t.dim).kernel()
+    lann = _dense_kernel(field, [r for m in ms for r in right_mul_mat(t, m).rows], t.dim)
+    rann = _dense_kernel(field, [r for m in ms for r in left_mul_by_mul_vec(t, m).rows], t.dim)
     return L, R, lann, rann
 
 
@@ -154,6 +211,22 @@ def _rref_inverse(m: LinMap):
     if pivots != list(range(n)):
         return None
     return LinMap(m.field, [row[n:] for row in red], n)
+
+
+def _dense_kernel(field, rows, ncols: int) -> Subspace:
+    """{v : rows v = 0} by Gauss-Jordan: per free column f of the RREF of the
+    rows, the vector with 1 at f and minus column f of the pivot rows, and
+    the subspace whose rows are the RREF of those vectors."""
+    red, pivots = _gauss_jordan(field, rows, ncols)
+    null = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [field.zero] * ncols
+        vec[f] = field.one
+        for row, c in zip(red, pivots):
+            vec[c] = field.neg(row[f])
+        null.append(vec)
+    basis, null_pivots = _gauss_jordan(field, null, ncols)
+    return Subspace(field, ncols, _sparse(basis), tuple(null_pivots))
 
 
 def _random_dense(field, rng, dst: int, src: int) -> list:
@@ -237,7 +310,7 @@ def test_trace_form_and_radical(field):
                 with pytest.raises(CharTooSmall):
                     radical(alg)
                 continue
-            assert radical(alg) == gram.kernel()
+            assert radical(alg) == _dense_kernel(field, gram.rows, alg.dim)
             radicals += 1
     assert radicals
 
@@ -264,7 +337,7 @@ def test_compose_and_inverse(field):
         t = tri.total
         x = tuple(field.coerce(rng.randrange(p or 7)) for _ in range(t.dim))
         proj = LinMap.from_images(field, [tri.part_a(t.basis_vector(j)) for j in range(t.dim)], t.dim, tri.A.dim)
-        emb = LinMap.from_images(field, [tri.embed_a(tri.A.basis_vector(j)) for j in range(tri.A.dim)],
+        emb = LinMap.from_images(field, [tri.assemble(tri.A.basis_vector(j), (), ()) for j in range(tri.A.dim)],
                                  tri.A.dim, t.dim)
         square = [sigma, t.left_mul_mat(x), t.left_mul_mat(tri.p)]
         for f in square + [proj, emb]:
@@ -294,7 +367,6 @@ def test_linmap_against_dense_rows(field):
     for dense, m in cases:
         n = m.src_dim
         assert m.rows == tuple(map(tuple, dense)) and m.dst_dim == len(dense)
-        assert m.flatten() == tuple(v for row in dense for v in row)
         assert m.is_zero() == (not any(v for row in dense for v in row))
         assert [m.image_of_basis(j) for j in range(n)] == [tuple(row[j] for row in dense) for j in range(n)]
         x = tuple(field.coerce(rng.randrange(-3, 4)) for _ in range(n))
@@ -305,17 +377,11 @@ def test_linmap_against_dense_rows(field):
             assert got.rows == tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(dense, dense_other))
         assert (-m).rows == tuple(tuple(map(neg, row)) for row in dense)
         # rank, kernel and image against the textbook Gauss-Jordan of the rows and the columns
-        red, pivots = _gauss_jordan(field, dense, n)
+        _, pivots = _gauss_jordan(field, dense, n)
         assert m.rank() == len(pivots)
-        null = []
-        for f in (c for c in range(n) if c not in pivots):
-            vec = [field.zero] * n
-            vec[f] = field.one
-            for row, c in zip(red, pivots):
-                vec[c] = neg(row[f])
-            null.append(vec)
-        assert all(not any(_dense_apply(field, dense, vec)) for vec in null)
-        assert m.kernel().basis == tuple(_gauss_jordan(field, null, n)[0])
+        null = _dense_kernel(field, dense, n)
+        assert null.dim == n - len(pivots) and all(not any(_dense_apply(field, dense, vec)) for vec in null.basis)
+        assert m.kernel() == null
         columns = [tuple(row[j] for row in dense) for j in range(n)]
         assert m.image().basis == tuple(_gauss_jordan(field, columns, m.dst_dim)[0])
         assert m.is_bijective() == (m.src_dim == m.dst_dim == len(pivots))
@@ -327,7 +393,7 @@ def test_linmap_against_dense_rows(field):
         narrow, wide = LinMap.zero(field, src, 2), LinMap.zero(field, src, 4)
         assert narrow != wide and hash(narrow) != hash(wide) and len({narrow, wide}) == 2
         assert narrow == LinMap(field, [[0] * src] * 2, src, 2) and hash(narrow) == hash(LinMap.zero(field, src, 2))
-    assert len(set(maps)) == len(set(map(lambda m: (m.dst_dim, m.src_dim, m.flatten()), maps)))
+    assert len(set(maps)) == len(set(map(lambda m: (m.dst_dim, m.src_dim, m.rows), maps)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +404,10 @@ SUBSPACE_FIELDS = [QQ, GF(5), GF(2)]
 
 
 def _dense_rref_rows(field, n, vectors) -> tuple:
-    """(rows, pivots): the nonzero rows of the rref of the vectors."""
-    red, pivots = rref(LinMap(field, vectors, n))
-    return red.rows[:len(pivots)], pivots
+    """(rows, pivots): the nonzero rows of the Gauss-Jordan RREF of the
+    vectors."""
+    red, pivots = _gauss_jordan(field, vectors, n)
+    return tuple(red), tuple(pivots)
 
 
 def _dense_residual(field, rows, pivots, vec) -> tuple:
@@ -370,9 +437,9 @@ def _dense_intersection(field, n, rows_a, rows_b) -> tuple:
     """The rref rows of the intersection: each vector (a, b) of the dense
     kernel of [A^T | -B^T] gives sum_i a_i A_i."""
     ra = len(rows_a)
-    system = LinMap(field, [[row[k] for row in rows_a] + [field.neg(row[k]) for row in rows_b]
-                                  for k in range(n)], ra + len(rows_b))
-    vecs = [_dense_combination(field, n, rows_a, pair[:ra]) for pair in system.kernel().basis]
+    system = [[row[k] for row in rows_a] + [field.neg(row[k]) for row in rows_b] for k in range(n)]
+    vecs = [_dense_combination(field, n, rows_a, pair[:ra])
+            for pair in _dense_kernel(field, system, ra + len(rows_b)).basis]
     return _dense_rref_rows(field, n, vecs)
 
 
@@ -589,10 +656,11 @@ def test_associativity_failure_against_all_triples(field):
 # Every [x, y]_sigma of trialg is read off algcore.twisted_ad.  The dense
 # formulas it replaced are kept here: sigma(x) y - y x by mul_vec, inner
 # derivations and centrality from n such products, lambda [e_i, e_j] and the
-# extremal map from n^2 of them, and the two inner witnesses as the dense
-# transposed systems (one row per flattened coordinate, zero rows included).
+# extremal map from n^2 of them, and the inner biderivation witness as the
+# dense transposed system (one row per flattened coordinate, zero rows
+# included), solved by Gauss-Jordan.
 # Every ordinary commutator [x, y] of the theorem layer is read off
-# algcore._bracket_map, checked here against FinAlgebra.commutator, and
+# algcore._bracket_map, checked here against commutator by mul_vec, and
 # conjugation x -> u^-1 x u against u^-1 x u by mul_vec.
 
 
@@ -610,13 +678,13 @@ def _dense_center(alg, sigma) -> Subspace:
     """The kernel of x -> ([e_i, x]_sigma)_i, its matrix stacked from the
     dense inner derivations of the basis vectors."""
     n = alg.dim
-    cols = [_dense_inner_derivation(alg, alg.basis_vector(j), sigma).flatten() for j in range(n)]
-    return LinMap(alg.field, [[col[r] for col in cols] for r in range(n * n)], n).kernel()
+    cols = [flatten(_dense_inner_derivation(alg, alg.basis_vector(j), sigma)) for j in range(n)]
+    return _dense_kernel(alg.field, [[col[r] for col in cols] for r in range(n * n)], n)
 
 
 def _dense_bracket(alg, lam) -> BilinMap:
     """(x, y) -> lam [x, y], lam times the n^2 dense commutators."""
-    return BilinMap.from_function(alg, lambda x, y: alg.mul_vec(lam, alg.commutator(x, y)))
+    return BilinMap.from_function(alg, lambda x, y: alg.mul_vec(lam, commutator(alg, x, y)))
 
 
 def _dense_extremal(alg, x0, sigma) -> tuple:
@@ -628,7 +696,7 @@ def _dense_extremal(alg, x0, sigma) -> tuple:
         return "central", None
     for i in range(n):
         for j in range(n):
-            if _dense_commutator(alg, alg.commutator(e[i], e[j]), x0, sigma) != zero:
+            if _dense_commutator(alg, commutator(alg, e[i], e[j]), x0, sigma) != zero:
                 return "precondition", (i, j)
     return "psi", BilinMap.from_function(
         alg, lambda x, y: _dense_commutator(alg, x, _dense_commutator(alg, y, x0, sigma), sigma))
@@ -645,14 +713,18 @@ def _extremal_outcome(alg, x0, sigma) -> tuple:
 
 
 def _dense_span_coefficients(field, vectors, target):
-    """The dense transposed system, one row per coordinate of target."""
-    rows = [{i: v[k] for i, v in enumerate(vectors) if v[k]} for k in range(len(target))]
-    return solve_sparse(field, rows, target, len(vectors))
-
-
-def _dense_derivation_witness(alg, d, sigma):
-    gens = [_dense_inner_derivation(alg, alg.basis_vector(j), sigma).flatten() for j in range(alg.dim)]
-    return _dense_span_coefficients(alg.field, gens, d.flatten())
+    """The coefficients of target in the dense vectors, zero at every free
+    index, or None: the last column of the Gauss-Jordan RREF of the system
+    whose columns are the vectors and the target, one row per coordinate."""
+    k = len(vectors)
+    aug, pivots = _gauss_jordan(field, [tuple(v[i] for v in vectors) + (target[i],) for i in range(len(target))],
+                                k + 1)
+    if k in pivots:
+        return None
+    coeffs = [field.zero] * k
+    for c, row in zip(pivots, aug):
+        coeffs[c] = row[k]
+    return tuple(coeffs)
 
 
 def _dense_biderivation_lambda(tri, D0, sigma):
@@ -660,8 +732,8 @@ def _dense_biderivation_lambda(tri, D0, sigma):
     span of the flattened dense lam [., .] over the dense Z_sigma basis."""
     alg = tri.total
     z_sigma = _dense_center(alg, sigma)
-    gens = [_dense_bracket(alg, z).flatten() for z in z_sigma.basis]
-    coeffs = _dense_span_coefficients(alg.field, gens, D0.flatten())
+    gens = [flatten(_dense_bracket(alg, z)) for z in z_sigma.basis]
+    coeffs = _dense_span_coefficients(alg.field, gens, flatten(D0))
     return None if coeffs is None else z_sigma.combine(coeffs)
 
 
@@ -703,7 +775,7 @@ def test_sigma_commutator_against_dense_products(field):
             noncentral += not dense.is_zero()
         for a in (tri.A, tri.B, alg):
             assert center_direct(a) == _dense_center(a, a.identity_map())
-            comms = [a.commutator(a.basis_vector(i), a.basis_vector(j)) for i in range(a.dim) for j in range(a.dim)]
+            comms = [commutator(a, a.basis_vector(i), a.basis_vector(j)) for i in range(a.dim) for j in range(a.dim)]
             assert _commutator_span(a) == Subspace.from_vectors(field, a.dim, comms)
     assert central and noncentral
 
@@ -736,20 +808,12 @@ def test_bracket_and_extremal_against_dense_products(field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_inner_witnesses_against_dense_systems(field):
-    """The inner sigma-derivation witness of every basis map of Der_sigma and
-    of inner derivations, and the inner biderivation witness of the residual
-    of extremal_split on every basis map of Bider_sigma and of lam [., .]:
-    the same x0 and lambda as the dense systems, or None for both."""
-    rng = random.Random(9500)
-    found = {"derivation": set(), "biderivation": set()}
+    """The inner biderivation witness of the residual of extremal_split on
+    every basis map of Bider_sigma and of lam [., .]: the same lambda as the
+    dense system, or None for both."""
+    found = set()
     for tri, sigma in _commutator_cases(field):
         alg = tri.total
-        ders = solve_space("sigma_derivation", tri, sigma).basis_maps()
-        ders += [inner_sigma_derivation(tri, x, sigma) for x in _elements(alg, rng)[-3:]]
-        for d in ders:
-            want = _dense_derivation_witness(alg, d, sigma)
-            assert inner_derivation_witness(tri, d, sigma) == want
-            found["derivation"].add(want is None)
         biders = [extremal_split(tri, D, sigma).residual
                   for D in solve_space("sigma_biderivation", tri, sigma).basis_maps()]
         if not alg.is_commutative():
@@ -758,8 +822,8 @@ def test_inner_witnesses_against_dense_systems(field):
             want = _dense_biderivation_lambda(tri, D0, sigma)
             got = inner_biderivation_witness(tri, D0, sigma)
             assert (got and got.lam) == want
-            found["biderivation"].add(want is None)
-    assert found == {"derivation": {True, False}, "biderivation": {True, False}}
+            found.add(want is None)
+    assert found == {True, False}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -781,7 +845,7 @@ def test_bracket_map_and_conjugation_against_dense_products(field):
                 brackets = _bracket_map(alg)
                 assert (brackets.src_dim, brackets.dst_dim) == (n * n, n)
                 assert [brackets.image_of_basis(i * n + j) for i in range(n) for j in range(n)] == \
-                    [alg.commutator(x, y) for x in e for y in e]
+                    [commutator(alg, x, y) for x in e for y in e]
                 units = [alg.unit] + [_random_invertible(alg, rng, field.characteristic or 7) for _ in range(3)]
                 for u in units:
                     u_inv = _rref_inverse(left_mul_by_mul_vec(alg, u)).apply(alg.unit)
@@ -824,18 +888,18 @@ def test_action_maps_and_coupling_rows_against_dense_products(field):
         ea = [tri.A.basis_vector(i) for i in range(da)]
         eb = [tri.B.basis_vector(k) for k in range(db)]
         for a in _action_elements(tri.A, rng):
-            assert tri.left_action(a) == LinMap.from_images(field, [tri.act_left(a, m) for m in em], dm, dm)
+            assert tri.left_action(a) == LinMap.from_images(field, [act_left(tri, a, m) for m in em], dm, dm)
         for b in _action_elements(tri.B, rng):
-            assert tri.right_action(b) == LinMap.from_images(field, [tri.act_right(m, b) for m in em], dm, dm)
+            assert tri.right_action(b) == LinMap.from_images(field, [act_right(tri, m, b) for m in em], dm, dm)
         ms = [tri.part_m(v) for v in _action_elements(tri.total, rng)[da:]]
         nu = block_decompose(tri, sigma).nu
         for m in ms:
-            assert tri.left_action_on(m) == LinMap.from_images(field, [tri.act_left(a, m) for a in ea], da, dm)
-            assert tri.right_action_on(m) == LinMap.from_images(field, [tri.act_right(m, b) for b in eb], db, dm)
+            assert tri.left_action_on(m) == LinMap.from_images(field, [act_left(tri, a, m) for a in ea], da, dm)
+            assert tri.right_action_on(m) == LinMap.from_images(field, [act_right(tri, m, b) for b in eb], db, dm)
             nu_m = nu.apply(m)
-            dense = [[tri.act_left(a, m)[o] for a in ea] + [field.neg(tri.act_right(nu_m, b)[o]) for b in eb]
+            dense = [[act_left(tri, a, m)[o] for a in ea] + [field.neg(act_right(tri, nu_m, b)[o]) for b in eb]
                      for o in range(dm)]
-            want = LinMap(field, dense, da + db, dm).kernel()
+            want = _dense_kernel(field, dense, da + db)
             assert kernel_sparse(field, coupling_rows(tri, m, nu_m), da + db) == want
             couplings += want.dim < da + db
     assert couplings
@@ -847,8 +911,8 @@ def _dense_eta(tri, pa: Subspace, pb: Subspace, nu: LinMap) -> LinMap:
     actions."""
     field, dm = tri.field, tri.M.dim_m
     em = [unit_m(field, dm, j) for j in range(dm)]
-    gens = [[c for m in em for c in tri.act_left(a, m)] for a in pa.basis]
-    cols = [_dense_span_coefficients(field, gens, [c for m in em for c in tri.act_right(nu.apply(m), u)])
+    gens = [[c for m in em for c in act_left(tri, a, m)] for a in pa.basis]
+    cols = [_dense_span_coefficients(field, gens, [c for m in em for c in act_right(tri, nu.apply(m), u)])
             for u in pb.basis]
     assert None not in cols
     return LinMap.from_images(field, cols, pb.dim, pa.dim)
@@ -915,9 +979,9 @@ def test_ideal_split_with_a_zero_bimodule_ideal(field):
     tri_i, dm = spl.tri_i, tri.M.dim_m
     em = [unit_m(field, dm, j) for j in range(dm)]
     for i, a in enumerate(sub_a.basis):
-        assert [tri_i.act_left(tri_i.A.basis_vector(i), m) for m in em] == [tri.act_left(a, m) for m in em]
+        assert [act_left(tri_i, tri_i.A.basis_vector(i), m) for m in em] == [act_left(tri, a, m) for m in em]
     for k, b in enumerate(sub_b.basis):
-        assert [tri_i.act_right(m, tri_i.B.basis_vector(k)) for m in em] == [tri.act_right(m, b) for m in em]
+        assert [act_right(tri_i, m, tri_i.B.basis_vector(k)) for m in em] == [act_right(tri, m, b) for m in em]
 
 
 # -- the (alpha, beta) reduction ----------------------------------------------
@@ -990,11 +1054,11 @@ def _dense_alpha_beta_failure(kind, alg, obj, alpha, beta):
 
 def _bumped(obj, rng):
     """obj with one entry, chosen by rng, raised by one."""
-    flat = list(obj.flatten())
+    flat = list(flatten(obj))
     pos = rng.randrange(len(flat))
     flat[pos] = obj.field.add(flat[pos], obj.field.one)
     if isinstance(obj, BilinMap):
-        return BilinMap.unflatten(obj.field, flat, obj.dim)
+        return unflatten_bilinear(obj.field, flat, obj.dim)
     n = obj.src_dim
     return LinMap(obj.field, [flat[k * n:(k + 1) * n] for k in range(n)])
 

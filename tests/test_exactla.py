@@ -31,8 +31,6 @@ from trialg.exactla import (
     integer_vector,
     is_nonzero,
     nonzero_rows,
-    rref,
-    solve_sparse,
     span_coefficients,
 )
 from trialg.spaces import _dedup_rows
@@ -96,11 +94,11 @@ class TestFieldScalar:
         assert QQ.format(QQ.add(a, b)) == "1/2"
         assert QQ.format(QQ.sub(a, b)) == "1/6"
         assert QQ.format(QQ.mul(a, b)) == "1/18"
-        assert QQ.format(QQ.div(a, b)) == "2"
+        assert QQ.format(QQ.inv(b)) == "6"
         assert QQ.neg(a) == Fraction(-1, 3)
         x = F5.coerce(3)
         assert F5.mul(x, x) == 4
-        assert F5.div(x, x) == 1
+        assert F5.inv(x) == 2
 
     def test_mixed_fields_rejected(self):
         with pytest.raises(FieldMismatch):
@@ -124,40 +122,38 @@ class TestFieldScalar:
 
 
 class TestRref:
+    """The RREF of a list of rows is the Subspace they span: its basis holds
+    the nonzero RREF rows, its pivots their pivot columns."""
+
     def test_rank_one_forced(self):
-        m = LinMap(QQ, [[2, 4], [1, 2]])
-        red, pivots = rref(m)
-        assert red.rows == ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(0)))
-        assert pivots == (0,)
+        sub = Subspace.from_vectors(QQ, 2, [[2, 4], [1, 2]])
+        assert sub.basis == ((Fraction(1), Fraction(2)),)
+        assert sub.pivots == (0,)
 
     def test_identity_fixed_point(self):
-        m = LinMap.identity(QQ, 3)
-        red, pivots = rref(m)
-        assert red == m
-        assert pivots == (0, 1, 2)
+        sub = Subspace.from_vectors(QQ, 3, LinMap.identity(QQ, 3).rows)
+        assert sub.basis == LinMap.identity(QQ, 3).rows
+        assert sub.pivots == (0, 1, 2) and sub == Subspace.full(QQ, 3)
 
     def test_char_two_cancellation(self):
-        m = LinMap(F2, [[1, 1], [1, 1]])
-        red, pivots = rref(m)
-        assert red.rows == ((1, 1), (0, 0))
-        assert pivots == (0,)
+        sub = Subspace.from_vectors(F2, 2, [[1, 1], [1, 1]])
+        assert sub.basis == ((1, 1),)
+        assert sub.pivots == (0,)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3), min_size=1, max_size=4))
     def test_idempotence_f5(self, rows):
-        m = LinMap(F5, rows)
-        red, _ = rref(m)
-        again, _ = rref(red)
-        assert red == again
+        sub = Subspace.from_vectors(F5, 3, rows)
+        again = Subspace.from_vectors(F5, 3, sub.basis)
+        assert sub == again and again.basis == sub.basis
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
                              min_size=3, max_size=3), min_size=1, max_size=4))
     def test_idempotence_rationals(self, rows):
-        m = LinMap(QQ, rows)
-        red, _ = rref(m)
-        again, _ = rref(red)
-        assert red == again
+        sub = Subspace.from_vectors(QQ, 3, rows)
+        again = Subspace.from_vectors(QQ, 3, sub.basis)
+        assert sub == again and again.basis == sub.basis
 
 
 class TestKernel:
@@ -462,9 +458,9 @@ class TestDerived:
 
 
 class TestIntegerEliminationOracle:
-    """_sparse_reduce, rref and solve_sparse run on integer (Q) or residue
-    (F_p) rows; they must return exactly the field values of the dense
-    Gauss-Jordan RREF."""
+    """_sparse_reduce, and the Subspace and span_coefficients built on it, run
+    on integer (Q) or residue (F_p) rows; they must return exactly the field
+    values of the dense Gauss-Jordan RREF."""
 
     @pytest.mark.parametrize("field", _FIELDS, ids=str)
     @settings(max_examples=120, deadline=None)
@@ -474,9 +470,9 @@ class TestIntegerEliminationOracle:
         expect, expect_pivots = _gauss_jordan(field, rows, ncols)
         pivots = _sparse_reduce(field, [{c: v for c, v in enumerate(r) if v} for r in rows], ncols)
         _check_reduced(field, pivots, rows, ncols)
-        red, red_pivots = rref(LinMap(field, rows, ncols))
-        assert red_pivots == tuple(expect_pivots)
-        assert red.rows == tuple(expect) + ((field.zero,) * ncols,) * (len(rows) - len(expect))
+        sub = Subspace.from_vectors(field, ncols, rows)
+        assert sub.pivots == tuple(expect_pivots)
+        assert sub.basis == tuple(expect)
 
     @pytest.mark.parametrize("field", _FIELDS, ids=str)
     @settings(max_examples=120, deadline=None)
@@ -523,12 +519,17 @@ class TestIntegerEliminationOracle:
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
     def test_solve_sparse(self, field, data):
+        """A sparse system of rows against a right-hand side, solved by
+        span_coefficients on its columns (one block each) and the
+        right-hand side: the particular solution of the Gauss-Jordan RREF of
+        the augmented rows, zero at every free column, or None."""
         rows, ncols = data.draw(_systems(field))
         scalar = (st.fractions(min_value=-5, max_value=5, max_denominator=7) if field is QQ
                   else st.integers(0, field.characteristic - 1))
         rhs = [field.coerce(data.draw(scalar)) for _ in rows]
         aug, pivots = _gauss_jordan(field, [r + (b,) for r, b in zip(rows, rhs)], ncols + 1)
-        got = solve_sparse(field, [{c: v for c, v in enumerate(r) if v} for r in rows], rhs, ncols)
+        columns = [(tuple((i, r[c]) for i, r in enumerate(rows) if r[c]),) for c in range(ncols)]
+        got = span_coefficients(field, columns, (tuple((i, b) for i, b in enumerate(rhs) if b),))
         if ncols in pivots:
             assert got is None
             return
@@ -703,7 +704,7 @@ class TestIntegerForm:
         # a block: each row reduced, the empty ones dropped, keys ascending
         block = nonzero_rows(p, {3: acc, 1: {}, 2: dict(acc)})
         assert list(block.items()) == ([(2, expect), (3, expect)] if expect else [])
-        assert field_values(p, den, acc) == {k: field.div(field.coerce(v), field.coerce(den))
+        assert field_values(p, den, acc) == {k: field.mul(field.coerce(v), field.inv(field.coerce(den)))
                                              for k, v in expect.items()}
         if expect:  # one canonical row for every nonzero multiple
             c = data.draw(_values(field).filter(bool))

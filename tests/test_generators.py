@@ -34,6 +34,7 @@ from trialg.spaces import _biderivation_rows, _dedup_rows, _derivation_rows, sol
 from trialg.structure import subspace_product
 
 from test_algcore import _rebased
+from test_dense_oracles import unflatten_bilinear, value
 
 
 def _word_span(alg, gens) -> Subspace:
@@ -223,10 +224,10 @@ def test_bilinear_witness_is_the_first_of_the_full_scan():
     off_generator = 0
     for field, alg, sigma, rng in _catalog_cases():
         n = alg.dim
-        D0 = BilinMap.unflatten(field, _random_solution("sigma_biderivation", alg, sigma, rng), n)
+        D0 = unflatten_bilinear(field, _random_solution("sigma_biderivation", alg, sigma, rng), n)
         dense = set(rng.sample(list(itertools.product(range(n), repeat=3)), 6))
         for i, j, k in itertools.product(range(n), repeat=3):
-            table = [[list(D0.value(a, b)) for b in range(n)] for a in range(n)]
+            table = [[list(value(D0, a, b)) for b in range(n)] for a in range(n)]
             table[i][j][k] = field.add(table[i][j][k], field.coerce(rng.randint(1, 4)))
             D = BilinMap(field, table)
             expected = _full_scan_biderivation_failure(alg, D, sigma)

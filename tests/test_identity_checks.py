@@ -43,7 +43,7 @@ from trialg.sigmamaps import BilinMap, LinMap, classify_bilinear, classify_linea
 from trialg.spaces import solve_space
 from trialg.structure import AutBlocks, block_decompose, inner_automorphism
 
-from test_dense_oracles import _reduced, right_mul_mat
+from test_dense_oracles import _reduced, flatten, right_mul_mat, unflatten_bilinear
 
 
 def _bump(f: LinMap, k: int, j: int, c=1) -> LinMap:
@@ -54,10 +54,10 @@ def _bump(f: LinMap, k: int, j: int, c=1) -> LinMap:
 
 
 def _bump_tensor(D: BilinMap, i: int, j: int, k: int) -> BilinMap:
-    flat = list(D.flatten())
+    flat = list(flatten(D))
     pos = (i * D.dim + j) * D.dim + k
     flat[pos] = D.field.add(flat[pos], D.field.one)
-    return BilinMap.unflatten(D.field, flat, D.dim)
+    return unflatten_bilinear(D.field, flat, D.dim)
 
 
 def _verdict(v, field=QQ):

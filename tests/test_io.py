@@ -24,6 +24,7 @@ from trialg.exactla import GF, QQ, LinMap
 from trialg.fixtures import fixture_f1, fixture_f3, sigma1
 from trialg.sigmamaps import BilinMap
 from test_cli import run_cli
+from test_dense_oracles import value
 
 FIELDS = {"Q": QQ, "F5": GF(5)}
 # a boolean scalar, then unparsable literals: rationals over Q, residues over F_5
@@ -146,7 +147,7 @@ def test_bilinmap_loader_allocates_no_dense_tensor():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert D.apply(D.value(0, 0), D.value(0, 0)) == D.value(0, 0)
+    assert D.apply(value(D, 0, 0), value(D, 0, 0)) == value(D, 0, 0)
     assert peak < 16 * 2**20
 
 
