@@ -691,10 +691,6 @@ class Bimodule:
     def __setattr__(self, *a):
         raise AttributeError("Bimodule is immutable")
 
-    @staticmethod
-    def zero(field: Field, dim_a: int, dim_b: int) -> "Bimodule":
-        return Bimodule(field, dim_a, 0, dim_b, [[] for _ in range(dim_a)], [])
-
 
 def unit_m(field: Field, dm: int, j: int) -> list:
     """The j-th basis vector of a dm-dimensional bimodule, in M-coordinates."""

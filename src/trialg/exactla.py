@@ -146,9 +146,6 @@ class Field:
     def neg(self, a):
         raise NotImplementedError
 
-    def inv(self, a):
-        raise NotImplementedError
-
     def coerce(self, x):
         """Raw value from an int, a string literal, or (over Q) a Fraction."""
         raise NotImplementedError
@@ -194,11 +191,6 @@ class RationalField(Field):
 
     def neg(self, a):
         return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return 1 / a
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -263,11 +255,6 @@ class PrimeField(Field):
 
     def neg(self, a):
         return -a % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of 0 mod %d" % self.p)
-        return pow(a, self.p - 2, self.p)
 
     def coerce(self, x):
         if isinstance(x, int) and not isinstance(x, bool):
@@ -416,10 +403,6 @@ class LinMap:
     def identity(field: Field, n: int) -> "LinMap":
         one = field.one
         return LinMap._trusted(field, [((j, one),) for j in range(n)], n)
-
-    @staticmethod
-    def zero(field: Field, src_dim: int, dst_dim: int | None = None) -> "LinMap":
-        return LinMap._trusted(field, ((),) * src_dim, src_dim if dst_dim is None else dst_dim)
 
     @staticmethod
     def from_images(field: Field, images: list, src_dim: int | None = None, dst_dim: int | None = None) -> "LinMap":

@@ -208,13 +208,12 @@ class Witness:
 
 
 class Verdict:
-    __slots__ = ("kind", "holds", "witness", "notes")
+    __slots__ = ("kind", "holds", "witness")
 
-    def __init__(self, kind: str, holds: bool, witness: Witness | None = None, notes: tuple = ()):
+    def __init__(self, kind: str, holds: bool, witness: Witness | None = None):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "holds", holds)
         object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "notes", notes)
 
     def __setattr__(self, *a):
         raise AttributeError("Verdict is immutable")
@@ -345,20 +344,16 @@ def _derivation_type_failure(alg: FinAlgebra, Y: LinMap, terms: tuple, sigma: Li
 def classify_linear(kind: str, alg: FinAlgebra, f: LinMap, sigma: LinMap | None = None) -> Verdict:
     """Exact verdict for one linear-map predicate, with a first-failure witness.
 
-    Besides endomorphism and automorphism, the kinds are the linear ones of
-    MAP_KINDS, each decided at its one twist (map_twist): sigma, verified to
-    be an automorphism, or the identity for an untwisted kind.  A derivation
-    kind, d(xy) = sigma(x) d(y) + d(x) y, is decided on the pairs (s, j) with
-    e_s a generator of the algebra, and all pairs are scanned in row-major
-    order only after a failure there: the witness is the first failing pair
-    of the full scan.  A commuting kind, sigma(x) Theta(x) = Theta(x) x, is a
-    quadratic identity, to which that lemma does not apply; it is checked on
-    every single and then every polarized pair.
+    The kinds are the linear ones of MAP_KINDS, each decided at its one twist
+    (map_twist): sigma, verified to be an automorphism, or the identity for
+    an untwisted kind (is_endomorphism and is_automorphism decide the others).
+    A derivation kind, d(xy) = sigma(x) d(y) + d(x) y, is decided on the pairs
+    (s, j) with e_s a generator of the algebra, and all pairs are scanned in
+    row-major order only after a failure there: the witness is the first
+    failing pair of the full scan.  A commuting kind, sigma(x) Theta(x) =
+    Theta(x) x, is a quadratic identity, to which that lemma does not apply;
+    it is checked on every single and then every polarized pair.
     """
-    if kind == "endomorphism":
-        return is_endomorphism(alg, f)
-    if kind == "automorphism":
-        return is_automorphism(alg, f)
     mk = MAP_KINDS.get(kind)
     if mk is None or mk.bilinear:
         raise InputError("unknown classification kind %r" % (kind,))

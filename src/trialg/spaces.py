@@ -42,8 +42,7 @@ the identity once, not r times; over F_p nothing is lifted.
 A space is kept as the sparse RREF rows of its Subspace.  Its basis maps are
 built straight from those rows (a linear map's columns, a bilinear map's
 table), and to_json writes the rows as Subspace.to_json does, so neither a
-solve nor its report makes the dense basis view; MapSpace.contains and coords
-read a map's sparse columns or table in that flattening.
+solve nor its report makes the dense basis view.
 """
 
 from __future__ import annotations
@@ -57,12 +56,7 @@ from .algcore import (
     polarized_passes,
     product_rule_rows,
 )
-from .errors import (
-    AmbientMismatch,
-    InputError,
-    NotInSpan,
-    TheoremViolation,
-)
+from .errors import InputError, TheoremViolation
 from .exactla import (
     IntegerRows,
     Subspace,
@@ -127,31 +121,6 @@ class MapSpace:
                 table[ij // n][ij % n] = tuple((key % n, v) for key, v in entries)
             maps.append(BilinMap._trusted(field, SparseTable(map(tuple, table))))
         return maps
-
-    def _entries(self, m: LinMap | BilinMap) -> list:
-        """The nonzero entries of m in the row-major flattening basis_maps
-        inverts (index k*n + j of a linear map, (i*n + j)*n + k of a bilinear
-        one), read off m's columns or table; AmbientMismatch for another
-        length."""
-        if isinstance(m, BilinMap):
-            n, size = m.dim, m.dim ** 3
-            entries = [((i * n + j) * n + k, c) for i, row in enumerate(m.table) for j, vec in enumerate(row)
-                       for k, c in vec]
-        else:
-            n, size = m.src_dim, m.src_dim * m.dst_dim
-            entries = [(k * n + j, c) for j, col in enumerate(m.columns) for k, c in col]
-        if size != self.subspace.ambient_dim:
-            raise AmbientMismatch("vector length %d in ambient %d" % (size, self.subspace.ambient_dim))
-        return entries
-
-    def contains(self, m: LinMap | BilinMap) -> bool:
-        return not self.subspace.reduce(self._entries(m))
-
-    def coords(self, m: LinMap | BilinMap) -> tuple:
-        c = self.subspace.try_coords(self._entries(m))
-        if c is None:
-            raise NotInSpan("vector is not in the span")
-        return c
 
     def to_json(self):
         sub = self.subspace.to_json()

@@ -52,7 +52,6 @@ from .errors import (
     BudgetExceeded,
     CharTooSmall,
     DimMismatch,
-    FieldMismatch,
     InputError,
     NotAutomorphism,
     NotBlockPreserving,
@@ -604,7 +603,7 @@ def sigma_center(tri: TriAlgebra, blocks: AutBlocks) -> tuple[Subspace, Subspace
     """(Z_sigma, eta) of the blocks (AutBlocks.center and AutBlocks.eta): eta
     is None unless the bimodule is faithful on both sides."""
     if blocks.tri is not tri and blocks.tri != tri:
-        raise FieldMismatch("blocks belong to a different triangular algebra")
+        raise InputError("the blocks were decomposed on another triangular algebra than the one given")
     return blocks.center, blocks.eta
 
 

@@ -229,7 +229,7 @@ class TestBuildTriangular:
 
     def test_zero_module_needs_flag(self):
         a = scalar_algebra(QQ)
-        zero_m = Bimodule.zero(QQ, 1, 1)
+        zero_m = Bimodule(QQ, 1, 0, 1, [[]], [])
         with pytest.raises(ZeroModule):
             build_triangular(a, zero_m, scalar_algebra(QQ))
         diag = build_triangular(a, zero_m, scalar_algebra(QQ), allow_zero_m=True)
@@ -287,7 +287,7 @@ class TestCenter:
         """A twist that is not a map of the algebra to itself, or an element
         of another length, is an input error, not a wrong map."""
         alg = f1.total
-        for sigma in (LinMap.identity(QQ, 2), LinMap.identity(QQ, 4), LinMap.zero(QQ, 3, 2), LinMap.zero(QQ, 2, 3)):
+        for sigma in (LinMap.identity(QQ, 2), LinMap.identity(QQ, 4), LinMap(QQ, [[0] * 3] * 2), LinMap(QQ, [[0] * 2] * 3)):
             with pytest.raises(DimMismatch):
                 twisted_ad(alg, sigma, alg.unit)
         for x in ((1, 0), (1, 0, 0, 0)):

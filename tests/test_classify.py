@@ -35,7 +35,7 @@ from trialg.fixtures import (
     ut2_tensor_flip,
 )
 from trialg.randomgen import instance_catalog, regular_bimodule
-from trialg.sigmamaps import BilinMap, LinMap, classify_linear
+from trialg.sigmamaps import BilinMap, LinMap, classify_linear, is_endomorphism
 from trialg.spaces import solve_space
 from trialg.structure import block_decompose, inner_automorphism, sigma_center, structure_checks
 
@@ -44,7 +44,7 @@ from test_dense_oracles import commutator
 
 def diagonal_triangular(field=QQ):
     """Trian(k, 0, k) = k x k behind the zero-module override."""
-    return build_triangular(scalar_algebra(field), Bimodule.zero(field, 1, 1),
+    return build_triangular(scalar_algebra(field), Bimodule(field, 1, 0, 1, [[]], []),
                             scalar_algebra(field), allow_zero_m=True)
 
 
@@ -306,7 +306,7 @@ class TestMonoEpi:
         assert len(cases) >= 10
         saw_mono_fail = saw_epi_fail = False
         for tri, phi in cases:
-            verdict = classify_linear("endomorphism", tri.total, phi)
+            verdict = is_endomorphism(tri.total, phi)
             assert verdict.holds, "collection must contain endomorphisms only"
             eb, _ = endo_blocks(tri, phi)
             rep = endo_mono_epi(tri, eb, phi)

@@ -859,54 +859,25 @@ class TestImportGraph:
             exec("from trialg import no_such_name", {})
 
 
-# The definitions of src/trialg that no program runs, each kept on purpose:
-# the paper constructions a later theorems command is to report, the dense
-# edge of Subspace, and instance families.
-LIBRARY_ONLY = {
-    "classify.inner_sigma_derivation", "classify.inner_sigma_biderivation", "classify.sigma_derivation_blocks",
-    "classify.properness_sufficiency", "exactla.Subspace.from_vectors", "fixtures.ut2_tensor_flip",
-    "randomgen.random_faithful_instances", "randomgen.random_instances",
-}
+# The only definitions of src/trialg that no program reaches: Field's
+# interface, which RationalField and PrimeField implement and which nothing
+# calls on the base class.
+INTERFACE_STUBS = {"Field." + name for name in ("add", "sub", "mul", "neg", "coerce", "format", "to_json")}
 
 
-def library_only_definitions(root: str) -> set:
-    """The functions, classes and methods of src/trialg whose name no Name or
-    Attribute node uses in a program: a module of src/trialg, demos/, tools/,
-    perfbench/ (its tests aside) or README's Quick tour.  Dunder methods are
-    left out, as Python calls them."""
-    import ast
-    import glob
-
-    src = sorted(glob.glob(os.path.join(root, "src", "trialg", "*.py")))
-    programs = src + sorted(glob.glob(os.path.join(root, "demos", "*.py")))
-    programs += sorted(glob.glob(os.path.join(root, "tools", "*.py")))
-    programs += sorted(p for p in glob.glob(os.path.join(root, "perfbench", "*.py"))
-                       if not os.path.basename(p).startswith("test_"))
-    texts = []
-    for path in programs:
-        with open(path, encoding="utf-8") as fh:
-            texts.append(fh.read())
-    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
-        texts.append(fh.read().split("```python\n", 1)[1].split("```", 1)[0])
-    used = {node.id if isinstance(node, ast.Name) else node.attr
-            for text in texts for node in ast.walk(ast.parse(text)) if isinstance(node, (ast.Name, ast.Attribute))}
-    found = set()
-    for path, text in zip(src, texts):
-        module = os.path.basename(path)[:-3]
-        for node in ast.parse(text).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            defs = [(node.name, node.name)]
-            if isinstance(node, ast.ClassDef):
-                defs += [(node.name + "." + sub.name, sub.name) for sub in node.body
-                         if isinstance(sub, ast.FunctionDef)]
-            found |= {module + "." + qual for qual, name in defs
-                      if name not in used and not (name.startswith("__") and name.endswith("__"))}
-    return found
-
-
-def test_library_only_definitions_are_the_kept_list():
-    """A definition that no program runs is deleted, moved into the tests
-    (test_dense_oracles holds the dense references), or kept in LIBRARY_ONLY."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    assert library_only_definitions(root) == LIBRARY_ONLY
+def test_every_definition_is_reached(tmp_path):
+    """tests/reach.py runs the programs in a fresh process under a profiler
+    (a fresh process, so that no cache such as build_parser's hides a body):
+    every module-level function and method of src/trialg but the dunders is
+    reached, bar Field's interface stubs.  A definition that no program runs
+    is deleted, or kept in reach.LIBRARY_ONLY, whose entries it calls."""
+    reach = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reach.py")
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning", reach],
+                          cwd=tmp_path, capture_output=True, text=True, env=_fresh_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    unreached = json.loads(proc.stdout)["unreached"]
+    stubs = {d["qualname"] for d in unreached if d["where"].startswith("src/trialg/exactla.py:")} & INTERFACE_STUBS
+    others = ["%s %s (%d lines)" % (d["where"], d["qualname"], d["lines"]) for d in unreached
+              if d["qualname"] not in stubs]
+    assert not others, "no program reaches:\n" + "\n".join(others)
+    assert stubs == INTERFACE_STUBS

@@ -1,8 +1,8 @@
 """Pinned results of the product-rule identity checks on perturbed inputs.
 
 Each case feeds one check an input that fails it and pins the exact outcome:
-the Verdict (kind, holds, witness indices, element, description, and notes
-for the commuting predicate) of a predicate, or the exception type and
+the Verdict (kind, holds, witness indices, element and description) of a
+predicate, or the exception type and
 message of a block check.  The biderivation and associativity cases are
 chosen so that the witness depends on the order in which the two slots and
 the basis triples are visited; the commuting cases fail at a single basis
@@ -130,7 +130,7 @@ def _commuting(field, index: int, bumps, twisted_alpha: bool = False):
         v = _reduced("sigma_commuting", f3.total, theta, phi, phi.compose(s1))
     else:
         v = classify_linear("sigma_commuting", f3.total, theta, s1)
-    return _verdict(v, field) + (v.notes,)
+    return _verdict(v, field)
 
 
 def _non_associative():
@@ -234,14 +234,14 @@ CASES = {
     "biderivation_twisted_alpha": (lambda: _biderivation(fixture_f1, (0, 1, 2), True),
                                    ("sigma_biderivation", False, (0, 0, 1), ("0", "0", "1"), FIRST)),
     "commuting_single": (lambda: _commuting(QQ, 0, ((1, 2, 1), (4, 2, 3))),
-                         ("sigma_commuting", False, (2, 2), ("0", "-1", "0", "0", "3", "0"), COMM, ())),
+                         ("sigma_commuting", False, (2, 2), ("0", "-1", "0", "0", "3", "0"), COMM)),
     "commuting_pair_only": (lambda: _commuting(QQ, 0, ((5, 2, 1), (3, 1, 2))),
-                            ("sigma_commuting", False, (0, 1), ("0", "0", "0", "2", "0", "0"), COMM_PAIR, ())),
+                            ("sigma_commuting", False, (0, 1), ("0", "0", "0", "2", "0", "0"), COMM_PAIR)),
     "commuting_twisted_alpha": (lambda: _commuting(QQ, 2, ((0, 4, 2),), True),
                                 ("sigma_commuting", False, (0, 4), ("0", "0", "0", "-2", "0", "0"),
-                                 COMM_PAIR, ())),
+                                 COMM_PAIR)),
     "commuting_char2": (lambda: _commuting(GF(2), 0, ((3, 4, 1),)),
-                        ("sigma_commuting", False, (0, 4), ("0", "0", "0", "1", "0", "0"), COMM_PAIR, ())),
+                        ("sigma_commuting", False, (0, 4), ("0", "0", "0", "1", "0", "0"), COMM_PAIR)),
     "non_associative": (_non_associative,
                         ("NonAssociative", "associativity fails on basis triple (1, 1, 2)")),
     "condition_iii": (lambda: _commuting_blocks(fixture_f3(), "mu1", 0, 1),

@@ -248,7 +248,7 @@ def _zero_m_document(field) -> dict:
     """F1's corners with the zero bimodule: a triangular document with M = 0."""
     tri = fixture_f1(field)
     return {"A": io.algebra_to_json(tri.A), "B": io.algebra_to_json(tri.B),
-            "M": io.bimodule_to_json(Bimodule.zero(field, tri.A.dim, tri.B.dim))}
+            "M": io.bimodule_to_json(Bimodule(field, tri.A.dim, 0, tri.B.dim, [[]] * tri.A.dim, []))}
 
 
 @pytest.mark.parametrize("value, code, error", [
@@ -320,7 +320,7 @@ def _near_triangular(draw):
         elif edit == "allow":
             doc["allow_zero_M"] = draw(_ALLOW_VALUES)
         elif edit == "zero M":
-            doc["M"] = io.bimodule_to_json(Bimodule.zero(field, tri.A.dim, tri.B.dim))
+            doc["M"] = io.bimodule_to_json(Bimodule(field, tri.A.dim, 0, tri.B.dim, [[]] * tri.A.dim, []))
         elif edit == "drop" and part:
             del part[draw(st.sampled_from(sorted(part)))]
         elif edit == "sigma":

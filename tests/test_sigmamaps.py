@@ -32,6 +32,7 @@ from trialg.sigmamaps import (
     LinMap,
     classify_bilinear,
     classify_linear,
+    is_automorphism,
     require_automorphism,
     sigma_commutator_vec,
 )
@@ -46,6 +47,7 @@ from trialg.structure import (
 
 from test_dense_oracles import (_dense_alpha_beta_failure, _reduce, _reduced, commutator, flatten, smul_vec,
                                 unflatten_bilinear, value)
+from test_exactla import _inverse
 
 
 @pytest.fixture()
@@ -232,6 +234,14 @@ class TestSigmaCenter:
             z, _ = sigma_center(tri, blocks)
             assert z == sigma_center_direct(tri.total, sig)
 
+    def test_blocks_of_another_algebra_refused(self, f1, f1_blocks, f3_blocks):
+        """Blocks of another triangular algebra over the same field are an
+        input error that names the mismatch; blocks of an equal algebra
+        built anew are accepted."""
+        with pytest.raises(InputError, match="another triangular algebra"):
+            sigma_center(f1, f3_blocks)
+        assert sigma_center(fixture_f1(), f1_blocks) == sigma_center(f1, f1_blocks)
+
     def test_kernel_membership_definition(self, f1, f1_sigma1, f1_blocks):
         z, _ = sigma_center(f1, f1_blocks)
         t = f1.total
@@ -260,7 +270,7 @@ class TestBlockDecompose:
             classify_linear("sigma_commuting", f1.total, f1_theta1, None)
 
     def test_twist_must_be_automorphism(self, f1, f1_theta1):
-        bad = LinMap.zero(QQ, 3)
+        bad = LinMap(QQ, [[0] * 3] * 3)
         with pytest.raises(SigmaNotAutomorphism):
             classify_linear("sigma_commuting", f1.total, f1_theta1, bad)
 
@@ -273,7 +283,7 @@ def test_twist_rule(kind, f1, f1_sigma1):
     from trialg.spaces import solve_space
 
     alg, bilinear = f1.total, MAP_KINDS[kind].bilinear
-    zeros = (LinMap.zero(QQ, 3), BilinMap.zero(QQ, 3))
+    zeros = (LinMap(QQ, [[0] * 3] * 3), BilinMap.zero(QQ, 3))
     classify = classify_bilinear if bilinear else classify_linear
     calls = (lambda s: classify(kind, alg, zeros[bilinear], s), lambda s: solve_space(kind, f1, s))
     for call in calls:
@@ -287,6 +297,14 @@ def test_twist_rule(kind, f1, f1_sigma1):
     wrong = classify_linear if bilinear else classify_bilinear
     with pytest.raises(InputError, match="unknown classification kind %r" % kind):
         wrong(kind, alg, zeros[not bilinear], f1_sigma1)
+
+
+@pytest.mark.parametrize("kind", ["endomorphism", "automorphism"])
+def test_classify_linear_takes_map_kinds_only(kind, f1, f1_sigma1):
+    """The map predicates are is_endomorphism and is_automorphism, not
+    kinds of classify_linear."""
+    with pytest.raises(InputError, match="unknown classification kind %r" % kind):
+        classify_linear(kind, f1.total, f1_sigma1)
 
 
 def _block_instances():
@@ -330,7 +348,7 @@ class TestBlockMaps:
     def test_missing_blocks_are_zero(self, f1, phi_m):
         diagonal = from_blocks(f1, {(c, c): block_of(f1, phi_m, c, c) for c in self.CORNERS})
         assert block_of(f1, diagonal, "A", "M").is_zero()
-        assert from_blocks(f1, {}) == LinMap.zero(QQ, f1.dim)
+        assert from_blocks(f1, {}) == LinMap(QQ, [[0] * f1.dim] * f1.dim)
         assert not block_of(f1, phi_m, "A", "M").is_zero()
 
 
@@ -341,12 +359,12 @@ class TestAutomorphismMemo:
         t = fixture_f1().total
         good = sigma1(fixture_f1())
         assert require_automorphism(t, good) is good
-        bad = LinMap.zero(QQ, 3)
+        bad = LinMap(QQ, [[0] * 3] * 3)
         for _ in range(2):
             with pytest.raises(SigmaNotAutomorphism):
                 require_automorphism(t, bad)
             with pytest.raises(SigmaNotAutomorphism):
-                classify_linear("sigma_derivation", t, LinMap.zero(QQ, 3), bad)
+                classify_linear("sigma_derivation", t, LinMap(QQ, [[0] * 3] * 3), bad)
 
     def test_equal_algebra_loaded_separately_is_checked_again(self, count_aut_checks):
         from trialg import io
@@ -384,13 +402,13 @@ class TestAutomorphismMemo:
         from trialg.structure import AutBlocks
 
         tri = fixture_f1()
-        bad = LinMap.zero(QQ, 3)
+        bad = LinMap(QQ, [[0] * 3] * 3)
         with pytest.raises(NotAutomorphism):
             block_decompose(tri, bad)
         with pytest.raises(SigmaNotAutomorphism):
             require_automorphism(tri.total, bad)
         ident1 = LinMap.identity(QQ, 1)
-        zero1 = LinMap.zero(QQ, 1)
+        zero1 = LinMap(QQ, [[0]])
         with pytest.raises(TheoremViolation, match="A-block"):
             AutBlocks(tri, zero1, ident1, ident1, bad).verify()
         with pytest.raises(TheoremViolation, match="B-block"):
@@ -398,8 +416,8 @@ class TestAutomorphismMemo:
         # the predicate itself never consults the memo
         good = sigma1(tri)
         block_decompose(tri, good)
-        assert classify_linear("automorphism", tri.total, good).holds
-        assert not classify_linear("automorphism", tri.total, bad).holds
+        assert is_automorphism(tri.total, good).holds
+        assert not is_automorphism(tri.total, bad).holds
 
 
 class TestDerivedStore:
@@ -502,7 +520,7 @@ class TestDerivedStore:
         from trialg.exactla import derived
 
         t = fixture_f1().total
-        bad = LinMap.zero(QQ, 3)
+        bad = LinMap(QQ, [[0] * 3] * 3)
         for n in (1, 2):
             with pytest.raises(SigmaNotAutomorphism):
                 require_automorphism(t, bad)
@@ -585,7 +603,7 @@ class TestInnerAutomorphism:
         # phi(p) = p + m, phi(q) = q - m, phi(m) = m
         assert phi_m.apply(f1.p) == t.add_vec(f1.p, t.basis_vector(1))
         assert phi_m.apply(t.basis_vector(1)) == t.basis_vector(1)
-        assert classify_linear("automorphism", t, phi_m).holds
+        assert is_automorphism(t, phi_m).holds
 
     def test_diagonal_conjugation_block_preserving(self, f4):
         t = f4.total
@@ -751,7 +769,7 @@ class TestUnitSanityCheck:
         import trialg.sigmamaps as sm
 
         monkeypatch.setattr(sm, "_derivation_type_failure", lambda *args: None)
-        inv = lambda x: field.inv(field.coerce(x))
+        inv = lambda x: _inverse(field, field.coerce(x))
         alg = FinAlgebra(field, [[[2, 0], [0, 0]], [[0, 0], [0, 3]]], [inv(2), inv(3)])
         c = field.mul(field.coerce(-3), inv(2))
         second_only = BilinMap(field, [[[1, 0], [c, 0]], [[0, 0], [0, 0]]])

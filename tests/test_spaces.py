@@ -98,35 +98,39 @@ def _integer_kernel_plus_non_solution(field, pivots, ncols):
 class TestSolveSpace:
     @pytest.mark.parametrize("make", [fixture_f1, fixture_f4], ids=["F1", "F4"])
     def test_map_membership_reads_the_flattening(self, make):
-        """MapSpace.contains and coords, read off a map's sparse columns or
-        table, agree with the subspace on the dense flatten() for the basis
-        maps, their sum, and that sum with each flattened entry bumped in
-        turn (the inner biderivations are antisymmetric, so a transposed
-        reading shows); a map of the other shape is refused."""
+        """basis_maps inverts the row-major flattening of the subspace rows:
+        on the dense flatten(), each basis map has the unit coordinates of
+        its row and their sum all ones, and that sum with one flattened entry
+        bumped lies in the subspace exactly when the unit vector at the entry
+        does, at the sum of their coordinates (the inner biderivations are
+        antisymmetric, so a transposed reading shows); a map of the other
+        shape is refused."""
         tri = make()
         field, n = tri.field, tri.dim
         for kind in TWISTED_KINDS:
             space = solve_space(kind, tri, sigma1(tri))
-            bilinear = MAP_KINDS[kind].bilinear
+            sub, bilinear = space.subspace, MAP_KINDS[kind].bilinear
             maps = space.basis_maps()
-            total = maps[0]
-            for m in maps[1:]:
-                total = total + m
+            for i, m in enumerate(maps):
+                assert sub.coords(flatten(m)) == tuple(field.one if k == i else field.zero for k in range(sub.dim))
+            total = sum(maps[1:], maps[0])
             flat = flatten(total)
+            assert sub.coords(flat) == (field.one,) * sub.dim
             for i in range(len(flat)):
                 bumped = flat[:i] + (field.add(flat[i], field.one),) + flat[i + 1:]
-                maps.append(unflatten_bilinear(field, bumped, n) if bilinear
-                            else LinMap(field, [bumped[k * n:(k + 1) * n] for k in range(n)]))
-            for m in maps + [total]:
-                inside = space.subspace.contains_vector(flatten(m))
-                assert space.contains(m) == inside
+                m = (unflatten_bilinear(field, bumped, n) if bilinear
+                     else LinMap(field, [bumped[k * n:(k + 1) * n] for k in range(n)]))
+                assert flatten(m) == bumped
+                unit = tuple(field.one if k == i else field.zero for k in range(len(flat)))
+                inside = sub.contains_vector(unit)
+                assert sub.contains_vector(flatten(m)) == inside
                 if inside:
-                    assert space.coords(m) == space.subspace.coords(flatten(m))
+                    assert sub.coords(flatten(m)) == tuple(map(field.add, sub.coords(flat), sub.coords(unit)))
                 else:
                     with pytest.raises(NotInSpan):
-                        space.coords(m)
+                        sub.coords(flatten(m))
             with pytest.raises(AmbientMismatch):
-                space.contains(LinMap.identity(field, n) if bilinear else BilinMap.zero(field, n))
+                sub.contains_vector(flatten(LinMap.identity(field, n) if bilinear else BilinMap.zero(field, n)))
 
     def test_derivation_space_contains_inner_derivation(self, f1):
         space = solve_space("derivation", f1)
@@ -134,15 +138,15 @@ class TestSolveSpace:
         m = t.basis_vector(1)
         ad_m = LinMap.from_images(QQ, [commutator(t, t.basis_vector(j), m) for j in range(3)], 3, 3)
         assert classify_linear("derivation", t, ad_m).holds
-        assert space.contains(ad_m)
-        space.coords(ad_m)  # representable in the canonical basis
+        assert space.subspace.contains_vector(flatten(ad_m))
+        space.subspace.coords(flatten(ad_m))  # representable in the canonical basis
 
     def test_commuting_space_contains_model_map(self, f1, f1_sigma1, f1_theta1,
                                                 f1_lambda1, f1_commuting_space):
-        assert f1_commuting_space.contains(f1_theta1)
+        assert f1_commuting_space.subspace.contains_vector(flatten(f1_theta1))
         t = f1.total
         lam_mul = t.left_mul_mat(f1_lambda1)
-        assert f1_commuting_space.contains(lam_mul)
+        assert f1_commuting_space.subspace.contains_vector(flatten(lam_mul))
 
     def test_twisted_biderivation_space_contains_inner_family(self, f1, f1_sigma1,
                                                               f1_blocks, f1_bider_space):
@@ -153,7 +157,7 @@ class TestSolveSpace:
             if all(v == QQ.zero for v in lam):
                 continue
             D = inner_sigma_biderivation(f1, lam, f1_sigma1)
-            assert f1_bider_space.contains(D)
+            assert f1_bider_space.subspace.contains_vector(flatten(D))
 
     def test_every_basis_element_passes_classify(self, f4, f4_sigma1, f4_bider_space,
                                                  f4_commuting_space):
@@ -599,7 +603,7 @@ class TestInnerTwistedDerivation:
     def test_membership_in_solved_space(self, f1, f1_sigma1):
         space = solve_space("sigma_derivation", f1, f1_sigma1)
         for x0 in (f1.p, f1.total.basis_vector(1), f1.q):
-            assert space.contains(inner_sigma_derivation(f1, x0, f1_sigma1))
+            assert space.subspace.contains_vector(flatten(inner_sigma_derivation(f1, x0, f1_sigma1)))
 
 
 class TestInnerTwistedBiderivation:
@@ -634,7 +638,7 @@ class TestInnerTwistedBiderivation:
         z, _ = sigma_center(f4, f4_blocks)
         for lam in z.basis:
             D = inner_sigma_biderivation(f4, lam, f4_sigma1)
-            assert f4_bider_space.contains(D)
+            assert f4_bider_space.subspace.contains_vector(flatten(D))
 
 
 class TestExtremalTwistedBiderivation:
@@ -661,12 +665,12 @@ class TestExtremalTwistedBiderivation:
 
     def test_membership(self, f1, f1_sigma1, f1_bider_space):
         psi = extremal_sigma_biderivation(f1, f1.total.basis_vector(1), f1_sigma1)
-        assert f1_bider_space.contains(psi)
+        assert f1_bider_space.subspace.contains_vector(flatten(psi))
 
 
 class TestDerivationBlocks:
     def test_zero_map(self, f1, f1_blocks):
-        d = LinMap.zero(QQ, 3)
+        d = LinMap(QQ, [[0] * 3] * 3)
         hw = sigma_derivation_blocks(f1, d, f1_blocks)
         assert hw.d_a.is_zero() and hw.d_b.is_zero() and hw.xi.is_zero()
         assert all(v == QQ.zero for v in hw.m_d)
