@@ -19,9 +19,9 @@ _EXPORTS = {
     "algcore": ("Bimodule", "FinAlgebra", "TriAlgebra", "build_triangular"),
     "sigmamaps": ("BilinMap", "classify_bilinear", "classify_linear", "sigma_commutator_vec"),
     "spaces": ("MapSpace", "solve_space"),
-    "structure": ("AutBlocks", "annihilators", "block_decompose", "center_T", "center_direct",
+    "structure": ("AutBlocks", "annihilators", "block_decompose", "center_T", "center_direct", "condition_I",
                   "faithful_quotient", "inner_automorphism", "nil_radical_T", "nilpotency", "radical",
-                  "sigma_center", "structure_checks", "tau_iso"),
+                  "sigma_center", "tau_iso"),
     "classify": ("CommutingBlocks", "DerivationBlocks", "EndoBlocks", "InnerWitness", "ProperWitness",
                  "properness_sufficiency", "commuting_blocks", "endo_blocks", "endo_mono_epi",
                  "extremal_sigma_biderivation", "extremal_split", "ideal_split", "inner_biderivation_witness",

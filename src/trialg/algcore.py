@@ -545,9 +545,6 @@ class FinAlgebra:
             and self.unit == other.unit
         )
 
-    def __hash__(self):
-        return hash((self.field, self._pairs, self.unit))
-
     def __repr__(self):
         return "FinAlgebra(dim=%d, field=%r)" % (self.dim, self.field)
 
@@ -804,9 +801,6 @@ class TriAlgebra:
     def __eq__(self, other):
         return isinstance(other, TriAlgebra) and self.total == other.total and \
             self.A.dim == other.A.dim and self.B.dim == other.B.dim
-
-    def __hash__(self):
-        return hash((self.total, self.A.dim, self.B.dim))
 
     def __repr__(self):
         return "TriAlgebra(dims=%d+%d+%d, field=%r)" % (self.A.dim, self.M.dim_m, self.B.dim, self.field)

@@ -79,13 +79,13 @@ from .structure import (
     annihilators,
     block_decompose,
     block_of,
+    condition_I,
     coupling_rows,
     diagonal_pairs,
     from_blocks,
     inner_automorphism,
     is_ideal,
     radical,
-    structure_checks,
     subspace_product,
 )
 
@@ -780,17 +780,14 @@ def _thm1_conditions(tri: TriAlgebra, eb: EndoBlocks, report: TheoremReport):
     ann = annihilators(tri)
     A, B = tri.A, tri.B
 
-    def fail(msg):
-        raise TheoremViolation(msg)
-
     if not ann.L.contains(eb.gamma3.image()):
-        fail("image of gamma3 leaves the left annihilator of M")
+        raise TheoremViolation("image of gamma3 leaves the left annihilator of M")
     if not ann.R.contains(eb.chi3.image()):
-        fail("image of chi3 leaves the right annihilator of M")
+        raise TheoremViolation("image of chi3 leaves the right annihilator of M")
     if not ann.L.contains(eb.chi1.kernel()):
-        fail("kernel of chi1 leaves the left annihilator of M")
+        raise TheoremViolation("kernel of chi1 leaves the left annihilator of M")
     if not ann.R.contains(eb.gamma1.kernel()):
-        fail("kernel of gamma1 leaves the right annihilator of M")
+        raise TheoremViolation("kernel of gamma1 leaves the right annihilator of M")
     left, right = tri.M._left_pairs, tri.M._right_pairs
     # chi2(a a') = chi1(a) chi2(a') with chi2(a) = chi1(a) chi2(1), and
     # gamma2(b b') = gamma2(b) gamma1(b') with gamma2(b) = gamma2(1) gamma1(b)
@@ -804,13 +801,13 @@ def _thm1_conditions(tri: TriAlgebra, eb: EndoBlocks, report: TheoremReport):
         # row i's unit scaling is checked before row i's products
         rows = range(bad[0][0] + 1) if bad else range(alg.dim)
         if any(block.columns[i] != scaled.columns[i] for i in rows):
-            fail("%s is not %s-scaled from its unit value" % (name, scale))
+            raise TheoremViolation("%s is not %s-scaled from its unit value" % (name, scale))
         if bad:
-            fail("%s fails its product rule" % name)
+            raise TheoremViolation("%s fails its product rule" % name)
     if not eb.chi2.kernel().contains(eb.chi1.kernel()):
-        fail("kernel of chi1 is not inside kernel of chi2")
+        raise TheoremViolation("kernel of chi1 is not inside kernel of chi2")
     if not eb.gamma2.kernel().contains(eb.gamma1.kernel()):
-        fail("kernel of gamma1 is not inside kernel of gamma2")
+        raise TheoremViolation("kernel of gamma1 is not inside kernel of gamma2")
     report.notes.append("bijective-h block identities verified")
 
 
@@ -1018,9 +1015,7 @@ def partible_witness(tri: TriAlgebra, sigma: LinMap) -> PartibleWitness | None:
     except NotBlockPreserving:
         pass
     e = sigma.apply(tri.p)
-    if tuple(tri.part_a(e)) != tuple(tri.A.unit):
-        return None
-    if any(tri.part_b(e)):
+    if tuple(tri.part_a(e)) != tuple(tri.A.unit) or any(tri.part_b(e)):
         return None
     q_m = tri.embed_m(tri.part_m(e))
     z = t.add_vec(t.unit, q_m)
@@ -1041,7 +1036,7 @@ def partibility_sufficient(tri: TriAlgebra) -> TheoremReport:
     non-partibility."""
     report = TheoremReport("partibility of the triangular algebra")
     corners = (("A", tri.A), ("B", tri.B))
-    cond = {name: structure_checks(alg, "condition_I") for name, alg in corners}
+    cond = {name: condition_I(alg) for name, alg in corners}
     for name, _ in corners:
         report.hypotheses.append(Hypothesis("condition_I_" + name, _as_verdict(cond[name].verdict),
                                             "method: %s" % cond[name].method))

@@ -126,35 +126,16 @@ def _is_prime(n: int) -> bool:
 
 
 class Field:
-    """Arithmetic context for raw scalar values."""
+    """Arithmetic context for raw scalar values.  RationalField and
+    PrimeField implement add, sub, mul and neg on raw values, coerce (a raw
+    value from an int, a string literal, or over Q a Fraction), format and
+    to_json."""
 
     kind = "abstract"
     characteristic = 0
 
     zero = None
     one = None
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def coerce(self, x):
-        """Raw value from an int, a string literal, or (over Q) a Fraction."""
-        raise NotImplementedError
-
-    def format(self, a) -> str:
-        raise NotImplementedError
-
-    def to_json(self):
-        raise NotImplementedError
 
 
 @lru_cache(maxsize=1024)
@@ -405,12 +386,9 @@ class LinMap:
         return LinMap._trusted(field, [((j, one),) for j in range(n)], n)
 
     @staticmethod
-    def from_images(field: Field, images: list, src_dim: int | None = None, dst_dim: int | None = None) -> "LinMap":
-        """Build from the list of basis-vector images, coerced entry by entry."""
-        if src_dim is None:
-            src_dim = len(images)
-        if dst_dim is None:
-            dst_dim = len(images[0]) if images else 0
+    def from_images(field: Field, images: list, src_dim: int, dst_dim: int) -> "LinMap":
+        """Build a src_dim -> dst_dim map from the list of basis-vector
+        images, coerced entry by entry."""
         if len(images) != src_dim or any(len(img) != dst_dim for img in images):
             raise DimMismatch("images do not fit a %d -> %d map" % (src_dim, dst_dim))
         coerce = field.coerce
@@ -899,16 +877,12 @@ class Subspace:
             raise AmbientMismatch("ambient %d vs %d" % (self.ambient_dim, other.ambient_dim))
 
     def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
         return (
-            self.field == other.field
+            isinstance(other, Subspace)
+            and self.field == other.field
             and self.ambient_dim == other.ambient_dim
             and self.rows == other.rows
         )
-
-    def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.rows))
 
     def reduce(self, entries) -> dict:
         """{k: c}, the nonzero entries of v - sum_k v[p_k] * b_k for the vector

@@ -135,9 +135,7 @@ def random_block_preserving_sigma(tri: TriAlgebra, rng: random.Random) -> LinMap
     b0 = _random_invertible(tri.B, rng, span)
     u = tri.assemble(a0, [field.zero] * tri.M.dim_m, b0)
     conj = inner_automorphism(tri.total, u)
-    c = field.coerce(rng.randrange(1, span))
-    if not c:
-        c = field.one
+    c = field.coerce(rng.randrange(1, span))  # nonzero: span is p or 7
     return conj.compose(scaling_automorphism(tri, c))
 
 

@@ -178,9 +178,6 @@ class BilinMap:
     def __eq__(self, other):
         return isinstance(other, BilinMap) and self.field == other.field and self.table == other.table
 
-    def __hash__(self):
-        return hash((self.field, self.table))
-
     def to_json(self):
         return {"dim": self.dim, "tensor": _tensor_entries(self.field, self.table)}
 

@@ -1,6 +1,6 @@
 """The theorem half of the algebra layer: centers, annihilators and
 faithfulness, the faithful quotient and tau, nilpotency, radicals and
-structure checks, the block decomposition of a block-preserving automorphism
+Condition (I), the block decomposition of a block-preserving automorphism
 of a triangular algebra, and the inner and scaling automorphisms.
 
 Only the commands that run these import this module (center, sigma-center,
@@ -13,10 +13,10 @@ the kernel of FinAlgebra.center_map, and the center of Trian(A, M, B) for the
 blocks (f, g, nu) of an automorphism comes from its block description
 (twisted_center_T: the corner centers and a m = nu(m) b, coupling_rows).
 The Koethe/Jacobson radical is the kernel of the trace form (kept in the
-algebra's store), and structure_checks decides Condition (I),
-nondegeneracy and the idempotents, exhaustive over F_p^n (enumerated at most
-once per check, within TRIALG_BUDGET, the only budget) and by exact criteria
-otherwise.
+algebra's store), and condition_I decides Condition (I) of the paper's
+partibility theorem, exhaustive over F_p^n (enumerated at most once per
+call, within TRIALG_BUDGET, the only budget) and by exact sufficient
+criteria otherwise: commutativity, then a zero radical.
 
 Every subspace is built from sparse rows: algcore.block_span moves rows of
 A, M's unit rows and rows of B into their blocks of T (rad(A) + M + rad(B),
@@ -381,19 +381,17 @@ def nil_radical_T(tri: TriAlgebra) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# idempotent-based structure checks
+# Condition (I)
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class StructureReport:
-    """Verdict of a structure check with the method that decided it."""
+    """Verdict of Condition (I) with the method that decided it."""
 
-    mode: str
     verdict: str  # "holds" | "fails" | "undecided"
     method: str
     witness: tuple | None = None
-    idempotents: list | None = None
     implications: dict | None = None
     notes: list = dc_field(default_factory=list)
 
@@ -421,61 +419,21 @@ def _central_witness(alg: FinAlgebra, idems: list) -> tuple | None:
     return next((e for e in idems if not twisted_ad(alg, alg.identity_map(), e).is_zero()), None)
 
 
-def _nondegenerate_by_radical(alg: FinAlgebra) -> StructureReport:
-    """A zero Koethe radical forces non-degeneracy; a nonzero one gives a
-    witness a with aAa = 0 from its last nonzero power."""
-    try:
-        rad = radical(alg)
-    except CharTooSmall:
-        return StructureReport("nondegenerate", "undecided", "none", notes=["char too small for trace form"])
-    if rad.is_zero():
-        return StructureReport("nondegenerate", "holds", "radical", notes=["radical = 0"])
-    cur = rad  # radical() verified that some power of rad vanishes
-    while not (nxt := subspace_product(alg, cur, rad)).is_zero():
-        cur = nxt
-    a = cur.basis[0]
-    if _sandwich_zero(alg, a, a):
-        return StructureReport("nondegenerate", "fails", "radical", witness=a)
-    return StructureReport("nondegenerate", "undecided", "radical", notes=["nonzero radical but no witness found"])
-
-
-def structure_checks(alg: FinAlgebra, mode: str) -> StructureReport:
-    """condition_I | nondegenerate | idempotents | central_idempotents.
+def condition_I(alg: FinAlgebra) -> StructureReport:
+    """Condition (I): no idempotent e has eA(1-e) = 0 but (1-e)Ae != 0.
 
     Exhaustive over F_p^dim, enumerated at most once per call within
     enumeration_budget() (read on every call); over Q or beyond the budget
-    only exact sufficient criteria run (commutativity, semiprimitivity via the
-    trace form) and the rest is undecided, but idempotents raises BudgetExceeded.
+    only exact sufficient criteria run (commutativity, then a zero radical,
+    the trace-form kernel) and otherwise the verdict is undecided.
     """
     try:
         elements = _enumerate_elements(alg.field.characteristic, alg.dim)
     except BudgetExceeded:
-        if mode == "idempotents":
-            raise
         elements = None
-    if mode not in ("condition_I", "nondegenerate", "idempotents", "central_idempotents"):
-        raise InputError("unknown structure check mode %r" % (mode,))
-
-    if mode == "nondegenerate":
-        if elements is None:
-            return _nondegenerate_by_radical(alg)
-        zero = alg.zero_vector()
-        witness = next((a for a in elements if a != zero and _sandwich_zero(alg, a, a)), None)
-        return StructureReport(mode, "holds" if witness is None else "fails", "exhaustive", witness=witness)
-
     comm = alg.is_commutative()
-    if mode == "central_idempotents" and comm:
-        return StructureReport(mode, "holds", "commutative")
     idems = None if elements is None else [x for x in elements if alg.mul_vec(x, x) == x]
-    if mode == "idempotents":
-        return StructureReport(mode, "holds", "exhaustive", idempotents=idems)
-    if mode == "central_idempotents":
-        if idems is None:
-            return StructureReport(mode, "undecided", "none", notes=["not commutative and not enumerable"])
-        witness = _central_witness(alg, idems)
-        return StructureReport(mode, "holds" if witness is None else "fails", "exhaustive", witness=witness)
-
-    report = StructureReport(mode, "undecided", "none")
+    report = StructureReport("undecided", "none")
     # the witness: an idempotent e with eA(1-e) = 0 but (1-e)Ae != 0
     pairs = [(e, alg.sub_vec(alg.unit, e)) for e in idems or ()]
     witness = next((e for e, f in pairs if _sandwich_zero(alg, e, f) and not _sandwich_zero(alg, f, e)), None)
@@ -484,7 +442,7 @@ def structure_checks(alg: FinAlgebra, mode: str) -> StructureReport:
     elif idems is not None:
         report.verdict, report.method, report.witness = \
             "holds" if witness is None else "fails", "exhaustive", witness
-    elif _nondegenerate_by_radical(alg).verdict == "holds":
+    elif _radical_is_zero(alg):
         report.verdict, report.method = "holds", "nondegenerate"
     else:
         report.notes.append("no exact sufficient criterion applied")
@@ -496,6 +454,15 @@ def structure_checks(alg: FinAlgebra, mode: str) -> StructureReport:
         if (comm and not central) or (central and not cond):
             raise TheoremViolation("idempotent implication chain fails on this instance")
     return report
+
+
+def _radical_is_zero(alg: FinAlgebra) -> bool:
+    """A zero Koethe radical (which forces non-degeneracy); False when the
+    characteristic is too small for the trace form."""
+    try:
+        return radical(alg).is_zero()
+    except CharTooSmall:
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -39,12 +39,13 @@ from trialg.structure import (
     annihilators,
     center_direct,
     center_T,
+    condition_I,
     faithful_quotient,
     inner_automorphism,
+    is_nilpotent_subspace,
     nil_radical_T,
     nilpotency,
     radical,
-    structure_checks,
     subspace_product,
     tau_iso,
 )
@@ -432,42 +433,41 @@ class TestNilRadical:
             if nilpotency(tri.total, combo).nilpotent:
                 assert corner.contains_vector(combo)
 
+    def test_nilpotent_subspaces_f1(self):
+        """M is a nilpotent subspace of F1; the whole algebra, holding the
+        unit, is not."""
+        tri = fixture_f1()
+        assert is_nilpotent_subspace(tri.total, tri.subspace_m())
+        assert not is_nilpotent_subspace(tri.total, Subspace.from_vectors(QQ, 3, [tri.total.basis_vector(i) for i in range(3)]))
+
 
 class TestStructureChecks:
     def test_commutative_scalar_field(self):
-        rep = structure_checks(scalar_algebra(QQ), "condition_I")
+        rep = condition_I(scalar_algebra(QQ))
         assert rep.verdict == "holds" and rep.method == "commutative"
 
     def test_ut2_f2_exhaustive(self):
         alg = upper_triangular_algebra(F2, 2)
-        cond = structure_checks(alg, "condition_I")
+        cond = condition_I(alg)
         assert cond.method == "exhaustive"
         # the corner idempotent E22 kills eA(1-e) but not (1-e)Ae
         assert cond.verdict == "fails"
         assert cond.witness == (0, 0, 1)
-        nondeg = structure_checks(alg, "nondegenerate")
-        assert nondeg.verdict == "fails"
-        assert nondeg.witness == (0, 1, 0)
         assert cond.implications == {"commutative": False, "central_idempotents": False,
                                      "condition_I": False}
 
-    def test_semisimple_product_nondegenerate_via_radical(self):
-        rep = structure_checks(product_field_algebra(QQ, 2), "nondegenerate")
-        assert rep.verdict == "holds" and rep.method == "radical"
-
-    def test_degenerate_rational_with_witness(self):
-        rep = structure_checks(truncated_polynomial_algebra(QQ, 3), "nondegenerate")
-        assert rep.verdict == "fails"
-        assert rep.witness is not None
-
-    def test_idempotent_listing_f2(self):
-        alg = upper_triangular_algebra(F2, 2)
-        rep = structure_checks(alg, "idempotents")
-        assert len(rep.idempotents) == 6
+    def test_noncommutative_semisimple_holds_via_radical(self):
+        """Over Q, M_2(Q) is not commutative and not enumerable; its zero
+        radical decides Condition (I)."""
+        units = [(0, 0), (0, 1), (1, 0), (1, 1)]  # E11, E12, E21, E22
+        mul = [[[int(a[1] == b[0] and (a[0], b[1]) == c) for c in units] for b in units] for a in units]
+        rep = condition_I(FinAlgebra(QQ, mul, [1, 0, 0, 1]))
+        assert (rep.verdict, rep.method, rep.witness, rep.implications, rep.notes) == \
+            ("holds", "nondegenerate", None, None, [])
 
     def test_implication_chain_on_commutative_instance(self):
         alg = product_field_algebra(F2, 2)
-        rep = structure_checks(alg, "condition_I")
+        rep = condition_I(alg)
         assert rep.verdict == "holds"
         assert rep.implications == {"commutative": True, "central_idempotents": True,
                                     "condition_I": True}

@@ -37,7 +37,7 @@ from trialg.fixtures import (
 from trialg.randomgen import instance_catalog, regular_bimodule
 from trialg.sigmamaps import BilinMap, LinMap, classify_linear, is_endomorphism
 from trialg.spaces import solve_space
-from trialg.structure import block_decompose, inner_automorphism, sigma_center, structure_checks
+from trialg.structure import block_decompose, condition_I, inner_automorphism, sigma_center
 
 from test_dense_oracles import commutator
 
@@ -516,7 +516,7 @@ class TestPartibilitySufficient:
         for field, n in ((GF(2), 2), (GF(3), 3)):
             alg = upper_triangular_algebra(field, n)
             drawn.clear()
-            assert structure_checks(alg, "condition_I").verdict == "fails"
+            assert condition_I(alg).verdict == "fails"
             assert len(drawn) == field.characteristic ** alg.dim
         trace_forms, trace_form_rows = [], structure._trace_form_rows
         monkeypatch.setattr(structure, "_trace_form_rows", lambda alg: trace_forms.append(alg) or trace_form_rows(alg))
@@ -571,5 +571,5 @@ class TestHonestVerdictOnNonExample:
     def test_ut2_fails_the_idempotent_condition(self):
         # the corner idempotent of the upper-triangular 2x2 algebra breaks the
         # symmetry required by the idempotent condition, so no certificate
-        rep = structure_checks(upper_triangular_algebra(GF(2), 2), "condition_I")
+        rep = condition_I(upper_triangular_algebra(GF(2), 2))
         assert rep.verdict == "fails"

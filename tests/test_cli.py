@@ -682,15 +682,14 @@ class TestFindingExitCode:
 class TestBudgetOverride:
     def test_env_var_budget(self, monkeypatch):
         from trialg.algcore import enumeration_budget
-        from trialg.structure import structure_checks
+        from trialg.structure import _enumerate_elements
         from trialg.errors import BudgetExceeded
-        from trialg.fixtures import upper_triangular_algebra
-        from trialg.exactla import GF
 
         monkeypatch.setenv("TRIALG_BUDGET", "4")
         assert enumeration_budget() == 4
+        assert len(list(_enumerate_elements(2, 2))) == 4
         with pytest.raises(BudgetExceeded):
-            structure_checks(upper_triangular_algebra(GF(2), 2), "idempotents")
+            _enumerate_elements(2, 3)
         monkeypatch.delenv("TRIALG_BUDGET")
         assert enumeration_budget() == 10 ** 6
 
@@ -716,16 +715,16 @@ class TestBudgetOverride:
                                                 "message": "TRIALG_BUDGET must be an integer, got 'abc'"}
 
     def test_budget_of_one(self, monkeypatch):
-        """Beyond the budget Condition (I) on UT_2(F_2) falls back to
-        nondegeneracy, which the trace form cannot decide in characteristic 2,
+        """Beyond the budget Condition (I) on UT_2(F_2) falls back to a zero
+        radical, which the trace form cannot decide in characteristic 2,
         and F4's central-annihilation hypothesis is undecided."""
         from trialg.classify import innerness_hypotheses
         from trialg.exactla import GF
         from trialg.fixtures import fixture_f4, upper_triangular_algebra
-        from trialg.structure import block_decompose, structure_checks
+        from trialg.structure import block_decompose, condition_I
 
         monkeypatch.setenv("TRIALG_BUDGET", "1")
-        rep = structure_checks(upper_triangular_algebra(GF(2), 2), "condition_I")
+        rep = condition_I(upper_triangular_algebra(GF(2), 2))
         assert (rep.verdict, rep.method, rep.witness, rep.implications, rep.notes) == \
             ("undecided", "none", None, None, ["no exact sufficient criterion applied"])
         f4 = fixture_f4()
@@ -859,25 +858,26 @@ class TestImportGraph:
             exec("from trialg import no_such_name", {})
 
 
-# The only definitions of src/trialg that no program reaches: Field's
-# interface, which RationalField and PrimeField implement and which nothing
-# calls on the base class.
-INTERFACE_STUBS = {"Field." + name for name in ("add", "sub", "mul", "neg", "coerce", "format", "to_json")}
-
-
-def test_every_definition_is_reached(tmp_path):
-    """tests/reach.py runs the programs in a fresh process under a profiler
-    (a fresh process, so that no cache such as build_parser's hides a body):
-    every module-level function and method of src/trialg but the dunders is
-    reached, bar Field's interface stubs.  A definition that no program runs
-    is deleted, or kept in reach.LIBRARY_ONLY, whose entries it calls."""
+def test_every_line_is_reached(tmp_path, capsys):
+    """tests/reach.py runs the programs in a fresh process under a line
+    trace (a fresh process, so that no cache such as build_parser's hides a
+    body): every executable line of every function body in src/trialg runs,
+    unless it is (a) part of a raise statement or of an except clause that
+    only raises, (b) run only through reach.LIBRARY_ONLY, or (c) in a
+    definition of reach.EXEMPT, whose reason is written there.  An EXEMPT
+    entry under which no unreached line is left is stale.  The census costs
+    and counts are printed past the capture, one line per run."""
     reach = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reach.py")
     proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning", reach],
                           cwd=tmp_path, capture_output=True, text=True, env=_fresh_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
-    unreached = json.loads(proc.stdout)["unreached"]
-    stubs = {d["qualname"] for d in unreached if d["where"].startswith("src/trialg/exactla.py:")} & INTERFACE_STUBS
-    others = ["%s %s (%d lines)" % (d["where"], d["qualname"], d["lines"]) for d in unreached
-              if d["qualname"] not in stubs]
+    report = json.loads(proc.stdout)
+    lines = report["lines"]
+    with capsys.disabled():
+        print("\nline census: %.1f s, %d body lines, %d reached, exempt (a) %d (b) %d (c) %d"
+              % (report["seconds"], lines["body"], lines["reached"], lines["exempt"]["raise"],
+                 lines["exempt"]["library_only"], lines["exempt"]["exempt"]))
+    others = ["%s %s" % (d["where"], d["qualname"]) for d in lines["unreached"] if not d["exempt"]]
     assert not others, "no program reaches:\n" + "\n".join(others)
-    assert stubs == INTERFACE_STUBS
+    assert not lines["stale_exempt"], "stale EXEMPT entries: %s" % lines["stale_exempt"]
+    assert lines["body"] == lines["reached"] + len(lines["unreached"])

@@ -49,11 +49,11 @@ identity (_reduce, _reduced), is checked against the (alpha, beta) identities
 evaluated with mul_vec and apply on every basis pair, single, pair sum and
 triple, over Q and F_5.
 
-structure_checks, in all four modes, is checked against a brute force over
-F_p^n with dense products on every corner of instance_catalog and on the
-exterior algebra on two generators over F_2, F_3 and F_5, and on UT_2 and
-UT_3 over F_2 and F_3: the verdict, the method, the first witness, the
-implication chain and the idempotent list."""
+condition_I is checked against a brute force over F_p^n with dense products
+on every corner of instance_catalog and on the exterior algebra on two
+generators over F_2, F_3 and F_5, and on UT_2 and UT_3 over F_2 and F_3: the
+verdict, the method, the first witness and the implication chain
+commutative => central idempotents => Condition (I)."""
 
 import itertools
 import random
@@ -74,9 +74,9 @@ from trialg.randomgen import (_random_invertible, instance_catalog, random_block
                               regular_bimodule)
 from trialg.sigmamaps import BilinMap, Verdict, Witness, classify_bilinear, classify_linear, sigma_commutator_vec
 from trialg.spaces import solve_space
-from trialg.structure import (_trace_form_rows, annihilators, block_decompose, center_direct, center_T, coupling_rows,
-                              inner_automorphism, nil_radical_T, project_subspace, radical, sigma_center,
-                              sigma_center_direct, structure_checks)
+from trialg.structure import (_trace_form_rows, annihilators, block_decompose, center_direct, center_T, condition_I,
+                              coupling_rows, inner_automorphism, nil_radical_T, project_subspace, radical,
+                              sigma_center, sigma_center_direct)
 
 FIELDS = [QQ, GF(5), GF(3), GF(2)]
 
@@ -1100,10 +1100,10 @@ def test_alpha_beta_reduction_against_dense_evaluation(field):
     assert len(outcomes) == 6
 
 
-def _dense_structure_reports(alg) -> dict:
-    """(verdict, method, witness, implications, idempotents) of each
-    structure_checks mode, by a brute force over F_p^n whose products are
-    read off the dense structure constants c[i][j][k]."""
+def _dense_condition_I(alg) -> tuple:
+    """(verdict, method, witness, implications) of condition_I, by a brute
+    force over F_p^n whose products are read off the dense structure
+    constants c[i][j][k]."""
     field, n = alg.field, alg.dim
     add, sub, mul, zero = field.add, field.sub, field.mul, field.zero
     c = [[[zero] * n for _ in range(n)] for _ in range(n)]
@@ -1124,23 +1124,15 @@ def _dense_structure_reports(alg) -> dict:
     basis = [tuple(field.one if k == i else zero for k in range(n)) for i in range(n)]
     null = tuple([zero] * n)
     kills = lambda x, y: all(prod(prod(x, e), y) == null for e in basis)  # x A y = 0
-    elements = list(itertools.product(range(field.characteristic), repeat=n))
-    idems = [x for x in elements if prod(x, x) == x]
+    idems = [x for x in itertools.product(range(field.characteristic), repeat=n) if prod(x, x) == x]
     comm = all(prod(a, b) == prod(b, a) for a in basis for b in basis)
     central = next((e for e in idems if any(prod(e, b) != prod(b, e) for b in basis)), None)
     cond = next((e for e in idems if kills(e, tuple(map(sub, alg.unit, e)))
                  and not kills(tuple(map(sub, alg.unit, e)), e)), None)
-    degenerate = next((a for a in elements if a != null and kills(a, a)), None)
-    verdict = lambda w: "holds" if w is None else "fails"
     chain = {"commutative": comm, "central_idempotents": comm or central is None, "condition_I": cond is None}
-    return {
-        "idempotents": ("holds", "exhaustive", None, None, idems),
-        "central_idempotents": ("holds", "commutative", None, None, None) if comm
-        else (verdict(central), "exhaustive", central, None, None),
-        "nondegenerate": (verdict(degenerate), "exhaustive", degenerate, None, None),
-        "condition_I": (("holds", "commutative", None) if comm else (verdict(cond), "exhaustive", cond))
-        + (chain, None),
-    }
+    if comm:
+        return "holds", "commutative", None, chain
+    return "holds" if cond is None else "fails", "exhaustive", cond, chain
 
 
 def _exterior_algebra(field) -> FinAlgebra:
@@ -1162,13 +1154,10 @@ def test_structure_checks_against_brute_force(field):
         algebras += [upper_triangular_algebra(field, 2), upper_triangular_algebra(field, 3)]
     seen = set()
     for alg in algebras:
-        for mode, expected in _dense_structure_reports(alg).items():
-            rep = structure_checks(alg, mode)
-            assert (rep.verdict, rep.method, rep.witness, rep.implications, rep.idempotents) == expected, mode
-            seen.add((mode, rep.verdict, rep.method))
-    # both verdicts of every exhaustive check (over F_2 the exterior algebra is
-    # commutative, and no noncommutative algebra here passes), and the commutative shortcut
+        rep = condition_I(alg)
+        assert (rep.verdict, rep.method, rep.witness, rep.implications) == _dense_condition_I(alg)
+        seen.add((rep.verdict, rep.method))
+    # both exhaustive verdicts (over F_2 the exterior algebra is commutative,
+    # and no noncommutative algebra here passes), and the commutative shortcut
     verdicts = ("holds", "fails") if field.characteristic != 2 else ("fails",)
-    assert {(mode, verdict, "exhaustive") for mode in ("condition_I", "central_idempotents") for verdict in verdicts} \
-        | {("nondegenerate", "holds", "exhaustive"), ("nondegenerate", "fails", "exhaustive"),
-           ("condition_I", "holds", "commutative")} <= seen
+    assert {(verdict, "exhaustive") for verdict in verdicts} | {("holds", "commutative")} <= seen

@@ -297,7 +297,7 @@ class TestLinMap:
                 LinMap(QQ, [[1, 2], [3, 4]], *dims)
         with pytest.raises(DimMismatch):
             LinMap(QQ, [], 2, 1)
-        for images, dims in (([[1, 2]], (2, 2)), ([[1], [2, 3]], ()), ([[1, 2], [3, 4]], (2, 3))):
+        for images, dims in (([[1, 2]], (2, 2)), ([[1], [2, 3]], (2, 1)), ([[1, 2], [3, 4]], (2, 3))):
             with pytest.raises(DimMismatch):
                 LinMap.from_images(QQ, images, *dims)
         assert LinMap(QQ, [[1, 2]], 2, 1).rows == ((Fraction(1), Fraction(2)),)
@@ -307,7 +307,7 @@ class TestLinMap:
         for attr in ("rows", "src_dim", "dst_dim", "field"):
             with pytest.raises(AttributeError):
                 setattr(m, attr, None)
-        twin = LinMap.from_images(F5, [[1, 0], [2, 3]])
+        twin = LinMap.from_images(F5, [[1, 0], [2, 3]], 2, 2)
         assert twin == m and hash(twin) == hash(m) and len({m, twin}) == 1
         assert m != LinMap(GF(7), [[1, 2], [0, 3]])
         assert LinMap(QQ, [], 2) != LinMap(QQ, [], 3)
