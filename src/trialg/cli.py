@@ -1,6 +1,8 @@
 """Command line interface: file ingestion, dispatch, machine-readable reports.
 
-Every command prints one canonical JSON report (sorted keys) on stdout.
+Every command prints one canonical JSON report on stdout: the text of
+json.dumps(report, sort_keys=True, indent=2) and a newline, written piece by
+piece from io.canonical_pieces.
 Exit codes: 0 success, 1 input or validation error (a usage error in the
 arguments included), 2 mathematical finding (a verified-hypothesis identity
 failed).  Timing goes to stderr so stdout stays byte-deterministic across
@@ -38,9 +40,14 @@ def _report(command: str, paths: list[str], result: dict) -> dict:
     return {"command": command, "inputs": inputs, "result": result, "version": __version__}
 
 
-def _emit(report: dict) -> int:
-    sys.stdout.write(tio.canonical_json(report))
+def _print(obj):
+    """Write obj to stdout as canonical JSON and a newline, piece by piece."""
+    sys.stdout.writelines(tio.canonical_pieces(obj))
     sys.stdout.write("\n")
+
+
+def _emit(report: dict) -> int:
+    _print(report)
     return EXIT_OK
 
 
@@ -276,10 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _input_error(exc: TrialgError) -> int:
-    sys.stdout.write(tio.canonical_json(
-        {"error": {"type": type(exc).__name__, "message": str(exc)},
-         "version": __version__}))
-    sys.stdout.write("\n")
+    _print({"error": {"type": type(exc).__name__, "message": str(exc)}, "version": __version__})
     sys.stderr.write("error: %s\n" % exc)
     return EXIT_INPUT
 
@@ -295,8 +299,7 @@ def _run(argv) -> int:
         result = args.func(args, inputs)
         code = _emit(_report(args.report.format_map(vars(args)), inputs.paths, result))
     except TheoremViolation as exc:
-        sys.stdout.write(tio.canonical_json({"finding": str(exc), "version": __version__}))
-        sys.stdout.write("\n")
+        _print({"finding": str(exc), "version": __version__})
         sys.stderr.write("finding: %s\n" % exc)
         return EXIT_FINDING
     except TrialgError as exc:

@@ -5,6 +5,14 @@ when 1) and decimal residues over a prime field.  Sparse tensor entries are
 [i, j, k, "coeff"] quadruples with omitted entries zero and 0-based indices.
 Nested A/M/B entries of a triangular file may be inline objects or path
 strings resolved relative to the containing file.
+
+Every report and every file trialg writes is canonical JSON: exactly the
+text of json.dumps(obj, sort_keys=True, indent=2), so ASCII only, and each
+command's stdout is that text of its report plus a newline.  One writer
+makes it, canonical_pieces, which yields the text in pieces without the
+standard library's pure-Python encoder (any indent selects it);
+canonical_json joins the pieces, and the CLI and _dump_json write them as
+they come.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ import hashlib
 import itertools
 import json
 import os
+from operator import countOf
 
 from .algcore import (
     Bimodule,
@@ -54,18 +63,123 @@ def _load_json(path: str):
 
 
 def _dump_json(obj, path: str) -> str:
-    """Write obj as canonical JSON and a newline; returns the sha256 of the bytes written."""
-    data = (canonical_json(obj) + "\n").encode("utf-8")
+    """Write obj as canonical JSON and a newline, piece by piece; returns the
+    sha256 of the bytes written."""
+    digest = hashlib.sha256()
     try:
         with open(path, "wb") as fh:
-            fh.write(data)
+            for piece in itertools.chain(canonical_pieces(obj), ("\n",)):
+                data = piece.encode("utf-8")
+                digest.update(data)
+                fh.write(data)
     except OSError as exc:
         raise InputError("cannot write %s: %s" % (path, exc)) from exc
-    return hashlib.sha256(data).hexdigest()
+    return digest.hexdigest()
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """json.dumps(obj, sort_keys=True, indent=2), from canonical_pieces."""
+    return "".join(canonical_pieces(obj))
+
+
+# -- the canonical JSON writer ----------------------------------------------
+
+_encode_str = json.encoder.encode_basestring_ascii
+# the text of a leaf, by its exact type
+_LEAVES = {str: _encode_str, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+           type(None): {None: "null"}.__getitem__}
+# Reports grow in their lists: a basis is a list of rows of n^2 or n^3
+# entries, mostly runs of one zero.  A list longer than one slice is written
+# a slice at a time, as its pieces are read: a slice is _SLICE members, or
+# for a list of lists as many rows as hold _SLICE entries (one row at least).
+# So a piece holds about _SLICE list entries at most, not a whole basis.
+_SLICE = 2048
+
+
+def canonical_pieces(obj):
+    """The text of json.dumps(obj, sort_keys=True, indent=2), in pieces, in
+    order.  obj is made of dicts with str keys, lists, tuples, str, int, bool
+    and None, of exactly these types; any other type raises TypeError.
+    Strings are escaped by json's own encode_basestring_ascii, and a run of
+    equal strings in a list is written by repetition."""
+    out = []
+    _write(obj, "\n", out)
+    return _drain(out)
+
+
+def _drain(out):
+    """The pieces of out: each stretch of text joined, and the pieces of each
+    deferred list in its place."""
+    for kind, items in itertools.groupby(out, type):
+        if kind is str:
+            yield "".join(items)
+        else:
+            for pieces in items:
+                yield from pieces
+
+
+def _write(value, nl: str, out: list):
+    """Append the text of value to out, indented as after nl (a newline and
+    the spaces of its line); a list longer than one slice goes in as the
+    generator of its pieces."""
+    kind = type(value)
+    if kind is dict:
+        inner = nl + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            head = sep + _encode_str(key) + ": "
+            leaf = _LEAVES.get(type(item))
+            if leaf:
+                out.append(head + leaf(item))
+            else:
+                out.append(head)
+                _write(item, inner, out)
+            sep = comma
+        out.append(nl + "}" if value else "{}")
+    elif kind is list or kind is tuple:
+        if len(value) > _SLICE or value and type(value[0]) is list and len(value) * len(value[0]) > _SLICE:
+            out.append(_slices(value, nl))
+        else:
+            _members(value, "[" + nl + "  ", nl + "  ", out)
+            out.append(nl + "]" if value else "[]")
+    else:
+        leaf = _LEAVES.get(kind)
+        if leaf is None:
+            raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
+        out.append(leaf(value))
+
+
+def _members(values, sep: str, inner: str, out: list) -> str:
+    """Append the members of a list to out, the first after sep and each
+    next after a comma, on lines indented as inner; a run of equal strings
+    is written by repetition.  Returns the separator of a next member."""
+    comma = "," + inner
+    for key, run in itertools.groupby(values):
+        if type(key) is str:
+            text = _encode_str(key)
+            out.append(sep + text + (comma + text) * (countOf(run, key) - 1))
+            sep = comma
+        else:
+            for item in run:
+                out.append(sep)
+                _write(item, inner, out)
+                sep = comma
+    return sep
+
+
+def _slices(items, nl: str):
+    """The pieces of a list, a slice at a time."""
+    width = len(items[0]) if type(items[0]) is list else 1
+    step = max(_SLICE // max(width, 1), 1)
+    inner = nl + "  "
+    sep = "[" + inner
+    for start in range(0, len(items), step):
+        out = []
+        sep = _members(items[start:start + step], sep, inner, out)
+        yield from _drain(out)
+    yield nl + "]"
 
 
 def _is_count(value) -> bool:

@@ -5,9 +5,12 @@ each structure constant exactly once and hand the coerced sparse product
 tables to FinAlgebra._trusted, Bimodule._trusted and BilinMap._trusted;
 the first two still check shapes and validate.  `trialg validate` is fuzzed
 with near-schema algebra documents, and `trialg triangular build` and
-`trialg sigma-center` with near-schema triangular documents and maps."""
+`trialg sigma-center` with near-schema triangular documents and maps.  On
+the way out, io's canonical JSON writer must give json.dumps' text byte for
+byte."""
 
 import copy
+import hashlib
 import json
 import re
 import tracemalloc
@@ -18,11 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trialg import io
-from trialg.algcore import Bimodule
+from trialg.algcore import Bimodule, build_triangular
 from trialg.errors import InputError
 from trialg.exactla import GF, QQ, LinMap
-from trialg.fixtures import fixture_f1, fixture_f3, sigma1
+from trialg.fixtures import fixture_f1, fixture_f3, regular_bimodule, sigma1, upper_triangular_algebra
 from trialg.sigmamaps import BilinMap
+from trialg.spaces import solve_space
 from test_cli import run_cli
 from test_dense_oracles import value
 
@@ -176,6 +180,73 @@ def test_tensor_entries_last_wins_and_dump_sorted(fname):
     assert io.algebra_to_json(loaded)["mul"] == doc["mul"]
     with pytest.raises(InputError, match=re.escape("tensor index [0, 3, 0] out of range")):
         io.algebra_from_json(dict(doc, mul=doc["mul"] + [[0, 3, 0, "1"]]))
+
+
+# -- the canonical JSON writer ----------------------------------------------
+
+# strings the escaping must get right, besides Hypothesis' own text
+_HARD_STRINGS = ['"', "\\", "\x00", "\x1f", "\x7f", "é", " ", "\U0001F600", "\ud800", "a\"b\\c\nd"]
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(2 ** 64, 2 ** 200).map(lambda v: -v),
+                    st.integers(2 ** 64, 2 ** 200), st.text(), st.sampled_from(_HARD_STRINGS))
+
+
+@st.composite
+def _runs(draw, leaves):
+    """A list of runs of equal leaves, some longer than a slice of the writer."""
+    runs = draw(st.lists(st.tuples(leaves, st.one_of(st.integers(1, 3), st.integers(1, 5000))), max_size=4))
+    return [leaf for leaf, count in runs for _ in range(count)]
+
+
+_DOCUMENTS = st.recursive(
+    _LEAVES | _runs(_LEAVES),
+    lambda children: st.one_of(st.lists(children, max_size=6), st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(st.text() | st.sampled_from(_HARD_STRINGS), children, max_size=6),
+                               st.lists(_runs(st.sampled_from(["0", "1", 0, None])), min_size=2, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCUMENTS)
+def test_canonical_writer_is_json_dumps(obj):
+    """The writer's pieces join to json.dumps(obj, sort_keys=True, indent=2):
+    nested dicts, lists and tuples, empty ones included, every kind of leaf,
+    and runs of equal leaves in lists and in lists of lists."""
+    text = json.dumps(obj, sort_keys=True, indent=2)
+    assert "".join(io.canonical_pieces(obj)) == text
+    assert io.canonical_json(obj) == text
+
+
+@pytest.mark.parametrize("obj", [{1: "a"}, {"a": 1, 2: "b"}, {None: 1}, [1.5], {"a": {"b": [0, float("nan")]}},
+                                 {"a": b"bytes"}, [{1, 2}], ["0"] * 3000 + [object()]],
+                         ids=["int_key", "mixed_keys", "none_key", "float", "nested_float", "bytes", "set", "object"])
+def test_canonical_writer_refuses_other_types(obj):
+    """A key that is not a str, or a leaf other than str, int, bool and None,
+    raises TypeError (json.dumps would coerce the keys and write the floats)."""
+    with pytest.raises(TypeError):
+        "".join(io.canonical_pieces(obj))
+
+
+def test_dump_json_streams_the_canonical_bytes(tmp_path):
+    """_dump_json writes canonical_json(obj) and a newline, and returns the
+    sha256 of exactly those bytes; a long run goes out in bounded pieces."""
+    obj = {"basis": [["0"] * 100_000 + ["1"], ["2"] * 3], "dim": 2, "ok": True, "none": None}
+    data = (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("ascii")
+    path = tmp_path / "obj.json"
+    assert io._dump_json(obj, str(path)) == hashlib.sha256(data).hexdigest()
+    assert path.read_bytes() == data
+    assert max(map(len, io.canonical_pieces(obj))) <= 64 * 1024
+
+
+@pytest.mark.parametrize("kind", ["sigma_derivation", "sigma_biderivation"])
+def test_dim45_reports_equal_json_dumps(kind):
+    """The dim-45 reports of the regular Trian(UT_5, UT_5, UT_5) over Q at
+    sigma1, byte for byte against json.dumps, and in pieces of at most 64 KB."""
+    ut5 = upper_triangular_algebra(QQ, 5)
+    tri = build_triangular(ut5, regular_bimodule(ut5), upper_triangular_algebra(QQ, 5))
+    report = {"command": "solve " + kind, "result": {"space": solve_space(kind, tri, sigma1(tri)).to_json()}}
+    pieces = list(io.canonical_pieces(report))
+    assert "".join(pieces) == json.dumps(report, sort_keys=True, indent=2)
+    assert max(map(len, pieces)) <= 64 * 1024
 
 
 # -- fuzzing the ingest path --------------------------------------------------

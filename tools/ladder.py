@@ -12,7 +12,11 @@ negation sigma1 on the triangular algebras).  For every rung and kind the
 script times solve_space(kind, T, sigma, verify=False) and verify=True, each
 on a fresh instance (so no cached automorphism verdict or map data carries
 over), and the report layer, io.canonical_json(space.to_json()), on each
-verified space; it reports the best time of each.  Each solve mode runs at
+verified space; it reports the best time of each.  In one more, untimed pass
+it streams the last verified space's report, io.canonical_pieces of
+space.to_json(), into a sha256 under tracemalloc and reports the peak as
+emit_peak_mb; that digest must equal basis_sha256, else the script exits
+with status 1.  Each solve mode runs at
 least --repeats solves and goes on until its solves add up to --min-seconds
 (at most 200 solves), so that the sub-millisecond rungs are sampled as well
 as the large ones.  Both modes must return the same basis; a mismatch exits
@@ -49,6 +53,7 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -64,7 +69,7 @@ from trialg.fixtures import (  # noqa: E402
     sigma1,
     upper_triangular_algebra,
 )
-from trialg.io import canonical_json  # noqa: E402
+from trialg.io import canonical_json, canonical_pieces  # noqa: E402
 from trialg.randomgen import regular_bimodule  # noqa: E402
 from trialg.sigmamaps import map_twist  # noqa: E402
 from trialg.spaces import _commuting_rows, _derivation_rows, solve_space  # noqa: E402
@@ -113,9 +118,24 @@ def _timed(fn):
     return time.perf_counter() - start, out
 
 
+def emit_peak(space):
+    """(MB, sha256): the tracemalloc peak of streaming the report of space,
+    built beforehand, into a sha256, and that digest."""
+    report = space.to_json()
+    digest = hashlib.sha256()
+    tracemalloc.start()
+    try:
+        for piece in canonical_pieces(report):
+            digest.update(piece.encode())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 2 ** 20, digest.hexdigest()
+
+
 def measure(kind, build, repeats, min_seconds):
     """(unverified s, verified s, emit s, same basis, space dim, rounds, the
-    sha256 of the emitted verified space)."""
+    sha256 of the emitted verified space, the last verified space)."""
     best = {False: float("inf"), True: float("inf"), "emit": float("inf")}
     spent = {False: 0.0, True: 0.0}
     bases = {}
@@ -132,8 +152,10 @@ def measure(kind, build, repeats, min_seconds):
                 sec, text = _timed(lambda: canonical_json(space.to_json()))
                 best["emit"] = min(best["emit"], sec)
                 digest = hashlib.sha256(text.encode()).hexdigest()
+                last = space
         r += 1
-    return best[False], best[True], best["emit"], bases[False] == bases[True], bases[True].dim, r, digest
+    return (best[False], best[True], best["emit"], bases[False] == bases[True], bases[True].dim, r, digest,
+            last)
 
 
 def row_counts(kind, build):
@@ -181,16 +203,17 @@ def main(argv=None) -> int:
         t, _ = build()
         generators = len(getattr(t, "total", t).generators())
         for kind in KINDS:
-            unverified, verified, emit, same, space_dim, solves, digest = measure(
+            unverified, verified, emit, same, space_dim, solves, digest, space = measure(
                 kind, build, args.repeats, args.min_seconds)
-            ok = ok and same
+            peak, streamed = emit_peak(space)
+            ok = ok and same and streamed == digest
             row = {"rung": name, "field": fname, "dim": dim, "kind": kind,
                    "space_dim": space_dim, "generators": generators, "same_basis": same,
                    "solves": solves,
                    "unverified_ms": round(unverified * 1e3, 2),
                    "verified_ms": round(verified * 1e3, 2),
                    "ratio": round(verified / unverified, 2),
-                   "emit_ms": round(emit * 1e3, 2), "basis_sha256": digest}
+                   "emit_ms": round(emit * 1e3, 2), "emit_peak_mb": round(peak, 2), "basis_sha256": digest}
             theorem = ""
             if kind != "sigma_biderivation":
                 row["rows"], row["row_nnz"] = row_counts(kind, build)
@@ -200,14 +223,18 @@ def main(argv=None) -> int:
                 row["theorem_ms"] = round(sec * 1e3, 2)
                 theorem = "  theorem %8.2f ms" % row["theorem_ms"]
             rows.append(row)
-            sys.stderr.write("%-5s %-3s dim %2d %-18s %9.2f %9.2f ms  x%.2f  emit %8.2f ms%s%s\n"
+            sys.stderr.write("%-5s %-3s dim %2d %-18s %9.2f %9.2f ms  x%.2f  emit %8.2f ms%s%s%s\n"
                              % (name, fname, dim, kind, unverified * 1e3, verified * 1e3,
-                                verified / unverified, emit * 1e3, theorem, "" if same else "  BASES DIFFER"))
+                                verified / unverified, emit * 1e3, theorem, "" if same else "  BASES DIFFER",
+                                "" if streamed == digest else "  STREAM DIFFERS"))
     json.dump({"python": platform.python_version(), "machine": platform.machine(),
                "protocol": "best of at least %d solves per rung and mode, continued until "
                            "they add up to %g s (at most %d), fresh instance per solve, "
                            "gc.collect() before each; emit_ms is the best time of "
                            "io.canonical_json(space.to_json()) over the verified spaces; "
+                           "emit_peak_mb is the tracemalloc peak, in MiB, of streaming "
+                           "io.canonical_pieces(space.to_json()) of the last verified space into a "
+                           "sha256, the report built beforehand, in an untimed pass; "
                            "theorem_ms is the best of %d timings of the theorem layer on the "
                            "verified sigma_biderivation space of a triangular rung, each on a fresh "
                            "instance and space, solved untimed; rows and row_nnz count the rows "
