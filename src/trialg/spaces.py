@@ -30,9 +30,12 @@ every single and polarized pair (algcore.polarized_passes).
 Every system is built in Python ints on the integer forms of exactla, by the
 same code over both fields, and handed to the reduce as exactla.IntegerRows:
 over Q each row is a positive integer multiple of the row of its identity
-(product_rule_rows reports the factor), over F_p its residues.  The
-biderivation coefficient kernel stays in integers too: it is read off the
-pivot rows (exactla.integer_kernel) without an RREF of its own, lifted to
+(product_rule_rows reports the factor), over F_p its residues.  The reduce
+hands its pivot rows back in integer form, and only the final basis becomes
+field values: integer_kernel reads a kernel basis off them as IntegerRows,
+and the biderivation step takes them as its second-slot conditions as is.
+So the biderivation coefficient kernel stays in integers too: it is read off
+the pivot rows (exactla.integer_kernel) without an RREF of its own, lifted to
 tensors in ints, and only the lifted tensors are reduced to the canonical
 basis.  The derivation kernel delta_1 ... delta_r comes from integer_kernel
 as well.  Over Q twist and identity keep their integer forms in their stores
@@ -63,7 +66,6 @@ from .exactla import (
     _integer_row,
     _sparse_reduce,
     integer_kernel,
-    integer_vector,
     kernel_sparse,
     nonzero_rows,
 )
@@ -140,17 +142,16 @@ def _algebra_of(t) -> FinAlgebra:
 def _dedup_rows(rows):
     """The nonzero rows, each once up to a nonzero scalar factor, as given.
 
-    solve_space leaves this to _sparse_reduce, which skips a row whose integer
-    form it has already seen; this generator picks out the same rows apart,
-    keyed by the primitive integer form with positive lead
-    (exactla._integer_row over Q).  Over F_p, whose p the residues do not
+    solve_space leaves this to _sparse_reduce, which drops the zero rows and
+    skips a row whose integer form it has already seen; this generator picks
+    out the same rows apart, keyed by the primitive integer form with positive
+    lead (exactla._integer_row over Q).  Over F_p, whose p the residues do not
     carry, that key catches only multiples by an integer ratio, and the
     reduce's monic key the rest.
     """
     seen = set()
     for r in rows:
-        key = frozenset(_integer_row(0, r).items())
-        if key and key not in seen:
+        if any(r.values()) and (key := frozenset(_integer_row(0, r).items())) not in seen:
             seen.add(key)
             yield r
 
@@ -207,8 +208,8 @@ def _biderivation_space(alg: FinAlgebra, sigma: LinMap) -> Subspace:
     kernel vector c lifts to t[l][k][o] = sum_s c[k][s] delta_s[o][l].
 
     The whole coefficient step runs on Python ints, the same code over both
-    fields.  Each P is taken in its integer form (exactla.integer_vector) and
-    each delta_s as exactla.integer_kernel returns it, each a nonzero multiple
+    fields.  Each P is the integer pivot row _sparse_reduce returns and each
+    delta_s as exactla.integer_kernel returns it, each a nonzero multiple
     (over F_p the residues themselves).  Scaling P scales its rows; scaling
     delta_s by lambda_s rescales the unknowns c[k][s], and the lift uses the
     same scaled deltas, so the lifted tensors span the same space.  The
@@ -225,9 +226,8 @@ def _biderivation_space(alg: FinAlgebra, sigma: LinMap) -> Subspace:
     for s, delta in enumerate(deltas):
         for key, v in delta.items():
             at[key].append((s, v))
-    # each pivot row P in integer form, as its entries (o, k*r, P[o][k])
-    prows = [[(key // n, key % n * r, c) for key, c in integer_vector(p, prow)[1].items()]
-             for prow in pivots.values()]
+    # each pivot row P, as its entries (o, k*r, P[o][k])
+    prows = [[(key // n, key % n * r, c) for key, c in prow.items()] for prow in pivots.values()]
     rows = []
     for l in range(n):
         at_l = at[l::n]  # at_l[o]: the nonzero (s, delta_s[o][l])

@@ -23,11 +23,13 @@ from trialg.exactla import (
     LinMap,
     Subspace,
     _integer_row,
+    _peel,
     _sparse_reduce,
     canonical_row,
     derived,
     field_values,
     integer_form,
+    integer_kernel,
     integer_vector,
     is_nonzero,
     nonzero_rows,
@@ -373,6 +375,42 @@ def _systems(draw, field, max_rows=6, max_cols=6):
 
 
 @st.composite
+def _peeled_systems(draw, field, max_cols=8):
+    """A system that the peel of _sparse_reduce takes apart in several passes:
+    a chain of columns f_1 ... f_m, e_{f_1} alone and then per f_i a row at
+    f_i, f_{i-1} and some of f_1 ... f_{i-2}, which forces f_i only once those
+    are dropped; a core of rows with two or more entries off the chain; copies
+    and rescaled copies of both.  All come in any order, or half of the time
+    the chain rows first, last link first, so that each link takes a pass.
+    Entries are raw values."""
+    ncols = draw(st.integers(3, max_cols))
+    if field is QQ:
+        scalar = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
+    else:
+        scalar = st.integers(1, field.characteristic - 1)
+    nonzero = scalar.map(field.coerce)
+    order = draw(st.permutations(range(ncols)))
+    m = draw(st.integers(1, ncols - 2))
+    chain, rest = order[:m], order[m:]
+    links = [{chain[0]: draw(nonzero)}]
+    for i in range(1, m):
+        before = [chain[i - 1]] + draw(st.lists(st.sampled_from(chain[:i]), unique=True))
+        links.append({c: draw(nonzero) for c in before + [chain[i]]})
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        cols = draw(st.lists(st.sampled_from(rest), min_size=2, unique=True))
+        cols += draw(st.lists(st.sampled_from(chain), unique=True))
+        rows.append({c: draw(nonzero) for c in cols})
+    for row in links + rows:
+        k = draw(st.sampled_from(["none", "copy", "scaled"]))
+        if k != "none":
+            c = field.one if k == "copy" else draw(nonzero)
+            rows.append({j: field.mul(c, v) for j, v in row.items()})
+    rows = links[::-1] + draw(st.permutations(rows)) if draw(st.booleans()) else draw(st.permutations(links + rows))
+    return [tuple(row.get(c, field.zero) for c in range(ncols)) for row in rows], ncols
+
+
+@st.composite
 def _redundant_systems(draw, field, max_rank=4, max_cols=7):
     """A rank-deficient system of ten rows per basis row: combinations, with
     coefficients in -2..2, of up to max_rank rows of entries in {-1, 0, 1}, so
@@ -391,16 +429,6 @@ def _redundant_systems(draw, field, max_rank=4, max_cols=7):
     return rows, ncols
 
 
-def _lead_order(field, rows, ncols):
-    """The pivot column that each row adds to the RREF of the rows before it,
-    in row order, skipping the rows that add none."""
-    order, span = [], []
-    for row in rows:
-        span, pivots = _gauss_jordan(field, span + [row], ncols)
-        order += [c for c in pivots if c not in order]
-    return order
-
-
 _FIELDS = [QQ, GF(2), GF(5)]
 
 
@@ -412,14 +440,20 @@ def _is_raw(field, v):
 
 def _check_reduced(field, pivots, rows, ncols):
     """pivots, as _sparse_reduce returns them, are the nonzero rows of the
-    dense Gauss-Jordan RREF of rows, in raw field values, keyed and ordered by
-    the pivot column each row prefix adds (which _biderivation_space reads)."""
+    dense Gauss-Jordan RREF of rows, keyed by pivot column in ascending order,
+    each in its one integer form: primitive ints with a positive lead over Q,
+    monic residues over F_p, the RREF row once divided by its lead."""
+    p = field.characteristic
     expect, expect_pivots = _gauss_jordan(field, rows, ncols)
-    assert list(pivots) == _lead_order(field, rows, ncols)
-    assert sorted(pivots) == expect_pivots
+    assert list(pivots) == expect_pivots
     for c, row in zip(expect_pivots, expect):
-        assert pivots[c] == {k: v for k, v in enumerate(row) if v}
-        assert all(_is_raw(field, v) for v in pivots[c].values())
+        got = pivots[c]
+        assert all(type(v) is int and v for v in got.values()) and min(got) == c
+        if p:
+            assert got[c] == 1 and all(0 < v < p for v in got.values())
+        else:
+            assert got[c] > 0 and math.gcd(*got.values()) == 1
+        assert field_values(p, got[c], got) == {k: v for k, v in enumerate(row) if v}
 
 
 class TestDerived:
@@ -464,8 +498,9 @@ class TestDerived:
 
 class TestIntegerEliminationOracle:
     """_sparse_reduce, and the Subspace and span_coefficients built on it, run
-    on integer (Q) or residue (F_p) rows; they must return exactly the field
-    values of the dense Gauss-Jordan RREF."""
+    on integer (Q) or residue (F_p) rows; the reduce must return the dense
+    Gauss-Jordan RREF in its integer form, the others exactly its field
+    values."""
 
     @pytest.mark.parametrize("field", _FIELDS, ids=str)
     @settings(max_examples=120, deadline=None)
@@ -498,6 +533,38 @@ class TestIntegerEliminationOracle:
     @pytest.mark.parametrize("field", _FIELDS, ids=str)
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
+    def test_peeled_systems(self, field, data):
+        """Cascading single-entry rows, repeats and a multi-entry core, in
+        both entry forms.  The peel leaves no row with one entry off the
+        forced columns, keeps the others without those columns, and forces
+        only RREF rows e_f; the integer pivots are the dense RREF in ascending
+        order, and integer_kernel on them spans the dense kernel."""
+        rows, ncols = data.draw(_peeled_systems(field))
+        p = field.characteristic
+        values = [dict(enumerate(r)) for r in rows]  # zero entries kept
+        ints = [{c: v if p else int(v * math.lcm(*[w.denominator for w in r])) for c, v in enumerate(r) if v}
+                for r in rows]
+        red, expect_pivots = _gauss_jordan(field, rows, ncols)
+        free = [f for f in range(ncols) if f not in expect_pivots]
+        null = [tuple(field.one if k == f else field.neg(red[expect_pivots.index(k)][f]) if k in expect_pivots
+                      else field.zero for k in range(ncols)) for f in free]
+        for system in (values, IntegerRows(ints)):
+            forced, core = _peel(system)
+            live = [{c: v for c, v in r.items() if v and c not in forced} for r in system]
+            assert all(len(r) != 1 for r in live)
+            assert sorted(sorted(r.items()) for r in core) == sorted(sorted(r.items()) for r in live if r)
+            pivots = _sparse_reduce(field, system, ncols)
+            assert all(pivots[f] == {f: 1} for f in forced)
+            _check_reduced(field, pivots, rows, ncols)
+            kernel = integer_kernel(field, pivots, ncols)
+            assert all(type(v) is int for vec in kernel for v in vec.values())
+            dense = [tuple(field.coerce(vec.get(k, 0)) for k in range(ncols)) for vec in kernel]
+            assert len(kernel) == len(free)
+            assert _gauss_jordan(field, dense, ncols) == _gauss_jordan(field, null, ncols)
+
+    @pytest.mark.parametrize("field", _FIELDS, ids=str)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
     def test_redundant_rows(self, field, data):
         """Rank-deficient systems of ten times as many rows as the rank, whose
         entries cancel, in both entry forms (field values and IntegerRows)."""
@@ -510,15 +577,19 @@ class TestIntegerEliminationOracle:
 
     @pytest.mark.parametrize("field", _FIELDS, ids=str)
     def test_pivot_row_drops_an_indexed_column(self, field):
-        """The first pivot row, e0 + e2 + e3, is indexed under columns 2 and 3.
-        The second, e2 + e3, clears column 2 from it, and its column 3 cancels
-        too; when e3 arrives, the index still names the first row under column
-        3, and it must be passed over."""
-        rows = [{c: v for c, v in enumerate(r) if v} for r in [(1, 0, 1, 1), (0, 0, 1, 1), (0, 0, 0, 1)]]
+        """No row has a single entry, so the peel forces nothing and all three
+        go through Gauss-Jordan.  The first pivot row, e0 + e2 + e3, is indexed
+        under columns 2 and 3.  The second, e2 + e3 + e4, clears column 2 from
+        it, and its column 3 cancels too; when e3 + e4 arrives, the index still
+        names the first row under column 3, and it must be passed over."""
+        p = field.characteristic
+        rows = [{c: v for c, v in enumerate(r) if v} for r in [(1, 0, 1, 1, 0), (0, 0, 1, 1, 1), (0, 0, 0, 1, 1)]]
+        one, minus = field.one, field.neg(field.one)
         for system in (IntegerRows(rows), [{c: field.coerce(v) for c, v in r.items()} for r in rows]):
-            pivots = _sparse_reduce(field, system, 4)
-            assert pivots == {0: {0: field.one}, 2: {2: field.one}, 3: {3: field.one}}
+            pivots = _sparse_reduce(field, system, 5)
             assert list(pivots) == [0, 2, 3]
+            assert {c: field_values(p, row[c], row) for c, row in pivots.items()} == {
+                0: {0: one, 4: minus}, 2: {2: one}, 3: {3: one, 4: one}}
 
     @pytest.mark.parametrize("field", _FIELDS, ids=str)
     @settings(max_examples=120, deadline=None)
@@ -668,7 +739,6 @@ class TestIntegerForm:
         linmap = LinMap._trusted(field, _sparse_vectors(data, field, n, m), m)
         table = SparseTable(_sparse_vectors(data, field, m, m) for _ in range(n))
         dense = tuple(data.draw(st.lists(_values(field), max_size=6)))
-        sparse = dict(_sparse_vectors(data, field, 1, 6)[0])
         for obj, vecs, form in ((linmap, linmap.columns, linmap.lifted()),
                                 (table, [vec for row in table for vec in row], integer_form(p, table))):
             den, ints = form
@@ -682,14 +752,11 @@ class TestIntegerForm:
             else:
                 assert den == math.lcm(*[c.denominator for vec in vecs for _, c in vec])
                 assert (linmap.lifted() if obj is linmap else integer_form(p, table)) is form  # kept
-        for values in (dense, sparse):
-            den, ints = integer_vector(p, values)
-            if p:
-                assert den == 1 and ints is values
-            elif isinstance(values, dict):
-                assert ints.keys() == values.keys() and _scaled_by(den, values.values(), ints.values())
-            else:
-                assert len(ints) == len(values) and _scaled_by(den, values, ints)
+        den, ints = integer_vector(p, dense)
+        if p:
+            assert den == 1 and ints is dense
+        else:
+            assert len(ints) == len(dense) and _scaled_by(den, dense, ints)
 
     @pytest.mark.parametrize("field", _FORM_FIELDS, ids=str)
     @settings(max_examples=50, derandomize=True, deadline=None)
@@ -713,5 +780,5 @@ class TestIntegerForm:
                                              for k, v in expect.items()}
         if expect:  # one canonical row for every nonzero multiple
             c = data.draw(_values(field).filter(bool))
-            row = integer_vector(p, {k: field.mul(c, field.coerce(v)) for k, v in expect.items()})[1]
+            row = dict(zip(expect, integer_vector(p, [field.mul(c, field.coerce(v)) for v in expect.values()])[1]))
             assert canonical_row(p, row) == canonical_row(p, expect)

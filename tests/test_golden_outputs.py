@@ -2,10 +2,11 @@
 
 Each digest is taken over ``io.canonical_json(space.to_json())``.  Any change
 to row generation, elimination, zero handling or verification that moves an
-output byte fails here.  F1, F3, F4 and the regular Trian(UT_2, UT_2, UT_2)
-use their corner-negating ``sigma1``; F2 is a plain algebra and uses its sign
-automorphism ``sigma2``.  The untwisted derivation, commuting and
-biderivation kinds are pinned on the same instances.
+output byte fails here.  F1, F3, F4 and the regular Trian(UT_k, UT_k, UT_k)
+for k = 2, 3 over Q and F_5 use their corner-negating ``sigma1``; F2 is a
+plain algebra and uses its sign automorphism ``sigma2``.  The untwisted
+derivation, commuting and biderivation kinds are pinned on the same
+instances but the UT_3 ones.
 """
 
 import hashlib
@@ -47,6 +48,13 @@ GOLDEN = {
     ("UT2reg-F5", "sigma_derivation"): "e541da5de533a4ed86cb439051d4164ddbaa903bf9e35a49a6b8b6177d4004f9",
     ("UT2reg-F5", "sigma_commuting"): "0d033c3ddde93ba2eaab8fcce78e556554f199da2035eb483ed09e8ba19029a5",
     ("UT2reg-F5", "sigma_biderivation"): "3a2e34eff25ecd291b3961eee99d5372b0652b660c3862ecc84baec5774c013c",
+    # the dim-18 rung of tools/ladder.py, equal to its basis_sha256 there
+    ("UT3reg-Q", "sigma_derivation"): "73636d79b833bcf6941421fec43484f9866da2033d8a92e44e2e86bfc5f50743",
+    ("UT3reg-Q", "sigma_commuting"): "b39b081cb9d7ba6dca376ffa96fa54984ba7304d301b458b9140e2f2ef5f4081",
+    ("UT3reg-Q", "sigma_biderivation"): "72d88c4004328cefe9f4385e214057e10878342bac705dcca21f137f823f977f",
+    ("UT3reg-F5", "sigma_derivation"): "a1dffec6d80fd30aba44b455100e6cc8e5ec55e3f236a3830bc07f052e81fbfb",
+    ("UT3reg-F5", "sigma_commuting"): "0d437a20d74f7c6091c9be5af1c9f7cab85cd6fc2e3ed3c8e18673701de6ac99",
+    ("UT3reg-F5", "sigma_biderivation"): "8ea9f3d3476a4013794b6e14591d450180b2b3188eb212f16ef681659fda7903",
     # the untwisted kinds, solved with no twist map: each is its sigma-kind at sigma = 1
     ("F1", "derivation"): "268802922b2818e2d54c0cdadf20d44fa8e5fd32f272b198e3205e9daca1b2a1",
     ("F1", "commuting"): "d791a9de7f9bc8f26aa0f9913de8f2f11e13a503b91237e99bb18f57f24275e4",
@@ -69,16 +77,17 @@ GOLDEN = {
 }
 
 
-def _regular_ut2(field):
-    ut2 = upper_triangular_algebra(field, 2)
-    return build_triangular(ut2, regular_bimodule(ut2), ut2)
+def _regular_ut(field, k):
+    ut = upper_triangular_algebra(field, k)
+    return build_triangular(ut, regular_bimodule(ut), ut)
 
 
 def _instance(name):
     if name == "F2":
         return fixture_f2()
     t = {"F1": fixture_f1, "F3": fixture_f3, "F4": fixture_f4,
-         "UT2reg-Q": lambda: _regular_ut2(QQ), "UT2reg-F5": lambda: _regular_ut2(GF(5))}[name]()
+         "UT2reg-Q": lambda: _regular_ut(QQ, 2), "UT2reg-F5": lambda: _regular_ut(GF(5), 2),
+         "UT3reg-Q": lambda: _regular_ut(QQ, 3), "UT3reg-F5": lambda: _regular_ut(GF(5), 3)}[name]()
     return t, sigma1(t)
 
 

@@ -27,8 +27,11 @@ the generating set on whose pairs the derivation rule is imposed and checked
 (FinAlgebra.generators; 5k - 2 on the regular Trian(UT_k, UT_k, UT_k)).
 Each sigma_derivation and sigma_commuting row also carries rows and row_nnz,
 the number of rows that spaces._derivation_rows or _commuting_rows yields
-for the solve and their nonzero entries, counted on a fresh instance at the
-twist the solve resolves (sigmamaps.map_twist), outside the timed solves.
+for the solve and their nonzero entries, and forced and core_rows, what the
+peel of the reduce (exactla._peel) makes of those rows: the columns it
+forces to zero and the rows, repeats included, it leaves to Gauss-Jordan.
+They are counted on a fresh instance at the twist the solve resolves
+(sigmamaps.map_twist), outside the timed solves.
 
 Each sigma_biderivation row of a triangular rung (every rung but F2) also
 times the theorem layer: extremal_split of each basis map of the verified
@@ -60,7 +63,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from trialg.algcore import TriAlgebra, build_triangular  # noqa: E402
 from trialg.classify import extremal_split, inner_biderivation_witness  # noqa: E402
-from trialg.exactla import GF, QQ  # noqa: E402
+from trialg.exactla import GF, QQ, _peel  # noqa: E402
 from trialg.fixtures import (  # noqa: E402
     fixture_f1,
     fixture_f2,
@@ -159,16 +162,15 @@ def measure(kind, build, repeats, min_seconds):
 
 
 def row_counts(kind, build):
-    """(rows, nonzero entries) of the rows the solve of a linear kind reduces,
-    on a fresh (T, sigma) from build()."""
+    """(rows, nonzero entries, forced columns, core rows) of the rows the
+    solve of a linear kind reduces, on a fresh (T, sigma) from build(); the
+    last two as exactla._peel finds them."""
     t, sigma = build()
     alg = getattr(t, "total", t)
     make = _derivation_rows if kind == "sigma_derivation" else _commuting_rows
-    count = nnz = 0
-    for row in make(alg, map_twist(kind, alg, sigma)):
-        count += 1
-        nnz += len(row)
-    return count, nnz
+    rows = list(make(alg, map_twist(kind, alg, sigma)))
+    forced, core = _peel(rows)
+    return len(rows), sum(map(len, rows)), len(forced), len(core)
 
 
 def theorem_layer(build, repeats):
@@ -216,7 +218,7 @@ def main(argv=None) -> int:
                    "emit_ms": round(emit * 1e3, 2), "emit_peak_mb": round(peak, 2), "basis_sha256": digest}
             theorem = ""
             if kind != "sigma_biderivation":
-                row["rows"], row["row_nnz"] = row_counts(kind, build)
+                row["rows"], row["row_nnz"], row["forced"], row["core_rows"] = row_counts(kind, build)
             elif isinstance(t, TriAlgebra):
                 sec, row["theorem_sha256"] = theorem_layer(build, args.repeats)
                 ok = ok and row["theorem_sha256"] is not None
@@ -239,8 +241,9 @@ def main(argv=None) -> int:
                            "verified sigma_biderivation space of a triangular rung, each on a fresh "
                            "instance and space, solved untimed; rows and row_nnz count the rows "
                            "spaces._derivation_rows or _commuting_rows yields for a sigma_derivation "
-                           "or sigma_commuting solve and their nonzero entries, on a fresh instance, "
-                           "untimed"
+                           "or sigma_commuting solve and their nonzero entries, and forced and "
+                           "core_rows the columns exactla._peel forces and the rows it keeps for "
+                           "elimination, on a fresh instance, untimed"
                            % (args.repeats, args.min_seconds, MAX_SOLVES, args.repeats),
                "all_bases_identical": ok, "rungs": rows}, sys.stdout, indent=1)
     sys.stdout.write("\n")
