@@ -9,20 +9,34 @@ Row reduction is fully deterministic (exact arithmetic, each row's pivot at
 its least column), so every reduced row-echelon form and every
 solution-space basis is canonical and reproducible bit for bit.
 
-Row reduction starts with a peel, the first step of the structured Gaussian
-elimination of LaMacchia and Odlyzko: a row left with one nonzero entry e_f
-once the columns forced so far are dropped forces column f, whose RREF row
-is e_f, and passes repeat until none is forced anew, with no arithmetic (at
-dim 135 it forces 94 % of the sigma-derivation columns).  The core left is
-reduced by online Gauss-Jordan: the pivot rows are kept fully reduced as
-rows arrive, each holding no pivot column but its own, so there is no
-back-substitution pass at the end.  An incoming row is cleared in one pass
-over its entries in pivot columns; as no pivot row holds another pivot
-column, no step fills one.  What is left, if anything, becomes a pivot row at
-its least column c, and c is then eliminated from the earlier pivot rows that
-hold it.  Those are found through an index from each non-pivot column to the
-pivot rows that took an entry there; an entry that later cancels leaves a
-stale index entry, which is checked on use.
+Kernels and spans share a first step, a peel, the first step of the
+structured Gaussian elimination of LaMacchia and Odlyzko: a row left with
+one nonzero entry e_f once the columns forced so far are dropped forces
+column f, and passes repeat until none is forced anew, with no arithmetic
+(at dim 135 it forces 94 % of the sigma-derivation columns).
+
+A kernel is computed by narrowing (narrowed_kernel).  It starts from the
+unit vectors on the columns the peel does not force, and each row of the
+core left narrows them in turn: a row that annihilates every vector is
+skipped, and otherwise one vector it does not annihilate is combined into
+the others it does not annihilate and dropped.  The systems of trialg are
+tall and mostly redundant (the peel leaves 189 of the 594 rows of the
+Der_sigma system of the elim-q-rebased benchmark, on 81 unknowns, of rank
+73).  A redundant row costs only its dot products with the vectors that
+hold its columns, where Gauss-Jordan would clear it to zero, and no pivot is
+back-substituted.  Any kernel basis spans the one kernel, and
+Subspace._from_rows makes its canonical RREF.
+
+A span is its RREF, made by _sparse_reduce: each forced column f is the
+RREF row e_f, and the core is reduced by online Gauss-Jordan.  The pivot
+rows are kept fully reduced as rows arrive, each holding no pivot column but
+its own, so there is no back-substitution pass at the end.  An incoming row
+is cleared in one pass over its entries in pivot columns; as no pivot row
+holds another pivot column, no step fills one.  What is left, if anything,
+becomes a pivot row at its least column c, and c is then eliminated from the
+earlier pivot rows that hold it.  Those are found through an index from each
+non-pivot column to the pivot rows that took an entry there; an entry that
+later cancels leaves a stale index entry, which is checked on use.
 
 The work is done on Python ints, fraction-free in the manner of Bareiss.
 Over Q each incoming row is scaled to its primitive integer form: denominators
@@ -35,11 +49,12 @@ row (lazy content); pivot rows of lead 1, the common case, cost nothing extra.
 Rows built in integers already (IntegerRows, as the constraint-row builders
 make them) skip the clearing of denominators.  Over F_p the same loops run
 on residues, with monic pivots and one ``% p`` per updated entry instead of
-field-method calls.  Rows that are scalar multiples of each other share one
-integer form, and only the first of them is eliminated.  The pivot rows come
-back in that form, in ascending pivot column: integer_kernel reads a kernel
-basis off them, and only Subspace._from_rows, span_coefficients and
-LinMap.inverse divide by the lead (field_values).
+field-method calls.  The narrowing takes the same step (_combine), with the
+dot products of two vectors with a row in place of a column's entries.  The
+pivot rows come back in integer form, in ascending pivot column:
+integer_kernel reads off them the annihilator of a span (the second-slot
+conditions of a biderivation solve), and only Subspace._from_rows,
+span_coefficients and LinMap.inverse divide by the lead (field_values).
 
 A LinMap is a linear map stored only as its sparse columns, column j the
 nonzero (k, c) of the image of e_j; its dense matrix is a view made on each
@@ -634,19 +649,23 @@ def _integer_row(p: int, raw) -> dict:
 # ---------------------------------------------------------------------------
 #
 # Rows are sparse {column: value} dicts.  _peel takes out the columns that
-# single-entry rows force, with no arithmetic; the multi-entry core left is
-# reduced by online Gauss-Jordan (see the module docstring), with a
+# single-entry rows force, with no arithmetic.  narrowed_kernel narrows the
+# unit vectors on the other columns by the multi-entry core left, with a
+# column -> vectors index to find the vectors a row meets; any kernel basis
+# will do, as Subspace._from_rows makes the canonical one.  _sparse_reduce
+# reduces the core by online Gauss-Jordan (see the module docstring), with a
 # column -> pivot-rows index to find the rows a new pivot column must be
-# cleared from.  Output is the unique RREF of the row space, independent of
-# input order, as integer pivot rows in ascending pivot column; the callers
-# that need field values make them (field_values).
+# cleared from; it is kept for spans and ranks, and its output is the unique
+# RREF of the row space, independent of input order, as integer pivot rows
+# in ascending pivot column.  The callers that need field values make them
+# (field_values).
 
 
 class IntegerRows:
     """Sparse rows whose entries are Python ints: over Q each one a nonzero
     integer multiple of the row of field values it stands for, over F_p
     residues in [0, p).  algcore.product_rule_rows builds such rows, and
-    _sparse_reduce takes their canonical form straight from the integers,
+    narrowed_kernel and _sparse_reduce read them straight as integers,
     without the denominator pass of _integer_row."""
 
     __slots__ = ("rows",)
@@ -658,26 +677,24 @@ class IntegerRows:
         return iter(self.rows)
 
 
-def _eliminate(row: dict, c: int, piv: dict, p: int):
-    """Clear column c of an integer row with the pivot row piv, in place.
+def _combine(row: dict, a: int, piv: dict, b: int, p: int):
+    """row = b' * row - a' * piv for integer rows, in place, with a' = a / g,
+    b' = b / g for g = gcd(a, b): the combination that cancels a, a linear
+    form of row, against b, the same form of piv (an entry, or a dot product).
 
-    Over F_p the pivot is monic and row -= a * piv, each entry reduced mod p.
-    Over Q the pivot lead b is positive and row = b' * row - a' * piv, where
-    a' = a / g, b' = b / g for g = gcd(a, b).  A step with b' != 1 scales the
-    row by b', a factor the result often still shares, so only after such a
-    step is the row's gcd taken and divided out (lazy content).
+    Over F_p b is 1 and row -= a * piv, each entry reduced mod p.  Over Q a
+    step with b' != 1 scales the row by b', a factor the result often still
+    shares, so only after such a step is the row's gcd taken and divided out
+    (lazy content).
     """
-    a = row.pop(c)
     if p:
         for k, v in piv.items():
-            if k != c:
-                nv = (row.get(k, 0) - a * v) % p
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
+            nv = (row.get(k, 0) - a * v) % p
+            if nv:
+                row[k] = nv
+            else:
+                row.pop(k, None)
         return
-    b = piv[c]
     if b != 1:
         g = gcd(a, b)
         a, b = a // g, b // g
@@ -685,17 +702,23 @@ def _eliminate(row: dict, c: int, piv: dict, p: int):
             for k in row:
                 row[k] *= b
     for k, v in piv.items():
-        if k != c:
-            nv = row.get(k, 0) - a * v
-            if nv:
-                row[k] = nv
-            else:
-                row.pop(k, None)
+        nv = row.get(k, 0) - a * v
+        if nv:
+            row[k] = nv
+        else:
+            row.pop(k, None)
     if b != 1 and row:
         g = gcd(*row.values())
         if g != 1:
             for k in row:
                 row[k] //= g
+
+
+def _eliminate(row: dict, c: int, piv: dict, p: int):
+    """Clear column c of an integer row with the pivot row piv, in place: a
+    _combine at their entries there, the pivot monic over F_p and of positive
+    lead over Q."""
+    _combine(row, row[c], piv, piv[c], p)
 
 
 def _peel(rows) -> tuple[set, list]:
@@ -714,9 +737,12 @@ def _peel(rows) -> tuple[set, list]:
     while known < len(forced):
         known, kept = len(forced), []
         for row in core:
+            if forced.isdisjoint(row):
+                kept.append(row)
+                continue
             live = [c for c in row if c not in forced]
             if len(live) > 1:
-                kept.append(row if len(live) == len(row) else {c: row[c] for c in live})
+                kept.append({c: row[c] for c in live})
             elif live:
                 forced.add(live[0])
         core = kept
@@ -731,26 +757,22 @@ def _sparse_reduce(field: Field, rows, ncols: int) -> dict[int, dict]:
 
     Each column _peel forces is the pivot row {f: 1}.  The core goes through
     online Gauss-Jordan on its canonical integer forms (canonical_row, through
-    _integer_row for rows of field values); a row whose form was already seen
-    is skipped.  The pivot rows stay fully reduced: a new row is cleared of
-    every pivot column it holds (and brought back to its canonical form, which
-    a row no pivot touched still has), and its own pivot column c is then
-    cleared from the earlier pivot rows that hold it.  holders[c] names them:
-    a pivot row is listed under each column it gains, and stays listed when
-    its entry there cancels later, so each name is checked on use.
+    _integer_row for rows of field values); a row in the span of the pivot
+    rows so far, a repeat say, is cleared to zero and dropped.  The pivot rows
+    stay fully reduced: a new row is cleared of every pivot column it holds
+    (and brought back to its canonical form, which a row no pivot touched
+    still has), and its own pivot column c is then cleared from the earlier
+    pivot rows that hold it.  holders[c] names them: a pivot row is listed
+    under each column it gains, and stays listed when its entry there cancels
+    later, so each name is checked on use.
     """
     p = field.characteristic
     integer = isinstance(rows, IntegerRows)
     forced, core = _peel(rows)
     pivots: dict[int, dict] = {f: {f: 1} for f in forced}
     holders: defaultdict[int, list] = defaultdict(list)
-    seen = set()
     for row in core:
         row = canonical_row(p, row) if integer else _integer_row(p, row)
-        key = frozenset(row.items())
-        if key in seen:
-            continue
-        seen.add(key)
         hits = [k for k in row if k in pivots]
         if hits:
             for k in hits:
@@ -786,7 +808,11 @@ def integer_kernel(field: Field, pivots: dict[int, dict], ncols: int) -> list[di
     """Kernel basis of a system already reduced by _sparse_reduce, as sparse
     IntegerRows rows read straight off its integer pivot rows: per free column
     f, the vector with 1 at f and minus column f of the RREF rows, times the
-    lcm den of the leads of the pivot rows that hold f (1 over F_p)."""
+    lcm den of the leads of the pivot rows that hold f (1 over F_p).  Handed
+    the RREF of a basis of a space W, it returns a basis of the annihilator
+    of W, whose own annihilator is W again: spaces._biderivation_space reads
+    its second-slot conditions off Der_sigma this way.  A kernel of
+    constraint rows is narrowed_kernel's."""
     p = field.characteristic
     cols = {f: [] for f in range(ncols) if f not in pivots}
     for c, row in pivots.items():
@@ -798,11 +824,56 @@ def integer_kernel(field: Field, pivots: dict[int, dict], ncols: int) -> list[di
             for f, col in cols.items()]
 
 
+def narrowed_kernel(field: Field, rows, ncols: int) -> list[dict]:
+    """A kernel basis of sparse constraint rows below ncols, as IntegerRows
+    rows: over Q integer vectors, over F_p residues.
+
+    It starts from the unit vectors e_f on the columns f that _peel does not
+    force and narrows them by each core row in turn.  The dot products of the
+    row with the vectors that hold one of its columns (touch, a column ->
+    vectors index kept exact) are taken; if all vanish the row is skipped.
+    Else the vector j of fewest entries among those the row does not
+    annihilate is combined into each other such vector i, so that the row
+    annihilates it, and dropped: _combine at their dot products, over Q
+    fraction-free with lazy content, over F_p on residues.
+    """
+    p = field.characteristic
+    lift = not p and not isinstance(rows, IntegerRows)
+    forced, core = _peel(rows)
+    vecs = {f: {f: 1} for f in range(ncols) if f not in forced}
+    touch = {f: {f} for f in vecs}
+    for row in core:
+        if lift:
+            row = _integer_row(0, row)
+        dots = defaultdict(int)
+        for c, a in row.items():
+            for i in touch[c]:
+                dots[i] += a * vecs[i][c]
+        live = [i for i, d in dots.items() if (d % p if p else d)]
+        if not live:
+            continue
+        j = min(live, key=lambda i: (len(vecs[i]), i))
+        vj, b = vecs.pop(j), dots[j]
+        for k in vj:
+            touch[k].discard(j)
+        s = pow(b, -1, p) if p else None
+        for i in live:
+            if i != j:
+                vi = vecs[i]
+                _combine(vi, dots[i] * s % p if p else dots[i], vj, b, p)
+                for k in vj:
+                    if k in vi:
+                        touch[k].add(i)
+                    else:
+                        touch[k].discard(i)
+    return list(vecs.values())
+
+
 def kernel_sparse(field: Field, rows, ncols: int) -> "Subspace":
     """Kernel of a linear system given as sparse constraint rows, with its
-    canonical RREF basis."""
-    pivots = _sparse_reduce(field, rows, ncols)
-    return Subspace._from_rows(field, ncols, IntegerRows(integer_kernel(field, pivots, ncols)))
+    canonical RREF basis: the basis narrowed_kernel narrows, reduced by
+    Subspace._from_rows."""
+    return Subspace._from_rows(field, ncols, IntegerRows(narrowed_kernel(field, rows, ncols)))
 
 
 def span_coefficients(field: Field, vectors: Sequence[Iterable], target: Iterable) -> tuple | None:

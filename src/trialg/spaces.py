@@ -28,19 +28,18 @@ sigma-commuting identity is quadratic in x, so its rows and checks take
 every single and polarized pair (algcore.polarized_passes).
 
 Every system is built in Python ints on the integer forms of exactla, by the
-same code over both fields, and handed to the reduce as exactla.IntegerRows:
+same code over both fields, and handed to the kernel as exactla.IntegerRows:
 over Q each row is a positive integer multiple of the row of its identity
-(product_rule_rows reports the factor), over F_p its residues.  The reduce
-hands its pivot rows back in integer form, and only the final basis becomes
-field values: integer_kernel reads a kernel basis off them as IntegerRows,
-and the biderivation step takes them as its second-slot conditions as is.
-So the biderivation coefficient kernel stays in integers too: it is read off
-the pivot rows (exactla.integer_kernel) without an RREF of its own, lifted to
-tensors in ints, and only the lifted tensors are reduced to the canonical
-basis.  The derivation kernel delta_1 ... delta_r comes from integer_kernel
-as well.  Over Q twist and identity keep their integer forms in their stores
-(exactla.derived), so verifying the r basis maps of a space lifts sigma and
-the identity once, not r times; over F_p nothing is lifted.
+(product_rule_rows reports the factor), over F_p its residues.  Every kernel
+is narrowed (exactla.narrowed_kernel) and comes back as integer vectors, and
+only the final basis becomes field values.  The biderivation step stays in
+integers throughout: delta_1 ... delta_r are the integer RREF rows of the
+narrowed Der_sigma basis, its second-slot conditions the annihilator of that
+basis (exactla.integer_kernel), and its coefficient kernel is narrowed too,
+lifted to tensors in ints, and only the lifted tensors are reduced to the
+canonical basis.  Over Q twist and identity keep their integer forms in
+their stores (exactla.derived), so verifying the r basis maps of a space
+lifts sigma and the identity once, not r times; over F_p nothing is lifted.
 
 A space is kept as the sparse RREF rows of its Subspace.  Its basis maps are
 built straight from those rows (a linear map's columns, a bilinear map's
@@ -67,6 +66,7 @@ from .exactla import (
     _sparse_reduce,
     integer_kernel,
     kernel_sparse,
+    narrowed_kernel,
     nonzero_rows,
 )
 from .sigmamaps import (
@@ -142,12 +142,12 @@ def _algebra_of(t) -> FinAlgebra:
 def _dedup_rows(rows):
     """The nonzero rows, each once up to a nonzero scalar factor, as given.
 
-    solve_space leaves this to _sparse_reduce, which drops the zero rows and
-    skips a row whose integer form it has already seen; this generator picks
-    out the same rows apart, keyed by the primitive integer form with positive
-    lead (exactla._integer_row over Q).  Over F_p, whose p the residues do not
-    carry, that key catches only multiples by an integer ratio, and the
-    reduce's monic key the rest.
+    solve_space leaves this to the narrowing, where a zero row is dropped by
+    the peel and a repeat is annihilated by the vectors the first copy left;
+    this generator picks out the distinct rows apart, keyed by the primitive
+    integer form with positive lead (exactla._integer_row over Q).  Over F_p,
+    whose p the residues do not carry, that key catches only multiples by an
+    integer ratio.
     """
     seen = set()
     for r in rows:
@@ -200,38 +200,41 @@ def _biderivation_space(alg: FinAlgebra, sigma: LinMap) -> Subspace:
     """Bider_sigma as the linear maps k -> D(., e_k) into Der_sigma whose
     second slot is a sigma-derivation too.
 
-    The derivation system is reduced once; its kernel gives delta_1 ...
-    delta_r and its pivot rows P the second-slot conditions.  D(., e_k) =
-    sum_s c[k][s] delta_s, unknowns c[k][s] at k*r + s, is a derivation in its
-    first slot by construction.  For each l, every P must vanish on
-    y -> D(e_l, y), whose entry [o][k] is sum_s c[k][s] delta_s[o][l].  Each
-    kernel vector c lifts to t[l][k][o] = sum_s c[k][s] delta_s[o][l].
+    The derivation kernel is narrowed once; delta_1 ... delta_r are the
+    integer RREF rows of that basis of Der_sigma, and the second-slot
+    conditions P are its annihilator, read off by exactla.integer_kernel: the
+    rows that vanish on Der_sigma, whose span is that of the derivation rows,
+    as (W^perp)^perp = W over any field.  D(., e_k) = sum_s c[k][s] delta_s,
+    unknowns c[k][s] at k*r + s, is a derivation in its first slot by
+    construction.  For each l, every P must vanish on y -> D(e_l, y), whose
+    entry [o][k] is sum_s c[k][s] delta_s[o][l].  Each kernel vector c lifts
+    to t[l][k][o] = sum_s c[k][s] delta_s[o][l].
 
     The whole coefficient step runs on Python ints, the same code over both
-    fields.  Each P is the integer pivot row _sparse_reduce returns and each
-    delta_s as exactla.integer_kernel returns it, each a nonzero multiple
-    (over F_p the residues themselves).  Scaling P scales its rows; scaling
-    delta_s by lambda_s rescales the unknowns c[k][s], and the lift uses the
-    same scaled deltas, so the lifted tensors span the same space.  The
-    coefficient kernel is read straight off the pivot rows in integer form
-    (exactla.integer_kernel), with no canonical RREF of its own: any kernel
-    basis lifts to tensors that span Bider_sigma, and Subspace._from_rows,
-    handed them as IntegerRows, makes the one canonical basis.
+    fields.  Each P and each delta_s is a nonzero multiple of its field
+    values (over F_p the residues themselves).  Scaling P scales its rows;
+    scaling delta_s by lambda_s rescales the unknowns c[k][s], and the lift
+    uses the same scaled deltas, so the lifted tensors span the same space.
+    The coefficient kernel is narrowed as well, with no canonical RREF of its
+    own: any kernel basis lifts to tensors that span Bider_sigma, and
+    Subspace._from_rows, handed them as IntegerRows, makes the one canonical
+    basis.
     """
     field, n, p = alg.field, alg.dim, alg.field.characteristic
-    pivots = _sparse_reduce(field, _derivation_rows(alg, sigma), n * n)
-    deltas = integer_kernel(field, pivots, n * n)
+    der = _sparse_reduce(field, IntegerRows(narrowed_kernel(field, _derivation_rows(alg, sigma), n * n)),
+                         n * n)
+    deltas = list(der.values())
     r = len(deltas)
     at = [[] for _ in range(n * n)]  # at[o*n + l]: the nonzero (s, delta_s[o][l])
     for s, delta in enumerate(deltas):
         for key, v in delta.items():
             at[key].append((s, v))
-    # each pivot row P, as its entries (o, k*r, P[o][k])
-    prows = [[(key // n, key % n * r, c) for key, c in prow.items()] for prow in pivots.values()]
+    # each condition P, as its entries (o, k*r, P[o][k])
+    prows = [[(key // n, key % n * r, c) for key, c in prow.items()] for prow in integer_kernel(field, der, n * n)]
     rows = []
     for l in range(n):
         at_l = at[l::n]  # at_l[o]: the nonzero (s, delta_s[o][l])
-        block = {}  # the nonempty row of each pivot row P, by its position
+        block = {}  # the nonempty row of each condition P, by its position
         for i, prow in enumerate(prows):
             row = {}
             for o, kr, c in prow:
@@ -240,7 +243,7 @@ def _biderivation_space(alg: FinAlgebra, sigma: LinMap) -> Subspace:
             if row:
                 block[i] = row
         rows += nonzero_rows(p, block).values()
-    coeffs = integer_kernel(field, _sparse_reduce(field, IntegerRows(rows), n * r), n * r)
+    coeffs = narrowed_kernel(field, IntegerRows(rows), n * r)
     tensors = {}
     for i, c in enumerate(coeffs):
         t = tensors[i] = {}

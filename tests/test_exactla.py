@@ -32,6 +32,8 @@ from trialg.exactla import (
     integer_kernel,
     integer_vector,
     is_nonzero,
+    kernel_sparse,
+    narrowed_kernel,
     nonzero_rows,
     span_coefficients,
 )
@@ -456,6 +458,22 @@ def _check_reduced(field, pivots, rows, ncols):
         assert field_values(p, got[c], got) == {k: v for k, v in enumerate(row) if v}
 
 
+def _null_space(field, rows, ncols):
+    """A basis of the kernel of dense rows, read off their dense Gauss-Jordan
+    RREF: per free column f, e_f minus column f of the RREF rows."""
+    red, pivots = _gauss_jordan(field, rows, ncols)
+    return [tuple(field.one if k == f else field.neg(red[pivots.index(k)][f]) if k in pivots else field.zero
+                  for k in range(ncols)) for f in range(ncols) if f not in pivots]
+
+
+def _spans_null_space(field, vecs, rows, ncols):
+    """Whether integer vectors (sparse dicts), taken as field values, are as
+    many as ncols - rank and span the kernel of the dense rows."""
+    null = _null_space(field, rows, ncols)
+    dense = [tuple(field.coerce(vec.get(k, 0)) for k in range(ncols)) for vec in vecs]
+    return len(vecs) == len(null) and _gauss_jordan(field, dense, ncols) == _gauss_jordan(field, null, ncols)
+
+
 class TestDerived:
     """exactla.derived, the one store of derived data per instance."""
 
@@ -544,10 +562,6 @@ class TestIntegerEliminationOracle:
         values = [dict(enumerate(r)) for r in rows]  # zero entries kept
         ints = [{c: v if p else int(v * math.lcm(*[w.denominator for w in r])) for c, v in enumerate(r) if v}
                 for r in rows]
-        red, expect_pivots = _gauss_jordan(field, rows, ncols)
-        free = [f for f in range(ncols) if f not in expect_pivots]
-        null = [tuple(field.one if k == f else field.neg(red[expect_pivots.index(k)][f]) if k in expect_pivots
-                      else field.zero for k in range(ncols)) for f in free]
         for system in (values, IntegerRows(ints)):
             forced, core = _peel(system)
             live = [{c: v for c, v in r.items() if v and c not in forced} for r in system]
@@ -558,9 +572,7 @@ class TestIntegerEliminationOracle:
             _check_reduced(field, pivots, rows, ncols)
             kernel = integer_kernel(field, pivots, ncols)
             assert all(type(v) is int for vec in kernel for v in vec.values())
-            dense = [tuple(field.coerce(vec.get(k, 0)) for k in range(ncols)) for vec in kernel]
-            assert len(kernel) == len(free)
-            assert _gauss_jordan(field, dense, ncols) == _gauss_jordan(field, null, ncols)
+            assert _spans_null_space(field, kernel, rows, ncols)
 
     @pytest.mark.parametrize("field", _FIELDS, ids=str)
     @settings(max_examples=100, deadline=None)
@@ -656,6 +668,81 @@ class TestIntegerEliminationOracle:
         for c, v in zip(got, vectors):
             combo = [field.add(t, field.mul(c, w)) for t, w in zip(combo, v)]
         assert combo == target
+
+
+_KERNEL_FIELDS = [QQ, GF(2), GF(3), GF(5)]
+
+
+@st.composite
+def _kernel_systems(draw, field):
+    """A dense system of field values: one of _systems, _peeled_systems or
+    _redundant_systems, or a system of zero rows, or one with no columns."""
+    kind = draw(st.sampled_from(["systems", "peeled", "redundant", "zero", "no_columns"]))
+    if kind == "systems":
+        return draw(_systems(field))
+    if kind == "peeled":
+        return draw(_peeled_systems(field))
+    if kind == "redundant":
+        rows, ncols = draw(_redundant_systems(field))
+        return [tuple(map(field.coerce, r)) for r in rows], ncols
+    ncols = 0 if kind == "no_columns" else draw(st.integers(1, 6))
+    return [(field.zero,) * ncols] * draw(st.integers(0, 4)), ncols
+
+
+def _entry_forms(data, field, rows):
+    """The dense rows as sparse rows of field values with their zero entries
+    kept, and as IntegerRows: over Q each an integer multiple of either sign,
+    over F_p its residues."""
+    ints = []
+    for r in rows:
+        row = {c: v for c, v in enumerate(r) if v}
+        if field is QQ:
+            m = data.draw(st.integers(-3, 3).filter(bool)) * math.lcm(*[v.denominator for v in r])
+            row = {c: int(v * m) for c, v in row.items()}
+        ints.append(row)
+    return [dict(enumerate(r)) for r in rows], IntegerRows(ints)
+
+
+class TestNarrowedKernel:
+    """narrowed_kernel, the one kernel routine, against dense Gauss-Jordan."""
+
+    @pytest.mark.parametrize("field", _KERNEL_FIELDS, ids=str)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_spans_the_dense_null_space(self, field, data):
+        """Zero rows, repeats, rescaled copies, cascading single-entry rows,
+        redundant rows, no columns: in both entry forms the narrowed kernel
+        holds nonzero integer vectors (residues over F_p), ncols - rank of
+        them, spanning the dense null space, and kernel_sparse is its RREF."""
+        rows, ncols = data.draw(_kernel_systems(field))
+        p = field.characteristic
+        expect = _gauss_jordan(field, _null_space(field, rows, ncols), ncols)[0]
+        for system in _entry_forms(data, field, rows):
+            kernel = narrowed_kernel(field, system, ncols)
+            for vec in kernel:
+                assert vec and all(type(v) is int and v for v in vec.values())
+                assert not p or all(0 < v < p for v in vec.values())
+            assert _spans_null_space(field, kernel, rows, ncols)
+            assert kernel_sparse(field, system, ncols).basis == tuple(expect)
+
+    @pytest.mark.parametrize("field", _KERNEL_FIELDS, ids=str)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_integer_kernel_of_an_rref_annihilates_exactly_its_span(self, field, data):
+        """(W^perp)^perp = W over any field: integer_kernel of the RREF of
+        integer rows W is a basis of the vectors W annihilates, and the
+        vectors it annihilates in turn are exactly span(W)."""
+        ncols = data.draw(st.integers(0, 7))
+        p = field.characteristic
+        entry = st.integers(0, p - 1) if p else st.integers(-4, 4)
+        w = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+        ann = integer_kernel(field, _sparse_reduce(field, IntegerRows([{c: v for c, v in enumerate(r) if v}
+                                                                        for r in w]), ncols), ncols)
+        dense_w = [tuple(map(field.coerce, r)) for r in w]
+        assert _spans_null_space(field, ann, dense_w, ncols)
+        dense_ann = [tuple(field.coerce(vec.get(k, 0)) for k in range(ncols)) for vec in ann]
+        assert (_gauss_jordan(field, _null_space(field, dense_ann, ncols), ncols)
+                == _gauss_jordan(field, dense_w, ncols))
 
 
 class TestRowKeys:

@@ -30,8 +30,8 @@ from trialg.exactla import (
     QQ,
     IntegerRows,
     Subspace,
-    integer_kernel,
     kernel_sparse,
+    narrowed_kernel,
 )
 from trialg.fixtures import (
     fixture_f1,
@@ -87,12 +87,24 @@ def _kernel_plus_non_solution(field, rows, ncols):
     return sub.sum(Subspace.from_vectors(field, ncols, [extra]))
 
 
-def _integer_kernel_plus_non_solution(field, pivots, ncols):
-    """integer_kernel with the first unit vector outside the kernel added."""
-    vecs = integer_kernel(field, pivots, ncols)
+def _outside(field, vecs, ncols):
+    """The first unit vector outside the span of the integer vectors vecs."""
     span = Subspace._from_rows(field, ncols, IntegerRows(vecs))
-    j = next(j for j, e in enumerate(Subspace.full(field, ncols).basis) if not span.contains_vector(e))
-    return vecs + [{j: 1}]
+    return {next(j for j, e in enumerate(Subspace.full(field, ncols).basis) if not span.contains_vector(e)): 1}
+
+
+def _narrowed_kernel_injecting(site, extra):
+    """narrowed_kernel with extra(field, vecs, ncols) added to the basis vecs
+    it returns on call number site of one biderivation solve: 0 the derivation
+    kernel (ncols = n*n), 1 the coefficient kernel."""
+    calls = []
+
+    def kernel(field, rows, ncols):
+        vecs = narrowed_kernel(field, rows, ncols)
+        calls.append(ncols)
+        return vecs + [extra(field, vecs, ncols)] if len(calls) == site + 1 else vecs
+
+    return kernel
 
 
 class TestSolveSpace:
@@ -175,12 +187,12 @@ class TestSolveSpace:
     @pytest.mark.parametrize("kind", TWISTED_KINDS)
     def test_verification_catches_a_non_solution(self, f1, f1_sigma1, kind, monkeypatch):
         """A vector outside the kernel injected into the kernel the solve
-        takes: kernel_sparse for the linear kinds, the integer coefficient
+        takes: kernel_sparse for the linear kinds, the narrowed coefficient
         kernel for sigma_biderivation."""
         import trialg.spaces as sp
 
         if kind == "sigma_biderivation":
-            monkeypatch.setattr(sp, "integer_kernel", _integer_kernel_plus_non_solution)
+            monkeypatch.setattr(sp, "narrowed_kernel", _narrowed_kernel_injecting(1, _outside))
         else:
             monkeypatch.setattr(sp, "kernel_sparse", _kernel_plus_non_solution)
         with pytest.raises(TheoremViolation, match="non-solution"):
@@ -191,37 +203,32 @@ class TestSolveSpace:
     def test_verification_catches_a_biderivation_non_solution(self, f1, f1_sigma1, kind, site,
                                                               monkeypatch):
         """A non-solution injected into either kernel the biderivation solve
-        takes, the derivation kernel delta_1 ... delta_r or the coefficient
+        narrows, the derivation kernel delta_1 ... delta_r or the coefficient
         kernel, ends in a basis tensor that verification rejects.
 
         The injected delta is d = (E11 -> E12), no (sigma-)derivation of F1.  It
         reaches the space: D(x, y) = x_E11 [y, E12]_sigma has d in its first
-        slot and an inner derivation in its second, so the second-slot rows
+        slot and an inner derivation in its second, so the second-slot rows,
+        the annihilator of Der_sigma + d (a part of the true conditions),
         keep it.  Any coefficient vector outside the kernel lifts to a tensor
         whose second slot fails.
         """
         import trialg.spaces as sp
 
         sigma = f1_sigma1 if kind.startswith("sigma_") else None
-        calls = []
 
-        def deltas_plus_non_solution(field, pivots, ncols):
-            """integer_kernel, plus d on the first call: the derivation kernel
-            (ncols = n*n), taken before the coefficient kernel."""
-            calls.append(ncols)
-            if len(calls) > 1:
-                return integer_kernel(field, pivots, ncols)
+        def non_derivation(field, vecs, ncols):
             assert ncols == 3 * 3
             d = [field.zero] * ncols
             d[1 * 3 + 0] = field.one
             assert not classify_linear("sigma_derivation", f1.total, _unflatten(field, d, 3),
                                        sigma or LinMap.identity(field, 3)).holds
-            return integer_kernel(field, pivots, ncols) + [{1 * 3 + 0: 1}]
+            return {1 * 3 + 0: 1}
 
         if site == "derivation_kernel":
-            monkeypatch.setattr(sp, "integer_kernel", deltas_plus_non_solution)
+            monkeypatch.setattr(sp, "narrowed_kernel", _narrowed_kernel_injecting(0, non_derivation))
         else:
-            monkeypatch.setattr(sp, "integer_kernel", _integer_kernel_plus_non_solution)
+            monkeypatch.setattr(sp, "narrowed_kernel", _narrowed_kernel_injecting(1, _outside))
         with pytest.raises(TheoremViolation, match="non-solution"):
             solve_space(kind, f1, sigma)
 

@@ -28,8 +28,8 @@ the generating set on whose pairs the derivation rule is imposed and checked
 Each sigma_derivation and sigma_commuting row also carries rows and row_nnz,
 the number of rows that spaces._derivation_rows or _commuting_rows yields
 for the solve and their nonzero entries, and forced and core_rows, what the
-peel of the reduce (exactla._peel) makes of those rows: the columns it
-forces to zero and the rows, repeats included, it leaves to Gauss-Jordan.
+peel of the kernel (exactla._peel) makes of those rows: the columns it
+forces to zero and the rows, repeats included, it leaves to the narrowing.
 They are counted on a fresh instance at the twist the solve resolves
 (sigmamaps.map_twist), outside the timed solves.
 
@@ -242,8 +242,8 @@ def main(argv=None) -> int:
                            "instance and space, solved untimed; rows and row_nnz count the rows "
                            "spaces._derivation_rows or _commuting_rows yields for a sigma_derivation "
                            "or sigma_commuting solve and their nonzero entries, and forced and "
-                           "core_rows the columns exactla._peel forces and the rows it keeps for "
-                           "elimination, on a fresh instance, untimed"
+                           "core_rows the columns exactla._peel forces and the rows it leaves to "
+                           "the narrowing, on a fresh instance, untimed"
                            % (args.repeats, args.min_seconds, MAX_SOLVES, args.repeats),
                "all_bases_identical": ok, "rungs": rows}, sys.stdout, indent=1)
     sys.stdout.write("\n")
