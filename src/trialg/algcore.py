@@ -79,55 +79,18 @@ class SparseTable(tuple):
     Built once per algebra, bimodule or bilinear map, it keeps in its store
     (exactla.derived, its one attribute) these tables, each made on first
     use: its transpose (entry [j][i] = entry [i][j]), its negation (negated(),
-    the table of minus the product), the actions of an algebra on n copies of
-    itself (copies()) and, over Q, its integer form (exactla.integer_form).
+    the table of minus the product) and, over Q, its integer form
+    (exactla.integer_form).
     """
 
     def transpose(self) -> "SparseTable":
         return derived(self, "transpose", lambda: SparseTable(zip(*self)))
-
-    def copies(self) -> tuple:
-        """(left, right) for the product table of an algebra of dim n: the
-        left and right actions on the bimodule of n copies of the algebra,
-        coordinate k*n + o for e_o in copy k.  Entry [a][k*n + o] of left lists
-        the (k*n + l, c) of e_a e_o, entry [k*n + o][b] of right those of e_o e_b.
-        When this table is already lifted, the copies are lifted with it."""
-        return derived(self, "copies", self._copy)
-
-    def _copy(self) -> tuple:
-        copies = _copy_tables(self)
-        lifted = derived(self, "lifted")
-        if lifted is not None:
-            for table, ints in zip(copies, _copy_tables(lifted[1])):
-                derived(table, "lifted", lambda: (lifted[0], ints))
-        return copies
 
     def negated(self, field: Field) -> "SparseTable":
         """The table of minus the product, its constants negated in field."""
         neg = field.neg
         return derived(self, "negated", lambda: SparseTable(tuple(tuple((k, neg(c)) for k, c in vec) for vec in row)
                                                             for row in self))
-
-
-def _copy_tables(table) -> tuple:
-    """The tables of SparseTable.copies, built from the nonzero products only:
-    row x of table moved to copy k (every product index l to k*n + l) is
-    shared by both."""
-    n = len(table)
-    nonzero = [[(b, prods) for b, prods in enumerate(row) if prods] for row in table]
-    moved = [tuple(table)]
-    for k in range(1, n):
-        rows = []
-        for x, row in enumerate(table):
-            new = [()] * len(row)
-            for b, prods in nonzero[x]:
-                new[b] = tuple((k * n + l, c) for l, c in prods)
-            rows.append(tuple(new))
-        moved.append(rows)
-    left = SparseTable(tuple(itertools.chain.from_iterable(moved[k][a] for k in range(n)))
-                       for a in range(n))
-    right = SparseTable(moved[k][o] for k in range(n) for o in range(n))
-    return left, right
 
 
 def _table_apply(field: Field, table: SparseTable, x, y, dim: int) -> tuple:

@@ -30,9 +30,17 @@ singles + polarized pairs by the same evaluator (algcore.quadratic_failure):
 first at every basis vector e_i, then at every pair i < j, where the residual
 is the polarization P(e_i) Q(e_j) + P(e_j) Q(e_i) (algcore.polarized_passes),
 which decides the condition at every element, in every characteristic.  Each
-identity is stated once, in derivation_terms (of a map or a biderivation
-slot) and commuting_terms; the solve rows of spaces read the same terms on
-the same pairs through algcore.product_rule_rows.
+identity is stated once, in derivation_terms and commuting_terms; the solve
+rows of spaces read the same terms on the same pairs through
+algcore.product_rule_rows.
+
+A bilinear map holds its kind when every slot map D(., e_k) and D(e_k, .)
+is a sigma-derivation, and as Der_sigma is a linear space, when a basis of
+their span is: classify_bilinear reduces the slot maps, as integer rows over
+the n^2 map coordinates, with the rows already verified for (alg, sigma)
+and checks only the new pivot rows, each as a map into the algebra over its
+own table.  Only a failure leads to the check of each slot map on its own,
+for the witness.
 
 The evaluator reads every map and table in its integer form (LinMap.lifted,
 exactla.integer_form), by the same code over both fields: over F_p the
@@ -42,7 +50,8 @@ keep in their stores, lifted once however many maps are checked against
 them.  The minus sign of a commuting term lives in the negated table.
 
 automorphism_verdict keeps each passing verdict in the algebra's store
-(exactla.derived); a failing map is kept nowhere.  The block decomposition of
+(exactla.derived), and classify_bilinear the verified rows of Der_sigma under
+("derivations", sigma); a failing map is kept nowhere.  The block decomposition of
 an automorphism of a triangular algebra (AutBlocks, block_decompose), the
 twisted center read off it and the inner and scaling automorphisms are in
 trialg.structure.
@@ -54,6 +63,7 @@ FinAlgebra, so that the solve path imports no dataclasses.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from .algcore import (
     FinAlgebra,
@@ -74,7 +84,17 @@ from .errors import (
     SigmaNotAutomorphism,
     TheoremViolation,
 )
-from .exactla import Field, LinMap, _merge, derived, integer_vector, is_nonzero
+from .exactla import (
+    Field,
+    IntegerRows,
+    LinMap,
+    _merge,
+    _sparse_reduce,
+    derived,
+    integer_form,
+    integer_vector,
+    is_nonzero,
+)
 
 
 class MapKind:
@@ -107,11 +127,13 @@ class BilinMap:
     """Total bilinear map A x A -> A, stored as the SparseTable of its values
     (entry [i][j] lists the nonzero (k, c) of D(e_i, e_j)).  The public
     constructor coerces a dense tensor t[i][j][k]; _trusted takes a table of
-    raw values made by trialg itself (as LinMap._trusted).  It keeps in its
-    store (derived), made on first use, its two slot maps (slot_maps()).
+    raw values made by trialg itself (as LinMap._trusted).  Its slot maps
+    D(., e_k) and D(e_k, .) are read off the table where they are checked
+    (classify_bilinear): column l of D(., e_k) is entry [l][k], that of
+    D(e_k, .) entry [k][l].
     """
 
-    __slots__ = ("field", "dim", "table", "_derived")
+    __slots__ = ("field", "dim", "table")
 
     def __init__(self, field: Field, tensor):
         dim = len(tensor)
@@ -141,17 +163,6 @@ class BilinMap:
         vals = ((alg.coerce_vector(fn(alg.basis_vector(i), alg.basis_vector(j)))
                  for j in range(alg.dim)) for i in range(alg.dim))
         return BilinMap._trusted(alg.field, _sparse_table(vals))
-
-    def slot_maps(self) -> tuple:
-        """(first, second): the slot maps for all fixed arguments at once, as
-        LinMaps into n copies of the space (coordinate k*n + o for e_o in copy
-        k): first e_l -> (D(e_l, e_k))_k, its columns read off row l of the
-        table, second e_l -> (D(e_k, e_l))_k, off row l of its transpose."""
-        n = self.dim
-        return derived(self, "slot_maps", lambda: tuple(
-            LinMap._trusted(self.field, [tuple((k * n + o, c) for k, vec in enumerate(row) for o, c in vec)
-                                         for row in table], n * n)
-            for table in (self.table, self.table.transpose())))
 
     def apply(self, x, y) -> tuple:
         return _table_apply(self.field, self.table, x, y, self.dim)
@@ -293,12 +304,10 @@ def map_twist(kind: str, alg: FinAlgebra, sigma: LinMap | None) -> LinMap:
 
 
 def derivation_terms(alg: FinAlgebra, d: LinMap | None, sigma: LinMap) -> tuple:
-    """Terms of d(xy) = sigma(x) d(y) + d(x) y over the actions on d's
-    target: alg's table for a map into alg or the unknown map d = None, the
-    copies' (SparseTable.copies) for a slot map into n copies of alg."""
+    """Terms of d(xy) = sigma(x) d(y) + d(x) y over alg's table, for a map d
+    into alg or the unknown map d = None."""
     pairs = alg._pairs
-    left, right = (pairs, pairs) if d is None or d.dst_dim == alg.dim else pairs.copies()
-    return ((sigma, d, left), (d, alg.identity_map(), right))
+    return ((sigma, d, pairs), (d, alg.identity_map(), pairs))
 
 
 def commuting_terms(alg: FinAlgebra, theta: LinMap | None, sigma: LinMap) -> tuple:
@@ -317,9 +326,9 @@ def _multiplicative(alg: FinAlgebra, f: LinMap) -> bool:
 
 def _derivation_type_failure(alg: FinAlgebra, Y: LinMap, terms: tuple, sigma: LinMap) -> tuple | None:
     """product_rule_failure(alg._pairs, Y, terms) for terms stating
-    Y(xy) = sigma(x) Y(y) + Y(x) y, for Y a map into alg or into a bimodule
-    over it (the copies of a biderivation slot): the same first failing pair
-    in row-major order, or None.
+    Y(xy) = sigma(x) Y(y) + Y(x) y, for Y a map into alg (a derivation, or
+    a slot map of a biderivation): the same first failing pair in row-major
+    order, or None.
 
     When sigma is multiplicative the x at which the identity holds for every
     y form a subspace closed under products: for x1, x2 in it, expanding
@@ -375,19 +384,24 @@ def classify_bilinear(kind: str, alg: FinAlgebra, D: BilinMap, sigma: LinMap | N
     (map_twist): D is a sigma-derivation in each slot on all basis triples;
     the witness is a basis triple.
 
-    For all k at once, the slot maps D(., e_k) are one map Y from alg into
-    the bimodule of n copies of alg, e_l -> (D(e_l, e_k))_k, and the slot
-    identities are the derivation identity Y(xy) = sigma(x) Y(y) + Y(x) y
-    over the copies' actions (derivation_terms); likewise D(e_k, .).  Both
-    maps are read off the table (BilinMap.slot_maps).  The witness is the
-    failure first in the order (i, j, k, first slot before second) of the pair
-    e_i e_j and the fixed argument e_k: the first failing pair of a slot, at
-    the least copy k where its residual is nonzero.  Each slot is decided like
-    a derivation kind of classify_linear: on the generating pairs first, and
-    on all pairs only after a failure (_derivation_type_failure: the copies
-    are a bimodule over alg).  A biderivation that holds must kill the unit in
-    each slot, at sigma = 1 as at any other sigma; if it does not, that is a
-    TheoremViolation.
+    The slot maps D(., e_k) and D(e_k, .) are 2n maps into alg, and D holds
+    exactly when they all lie in Der_sigma, a linear space: when a basis of
+    their span does.  Each slot map is written as an integer row over the
+    n^2 map coordinates (entry [o][l] at o*n + l, read off D's lifted table,
+    exactla.integer_form) and the rows are reduced by exactla._sparse_reduce
+    together with the rows already verified for (alg, sigma), which the
+    algebra keeps in its store under ("derivations", sigma).  That span
+    holds them, so only the pivot rows at new pivot columns are checked, each
+    as a map into alg (_derivation_type_failure: the generating pairs first,
+    all pairs after a failure there).  A check that passes keeps the reduced
+    rows in the store, as automorphism_verdict keeps a passing verdict; a
+    failing map is kept nowhere.  A sigma-derivation kills the unit, d(1) =
+    d(1 1) = 2 d(1), at sigma = 1 as at any other sigma; a checked row that
+    does not is a TheoremViolation.
+
+    Only after a failure is each slot map checked on its own (_slot_failure),
+    for the witness: the failure first in the order (i, j, k, first slot
+    before second) of the pair e_i e_j and the fixed argument e_k.
     """
     if D.dim != alg.dim:
         raise DimMismatch("bilinear map of dim %d on algebra of dim %d" % (D.dim, alg.dim))
@@ -395,43 +409,59 @@ def classify_bilinear(kind: str, alg: FinAlgebra, D: BilinMap, sigma: LinMap | N
     if mk is None or not mk.bilinear:
         raise InputError("unknown classification kind %r" % (kind,))
     sigma = map_twist(kind, alg, sigma)
-    n = alg.dim
-    failures = []
-    for slot, Y in enumerate(D.slot_maps()):
-        bad = _derivation_type_failure(alg, Y, derivation_terms(alg, Y, sigma), sigma)
-        if bad:
-            (i, j), residual = bad
-            k = next(k for k in range(n) if any(residual[k * n:(k + 1) * n]))
-            failures.append(((i, j, k, slot), residual[k * n:(k + 1) * n]))
-    if failures:
-        (i, j, k, slot), element = min(failures)
-        if slot == 0:
-            return Verdict(kind, False, Witness((i, j, k), element, "first-slot failure at (e_i e_j, e_k)"))
-        return Verdict(kind, False, Witness((k, i, j), element, "second-slot failure at (e_k, e_i e_j)"))
-    if not all(_kills_unit(alg, Y) for Y in D.slot_maps()):
-        raise TheoremViolation("sigma-biderivation does not vanish on the unit")
+    field, n, p = alg.field, alg.dim, alg.field.characteristic
+    ints = integer_form(p, D.table)[1]
+    rows = [{o * n + l: c for l in range(n) for o, c in ints[l][k]} for k in range(n)]
+    rows += [{o * n + l: c for l, vec in enumerate(ints[k]) for o, c in vec} for k in range(n)]
+    verified = derived(alg, ("derivations", sigma)) or {}
+    pivots = _sparse_reduce(field, IntegerRows([*verified.values(), *rows]), n * n)
+    unit = integer_vector(p, alg.unit)[1]
+    for c, row in pivots.items():
+        if c in verified:
+            continue
+        Y = _integer_map(field, row, n)
+        if _derivation_type_failure(alg, Y, derivation_terms(alg, Y, sigma), sigma):
+            return _slot_failure(kind, alg, D, sigma)
+        image = {}  # Y(1), in integers
+        for key, v in row.items():
+            o, l = divmod(key, n)
+            if unit[l]:
+                image[o] = image.get(o, 0) + unit[l] * v
+        if is_nonzero(p, image):
+            raise TheoremViolation("sigma-biderivation does not vanish on the unit")
+    derived(alg, ("derivations", sigma), dict).update(pivots)
     return Verdict(kind, True)
 
 
-def _kills_unit(alg: FinAlgebra, slot: LinMap) -> bool:
-    """Whether a slot map of a bilinear map D (one of BilinMap.slot_maps,
-    column l listing the (k*n + o, c) of D(e_l, e_k) or of D(e_k, e_l)) sends
-    the unit to zero for every e_l: the sum over k of u_k times copy k.  It is
-    accumulated in integers on the integer forms of the slot map and the unit
-    (LinMap.lifted, exactla.integer_vector) and tested once per l.
+def _integer_map(field: Field, row: dict, n: int) -> LinMap:
+    """The n x n map of an integer row over the coordinates o*n + l, a
+    nonzero multiple of a map's field values: its columns in field values
+    (over Q the integers as Fractions) and over Q its integer form (1, the
+    integer columns) put in its store, as LinMap.lifted would make it."""
+    cols = [[] for _ in range(n)]
+    for key in sorted(row):
+        cols[key % n].append((key // n, row[key]))
+    if field.characteristic:
+        return LinMap._trusted(field, cols, n)
+    Y = LinMap._trusted(field, ([(o, Fraction(v)) for o, v in col] for col in cols), n)
+    derived(Y, "lifted", lambda: (1, tuple(map(tuple, cols))))
+    return Y
 
-    Kept on purpose: not any(Y.apply(alg.unit)) on the slot maps says the
-    same in fewer lines, but in Fraction arithmetic, slow on the dense unit of
-    a rebased algebra.  It cost 8-9 % of the elim-q-rebased benchmark's jobs/s
-    (30.5 / 30.8 -> 28.3 / 27.9 in two 10 s A/B pairs, 2-core x86_64)."""
-    n, p = alg.dim, alg.field.characteristic
-    (_, cols), (_, unit) = slot.lifted(), integer_vector(p, alg.unit)
-    for col in cols:
-        acc = {}
-        for ko, c in col:
-            k, o = divmod(ko, n)
-            if unit[k]:
-                acc[o] = acc.get(o, 0) + unit[k] * c
-        if is_nonzero(p, acc):
-            return False
-    return True
+
+def _slot_failure(kind: str, alg: FinAlgebra, D: BilinMap, sigma: LinMap) -> Verdict:
+    """The failing verdict of classify_bilinear: each slot map D(., e_k)
+    (slot 0) and D(e_k, .) (slot 1) checked on its own over alg's table
+    (_derivation_type_failure), and the least ((i, j, k, slot), residual) of
+    their failures reported as the witness at (e_i e_j, e_k) or (e_k, e_i e_j)."""
+    n, table = alg.dim, D.table
+    failures = []
+    for k in range(n):
+        for slot, cols in enumerate(([table[l][k] for l in range(n)], table[k])):
+            Y = LinMap._trusted(alg.field, cols, n)
+            bad = _derivation_type_failure(alg, Y, derivation_terms(alg, Y, sigma), sigma)
+            if bad:
+                failures.append((bad[0] + (k, slot), bad[1]))
+    (i, j, k, slot), element = min(failures)
+    if slot == 0:
+        return Verdict(kind, False, Witness((i, j, k), element, "first-slot failure at (e_i e_j, e_k)"))
+    return Verdict(kind, False, Witness((k, i, j), element, "second-slot failure at (e_k, e_i e_j)"))

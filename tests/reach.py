@@ -101,7 +101,6 @@ EXEMPT = {
                 "(test_cli's closed-stdout build reaches it)",
     "structure.nilpotency": THEOREM_CHECK,
     "structure.is_nilpotent_subspace": THEOREM_CHECK,
-    "sigmamaps._kills_unit": THEOREM_CHECK,
     "classify._thm0_conditions": "violations that the report-only endomorphism here does not show: "
                                  "non-multiplicative corner blocks and corner images that do not annihilate",
     "classify._annihilation_hypothesis": "a zero twisted center and a singular one-dimensional rational one: "

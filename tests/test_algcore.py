@@ -155,41 +155,6 @@ class TestValidationOracle:
         assert seen == {None, "unit", "assoc"}
 
 
-class TestCopyTables:
-    """SparseTable.copies is the action of an algebra on n copies of itself:
-    entry [a][k*n + o] of left is e_a e_o moved to copy k, entry [k*n + o][b]
-    of right is e_o e_b moved to copy k.  Over Q, where validation lifts the
-    table, the lifted copies equal the copies lifted directly."""
-
-    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
-    def test_matches_definition(self, field):
-        from trialg.algcore import SparseTable
-        from trialg.randomgen import random_instances
-
-        algs = [fixture_f1(field).total, upper_triangular_algebra(field, 3),
-                truncated_polynomial_algebra(field, 3)]
-        algs += [tri.total for _, tri, _ in random_instances(field, 3, 8100)]
-        if field is QQ:  # UT_2 in the basis s_i e_i, whose constants are c_ijk s_i s_j / s_k
-            ut2, scale = upper_triangular_algebra(QQ, 2), (Fraction(1), Fraction(2), Fraction(1, 3))
-            e = [ut2.basis_vector(i) for i in range(ut2.dim)]
-            mul = [[[c * scale[i] * scale[j] / scale[k] for k, c in enumerate(ut2.mul_vec(e[i], e[j]))]
-                    for j in range(ut2.dim)] for i in range(ut2.dim)]
-            algs.append(FinAlgebra(QQ, mul, [u / s for u, s in zip(ut2.unit, scale)]))
-        dens = set()
-        for alg in algs:
-            pairs, n = alg._pairs, alg.dim
-            left, right = pairs.copies()
-            assert tuple(left) == tuple(tuple(tuple((k * n + l, c) for l, c in pairs[a][o])
-                                              for k in range(n) for o in range(n)) for a in range(n))
-            assert tuple(right) == tuple(tuple(tuple((k * n + l, c) for l, c in pairs[o][b])
-                                               for b in range(n)) for k in range(n) for o in range(n))
-            if field is QQ:
-                for table in (left, right):
-                    assert integer_form(0, table) == integer_form(0, SparseTable(tuple(table)))
-                    dens.add(integer_form(0, table)[0])
-        assert field is not QQ or max(dens) > 1
-
-
 class TestBuildTriangular:
     def test_f1_is_upper_triangular_2x2(self, f1):
         t = f1.total

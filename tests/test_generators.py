@@ -10,13 +10,16 @@ of the full row-major scan, and a twist not known to be multiplicative must
 keep that full scan.
 """
 
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trialg.algcore import build_triangular, product_rule_failure, product_rule_rows
-from trialg.exactla import GF, QQ, IntegerRows, Subspace, kernel_sparse
+from trialg.exactla import GF, QQ, IntegerRows, Subspace, derived, kernel_sparse
 from trialg.fixtures import fixture_f3, regular_bimodule, upper_triangular_algebra, ut2_tensor_flip
 from trialg.randomgen import instance_catalog, random_block_preserving_sigma, random_instances
 from trialg.sigmamaps import (
@@ -34,7 +37,8 @@ from trialg.spaces import _biderivation_rows, _dedup_rows, _derivation_rows, sol
 from trialg.structure import subspace_product
 
 from test_algcore import _rebased
-from test_dense_oracles import unflatten_bilinear, value
+from test_dense_oracles import flatten, unflatten_bilinear, value
+from test_sigmamaps import _per_slot_failure
 
 
 def _word_span(alg, gens) -> Subspace:
@@ -172,12 +176,16 @@ def test_linear_witness_is_the_first_of_the_full_scan():
     assert off_generator
 
 
+FIRST_SLOT = "first-slot failure at (e_i e_j, e_k)"
+SECOND_SLOT = "second-slot failure at (e_k, e_i e_j)"
+
+
 def _first_biderivation_failure(alg, D, sigma):
     """The first (i, j, k, slot) in row-major order, slot 0 before 1, where
     D(e_i e_j, e_k) - sigma(e_i) D(e_j, e_k) - D(e_i, e_k) e_j (slot 0) or
     D(e_k, e_i e_j) - sigma(e_i) D(e_k, e_j) - D(e_k, e_i) e_j (slot 1) is
-    nonzero, as classify_bilinear reports it: (indices, residual), evaluated
-    densely."""
+    nonzero, as classify_bilinear reports it: (indices, residual,
+    description), evaluated densely."""
     n, mul = alg.dim, alg.mul_vec
     e = [alg.basis_vector(i) for i in range(n)]
     s = [sigma.apply(x) for x in e]
@@ -186,33 +194,26 @@ def _first_biderivation_failure(alg, D, sigma):
         first = alg.sub_vec(alg.sub_vec(D.apply(ij, e[k]), mul(s[i], D.apply(e[j], e[k]))),
                             mul(D.apply(e[i], e[k]), e[j]))
         if any(first):
-            return (i, j, k), first
+            return (i, j, k), first, FIRST_SLOT
         second = alg.sub_vec(alg.sub_vec(D.apply(e[k], ij), mul(s[i], D.apply(e[k], e[j]))),
                              mul(D.apply(e[k], e[i]), e[j]))
         if any(second):
-            return (k, i, j), second
+            return (k, i, j), second, SECOND_SLOT
     return None
 
 
 def _full_scan_biderivation_failure(alg, D, sigma):
     """The witness of classify_bilinear from one row-major product_rule_failure
-    scan of all pairs per slot: the least (i, j, k, slot), with the slot's
-    residual in copy k, reported as (i, j, k) for the first slot and (k, i,
-    j) for the second."""
-    n = alg.dim
-    left, right = alg._pairs.copies()
-    ident = alg.identity_map()
-    failures = []
-    for slot, Y in enumerate(D.slot_maps()):
-        bad = product_rule_failure(alg._pairs, Y, ((sigma, Y, left), (Y, ident, right)))
-        if bad:
-            (i, j), residual = bad
-            k = next(k for k in range(n) if any(residual[k * n:(k + 1) * n]))
-            failures.append(((i, j, k, slot), residual[k * n:(k + 1) * n]))
-    if not failures:
+    scan of all pairs per slot map D(., e_k) (slot 0) and D(e_k, .) (slot 1),
+    each a map into alg over its own table (test_sigmamaps._per_slot_failure
+    at the twists (1, sigma)): the least (i, j, k, slot) with its residual,
+    reported as (i, j, k) for the first slot and (k, i, j) for the second,
+    with the slot's description."""
+    bad = _per_slot_failure(alg, D, alg.identity_map(), sigma)
+    if bad is None:
         return None
-    (i, j, k, slot), element = min(failures)
-    return ((i, j, k) if slot == 0 else (k, i, j)), element
+    (i, j, k, slot), element = bad
+    return ((i, j, k), element, FIRST_SLOT) if slot == 0 else ((k, i, j), element, SECOND_SLOT)
 
 
 def test_bilinear_witness_is_the_first_of_the_full_scan():
@@ -237,10 +238,59 @@ def test_bilinear_witness_is_the_first_of_the_full_scan():
             assert v.holds == (expected is None)
             if expected is None:
                 continue
-            assert (v.witness.indices, v.witness.element) == expected
-            first = v.witness.indices[0] if v.witness.description.startswith("first") else v.witness.indices[1]
+            assert (v.witness.indices, v.witness.element, v.witness.description) == expected
+            first = v.witness.indices[0] if v.witness.description == FIRST_SLOT else v.witness.indices[1]
             off_generator += first not in alg.generators()
     assert off_generator
+
+
+_SPAN_FIELDS = (QQ, GF(2), GF(3), GF(5))
+
+
+@functools.lru_cache(maxsize=None)
+def _solved_biderivations(f: int, c: int) -> tuple:
+    """(catalog constructor, seeded block-preserving twist, the basis maps of
+    its solved sigma-biderivation space) for shape c of the catalog over
+    _SPAN_FIELDS[f]."""
+    make = instance_catalog(_SPAN_FIELDS[f])[c][1]
+    tri = make()
+    sigma = random_block_preserving_sigma(tri, random.Random(4800 + 16 * f + c))
+    return make, sigma, tuple(solve_space("sigma_biderivation", tri, sigma).basis_maps())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_span_check_matches_the_dense_triple_scan(data):
+    """A random combination of the solved sigma-biderivation basis maps of a
+    catalog shape over Q, F_2, F_3 or F_5, unchanged or with one value
+    bumped: classify_bilinear, on a fresh instance and on one whose store
+    ("derivations", sigma) a verified solve filled, gives the verdict of the
+    dense scan of every triple and its witness indices, element and
+    description; a failing map leaves the store as it was."""
+    f = data.draw(st.integers(0, len(_SPAN_FIELDS) - 1), label="field")
+    make, sigma, basis = _solved_biderivations(f, data.draw(st.integers(0, 9), label="shape"))
+    field = _SPAN_FIELDS[f]
+    n = basis[0].dim
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)), label="coeffs")
+    flat = [field.zero] * n ** 3
+    for c, D in zip(coeffs, basis):
+        for idx, v in enumerate(flatten(D)):
+            flat[idx] = field.add(flat[idx], field.mul(field.coerce(c), v))
+    bump = data.draw(st.none() | st.tuples(st.integers(0, n ** 3 - 1), st.integers(1, 4)), label="bump")
+    if bump is not None:
+        flat[bump[0]] = field.add(flat[bump[0]], field.coerce(bump[1]))
+    D = unflatten_bilinear(field, flat, n)
+    warm = make().total
+    solve_space("sigma_biderivation", warm, sigma)
+    assert derived(warm, ("derivations", sigma))
+    for alg in (make().total, warm):
+        before = dict(derived(alg, ("derivations", sigma)) or {})
+        expected = _first_biderivation_failure(alg, D, sigma)
+        v = classify_bilinear("sigma_biderivation", alg, D, sigma)
+        assert v.holds == (expected is None)
+        if expected is not None:
+            assert (v.witness.indices, v.witness.element, v.witness.description) == expected
+            assert (derived(alg, ("derivations", sigma)) or {}) == before
 
 
 def test_non_multiplicative_beta_keeps_the_full_scan():

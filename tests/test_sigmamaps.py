@@ -674,9 +674,9 @@ def _per_slot_failure(alg, D, alpha, beta):
 
 
 class TestBiderivationWitnessOracle:
-    """Checking all slot maps of a biderivation at once, as maps into n copies
-    of the algebra, gives the verdict and first witness that checking each
-    slot map on its own gives, on solved and perturbed tensors.  The twists
+    """Checking a basis of the span of a biderivation's slot maps gives the
+    verdict and first witness that checking each slot map on its own gives,
+    on solved and perturbed tensors.  The twists
     (alpha, beta) = (1, sigma) and (sigma, sigma) are decided through the
     reduction to the one twist alpha^{-1} beta (test_dense_oracles._reduced)."""
 
